@@ -1,6 +1,7 @@
 """Command-line interface: generate, run, report, predict.
 
-Exit codes: 0 success, 1 domain error (printed to stderr), 2 usage error.
+Exit codes: 0 success, 1 domain error (printed to stderr) or a run in
+which every cell failed, 2 usage error.
 All randomness flows from explicit --seed flags (default constant 42), so
 repeat invocations are reproducible.
 """
@@ -160,9 +161,11 @@ def _cmd_run(args, parser) -> int:
     failures = [c for c in matrix.cells.values() if c.error is not None]
     print(render_table5_text(matrix))
     print(f"\nreports written to {files['table4'].parent}")
-    if failures:
-        for c in failures:
-            print(f"cell failed: {c.model_id} × {c.group_id}: {c.error}", file=sys.stderr)
+    for c in failures:
+        print(f"cell failed: {c.model_id} × {c.group_id}: {c.error}", file=sys.stderr)
+    if len(failures) == len(matrix.cells):
+        print(f"error: all {len(failures)} cells failed", file=sys.stderr)
+        return 1
     return 0
 
 

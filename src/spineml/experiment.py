@@ -20,6 +20,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -103,7 +104,17 @@ MODEL_SPECS = {
     "DT_opt": ModelSpec("DT_opt", "dt", uses_grid=True),
 }
 
-_SYNTHETIC_KEYS = {"n", "seed", "signal", "p_success"}
+# Numeric settings and the number type each must have (bool is excluded).
+_NUMERIC_FIELDS = {
+    "test_fraction": Real,
+    "n_folds": Integral,
+    "seed": Integral,
+    "keep_fraction": Real,
+    "workers": Integral,
+}
+# The synthetic keys, all numeric.
+_SYNTHETIC_KEYS = {"n": Integral, "seed": Integral, "signal": Real, "p_success": Real}
+
 _CONFIG_KEYS = {
     "data",
     "schema",
@@ -120,6 +131,12 @@ _CONFIG_KEYS = {
     "out_dir",
     "save_models",
 }
+
+
+def _check_number(name: str, value, kind) -> None:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is Integral else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +158,8 @@ class ExperimentConfig:
     save_models: bool = False
 
     def __post_init__(self):
+        for name, kind in _NUMERIC_FIELDS.items():
+            _check_number(name, getattr(self, name), kind)
         if not self.groups or not self.models:
             raise ConfigError("groups and models must be non-empty")
         for g in self.groups:
@@ -162,9 +181,11 @@ class ExperimentConfig:
         if (self.csv_path is None) == (self.synthetic is None):
             raise ConfigError("configure exactly one data source (csv or synthetic)")
         if self.synthetic is not None:
-            unknown = set(self.synthetic) - _SYNTHETIC_KEYS
+            unknown = set(self.synthetic) - set(_SYNTHETIC_KEYS)
             if unknown:
                 raise ConfigError(f"unknown synthetic keys: {sorted(unknown)}")
+            for key, value in self.synthetic.items():
+                _check_number(f"synthetic {key}", value, _SYNTHETIC_KEYS[key])
         for fam in self.grids:
             if fam not in ("KNN", "DT"):
                 raise ConfigError(f"unknown grid family: {fam}")

@@ -24,8 +24,10 @@ from .errors import (
     TooFewRowsError,
 )
 from .metrics import accuracy, confusion, f1
-from .neighbors import _distances, _vote, knn_fit, knn_predict_many
-from .resampling import ResamplePlan, oversample
+# knn_predict_many stays importable from this module (perfbench's tracing
+# tests check that its binding here is rebound with the others).
+from .neighbors import _distances, _vote, knn_fit, knn_predict_many  # noqa: F401
+from .resampling import ResamplePlan, minority_basis, oversample
 from .tree import dt_fit, dt_predict_many, extratrees_fit, predict_constrained
 
 
@@ -218,26 +220,6 @@ def default_dt_grid() -> ParamGrid:
     )
 
 
-def _fit_family(family: str, ds: Dataset, params: dict):
-    if family == "knn":
-        return knn_fit(ds, params["k"], params["weighting"], params["metric"])
-    if family == "dt":
-        return dt_fit(
-            ds,
-            params["criterion"],
-            params["max_depth"],
-            params["min_samples_split"],
-            params["min_samples_leaf"],
-        )
-    raise ValueError(f"unknown grid family: {family}")
-
-
-def _predict_family(family: str, model, X: np.ndarray) -> np.ndarray:
-    if family == "knn":
-        return knn_predict_many(model, X)
-    return dt_predict_many(model, X)
-
-
 def _score(scoring: str, y_true, y_pred) -> float:
     cm = confusion(y_true, y_pred)
     return f1(cm) if scoring == "f1" else accuracy(cm)
@@ -257,10 +239,18 @@ def grid_search(
     When a resampling plan is given it is applied to the CV-training folds
     only, reseeded per (combination, fold). A failing combination scores 0
     on the failed folds and carries an error flag in the CV table.
+
+    Work that depends only on the fold is done once per fold: KNN caches
+    the sorted distances from each fold's validation rows to its training
+    rows (and SMOTE's neighbor lists), and DT without resampling grows one
+    tree per (criterion, min_samples_leaf, fold). The scores equal refitting
+    every (combination, fold) from scratch.
     """
     if scoring not in ("f1", "accuracy"):
         raise ValueError(f"unknown scoring: {scoring}")
     combos = grid.combos()
+    if grid.family not in ("knn", "dt"):
+        raise ValueError(f"unknown grid family: {grid.family}")
     n_folds = len(folds.folds)
     all_idx = np.arange(train.n)
     fold_val = [np.asarray(f, dtype=np.int64) for f in folds.folds]
@@ -269,19 +259,25 @@ def grid_search(
     scores = np.zeros((len(combos), n_folds))
     flags: list[str | None] = [None] * len(combos)
 
-    if resample is None and grid.family == "knn":
-        _knn_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags)
-    elif resample is None and grid.family == "dt":
+    if grid.family == "knn":
+        _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scores, flags)
+    elif resample is None:
         _dt_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags)
     else:
         for ci, combo in enumerate(combos):
             for fi in range(n_folds):
                 try:
-                    sub = train.take(fold_train[fi])
-                    if resample is not None:
-                        sub = oversample(sub, resample.with_seed(derive_seed(seed, ci, fi)))
-                    model = _fit_family(grid.family, sub, combo)
-                    preds = _predict_family(grid.family, model, train.rows[fold_val[fi]])
+                    sub = oversample(
+                        train.take(fold_train[fi]), resample.with_seed(derive_seed(seed, ci, fi))
+                    )
+                    model = dt_fit(
+                        sub,
+                        combo["criterion"],
+                        combo["max_depth"],
+                        combo["min_samples_split"],
+                        combo["min_samples_leaf"],
+                    )
+                    preds = dt_predict_many(model, train.rows[fold_val[fi]])
                     scores[ci, fi] = _score(scoring, train.labels[fold_val[fi]], preds)
                 except PipelineError as exc:
                     scores[ci, fi] = 0.0
@@ -301,33 +297,52 @@ def grid_search(
     return dict(combos[best_i]), cv_table
 
 
-def _knn_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags):
-    """Reuse the per-(metric, fold) neighbor ordering across k/weighting combos."""
-    metrics = []
-    for combo in combos:
-        if combo["metric"] not in metrics:
-            metrics.append(combo["metric"])
+def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scores, flags):
+    """Score KNN combinations from per-(metric, fold) sorted neighbor lists.
+
+    The cache holds, for each validation row, the top-k_max original fold
+    rows in (distance, index) order. An oversampled fold is those rows
+    followed by appended rows, so per (combination, fold) only the distances
+    to the appended rows are new. Their stable top-k goes after the cached
+    top-k, and a stable sort of that merge is the (distance, stored index)
+    order of sorting the whole oversampled matrix. SMOTE's neighbor lists
+    come from one `minority_basis` per fold.
+    """
+    subs = [train.take(tr) for tr in fold_train]
+    X_val = [train.rows[va] for va in fold_val]
+    k_max = max(combo["k"] for combo in combos)
     cache = {}
-    for metric in metrics:
-        for fi, (tr, va) in enumerate(zip(fold_train, fold_val)):
-            dist = _distances(train.rows[tr], train.rows[va], metric)
-            order = np.argsort(dist, axis=1, kind="stable")
-            cache[(metric, fi)] = (dist, order, train.labels[tr], train.labels[va])
+    for metric in dict.fromkeys(combo["metric"] for combo in combos):
+        for fi, sub in enumerate(subs):
+            dist = _distances(sub.rows, X_val[fi], metric)
+            order = np.argsort(dist, axis=1, kind="stable")[:, :k_max]
+            cache[(metric, fi)] = (np.take_along_axis(dist, order, axis=1), sub.labels[order])
+    bases = {}
     for ci, combo in enumerate(combos):
-        k = combo["k"]
-        for fi in range(len(fold_val)):
-            dist, order, ytr, yva = cache[(combo["metric"], fi)]
-            if not 1 <= k <= ytr.size:
+        k, weighting, metric = combo["k"], combo["weighting"], combo["metric"]
+        for fi, sub in enumerate(subs):
+            try:
+                fitted = sub
+                if resample is not None:
+                    if fi not in bases:
+                        bases[fi] = minority_basis(sub, resample)
+                    fitted = oversample(sub, resample.with_seed(derive_seed(seed, ci, fi)), bases[fi])
+                knn_fit(fitted, k, weighting, metric)
+            except PipelineError as exc:
                 scores[ci, fi] = 0.0
-                flags[ci] = f"k must be in [1, {ytr.size}], got {k}"
+                flags[ci] = str(exc)
                 continue
-            preds = np.array(
-                [
-                    _vote(dist[i, order[i, :k]], ytr[order[i, :k]], combo["weighting"])[0]
-                    for i in range(yva.size)
-                ]
-            )
-            scores[ci, fi] = _score(scoring, yva, preds)
+            dist, labels = cache[(metric, fi)]
+            dist, labels = dist[:, :k], labels[:, :k]
+            if fitted.n > sub.n:
+                extra = _distances(fitted.rows[sub.n:], X_val[fi], metric)
+                top = np.argsort(extra, axis=1, kind="stable")[:, :k]
+                dist = np.concatenate([dist, np.take_along_axis(extra, top, axis=1)], axis=1)
+                labels = np.concatenate([labels, fitted.labels[sub.n:][top]], axis=1)
+                top = np.argsort(dist, axis=1, kind="stable")[:, :k]
+                dist = np.take_along_axis(dist, top, axis=1)
+                labels = np.take_along_axis(labels, top, axis=1)
+            scores[ci, fi] = _score(scoring, train.labels[fold_val[fi]], _vote(dist, labels, weighting))
 
 
 def _dt_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags):

@@ -3,6 +3,14 @@
 Every tie is broken deterministically: neighbor-cutoff ties go to the
 lower stored-row index, vote ties to the class with the smaller summed
 distance and then to the lower label.
+
+Batch prediction votes for all query rows at once (`_vote`); a row whose
+two class weights are equal up to rounding is settled by the one-row rule
+(`_vote_one`) that single-record prediction uses, so both give the same
+labels. Distances are computed over blocks of query rows, so memory stays
+bounded however many rows are queried. Grid search
+(`model_selection.grid_search`) caches the distances from each fold's
+validation rows to its training rows and votes on them directly.
 """
 
 from __future__ import annotations
@@ -18,6 +26,12 @@ WEIGHTINGS = ("uniform", "inverse-distance")
 METRICS = ("euclidean", "manhattan")
 
 _INV_EPS = 1e-12
+# Class weights closer than this, relative to the larger, count as tied: a
+# different summation order may flip them, so the one-row rule decides.
+_TIE_RTOL = 1e-9
+# Upper bound on the bytes of one (query block × n_train × d) float64
+# difference tensor inside `_distances`.
+_CHUNK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -40,11 +54,27 @@ def knn_fit(train: Dataset, k: int, weighting: str = "uniform", metric: str = "e
                     points=train.rows, labels=train.labels)
 
 
-def _distances(points: np.ndarray, X: np.ndarray, metric: str) -> np.ndarray:
+def _block_distances(points: np.ndarray, X: np.ndarray, metric: str) -> np.ndarray:
     diff = X[:, None, :] - points[None, :, :]
     if metric == "euclidean":
         return np.sqrt((diff * diff).sum(axis=2))
     return np.abs(diff).sum(axis=2)
+
+
+def _distances(points: np.ndarray, X: np.ndarray, metric: str) -> np.ndarray:
+    """(n_query, n_train) distances from each row of X to each stored point.
+
+    Query rows are taken in blocks whose difference tensor stays under
+    _CHUNK_BYTES. Each entry is reduced over its own d differences, so the
+    values do not depend on the block size.
+    """
+    step = max(1, _CHUNK_BYTES // max(1, 8 * points.shape[0] * points.shape[1]))
+    if X.shape[0] <= step:
+        return _block_distances(points, X, metric)
+    out = np.empty((X.shape[0], points.shape[0]))
+    for start in range(0, X.shape[0], step):
+        out[start:start + step] = _block_distances(points, X[start:start + step], metric)
+    return out
 
 
 def knn_kneighbors(model: KNNModel, x) -> np.ndarray:
@@ -59,7 +89,8 @@ def knn_kneighbors(model: KNNModel, x) -> np.ndarray:
     return order[: model.k]
 
 
-def _vote(dist_k: np.ndarray, labels_k: np.ndarray, weighting: str) -> tuple[int, float]:
+def _vote_one(dist_k: np.ndarray, labels_k: np.ndarray, weighting: str) -> tuple[int, float]:
+    """Winning label of one row of k neighbors and its weight fraction."""
     if weighting == "uniform":
         weights = np.ones_like(dist_k)
     else:
@@ -76,6 +107,25 @@ def _vote(dist_k: np.ndarray, labels_k: np.ndarray, weighting: str) -> tuple[int
     return winner, frac
 
 
+def _vote(dist: np.ndarray, labels: np.ndarray, weighting: str) -> np.ndarray:
+    """Winning label of each row of (q, k) neighbor distances and 0/1 labels.
+
+    Rows whose class weights are tied up to rounding go to `_vote_one`, so
+    every label equals the one-row rule's.
+    """
+    if weighting == "uniform":
+        weights = np.ones_like(dist)
+    else:
+        weights = 1.0 / (dist + _INV_EPS)
+    ones = (weights * labels).sum(axis=1)
+    zeros = (weights * (1 - labels)).sum(axis=1)
+    winners = (ones > zeros).astype(np.int64)
+    close = ~(np.abs(ones - zeros) > _TIE_RTOL * np.maximum(ones, zeros))
+    for i in np.flatnonzero(close):
+        winners[i] = _vote_one(dist[i], labels[i], weighting)[0]
+    return winners
+
+
 def knn_predict(model: KNNModel, x) -> tuple[int, float]:
     """Winning label among the k nearest neighbors and its weight fraction."""
     x = np.asarray(x, dtype=float)
@@ -85,7 +135,7 @@ def knn_predict(model: KNNModel, x) -> tuple[int, float]:
         )
     dist = _distances(model.points, x[None, :], model.metric)[0]
     order = np.argsort(dist, kind="stable")[: model.k]
-    return _vote(dist[order], model.labels[order], model.weighting)
+    return _vote_one(dist[order], model.labels[order], model.weighting)
 
 
 def knn_predict_many(model: KNNModel, X: np.ndarray) -> np.ndarray:
@@ -96,8 +146,4 @@ def knn_predict_many(model: KNNModel, X: np.ndarray) -> np.ndarray:
         )
     dist = _distances(model.points, X, model.metric)
     order = np.argsort(dist, axis=1, kind="stable")[:, : model.k]
-    out = np.empty(X.shape[0], dtype=np.int64)
-    for i in range(X.shape[0]):
-        idx = order[i]
-        out[i] = _vote(dist[i, idx], model.labels[idx], model.weighting)[0]
-    return out
+    return _vote(np.take_along_axis(dist, order, axis=1), model.labels[order], model.weighting)

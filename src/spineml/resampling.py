@@ -3,17 +3,23 @@
 Both methods only append rows; original rows are never touched and
 majority rows never change. Applied to training partitions only — the
 experiment runner keeps validation and test rows out of reach.
+
+Oversampling is split into a seed-independent basis (`minority_basis`: the
+minority pool and SMOTE's neighbor lists) and the seeded draws
+(`oversample`), so grid search builds the basis once per fold and reseeds
+only the draws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import MinorityTooSmallError, SingleClassError
+from .neighbors import _distances
 
 METHODS = ("random_over", "smote")
 
@@ -58,17 +64,45 @@ def _append(ds: Dataset, new_rows: np.ndarray, minority_label: int) -> Dataset:
     return Dataset(ds.schema, rows, labels)
 
 
-def random_oversample(train: Dataset, plan: ResamplePlan) -> Dataset:
-    """Append seeded uniform-with-replacement copies of minority rows to the target ratio."""
+@dataclass(frozen=True)
+class MinorityBasis:
+    """The seed-independent part of oversampling one training set.
+
+    `neighbors` (SMOTE only, and only when rows are needed) holds, for each
+    minority row, the pool positions of its k nearest minority rows.
+    """
+
+    minority: int
+    need: int
+    pool: np.ndarray
+    neighbors: np.ndarray | None = None
+
+
+def minority_basis(train: Dataset, plan: ResamplePlan) -> MinorityBasis:
+    """Minority label, rows needed, minority pool and SMOTE neighbor lists.
+
+    Depends on the training set and the plan but not on its seed, so one
+    basis serves every reseeded `oversample` of the same set.
+    """
     minority, majority = _minority_majority(train)
     counts = train.class_counts()
-    need = _target_count(plan, counts[majority]) - counts[minority]
-    if need <= 0:
-        return train
-    rng = np.random.default_rng(plan.seed)
     pool = np.flatnonzero(train.labels == minority)
-    picks = pool[rng.integers(0, pool.size, size=need)]
-    return _append(train, train.rows[picks], minority)
+    if plan.method == "smote" and pool.size < 2:
+        raise MinorityTooSmallError("SMOTE needs at least 2 minority rows")
+    need = _target_count(plan, counts[majority]) - counts[minority]
+    if plan.method == "random_over" or need <= 0:
+        return MinorityBasis(minority, need, pool)
+    points = train.rows[pool]
+    dist = _distances(points, points, "euclidean")
+    np.fill_diagonal(dist, np.inf)
+    k = min(plan.smote_k, pool.size - 1)
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return MinorityBasis(minority, need, pool, neighbors)
+
+
+def random_oversample(train: Dataset, plan: ResamplePlan) -> Dataset:
+    """Append seeded uniform-with-replacement copies of minority rows to the target ratio."""
+    return oversample(train, replace(plan, method="random_over"))
 
 
 def smote_oversample(train: Dataset, plan: ResamplePlan) -> Dataset:
@@ -78,32 +112,24 @@ def smote_oversample(train: Dataset, plan: ResamplePlan) -> Dataset:
     start, one of the seed's k nearest minority neighbors (euclidean) is
     chosen uniformly, and the synthetic point is x + u·(z − x), u ∈ [0, 1).
     """
-    minority, majority = _minority_majority(train)
-    counts = train.class_counts()
-    pool = np.flatnonzero(train.labels == minority)
-    if pool.size < 2:
-        raise MinorityTooSmallError("SMOTE needs at least 2 minority rows")
-    need = _target_count(plan, counts[majority]) - counts[minority]
-    if need <= 0:
+    return oversample(train, replace(plan, method="smote"))
+
+
+def oversample(train: Dataset, plan: ResamplePlan, basis: MinorityBasis | None = None) -> Dataset:
+    """Oversample `train` by `plan`; `basis` is `minority_basis(train, plan)`,
+    passed in when one set is oversampled under many seeds."""
+    if basis is None:
+        basis = minority_basis(train, plan)
+    if basis.need <= 0:
         return train
-
-    points = train.rows[pool]
-    k = min(plan.smote_k, pool.size - 1)
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    neighbor_lists = np.argsort(dist, axis=1, kind="stable")[:, :k]
-
     rng = np.random.default_rng(plan.seed)
-    start = int(rng.integers(0, pool.size))
-    seeds = (start + np.arange(need)) % pool.size
-    picks = neighbor_lists[seeds, rng.integers(0, k, size=need)]
-    u = rng.random(need)[:, None]
-    new_rows = points[seeds] + u * (points[picks] - points[seeds])
-    return _append(train, new_rows, minority)
-
-
-def oversample(train: Dataset, plan: ResamplePlan) -> Dataset:
     if plan.method == "random_over":
-        return random_oversample(train, plan)
-    return smote_oversample(train, plan)
+        picks = basis.pool[rng.integers(0, basis.pool.size, size=basis.need)]
+        return _append(train, train.rows[picks], basis.minority)
+    points = train.rows[basis.pool]
+    start = int(rng.integers(0, basis.pool.size))
+    seeds = (start + np.arange(basis.need)) % basis.pool.size
+    picks = basis.neighbors[seeds, rng.integers(0, basis.neighbors.shape[1], size=basis.need)]
+    u = rng.random(basis.need)[:, None]
+    new_rows = points[seeds] + u * (points[picks] - points[seeds])
+    return _append(train, new_rows, basis.minority)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import MissingColumnError, UnknownGroupError
+from .errors import ConfigError, MissingColumnError, UnknownGroupError
 
 KIND_CONTINUOUS = "continuous"
 KIND_ORDINAL = "ordinal"
@@ -210,18 +210,31 @@ def group_by_id(group_id: str) -> VariableGroup:
 
 
 def load_schema_json(path) -> Schema:
-    """Load a schema override file: {"columns": [{"name","kind","min","max","role"}, ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    cols = []
-    for entry in raw["columns"]:
-        rng = None
-        if entry.get("min") is not None or entry.get("max") is not None:
-            rng = (float(entry["min"]), float(entry["max"]))
-        cols.append(
-            ColumnSpec(entry["name"], entry["kind"], entry["role"], rng)
-        )
-    return Schema(tuple(cols))
+    """Load a schema override file: {"columns": [{"name","kind","min","max","role"}, ...]}.
+
+    An unreadable, malformed or invalid file raises ConfigError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read schema: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"schema {path} is not valid JSON: {exc}") from exc
+    try:
+        cols = []
+        for entry in raw["columns"]:
+            rng = None
+            if entry.get("min") is not None or entry.get("max") is not None:
+                rng = (float(entry["min"]), float(entry["max"]))
+            cols.append(
+                ColumnSpec(entry["name"], entry["kind"], entry["role"], rng)
+            )
+        return Schema(tuple(cols))
+    except KeyError as exc:
+        raise ConfigError(f"schema {path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"schema {path}: {exc}") from exc
 
 
 def schema_to_json_dict(schema: Schema) -> dict:

@@ -177,3 +177,55 @@ def test_predict_output_is_strict_json(tmp_path, capsys):
     _, stdout, _ = _run(capsys, "predict", "--model", str(model), "--record", record)
     line = stdout.strip().split("\n")[-1]
     json.loads(line)  # must parse strictly
+
+
+def _error_lines(stderr):
+    return [line for line in stderr.splitlines() if line.startswith("error:")]
+
+
+def test_run_exits_1_when_every_cell_failed(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grids": {"KNN": {"k": [0]}}}))
+    code, _, stderr = _run(
+        capsys, "run", "--config", str(cfg_path), "--models", "KNN_opt", "--groups", "VII",
+        "--n", "80", "--out", str(tmp_path / "r"),
+    )
+    assert code == 1
+    assert _error_lines(stderr) == ["error: all 1 cells failed"]
+    assert "cell failed: KNN_opt × VII" in stderr
+
+
+def test_run_with_some_failed_cells_exits_0_with_notes(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grids": {"KNN": {"k": [0]}}}))
+    code, _, stderr = _run(
+        capsys, "run", "--config", str(cfg_path), "--models", "KNN,KNN_opt", "--groups", "VII",
+        "--n", "80", "--out", str(tmp_path / "r"),
+    )
+    assert code == 0
+    assert _error_lines(stderr) == []
+    assert "cell failed: KNN_opt × VII" in stderr
+
+
+@pytest.mark.parametrize(
+    "schema_text, message",
+    [("{bad", "is not valid JSON"), ("{}", "missing key 'columns'")],
+)
+def test_run_rejects_a_bad_schema_file_without_traceback(tmp_path, capsys, schema_text, message):
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(schema_text)
+    code, _, stderr = _run(
+        capsys, "run", "--schema", str(schema_path), "--n", "80", "--groups", "I",
+        "--models", "KNN", "--out", str(tmp_path / "r"),
+    )
+    assert code == 1
+    assert stderr.strip().splitlines() == _error_lines(stderr)
+    assert len(_error_lines(stderr)) == 1 and message in stderr
+
+
+def test_run_rejects_a_mistyped_config_number_without_traceback(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_folds": "8"}))
+    code, _, stderr = _run(capsys, "run", "--config", str(cfg_path))
+    assert code == 1
+    assert stderr.strip().splitlines() == ["error: n_folds must be an integer, got '8'"]

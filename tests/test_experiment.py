@@ -59,6 +59,10 @@ def test_config_validation():
         ExperimentConfig(csv_path="x.csv", synthetic={"n": 50})
     with pytest.raises(ConfigError):
         _cfg(synthetic={"n": 50, "bogus": 1})
+    for bad in ({"n_folds": "8"}, {"test_fraction": "0.25"}, {"workers": True},
+                {"seed": 4.5}, {"synthetic": {"n": "50"}}, {"synthetic": {"signal": None}}):
+        with pytest.raises(ConfigError):
+            _cfg(**bad)
 
 
 def test_config_from_dict_rejects_unknown_keys():

@@ -21,7 +21,8 @@ from spineml.model_selection import (
     stratified_shuffle_split,
     univariate_f_scores,
 )
-from spineml.neighbors import knn_fit, knn_predict_many
+from spineml.errors import PipelineError
+from spineml.neighbors import knn_fit, knn_predict, knn_predict_many
 from spineml.resampling import ResamplePlan, oversample
 from spineml.tree import dt_fit, dt_predict_many
 
@@ -314,6 +315,67 @@ def test_grid_search_with_resampling_matches_recomputation():
     recomputed = _naive_grid_recompute(ds, grid, folds, plan, 55)
     for row, fresh in zip(table, recomputed):
         assert abs(row["mean_score"] - fresh) < 1e-12
+
+
+def _naive_knn_cv_table(ds, grid, folds, resample, scoring_seed):
+    """From-scratch refit of every combination x fold, predicting one record
+    at a time, with failures scored 0 and flagged by the last failing fold."""
+    all_idx = np.arange(ds.n)
+    table = []
+    for ci, combo in enumerate(grid.combos()):
+        fold_scores, error = [], None
+        for fi, val_idx in enumerate(folds.folds):
+            try:
+                sub = ds.take(np.setdiff1d(all_idx, val_idx))
+                if resample is not None:
+                    sub = oversample(sub, resample.with_seed(derive_seed(scoring_seed, ci, fi)))
+                model = knn_fit(sub, combo["k"], combo["weighting"], combo["metric"])
+            except PipelineError as exc:
+                fold_scores.append(0.0)
+                error = str(exc)
+                continue
+            preds = [knn_predict(model, x)[0] for x in ds.rows[val_idx]]
+            fold_scores.append(f1(confusion(ds.labels[val_idx], preds)))
+        table.append({"fold_scores": fold_scores, "error": error})
+    return table
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "inverse-distance"])
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("method", ["random_over", "smote"])
+def test_fold_cached_knn_search_matches_refitting_every_fold(method, metric, weighting):
+    ds = _blobs(60, seed=13)
+    ds = make_dataset(np.round(ds.rows, 1), np.array([0] * 40 + [1] * 20))
+    folds = stratified_kfold(ds.labels, 8, seed=3)
+    # fold training sets hold 52-53 rows and 70 after oversampling: k=4 is
+    # even, k=60 needs appended rows, k=80 exceeds the oversampled fold
+    grid = ParamGrid("knn", {"k": (1, 4, 7, 60, 80), "weighting": (weighting,), "metric": (metric,)})
+    plan = ResamplePlan(method)
+    _, table = grid_search(ds, grid, folds, resample=plan, seed=55)
+    naive = _naive_knn_cv_table(ds, grid, folds, plan, 55)
+    assert [(r["fold_scores"], r["error"]) for r in table] == [
+        (r["fold_scores"], r["error"]) for r in naive
+    ]
+    assert table[-1]["error"] == "k must be in [1, 70], got 80"
+    assert all(r["error"] is None for r in table[:-1])
+
+
+def test_fold_cached_knn_search_keeps_resampling_errors():
+    # 3 minority rows over 2 folds: one fold keeps a single minority row,
+    # which SMOTE rejects; the other oversamples normally
+    rng = np.random.default_rng(8)
+    rows = np.vstack([rng.normal(0, 1, size=(17, 2)), rng.normal(6, 0.5, size=(3, 2))])
+    ds = make_dataset(rows, np.array([0] * 17 + [1] * 3))
+    folds = stratified_kfold(ds.labels, 2, seed=1)
+    grid = ParamGrid("knn", {"k": (1, 3), "weighting": ("uniform",), "metric": ("euclidean",)})
+    plan = ResamplePlan("smote")
+    _, table = grid_search(ds, grid, folds, resample=plan, seed=4)
+    naive = _naive_knn_cv_table(ds, grid, folds, plan, 4)
+    assert [(r["fold_scores"], r["error"]) for r in table] == [
+        (r["fold_scores"], r["error"]) for r in naive
+    ]
+    assert table[0]["error"] == "SMOTE needs at least 2 minority rows"
+    assert sorted(table[0]["fold_scores"]) == [0.0, 1.0]
 
 
 def test_grid_search_accuracy_scoring():

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spineml import neighbors
 from spineml.errors import KOutOfRangeError, WidthMismatchError
-from spineml.neighbors import knn_fit, knn_kneighbors, knn_predict, knn_predict_many
+from spineml.neighbors import (
+    _distances,
+    _vote,
+    knn_fit,
+    knn_kneighbors,
+    knn_predict,
+    knn_predict_many,
+)
 
 from helpers import brute_force_neighbors, make_dataset
 
@@ -111,3 +121,99 @@ def test_predict_many_agrees_with_single():
     model = knn_fit(ds, k=5, weighting="inverse-distance", metric="manhattan")
     X = rng.normal(0, 1, size=(12, 3))
     assert knn_predict_many(model, X).tolist() == [knn_predict(model, x)[0] for x in X]
+
+
+def _oracle_vote(dist_k: np.ndarray, labels_k: np.ndarray, weighting: str) -> tuple[int, float]:
+    """The one-row vote as it stood before the batch vote, kept verbatim."""
+    if weighting == "uniform":
+        weights = np.ones_like(dist_k)
+    else:
+        weights = 1.0 / (dist_k + 1e-12)
+    classes = np.unique(labels_k)
+    totals = np.array([weights[labels_k == c].sum() for c in classes])
+    best = totals.max()
+    tied = classes[totals == best]
+    if tied.size > 1:
+        sums = np.array([dist_k[labels_k == c].sum() for c in tied])
+        tied = tied[sums == sums.min()]
+    winner = int(tied.min())
+    frac = float(totals[list(classes).index(winner)] / weights.sum())
+    return winner, frac
+
+
+WEIGHTINGS = st.sampled_from(["uniform", "inverse-distance"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.integers(1, 8),
+    k=st.integers(1, 21),
+    weighting=WEIGHTINGS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_vote_matches_one_row_oracle_on_tie_prone_rows(q, k, weighting, seed):
+    # Distances on a coarse grid, zero included, give exact weight ties
+    # across classes and equal summed distances.
+    rng = np.random.default_rng(seed)
+    dist = np.sort(rng.integers(0, 5, size=(q, k)) / 2.0, axis=1)
+    labels = rng.integers(0, 2, size=(q, k))
+    want = [_oracle_vote(dist[i], labels[i], weighting)[0] for i in range(q)]
+    assert _vote(dist, labels, weighting).tolist() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    d=st.integers(1, 4),
+    k=st.integers(1, 21),
+    weighting=WEIGHTINGS,
+    metric=st.sampled_from(["euclidean", "manhattan"]),
+    duplicates=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_prediction_matches_one_row_oracle(n, d, k, weighting, metric, duplicates, seed):
+    # Integer coordinates make equal distances common; duplicated minority
+    # rows are what random oversampling appends; queries sit on training
+    # rows (distance 0) as well as between them.
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-2, 3, size=(n, d)).astype(float)
+    labels = rng.integers(0, 2, n)
+    labels[0], labels[1] = 0, 1
+    copies = rng.integers(0, n, size=duplicates)
+    rows = np.vstack([rows, rows[copies]])
+    labels = np.concatenate([labels, labels[copies]])
+    k = min(k, rows.shape[0])
+    model = knn_fit(make_dataset(rows, labels), k=k, weighting=weighting, metric=metric)
+    X = np.vstack([rows[: min(n, 6)], rng.integers(-4, 5, size=(6, d)) / 2.0])
+    dist = _distances(rows, X, metric)
+    want = []
+    for i, x in enumerate(X):
+        order = np.argsort(dist[i], kind="stable")[:k]
+        expected = _oracle_vote(dist[i, order], labels[order], weighting)
+        assert knn_predict(model, x) == expected
+        want.append(expected[0])
+    assert knn_predict_many(model, X).tolist() == want
+
+
+def test_batch_vote_settles_exact_ties_like_the_oracle():
+    # even k, equal counts: the smaller summed distance wins, then the lower label
+    dist = np.array([[1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 3.0, 3.0]])
+    labels = np.array([[0, 1, 1, 0], [1, 1, 0, 0], [1, 0, 0, 1]])
+    for weighting in ("uniform", "inverse-distance"):
+        want = [_oracle_vote(dist[i], labels[i], weighting)[0] for i in range(3)]
+        assert _vote(dist, labels, weighting).tolist() == want
+    assert _vote(dist, labels, "uniform").tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_chunked_distances_equal_unchunked_bytes(monkeypatch, metric):
+    rng = np.random.default_rng(5)
+    points = rng.normal(0, 3, size=(37, 6))
+    X = rng.normal(0, 3, size=(23, 6))
+    whole = _distances(points, X, metric)
+    # below one row's block: one query row at a time
+    monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 1)
+    assert _distances(points, X, metric).tobytes() == whole.tobytes()
+    # uneven blocks of 4 rows
+    monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 4 * 8 * 37 * 6)
+    assert _distances(points, X, metric).tobytes() == whole.tobytes()

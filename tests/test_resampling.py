@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from spineml.errors import MinorityTooSmallError, SingleClassError
 from spineml.resampling import (
     ResamplePlan,
+    minority_basis,
     oversample,
     random_oversample,
     smote_oversample,
@@ -137,3 +140,39 @@ def test_resampling_never_alters_original_rows():
         assert np.array_equal(out.rows[: ds.n], before)
         # majority rows appear exactly once
         assert int(np.sum(out.labels == 0)) == 9
+
+
+def _oracle_new_rows(ds, plan):
+    """The appended rows as the one-piece oversamplers drew them, kept verbatim."""
+    n0, n1 = ds.class_counts()
+    minority, majority = (0, 1) if n0 < n1 else (1, 0)
+    counts = ds.class_counts()
+    pool = np.flatnonzero(ds.labels == minority)
+    need = math.ceil(plan.target_ratio * counts[majority]) - counts[minority]
+    rng = np.random.default_rng(plan.seed)
+    if plan.method == "random_over":
+        return ds.rows[pool[rng.integers(0, pool.size, size=need)]]
+    points = ds.rows[pool]
+    k = min(plan.smote_k, pool.size - 1)
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    neighbor_lists = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    start = int(rng.integers(0, pool.size))
+    seeds = (start + np.arange(need)) % pool.size
+    picks = neighbor_lists[seeds, rng.integers(0, k, size=need)]
+    u = rng.random(need)[:, None]
+    return points[seeds] + u * (points[picks] - points[seeds])
+
+
+@pytest.mark.parametrize("method", ["random_over", "smote"])
+def test_one_basis_serves_every_seed_bit_for_bit(method):
+    ds = _imbalanced(14, 5, seed=3)
+    # rounded rows make equal neighbor distances, where the sort order matters
+    ds = make_dataset(np.round(ds.rows, 0), ds.labels)
+    basis = minority_basis(ds, ResamplePlan(method, smote_k=3))
+    for seed in range(6):
+        plan = ResamplePlan(method, smote_k=3, seed=seed)
+        out = oversample(ds, plan, basis)
+        assert out.rows[ds.n:].tobytes() == _oracle_new_rows(ds, plan).tobytes()
+        assert out.rows.tobytes() == oversample(ds, plan).rows.tobytes()
