@@ -11,16 +11,23 @@ One stratified split is shared by every cell of a run (configurable to
 per-cell splits), and each cell derives its random streams from
 (master seed, group index, model index), so results are identical for any
 worker count.
+
+`FAMILIES` holds every per-family operation of the four classifier
+families. Training builds a `FittedCell`, which `persist` saves, loads
+back and predicts single records with.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from numbers import Integral, Real
+from typing import get_type_hints
 
 import numpy as np
 
@@ -43,14 +50,27 @@ from .model_selection import (
     stratified_kfold,
     stratified_shuffle_split,
 )
-from .naive_bayes import cnb_fit, cnb_predict_many, gnb_fit, gnb_predict_many
-from .neighbors import knn_fit, knn_predict_many
+from .naive_bayes import (
+    ComplementNBModel,
+    GaussianNBModel,
+    cnb_fit,
+    cnb_predict,
+    cnb_predict_many,
+    gnb_fit,
+    gnb_predict,
+    gnb_predict_many,
+)
+from .neighbors import METRICS, WEIGHTINGS, KNNModel, knn_fit, knn_predict, knn_predict_many
 from .preprocess import (
+    ScalerState,
     apply_minmax,
     apply_ordinal_encoder,
     apply_standardizer,
+    code_table,
     fit_ordinal_encoder,
     fit_standardizer,
+    rank_encode,
+    scale,
 )
 from .resampling import ResamplePlan, oversample
 from .schema import (
@@ -61,7 +81,7 @@ from .schema import (
     load_schema_json,
 )
 from .synthetic import generate_synthetic
-from .tree import dt_fit, dt_predict_many
+from .tree import CRITERIA, dt_fit, dt_from_dict, dt_predict, dt_predict_many, dt_to_dict
 
 MODEL_IDS = (
     "GaussianNB",
@@ -104,39 +124,123 @@ MODEL_SPECS = {
     "DT_opt": ModelSpec("DT_opt", "dt", uses_grid=True),
 }
 
-# Numeric settings and the number type each must have (bool is excluded).
-_NUMERIC_FIELDS = {
-    "test_fraction": Real,
-    "n_folds": Integral,
-    "seed": Integral,
-    "keep_fraction": Real,
-    "workers": Integral,
+
+def _fields_to_dict(model) -> dict:
+    """A model dataclass of arrays and scalars as a JSON-ready dict."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(model).items()}
+
+
+def _fields_from_dict(cls, raw: dict):
+    """Inverse of `_fields_to_dict`: each field converted to its annotated
+    type; the label arrays (`classes`, `labels`) are int64, others float."""
+    def convert(name, kind):
+        if kind is not np.ndarray:
+            return kind(raw[name])
+        return np.array(raw[name], dtype=np.int64 if name in ("classes", "labels") else float)
+
+    return cls(**{name: convert(name, kind) for name, kind in get_type_hints(cls).items()})
+
+
+def _gnb_one(model, x) -> tuple[int, float]:
+    label, posteriors = gnb_predict(model, x)
+    return label, float(posteriors.max())  # the winner's posterior
+
+
+def _cnb_one(model, x) -> tuple[int, float]:
+    """The label and its share of a softmax over the negated scores (lower
+    score wins, so the winner's term is exp(0) = 1)."""
+    label, scores = cnb_predict(model, x)
+    return label, float(1.0 / np.exp(-(scores - scores.min())).sum())
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything that differs between classifier families.
+
+    Each callable entry calls its function through this module's name for
+    it, so rebinding that name (as a tracer does) reaches every caller.
+    """
+
+    fit: Callable  # (train, params) -> model
+    predict_many: Callable  # (model, X) -> labels
+    predict_one: Callable  # (model, x) -> (label, score)
+    from_dict: Callable  # dict -> model
+    to_dict: Callable = _fields_to_dict  # model -> JSON-ready dict
+    defaults: dict = field(default_factory=dict)  # params of an untuned fit
+    grid: Callable | None = None  # () -> the default ParamGrid
+    scaling: str = "standardize"  # or "minmax" (ComplementNB needs x ≥ 0)
+
+
+FAMILIES = {
+    "gnb": Family(
+        fit=lambda train, params: gnb_fit(train),
+        predict_many=lambda model, X: gnb_predict_many(model, X),
+        predict_one=lambda model, x: _gnb_one(model, x),
+        from_dict=lambda raw: _fields_from_dict(GaussianNBModel, raw),
+    ),
+    "cnb": Family(
+        fit=lambda train, params: cnb_fit(train),
+        predict_many=lambda model, X: cnb_predict_many(model, X),
+        predict_one=lambda model, x: _cnb_one(model, x),
+        from_dict=lambda raw: _fields_from_dict(ComplementNBModel, raw),
+        scaling="minmax",
+    ),
+    "knn": Family(
+        fit=lambda train, params: knn_fit(train, **params),
+        predict_many=lambda model, X: knn_predict_many(model, X),
+        predict_one=lambda model, x: knn_predict(model, x),
+        from_dict=lambda raw: _fields_from_dict(KNNModel, raw),
+        defaults=KNN_DEFAULTS,
+        grid=lambda: default_knn_grid(),
+    ),
+    "dt": Family(
+        fit=lambda train, params: dt_fit(train, **params),
+        predict_many=lambda model, X: dt_predict_many(model, X),
+        predict_one=lambda model, x: dt_predict(model, x),
+        to_dict=lambda model: dt_to_dict(model),
+        from_dict=lambda raw: dt_from_dict(raw),
+        defaults=DT_DEFAULTS,
+        grid=lambda: default_dt_grid(),
+    ),
 }
+
+# Each scalar setting of a config file and its type (a bool is no number).
+_SETTING_TYPES = {
+    "test_fraction": Real, "n_folds": Integral, "seed": Integral, "keep_fraction": Real,
+    "scoring": str, "per_cell_split": bool, "workers": Integral, "out_dir": str,
+    "save_models": bool,
+}
+_CONFIG_KEYS = {"data", "schema", "groups", "models", "grids", *_SETTING_TYPES}
 # The synthetic keys, all numeric.
 _SYNTHETIC_KEYS = {"n": Integral, "seed": Integral, "signal": Real, "p_success": Real}
+_TYPE_NAMES = {Integral: "an integer", Real: "a number", str: "a string",
+               bool: "true or false", dict: "an object", list: "a list"}
 
-_CONFIG_KEYS = {
-    "data",
-    "schema",
-    "groups",
-    "models",
-    "test_fraction",
-    "n_folds",
-    "seed",
-    "keep_fraction",
-    "scoring",
-    "per_cell_split",
-    "grids",
-    "workers",
-    "out_dir",
-    "save_models",
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+# The values each grid parameter accepts, by config grid family. A k too
+# large for a fold is left to fail that cell.
+_GRID_VALUES = {
+    "KNN": {
+        "k": _is_int,
+        "weighting": lambda v: v in WEIGHTINGS,
+        "metric": lambda v: v in METRICS,
+    },
+    "DT": {
+        "criterion": lambda v: v in CRITERIA,
+        "max_depth": lambda v: v is None or _is_int(v),
+        "min_samples_split": _is_int,
+        "min_samples_leaf": _is_int,
+    },
 }
 
 
-def _check_number(name: str, value, kind) -> None:
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if kind is Integral else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
+def _check_type(name: str, value, kind) -> None:
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +262,11 @@ class ExperimentConfig:
     save_models: bool = False
 
     def __post_init__(self):
-        for name, kind in _NUMERIC_FIELDS.items():
-            _check_number(name, getattr(self, name), kind)
+        for name, kind in _SETTING_TYPES.items():
+            _check_type(name, getattr(self, name), kind)
+        for name in ("csv_path", "schema_path"):
+            if getattr(self, name) is not None:
+                _check_type(name, getattr(self, name), str)
         if not self.groups or not self.models:
             raise ConfigError("groups and models must be non-empty")
         for g in self.groups:
@@ -185,39 +292,55 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigError(f"unknown synthetic keys: {sorted(unknown)}")
             for key, value in self.synthetic.items():
-                _check_number(f"synthetic {key}", value, _SYNTHETIC_KEYS[key])
-        for fam in self.grids:
-            if fam not in ("KNN", "DT"):
+                _check_type(f"synthetic {key}", value, _SYNTHETIC_KEYS[key])
+            if self.synthetic.get("seed", 0) < 0:
+                raise ConfigError(f"synthetic seed must be ≥ 0: {self.synthetic['seed']}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be ≥ 0: {self.seed}")
+        for fam, grid in self.grids.items():
+            if fam not in _GRID_VALUES:
                 raise ConfigError(f"unknown grid family: {fam}")
+            for name, values in grid.items():
+                if name not in _GRID_VALUES[fam]:
+                    raise ConfigError(f"unknown grid parameter for {fam}: {name}")
+                for value in values:
+                    if not _GRID_VALUES[fam][name](value):
+                        raise ConfigError(f"grid {fam} {name}: invalid value {value!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        _check_type("config", raw, dict)
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
+        kwargs = {key: raw[key] for key in _SETTING_TYPES if key in raw}
         data = raw.get("data")
         if data is not None:
-            if set(data) - {"csv", "synthetic"} or len(data) != 1:
+            if not isinstance(data, dict) or set(data) - {"csv", "synthetic"} or len(data) != 1:
                 raise ConfigError("data must hold exactly one of 'csv' or 'synthetic'")
             if "csv" in data:
                 kwargs["csv_path"] = data["csv"]
             else:
+                _check_type("data.synthetic", data["synthetic"], dict)
                 kwargs["synthetic"] = dict(data["synthetic"])
         else:
             kwargs["synthetic"] = {}
         if "schema" in raw:
             kwargs["schema_path"] = raw["schema"]
-        for key in ("test_fraction", "n_folds", "seed", "keep_fraction", "scoring",
-                    "per_cell_split", "workers", "out_dir", "save_models"):
+        for key in ("groups", "models"):
             if key in raw:
-                kwargs[key] = raw[key]
-        if "groups" in raw:
-            kwargs["groups"] = tuple(raw["groups"])
-        if "models" in raw:
-            kwargs["models"] = tuple(raw["models"])
+                _check_type(key, raw[key], list)
+                kwargs[key] = tuple(raw[key])
         if "grids" in raw:
-            kwargs["grids"] = {k: {p: tuple(v) for p, v in g.items()} for k, g in raw["grids"].items()}
+            _check_type("grids", raw["grids"], dict)
+            for fam, grid in raw["grids"].items():
+                _check_type(f"grid {fam}", grid, dict)
+                for name, values in grid.items():
+                    _check_type(f"grid {fam} {name}", values, list)
+            kwargs["grids"] = {
+                fam: {name: tuple(v) for name, v in grid.items()}
+                for fam, grid in raw["grids"].items()
+            }
         return cls(**kwargs)
 
     @classmethod
@@ -278,7 +401,8 @@ class CellResult:
 
 @dataclass
 class FittedCell:
-    """Everything needed to reproduce a cell's predictions on new records."""
+    """Everything needed to reproduce a cell's predictions on new records,
+    whether just trained or loaded from a model file."""
 
     model_id: str
     group_id: str
@@ -298,6 +422,29 @@ class FittedCell:
     seed: int
     config_hash: str
 
+    @cached_property
+    def _steps(self) -> tuple:
+        """Row positions of the encoded and the scaled columns, the code table
+        and the scaler state: worked out once per cell, not per record."""
+        names = [f["name"] for f in self.feature_meta]
+        return (
+            np.array([names.index(c) for c in self.ordinal_codes], dtype=np.intp),
+            code_table(self.ordinal_codes.values()),
+            np.array([names.index(c) for c in self.scaler_columns], dtype=np.intp),
+            ScalerState(tuple(self.scaler_columns), self.scaler_mean, self.scaler_std,
+                        self.scaler_min, self.scaler_max, self.scaler_constant),
+        )
+
+    def preprocess(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Encoded, then scaled, copies of raw rows in `feature_meta` order,
+        through the same encoder and scaler as training."""
+        encoded_idx, table, scaled_idx, scaler = self._steps
+        encoded = rows.copy()
+        encoded[:, encoded_idx] = rank_encode(rows[:, encoded_idx], table)
+        scaled = encoded.copy()
+        scaled[:, scaled_idx] = scale(encoded[:, scaled_idx], scaler, self.scaling_mode)
+        return encoded, scaled
+
 
 def _cell_states(master_seed: int, group_id: str, model_id: str) -> np.ndarray:
     seq = np.random.SeedSequence(
@@ -307,48 +454,14 @@ def _cell_states(master_seed: int, group_id: str, model_id: str) -> np.ndarray:
 
 
 def _resolved_grid(config: ExperimentConfig, family: str) -> ParamGrid:
-    if family == "knn":
-        base = default_knn_grid()
-        override = config.grids.get("KNN")
-    else:
-        base = default_dt_grid()
-        override = config.grids.get("DT")
-    if not override:
-        return base
-    params = dict(base.params)
-    for name, values in override.items():
-        if name not in params:
-            raise ConfigError(f"unknown grid parameter for {family}: {name}")
-        params[name] = tuple(values)
-    return ParamGrid(base.family, params)
-
-
-def _fit_final(family: str, train: Dataset, params: dict):
-    if family == "gnb":
-        return gnb_fit(train)
-    if family == "cnb":
-        return cnb_fit(train)
-    if family == "knn":
-        return knn_fit(train, params["k"], params["weighting"], params["metric"])
-    if family == "dt":
-        return dt_fit(
-            train,
-            params["criterion"],
-            params["max_depth"],
-            params["min_samples_split"],
-            params["min_samples_leaf"],
-        )
-    raise ValueError(f"unknown family: {family}")
+    """The family's default grid with the config's (already checked)
+    overrides; config grids are keyed "KNN" and "DT"."""
+    base = FAMILIES[family].grid()
+    return ParamGrid(base.family, {**base.params, **config.grids.get(family.upper(), {})})
 
 
 def _predict_final(family: str, model, X: np.ndarray) -> np.ndarray:
-    if family == "gnb":
-        return gnb_predict_many(model, X)
-    if family == "cnb":
-        return cnb_predict_many(model, X)
-    if family == "knn":
-        return knn_predict_many(model, X)
-    return dt_predict_many(model, X)
+    return FAMILIES[family].predict_many(model, X)
 
 
 def run_cell_fitted(
@@ -372,24 +485,19 @@ def run_cell_fitted(
     train = apply_ordinal_encoder(train, encoder)
     test = apply_ordinal_encoder(test, encoder)
 
-    scaling_mode = "minmax" if spec.family == "cnb" else "standardize"
-    if scaling_mode == "minmax":
-        scaler = fit_standardizer(train, columns=train.feature_names)
-        train = apply_minmax(train, scaler)
-        test = apply_minmax(test, scaler)
-    else:
-        scaler = fit_standardizer(train)
-        train = apply_standardizer(train, scaler)
-        test = apply_standardizer(test, scaler)
+    family = FAMILIES[spec.family]
+    # Min-max scales every column; standardize only the continuous ones.
+    minmax = family.scaling == "minmax"
+    scaler = fit_standardizer(train, columns=train.feature_names if minmax else None)
+    apply_scaler = apply_minmax if minmax else apply_standardizer
+    train, test = apply_scaler(train, scaler), apply_scaler(test, scaler)
 
     if config.keep_fraction < 1.0:
-        selection = select_features(train, config.keep_fraction, seed=int(states[0]))
-        kept = selection.kept
-        kept_names = [train.feature_names[i] for i in kept]
-        sub_schema = train.schema.subset(kept_names)
-        cols = [train.schema.feature_index(n) for n in sub_schema.feature_names]
-        train = Dataset(sub_schema, train.rows[:, cols], train.labels)
-        test = Dataset(sub_schema, test.rows[:, cols], test.labels)
+        # kept is sorted, so it indexes the columns in the subset schema's order.
+        kept = select_features(train, config.keep_fraction, seed=int(states[0])).kept
+        sub_schema = train.schema.subset([train.feature_names[i] for i in kept])
+        train = Dataset(sub_schema, train.rows[:, kept], train.labels)
+        test = Dataset(sub_schema, test.rows[:, kept], test.labels)
     else:
         kept = np.arange(train.width)
 
@@ -401,20 +509,16 @@ def run_cell_fitted(
         params, cv_table = grid_search(
             train, grid, folds, resample=plan, scoring=config.scoring, seed=int(states[2])
         )
-    elif spec.family == "knn":
-        params = dict(KNN_DEFAULTS)
-    elif spec.family == "dt":
-        params = dict(DT_DEFAULTS)
     else:
-        params = {}
+        params = dict(family.defaults)
 
     train_fit = train
     if spec.resample:
         plan = ResamplePlan(spec.resample, seed=int(states[3]))
         train_fit = oversample(train_fit, plan)
 
-    model = _fit_final(spec.family, train_fit, params)
-    preds = _predict_final(spec.family, model, test.rows)
+    model = family.fit(train_fit, params)
+    preds = family.predict_many(model, test.rows)
     cm = confusion(test.labels, preds)
 
     result = CellResult(
@@ -448,7 +552,7 @@ def run_cell_fitted(
         scaler_min=scaler.minimum,
         scaler_max=scaler.maximum,
         scaler_constant=scaler.constant,
-        scaling_mode=scaling_mode,
+        scaling_mode=family.scaling,
         kept=np.asarray(kept),
         classifier=model,
         hyperparameters=dict(params),

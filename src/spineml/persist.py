@@ -1,18 +1,23 @@
 """Model persistence (versioned JSON) and single-record inference.
 
-A persisted file carries the fitted classifier, the train-fitted
-preprocessing (ordinal code maps, scaler statistics, kept feature
-indices, scaling mode) and training metadata, so loading it reproduces
-the in-memory model's predictions exactly. Scores reported by
-predict_single: GaussianNB posterior, KNN vote fraction, decision-tree
-leaf fraction, and for ComplementNB a softmax over the negated
-complement-match scores (lower score wins).
+A model file holds one `experiment.FittedCell`: the fitted classifier, the
+train-fitted preprocessing (ordinal code maps, scaler statistics, kept
+feature indices, scaling mode) and training metadata. `load_model` returns
+a `FittedCell` again, so loading a file reproduces the in-memory model's
+predictions exactly, and `predict_single` takes a cell just trained as
+well as a loaded one. The classifier is written and read by its family's
+entry in `experiment.FAMILIES`, and the record goes through the same
+encoder and scaler as training (`FittedCell.preprocess`).
+
+Scores reported by predict_single: GaussianNB posterior, KNN vote
+fraction, decision-tree leaf fraction, and for ComplementNB a softmax over
+the negated complement-match scores (lower score wins).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -22,107 +27,10 @@ from .errors import (
     OutOfSchemaValueError,
     VersionMismatchError,
 )
-from .experiment import CellResult, FittedCell
-from .naive_bayes import ComplementNBModel, GaussianNBModel, cnb_scores, gnb_predict
-from .neighbors import KNNModel, knn_predict
+from .experiment import FAMILIES, CellResult, FittedCell
 from .schema import LABEL_NAMES
-from .tree import DecisionTreeModel, TreeNode, dt_predict
 
 MODEL_FORMAT_VERSION = 1
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    out = {"counts": [float(c) for c in node.counts]}
-    if not node.is_leaf:
-        out["feature"] = int(node.feature)
-        out["threshold"] = float(node.threshold)
-        out["left"] = _node_to_dict(node.left)
-        out["right"] = _node_to_dict(node.right)
-    return out
-
-
-def _node_from_dict(raw: dict) -> TreeNode:
-    node = TreeNode(counts=np.array(raw["counts"], dtype=float))
-    if "feature" in raw:
-        node.feature = int(raw["feature"])
-        node.threshold = float(raw["threshold"])
-        node.left = _node_from_dict(raw["left"])
-        node.right = _node_from_dict(raw["right"])
-    return node
-
-
-def _classifier_to_dict(family: str, model) -> dict:
-    if family == "gnb":
-        return {
-            "classes": [int(c) for c in model.classes],
-            "priors": model.priors.tolist(),
-            "means": model.means.tolist(),
-            "variances": model.variances.tolist(),
-            "var_smoothing": model.var_smoothing,
-        }
-    if family == "cnb":
-        return {
-            "classes": [int(c) for c in model.classes],
-            "weights": model.weights.tolist(),
-            "alpha": model.alpha,
-            "normalize": model.normalize,
-        }
-    if family == "knn":
-        return {
-            "k": model.k,
-            "weighting": model.weighting,
-            "metric": model.metric,
-            "points": model.points.tolist(),
-            "labels": [int(v) for v in model.labels],
-        }
-    if family == "dt":
-        return {
-            "criterion": model.criterion,
-            "max_depth": model.max_depth,
-            "min_samples_split": model.min_samples_split,
-            "min_samples_leaf": model.min_samples_leaf,
-            "feature_importances": model.feature_importances.tolist(),
-            "n_features": model.n_features,
-            "root": _node_to_dict(model.root),
-        }
-    raise ValueError(f"unknown family: {family}")
-
-
-def _classifier_from_dict(family: str, raw: dict):
-    if family == "gnb":
-        return GaussianNBModel(
-            classes=np.array(raw["classes"], dtype=np.int64),
-            priors=np.array(raw["priors"], dtype=float),
-            means=np.array(raw["means"], dtype=float),
-            variances=np.array(raw["variances"], dtype=float),
-            var_smoothing=float(raw["var_smoothing"]),
-        )
-    if family == "cnb":
-        return ComplementNBModel(
-            classes=np.array(raw["classes"], dtype=np.int64),
-            weights=np.array(raw["weights"], dtype=float),
-            alpha=float(raw["alpha"]),
-            normalize=bool(raw["normalize"]),
-        )
-    if family == "knn":
-        return KNNModel(
-            k=int(raw["k"]),
-            weighting=raw["weighting"],
-            metric=raw["metric"],
-            points=np.array(raw["points"], dtype=float),
-            labels=np.array(raw["labels"], dtype=np.int64),
-        )
-    if family == "dt":
-        return DecisionTreeModel(
-            root=_node_from_dict(raw["root"]),
-            criterion=raw["criterion"],
-            max_depth=raw["max_depth"],
-            min_samples_split=int(raw["min_samples_split"]),
-            min_samples_leaf=int(raw["min_samples_leaf"]),
-            feature_importances=np.array(raw["feature_importances"], dtype=float),
-            n_features=int(raw["n_features"]),
-        )
-    raise ValueError(f"unknown family: {family}")
 
 
 def save_model(cell: CellResult, fitted: FittedCell, path) -> None:
@@ -148,7 +56,7 @@ def save_model(cell: CellResult, fitted: FittedCell, path) -> None:
             },
             "kept": [int(i) for i in fitted.kept],
         },
-        "classifier": _classifier_to_dict(fitted.family, fitted.classifier),
+        "classifier": FAMILIES[fitted.family].to_dict(fitted.classifier),
         "metadata": {
             "seed": fitted.seed,
             "config_hash": fitted.config_hash,
@@ -162,31 +70,7 @@ def save_model(cell: CellResult, fitted: FittedCell, path) -> None:
         fh.write("\n")
 
 
-@dataclass
-class PersistedModel:
-    format_version: int
-    model_id: str
-    group_id: str
-    family: str
-    features: list
-    ordinal_codes: dict
-    scaling_mode: str
-    scaler_columns: list
-    scaler_mean: np.ndarray
-    scaler_std: np.ndarray
-    scaler_min: np.ndarray
-    scaler_max: np.ndarray
-    scaler_constant: np.ndarray
-    kept: np.ndarray
-    classifier: object
-    metadata: dict
-
-    @property
-    def feature_names(self) -> list:
-        return [f["name"] for f in self.features]
-
-
-def load_model(path) -> PersistedModel:
+def load_model(path) -> FittedCell:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -201,106 +85,67 @@ def load_model(path) -> PersistedModel:
     try:
         prep = raw["preprocessing"]
         scaler = prep["scaler"]
-        return PersistedModel(
-            format_version=raw["format_version"],
+        meta = raw["metadata"]
+        return FittedCell(
             model_id=raw["model_id"],
             group_id=raw["group_id"],
             family=raw["family"],
-            features=raw["features"],
-            ordinal_codes={k: np.array(v, dtype=float) for k, v in prep["ordinal_codes"].items()},
-            scaling_mode=prep["scaling_mode"],
-            scaler_columns=list(scaler["columns"]),
+            feature_meta=raw["features"],
+            ordinal_codes={k: [float(c) for c in v] for k, v in prep["ordinal_codes"].items()},
+            scaler_columns=tuple(scaler["columns"]),
             scaler_mean=np.array(scaler["mean"], dtype=float),
             scaler_std=np.array(scaler["std"], dtype=float),
             scaler_min=np.array(scaler["min"], dtype=float),
             scaler_max=np.array(scaler["max"], dtype=float),
             scaler_constant=np.array(scaler["constant"], dtype=bool),
+            scaling_mode=prep["scaling_mode"],
             kept=np.array(prep["kept"], dtype=np.int64),
-            classifier=_classifier_from_dict(raw["family"], raw["classifier"]),
-            metadata=raw["metadata"],
+            classifier=FAMILIES[raw["family"]].from_dict(raw["classifier"]),
+            hyperparameters=meta["hyperparameters"],
+            seed=meta["seed"],
+            config_hash=meta["config_hash"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"model file is malformed: {exc}") from exc
 
 
-def _encode_one(codes: np.ndarray, value: float) -> float:
-    pos = int(np.searchsorted(codes, value))
-    if pos == 0:
-        return 0.0
-    if pos == len(codes):
-        return float(len(codes) - 1)
-    below, above = codes[pos - 1], codes[pos]
-    return float(pos - 1) if value - below <= above - value else float(pos)
-
-
-def preprocess_record(pm: PersistedModel, record: dict) -> tuple[np.ndarray, list]:
+def preprocess_record(pm: FittedCell, record: dict) -> tuple[np.ndarray, list]:
     """Validate, encode and scale one named-value record; returns the kept
     feature vector and a per-kept-feature trace."""
-    raw = np.empty(len(pm.features))
-    for i, meta in enumerate(pm.features):
+    values = []
+    for meta in pm.feature_meta:
         name = meta["name"]
         if name not in record:
             raise MissingFeatureError(name)
         try:
             value = float(record[name])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise OutOfSchemaValueError(
                 f"feature {name} is not numeric: {record[name]!r}"
             ) from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise OutOfSchemaValueError(f"feature {name} is not finite")
         lo, hi = meta.get("min"), meta.get("max")
         if lo is not None and hi is not None and not lo <= value <= hi:
             raise OutOfSchemaValueError(
                 f"feature {name}={value} outside valid range [{lo}, {hi}]"
             )
-        raw[i] = value
+        values.append(value)
 
-    encoded = raw.copy()
-    names = pm.feature_names
-    for col, codes in pm.ordinal_codes.items():
-        j = names.index(col)
-        encoded[j] = _encode_one(codes, encoded[j])
-
-    scaled = encoded.copy()
-    for i, col in enumerate(pm.scaler_columns):
-        j = names.index(col)
-        if pm.scaling_mode == "standardize":
-            scaled[j] = (scaled[j] - pm.scaler_mean[i]) / pm.scaler_std[i]
-        else:
-            if pm.scaler_constant[i]:
-                scaled[j] = 0.0
-            else:
-                span = pm.scaler_max[i] - pm.scaler_min[i]
-                scaled[j] = min(1.0, max(0.0, (scaled[j] - pm.scaler_min[i]) / span))
-
+    raw = np.array([values])
+    encoded, scaled = pm.preprocess(raw)
+    r, e, s = raw[0].tolist(), encoded[0].tolist(), scaled[0].tolist()
     trace = [
-        {
-            "name": names[j],
-            "raw": float(raw[j]),
-            "encoded": float(encoded[j]),
-            "scaled": float(scaled[j]),
-        }
-        for j in pm.kept
+        {"name": pm.feature_meta[j]["name"], "raw": r[j], "encoded": e[j], "scaled": s[j]}
+        for j in pm.kept.tolist()
     ]
-    return scaled[pm.kept], trace
+    return scaled[0, pm.kept], trace
 
 
-def predict_single(pm: PersistedModel, record: dict, trace: bool = False) -> dict:
-    """Apply the persisted preprocessing and classifier to one record."""
+def predict_single(pm: FittedCell, record: dict, trace: bool = False) -> dict:
+    """Apply a fitted cell's preprocessing and classifier to one record."""
     x, steps = preprocess_record(pm, record)
-    if pm.family == "gnb":
-        label, posteriors = gnb_predict(pm.classifier, x)
-        score = float(posteriors[list(pm.classifier.classes).index(label)])
-    elif pm.family == "cnb":
-        scores = cnb_scores(pm.classifier, x)
-        label = int(pm.classifier.classes[int(np.argmin(scores))])
-        shifted = np.exp(-(scores - scores.min()))
-        score = float(shifted[list(pm.classifier.classes).index(label)] / shifted.sum())
-    elif pm.family == "knn":
-        label, score = knn_predict(pm.classifier, x)
-    else:
-        label, score = dt_predict(pm.classifier, x)
+    label, score = FAMILIES[pm.family].predict_one(pm.classifier, x)
     out = {"label": LABEL_NAMES[label], "score": float(score)}
     if trace:
         out["trace"] = steps

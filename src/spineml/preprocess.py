@@ -2,6 +2,12 @@
 
 All states are fitted on training rows only and applied unchanged to test
 rows, so no test-partition statistic can reach a fitted model.
+
+Each step has one array-level implementation, `rank_encode` and `scale`,
+which works on a block of rows of the affected columns. The Dataset
+wrappers (`apply_ordinal_encoder`, `apply_standardizer`, `apply_minmax`)
+serve training; `persist.preprocess_record` runs the same two functions on
+a 1×d row.
 """
 
 from __future__ import annotations
@@ -64,31 +70,42 @@ def fit_standardizer(train: Dataset, columns=None) -> ScalerState:
     )
 
 
-def _state_indices(ds: Dataset, state: ScalerState) -> list[int]:
-    missing = [c for c in state.columns if c not in ds.schema.feature_names]
+def _column_indices(ds: Dataset, columns, what: str) -> list[int]:
+    missing = [c for c in columns if c not in ds.schema.feature_names]
     if missing:
-        raise ColumnMismatchError(f"scaler columns absent from data: {missing}")
-    return [ds.schema.feature_index(c) for c in state.columns]
+        raise ColumnMismatchError(f"{what} absent from data: {missing}")
+    return [ds.schema.feature_index(c) for c in columns]
+
+
+def scale(block: np.ndarray, state: ScalerState, mode: str) -> np.ndarray:
+    """Scale a (rows × state.columns) block.
+
+    "standardize": x → (x − mean) / stddev. "minmax": x → (x − min) /
+    (max − min), clamped to [0, 1]; constant columns map to 0.
+    """
+    if mode == "standardize":
+        return (block - state.mean) / state.std
+    span = np.where(state.constant, 1.0, state.maximum - state.minimum)
+    scaled = np.clip((block - state.minimum) / span, 0.0, 1.0)
+    scaled[:, state.constant] = 0.0
+    return scaled
+
+
+def _apply_scaler(ds: Dataset, state: ScalerState, mode: str) -> Dataset:
+    idx = _column_indices(ds, state.columns, "scaler columns")
+    rows = ds.rows.copy()
+    rows[:, idx] = scale(rows[:, idx], state, mode)
+    return ds.with_rows(rows)
 
 
 def apply_standardizer(ds: Dataset, state: ScalerState) -> Dataset:
     """x → (x − mean) / stddev on the state's columns; others pass through."""
-    idx = _state_indices(ds, state)
-    rows = ds.rows.copy()
-    rows[:, idx] = (rows[:, idx] - state.mean) / state.std
-    return ds.with_rows(rows)
+    return _apply_scaler(ds, state, "standardize")
 
 
 def apply_minmax(ds: Dataset, state: ScalerState) -> Dataset:
     """x → (x − min) / (max − min), clamped to [0, 1]; constant columns map to 0."""
-    idx = _state_indices(ds, state)
-    rows = ds.rows.copy()
-    span = np.where(state.constant, 1.0, state.maximum - state.minimum)
-    scaled = (rows[:, idx] - state.minimum) / span
-    scaled = np.clip(scaled, 0.0, 1.0)
-    scaled[:, state.constant] = 0.0
-    rows[:, idx] = scaled
-    return ds.with_rows(rows)
+    return _apply_scaler(ds, state, "minmax")
 
 
 @dataclass(frozen=True)
@@ -96,9 +113,6 @@ class OrdinalEncoderState:
     """Sorted distinct training codes per encoded column (rank encoding)."""
 
     codes: dict[str, np.ndarray]
-
-    def mapping(self, column: str) -> dict[int, int]:
-        return {int(v): i for i, v in enumerate(self.codes[column])}
 
 
 def encodable_columns(ds: Dataset) -> list[str]:
@@ -122,18 +136,29 @@ def fit_ordinal_encoder(train: Dataset, columns=None) -> OrdinalEncoderState:
     return OrdinalEncoderState(codes)
 
 
+def code_table(codes) -> np.ndarray:
+    """One row per column of its sorted codes, padded with +inf to one
+    place more than the longest, so every rank has an entry above it."""
+    codes = list(codes)
+    table = np.full((len(codes), max(map(len, codes), default=0) + 1), np.inf)
+    for i, c in enumerate(codes):
+        table[i, : len(c)] = c
+    return table
+
+
+def rank_encode(block: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rank of the nearest code in each column's `code_table` row (ties
+    toward the lower code), for a (rows × table rows) block."""
+    pos = (table < block[:, :, None]).sum(axis=2)  # searchsorted, side="left"
+    cols = np.arange(table.shape[0])
+    below = table[cols, np.maximum(pos - 1, 0)]
+    above = table[cols, pos]  # +inf past the last code
+    return np.where((pos > 0) & (block - below <= above - block), pos - 1, pos)
+
+
 def encode_value(state: OrdinalEncoderState, column: str, value: float) -> int:
     """Rank of the nearest trained code (ties toward the lower code)."""
-    codes = state.codes[column]
-    pos = int(np.searchsorted(codes, value))
-    if pos == 0:
-        return 0
-    if pos == len(codes):
-        return len(codes) - 1
-    below, above = codes[pos - 1], codes[pos]
-    if value - below <= above - value:
-        return pos - 1
-    return pos
+    return int(rank_encode(np.array([[value]]), code_table([state.codes[column]]))[0, 0])
 
 
 def apply_ordinal_encoder(ds: Dataset, state: OrdinalEncoderState) -> Dataset:
@@ -142,17 +167,9 @@ def apply_ordinal_encoder(ds: Dataset, state: OrdinalEncoderState) -> Dataset:
     Values unseen at fit time map to the rank of the nearest trained code
     so a legitimate test split cannot abort a run.
     """
+    idx = _column_indices(ds, list(state.codes), "encoded columns")
     rows = ds.rows.copy()
-    for name, codes in state.codes.items():
-        if name not in ds.schema.feature_names:
-            raise ColumnMismatchError(f"encoded column absent from data: {name}")
-        j = ds.schema.feature_index(name)
-        col = rows[:, j]
-        pos = np.clip(np.searchsorted(codes, col), 0, len(codes) - 1)
-        below = codes[np.maximum(pos - 1, 0)]
-        above = codes[pos]
-        use_below = (pos > 0) & ((col - below) <= (above - col))
-        rows[:, j] = np.where(use_below, pos - 1, pos)
+    rows[:, idx] = rank_encode(rows[:, idx], code_table(state.codes.values()))
     return ds.with_rows(rows)
 
 

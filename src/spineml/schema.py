@@ -49,6 +49,8 @@ class ColumnSpec:
     valid_range: tuple[float, float] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"column name must be a string: {self.name!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown column kind: {self.kind}")
         if self.role not in ROLES:
@@ -233,7 +235,7 @@ def load_schema_json(path) -> Schema:
         return Schema(tuple(cols))
     except KeyError as exc:
         raise ConfigError(f"schema {path}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"schema {path}: {exc}") from exc
 
 

@@ -229,6 +229,51 @@ def dt_predict_many(model: DecisionTreeModel, X: np.ndarray) -> np.ndarray:
     return np.array([route(model.root, x).majority()[0] for x in X], dtype=np.int64)
 
 
+def _node_to_dict(node: TreeNode) -> dict:
+    out = {"counts": [float(c) for c in node.counts]}
+    if not node.is_leaf:
+        out["feature"] = int(node.feature)
+        out["threshold"] = float(node.threshold)
+        out["left"] = _node_to_dict(node.left)
+        out["right"] = _node_to_dict(node.right)
+    return out
+
+
+def _node_from_dict(raw: dict) -> TreeNode:
+    node = TreeNode(counts=np.array(raw["counts"], dtype=float))
+    if "feature" in raw:
+        node.feature = int(raw["feature"])
+        node.threshold = float(raw["threshold"])
+        node.left = _node_from_dict(raw["left"])
+        node.right = _node_from_dict(raw["right"])
+    return node
+
+
+def dt_to_dict(model: DecisionTreeModel) -> dict:
+    """The tree as a JSON-ready dict of nested nodes."""
+    return {
+        "criterion": model.criterion,
+        "max_depth": model.max_depth,
+        "min_samples_split": model.min_samples_split,
+        "min_samples_leaf": model.min_samples_leaf,
+        "feature_importances": model.feature_importances.tolist(),
+        "n_features": model.n_features,
+        "root": _node_to_dict(model.root),
+    }
+
+
+def dt_from_dict(raw: dict) -> DecisionTreeModel:
+    return DecisionTreeModel(
+        root=_node_from_dict(raw["root"]),
+        criterion=raw["criterion"],
+        max_depth=raw["max_depth"],
+        min_samples_split=int(raw["min_samples_split"]),
+        min_samples_leaf=int(raw["min_samples_leaf"]),
+        feature_importances=np.array(raw["feature_importances"], dtype=float),
+        n_features=int(raw["n_features"]),
+    )
+
+
 def predict_constrained(
     root: TreeNode, X: np.ndarray, max_depth: int | None, min_samples_split: int
 ) -> np.ndarray:
@@ -248,7 +293,6 @@ def predict_constrained(
 class ExtraTreesModel:
     n_trees: int
     max_features: int
-    trees: tuple[DecisionTreeModel, ...]
     importances: np.ndarray
 
 
@@ -258,19 +302,19 @@ def _grow_extra_tree(
     rng: np.random.Generator,
     max_features: int,
     n_total: int,
-) -> tuple[TreeNode, np.ndarray]:
+) -> np.ndarray:
+    """The normalized impurity-decrease importances of one grown tree."""
     d = X.shape[1]
     raw_importance = np.zeros(d)
-    root = TreeNode(counts=_class_counts(y))
-    stack = [(root, np.arange(X.shape[0]))]
+    stack = [(_class_counts(y), np.arange(X.shape[0]))]  # (node class counts, rows)
     while stack:
-        node, idx = stack.pop()
+        counts, idx = stack.pop()
         m = idx.size
-        if m < 2 or node.counts.max() == node.counts.sum():
+        if m < 2 or counts.max() == counts.sum():
             continue
         feats = rng.choice(d, size=min(max_features, d), replace=False)
         best = None
-        parent = gini_impurity(node.counts)
+        parent = gini_impurity(counts)
         for f in feats:
             col = X[idx, f]
             lo, hi = col.min(), col.max()
@@ -280,7 +324,7 @@ def _grow_extra_tree(
             go_left = col <= t
             n_l = int(go_left.sum())
             c1_l = float(y[idx[go_left]].sum())
-            c1 = float(node.counts[1])
+            c1 = float(counts[1])
             dec = parent - (
                 n_l * float(_binary_impurity(np.array(float(n_l)), np.array(c1_l), "gini"))
                 + (m - n_l)
@@ -297,13 +341,10 @@ def _grow_extra_tree(
         raw_importance[f] += (m / n_total) * dec
         go_left = X[idx, f] <= t
         left_idx, right_idx = idx[go_left], idx[~go_left]
-        node.feature, node.threshold = f, t
-        node.left = TreeNode(counts=_class_counts(y[left_idx]))
-        node.right = TreeNode(counts=_class_counts(y[right_idx]))
-        stack.append((node.left, left_idx))
-        stack.append((node.right, right_idx))
+        stack.append((_class_counts(y[left_idx]), left_idx))
+        stack.append((_class_counts(y[right_idx]), right_idx))
     total = raw_importance.sum()
-    return root, raw_importance / total if total > 0 else raw_importance
+    return raw_importance / total if total > 0 else raw_importance
 
 
 def extratrees_fit(
@@ -320,26 +361,11 @@ def extratrees_fit(
     d = train.width
     # default: ceil(sqrt(d))
     mf = max_features if max_features is not None else max(1, math.isqrt(d - 1) + 1)
-    trees = []
     per_tree = np.zeros((n_trees, d))
     for t in range(n_trees):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        root, imp = _grow_extra_tree(train.rows, train.labels, rng, mf, train.n)
-        per_tree[t] = imp
-        trees.append(
-            DecisionTreeModel(
-                root=root,
-                criterion="gini",
-                max_depth=None,
-                min_samples_split=2,
-                min_samples_leaf=1,
-                feature_importances=imp,
-                n_features=d,
-            )
-        )
+        per_tree[t] = _grow_extra_tree(train.rows, train.labels, rng, mf, train.n)
     mean_imp = per_tree.mean(axis=0)
     total = mean_imp.sum()
     importances = mean_imp / total if total > 0 else mean_imp
-    return ExtraTreesModel(
-        n_trees=n_trees, max_features=mf, trees=tuple(trees), importances=importances
-    )
+    return ExtraTreesModel(n_trees=n_trees, max_features=mf, importances=importances)

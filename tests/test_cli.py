@@ -229,3 +229,41 @@ def test_run_rejects_a_mistyped_config_number_without_traceback(tmp_path, capsys
     code, _, stderr = _run(capsys, "run", "--config", str(cfg_path))
     assert code == 1
     assert stderr.strip().splitlines() == ["error: n_folds must be an integer, got '8'"]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"grids": {"KNN": {"metric": ["foo"]}}}, "grid KNN metric: invalid value 'foo'"),
+        ({"data": {"synthetic": 5}}, "data.synthetic must be an object, got 5"),
+        ({"grids": {"KNN": 5}}, "grid KNN must be an object, got 5"),
+        ({"grids": {"DT": {"max_depth": 3}}}, "grid DT max_depth must be a list, got 3"),
+        ({"groups": "VII", "models": ["GaussianNB"]},
+         "groups must be a list, got 'VII'"),
+        ({"models": ["KNN", 3]}, "unknown model: 3"),
+        ([{"seed": 1}], "config must be an object, got [{'seed': 1}]"),
+        ({"grids": [1]}, "grids must be an object, got [1]"),
+        ({"grids": {"KNN": {"weighting": ["cosine"]}}},
+         "grid KNN weighting: invalid value 'cosine'"),
+        ({"grids": {"KNN": {"k": [3, "5"]}}}, "grid KNN k: invalid value '5'"),
+        ({"grids": {"KNN": {"k": [True]}}}, "grid KNN k: invalid value True"),
+        ({"grids": {"KNN": {"leaf": [1]}}}, "unknown grid parameter for KNN: leaf"),
+        ({"grids": {"DT": {"criterion": ["log_loss"]}}},
+         "grid DT criterion: invalid value 'log_loss'"),
+        ({"grids": {"DT": {"max_depth": [None, 2.5]}}}, "grid DT max_depth: invalid value 2.5"),
+        ({"grids": {"DT": {"min_samples_leaf": ["1"]}}},
+         "grid DT min_samples_leaf: invalid value '1'"),
+        ({"seed": -1}, "seed must be ≥ 0: -1"),
+        ({"out_dir": 5}, "out_dir must be a string, got 5"),
+    ],
+)
+def test_run_rejects_a_malformed_config_without_traceback(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    argv = ["run", "--config", str(cfg_path), "--n", "80", "--out", str(tmp_path / "r")]
+    if "groups" not in config:
+        argv += ["--groups", "VII", "--models", "KNN_opt,DT_opt"]
+    code, _, stderr = _run(capsys, *argv)
+    assert code == 1
+    assert stderr.strip().splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "r").exists()

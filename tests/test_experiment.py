@@ -216,7 +216,7 @@ def test_no_test_leakage_into_fitting():
     corrupted_rows[split.test_idx] = corrupted_rows[split.test_idx] * 100.0 + 17.0
     corrupted = type(data)(data.schema, corrupted_rows, data.labels)
 
-    from spineml.persist import _classifier_to_dict
+    from spineml.experiment import FAMILIES
 
     for g in cfg.groups:
         for m in cfg.models:
@@ -226,8 +226,8 @@ def test_no_test_leakage_into_fitting():
             assert a_fit.ordinal_codes == b_fit.ordinal_codes
             assert np.array_equal(a_fit.scaler_mean, b_fit.scaler_mean)
             assert np.array_equal(a_fit.scaler_std, b_fit.scaler_std)
-            assert _classifier_to_dict(a_fit.family, a_fit.classifier) == \
-                _classifier_to_dict(b_fit.family, b_fit.classifier)
+            to_dict = FAMILIES[a_fit.family].to_dict
+            assert to_dict(a_fit.classifier) == to_dict(b_fit.classifier)
 
 
 def test_train_test_disjointness_guard():

@@ -1,0 +1,180 @@
+"""Property tests: any config dict, schema file or predict record gives a
+valid object or a PipelineError, never another exception."""
+
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spineml.errors import PipelineError
+from spineml.experiment import (
+    MODEL_SPECS,
+    ExperimentConfig,
+    load_config_data,
+    run_cell_fitted,
+)
+from spineml.model_selection import stratified_shuffle_split
+from spineml.persist import predict_single
+from spineml.schema import (
+    KINDS,
+    LABEL_NAMES,
+    ROLES,
+    Schema,
+    default_schema,
+    group_by_id,
+    load_schema_json,
+)
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8)
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _maybe(plausible):
+    """Mostly plausible values, sometimes any JSON value."""
+    return st.one_of(plausible, plausible, JSON)
+
+
+GRID_VALUES = st.sampled_from(
+    [1, 3, 0, -2, 2.5, None, True, "uniform", "inverse-distance", "euclidean", "manhattan",
+     "gini", "entropy", "foo"]
+)
+CONFIG_VALUES = {
+    "data": _maybe(st.one_of(
+        st.fixed_dictionaries({"synthetic": _maybe(st.dictionaries(
+            st.sampled_from(["n", "seed", "signal", "p_success", "bogus"]),
+            _maybe(st.integers(-5, 300) | st.floats(-1, 2)), max_size=4))}),
+        st.fixed_dictionaries({"csv": _maybe(st.text(max_size=8))}),
+    )),
+    "schema": _maybe(st.none() | st.text(max_size=8)),
+    "groups": _maybe(st.lists(st.sampled_from(["I", "IV", "VII", "VIII", "V"]), max_size=3)),
+    "models": _maybe(st.lists(st.sampled_from(["KNN", "DT_opt", "GaussianNB", "RF"]), max_size=3)),
+    "test_fraction": _maybe(st.floats(-0.5, 1.5)),
+    "n_folds": _maybe(st.integers(-1, 10)),
+    "seed": _maybe(st.integers(-3, 2**70)),
+    "keep_fraction": _maybe(st.floats(-0.5, 1.5)),
+    "scoring": _maybe(st.sampled_from(["f1", "accuracy", "auc"])),
+    "per_cell_split": _maybe(st.booleans()),
+    "grids": _maybe(st.dictionaries(
+        st.sampled_from(["KNN", "DT", "SVM"]),
+        _maybe(st.dictionaries(
+            st.sampled_from(["k", "weighting", "metric", "criterion", "max_depth",
+                             "min_samples_split", "min_samples_leaf", "leaf"]),
+            _maybe(st.lists(GRID_VALUES, max_size=3)), max_size=3)),
+        max_size=2)),
+    "workers": _maybe(st.integers(-1, 4)),
+    "out_dir": _maybe(st.text(max_size=8)),
+    "save_models": _maybe(st.booleans()),
+    "typo": JSON,
+}
+CONFIGS = st.one_of(
+    st.lists(st.sampled_from(sorted(CONFIG_VALUES)), unique=True, max_size=6).flatmap(
+        lambda keys: st.fixed_dictionaries({k: CONFIG_VALUES[k] for k in keys})
+    ),
+    JSON,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(CONFIGS)
+def test_any_config_dict_gives_a_config_or_a_pipeline_error(raw):
+    try:
+        config = ExperimentConfig.from_dict(raw)
+    except PipelineError:
+        return
+    # A config that is accepted hashes, and its canonical form is accepted
+    # again and describes the same experiment.
+    assert ExperimentConfig.from_dict(config.canonical_dict()).config_hash() == config.config_hash()
+
+
+COLUMNS = st.lists(
+    _maybe(st.fixed_dictionaries(
+        {
+            "name": _maybe(st.sampled_from(["AGE", "BMI", "SUCCESS", "X"])),
+            "kind": _maybe(st.sampled_from(KINDS + ("nominal",))),
+            "role": _maybe(st.sampled_from(ROLES + ("other",))),
+        },
+        optional={
+            "min": _maybe(st.floats(-5, 5) | st.integers(-(10**400), 10**400)),
+            "max": _maybe(st.floats(-5, 5) | st.integers(-(10**400), 10**400)),
+        },
+    )),
+    max_size=4,
+)
+SCHEMAS = st.one_of(st.fixed_dictionaries({"columns": _maybe(COLUMNS)}), JSON)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(SCHEMAS)
+def test_any_schema_file_gives_a_schema_or_a_pipeline_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "schema.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        try:
+            schema = load_schema_json(path)
+        except PipelineError:
+            return
+    assert isinstance(schema, Schema)
+    assert all(isinstance(c.name, str) for c in schema.columns)
+
+
+FUZZ_GROUP = group_by_id("II")  # GEN (binary), AGE, EMP_ST (ordinal)
+
+
+@pytest.fixture(scope="module")
+def fuzz_cells():
+    config = ExperimentConfig(synthetic={"n": 120, "seed": 4, "signal": 0.8})
+    data = load_config_data(config)
+    split = stratified_shuffle_split(data.labels, config.test_fraction, seed=config.seed)
+    return [
+        run_cell_fitted(data, FUZZ_GROUP, MODEL_SPECS[m], config, split)[1]
+        for m in ("GaussianNB", "ComplementNB", "KNN", "DT")
+    ]
+
+
+MISSING = object()
+
+
+def _feature_value(name):
+    lo, hi = default_schema().column(name).valid_range
+    in_range = st.floats(lo, hi) | st.integers(int(lo), int(hi))
+    junk = (
+        st.floats(lo - 50, hi + 50)
+        | st.sampled_from(["7", "nan", "1e400", "x", 10**400, None, [1]])
+        | JSON
+    )
+    return st.one_of(in_range, in_range, in_range, junk, st.just(MISSING))
+
+
+RECORDS = st.one_of(
+    st.fixed_dictionaries(
+        {name: _feature_value(name) for name in FUZZ_GROUP.column_names},
+        optional={"extra": JSON},
+    ).map(lambda r: {k: v for k, v in r.items() if v is not MISSING}),
+    st.dictionaries(st.text(max_size=6), JSON, max_size=4),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cell=st.integers(0, 3), record=RECORDS)
+def test_any_record_gives_a_prediction_or_a_pipeline_error(fuzz_cells, cell, record):
+    try:
+        out = predict_single(fuzz_cells[cell], record, trace=True)
+    except PipelineError:
+        return
+    assert out["label"] in LABEL_NAMES.values()
+    assert 0.0 <= out["score"] <= 1.0
+    json.dumps(out, allow_nan=False)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -15,11 +16,12 @@ from spineml.experiment import (
     load_config_data,
     run_cell_fitted,
 )
+from spineml.metrics import confusion
 from spineml.model_selection import stratified_shuffle_split
 from spineml.naive_bayes import cnb_predict_many, gnb_predict_many
 from spineml.neighbors import knn_predict_many
-from spineml.persist import load_model, predict_single, save_model
-from spineml.schema import group_by_id
+from spineml.persist import MODEL_FORMAT_VERSION, load_model, predict_single, save_model
+from spineml.schema import LABEL_NAMES, group_by_id
 from spineml.tree import dt_predict_many
 
 MODEL_FOR_FAMILY = {
@@ -84,14 +86,14 @@ def test_dt_round_trip_preserves_structure(tmp_path):
 
     ds = make_dataset([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1])
     model = dt_fit(ds)
-    from spineml.persist import _classifier_from_dict, _classifier_to_dict
+    from spineml.experiment import FAMILIES
 
-    raw = _classifier_to_dict("dt", model)
-    back = _classifier_from_dict("dt", raw)
+    raw = FAMILIES["dt"].to_dict(model)
+    back = FAMILIES["dt"].from_dict(raw)
     assert back.root.feature == 0
     assert back.root.threshold == 5.5
     assert back.root.left.counts.tolist() == model.root.left.counts.tolist()
-    assert _classifier_to_dict("dt", back) == raw
+    assert FAMILIES["dt"].to_dict(back) == raw
 
 
 def test_save_model_rejects_failed_cell(fitted_cells, tmp_path):
@@ -125,7 +127,7 @@ def test_load_model_corrupt_file(tmp_path):
 
 def _record_for(pm, values_by_name):
     record = {}
-    for meta in pm.features:
+    for meta in pm.feature_meta:
         record[meta["name"]] = values_by_name[meta["name"]]
     return record
 
@@ -227,3 +229,52 @@ def test_predict_single_gnb_separable_confidence(tmp_path):
     out = predict_single(pm, {"PRE_ODI": 10.5})
     assert out["label"] == "success"
     assert out["score"] > 0.99
+
+
+LABEL_CODES = {name: code for code, name in LABEL_NAMES.items()}
+
+
+@pytest.mark.parametrize("keep_fraction", [1.0, 0.5])
+def test_predict_single_reproduces_each_cells_confusion_matrix(tmp_path, keep_fraction):
+    """Raw test records fed one at a time through predict_single, on the
+    in-memory cell and on its saved and reloaded copy, give the confusion
+    matrix the batch pipeline reported for the cell."""
+    cfg = ExperimentConfig(synthetic={"n": 160, "seed": 9, "signal": 0.6},
+                           keep_fraction=keep_fraction)
+    data = load_config_data(cfg)
+    split = stratified_shuffle_split(data.labels, cfg.test_fraction, seed=cfg.seed)
+    for group_id in ("II", "IV", "VII"):
+        group = group_by_id(group_id)
+        records = [{c: float(data.column(c)[i]) for c in group.column_names}
+                   for i in split.test_idx]
+        for model_id in MODEL_FOR_FAMILY.values():
+            cell, fit = run_cell_fitted(data, group, MODEL_SPECS[model_id], cfg, split)
+            path = tmp_path / f"{model_id}__{group_id}.json"
+            save_model(cell, fit, path)
+            for served in (fit, load_model(path)):
+                preds = [LABEL_CODES[predict_single(served, r)["label"]] for r in records]
+                assert confusion(data.labels[split.test_idx], np.array(preds)) == cell.confusion, \
+                    f"{model_id} × {group_id} at keep_fraction {keep_fraction}"
+
+
+# sha256 of the model file each family saves for the config below. A change
+# that moves a byte of these files must bump MODEL_FORMAT_VERSION and
+# re-record them.
+MODEL_FILE_SHA256 = {
+    "GaussianNB": "a2240c1be68e93ed2352fc09dac286fddf5c95d6c42abb8c62da9efc6fefffe3",
+    "ComplementNB": "7ffb3f5b98f1567d43902d3ca52220d1a1721ce0b85d82f3fa2d2bb7be568900",
+    "KNN": "85a8ecc77f5f53e51e4ae36823028a76840498d347d54041950dd9b58d645f8d",
+    "DT": "5e11910dfbb64b4dc010efad910b7d2d5b54ad31c7cc210c0c6085582069bf5a",
+}
+
+
+def test_model_file_bytes_are_pinned(tmp_path):
+    assert MODEL_FORMAT_VERSION == 1
+    cfg = ExperimentConfig(synthetic={"n": 120, "seed": 3, "signal": 0.8})
+    data = load_config_data(cfg)
+    split = stratified_shuffle_split(data.labels, cfg.test_fraction, seed=cfg.seed)
+    for model_id, expected in MODEL_FILE_SHA256.items():
+        cell, fit = run_cell_fitted(data, group_by_id("VII"), MODEL_SPECS[model_id], cfg, split)
+        path = tmp_path / f"{model_id}.json"
+        save_model(cell, fit, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, model_id
