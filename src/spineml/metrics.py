@@ -32,15 +32,12 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
         raise LengthMismatchError(
             f"label vectors must be equal-length and non-empty: {t.shape} vs {p.shape}"
         )
-    for arr in (t, p):
-        if not np.isin(arr, (0, 1)).all():
-            raise NonBinaryLabelError("labels must be 0 or 1")
-    return ConfusionMatrix(
-        tp=int(np.sum((t == 1) & (p == 1))),
-        fp=int(np.sum((t == 0) & (p == 1))),
-        tn=int(np.sum((t == 0) & (p == 0))),
-        fn=int(np.sum((t == 1) & (p == 0))),
-    )
+    both = np.stack((t, p))
+    if not ((both == 0) | (both == 1)).all():
+        raise NonBinaryLabelError("labels must be 0 or 1")
+    # cell code 2·true + predicted: 0 tn, 1 fp, 2 fn, 3 tp
+    tn, fp, fn, tp = np.bincount((2 * both[0] + both[1]).astype(np.intp), minlength=4).tolist()
+    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def accuracy(cm: ConfusionMatrix) -> float:

@@ -28,7 +28,7 @@ from .metrics import accuracy, confusion, f1
 # tests check that its binding here is rebound with the others).
 from .neighbors import _distances, _vote, knn_fit, knn_predict_many  # noqa: F401
 from .resampling import ResamplePlan, minority_basis, oversample
-from .tree import dt_fit, dt_predict_many, extratrees_fit, predict_constrained
+from .tree import dt_fit, extratrees_fit, predict_constrained
 
 
 def derive_seed(*parts: int) -> int:
@@ -236,21 +236,24 @@ def grid_search(
     """Exhaustive cross-validated search; best = highest mean score, ties to
     the earlier (simpler) combination.
 
-    When a resampling plan is given it is applied to the CV-training folds
-    only, reseeded per (combination, fold). A failing combination scores 0
-    on the failed folds and carries an error flag in the CV table.
+    When a resampling plan is given (KNN grids only) it is applied to the
+    CV-training folds only, reseeded per (combination, fold). A failing
+    combination scores 0 on the failed folds and carries an error flag in
+    the CV table.
 
     Work that depends only on the fold is done once per fold: KNN caches
     the sorted distances from each fold's validation rows to its training
-    rows (and SMOTE's neighbor lists), and DT without resampling grows one
-    tree per (criterion, min_samples_leaf, fold). The scores equal refitting
-    every (combination, fold) from scratch.
+    rows (and SMOTE's neighbor lists), and DT grows one tree per
+    (criterion, min_samples_leaf, fold). The scores equal refitting every
+    (combination, fold) from scratch.
     """
     if scoring not in ("f1", "accuracy"):
         raise ValueError(f"unknown scoring: {scoring}")
     combos = grid.combos()
     if grid.family not in ("knn", "dt"):
         raise ValueError(f"unknown grid family: {grid.family}")
+    if grid.family == "dt" and resample is not None:
+        raise ValueError("a dt grid search takes no resampling plan")
     n_folds = len(folds.folds)
     all_idx = np.arange(train.n)
     fold_val = [np.asarray(f, dtype=np.int64) for f in folds.folds]
@@ -261,27 +264,8 @@ def grid_search(
 
     if grid.family == "knn":
         _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scores, flags)
-    elif resample is None:
-        _dt_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags)
     else:
-        for ci, combo in enumerate(combos):
-            for fi in range(n_folds):
-                try:
-                    sub = oversample(
-                        train.take(fold_train[fi]), resample.with_seed(derive_seed(seed, ci, fi))
-                    )
-                    model = dt_fit(
-                        sub,
-                        combo["criterion"],
-                        combo["max_depth"],
-                        combo["min_samples_split"],
-                        combo["min_samples_leaf"],
-                    )
-                    preds = dt_predict_many(model, train.rows[fold_val[fi]])
-                    scores[ci, fi] = _score(scoring, train.labels[fold_val[fi]], preds)
-                except PipelineError as exc:
-                    scores[ci, fi] = 0.0
-                    flags[ci] = str(exc)
+        _dt_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags)
 
     means = scores.mean(axis=1)
     best_i = int(np.argmax(means))
@@ -349,23 +333,15 @@ def _dt_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags)
     """Grow one unconstrained tree per (criterion, min_samples_leaf, fold) and
     evaluate depth/split-size combos by constrained routing — identical to
     refitting because split choice is local to the node."""
-    keys = []
-    for combo in combos:
-        key = (combo["criterion"], combo["min_samples_leaf"])
-        if key not in keys:
-            keys.append(key)
+    keys = dict.fromkeys((combo["criterion"], combo["min_samples_leaf"]) for combo in combos)
     cache = {}
     for criterion, msl in keys:
         for fi, tr in enumerate(fold_train):
             try:
-                model = dt_fit(
-                    train.take(tr),
-                    criterion=criterion,
-                    max_depth=None,
-                    min_samples_split=2,
+                cache[(criterion, msl, fi)] = dt_fit(
+                    train.take(tr), criterion, max_depth=None, min_samples_split=2,
                     min_samples_leaf=msl,
                 )
-                cache[(criterion, msl, fi)] = model
             except PipelineError as exc:
                 cache[(criterion, msl, fi)] = exc
     for ci, combo in enumerate(combos):
@@ -376,9 +352,6 @@ def _dt_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags)
                 flags[ci] = str(entry)
                 continue
             preds = predict_constrained(
-                entry.root,
-                train.rows[fold_val[fi]],
-                combo["max_depth"],
-                combo["min_samples_split"],
+                entry, train.rows[fold_val[fi]], combo["max_depth"], combo["min_samples_split"]
             )
             scores[ci, fi] = _score(scoring, train.labels[fold_val[fi]], preds)

@@ -42,14 +42,17 @@ class KNNModel:
     points: np.ndarray
     labels: np.ndarray
 
+    def __post_init__(self):
+        # Checked here so that a loaded model file is held to the same rules.
+        if self.weighting not in WEIGHTINGS:
+            raise ValueError(f"unknown weighting: {self.weighting}")
+        if self.metric not in METRICS:
+            raise ValueError(f"unknown metric: {self.metric}")
+
 
 def knn_fit(train: Dataset, k: int, weighting: str = "uniform", metric: str = "euclidean") -> KNNModel:
     if not 1 <= k <= train.n:
         raise KOutOfRangeError(f"k must be in [1, {train.n}], got {k}")
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"unknown weighting: {weighting}")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric: {metric}")
     return KNNModel(k=k, weighting=weighting, metric=metric,
                     points=train.rows, labels=train.labels)
 

@@ -28,6 +28,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .experiment import FAMILIES, CellResult, FittedCell
+from .preprocess import SCALING_MODES
 from .schema import LABEL_NAMES
 
 MODEL_FORMAT_VERSION = 1
@@ -86,6 +87,8 @@ def load_model(path) -> FittedCell:
         prep = raw["preprocessing"]
         scaler = prep["scaler"]
         meta = raw["metadata"]
+        if prep["scaling_mode"] not in SCALING_MODES:
+            raise ValueError(f"unknown scaling_mode: {prep['scaling_mode']!r}")
         return FittedCell(
             model_id=raw["model_id"],
             group_id=raw["group_id"],

@@ -77,6 +77,9 @@ def _column_indices(ds: Dataset, columns, what: str) -> list[int]:
     return [ds.schema.feature_index(c) for c in columns]
 
 
+SCALING_MODES = ("standardize", "minmax")
+
+
 def scale(block: np.ndarray, state: ScalerState, mode: str) -> np.ndarray:
     """Scale a (rows × state.columns) block.
 

@@ -1,15 +1,28 @@
 """CART decision trees and extremely randomized trees.
 
-The CART builder scans, at every node, the midpoints between consecutive
-distinct sorted values of every feature and takes the (feature, threshold)
-pair with the largest weighted impurity decrease; score ties resolve to
-the lower feature index, then the lower threshold. Routing sends
-x[feature] ≤ threshold to the left child.
+A tree is a set of parallel node arrays (the layout of Louppe 2014,
+*Understanding Random Forests*, ch. 5). Node 0 is the root. For node i,
+`feature[i]` and `threshold[i]` hold its split, `left[i]` and `right[i]`
+its children (−1 at a leaf, where the feature is −1 and the threshold
+NaN), and `counts[i]` the class counts of the training rows that reached
+it, so any node can act as a leaf under stricter limits. Children are
+numbered in the order their parents split.
 
-Extremely randomized trees grow on the full sample (no bootstrap): each
-node draws `max_features` candidate features without replacement and one
+One depth-first grower builds both kinds of tree from a split rule. The
+CART rule scans, at every node, the midpoints between consecutive distinct
+sorted values of every feature and takes the (feature, threshold) pair
+with the largest weighted impurity decrease; score ties resolve to the
+lower feature index, then the lower threshold. Extremely randomized trees
+(Geurts et al. 2006) grow on the full sample (no bootstrap): each node
+draws `max_features` candidate features without replacement and one
 uniform-random threshold per candidate inside that feature's node-local
 range, then keeps the best candidate by impurity decrease.
+
+Routing sends x[feature] ≤ threshold to the left child. Batch routing
+moves every row down one level per step, all rows at once, and a row stops
+at a leaf, at depth `max_depth`, or at a node that holds fewer than
+`min_samples_split` training rows. A row's label is its node's majority
+class (ties to the lower label).
 """
 
 from __future__ import annotations
@@ -61,42 +74,39 @@ def _binary_impurity(n, c1, criterion: str):
     return out
 
 
-@dataclass
-class TreeNode:
-    """Either a split (feature/threshold with two children) or a leaf.
-
-    Every node keeps the class counts of the samples routed to it during
-    fitting, so any subtree can act as a leaf under stricter constraints.
-    """
-
-    counts: np.ndarray
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-    def majority(self) -> tuple[int, float]:
-        label = int(np.argmax(self.counts))
-        return label, float(self.counts[label] / self.counts.sum())
-
-
 @dataclass(frozen=True)
 class DecisionTreeModel:
-    root: TreeNode
+    feature: np.ndarray  # (nodes,) split feature, −1 at a leaf
+    threshold: np.ndarray  # (nodes,) split threshold, NaN at a leaf
+    left: np.ndarray  # (nodes,) left child, −1 at a leaf
+    right: np.ndarray  # (nodes,) right child, −1 at a leaf
+    counts: np.ndarray  # (nodes, 2) training class counts
     criterion: str
     max_depth: int | None
     min_samples_split: int
     min_samples_leaf: int
     feature_importances: np.ndarray
     n_features: int
+
+
+_LEAF = (-1, math.nan, -1, -1)  # (feature, threshold, left, right) of a leaf
+
+
+def _split_node(nodes: list, counts: list, node: int, feature, threshold, child_counts):
+    """Turn leaf `node` into a split with two new leaf children; returns their ids."""
+    ids = len(nodes), len(nodes) + 1
+    nodes[node] = (feature, threshold, *ids)
+    nodes += [_LEAF, _LEAF]
+    counts += child_counts
+    return ids
+
+
+def _node_arrays(nodes: list, counts: list) -> dict:
+    feature, threshold, left, right = map(np.array, zip(*nodes))
+    counts = np.array(counts, dtype=float)
+    if counts.shape != (len(nodes), 2):
+        raise ValueError("node counts must be pairs")
+    return dict(feature=feature, threshold=threshold, left=left, right=right, counts=counts)
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, criterion: str, min_samples_leaf: int):
@@ -141,6 +151,43 @@ def _class_counts(y: np.ndarray) -> np.ndarray:
     return np.array([float(np.sum(y == 0)), float(np.sum(y == 1))])
 
 
+def _grow(X, y, split, max_depth=None, min_samples_split=2) -> tuple[dict, np.ndarray]:
+    """Grow a tree depth first, right child popped first; returns its node
+    arrays and its normalized impurity-decrease importances.
+
+    `split(idx, counts)` gives the (feature, threshold, decrease) of the node
+    holding rows `idx`, or None to leave it a leaf. It is asked only about
+    impure nodes inside the depth and split-size limits.
+    """
+    n_total, d = X.shape
+    raw_importance = np.zeros(d)
+    nodes, node_counts = [_LEAF], [_class_counts(y)]
+    stack = [(0, np.arange(n_total), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        m = idx.size
+        counts = node_counts[node]
+        if (
+            (max_depth is not None and depth >= max_depth)
+            or m < min_samples_split
+            or counts.max() == counts.sum()  # pure node
+        ):
+            continue
+        found = split(idx, counts)
+        if found is None:
+            continue
+        j, threshold, decrease = found
+        raw_importance[j] += (m / n_total) * decrease
+        go_left = X[idx, j] <= threshold
+        left_idx, right_idx = idx[go_left], idx[~go_left]
+        left, right = _split_node(nodes, node_counts, node, j, threshold,
+                                  [_class_counts(y[left_idx]), _class_counts(y[right_idx])])
+        stack.append((left, left_idx, depth + 1))
+        stack.append((right, right_idx, depth + 1))
+    total = raw_importance.sum()
+    return _node_arrays(nodes, node_counts), raw_importance / total if total > 0 else raw_importance
+
+
 def dt_fit(
     train: Dataset,
     criterion: str = "gini",
@@ -153,129 +200,64 @@ def dt_fit(
     if train.n == 0:
         raise EmptyTrainingSetError("cannot fit a tree on zero rows")
     X, y = train.rows, train.labels
-    n_total, d = X.shape
-    raw_importance = np.zeros(d)
 
-    root = TreeNode(counts=_class_counts(y))
-    stack = [(root, np.arange(n_total), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        m = idx.size
-        if (
-            (max_depth is not None and depth >= max_depth)
-            or m < min_samples_split
-            or node.counts.max() == node.counts.sum()  # pure node
-        ):
-            continue
-        found = _best_split(X[idx], y[idx], criterion, min_samples_leaf)
-        if found is None:
-            continue
-        j, threshold, decrease = found
-        raw_importance[j] += (m / n_total) * decrease
-        go_left = X[idx, j] <= threshold
-        left_idx, right_idx = idx[go_left], idx[~go_left]
-        node.feature = j
-        node.threshold = threshold
-        node.left = TreeNode(counts=_class_counts(y[left_idx]))
-        node.right = TreeNode(counts=_class_counts(y[right_idx]))
-        stack.append((node.left, left_idx, depth + 1))
-        stack.append((node.right, right_idx, depth + 1))
+    def best_split(idx, counts):
+        return _best_split(X[idx], y[idx], criterion, min_samples_leaf)
 
-    total = raw_importance.sum()
-    importances = raw_importance / total if total > 0 else raw_importance
+    arrays, importances = _grow(X, y, best_split, max_depth, min_samples_split)
     return DecisionTreeModel(
-        root=root,
+        **arrays,
         criterion=criterion,
         max_depth=max_depth,
         min_samples_split=min_samples_split,
         min_samples_leaf=min_samples_leaf,
         feature_importances=importances,
-        n_features=d,
+        n_features=X.shape[1],
     )
 
 
-def route(
-    root: TreeNode,
-    x: np.ndarray,
-    max_depth: int | None = None,
-    min_samples_split: int = 2,
-) -> TreeNode:
-    """Walk to the effective leaf, honoring optional stricter stopping rules."""
-    node, depth = root, 0
-    while not node.is_leaf:
-        if max_depth is not None and depth >= max_depth:
-            break
-        if node.n < min_samples_split:
-            break
-        node = node.left if x[node.feature] <= node.threshold else node.right
+def _route(
+    model: DecisionTreeModel, X, max_depth: int | None = None, min_samples_split: int = 2
+) -> np.ndarray:
+    """The majority label of the node each row of X stops at, routing all
+    rows one level per step."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[1] != model.n_features:
+        raise WidthMismatchError(f"expected {model.n_features} features, got {X.shape[1]}")
+    splits = (model.left >= 0) & (model.counts.sum(axis=1) >= min_samples_split)
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    rows = np.arange(X.shape[0])
+    depth = 0
+    while rows.size and (max_depth is None or depth < max_depth):
+        rows = rows[splits[node[rows]]]
+        at = node[rows]
+        go_left = X[rows, model.feature[at]] <= model.threshold[at]
+        node[rows] = np.where(go_left, model.left[at], model.right[at])
         depth += 1
-    return node
+    return np.argmax(model.counts[node], axis=1).astype(np.int64)
 
 
 def dt_predict(model: DecisionTreeModel, x) -> tuple[int, float]:
-    """Leaf majority label (ties to the lower label) and its count fraction."""
+    """Leaf majority label (ties to the lower label) and its count fraction,
+    by a walk over one row."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n_features,):
         raise WidthMismatchError(f"expected {model.n_features} features, got {x.shape}")
-    return route(model.root, x).majority()
+    node = 0
+    while model.left[node] >= 0:
+        go_left = x[model.feature[node]] <= model.threshold[node]
+        node = model.left[node] if go_left else model.right[node]
+    counts = model.counts[node]
+    label = int(np.argmax(counts))
+    return label, float(counts[label] / counts.sum())
 
 
 def dt_predict_many(model: DecisionTreeModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != model.n_features:
-        raise WidthMismatchError(
-            f"expected {model.n_features} features, got {X.shape[1]}"
-        )
-    return np.array([route(model.root, x).majority()[0] for x in X], dtype=np.int64)
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    out = {"counts": [float(c) for c in node.counts]}
-    if not node.is_leaf:
-        out["feature"] = int(node.feature)
-        out["threshold"] = float(node.threshold)
-        out["left"] = _node_to_dict(node.left)
-        out["right"] = _node_to_dict(node.right)
-    return out
-
-
-def _node_from_dict(raw: dict) -> TreeNode:
-    node = TreeNode(counts=np.array(raw["counts"], dtype=float))
-    if "feature" in raw:
-        node.feature = int(raw["feature"])
-        node.threshold = float(raw["threshold"])
-        node.left = _node_from_dict(raw["left"])
-        node.right = _node_from_dict(raw["right"])
-    return node
-
-
-def dt_to_dict(model: DecisionTreeModel) -> dict:
-    """The tree as a JSON-ready dict of nested nodes."""
-    return {
-        "criterion": model.criterion,
-        "max_depth": model.max_depth,
-        "min_samples_split": model.min_samples_split,
-        "min_samples_leaf": model.min_samples_leaf,
-        "feature_importances": model.feature_importances.tolist(),
-        "n_features": model.n_features,
-        "root": _node_to_dict(model.root),
-    }
-
-
-def dt_from_dict(raw: dict) -> DecisionTreeModel:
-    return DecisionTreeModel(
-        root=_node_from_dict(raw["root"]),
-        criterion=raw["criterion"],
-        max_depth=raw["max_depth"],
-        min_samples_split=int(raw["min_samples_split"]),
-        min_samples_leaf=int(raw["min_samples_leaf"]),
-        feature_importances=np.array(raw["feature_importances"], dtype=float),
-        n_features=int(raw["n_features"]),
-    )
+    return _route(model, X)
 
 
 def predict_constrained(
-    root: TreeNode, X: np.ndarray, max_depth: int | None, min_samples_split: int
+    model: DecisionTreeModel, X: np.ndarray, max_depth: int | None, min_samples_split: int
 ) -> np.ndarray:
     """Predictions of the tree as if it had been grown under the given limits.
 
@@ -283,9 +265,55 @@ def predict_constrained(
     rows, the criterion, and min_samples_leaf; depth and split-size limits
     only decide whether a node splits at all.
     """
-    return np.array(
-        [route(root, x, max_depth, min_samples_split).majority()[0] for x in X],
-        dtype=np.int64,
+    return _route(model, X, max_depth, min_samples_split)
+
+
+def dt_to_dict(model: DecisionTreeModel) -> dict:
+    """The tree as a JSON-ready dict of nested nodes: each node holds its
+    counts, and a split also its feature, threshold, left and right."""
+    nodes = [{"counts": c} for c in model.counts.tolist()]
+    for i in np.flatnonzero(model.left >= 0).tolist():
+        nodes[i].update(
+            feature=int(model.feature[i]),
+            threshold=float(model.threshold[i]),
+            left=nodes[model.left[i]],
+            right=nodes[model.right[i]],
+        )
+    return {
+        "criterion": model.criterion,
+        "max_depth": model.max_depth,
+        "min_samples_split": model.min_samples_split,
+        "min_samples_leaf": model.min_samples_leaf,
+        "feature_importances": model.feature_importances.tolist(),
+        "n_features": model.n_features,
+        "root": nodes[0],
+    }
+
+
+def dt_from_dict(raw: dict) -> DecisionTreeModel:
+    """Inverse of `dt_to_dict`; nodes get the ids the fit gave them."""
+    if raw["criterion"] not in CRITERIA:
+        raise ValueError(f"unknown criterion: {raw['criterion']!r}")
+    n_features = int(raw["n_features"])
+    nodes, counts = [_LEAF], [raw["root"]["counts"]]
+    stack = [(0, raw["root"])]
+    while stack:
+        node, entry = stack.pop()
+        if "feature" in entry:
+            feature, children = int(entry["feature"]), (entry["left"], entry["right"])
+            if not 0 <= feature < n_features:
+                raise ValueError(f"split on feature {feature} of {n_features}")
+            ids = _split_node(nodes, counts, node, feature, float(entry["threshold"]),
+                              [c["counts"] for c in children])
+            stack += zip(ids, children)
+    return DecisionTreeModel(
+        **_node_arrays(nodes, counts),
+        criterion=raw["criterion"],
+        max_depth=raw["max_depth"],
+        min_samples_split=int(raw["min_samples_split"]),
+        min_samples_leaf=int(raw["min_samples_leaf"]),
+        feature_importances=np.array(raw["feature_importances"], dtype=float),
+        n_features=n_features,
     )
 
 
@@ -301,17 +329,12 @@ def _grow_extra_tree(
     y: np.ndarray,
     rng: np.random.Generator,
     max_features: int,
-    n_total: int,
 ) -> np.ndarray:
     """The normalized impurity-decrease importances of one grown tree."""
     d = X.shape[1]
-    raw_importance = np.zeros(d)
-    stack = [(_class_counts(y), np.arange(X.shape[0]))]  # (node class counts, rows)
-    while stack:
-        counts, idx = stack.pop()
+
+    def random_split(idx, counts):
         m = idx.size
-        if m < 2 or counts.max() == counts.sum():
-            continue
         feats = rng.choice(d, size=min(max_features, d), replace=False)
         best = None
         parent = gini_impurity(counts)
@@ -336,15 +359,11 @@ def _grow_extra_tree(
             ):
                 best = cand
         if best is None or not best[0] > _MIN_DECREASE:
-            continue
+            return None
         dec, f, t = best
-        raw_importance[f] += (m / n_total) * dec
-        go_left = X[idx, f] <= t
-        left_idx, right_idx = idx[go_left], idx[~go_left]
-        stack.append((_class_counts(y[left_idx]), left_idx))
-        stack.append((_class_counts(y[right_idx]), right_idx))
-    total = raw_importance.sum()
-    return raw_importance / total if total > 0 else raw_importance
+        return f, t, dec
+
+    return _grow(X, y, random_split)[1]
 
 
 def extratrees_fit(
@@ -364,7 +383,7 @@ def extratrees_fit(
     per_tree = np.zeros((n_trees, d))
     for t in range(n_trees):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        per_tree[t] = _grow_extra_tree(train.rows, train.labels, rng, mf, train.n)
+        per_tree[t] = _grow_extra_tree(train.rows, train.labels, rng, mf)
     mean_imp = per_tree.mean(axis=0)
     total = mean_imp.sum()
     importances = mean_imp / total if total > 0 else mean_imp

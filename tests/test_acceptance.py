@@ -185,12 +185,12 @@ def test_criterion_3_dt_greedy_split_optimal():
         labels[:2] = [0, 1]
         model = dt_fit(make_dataset(rows, labels), criterion="gini")
         oracle_best = exhaustive_best_decrease(rows, labels)
-        if model.root.is_leaf:
+        if model.left[0] < 0:  # the root is a leaf
             assert oracle_best is None or oracle_best <= 1e-12
             continue
-        root = model.root
-        left = [labels[i] for i in range(n) if rows[i, root.feature] <= root.threshold]
-        right = [labels[i] for i in range(n) if rows[i, root.feature] > root.threshold]
+        feature, threshold = model.feature[0], model.threshold[0]
+        left = [labels[i] for i in range(n) if rows[i, feature] <= threshold]
+        right = [labels[i] for i in range(n) if rows[i, feature] > threshold]
         got = gini_impurity(np.bincount(labels, minlength=2)) - (
             len(left) * gini_impurity(np.bincount(left, minlength=2))
             + len(right) * gini_impurity(np.bincount(right, minlength=2))

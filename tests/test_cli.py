@@ -163,6 +163,30 @@ def test_predict_version_mismatch_exits_1(tmp_path, capsys):
     assert "version" in stderr.lower()
 
 
+@pytest.mark.parametrize("model_id,section,field,value", [
+    ("KNN", "classifier", "metric", "cosine"),
+    ("KNN", "classifier", "weighting", "distance"),
+    ("DT", "classifier", "criterion", "mse"),
+    ("DT", "preprocessing", "scaling_mode", "zscore"),
+])
+def test_predict_rejects_a_model_file_with_an_unknown_setting(
+    tmp_path, capsys, model_id, section, field, value
+):
+    _run(capsys, "run", "--n", "80", "--data-seed", "3", "--groups", "II",
+         "--models", model_id, "--folds", "4", "--save-models",
+         "--out", str(tmp_path / "r"))
+    raw = json.loads((tmp_path / "r" / "models" / f"{model_id}__II.json").read_text())
+    raw[section][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, stdout, stderr = _run(capsys, "predict", "--model", str(bad),
+                                "--record", json.dumps({"GEN": 1, "AGE": 50, "EMP_ST": 3}))
+    assert code == 1
+    assert stdout == ""
+    assert len(stderr.strip().splitlines()) == 1
+    assert stderr.startswith("error: model file is malformed") and value in stderr
+
+
 @pytest.mark.parametrize("command", ["generate", "run", "report", "predict"])
 def test_help_exits_zero(command, capsys):
     with pytest.raises(SystemExit) as exc:

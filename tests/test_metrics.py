@@ -16,6 +16,13 @@ from spineml.metrics import (
 def test_confusion_perfect():
     cm = confusion([1, 0, 1], [1, 0, 1])
     assert (cm.tp, cm.tn, cm.fp, cm.fn) == (2, 1, 0, 0)
+    # int, bool and float 0/1 labels, mixed freely, count the same
+    for t, p in [
+        (np.array([True, False, True]), np.array([1, 0, 1])),
+        (np.array([1.0, 0.0, 1.0]), np.array([True, False, True])),
+        (np.array([1, 0, 1], dtype=np.int8), np.array([1.0, 0.0, 1.0])),
+    ]:
+        assert confusion(t, p) == cm
 
 
 def test_confusion_total_inversion():
@@ -38,6 +45,11 @@ def test_confusion_errors():
         confusion([], [])
     with pytest.raises(NonBinaryLabelError):
         confusion([1, 2], [0, 1])
+    for bad in ([0.5, 1.0], [np.nan, 1.0], [-1, 0]):
+        with pytest.raises(NonBinaryLabelError):
+            confusion([0, 1], bad)
+        with pytest.raises(NonBinaryLabelError):
+            confusion(bad, [0, 1])
 
 
 def test_accuracy_bounds_and_empty():

@@ -317,6 +317,15 @@ def test_grid_search_with_resampling_matches_recomputation():
         assert abs(row["mean_score"] - fresh) < 1e-12
 
 
+def test_grid_search_rejects_a_dt_grid_with_resampling():
+    ds = _blobs(40, seed=5)
+    folds = stratified_kfold(ds.labels, 4, seed=0)
+    grid = ParamGrid("dt", {"criterion": ("gini",), "max_depth": (2,),
+                            "min_samples_split": (2,), "min_samples_leaf": (1,)})
+    with pytest.raises(ValueError, match="resampling"):
+        grid_search(ds, grid, folds, resample=ResamplePlan("random_over"))
+
+
 def _naive_knn_cv_table(ds, grid, folds, resample, scoring_seed):
     """From-scratch refit of every combination x fold, predicting one record
     at a time, with failures scored 0 and flagged by the last failing fold."""

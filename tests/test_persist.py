@@ -90,10 +90,23 @@ def test_dt_round_trip_preserves_structure(tmp_path):
 
     raw = FAMILIES["dt"].to_dict(model)
     back = FAMILIES["dt"].from_dict(raw)
-    assert back.root.feature == 0
-    assert back.root.threshold == 5.5
-    assert back.root.left.counts.tolist() == model.root.left.counts.tolist()
+    assert back.feature[0] == 0
+    assert back.threshold[0] == 5.5
+    assert back.counts[back.left[0]].tolist() == model.counts[model.left[0]].tolist()
     assert FAMILIES["dt"].to_dict(back) == raw
+
+
+@pytest.mark.parametrize("feature", [-1, 99])
+def test_load_model_rejects_a_split_on_a_missing_feature(fitted_cells, tmp_path, feature):
+    cell, fit = fitted_cells["dt"]
+    path = tmp_path / "dt.json"
+    save_model(cell, fit, path)
+    raw = json.loads(path.read_text())
+    assert "feature" in raw["classifier"]["root"]
+    raw["classifier"]["root"]["feature"] = feature
+    path.write_text(json.dumps(raw))
+    with pytest.raises(CorruptFileError):
+        load_model(path)
 
 
 def test_save_model_rejects_failed_cell(fitted_cells, tmp_path):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spineml.errors import EmptyCountsError, EmptyTrainingSetError, WidthMismatchError
 from spineml.tree import (
+    CRITERIA,
     dt_fit,
     dt_predict,
     dt_predict_many,
@@ -15,6 +18,10 @@ from spineml.tree import (
 )
 
 from helpers import make_dataset
+
+
+def _is_leaf(model, node):
+    return model.left[node] < 0
 
 
 def test_gini_cases():
@@ -42,9 +49,9 @@ def test_impurity_rejects_empty_counts():
 def test_dt_fit_separable_single_split():
     ds = make_dataset([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1])
     model = dt_fit(ds)
-    assert model.root.feature == 0
-    assert model.root.threshold == pytest.approx(5.5)
-    assert model.root.left.is_leaf and model.root.right.is_leaf
+    assert model.feature[0] == 0
+    assert model.threshold[0] == pytest.approx(5.5)
+    assert _is_leaf(model, model.left[0]) and _is_leaf(model, model.right[0])
     preds = dt_predict_many(model, ds.rows)
     assert preds.tolist() == [0, 0, 1, 1]
     assert model.feature_importances.tolist() == [1.0]
@@ -53,14 +60,14 @@ def test_dt_fit_separable_single_split():
 def test_dt_fit_pure_data_is_single_leaf():
     ds = make_dataset([[1.0], [2.0], [3.0]], [1, 1, 1])
     model = dt_fit(ds)
-    assert model.root.is_leaf
+    assert _is_leaf(model, 0)
     assert model.feature_importances.tolist() == [0.0]
 
 
 def test_dt_fit_depth_zero_is_majority_stump():
     ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 0, 1])
     model = dt_fit(ds, max_depth=0)
-    assert model.root.is_leaf
+    assert _is_leaf(model, 0)
     label, frac = dt_predict(model, [99.0])
     assert label == 0
     assert frac == pytest.approx(0.75)
@@ -90,13 +97,13 @@ def test_dt_min_samples_leaf_restricts_split():
     # only the 1-vs-3 boundary separates, but it leaves a 1-row child
     ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [1, 0, 0, 0])
     model = dt_fit(ds, min_samples_leaf=2)
-    assert model.root.is_leaf or model.root.left.n >= 2
+    assert _is_leaf(model, 0) or model.counts[model.left[0]].sum() >= 2
 
 
 def test_dt_min_samples_split_stops_growth():
     ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
     model = dt_fit(ds, min_samples_split=5)
-    assert model.root.is_leaf
+    assert _is_leaf(model, 0)
 
 
 def test_dt_importances_normalized():
@@ -147,14 +154,14 @@ def test_dt_root_split_matches_exhaustive_enumeration(criterion):
         labels[0], labels[1] = 0, 1
         model = dt_fit(make_dataset(rows, labels), criterion=criterion)
         oracle = _exhaustive_best_root(rows, labels, criterion)
-        if model.root.is_leaf:
+        if _is_leaf(model, 0):
             assert oracle is None or oracle[0] <= 1e-12
             continue
-        got = _split_decrease(rows, labels, model.root, criterion)
+        got = _split_decrease(rows, labels, model.feature[0], model.threshold[0], criterion)
         assert abs(got - oracle[0]) < 1e-12
 
 
-def _split_decrease(rows, labels, root, criterion):
+def _split_decrease(rows, labels, feature, threshold, criterion):
     from spineml.tree import entropy_impurity, gini_impurity
 
     imp = gini_impurity if criterion == "gini" else entropy_impurity
@@ -163,8 +170,8 @@ def _split_decrease(rows, labels, root, criterion):
         return [sum(1 for v in ls if v == 0), sum(1 for v in ls if v == 1)]
 
     n = len(labels)
-    left = [labels[i] for i in range(n) if rows[i, root.feature] <= root.threshold]
-    right = [labels[i] for i in range(n) if rows[i, root.feature] > root.threshold]
+    left = [labels[i] for i in range(n) if rows[i, feature] <= threshold]
+    right = [labels[i] for i in range(n) if rows[i, feature] > threshold]
     return imp(counts(labels)) - (
         len(left) * imp(counts(left)) + len(right) * imp(counts(right))
     ) / n
@@ -178,17 +185,18 @@ def test_dt_every_internal_node_is_greedy_optimal():
     model = dt_fit(make_dataset(rows, labels), max_depth=5)
 
     def walk(node, idx):
-        if node.is_leaf:
+        if _is_leaf(model, node):
             return
         sub_rows, sub_labels = rows[idx], labels[idx]
-        got = _split_decrease(sub_rows, sub_labels, node, "gini")
+        feature, threshold = model.feature[node], model.threshold[node]
+        got = _split_decrease(sub_rows, sub_labels, feature, threshold, "gini")
         want = _exhaustive_best_root(sub_rows, sub_labels, "gini")[0]
         assert abs(got - want) < 1e-12
-        mask = sub_rows[:, node.feature] <= node.threshold
-        walk(node.left, idx[mask])
-        walk(node.right, idx[~mask])
+        mask = sub_rows[:, feature] <= threshold
+        walk(model.left[node], idx[mask])
+        walk(model.right[node], idx[~mask])
 
-    walk(model.root, np.arange(60))
+    walk(0, np.arange(60))
 
 
 def test_dt_deterministic_across_runs():
@@ -237,9 +245,33 @@ def test_predict_constrained_equals_constrained_fit():
                         min_samples_leaf=msl,
                     )
                     assert np.array_equal(
-                        predict_constrained(full.root, X, depth, mss),
+                        predict_constrained(full, X, depth, mss),
                         dt_predict_many(direct, X),
                     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    d=st.integers(1, 4),
+    criterion=st.sampled_from(CRITERIA),
+    min_samples_leaf=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_routing_matches_scalar_walk(n, d, criterion, min_samples_leaf, seed):
+    """The level-by-level router gives the one-row walk's label on rows that
+    repeat, sit exactly on a split threshold, or just above it."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 4, size=(n, d)) / 2.0  # a coarse grid: many duplicates
+    labels = rng.integers(0, 2, n)
+    model = dt_fit(make_dataset(rows, labels), criterion, min_samples_leaf=min_samples_leaf)
+    splits = np.flatnonzero(model.left >= 0)
+    on_threshold = rows[rng.integers(0, n, splits.size)]
+    on_threshold[np.arange(splits.size), model.feature[splits]] = model.threshold[splits]
+    X = np.concatenate([rows, rows[::-1], on_threshold, np.nextafter(on_threshold, np.inf)])
+    scalar = [dt_predict(model, x)[0] for x in X]
+    assert dt_predict_many(model, X).tolist() == scalar
+    assert predict_constrained(model, X, None, 2).tolist() == scalar
 
 
 def test_extratrees_single_feature_importance():
