@@ -132,11 +132,17 @@ def _fields_to_dict(model) -> dict:
 
 def _fields_from_dict(cls, raw: dict):
     """Inverse of `_fields_to_dict`: each field converted to its annotated
-    type; the label arrays (`classes`, `labels`) are int64, others float."""
+    type; the label arrays (`classes`, `labels`) must hold 0/1 and are int64,
+    other arrays float."""
     def convert(name, kind):
         if kind is not np.ndarray:
             return kind(raw[name])
-        return np.array(raw[name], dtype=np.int64 if name in ("classes", "labels") else float)
+        if name not in ("classes", "labels"):
+            return np.array(raw[name], dtype=float)
+        labels = np.array(raw[name])
+        if not np.isin(labels, (0, 1)).all():
+            raise ValueError(f"{name} must be 0 or 1, got {np.unique(labels).tolist()}")
+        return labels.astype(np.int64)
 
     return cls(**{name: convert(name, kind) for name, kind in get_type_hints(cls).items()})
 
@@ -590,12 +596,12 @@ def load_config_data(config: ExperimentConfig) -> Dataset:
         except OSError as exc:
             raise DataSourceError(f"cannot read {config.csv_path}: {exc}") from exc
         return ds
-    syn = dict(config.synthetic or {})
+    syn = config.canonical_dict()["data"]["synthetic"]
     return generate_synthetic(
-        n=int(syn.get("n", 244)),
-        seed=int(syn.get("seed", config.seed)),
-        signal=float(syn.get("signal", 0.5)),
-        p_success=float(syn.get("p_success", 0.522)),
+        n=int(syn["n"]),
+        seed=int(syn["seed"]),
+        signal=float(syn["signal"]),
+        p_success=float(syn["p_success"]),
         schema=schema,
     )
 

@@ -44,6 +44,8 @@ class KNNModel:
 
     def __post_init__(self):
         # Checked here so that a loaded model file is held to the same rules.
+        if not 1 <= self.k <= len(self.points):
+            raise KOutOfRangeError(f"k must be in [1, {len(self.points)}], got {self.k}")
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting: {self.weighting}")
         if self.metric not in METRICS:
@@ -51,8 +53,6 @@ class KNNModel:
 
 
 def knn_fit(train: Dataset, k: int, weighting: str = "uniform", metric: str = "euclidean") -> KNNModel:
-    if not 1 <= k <= train.n:
-        raise KOutOfRangeError(f"k must be in [1, {train.n}], got {k}")
     return KNNModel(k=k, weighting=weighting, metric=metric,
                     points=train.rows, labels=train.labels)
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     CorruptFileError,
+    KOutOfRangeError,
     MissingFeatureError,
     OutOfSchemaValueError,
     VersionMismatchError,
@@ -89,6 +90,10 @@ def load_model(path) -> FittedCell:
         meta = raw["metadata"]
         if prep["scaling_mode"] not in SCALING_MODES:
             raise ValueError(f"unknown scaling_mode: {prep['scaling_mode']!r}")
+        kept = np.array(prep["kept"], dtype=np.int64)
+        if not ((0 <= kept) & (kept < len(raw["features"]))).all():
+            raise ValueError(f"kept feature indices {kept.tolist()} outside "
+                             f"[0, {len(raw['features'])})")
         return FittedCell(
             model_id=raw["model_id"],
             group_id=raw["group_id"],
@@ -102,13 +107,13 @@ def load_model(path) -> FittedCell:
             scaler_max=np.array(scaler["max"], dtype=float),
             scaler_constant=np.array(scaler["constant"], dtype=bool),
             scaling_mode=prep["scaling_mode"],
-            kept=np.array(prep["kept"], dtype=np.int64),
+            kept=kept,
             classifier=FAMILIES[raw["family"]].from_dict(raw["classifier"]),
             hyperparameters=meta["hyperparameters"],
             seed=meta["seed"],
             config_hash=meta["config_hash"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, KOutOfRangeError) as exc:
         raise CorruptFileError(f"model file is malformed: {exc}") from exc
 
 

@@ -10,6 +10,7 @@ axis and value labels.
 from __future__ import annotations
 
 import json
+from numbers import Real
 from pathlib import Path
 
 from .errors import CorruptFileError, VersionMismatchError
@@ -66,6 +67,10 @@ def matrix_from_dict(raw: dict) -> ExperimentMatrix:
             raise VersionMismatchError(f"unsupported results version: {version}")
         cells = {}
         for entry in raw["cells"]:
+            for key in ("accuracy", "f1", "macro_f1"):
+                value = entry[key]
+                if value is not None and not isinstance(value, Real):
+                    raise CorruptFileError(f"results file holds a non-numeric {key}: {value!r}")
             cm = entry["confusion"]
             cells[(entry["group"], entry["model"])] = CellResult(
                 group_id=entry["group"],
@@ -79,7 +84,7 @@ def matrix_from_dict(raw: dict) -> ExperimentMatrix:
                 n_test=entry["n_test"],
                 error=entry["error"],
             )
-        return ExperimentMatrix(
+        matrix = ExperimentMatrix(
             groups=tuple(raw["groups"]),
             models=tuple(raw["models"]),
             cells=cells,
@@ -87,9 +92,11 @@ def matrix_from_dict(raw: dict) -> ExperimentMatrix:
             model_stats=raw["model_stats"],
             provenance=raw["provenance"],
         )
-    except VersionMismatchError:
-        raise
-    except (KeyError, TypeError) as exc:
+        _check_aggregates(matrix, CorruptFileError)
+        return matrix
+    except KeyError as exc:
+        raise CorruptFileError(f"results file is malformed: missing key {exc}") from exc
+    except TypeError as exc:
         raise CorruptFileError(f"results file is malformed: {exc}") from exc
 
 
@@ -248,24 +255,22 @@ def render_fig2b(matrix: ExperimentMatrix) -> str:
     )
 
 
-def _check_aggregates(matrix: ExperimentMatrix) -> None:
-    group_stats, model_stats = _aggregate(matrix.cells, matrix.groups, matrix.models)
-    for g in matrix.groups:
-        for key, fresh in group_stats[g].items():
-            stored = matrix.group_stats[g][key]
-            if fresh is None or stored is None:
-                if fresh != stored:
-                    raise AssertionError(f"aggregate mismatch for group {g}/{key}")
-            elif abs(fresh - stored) > _AGG_TOLERANCE:
-                raise AssertionError(f"aggregate mismatch for group {g}/{key}")
-    for m in matrix.models:
-        for key, fresh in model_stats[m].items():
-            stored = matrix.model_stats[m][key]
-            if fresh is None or stored is None:
-                if fresh != stored:
-                    raise AssertionError(f"aggregate mismatch for model {m}/{key}")
-            elif abs(fresh - stored) > _AGG_TOLERANCE:
-                raise AssertionError(f"aggregate mismatch for model {m}/{key}")
+def _check_aggregates(matrix: ExperimentMatrix, error=AssertionError) -> None:
+    """Raise `error` unless every stored group and model statistic is within
+    _AGG_TOLERANCE of its value recomputed from the cells."""
+    recomputed = _aggregate(matrix.cells, matrix.groups, matrix.models)
+    stored = (matrix.group_stats, matrix.model_stats)
+    for kind, names, fresh, kept in zip(("group", "model"), (matrix.groups, matrix.models),
+                                        recomputed, stored):
+        for name in names:
+            for key, value in fresh[name].items():
+                old = kept[name][key]
+                if value is None or old is None:
+                    drifted = value != old
+                else:
+                    drifted = abs(value - old) > _AGG_TOLERANCE
+                if drifted:
+                    raise error(f"aggregate mismatch for {kind} {name}/{key}")
 
 
 def emit_report(matrix: ExperimentMatrix, out_dir, write_results: bool = True) -> dict:

@@ -14,9 +14,11 @@ sorted values of every feature and takes the (feature, threshold) pair
 with the largest weighted impurity decrease; score ties resolve to the
 lower feature index, then the lower threshold. Extremely randomized trees
 (Geurts et al. 2006) grow on the full sample (no bootstrap): each node
-draws `max_features` candidate features without replacement and one
-uniform-random threshold per candidate inside that feature's node-local
-range, then keeps the best candidate by impurity decrease.
+draws `max_features` candidate features without replacement and, in one
+array draw in candidate order, a uniform-random threshold inside each
+non-constant candidate's node-local range (a constant one draws nothing).
+The candidates are scored together by CART's impurity-decrease formula
+(`_decrease`); the best is kept, score ties to the lower feature index.
 
 Routing sends x[feature] ≤ threshold to the left child. Batch routing
 moves every row down one level per step, all rows at once, and a row stops
@@ -109,6 +111,17 @@ def _node_arrays(nodes: list, counts: list) -> dict:
     return dict(feature=feature, threshold=threshold, left=left, right=right, counts=counts)
 
 
+def _decrease(parent, m, c1, n_left, c1_left, criterion: str):
+    """Impurity decrease of sending `n_left` rows, `c1_left` of them class 1,
+    left from a node of `m` rows (`c1` of class 1) and impurity `parent`;
+    vectorized over candidate splits."""
+    n_right = m - n_left
+    return parent - (
+        n_left * _binary_impurity(n_left, c1_left, criterion)
+        + n_right * _binary_impurity(n_right, c1 - c1_left, criterion)
+    ) / m
+
+
 def _best_split(X: np.ndarray, y: np.ndarray, criterion: str, min_samples_leaf: int):
     """Best (feature, threshold, decrease) at a node, or None when nothing qualifies."""
     m, d = X.shape
@@ -123,19 +136,13 @@ def _best_split(X: np.ndarray, y: np.ndarray, criterion: str, min_samples_leaf: 
 
     n_left = np.arange(1, m, dtype=float)[:, None]
     c1_left = ones_cum[:-1].astype(float)
-    n_right = m - n_left
-    c1_right = total1 - c1_left
     valid = xs[1:] > xs[:-1]
     if min_samples_leaf > 1:
-        valid &= (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+        valid &= (n_left >= min_samples_leaf) & (m - n_left >= min_samples_leaf)
     if not valid.any():
         return None
 
-    child = (
-        n_left * _binary_impurity(n_left, c1_left, criterion)
-        + n_right * _binary_impurity(n_right, c1_right, criterion)
-    ) / m
-    decrease = np.where(valid, parent - child, -np.inf)
+    decrease = np.where(valid, _decrease(parent, m, total1, n_left, c1_left, criterion), -np.inf)
 
     best_rows = np.argmax(decrease, axis=0)          # first max: lowest threshold
     best_vals = decrease[best_rows, np.arange(d)]
@@ -334,34 +341,22 @@ def _grow_extra_tree(
     d = X.shape[1]
 
     def random_split(idx, counts):
-        m = idx.size
         feats = rng.choice(d, size=min(max_features, d), replace=False)
-        best = None
-        parent = gini_impurity(counts)
-        for f in feats:
-            col = X[idx, f]
-            lo, hi = col.min(), col.max()
-            if lo == hi:
-                continue
-            t = float(rng.uniform(lo, hi))
-            go_left = col <= t
-            n_l = int(go_left.sum())
-            c1_l = float(y[idx[go_left]].sum())
-            c1 = float(counts[1])
-            dec = parent - (
-                n_l * float(_binary_impurity(np.array(float(n_l)), np.array(c1_l), "gini"))
-                + (m - n_l)
-                * float(_binary_impurity(np.array(float(m - n_l)), np.array(c1 - c1_l), "gini"))
-            ) / m
-            cand = (dec, int(f), t)
-            if best is None or cand[0] > best[0] or (
-                cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2])
-            ):
-                best = cand
-        if best is None or not best[0] > _MIN_DECREASE:
+        block = X[np.ix_(idx, feats)]
+        lo, hi = block.min(axis=0), block.max(axis=0)
+        live = lo < hi  # a constant candidate draws no threshold
+        if not live.any():
             return None
-        dec, f, t = best
-        return f, t, dec
+        feats, block = feats[live], block[:, live]
+        thresholds = rng.uniform(lo[live], hi[live])
+        go_left = block <= thresholds
+        decrease = _decrease(gini_impurity(counts), idx.size, counts[1],
+                             go_left.sum(axis=0), y[idx] @ go_left, "gini")
+        by_feature = np.argsort(feats)  # score ties go to the lower feature
+        k = by_feature[np.argmax(decrease[by_feature])]
+        if not decrease[k] > _MIN_DECREASE:
+            return None
+        return int(feats[k]), float(thresholds[k]), float(decrease[k])
 
     return _grow(X, y, random_split)[1]
 

@@ -114,6 +114,28 @@ def test_report_rerenders_without_recompute(tmp_path, capsys):
     assert not (tmp_path / "again" / "results.json").exists()
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda r: r["group_stats"]["VII"].update(mean_acc=0.123),
+     "aggregate mismatch for group VII/mean_acc"),
+    (lambda r: r["cells"].pop(), "results file is malformed: missing key ('VII', 'DT')"),
+    (lambda r: r["cells"][0].update(accuracy="0.9"),
+     "results file holds a non-numeric accuracy: '0.9'"),
+    (lambda r: r["group_stats"].pop("VII"), "results file is malformed: missing key 'VII'"),
+], ids=["changed-group-stat", "removed-cell", "string-accuracy", "missing-group-stats"])
+def test_report_rejects_an_edited_results_file(tmp_path, capsys, edit, message):
+    _run(capsys, "run", "--n", "80", "--data-seed", "4", "--groups", "I,VII",
+         "--models", "GaussianNB,DT", "--folds", "4", "--out", str(tmp_path / "r"))
+    raw = json.loads((tmp_path / "r" / "results.json").read_text())
+    edit(raw)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(raw))
+    code, stdout, stderr = _run(capsys, "report", "--results", str(bad),
+                                "--out", str(tmp_path / "again"))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
 def _make_model(tmp_path, capsys):
     _run(capsys, "run", "--n", "80", "--data-seed", "3", "--groups", "II",
          "--models", "KNN", "--folds", "4", "--save-models",
@@ -168,6 +190,12 @@ def test_predict_version_mismatch_exits_1(tmp_path, capsys):
     ("KNN", "classifier", "weighting", "distance"),
     ("DT", "classifier", "criterion", "mse"),
     ("DT", "preprocessing", "scaling_mode", "zscore"),
+    ("KNN", "classifier", "k", 0),
+    ("KNN", "classifier", "k", -2),
+    ("KNN", "classifier", "k", 100000),
+    ("KNN", "classifier", "labels", [0, 2]),
+    ("GaussianNB", "classifier", "classes", [0, 2]),
+    ("DT", "preprocessing", "kept", [0, 99]),
 ])
 def test_predict_rejects_a_model_file_with_an_unknown_setting(
     tmp_path, capsys, model_id, section, field, value
@@ -184,7 +212,7 @@ def test_predict_rejects_a_model_file_with_an_unknown_setting(
     assert code == 1
     assert stdout == ""
     assert len(stderr.strip().splitlines()) == 1
-    assert stderr.startswith("error: model file is malformed") and value in stderr
+    assert stderr.startswith("error: model file is malformed") and str(value) in stderr
 
 
 @pytest.mark.parametrize("command", ["generate", "run", "report", "predict"])

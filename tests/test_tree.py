@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spineml import tree
 from spineml.errors import EmptyCountsError, EmptyTrainingSetError, WidthMismatchError
+from spineml.model_selection import select_features
 from spineml.tree import (
+    _MIN_DECREASE,
     CRITERIA,
+    _binary_impurity,
+    _grow,
     dt_fit,
     dt_predict,
     dt_predict_many,
@@ -307,3 +312,85 @@ def test_extratrees_default_max_features():
                       np.random.default_rng(1).integers(0, 2, 30))
     model = extratrees_fit(ds, n_trees=2, seed=0)
     assert model.max_features == 3  # ceil(sqrt(9))
+
+
+def _grow_extra_tree_per_candidate(
+    X: np.ndarray,
+    y: np.ndarray,
+    rng: np.random.Generator,
+    max_features: int,
+) -> np.ndarray:
+    """Reference extra-trees rule that scores one candidate feature at a time,
+    drawing its threshold with a scalar `rng.uniform` call."""
+    d = X.shape[1]
+
+    def random_split(idx, counts):
+        m = idx.size
+        feats = rng.choice(d, size=min(max_features, d), replace=False)
+        best = None
+        parent = gini_impurity(counts)
+        for f in feats:
+            col = X[idx, f]
+            lo, hi = col.min(), col.max()
+            if lo == hi:
+                continue
+            t = float(rng.uniform(lo, hi))
+            go_left = col <= t
+            n_l = int(go_left.sum())
+            c1_l = float(y[idx[go_left]].sum())
+            c1 = float(counts[1])
+            dec = parent - (
+                n_l * float(_binary_impurity(np.array(float(n_l)), np.array(c1_l), "gini"))
+                + (m - n_l)
+                * float(_binary_impurity(np.array(float(m - n_l)), np.array(c1 - c1_l), "gini"))
+            ) / m
+            cand = (dec, int(f), t)
+            if best is None or cand[0] > best[0] or (
+                cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2])
+            ):
+                best = cand
+        if best is None or not best[0] > _MIN_DECREASE:
+            return None
+        dec, f, t = best
+        return f, t, dec
+
+    return _grow(X, y, random_split)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    d=st.integers(1, 6),
+    levels=st.integers(1, 5),
+    n_constant=st.integers(0, 6),
+    n_repeated=st.integers(0, 10),
+    max_features=st.integers(1, 6),
+    keep_fraction=st.sampled_from([0.2, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extratrees_matches_per_candidate_rule(
+    n, d, levels, n_constant, n_repeated, max_features, keep_fraction, seed
+):
+    """Scoring a node's candidates together gives the per-candidate rule's
+    importances bit for bit, and the same selected features."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, levels, size=(n, d)) / 2.0  # a coarse grid: thresholds on ties
+    rows[:, rng.permutation(d)[:n_constant]] = 1.5  # constant columns
+    repeats = rng.integers(0, n, n_repeated)  # duplicated rows
+    rows = np.concatenate([rows, rows[repeats]])
+    labels = rng.integers(0, 2, rows.shape[0])
+    ds = make_dataset(rows, labels)
+    forest_seed = int(rng.integers(0, 1000))
+    mf = min(max_features, d)
+
+    new = extratrees_fit(ds, n_trees=3, max_features=mf, seed=forest_seed)
+    picked = select_features(ds, keep_fraction, forest_seed, n_trees=3) if (
+        ds.n >= 3 and np.unique(labels).size == 2) else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "_grow_extra_tree", _grow_extra_tree_per_candidate)
+        old = extratrees_fit(ds, n_trees=3, max_features=mf, seed=forest_seed)
+        if picked is not None:
+            reference = select_features(ds, keep_fraction, forest_seed, n_trees=3)
+            assert picked.kept.tolist() == reference.kept.tolist()
+            assert picked.importances.tobytes() == reference.importances.tobytes()
+    assert new.importances.tobytes() == old.importances.tobytes()
