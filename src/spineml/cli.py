@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .dataset import write_csv
-from .errors import PipelineError
+from .errors import ConfigError, PipelineError
 from .experiment import (
     MODEL_IDS,
     ExperimentConfig,
@@ -23,7 +23,7 @@ from .experiment import (
 )
 from .persist import load_model, predict_single, save_model
 from .report import emit_report, load_results, render_table5_text
-from .schema import GROUP_IDS
+from .schema import GROUP_IDS, read_json
 from .synthetic import generate_synthetic
 
 DEFAULT_SEED = 42
@@ -106,15 +106,12 @@ def _parse_list(parser, text, valid, what):
 def _build_run_config(args, parser) -> ExperimentConfig:
     raw = {}
     if args.config:
-        config = ExperimentConfig.from_json(args.config)
-        raw = config.canonical_dict()
-        raw["out_dir"] = config.out_dir
-        raw["workers"] = config.workers
-        raw["save_models"] = config.save_models
+        raw = read_json(args.config, ConfigError, "config")
+        ExperimentConfig.from_dict(raw)  # a malformed file fails before any flag is laid over it
     if args.csv:
         raw["data"] = {"csv": args.csv}
     elif args.n is not None or args.signal is not None or args.data_seed is not None:
-        syn = raw.get("data", {}).get("synthetic", {}) if "data" in raw else {}
+        syn = (raw.get("data") or {}).get("synthetic", {})
         if args.n is not None:
             syn["n"] = args.n
         if args.signal is not None:
@@ -143,8 +140,6 @@ def _build_run_config(args, parser) -> ExperimentConfig:
         raw["per_cell_split"] = True
     if args.save_models:
         raw["save_models"] = True
-    if raw.get("schema") is None:
-        raw.pop("schema", None)
     return ExperimentConfig.from_dict(raw)
 
 
@@ -179,14 +174,12 @@ def _cmd_report(args, parser) -> int:
 def _cmd_predict(args, parser) -> int:
     pm = load_model(args.model)
     text = args.record
-    if not text.lstrip().startswith("{") and os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-    else:
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError:
-            parser.error("--record must be a JSON object or a path to one")
+    try:
+        if not text.lstrip().startswith("{") and os.path.exists(text):
+            text = Path(text).read_text(encoding="utf-8")
+        record = json.loads(text)
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
+        parser.error("--record must be a JSON object or a path to one")
     if not isinstance(record, dict):
         parser.error("--record must decode to a JSON object")
     result = predict_single(pm, record, trace=args.trace)

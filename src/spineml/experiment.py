@@ -349,17 +349,6 @@ class ExperimentConfig:
             }
         return cls(**kwargs)
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
-
     def canonical_dict(self) -> dict:
         """Semantic fields only: excludes out_dir/workers/save_models so the
         same experiment hashes identically wherever and however it runs."""
@@ -593,7 +582,7 @@ def load_config_data(config: ExperimentConfig) -> Dataset:
     if config.csv_path is not None:
         try:
             ds, _report = load_csv(config.csv_path, schema)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataSourceError(f"cannot read {config.csv_path}: {exc}") from exc
         return ds
     syn = config.canonical_dict()["data"]["synthetic"]

@@ -24,9 +24,9 @@ from .errors import (
     TooFewRowsError,
 )
 from .metrics import accuracy, confusion, f1
-# knn_predict_many stays importable from this module (perfbench's tracing
-# tests check that its binding here is rebound with the others).
-from .neighbors import _distances, _vote, knn_fit, knn_predict_many  # noqa: F401
+# _distances and knn_predict_many stay importable from this module
+# (perfbench's tracing tests check that their bindings here are rebound).
+from .neighbors import _distances, _nearest, _vote, knn_fit, knn_predict_many  # noqa: F401
 from .resampling import ResamplePlan, minority_basis, oversample
 from .tree import dt_fit, extratrees_fit, predict_constrained
 
@@ -242,8 +242,8 @@ def grid_search(
     the CV table.
 
     Work that depends only on the fold is done once per fold: KNN caches
-    the sorted distances from each fold's validation rows to its training
-    rows (and SMOTE's neighbor lists), and DT grows one tree per
+    each validation row's k_max nearest training rows of the fold (and
+    SMOTE's neighbor lists), and DT grows one tree per
     (criterion, min_samples_leaf, fold). The scores equal refitting every
     (combination, fold) from scratch.
     """
@@ -298,9 +298,8 @@ def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scor
     cache = {}
     for metric in dict.fromkeys(combo["metric"] for combo in combos):
         for fi, sub in enumerate(subs):
-            dist = _distances(sub.rows, X_val[fi], metric)
-            order = np.argsort(dist, axis=1, kind="stable")[:, :k_max]
-            cache[(metric, fi)] = (np.take_along_axis(dist, order, axis=1), sub.labels[order])
+            dist, idx = _nearest(sub.rows, X_val[fi], metric, k_max)
+            cache[(metric, fi)] = (dist, sub.labels[idx])
     bases = {}
     for ci, combo in enumerate(combos):
         k, weighting, metric = combo["k"], combo["weighting"], combo["metric"]
@@ -319,9 +318,8 @@ def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scor
             dist, labels = cache[(metric, fi)]
             dist, labels = dist[:, :k], labels[:, :k]
             if fitted.n > sub.n:
-                extra = _distances(fitted.rows[sub.n:], X_val[fi], metric)
-                top = np.argsort(extra, axis=1, kind="stable")[:, :k]
-                dist = np.concatenate([dist, np.take_along_axis(extra, top, axis=1)], axis=1)
+                extra, top = _nearest(fitted.rows[sub.n:], X_val[fi], metric, k)
+                dist = np.concatenate([dist, extra], axis=1)
                 labels = np.concatenate([labels, fitted.labels[sub.n:][top]], axis=1)
                 top = np.argsort(dist, axis=1, kind="stable")[:, :k]
                 dist = np.take_along_axis(dist, top, axis=1)

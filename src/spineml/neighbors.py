@@ -4,13 +4,13 @@ Every tie is broken deterministically: neighbor-cutoff ties go to the
 lower stored-row index, vote ties to the class with the smaller summed
 distance and then to the lower label.
 
-Batch prediction votes for all query rows at once (`_vote`); a row whose
-two class weights are equal up to rounding is settled by the one-row rule
-(`_vote_one`) that single-record prediction uses, so both give the same
-labels. Distances are computed over blocks of query rows, so memory stays
-bounded however many rows are queried. Grid search
-(`model_selection.grid_search`) caches the distances from each fold's
-validation rows to its training rows and votes on them directly.
+Every neighbor lookup (prediction here, grid search's fold cache and
+SMOTE's neighbor lists) goes through `_nearest`, which keeps each query
+row's k nearest one block of query rows at a time, so memory grows with
+n_query × k, not n_query × n_train. Batch prediction votes for all query
+rows at once (`_vote`); a row whose two class weights are equal up to
+rounding is settled by the one-row rule (`_vote_one`) that single-record
+prediction uses, so both give the same labels.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ _INV_EPS = 1e-12
 # different summation order may flip them, so the one-row rule decides.
 _TIE_RTOL = 1e-9
 # Upper bound on the bytes of one (query block × n_train × d) float64
-# difference tensor inside `_distances`.
+# difference tensor: `_nearest` passes `_distances` blocks of query rows
+# sized to stay under it.
 _CHUNK_BYTES = 8 * 2**20
 
 
@@ -57,27 +58,33 @@ def knn_fit(train: Dataset, k: int, weighting: str = "uniform", metric: str = "e
                     points=train.rows, labels=train.labels)
 
 
-def _block_distances(points: np.ndarray, X: np.ndarray, metric: str) -> np.ndarray:
+def _distances(points: np.ndarray, X: np.ndarray, metric: str) -> np.ndarray:
+    """(n_query, n_train) distances from each row of X to each stored point.
+
+    Each entry is reduced over its own d differences, so the values do not
+    depend on how `_nearest` splits the queries into blocks.
+    """
     diff = X[:, None, :] - points[None, :, :]
     if metric == "euclidean":
         return np.sqrt((diff * diff).sum(axis=2))
     return np.abs(diff).sum(axis=2)
 
 
-def _distances(points: np.ndarray, X: np.ndarray, metric: str) -> np.ndarray:
-    """(n_query, n_train) distances from each row of X to each stored point.
-
-    Query rows are taken in blocks whose difference tensor stays under
-    _CHUNK_BYTES. Each entry is reduced over its own d differences, so the
-    values do not depend on the block size.
+def _nearest(points: np.ndarray, X: np.ndarray, metric: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and indices of each query row's k nearest points, in
+    (distance, index) order: a full stable argsort cut to min(k, n_train)
+    columns. Query rows go to `_distances` in blocks sized so that a block's
+    difference tensor stays under _CHUNK_BYTES.
     """
     step = max(1, _CHUNK_BYTES // max(1, 8 * points.shape[0] * points.shape[1]))
-    if X.shape[0] <= step:
-        return _block_distances(points, X, metric)
-    out = np.empty((X.shape[0], points.shape[0]))
-    for start in range(0, X.shape[0], step):
-        out[start:start + step] = _block_distances(points, X[start:start + step], metric)
-    return out
+    blocks = []
+    for start in range(0, max(1, X.shape[0]), step):
+        dist = _distances(points, X[start:start + step], metric)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k].copy()  # frees the full sort
+        blocks.append((dist[np.arange(dist.shape[0])[:, None], order], order))
+    if len(blocks) == 1:
+        return blocks[0]
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
 
 
 def knn_kneighbors(model: KNNModel, x) -> np.ndarray:
@@ -87,9 +94,7 @@ def knn_kneighbors(model: KNNModel, x) -> np.ndarray:
         raise WidthMismatchError(
             f"expected {model.points.shape[1]} features, got {x.shape}"
         )
-    dist = _distances(model.points, x[None, :], model.metric)[0]
-    order = np.argsort(dist, kind="stable")
-    return order[: model.k]
+    return _nearest(model.points, x[None, :], model.metric, model.k)[1][0]
 
 
 def _vote_one(dist_k: np.ndarray, labels_k: np.ndarray, weighting: str) -> tuple[int, float]:
@@ -136,9 +141,8 @@ def knn_predict(model: KNNModel, x) -> tuple[int, float]:
         raise WidthMismatchError(
             f"expected {model.points.shape[1]} features, got {x.shape}"
         )
-    dist = _distances(model.points, x[None, :], model.metric)[0]
-    order = np.argsort(dist, kind="stable")[: model.k]
-    return _vote_one(dist[order], model.labels[order], model.weighting)
+    dist, idx = _nearest(model.points, x[None, :], model.metric, model.k)
+    return _vote_one(dist[0], model.labels[idx[0]], model.weighting)
 
 
 def knn_predict_many(model: KNNModel, X: np.ndarray) -> np.ndarray:
@@ -147,6 +151,5 @@ def knn_predict_many(model: KNNModel, X: np.ndarray) -> np.ndarray:
         raise WidthMismatchError(
             f"expected {model.points.shape[1]} features, got {X.shape[1]}"
         )
-    dist = _distances(model.points, X, model.metric)
-    order = np.argsort(dist, axis=1, kind="stable")[:, : model.k]
-    return _vote(np.take_along_axis(dist, order, axis=1), model.labels[order], model.weighting)
+    dist, idx = _nearest(model.points, X, model.metric, model.k)
+    return _vote(dist, model.labels[idx], model.weighting)

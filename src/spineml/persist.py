@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .experiment import FAMILIES, CellResult, FittedCell
 from .preprocess import SCALING_MODES
-from .schema import LABEL_NAMES
+from .schema import LABEL_NAMES, read_json
 
 MODEL_FORMAT_VERSION = 1
 
@@ -73,11 +74,7 @@ def save_model(cell: CellResult, fitted: FittedCell, path) -> None:
 
 
 def load_model(path) -> FittedCell:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CorruptFileError(f"model file is not valid JSON: {exc}") from exc
+    raw = read_json(path, CorruptFileError, "model file")
     if not isinstance(raw, dict) or "format_version" not in raw:
         raise CorruptFileError("model file lacks a format_version field")
     if raw["format_version"] != MODEL_FORMAT_VERSION:
@@ -117,9 +114,9 @@ def load_model(path) -> FittedCell:
         raise CorruptFileError(f"model file is malformed: {exc}") from exc
 
 
-def preprocess_record(pm: FittedCell, record: dict) -> tuple[np.ndarray, list]:
+def preprocess_record(pm: FittedCell, record: dict) -> tuple[np.ndarray, Callable[[], list]]:
     """Validate, encode and scale one named-value record; returns the kept
-    feature vector and a per-kept-feature trace."""
+    feature vector and a function that builds the per-kept-feature trace."""
     values = []
     for meta in pm.feature_meta:
         name = meta["name"]
@@ -142,11 +139,14 @@ def preprocess_record(pm: FittedCell, record: dict) -> tuple[np.ndarray, list]:
 
     raw = np.array([values])
     encoded, scaled = pm.preprocess(raw)
-    r, e, s = raw[0].tolist(), encoded[0].tolist(), scaled[0].tolist()
-    trace = [
-        {"name": pm.feature_meta[j]["name"], "raw": r[j], "encoded": e[j], "scaled": s[j]}
-        for j in pm.kept.tolist()
-    ]
+
+    def trace() -> list:
+        r, e, s = raw[0].tolist(), encoded[0].tolist(), scaled[0].tolist()
+        return [
+            {"name": pm.feature_meta[j]["name"], "raw": r[j], "encoded": e[j], "scaled": s[j]}
+            for j in pm.kept.tolist()
+        ]
+
     return scaled[0, pm.kept], trace
 
 
@@ -156,5 +156,5 @@ def predict_single(pm: FittedCell, record: dict, trace: bool = False) -> dict:
     label, score = FAMILIES[pm.family].predict_one(pm.classifier, x)
     out = {"label": LABEL_NAMES[label], "score": float(score)}
     if trace:
-        out["trace"] = steps
+        out["trace"] = steps()
     return out

@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import CorruptFileError, VersionMismatchError
 from .experiment import CellResult, ExperimentMatrix, _aggregate
 from .metrics import ConfusionMatrix
-from .schema import builtin_groups
+from .schema import builtin_groups, read_json
 
 RESULTS_FORMAT_VERSION = 1
 
@@ -101,12 +101,7 @@ def matrix_from_dict(raw: dict) -> ExperimentMatrix:
 
 
 def load_results(path) -> ExperimentMatrix:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CorruptFileError(f"results file is not valid JSON: {exc}") from exc
-    return matrix_from_dict(raw)
+    return matrix_from_dict(read_json(path, CorruptFileError, "results file"))
 
 
 def results_json_text(matrix: ExperimentMatrix) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import MinorityTooSmallError, SingleClassError
-from .neighbors import _distances
+from .neighbors import _nearest
 
 METHODS = ("random_over", "smote")
 
@@ -93,11 +93,13 @@ def minority_basis(train: Dataset, plan: ResamplePlan) -> MinorityBasis:
     if plan.method == "random_over" or need <= 0:
         return MinorityBasis(minority, need, pool)
     points = train.rows[pool]
-    dist = _distances(points, points, "euclidean")
-    np.fill_diagonal(dist, np.inf)
     k = min(plan.smote_k, pool.size - 1)
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    return MinorityBasis(minority, need, pool, neighbors)
+    _, near = _nearest(points, points, "euclidean", k + 1)
+    # Drop each row itself; when k + 1 lower-index duplicates come first,
+    # the row is not among them and the last one goes instead.
+    keep = near != np.arange(pool.size)[:, None]
+    keep[keep.all(axis=1), -1] = False
+    return MinorityBasis(minority, need, pool, near[keep].reshape(pool.size, k))
 
 
 def random_oversample(train: Dataset, plan: ResamplePlan) -> Dataset:

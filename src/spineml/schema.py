@@ -211,18 +211,24 @@ def group_by_id(group_id: str) -> VariableGroup:
     return groups[group_id]
 
 
+def read_json(path, error: type[Exception], what: str):
+    """The JSON value in the file at `path`. A file that cannot be read, or
+    is not UTF-8 JSON, raises `error` with a message naming `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_schema_json(path) -> Schema:
     """Load a schema override file: {"columns": [{"name","kind","min","max","role"}, ...]}.
 
     An unreadable, malformed or invalid file raises ConfigError.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read schema: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"schema {path} is not valid JSON: {exc}") from exc
+    raw = read_json(path, ConfigError, f"schema {path}")
     try:
         cols = []
         for entry in raw["columns"]:

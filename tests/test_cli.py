@@ -319,3 +319,45 @@ def test_run_rejects_a_malformed_config_without_traceback(tmp_path, capsys, conf
     assert code == 1
     assert stderr.strip().splitlines() == [f"error: {message}"]
     assert not (tmp_path / "r").exists()
+
+
+def test_config_file_leaves_the_data_seed_to_the_seed_flag(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text("{}")
+    args = ["run", "--n", "60", "--groups", "IV", "--models", "GaussianNB", "--folds", "4",
+            "--seed", "7"]
+    _run(capsys, *args, "--config", str(cfg_path), "--out", str(tmp_path / "r1"))
+    _run(capsys, *args, "--out", str(tmp_path / "r2"))
+    a = json.loads((tmp_path / "r1" / "results.json").read_text())
+    b = json.loads((tmp_path / "r2" / "results.json").read_text())
+    a["provenance"]["timestamp"] = b["provenance"]["timestamp"] = None
+    assert a == b
+
+
+@pytest.mark.parametrize("case", ["config", "model", "results", "csv", "record"])
+def test_undecodable_input_files_end_in_one_error_line(tmp_path, capsys, case):
+    bad = tmp_path / "bad"
+    bad.write_bytes(("GEN,AGE,café\n1,50,2\n" if case == "csv" else '{"name": "café"}')
+                    .encode("latin-1"))
+    out = str(tmp_path / "r")
+    argv = {
+        "config": ["run", "--config", str(bad), "--out", out],
+        "model": ["predict", "--model", str(bad), "--record", "{}"],
+        "results": ["report", "--results", str(bad), "--out", out],
+        "csv": ["run", "--csv", str(bad), "--groups", "I", "--models", "KNN", "--out", out],
+    }
+    if case == "record":
+        # one record file that is not UTF-8 and one that is not JSON
+        not_json = tmp_path / "not_json"
+        not_json.write_text("{not json")
+        model = _make_model(tmp_path, capsys)
+        for record in (bad, not_json):
+            with pytest.raises(SystemExit) as exc:
+                main(["predict", "--model", str(model), "--record", str(record)])
+            assert exc.value.code == 2
+            assert "--record must be a JSON object" in capsys.readouterr().err
+        return
+    code, stdout, stderr = _run(capsys, *argv[case])
+    assert code == 1
+    assert stdout == ""
+    assert len(stderr.strip().splitlines()) == 1 and stderr.startswith("error: ")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,14 @@ from spineml import neighbors
 from spineml.errors import KOutOfRangeError, WidthMismatchError
 from spineml.neighbors import (
     _distances,
+    _nearest,
     _vote,
     knn_fit,
     knn_kneighbors,
     knn_predict,
     knn_predict_many,
 )
+from spineml.resampling import ResamplePlan, minority_basis
 
 from helpers import brute_force_neighbors, make_dataset
 
@@ -217,3 +221,52 @@ def test_chunked_distances_equal_unchunked_bytes(monkeypatch, metric):
     # uneven blocks of 4 rows
     monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 4 * 8 * 37 * 6)
     assert _distances(points, X, metric).tobytes() == whole.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    q=st.integers(0, 12),
+    d=st.integers(1, 3),
+    k=st.integers(1, 40),
+    metric=st.sampled_from(["euclidean", "manhattan"]),
+    duplicates=st.integers(0, 10),
+    block_rows=st.sampled_from([None, 1, 2, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nearest_equals_a_full_stable_sort(n, q, d, k, metric, duplicates, block_rows, seed):
+    # Coarse-grid coordinates and duplicated rows make equal distances
+    # common, so the index tie-break decides; k may exceed n; small
+    # _CHUNK_BYTES splits the queries into blocks of `block_rows` rows.
+    rng = np.random.default_rng(seed)
+    points = rng.integers(-2, 3, size=(n, d)).astype(float)
+    points = np.vstack([points, points[rng.integers(0, n, size=duplicates)]])
+    X = np.vstack([points[:q], rng.integers(-4, 5, size=(q, d)) / 2.0])
+    dist = _distances(points, X, metric)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(neighbors, "_CHUNK_BYTES", block_rows * 8 * points.size)
+        got_dist, got_idx = _nearest(points, X, metric, k)
+    assert got_idx.shape == order.shape and got_idx.tobytes() == order.tobytes()
+    assert got_dist.tobytes() == np.take_along_axis(dist, order, axis=1).tobytes()
+
+
+def _peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_neighbor_memory_is_linear_in_n():
+    # One full 3 000 × 3 000 float64 distance matrix is about 72 MB; the
+    # blocked top-k holds one block of distances plus n × k results.
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(6500, 4))
+    ds = make_dataset(rows, np.array([0] * 3500 + [1] * 3000))
+    assert _peak_mb(minority_basis, ds, ResamplePlan("smote")) < 24
+    model = knn_fit(make_dataset(rows[:3000], np.arange(3000) % 2), k=21)
+    assert _peak_mb(knn_predict_many, model, rows[3000:6000]) < 24

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spineml.errors import MinorityTooSmallError, SingleClassError
 from spineml.resampling import (
@@ -176,3 +178,42 @@ def test_one_basis_serves_every_seed_bit_for_bit(method):
         out = oversample(ds, plan, basis)
         assert out.rows[ds.n:].tobytes() == _oracle_new_rows(ds, plan).tobytes()
         assert out.rows.tobytes() == oversample(ds, plan).rows.tobytes()
+
+
+def _oracle_neighbor_lists(points, k):
+    """SMOTE's neighbor lists from the full matrix with the diagonal masked."""
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_minor=st.integers(2, 12),
+    d=st.integers(1, 3),
+    smote_k=st.integers(1, 8),
+    duplicates=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_smote_neighbor_lists_match_the_masked_matrix_oracle(n_minor, d, smote_k, duplicates, seed):
+    # Coarse-grid rows and appended copies give each copy a lower-index
+    # duplicate at distance 0, tied with the row itself.
+    rng = np.random.default_rng(seed)
+    minor = rng.integers(-1, 2, size=(n_minor, d)).astype(float)
+    minor = np.vstack([minor, minor[rng.integers(0, n_minor, size=duplicates)]])
+    major = rng.normal(5, 1, size=(minor.shape[0] + 3, d))
+    ds = make_dataset(np.vstack([major, minor]), [0] * len(major) + [1] * len(minor))
+    basis = minority_basis(ds, ResamplePlan("smote", smote_k=smote_k))
+    k = min(smote_k, minor.shape[0] - 1)
+    assert basis.neighbors.tobytes() == _oracle_neighbor_lists(minor, k).tobytes()
+
+
+def test_smote_neighbor_lists_skip_the_row_behind_many_equal_rows():
+    # Row 3 has rows 0, 1 and 2 at distance 0 before itself, so its k + 1
+    # nearest do not include it.
+    minor = np.array([[1.0], [1.0], [1.0], [1.0], [2.0]])
+    ds = make_dataset(np.vstack([np.zeros((6, 1)), minor]), [0] * 6 + [1] * 5)
+    basis = minority_basis(ds, ResamplePlan("smote", smote_k=2))
+    assert basis.neighbors.tolist() == [[1, 2], [0, 2], [0, 1], [0, 1], [0, 1]]
+    assert basis.neighbors.tobytes() == _oracle_neighbor_lists(minor, 2).tobytes()
