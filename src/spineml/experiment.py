@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -581,9 +582,13 @@ def load_config_data(config: ExperimentConfig) -> Dataset:
     schema = load_schema_json(config.schema_path) if config.schema_path else None
     if config.csv_path is not None:
         try:
-            ds, _report = load_csv(config.csv_path, schema)
+            ds, report = load_csv(config.csv_path, schema)
         except (OSError, UnicodeDecodeError) as exc:
             raise DataSourceError(f"cannot read {config.csv_path}: {exc}") from exc
+        if report.dropped:
+            row, column = report.dropped[0]
+            print(f"note: dropped {report.n_dropped} of {report.n_loaded + report.n_dropped} data rows"
+                  f" from {config.csv_path} (first: row {row}: bad {column})", file=sys.stderr)
         return ds
     syn = config.canonical_dict()["data"]["synthetic"]
     return generate_synthetic(

@@ -65,9 +65,10 @@ def _distances(points: np.ndarray, X: np.ndarray, metric: str) -> np.ndarray:
     depend on how `_nearest` splits the queries into blocks.
     """
     diff = X[:, None, :] - points[None, :, :]
+    # squared or made absolute in place, so a block holds one difference tensor
     if metric == "euclidean":
-        return np.sqrt((diff * diff).sum(axis=2))
-    return np.abs(diff).sum(axis=2)
+        return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
+    return np.abs(diff, out=diff).sum(axis=2)
 
 
 def _nearest(points: np.ndarray, X: np.ndarray, metric: str, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,17 +8,17 @@ NaN), and `counts[i]` the class counts of the training rows that reached
 it, so any node can act as a leaf under stricter limits. Children are
 numbered in the order their parents split.
 
-One depth-first grower builds both kinds of tree from a split rule. The
-CART rule scans, at every node, the midpoints between consecutive distinct
-sorted values of every feature and takes the (feature, threshold) pair
-with the largest weighted impurity decrease; score ties resolve to the
-lower feature index, then the lower threshold. Extremely randomized trees
-(Geurts et al. 2006) grow on the full sample (no bootstrap): each node
-draws `max_features` candidate features without replacement and, in one
-array draw in candidate order, a uniform-random threshold inside each
-non-constant candidate's node-local range (a constant one draws nothing).
-The candidates are scored together by CART's impurity-decrease formula
-(`_decrease`); the best is kept, score ties to the lower feature index.
+One grower builds a batch of trees in lockstep from a split rule: each
+step hands the rule the next node of every tree still growing, while each
+tree keeps its own depth-first order and node ids. The CART rule (a batch
+of one) takes, at every node, the midpoint between consecutive distinct
+values of a feature with the largest weighted impurity decrease; ties go
+to the lower feature, then the lower threshold. Extremely randomized trees
+(Geurts et al. 2006) grow one batch per forest, on the full sample: each
+node draws from its tree's own generator `max_features` candidate features
+without replacement, then a uniform threshold inside each non-constant
+candidate's node-local range. The ranges, CART's impurity decrease and the
+pick of the best, ties to the lower feature, are one numpy pass per step.
 
 Routing sends x[feature] ≤ threshold to the left child. Batch routing
 moves every row down one level per step, all rows at once, and a row stops
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -91,23 +92,18 @@ class DecisionTreeModel:
     n_features: int
 
 
-_LEAF = (-1, math.nan, -1, -1)  # (feature, threshold, left, right) of a leaf
-
-
-def _split_node(nodes: list, counts: list, node: int, feature, threshold, child_counts):
-    """Turn leaf `node` into a split with two new leaf children; returns their ids."""
-    ids = len(nodes), len(nodes) + 1
-    nodes[node] = (feature, threshold, *ids)
-    nodes += [_LEAF, _LEAF]
-    counts += child_counts
-    return ids
-
-
-def _node_arrays(nodes: list, counts: list) -> dict:
-    feature, threshold, left, right = map(np.array, zip(*nodes))
-    counts = np.array(counts, dtype=float)
-    if counts.shape != (len(nodes), 2):
+def _node_arrays(counts, splits) -> dict:
+    """A tree's node arrays from its class counts in node-id order and its
+    (node, feature, threshold) splits in the order made; split k gives its
+    node the children 2k + 1 and 2k + 2."""
+    counts, splits = np.array(counts, dtype=float), np.array(splits, dtype=float).reshape(-1, 3)
+    n = 2 * len(splits) + 1
+    if counts.shape != (n, 2):
         raise ValueError("node counts must be pairs")
+    node = splits[:, 0].astype(np.intp)
+    feature, threshold, left, right = np.full(n, -1), np.full(n, np.nan), np.full(n, -1), np.full(n, -1)
+    feature[node], threshold[node], left[node] = splits[:, 1], splits[:, 2], np.arange(1, n, 2)
+    right[node] = left[node] + 1
     return dict(feature=feature, threshold=threshold, left=left, right=right, counts=counts)
 
 
@@ -154,71 +150,81 @@ def _best_split(X: np.ndarray, y: np.ndarray, criterion: str, min_samples_leaf: 
     return j, float(threshold), float(best_vals[j])
 
 
-def _class_counts(y: np.ndarray) -> np.ndarray:
-    return np.array([float(np.sum(y == 0)), float(np.sum(y == 1))])
-
-
-def _grow(X, y, split, max_depth=None, min_samples_split=2) -> tuple[dict, np.ndarray]:
-    """Grow a tree depth first, right child popped first; returns its node
-    arrays and its normalized impurity-decrease importances.
-
-    `split(idx, counts)` gives the (feature, threshold, decrease) of the node
-    holding rows `idx`, or None to leave it a leaf. It is asked only about
-    impure nodes inside the depth and split-size limits.
+def _grow(X, y, split, n_trees=1, max_depth=None, min_samples_split=2) -> tuple[list, np.ndarray]:
+    """Grow `n_trees` trees in lockstep; returns each tree's node arrays and
+    the (n_trees, d) normalized impurity-decrease importances. Each step asks
+    `split(trees, idxs, counts, rows, seg, starts)` about the next node of
+    every growing tree (node b: tree `trees[b]`, rows `idxs[b]`, class counts
+    `counts[b]`; `rows` is `idxs` end to end, node b's from `starts[b]`, and
+    `seg` the node of each) for (feature, threshold, decrease) arrays,
+    feature −1 for a leaf. Only impure nodes inside the limits are asked.
     """
     n_total, d = X.shape
-    raw_importance = np.zeros(d)
-    nodes, node_counts = [_LEAF], [_class_counts(y)]
-    stack = [(0, np.arange(n_total), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        m = idx.size
-        counts = node_counts[node]
-        if (
-            (max_depth is not None and depth >= max_depth)
-            or m < min_samples_split
-            or counts.max() == counts.sum()  # pure node
-        ):
-            continue
-        found = split(idx, counts)
-        if found is None:
-            continue
-        j, threshold, decrease = found
-        raw_importance[j] += (m / n_total) * decrease
-        go_left = X[idx, j] <= threshold
-        left_idx, right_idx = idx[go_left], idx[~go_left]
-        left, right = _split_node(nodes, node_counts, node, j, threshold,
-                                  [_class_counts(y[left_idx]), _class_counts(y[right_idx])])
-        stack.append((left, left_idx, depth + 1))
-        stack.append((right, right_idx, depth + 1))
-    total = raw_importance.sum()
-    return _node_arrays(nodes, node_counts), raw_importance / total if total > 0 else raw_importance
+    raw = np.zeros((n_trees, d))
+    is_one = y == 1
+    root = (float(n_total - is_one.sum()), float(is_one.sum()))
+    n_splits = [0] * n_trees  # tree t's k-th split gets the children 2k + 1 and 2k + 2
+    made = [np.zeros((0, 8))]  # per step: tree, node, feature, threshold, children's counts
+
+    def grows(size, depth, counts) -> bool:
+        return ((max_depth is None or depth < max_depth) and size >= min_samples_split
+                and max(counts) < size)  # impure
+
+    stacks = [[(0, np.arange(n_total), 0, root)] if grows(n_total, 0, root) else []
+              for _ in range(n_trees)]
+    while trees := [t for t in range(n_trees) if stacks[t]]:
+        node_ids, idxs, depths, counts = zip(*(stacks[t].pop() for t in trees))
+        sizes = [idx.size for idx in idxs]
+        *starts, _ = accumulate(sizes, initial=0)
+        seg = np.repeat(np.arange(len(trees)), sizes)
+        rows = np.concatenate(idxs)
+        feature, threshold, decrease = split(trees, idxs, np.array(counts), rows, seg, starts)
+        go_left = X[rows, feature[seg]] <= threshold[seg]
+        n_left = np.add.reduceat(go_left, starts).tolist()
+        c1_left = np.add.reduceat(go_left & is_one[rows], starts).tolist()
+        step = []
+        for b, (j, cut, dec) in enumerate(zip(*(a.tolist() for a in (feature, threshold, decrease)))):
+            if j < 0:
+                continue
+            t, idx, mask, (c0, c1) = trees[b], idxs[b], go_left[starts[b]:starts[b] + sizes[b]], counts[b]
+            raw[t, j] += (sizes[b] / n_total) * dec
+            left = (float(n_left[b] - c1_left[b]), float(c1_left[b]))
+            right = (c0 - left[0], c1 - left[1])
+            step.append((t, node_ids[b], j, cut, *left, *right))
+            first, n_splits[t], depth = 2 * n_splits[t] + 1, n_splits[t] + 1, depths[b] + 1
+            for node, part, c in zip((first, first + 1), (idx[mask], idx[~mask]), (left, right)):
+                if grows(part.size, depth, c):
+                    stacks[t].append((node, part, depth, c))
+        made.append(np.array(step).reshape(-1, 8))
+    made = np.concatenate(made)
+    made = made[np.argsort(made[:, 0], kind="stable")]  # each tree's splits, in its own order
+    arrays = [_node_arrays([root, *rec[:, 4:].reshape(-1, 2)], rec[:, 1:4])
+              for rec in np.split(made, np.cumsum(n_splits)[:-1])]
+    totals = raw.sum(axis=1, keepdims=True)
+    return arrays, np.divide(raw, totals, out=raw, where=totals > 0)
 
 
-def dt_fit(
-    train: Dataset,
-    criterion: str = "gini",
-    max_depth: int | None = None,
-    min_samples_split: int = 2,
-    min_samples_leaf: int = 1,
-) -> DecisionTreeModel:
+def dt_fit(train: Dataset, criterion: str = "gini", max_depth: int | None = None,
+           min_samples_split: int = 2, min_samples_leaf: int = 1) -> DecisionTreeModel:
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion: {criterion}")
     if train.n == 0:
         raise EmptyTrainingSetError("cannot fit a tree on zero rows")
     X, y = train.rows, train.labels
 
-    def best_split(idx, counts):
-        return _best_split(X[idx], y[idx], criterion, min_samples_leaf)
+    def best_split(trees, idxs, *_):
+        found = [_best_split(X[idx], y[idx], criterion, min_samples_leaf) or (-1, math.nan, 0.0)
+                 for idx in idxs]
+        return map(np.array, zip(*found))
 
-    arrays, importances = _grow(X, y, best_split, max_depth, min_samples_split)
+    (arrays,), importances = _grow(X, y, best_split, 1, max_depth, min_samples_split)
     return DecisionTreeModel(
         **arrays,
         criterion=criterion,
         max_depth=max_depth,
         min_samples_split=min_samples_split,
         min_samples_leaf=min_samples_leaf,
-        feature_importances=importances,
+        feature_importances=importances[0],
         n_features=X.shape[1],
     )
 
@@ -302,7 +308,7 @@ def dt_from_dict(raw: dict) -> DecisionTreeModel:
     if raw["criterion"] not in CRITERIA:
         raise ValueError(f"unknown criterion: {raw['criterion']!r}")
     n_features = int(raw["n_features"])
-    nodes, counts = [_LEAF], [raw["root"]["counts"]]
+    counts, splits = [raw["root"]["counts"]], []
     stack = [(0, raw["root"])]
     while stack:
         node, entry = stack.pop()
@@ -310,11 +316,11 @@ def dt_from_dict(raw: dict) -> DecisionTreeModel:
             feature, children = int(entry["feature"]), (entry["left"], entry["right"])
             if not 0 <= feature < n_features:
                 raise ValueError(f"split on feature {feature} of {n_features}")
-            ids = _split_node(nodes, counts, node, feature, float(entry["threshold"]),
-                              [c["counts"] for c in children])
-            stack += zip(ids, children)
+            splits.append((node, feature, float(entry["threshold"])))
+            stack += zip((len(counts), len(counts) + 1), children)
+            counts += [c["counts"] for c in children]
     return DecisionTreeModel(
-        **_node_arrays(nodes, counts),
+        **_node_arrays(counts, splits),
         criterion=raw["criterion"],
         max_depth=raw["max_depth"],
         min_samples_split=int(raw["min_samples_split"]),
@@ -331,55 +337,49 @@ class ExtraTreesModel:
     importances: np.ndarray
 
 
-def _grow_extra_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    max_features: int,
-) -> np.ndarray:
-    """The normalized impurity-decrease importances of one grown tree."""
+def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:
+    """The (len(rngs), d) normalized importances of extremely randomized trees
+    grown in lockstep, tree t drawing from `rngs[t]`."""
     d = X.shape[1]
+    size = min(max_features, d)
 
-    def random_split(idx, counts):
-        feats = rng.choice(d, size=min(max_features, d), replace=False)
-        block = X[np.ix_(idx, feats)]
-        lo, hi = block.min(axis=0), block.max(axis=0)
+    def random_split(trees, idxs, counts, rows, seg, starts):
+        nodes = np.arange(len(trees))
+        feats = np.array([rngs[t].choice(d, size=size, replace=False) for t in trees])
+        block = X[rows[:, None], feats[seg]]
+        lo, hi = np.minimum.reduceat(block, starts), np.maximum.reduceat(block, starts)
         live = lo < hi  # a constant candidate draws no threshold
-        if not live.any():
-            return None
-        feats, block = feats[live], block[:, live]
-        thresholds = rng.uniform(lo[live], hi[live])
-        go_left = block <= thresholds
-        decrease = _decrease(gini_impurity(counts), idx.size, counts[1],
-                             go_left.sum(axis=0), y[idx] @ go_left, "gini")
-        by_feature = np.argsort(feats)  # score ties go to the lower feature
-        k = by_feature[np.argmax(decrease[by_feature])]
-        if not decrease[k] > _MIN_DECREASE:
-            return None
-        return int(feats[k]), float(thresholds[k]), float(decrease[k])
+        # lo + (hi - lo) * random() is the value rng.uniform(lo, hi) draws
+        draws = [rngs[t].random(k) for t, k in zip(trees, live.sum(axis=1).tolist())]
+        thresholds = np.full(lo.shape, np.nan)
+        thresholds[live] = lo[live] + (hi[live] - lo[live]) * np.concatenate(draws)
+        go_left = block <= thresholds[seg]
+        m = counts.sum(axis=1, keepdims=True)
+        parent = 1.0 - ((counts / m) ** 2).sum(axis=1, keepdims=True)  # as gini_impurity does
+        n_left = np.add.reduceat(go_left, starts)
+        c1_left = np.add.reduceat(go_left & (y[rows] == 1)[:, None], starts)
+        decrease = np.where(live, _decrease(parent, m, counts[:, 1:], n_left, c1_left, "gini"), -np.inf)
+        by_feature = np.argsort(feats, axis=1)  # score ties go to the lower feature
+        k = by_feature[nodes, np.argmax(np.take_along_axis(decrease, by_feature, axis=1), axis=1)]
+        best = decrease[nodes, k]
+        return np.where(best > _MIN_DECREASE, feats[nodes, k], -1), thresholds[nodes, k], best
 
-    return _grow(X, y, random_split)[1]
+    return _grow(X, y, random_split, len(rngs))[1]
 
 
-def extratrees_fit(
-    train: Dataset,
-    n_trees: int = 100,
-    max_features: int | None = None,
-    seed: int = 0,
-) -> ExtraTreesModel:
+def extratrees_fit(train: Dataset, n_trees: int = 100, max_features: int | None = None,
+                   seed: int = 0) -> ExtraTreesModel:
     """Seeded forest of extremely randomized trees; importances average to 1."""
     if train.n == 0:
         raise EmptyTrainingSetError("cannot fit a forest on zero rows")
     if n_trees < 1:
         raise ValueError("n_trees must be ≥ 1")
-    d = train.width
     # default: ceil(sqrt(d))
-    mf = max_features if max_features is not None else max(1, math.isqrt(d - 1) + 1)
-    per_tree = np.zeros((n_trees, d))
-    for t in range(n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        per_tree[t] = _grow_extra_tree(train.rows, train.labels, rng, mf)
-    mean_imp = per_tree.mean(axis=0)
+    mf = max(1, math.isqrt(train.width - 1) + 1) if max_features is None else max_features
+    if mf < 1:
+        raise ValueError("max_features must be ≥ 1")
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, t))) for t in range(n_trees)]
+    mean_imp = _extra_trees_importances(train.rows, train.labels, rngs, mf).mean(axis=0)
     total = mean_imp.sum()
     importances = mean_imp / total if total > 0 else mean_imp
     return ExtraTreesModel(n_trees=n_trees, max_features=mf, importances=importances)

@@ -361,3 +361,26 @@ def test_undecodable_input_files_end_in_one_error_line(tmp_path, capsys, case):
     assert code == 1
     assert stdout == ""
     assert len(stderr.strip().splitlines()) == 1 and stderr.startswith("error: ")
+
+
+def test_run_reports_dropped_csv_rows_on_stderr(tmp_path, capsys):
+    clean = tmp_path / "clean.csv"
+    _run(capsys, "generate", "--n", "60", "--seed", "5", "--out", str(clean))
+    lines = clean.read_text().splitlines()
+    age = lines[0].split(",").index("AGE")
+    for row in (3, 9):  # data rows 3 and 9 get an unparseable AGE
+        fields = lines[row].split(",")
+        fields[age] = "n/a"
+        lines[row] = ",".join(fields)
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text("\n".join(lines) + "\n")
+    args = ["run", "--groups", "IV", "--models", "GaussianNB", "--folds", "4"]
+
+    code, stdout, stderr = _run(capsys, *args, "--csv", str(dirty), "--out", str(tmp_path / "r"))
+    assert code == 0
+    assert stderr.splitlines() == [
+        f"note: dropped 2 of 60 data rows from {dirty} (first: row 3: bad AGE)"
+    ]
+    assert "note:" not in stdout
+    code, _, stderr = _run(capsys, *args, "--csv", str(clean), "--out", str(tmp_path / "c"))
+    assert code == 0 and stderr == ""

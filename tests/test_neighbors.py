@@ -270,3 +270,13 @@ def test_neighbor_memory_is_linear_in_n():
     assert _peak_mb(minority_basis, ds, ResamplePlan("smote")) < 24
     model = knn_fit(make_dataset(rows[:3000], np.arange(3000) % 2), k=21)
     assert _peak_mb(knn_predict_many, model, rows[3000:6000]) < 24
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_distance_block_peak_stays_near_the_chunk_bound(metric):
+    # _CHUNK_BYTES bounds one block's difference tensor; squaring or taking
+    # the absolute value in place keeps a second tensor of that size away.
+    points = np.random.default_rng(1).normal(size=(3000, 4))
+    step = neighbors._CHUNK_BYTES // (8 * points.size)
+    assert _peak_mb(_distances, points, points[:step], metric) <= (
+        1.6 * neighbors._CHUNK_BYTES / 2**20)

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spineml import tree
+from spineml.dataset import Dataset
 from spineml.errors import EmptyCountsError, EmptyTrainingSetError, WidthMismatchError
 from spineml.model_selection import select_features
 from spineml.tree import (
     _MIN_DECREASE,
     CRITERIA,
+    DecisionTreeModel,
+    _best_split,
     _binary_impurity,
-    _grow,
     dt_fit,
     dt_predict,
     dt_predict_many,
@@ -314,6 +316,98 @@ def test_extratrees_default_max_features():
     assert model.max_features == 3  # ceil(sqrt(9))
 
 
+# The one-tree-at-a-time grower and CART fit that the lockstep grower
+# replaced, with the node bookkeeping they used, kept verbatim as oracles
+# (`_grow_reference` and `_dt_fit_reference` are `_grow` and `dt_fit`).
+_LEAF = (-1, math.nan, -1, -1)  # (feature, threshold, left, right) of a leaf
+
+
+def _split_node(nodes: list, counts: list, node: int, feature, threshold, child_counts):
+    """Turn leaf `node` into a split with two new leaf children; returns their ids."""
+    ids = len(nodes), len(nodes) + 1
+    nodes[node] = (feature, threshold, *ids)
+    nodes += [_LEAF, _LEAF]
+    counts += child_counts
+    return ids
+
+
+def _node_arrays(nodes: list, counts: list) -> dict:
+    feature, threshold, left, right = map(np.array, zip(*nodes))
+    counts = np.array(counts, dtype=float)
+    if counts.shape != (len(nodes), 2):
+        raise ValueError("node counts must be pairs")
+    return dict(feature=feature, threshold=threshold, left=left, right=right, counts=counts)
+
+
+def _class_counts(y: np.ndarray) -> np.ndarray:
+    return np.array([float(np.sum(y == 0)), float(np.sum(y == 1))])
+
+
+def _grow_reference(X, y, split, max_depth=None, min_samples_split=2) -> tuple[dict, np.ndarray]:
+    """Grow a tree depth first, right child popped first; returns its node
+    arrays and its normalized impurity-decrease importances.
+
+    `split(idx, counts)` gives the (feature, threshold, decrease) of the node
+    holding rows `idx`, or None to leave it a leaf. It is asked only about
+    impure nodes inside the depth and split-size limits.
+    """
+    n_total, d = X.shape
+    raw_importance = np.zeros(d)
+    nodes, node_counts = [_LEAF], [_class_counts(y)]
+    stack = [(0, np.arange(n_total), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        m = idx.size
+        counts = node_counts[node]
+        if (
+            (max_depth is not None and depth >= max_depth)
+            or m < min_samples_split
+            or counts.max() == counts.sum()  # pure node
+        ):
+            continue
+        found = split(idx, counts)
+        if found is None:
+            continue
+        j, threshold, decrease = found
+        raw_importance[j] += (m / n_total) * decrease
+        go_left = X[idx, j] <= threshold
+        left_idx, right_idx = idx[go_left], idx[~go_left]
+        left, right = _split_node(nodes, node_counts, node, j, threshold,
+                                  [_class_counts(y[left_idx]), _class_counts(y[right_idx])])
+        stack.append((left, left_idx, depth + 1))
+        stack.append((right, right_idx, depth + 1))
+    total = raw_importance.sum()
+    return _node_arrays(nodes, node_counts), raw_importance / total if total > 0 else raw_importance
+
+
+def _dt_fit_reference(
+    train: Dataset,
+    criterion: str = "gini",
+    max_depth: int | None = None,
+    min_samples_split: int = 2,
+    min_samples_leaf: int = 1,
+) -> DecisionTreeModel:
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion: {criterion}")
+    if train.n == 0:
+        raise EmptyTrainingSetError("cannot fit a tree on zero rows")
+    X, y = train.rows, train.labels
+
+    def best_split(idx, counts):
+        return _best_split(X[idx], y[idx], criterion, min_samples_leaf)
+
+    arrays, importances = _grow_reference(X, y, best_split, max_depth, min_samples_split)
+    return DecisionTreeModel(
+        **arrays,
+        criterion=criterion,
+        max_depth=max_depth,
+        min_samples_split=min_samples_split,
+        min_samples_leaf=min_samples_leaf,
+        feature_importances=importances,
+        n_features=X.shape[1],
+    )
+
+
 def _grow_extra_tree_per_candidate(
     X: np.ndarray,
     y: np.ndarray,
@@ -354,7 +448,13 @@ def _grow_extra_tree_per_candidate(
         dec, f, t = best
         return f, t, dec
 
-    return _grow(X, y, random_split)[1]
+    return _grow_reference(X, y, random_split)[1]
+
+
+def _per_tree_oracle(X, y, rngs, max_features):
+    """Per-tree importances, growing the trees one after another by the
+    per-candidate rule."""
+    return np.array([_grow_extra_tree_per_candidate(X, y, rng, max_features) for rng in rngs])
 
 
 @settings(max_examples=300, deadline=None)
@@ -387,10 +487,99 @@ def test_extratrees_matches_per_candidate_rule(
     picked = select_features(ds, keep_fraction, forest_seed, n_trees=3) if (
         ds.n >= 3 and np.unique(labels).size == 2) else None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tree, "_grow_extra_tree", _grow_extra_tree_per_candidate)
+        mp.setattr(tree, "_extra_trees_importances", _per_tree_oracle)
         old = extratrees_fit(ds, n_trees=3, max_features=mf, seed=forest_seed)
         if picked is not None:
             reference = select_features(ds, keep_fraction, forest_seed, n_trees=3)
             assert picked.kept.tolist() == reference.kept.tolist()
             assert picked.importances.tobytes() == reference.importances.tobytes()
     assert new.importances.tobytes() == old.importances.tobytes()
+
+
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts", "feature_importances")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    d=st.integers(1, 4),
+    coarse=st.booleans(),
+    levels=st.integers(1, 5),
+    n_repeated=st.integers(0, 20),
+    criterion=st.sampled_from(CRITERIA),
+    min_samples_leaf=st.sampled_from([1, 2, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dt_fit_matches_one_tree_grower(
+    n, d, coarse, levels, n_repeated, criterion, min_samples_leaf, seed
+):
+    """CART grown as a lockstep batch of one gives the one-tree grower's node
+    arrays and importances byte for byte, under every grid depth and split
+    limit."""
+    rng = np.random.default_rng(seed)
+    if coarse:
+        rows = rng.integers(0, levels, size=(n, d)) / 2.0  # thresholds between ties
+    else:
+        rows = rng.normal(size=(n, d))
+    rows[rng.integers(0, n, n_repeated)] = rows[rng.integers(0, n, n_repeated)]  # duplicated rows
+    ds = make_dataset(rows, rng.integers(0, 2, n))
+    for max_depth in (2, 3, 4, 5, 8, None):
+        for min_samples_split in (2, 5, 10):
+            args = (ds, criterion, max_depth, min_samples_split, min_samples_leaf)
+            new, old = dt_fit(*args), _dt_fit_reference(*args)
+            for name in _TREE_ARRAYS:
+                a, b = getattr(new, name), getattr(old, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_trees=st.integers(2, 16),
+    n=st.integers(20, 120),
+    d=st.integers(1, 20),
+    coarse=st.booleans(),
+    levels=st.integers(2, 6),
+    max_features=st.integers(1, 21),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_forest_matches_per_tree_growth(n_trees, n, d, coarse, levels, max_features, seed):
+    """Growing a forest in lockstep gives every tree the importances it gets
+    grown alone, and leaves every tree's generator where growing it alone
+    does: no tree draws for another or after it has finished."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, levels, size=(n, d)) / 2.0 if coarse else rng.normal(size=(n, d))
+    labels = rng.integers(0, 2, n)
+
+    def generators():
+        return [np.random.default_rng(np.random.SeedSequence((seed, t))) for t in range(n_trees)]
+
+    lockstep, alone = generators(), generators()
+    got = tree._extra_trees_importances(rows, labels, lockstep, max_features)
+    want = _per_tree_oracle(rows, labels, alone, max_features)
+    assert got.tobytes() == want.tobytes()
+    assert [g.bit_generator.state for g in lockstep] == [g.bit_generator.state for g in alone]
+    forest = extratrees_fit(make_dataset(rows, labels), n_trees, max_features, seed)
+    mean = want.mean(axis=0)
+    assert forest.importances.tobytes() == (mean / mean.sum() if mean.sum() > 0 else mean).tobytes()
+
+
+def test_threshold_draw_is_the_uniform_draw():
+    """The forest draws a threshold as lo + (hi - lo) * random(), which must
+    be the value and the stream of rng.uniform(lo, hi)."""
+    data = np.random.default_rng(0)
+    ours, uniform = np.random.default_rng(5), np.random.default_rng(5)
+    for scale in 10.0 ** np.arange(-8, 6):
+        lo = data.normal(size=500) * scale
+        hi = lo + data.random(500) * scale
+        drawn = lo + (hi - lo) * ours.random(lo.size)
+        assert drawn.tobytes() == uniform.uniform(lo, hi).tobytes()
+
+
+def test_extratrees_rejects_bad_max_features():
+    rng = np.random.default_rng(3)
+    ds = make_dataset(rng.normal(size=(30, 3)), rng.integers(0, 2, 30))
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_features must be ≥ 1"):
+            extratrees_fit(ds, n_trees=2, max_features=bad)
+    clipped = extratrees_fit(ds, n_trees=4, max_features=7, seed=1)
+    assert clipped.importances.tobytes() == extratrees_fit(ds, 4, 3, seed=1).importances.tobytes()
