@@ -238,9 +238,9 @@ _GRID_VALUES = {
     },
     "DT": {
         "criterion": lambda v: v in CRITERIA,
-        "max_depth": lambda v: v is None or _is_int(v),
-        "min_samples_split": _is_int,
-        "min_samples_leaf": _is_int,
+        "max_depth": lambda v: v is None or _is_int(v) and v >= 0,
+        "min_samples_split": lambda v: _is_int(v) and v >= 2,
+        "min_samples_leaf": lambda v: _is_int(v) and v >= 1,
     },
 }
 

@@ -28,7 +28,7 @@ from .metrics import accuracy, confusion, f1
 # (perfbench's tracing tests check that their bindings here are rebound).
 from .neighbors import _distances, _nearest, _vote, knn_fit, knn_predict_many  # noqa: F401
 from .resampling import ResamplePlan, minority_basis, oversample
-from .tree import dt_fit, extratrees_fit, predict_constrained
+from .tree import dt_fit_batch, extratrees_fit, predict_constrained
 
 
 def derive_seed(*parts: int) -> int:
@@ -243,9 +243,9 @@ def grid_search(
 
     Work that depends only on the fold is done once per fold: KNN caches
     each validation row's k_max nearest training rows of the fold (and
-    SMOTE's neighbor lists), and DT grows one tree per
-    (criterion, min_samples_leaf, fold). The scores equal refitting every
-    (combination, fold) from scratch.
+    SMOTE's neighbor lists), and DT grows the trees of every
+    (criterion, min_samples_leaf, fold) as one lockstep batch. The scores
+    equal refitting every (combination, fold) from scratch.
     """
     if scoring not in ("f1", "accuracy"):
         raise ValueError(f"unknown scoring: {scoring}")
@@ -328,28 +328,18 @@ def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scor
 
 
 def _dt_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags):
-    """Grow one unconstrained tree per (criterion, min_samples_leaf, fold) and
-    evaluate depth/split-size combos by constrained routing — identical to
-    refitting because split choice is local to the node."""
-    keys = dict.fromkeys((combo["criterion"], combo["min_samples_leaf"]) for combo in combos)
-    cache = {}
-    for criterion, msl in keys:
-        for fi, tr in enumerate(fold_train):
-            try:
-                cache[(criterion, msl, fi)] = dt_fit(
-                    train.take(tr), criterion, max_depth=None, min_samples_split=2,
-                    min_samples_leaf=msl,
-                )
-            except PipelineError as exc:
-                cache[(criterion, msl, fi)] = exc
+    """Grow the unconstrained trees of every (criterion, min_samples_leaf,
+    fold) as one lockstep batch over the cell's rows and evaluate depth and
+    split-size combos by constrained routing — identical to refitting
+    because split choice is local to the node."""
+    keys = list(dict.fromkeys((combo["criterion"], combo["min_samples_leaf"]) for combo in combos))
+    trees = dt_fit_batch(train, fold_train * len(keys), *zip(*(key for key in keys for _ in fold_train)))
     for ci, combo in enumerate(combos):
-        for fi in range(len(fold_val)):
-            entry = cache[(combo["criterion"], combo["min_samples_leaf"], fi)]
-            if isinstance(entry, PipelineError):
-                scores[ci, fi] = 0.0
-                flags[ci] = str(entry)
+        k = keys.index((combo["criterion"], combo["min_samples_leaf"]))
+        for fi, (tr, va) in enumerate(zip(fold_train, fold_val)):
+            if tr.size == 0:
+                scores[ci, fi], flags[ci] = 0.0, "cannot fit a tree on zero rows"
                 continue
-            preds = predict_constrained(
-                entry, train.rows[fold_val[fi]], combo["max_depth"], combo["min_samples_split"]
-            )
-            scores[ci, fi] = _score(scoring, train.labels[fold_val[fi]], preds)
+            preds = predict_constrained(trees[k * len(fold_val) + fi], train.rows[va],
+                                        combo["max_depth"], combo["min_samples_split"])
+            scores[ci, fi] = _score(scoring, train.labels[va], preds)

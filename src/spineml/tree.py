@@ -10,10 +10,13 @@ numbered in the order their parents split.
 
 One grower builds a batch of trees in lockstep from a split rule: each
 step hands the rule the next node of every tree still growing, while each
-tree keeps its own depth-first order and node ids. The CART rule (a batch
-of one) takes, at every node, the midpoint between consecutive distinct
-values of a feature with the largest weighted impurity decrease; ties go
-to the lower feature, then the lower threshold. Extremely randomized trees
+tree keeps its own depth-first order and node ids. The CART rule takes, at
+every node, the midpoint between consecutive distinct values of a feature
+with the largest weighted impurity decrease; ties go to the lower feature,
+then the lower threshold. It scores all nodes of a step in one segmented
+numpy pass, so a grid search grows the trees of all its (criterion,
+min_samples_leaf, fold) triples as one batch, and `dt_fit` is a batch of
+one. Extremely randomized trees
 (Geurts et al. 2006) grow one batch per forest, on the full sample: each
 node draws from its tree's own generator `max_features` candidate features
 without replacement, then a uniform threshold inside each non-constant
@@ -118,51 +121,74 @@ def _decrease(parent, m, c1, n_left, c1_left, criterion: str):
     ) / m
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, criterion: str, min_samples_leaf: int):
-    """Best (feature, threshold, decrease) at a node, or None when nothing qualifies."""
-    m, d = X.shape
-    if m < 2:
-        return None
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
-    ones_cum = np.cumsum(ys, axis=0)
-    total1 = float(y.sum())
-    parent = _binary_impurity(np.array(float(m)), np.array(total1), criterion)
-
-    n_left = np.arange(1, m, dtype=float)[:, None]
-    c1_left = ones_cum[:-1].astype(float)
-    valid = xs[1:] > xs[:-1]
-    if min_samples_leaf > 1:
-        valid &= (n_left >= min_samples_leaf) & (m - n_left >= min_samples_leaf)
-    if not valid.any():
-        return None
-
-    decrease = np.where(valid, _decrease(parent, m, total1, n_left, c1_left, criterion), -np.inf)
-
-    best_rows = np.argmax(decrease, axis=0)          # first max: lowest threshold
-    best_vals = decrease[best_rows, np.arange(d)]
-    j = int(np.argmax(best_vals))                    # first max: lowest feature
-    if not best_vals[j] > _MIN_DECREASE:
-        return None
-    b = int(best_rows[j])
-    threshold = (xs[b, j] + xs[b + 1, j]) / 2.0
-    return j, float(threshold), float(best_vals[j])
+# Upper bound on the rows × d × 8 bytes of one float64 array of the CART
+# rule: it scores a step's nodes in blocks of whole nodes that stay under it.
+_CHUNK_BYTES = 2**18
 
 
-def _grow(X, y, split, n_trees=1, max_depth=None, min_samples_split=2) -> tuple[list, np.ndarray]:
-    """Grow `n_trees` trees in lockstep; returns each tree's node arrays and
-    the (n_trees, d) normalized impurity-decrease importances. Each step asks
-    `split(trees, idxs, counts, rows, seg, starts)` about the next node of
-    every growing tree (node b: tree `trees[b]`, rows `idxs[b]`, class counts
-    `counts[b]`; `rows` is `idxs` end to end, node b's from `starts[b]`, and
+def _cart_split(X, y, criteria, min_samples_leaf):
+    """The CART rule of a batch whose tree t uses `criteria[t]` and
+    `min_samples_leaf[t]`. A block of nodes is sorted per column by node,
+    then by value, in one sort of (node, value rank) keys: the order of tied
+    values cannot move a cut, since cuts lie only between distinct values.
+    The class-1 count left of a cut is one cumsum minus its node's base."""
+    entropy, min_leaf, is_one = np.array(criteria) == "entropy", np.array(min_samples_leaf), y == 1
+    n, d = X.shape
+    rank = np.stack([np.unique(col, return_inverse=True)[1] for col in X.T])  # (d, n)
+    cap = max(1, _CHUNK_BYTES // (8 * d))  # rows per block
+
+    def score(trees, counts, rows, ends):  # arrays are (d, block rows)
+        sizes = np.diff(ends, prepend=0)
+        starts, seg, pos = ends - sizes, np.repeat(np.arange(len(trees)), sizes), np.arange(rows.size)
+        key = rank[:, rows] + seg * n
+        order = np.argsort(key, axis=1)
+        # a cut lies between distinct ranks, which are distinct values since rows are finite
+        valid = np.diff(np.take_along_axis(key, order, axis=1), axis=1, append=-1) > 0
+        n_left, leaf = pos - starts[seg] + 1.0, min_leaf[trees][seg]
+        valid &= (n_left >= leaf) & (sizes[seg] - n_left >= leaf)
+        cum = np.cumsum(is_one[rows][order], axis=1)
+        c, r = np.nonzero(valid)  # only valid cuts are scored
+        node, m, c1, ent = seg[r], sizes.astype(float), counts[:, 1], entropy[trees]
+        c1_left = (cum[c, r] - cum[c, starts[node]] + is_one[rows[order[c, starts[node]]]]).astype(float)
+        del key, cum, valid  # before the decrease, the block's peak
+        parent = np.where(ent, _binary_impurity(m, c1, "entropy"), _binary_impurity(m, c1, "gini"))
+        decrease = np.full(order.shape, -np.inf)
+        for criterion, at in (("gini", ~ent[node]), ("entropy", ent[node])):
+            b = node[at]
+            decrease[c[at], r[at]] = _decrease(parent[b], m[b], c1[b], n_left[r[at]], c1_left[at], criterion)
+        col_best = np.maximum.reduceat(decrease, starts, axis=1)
+        j = np.argmax(col_best, axis=0)  # first max: lowest feature
+        best = col_best[j, np.arange(len(trees))]
+        first = np.minimum.reduceat(np.where(decrease[j[seg], pos] == best[seg], pos, pos.size), starts)
+        ok = best > _MIN_DECREASE  # first is then the lowest threshold; first + 1 is in the node
+        below, above = X[rows[order[j, first]], j], X[rows[order[j, first + 1]], j]
+        return np.where(ok, j, -1), np.where(ok, (below + above) / 2.0, np.nan), best
+
+    def split(trees, counts, rows, seg, starts):
+        ends, bounds = [*starts[1:], rows.size], [0]
+        for b in range(1, len(trees)):  # a block takes nodes while they fit under cap rows
+            if ends[b] - starts[bounds[-1]] > cap:
+                bounds.append(b)
+        parts = [score(np.array(trees[a:z]), counts[a:z], rows[starts[a]:ends[z - 1]],
+                       np.array(ends[a:z]) - starts[a]) for a, z in zip(bounds, [*bounds[1:], len(trees)])]
+        return map(np.concatenate, zip(*parts))
+
+    return split
+
+
+def _grow(X, y, split, roots, max_depth=None, min_samples_split=2) -> tuple[list, np.ndarray]:
+    """Grow one tree per root row set in lockstep; returns each tree's node
+    arrays and the (trees, d) normalized impurity-decrease importances. Each
+    step asks `split(trees, counts, rows, seg, starts)` about the next node of
+    every growing tree (node b: tree `trees[b]`, class counts `counts[b]`;
+    `rows` holds the nodes' rows end to end, node b's from `starts[b]`, and
     `seg` the node of each) for (feature, threshold, decrease) arrays,
     feature −1 for a leaf. Only impure nodes inside the limits are asked.
     """
-    n_total, d = X.shape
+    n_trees, d = len(roots), X.shape[1]
     raw = np.zeros((n_trees, d))
     is_one = y == 1
-    root = (float(n_total - is_one.sum()), float(is_one.sum()))
+    root_counts = [(float(r.size - is_one[r].sum()), float(is_one[r].sum())) for r in roots]
     n_splits = [0] * n_trees  # tree t's k-th split gets the children 2k + 1 and 2k + 2
     made = [np.zeros((0, 8))]  # per step: tree, node, feature, threshold, children's counts
 
@@ -170,15 +196,14 @@ def _grow(X, y, split, n_trees=1, max_depth=None, min_samples_split=2) -> tuple[
         return ((max_depth is None or depth < max_depth) and size >= min_samples_split
                 and max(counts) < size)  # impure
 
-    stacks = [[(0, np.arange(n_total), 0, root)] if grows(n_total, 0, root) else []
-              for _ in range(n_trees)]
+    stacks = [[(0, r, 0, c)] if grows(r.size, 0, c) else [] for r, c in zip(roots, root_counts)]
     while trees := [t for t in range(n_trees) if stacks[t]]:
         node_ids, idxs, depths, counts = zip(*(stacks[t].pop() for t in trees))
         sizes = [idx.size for idx in idxs]
         *starts, _ = accumulate(sizes, initial=0)
         seg = np.repeat(np.arange(len(trees)), sizes)
         rows = np.concatenate(idxs)
-        feature, threshold, decrease = split(trees, idxs, np.array(counts), rows, seg, starts)
+        feature, threshold, decrease = split(trees, np.array(counts), rows, seg, starts)
         go_left = X[rows, feature[seg]] <= threshold[seg]
         n_left = np.add.reduceat(go_left, starts).tolist()
         c1_left = np.add.reduceat(go_left & is_one[rows], starts).tolist()
@@ -187,7 +212,7 @@ def _grow(X, y, split, n_trees=1, max_depth=None, min_samples_split=2) -> tuple[
             if j < 0:
                 continue
             t, idx, mask, (c0, c1) = trees[b], idxs[b], go_left[starts[b]:starts[b] + sizes[b]], counts[b]
-            raw[t, j] += (sizes[b] / n_total) * dec
+            raw[t, j] += (sizes[b] / roots[t].size) * dec
             left = (float(n_left[b] - c1_left[b]), float(c1_left[b]))
             right = (c0 - left[0], c1 - left[1])
             step.append((t, node_ids[b], j, cut, *left, *right))
@@ -198,35 +223,38 @@ def _grow(X, y, split, n_trees=1, max_depth=None, min_samples_split=2) -> tuple[
         made.append(np.array(step).reshape(-1, 8))
     made = np.concatenate(made)
     made = made[np.argsort(made[:, 0], kind="stable")]  # each tree's splits, in its own order
-    arrays = [_node_arrays([root, *rec[:, 4:].reshape(-1, 2)], rec[:, 1:4])
-              for rec in np.split(made, np.cumsum(n_splits)[:-1])]
+    arrays = [_node_arrays([c, *rec[:, 4:].reshape(-1, 2)], rec[:, 1:4])
+              for c, rec in zip(root_counts, np.split(made, np.cumsum(n_splits)[:-1]))]
     totals = raw.sum(axis=1, keepdims=True)
     return arrays, np.divide(raw, totals, out=raw, where=totals > 0)
 
 
+def dt_fit_batch(train: Dataset, roots, criteria, min_samples_leaf, max_depth: int | None = None,
+                 min_samples_split: int = 2) -> list[DecisionTreeModel]:
+    """CART trees grown as one lockstep batch over `train`: tree t is
+    `dt_fit(train.take(roots[t]), criteria[t], max_depth, min_samples_split,
+    min_samples_leaf[t])`, and a tree on an empty root is a leaf."""
+    for criterion in criteria:
+        if criterion not in CRITERIA:
+            raise ValueError(f"unknown criterion: {criterion}")
+    for name, value, least in (("max_depth", max_depth, 0), ("min_samples_split", min_samples_split, 2),
+                               *(("min_samples_leaf", v, 1) for v in min_samples_leaf)):
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be ≥ {least}, got {value}")
+    X, y = train.rows, train.labels
+    arrays, importances = _grow(X, y, _cart_split(X, y, criteria, min_samples_leaf), roots,
+                                max_depth, min_samples_split)
+    return [DecisionTreeModel(**a, criterion=c, max_depth=max_depth, min_samples_split=min_samples_split,
+                              min_samples_leaf=msl, feature_importances=imp, n_features=X.shape[1])
+            for a, c, msl, imp in zip(arrays, criteria, min_samples_leaf, importances)]
+
+
 def dt_fit(train: Dataset, criterion: str = "gini", max_depth: int | None = None,
            min_samples_split: int = 2, min_samples_leaf: int = 1) -> DecisionTreeModel:
-    if criterion not in CRITERIA:
-        raise ValueError(f"unknown criterion: {criterion}")
     if train.n == 0:
         raise EmptyTrainingSetError("cannot fit a tree on zero rows")
-    X, y = train.rows, train.labels
-
-    def best_split(trees, idxs, *_):
-        found = [_best_split(X[idx], y[idx], criterion, min_samples_leaf) or (-1, math.nan, 0.0)
-                 for idx in idxs]
-        return map(np.array, zip(*found))
-
-    (arrays,), importances = _grow(X, y, best_split, 1, max_depth, min_samples_split)
-    return DecisionTreeModel(
-        **arrays,
-        criterion=criterion,
-        max_depth=max_depth,
-        min_samples_split=min_samples_split,
-        min_samples_leaf=min_samples_leaf,
-        feature_importances=importances[0],
-        n_features=X.shape[1],
-    )
+    return dt_fit_batch(train, [np.arange(train.n)], [criterion], [min_samples_leaf], max_depth,
+                        min_samples_split)[0]
 
 
 def _route(
@@ -343,7 +371,7 @@ def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:
     d = X.shape[1]
     size = min(max_features, d)
 
-    def random_split(trees, idxs, counts, rows, seg, starts):
+    def random_split(trees, counts, rows, seg, starts):
         nodes = np.arange(len(trees))
         feats = np.array([rngs[t].choice(d, size=size, replace=False) for t in trees])
         block = X[rows[:, None], feats[seg]]
@@ -364,7 +392,7 @@ def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:
         best = decrease[nodes, k]
         return np.where(best > _MIN_DECREASE, feats[nodes, k], -1), thresholds[nodes, k], best
 
-    return _grow(X, y, random_split, len(rngs))[1]
+    return _grow(X, y, random_split, [np.arange(X.shape[0])] * len(rngs))[1]
 
 
 def extratrees_fit(train: Dataset, n_trees: int = 100, max_features: int | None = None,

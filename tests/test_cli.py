@@ -307,6 +307,10 @@ def test_run_rejects_a_mistyped_config_number_without_traceback(tmp_path, capsys
          "grid DT min_samples_leaf: invalid value '1'"),
         ({"seed": -1}, "seed must be ≥ 0: -1"),
         ({"out_dir": 5}, "out_dir must be a string, got 5"),
+        ({"grids": {"DT": {"min_samples_leaf": [0]}}}, "grid DT min_samples_leaf: invalid value 0"),
+        ({"grids": {"DT": {"max_depth": [-1]}}}, "grid DT max_depth: invalid value -1"),
+        ({"grids": {"DT": {"min_samples_split": [-5]}}},
+         "grid DT min_samples_split: invalid value -5"),
     ],
 )
 def test_run_rejects_a_malformed_config_without_traceback(tmp_path, capsys, config, message):

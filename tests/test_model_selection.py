@@ -21,10 +21,12 @@ from spineml.model_selection import (
     stratified_shuffle_split,
     univariate_f_scores,
 )
+from spineml import model_selection
 from spineml.errors import PipelineError
+from spineml.model_selection import _score
 from spineml.neighbors import knn_fit, knn_predict, knn_predict_many
 from spineml.resampling import ResamplePlan, oversample
-from spineml.tree import dt_fit, dt_predict_many
+from spineml.tree import dt_fit, dt_predict_many, predict_constrained
 
 from helpers import make_dataset
 
@@ -394,3 +396,59 @@ def test_grid_search_accuracy_scoring():
     _, table_f1 = grid_search(ds, grid, folds, scoring="f1")
     _, table_acc = grid_search(ds, grid, folds, scoring="accuracy")
     assert table_f1[0]["mean_score"] != table_acc[0]["mean_score"]
+
+
+# `_dt_grid_shared` as it was before the lockstep batch, one dt_fit per
+# (criterion, min_samples_leaf, fold) on the fold's own rows, kept verbatim
+# as the oracle.
+def _dt_grid_per_fold(train, combos, fold_train, fold_val, scoring, scores, flags):
+    """Grow one unconstrained tree per (criterion, min_samples_leaf, fold) and
+    evaluate depth/split-size combos by constrained routing — identical to
+    refitting because split choice is local to the node."""
+    keys = dict.fromkeys((combo["criterion"], combo["min_samples_leaf"]) for combo in combos)
+    cache = {}
+    for criterion, msl in keys:
+        for fi, tr in enumerate(fold_train):
+            try:
+                cache[(criterion, msl, fi)] = dt_fit(
+                    train.take(tr), criterion, max_depth=None, min_samples_split=2,
+                    min_samples_leaf=msl,
+                )
+            except PipelineError as exc:
+                cache[(criterion, msl, fi)] = exc
+    for ci, combo in enumerate(combos):
+        for fi in range(len(fold_val)):
+            entry = cache[(combo["criterion"], combo["min_samples_leaf"], fi)]
+            if isinstance(entry, PipelineError):
+                scores[ci, fi] = 0.0
+                flags[ci] = str(entry)
+                continue
+            preds = predict_constrained(
+                entry, train.rows[fold_val[fi]], combo["max_depth"], combo["min_samples_split"]
+            )
+            scores[ci, fi] = _score(scoring, train.labels[fold_val[fi]], preds)
+
+
+@pytest.mark.parametrize("scoring", ["f1", "accuracy"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dt_grid_batch_matches_per_fold_fits(seed, scoring, monkeypatch):
+    """The DT grid's one lockstep batch gives the CV table of the per-fold
+    dt_fit loop it replaced."""
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([rng.normal(size=(150, 3)), rng.integers(0, 4, size=(150, 5)) / 2.0], axis=1)
+    labels = (rows[:, 0] + rows[:, 4] + rng.normal(size=150) > 1).astype(int)
+    ds, folds = make_dataset(rows, labels), stratified_kfold(labels, 8, seed=seed)
+    got = grid_search(ds, default_dt_grid(), folds, scoring=scoring)
+    monkeypatch.setattr(model_selection, "_dt_grid_shared", _dt_grid_per_fold)
+    assert got == grid_search(ds, default_dt_grid(), folds, scoring=scoring)
+
+
+def test_dt_grid_flags_a_fold_with_no_training_rows(monkeypatch):
+    ds = _blobs(40, seed=3)
+    folds = model_selection.FoldPlan((np.arange(40),))  # one fold: nothing left to train on
+    grid = ParamGrid("dt", {"criterion": ("gini", "entropy"), "max_depth": (2, None),
+                            "min_samples_split": (2,), "min_samples_leaf": (1, 2)})
+    got = grid_search(ds, grid, folds)
+    assert {row["error"] for row in got[1]} == {"cannot fit a tree on zero rows"}
+    monkeypatch.setattr(model_selection, "_dt_grid_shared", _dt_grid_per_fold)
+    assert got == grid_search(ds, grid, folds)
