@@ -24,7 +24,7 @@ from .experiment import (
 from .persist import load_model, predict_single, save_model
 from .report import emit_report, load_results, render_table5_text
 from .schema import GROUP_IDS, read_json
-from .synthetic import generate_synthetic
+from .synthetic import check_synthetic, generate_synthetic
 
 DEFAULT_SEED = 42
 
@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--signal", type=float, default=0.5,
                      help="strength of injected predictive structure in [0, 1]")
     gen.add_argument("--p-success", type=float, default=0.522,
-                     help="success-class proportion")
+                     help="success-class proportion in [0, 1]")
     gen.add_argument("--out", required=True, help="output CSV path")
 
     run = sub.add_parser("run", help="run the experiment matrix and write reports")
@@ -81,10 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args, parser) -> int:
-    if args.n < 20:
-        parser.error("n must be ≥ 20")
-    if not 0.0 <= args.signal <= 1.0:
-        parser.error("signal must be in [0, 1]")
+    try:
+        check_synthetic(args.n, args.signal, args.p_success)
+    except PipelineError as exc:
+        parser.error(str(exc))
     ds = generate_synthetic(args.n, args.seed, args.signal, p_success=args.p_success)
     write_csv(ds, args.out)
     n0, n1 = ds.class_counts()

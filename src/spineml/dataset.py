@@ -94,11 +94,6 @@ class IngestionReport:
     def n_dropped(self) -> int:
         return len(self.dropped)
 
-    @property
-    def dropped_rows(self) -> tuple[int, ...]:
-        return tuple(r for r, _ in self.dropped)
-
-
 def derive_success(sat_surgical_6m, sat_pain_6m) -> int:
     """Surgical success label: 1 iff both six-month satisfaction answers are ≤ 1.
 

@@ -52,7 +52,11 @@ class UnknownGroupError(PipelineError):
         super().__init__(f"unknown variable group: {group_id}")
 
 
-class NTooSmallError(PipelineError):
+class SyntheticSettingError(PipelineError, ValueError):
+    """A synthetic-data setting outside the range the generator accepts."""
+
+
+class NTooSmallError(SyntheticSettingError):
     pass
 
 
@@ -81,10 +85,6 @@ class NegativeFeatureError(PipelineError):
         self.row = row
         self.col = col
         super().__init__(f"negative feature value at row {row}, column {col}")
-
-
-class EmptyCountsError(PipelineError):
-    pass
 
 
 class EmptyTrainingSetError(PipelineError):

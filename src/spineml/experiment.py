@@ -81,8 +81,8 @@ from .schema import (
     builtin_groups,
     load_schema_json,
 )
-from .synthetic import generate_synthetic
-from .tree import CRITERIA, dt_fit, dt_from_dict, dt_predict, dt_predict_many, dt_to_dict
+from .synthetic import check_synthetic, generate_synthetic
+from .tree import CRITERIA, DT_LIMITS, dt_fit, dt_from_dict, dt_predict, dt_predict_many, dt_to_dict
 
 MODEL_IDS = (
     "GaussianNB",
@@ -238,9 +238,8 @@ _GRID_VALUES = {
     },
     "DT": {
         "criterion": lambda v: v in CRITERIA,
-        "max_depth": lambda v: v is None or _is_int(v) and v >= 0,
-        "min_samples_split": lambda v: _is_int(v) and v >= 2,
-        "min_samples_leaf": lambda v: _is_int(v) and v >= 1,
+        **{name: lambda v, name=name: v is None and name == "max_depth" or _is_int(v) and v >= DT_LIMITS[name]
+           for name in DT_LIMITS},
     },
 }
 
@@ -313,6 +312,9 @@ class ExperimentConfig:
                 for value in values:
                     if not _GRID_VALUES[fam][name](value):
                         raise ConfigError(f"grid {fam} {name}: invalid value {value!r}")
+        if self.synthetic is not None:
+            syn = self.canonical_dict()["data"]["synthetic"]
+            check_synthetic(syn["n"], syn["signal"], syn["p_success"])
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -558,16 +560,6 @@ def run_cell_fitted(
     return result, fitted
 
 
-def run_cell(
-    data: Dataset,
-    group: VariableGroup,
-    spec: ModelSpec,
-    config: ExperimentConfig,
-    split: SplitIndices,
-) -> CellResult:
-    return run_cell_fitted(data, group, spec, config, split)[0]
-
-
 @dataclass
 class ExperimentMatrix:
     groups: tuple[str, ...]
@@ -600,30 +592,21 @@ def load_config_data(config: ExperimentConfig) -> Dataset:
     )
 
 
-def _aggregate(matrix_cells: dict, groups, models) -> tuple[dict, dict]:
-    group_stats = {}
-    for g in groups:
-        accs = [matrix_cells[(g, m)].accuracy for m in models
-                if matrix_cells[(g, m)].error is None]
-        f1s = [matrix_cells[(g, m)].f1 for m in models
-               if matrix_cells[(g, m)].error is None]
-        group_stats[g] = {
-            "mean_acc": float(np.mean(accs)) if accs else None,
-            "sd_acc": float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0,
-            "mean_f1": float(np.mean(f1s)) if f1s else None,
-            "sd_f1": float(np.std(f1s, ddof=1)) if len(f1s) > 1 else 0.0,
-        }
-    model_stats = {}
-    for m in models:
-        accs = [matrix_cells[(g, m)].accuracy for g in groups
-                if matrix_cells[(g, m)].error is None]
-        f1s = [matrix_cells[(g, m)].f1 for g in groups
-               if matrix_cells[(g, m)].error is None]
-        model_stats[m] = {
-            "mean_acc": float(np.mean(accs)) if accs else None,
-            "mean_f1": float(np.mean(f1s)) if f1s else None,
-        }
-    return group_stats, model_stats
+def _stats(cells: list, spread: bool) -> dict:
+    """Mean accuracy and F1 over the cells that ran, and with `spread` also
+    their sample standard deviations (0.0 below two cells)."""
+    out = {}
+    for key, name in (("accuracy", "acc"), ("f1", "f1")):
+        values = [getattr(c, key) for c in cells if c.error is None]
+        out[f"mean_{name}"] = float(np.mean(values)) if values else None
+        if spread:
+            out[f"sd_{name}"] = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return out
+
+
+def _aggregate(cells: dict, groups, models) -> tuple[dict, dict]:
+    return ({g: _stats([cells[(g, m)] for m in models], spread=True) for g in groups},
+            {m: _stats([cells[(g, m)] for g in groups], spread=False) for m in models})
 
 
 def run_matrix_fitted(config: ExperimentConfig) -> tuple[ExperimentMatrix, dict]:

@@ -137,7 +137,8 @@ def cnb_fit(train: Dataset, alpha: float = 1.0, normalize: bool = False) -> Comp
     return ComplementNBModel(classes=classes, weights=weights, alpha=alpha, normalize=normalize)
 
 
-def cnb_scores(model: ComplementNBModel, x) -> np.ndarray:
+def cnb_predict(model: ComplementNBModel, x) -> tuple[int, np.ndarray]:
+    """Label with the smallest complement-match score (ties to the lowest label)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.weights.shape[1],):
         raise WidthMismatchError(
@@ -145,12 +146,7 @@ def cnb_scores(model: ComplementNBModel, x) -> np.ndarray:
         )
     if x.size and x.min() < 0:
         raise NegativeFeatureError(0, int(np.argmin(x)))
-    return model.weights @ x
-
-
-def cnb_predict(model: ComplementNBModel, x) -> tuple[int, np.ndarray]:
-    """Label with the smallest complement-match score (ties to the lowest label)."""
-    scores = cnb_scores(model, x)
+    scores = model.weights @ x
     return int(model.classes[int(np.argmin(scores))]), scores
 
 

@@ -88,16 +88,6 @@ def _nearest(points: np.ndarray, X: np.ndarray, metric: str, k: int) -> tuple[np
     return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
 
 
-def knn_kneighbors(model: KNNModel, x) -> np.ndarray:
-    """Indices of the k nearest stored rows, ordered by (distance, index)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.points.shape[1],):
-        raise WidthMismatchError(
-            f"expected {model.points.shape[1]} features, got {x.shape}"
-        )
-    return _nearest(model.points, x[None, :], model.metric, model.k)[1][0]
-
-
 def _vote_one(dist_k: np.ndarray, labels_k: np.ndarray, weighting: str) -> tuple[int, float]:
     """Winning label of one row of k neighbors and its weight fraction."""
     if weighting == "uniform":

@@ -159,11 +159,6 @@ def rank_encode(block: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.where((pos > 0) & (block - below <= above - block), pos - 1, pos)
 
 
-def encode_value(state: OrdinalEncoderState, column: str, value: float) -> int:
-    """Rank of the nearest trained code (ties toward the lower code)."""
-    return int(rank_encode(np.array([[value]]), code_table([state.codes[column]]))[0, 0])
-
-
 def apply_ordinal_encoder(ds: Dataset, state: OrdinalEncoderState) -> Dataset:
     """Map each encoded column's values to consecutive ranks 0..m−1.
 
@@ -174,8 +169,3 @@ def apply_ordinal_encoder(ds: Dataset, state: OrdinalEncoderState) -> Dataset:
     rows = ds.rows.copy()
     rows[:, idx] = rank_encode(rows[:, idx], code_table(state.codes.values()))
     return ds.with_rows(rows)
-
-
-def encode_ordinals(ds: Dataset) -> Dataset:
-    """Fit-and-apply rank encoding on the dataset itself."""
-    return apply_ordinal_encoder(ds, fit_ordinal_encoder(ds))

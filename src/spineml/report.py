@@ -108,6 +108,9 @@ def results_json_text(matrix: ExperimentMatrix) -> str:
     return json.dumps(matrix_to_dict(matrix), sort_keys=True, indent=2) + "\n"
 
 
+_GROUP_STAT_KEYS = ("mean_acc", "sd_acc", "mean_f1", "sd_f1")
+
+
 def _fmt_cell(value, best) -> str:
     if value is None:
         return "ERR"
@@ -134,11 +137,7 @@ def render_table5(matrix: ExperimentMatrix) -> str:
     lines = ["group,mean_acc,sd_acc,mean_f1,sd_f1"]
     for g in matrix.groups:
         s = matrix.group_stats[g]
-        fields = [g] + [
-            "ERR" if s[key] is None else f"{s[key]:.2f}"
-            for key in ("mean_acc", "sd_acc", "mean_f1", "sd_f1")
-        ]
-        lines.append(",".join(fields))
+        lines.append(",".join([g] + [_fmt_cell(s[key], False) for key in _GROUP_STAT_KEYS]))
     return "\n".join(lines) + "\n"
 
 
@@ -149,10 +148,7 @@ def render_table5_text(matrix: ExperimentMatrix) -> str:
     lines = [header, "-" * len(header)]
     for g in matrix.groups:
         s = matrix.group_stats[g]
-        cells = [
-            "ERR" if s[key] is None else f"{s[key]:.2f}"
-            for key in ("mean_acc", "sd_acc", "mean_f1", "sd_f1")
-        ]
+        cells = [_fmt_cell(s[key], False) for key in _GROUP_STAT_KEYS]
         lines.append(
             f"{g:<6}{names.get(g, ''):<30}{cells[0]:>9}{cells[1]:>8}{cells[2]:>9}{cells[3]:>8}"
         )

@@ -13,7 +13,7 @@ only the draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,24 +102,14 @@ def minority_basis(train: Dataset, plan: ResamplePlan) -> MinorityBasis:
     return MinorityBasis(minority, need, pool, near[keep].reshape(pool.size, k))
 
 
-def random_oversample(train: Dataset, plan: ResamplePlan) -> Dataset:
-    """Append seeded uniform-with-replacement copies of minority rows to the target ratio."""
-    return oversample(train, replace(plan, method="random_over"))
+def oversample(train: Dataset, plan: ResamplePlan, basis: MinorityBasis | None = None) -> Dataset:
+    """Oversample `train` by `plan`; `basis` is `minority_basis(train, plan)`,
+    passed in when one set is oversampled under many seeds.
 
-
-def smote_oversample(train: Dataset, plan: ResamplePlan) -> Dataset:
-    """Append synthetic minority rows interpolated toward nearby minority rows.
-
-    Seed points rotate round-robin over the minority rows from a seeded
+    SMOTE seed points rotate round-robin over the minority rows from a seeded
     start, one of the seed's k nearest minority neighbors (euclidean) is
     chosen uniformly, and the synthetic point is x + u·(z − x), u ∈ [0, 1).
     """
-    return oversample(train, replace(plan, method="smote"))
-
-
-def oversample(train: Dataset, plan: ResamplePlan, basis: MinorityBasis | None = None) -> Dataset:
-    """Oversample `train` by `plan`; `basis` is `minority_basis(train, plan)`,
-    passed in when one set is oversampled under many seeds."""
     if basis is None:
         basis = minority_basis(train, plan)
     if basis.need <= 0:

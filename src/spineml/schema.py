@@ -244,12 +244,3 @@ def load_schema_json(path) -> Schema:
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"schema {path}: {exc}") from exc
 
-
-def schema_to_json_dict(schema: Schema) -> dict:
-    cols = []
-    for c in schema.columns:
-        entry = {"name": c.name, "kind": c.kind, "role": c.role}
-        if c.valid_range is not None:
-            entry["min"], entry["max"] = c.valid_range
-        cols.append(entry)
-    return {"columns": cols}

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset
-from .errors import NTooSmallError
+from .errors import NTooSmallError, SyntheticSettingError
 from .schema import (
     KIND_BINARY,
     KIND_CONTINUOUS,
@@ -82,6 +82,15 @@ def _failure_satisfaction_pairs() -> np.ndarray:
     )
 
 
+def check_synthetic(n: int, signal: float, p_success: float) -> None:
+    """Reject n < 20, and a signal or p_success outside [0, 1] or NaN."""
+    if n < 20:
+        raise NTooSmallError(f"n must be ≥ 20, got {n}")
+    for name, value in (("signal", signal), ("p_success", p_success)):
+        if not 0.0 <= value <= 1.0:
+            raise SyntheticSettingError(f"{name} must be in [0, 1], got {value}")
+
+
 def generate_synthetic(
     n: int,
     seed: int,
@@ -91,10 +100,7 @@ def generate_synthetic(
     schema: Schema | None = None,
 ) -> Dataset:
     """Generate a deterministic synthetic Dataset of n patients."""
-    if n < 20:
-        raise NTooSmallError(f"n must be ≥ 20, got {n}")
-    if not 0.0 <= signal <= 1.0:
-        raise ValueError(f"signal must be in [0, 1], got {signal}")
+    check_synthetic(n, signal, p_success)
     schema = schema or default_schema()
     rng = np.random.default_rng(seed)
 

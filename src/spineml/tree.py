@@ -39,29 +39,14 @@ from itertools import accumulate
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyCountsError, EmptyTrainingSetError, WidthMismatchError
+from .errors import EmptyTrainingSetError, WidthMismatchError
 
 _MIN_DECREASE = 1e-12
 
 CRITERIA = ("gini", "entropy")
 
-
-def gini_impurity(counts) -> float:
-    c = np.asarray(counts, dtype=float)
-    total = c.sum()
-    if c.size == 0 or total <= 0:
-        raise EmptyCountsError("impurity of empty counts")
-    p = c / total
-    return float(1.0 - (p * p).sum())
-
-
-def entropy_impurity(counts) -> float:
-    c = np.asarray(counts, dtype=float)
-    total = c.sum()
-    if c.size == 0 or total <= 0:
-        raise EmptyCountsError("impurity of empty counts")
-    p = c[c > 0] / total
-    return float(-(p * np.log2(p)).sum())
+# The least value of each CART limit; max_depth may also be None (no limit).
+DT_LIMITS = {"max_depth": 0, "min_samples_split": 2, "min_samples_leaf": 1}
 
 
 def _binary_impurity(n, c1, criterion: str):
@@ -237,10 +222,10 @@ def dt_fit_batch(train: Dataset, roots, criteria, min_samples_leaf, max_depth: i
     for criterion in criteria:
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion: {criterion}")
-    for name, value, least in (("max_depth", max_depth, 0), ("min_samples_split", min_samples_split, 2),
-                               *(("min_samples_leaf", v, 1) for v in min_samples_leaf)):
-        if value is not None and value < least:
-            raise ValueError(f"{name} must be ≥ {least}, got {value}")
+    for name, value in (("max_depth", max_depth), ("min_samples_split", min_samples_split),
+                        *(("min_samples_leaf", v) for v in min_samples_leaf)):
+        if value is not None and value < DT_LIMITS[name]:
+            raise ValueError(f"{name} must be ≥ {DT_LIMITS[name]}, got {value}")
     X, y = train.rows, train.labels
     arrays, importances = _grow(X, y, _cart_split(X, y, criteria, min_samples_leaf), roots,
                                 max_depth, min_samples_split)
@@ -383,7 +368,7 @@ def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:
         thresholds[live] = lo[live] + (hi[live] - lo[live]) * np.concatenate(draws)
         go_left = block <= thresholds[seg]
         m = counts.sum(axis=1, keepdims=True)
-        parent = 1.0 - ((counts / m) ** 2).sum(axis=1, keepdims=True)  # as gini_impurity does
+        parent = 1.0 - ((counts / m) ** 2).sum(axis=1, keepdims=True)  # the node's gini
         n_left = np.add.reduceat(go_left, starts)
         c1_left = np.add.reduceat(go_left & (y[rows] == 1)[:, None], starts)
         decrease = np.where(live, _decrease(parent, m, counts[:, 1:], n_left, c1_left, "gini"), -np.inf)

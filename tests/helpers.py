@@ -53,3 +53,24 @@ def point_to_segment_distance(p, a, b) -> float:
     t = float((p - a) @ ab) / denom
     t = min(1.0, max(0.0, t))
     return float(np.linalg.norm(p - (a + t * ab)))
+
+
+def gini_impurity(counts) -> float:
+    """Scalar gini impurity of class counts, written apart from the
+    package's vectorized rule so it can check it."""
+    c = np.asarray(counts, dtype=float)
+    total = c.sum()
+    if c.size == 0 or total <= 0:
+        raise ValueError("impurity of empty counts")
+    p = c / total
+    return float(1.0 - (p * p).sum())
+
+
+def entropy_impurity(counts) -> float:
+    """Scalar entropy (bits) of class counts, the twin of `gini_impurity`."""
+    c = np.asarray(counts, dtype=float)
+    total = c.sum()
+    if c.size == 0 or total <= 0:
+        raise ValueError("impurity of empty counts")
+    p = c[c > 0] / total
+    return float(-(p * np.log2(p)).sum())

@@ -18,23 +18,23 @@ from spineml.experiment import (
     MODEL_SPECS,
     ExperimentConfig,
     load_config_data,
-    run_cell,
     run_cell_fitted,
     run_matrix,
 )
 from spineml.metrics import ConfusionMatrix, accuracy, confusion, f1, recall
 from spineml.model_selection import stratified_kfold, stratified_shuffle_split
 from spineml.naive_bayes import cnb_predict_many, gnb_fit, gnb_predict, gnb_predict_many
-from spineml.neighbors import knn_fit, knn_kneighbors, knn_predict, knn_predict_many
+from spineml.neighbors import _nearest, knn_fit, knn_predict, knn_predict_many
 from spineml.persist import load_model, save_model
 from spineml.report import emit_report
-from spineml.resampling import ResamplePlan, smote_oversample
+from spineml.resampling import ResamplePlan, oversample
 from spineml.schema import group_by_id
 from spineml.synthetic import generate_synthetic
-from spineml.tree import dt_fit, dt_predict_many, gini_impurity
+from spineml.tree import dt_fit, dt_predict_many
 
 from helpers import (
     brute_force_neighbors,
+    gini_impurity,
     make_dataset,
     normal_density,
     point_to_segment_distance,
@@ -139,7 +139,7 @@ def test_criterion_2_knn_oracle_equivalence():
             expected_idx, expected_dists = brute_force_neighbors(rows, x, k, metric)
             for weighting in ("uniform", "inverse-distance"):
                 model = knn_fit(ds, k=k, weighting=weighting, metric=metric)
-                assert knn_kneighbors(model, x).tolist() == expected_idx
+                assert _nearest(model.points, np.array([x]), model.metric, model.k)[1][0].tolist() == expected_idx
                 got_label, _ = knn_predict(model, x)
                 want = _oracle_knn_label(
                     expected_dists, [int(labels[i]) for i in expected_idx], weighting
@@ -214,7 +214,7 @@ def test_criterion_4_smote_geometry():
         labels = np.array([0] * n_major + [1] * n_minor)
         ds = make_dataset(rows, labels)
         plan = ResamplePlan("smote", smote_k=5, seed=run)
-        out = smote_oversample(ds, plan)
+        out = oversample(ds, plan)
         counts = out.class_counts()
         assert counts[0] == counts[1] == n_major
         minority = rows[n_major:]
@@ -284,7 +284,7 @@ def test_criterion_7_oversampling_direction():
         split = stratified_shuffle_split(data.labels, 0.25, seed=config.seed)
         recalls = {}
         for model_id in ("KNN", "KNN_RO", "KNN_SMOTE"):
-            cell = run_cell(data, group, MODEL_SPECS[model_id], config, split)
+            cell = run_cell_fitted(data, group, MODEL_SPECS[model_id], config, split)[0]
             assert cell.error is None
             recalls[model_id] = recall(cell.confusion)
         for model_id in wins:

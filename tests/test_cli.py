@@ -29,6 +29,22 @@ def test_generate_rejects_small_n(tmp_path, capsys):
     assert "n must be ≥ 20" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-0.2", "1.5", "nan"])
+def test_generate_rejects_an_out_of_range_p_success(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--p-success", value, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert f"p_success must be in [0, 1], got {float(value)}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_run_rejects_an_out_of_range_signal_flag(tmp_path, capsys):
+    code, _, stderr = _run(capsys, "run", "--signal", "3", "--out", str(tmp_path / "r"))
+    assert code == 1
+    assert stderr.strip().splitlines() == ["error: signal must be in [0, 1], got 3.0"]
+    assert not (tmp_path / "r").exists()
+
+
 def test_generate_deterministic_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     _run(capsys, "generate", "--n", "50", "--seed", "3", "--out", str(a))
@@ -311,6 +327,11 @@ def test_run_rejects_a_mistyped_config_number_without_traceback(tmp_path, capsys
         ({"grids": {"DT": {"max_depth": [-1]}}}, "grid DT max_depth: invalid value -1"),
         ({"grids": {"DT": {"min_samples_split": [-5]}}},
          "grid DT min_samples_split: invalid value -5"),
+        ({"data": {"synthetic": {"signal": 5}}}, "signal must be in [0, 1], got 5"),
+        ({"data": {"synthetic": {"p_success": -0.2}}}, "p_success must be in [0, 1], got -0.2"),
+        ({"data": {"synthetic": {"p_success": 1.5}}}, "p_success must be in [0, 1], got 1.5"),
+        ({"data": {"synthetic": {"p_success": float("nan")}}},
+         "p_success must be in [0, 1], got nan"),
     ],
 )
 def test_run_rejects_a_malformed_config_without_traceback(tmp_path, capsys, config, message):

@@ -9,7 +9,6 @@ from spineml.experiment import (
     MODEL_SPECS,
     ExperimentConfig,
     load_config_data,
-    run_cell,
     run_cell_fitted,
     run_matrix,
 )
@@ -108,7 +107,7 @@ def _one_cell(model_id, group_id="I", config=None, p_success=0.522, signal=0.8, 
                                        "p_success": p_success})
     data = load_config_data(config)
     split = stratified_shuffle_split(data.labels, config.test_fraction, seed=config.seed)
-    return run_cell(data, group_by_id(group_id), MODEL_SPECS[model_id], config, split)
+    return run_cell_fitted(data, group_by_id(group_id), MODEL_SPECS[model_id], config, split)[0]
 
 
 def test_run_cell_untuned_gnb_contract():
@@ -237,7 +236,7 @@ def test_train_test_disjointness_guard():
     bad = type(split)(train_idx=split.train_idx,
                       test_idx=np.concatenate([split.test_idx, split.train_idx[:1]]))
     with pytest.raises(ValueError):
-        run_cell(data, group_by_id("I"), MODEL_SPECS["KNN"], cfg, bad)
+        run_cell_fitted(data, group_by_id("I"), MODEL_SPECS["KNN"], cfg, bad)
 
 
 def test_run_matrix_with_feature_selection_enabled():

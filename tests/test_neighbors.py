@@ -12,7 +12,6 @@ from spineml.neighbors import (
     _nearest,
     _vote,
     knn_fit,
-    knn_kneighbors,
     knn_predict,
     knn_predict_many,
 )
@@ -91,7 +90,7 @@ def test_metric_changes_neighbor_order():
 def test_neighbor_cutoff_tie_prefers_lower_index():
     ds = make_dataset([[1.0], [1.0], [1.0]], [1, 0, 0])
     model = knn_fit(ds, k=2)
-    assert knn_kneighbors(model, [1.0]).tolist() == [0, 1]
+    assert _nearest(model.points, np.array([[1.0]]), model.metric, model.k)[1][0].tolist() == [0, 1]
 
 
 def test_kneighbors_matches_brute_force():
@@ -108,7 +107,7 @@ def test_kneighbors_matches_brute_force():
             model = knn_fit(ds, k=k, metric=metric)
             x = rng.normal(0, 1, size=d)
             expected, _ = brute_force_neighbors(rows, x, k, metric)
-            assert knn_kneighbors(model, x).tolist() == expected
+            assert _nearest(model.points, np.array([x]), model.metric, model.k)[1][0].tolist() == expected
 
 
 def test_width_mismatch():
@@ -116,7 +115,7 @@ def test_width_mismatch():
     with pytest.raises(WidthMismatchError):
         knn_predict(model, [1.0])
     with pytest.raises(WidthMismatchError):
-        knn_kneighbors(model, [1.0, 2.0, 3.0])
+        knn_predict(model, [1.0, 2.0, 3.0])
 
 
 def test_predict_many_agrees_with_single():

@@ -12,10 +12,10 @@ from spineml.preprocess import (
     apply_minmax,
     apply_ordinal_encoder,
     apply_standardizer,
-    encode_ordinals,
-    encode_value,
+    code_table,
     fit_ordinal_encoder,
     fit_standardizer,
+    rank_encode,
 )
 
 from helpers import make_dataset
@@ -106,13 +106,13 @@ def test_encode_ordinals_rank_mapping():
     ds = make_dataset(
         [[1.0], [3.0], [7.0], [3.0]], [0, 1, 0, 1], kinds=["ordinal"], names=["EMP_ST"]
     )
-    out = encode_ordinals(ds)
+    out = apply_ordinal_encoder(ds, fit_ordinal_encoder(ds))
     assert out.rows[:, 0].tolist() == [0.0, 1.0, 2.0, 1.0]
 
 
 def test_encode_ordinals_identity_on_consecutive_codes():
     ds = make_dataset([[0.0], [1.0], [0.0]], [0, 1, 0], kinds=["binary"], names=["GEN"])
-    out = encode_ordinals(ds)
+    out = apply_ordinal_encoder(ds, fit_ordinal_encoder(ds))
     assert out.rows[:, 0].tolist() == [0.0, 1.0, 0.0]
 
 
@@ -121,13 +121,13 @@ def test_encode_ordinals_dram_hand_case():
     ds = make_dataset(
         [[0.0], [2.0], [3.0], [2.0]], [0, 1, 0, 1], kinds=["ordinal"], names=["DRAM"]
     )
-    out = encode_ordinals(ds)
+    out = apply_ordinal_encoder(ds, fit_ordinal_encoder(ds))
     assert out.rows[:, 0].tolist() == [0.0, 1.0, 2.0, 1.0]
 
 
 def test_encode_ordinals_leaves_continuous_alone():
     ds = make_dataset([[1.5, 2.0], [2.5, 4.0]], [0, 1], kinds=["continuous", "ordinal"])
-    out = encode_ordinals(ds)
+    out = apply_ordinal_encoder(ds, fit_ordinal_encoder(ds))
     assert out.rows[:, 0].tolist() == [1.5, 2.5]
     assert out.rows[:, 1].tolist() == [0.0, 1.0]
 
@@ -135,7 +135,7 @@ def test_encode_ordinals_leaves_continuous_alone():
 def test_encode_ordinals_rejects_non_integer_codes():
     ds = make_dataset([[1.5], [2.0]], [0, 1], kinds=["ordinal"])
     with pytest.raises(NonIntegerCategoricalError):
-        encode_ordinals(ds)
+        apply_ordinal_encoder(ds, fit_ordinal_encoder(ds))
 
 
 def test_knn_predictions_invariant_under_affine_transform_through_scaler():
@@ -175,5 +175,5 @@ def test_unseen_codes_map_to_nearest_rank():
     out = apply_ordinal_encoder(test, state)
     # 4 -> nearest 3 (rank 1); 2 ties 1/3 -> lower code 1 (rank 0); 9 -> 7; 0 -> 1
     assert out.rows[:, 0].tolist() == [1.0, 0.0, 2.0, 0.0]
-    assert encode_value(state, "EMP_ST", 4.0) == 1
-    assert encode_value(state, "EMP_ST", 2.0) == 0
+    assert rank_encode(np.array([[4.0]]), code_table([state.codes["EMP_ST"]]))[0, 0] == 1
+    assert rank_encode(np.array([[2.0]]), code_table([state.codes["EMP_ST"]]))[0, 0] == 0

@@ -10,8 +10,6 @@ from spineml.resampling import (
     ResamplePlan,
     minority_basis,
     oversample,
-    random_oversample,
-    smote_oversample,
 )
 
 from helpers import brute_force_neighbors, make_dataset, point_to_segment_distance
@@ -38,7 +36,7 @@ def test_plan_validation():
 
 def test_random_oversample_counts_and_content():
     ds = _imbalanced(10, 4)
-    out = random_oversample(ds, ResamplePlan("random_over", seed=5))
+    out = oversample(ds, ResamplePlan("random_over", seed=5))
     assert out.class_counts() == (10, 10)
     assert out.n == 20
     # originals preserved in order, copies appended after
@@ -52,14 +50,14 @@ def test_random_oversample_counts_and_content():
 
 def test_random_oversample_balanced_is_noop():
     ds = _imbalanced(5, 5)
-    out = random_oversample(ds, ResamplePlan("random_over", seed=1))
+    out = oversample(ds, ResamplePlan("random_over", seed=1))
     assert out.n == 10
     assert np.array_equal(out.rows, ds.rows)
 
 
 def test_random_oversample_single_minority_row():
     ds = make_dataset([[0.0], [1.0], [2.0], [9.0]], [0, 0, 0, 1])
-    out = random_oversample(ds, ResamplePlan("random_over", seed=2))
+    out = oversample(ds, ResamplePlan("random_over", seed=2))
     assert out.class_counts() == (3, 3)
     assert np.all(out.rows[4:] == 9.0)
 
@@ -67,20 +65,20 @@ def test_random_oversample_single_minority_row():
 def test_random_oversample_requires_both_classes():
     ds = make_dataset([[1.0], [2.0]], [0, 0])
     with pytest.raises(SingleClassError):
-        random_oversample(ds, ResamplePlan("random_over"))
+        oversample(ds, ResamplePlan("random_over"))
 
 
 def test_random_oversample_partial_ratio():
     ds = _imbalanced(10, 3)
-    out = random_oversample(ds, ResamplePlan("random_over", target_ratio=0.5, seed=3))
+    out = oversample(ds, ResamplePlan("random_over", target_ratio=0.5, seed=3))
     assert out.class_counts() == (10, 5)  # ceil(0.5 * 10)
 
 
 def test_random_oversample_deterministic():
     ds = _imbalanced(12, 5, seed=8)
     plan = ResamplePlan("random_over", seed=11)
-    a = random_oversample(ds, plan)
-    b = random_oversample(ds, plan)
+    a = oversample(ds, plan)
+    b = oversample(ds, plan)
     assert np.array_equal(a.rows, b.rows)
 
 
@@ -89,7 +87,7 @@ def test_smote_two_point_segment():
         [[10.0, 10.0], [12.0, 9.0], [14.0, 8.0], [0.0, 0.0], [1.0, 1.0]],
         [0, 0, 0, 1, 1],
     )
-    out = smote_oversample(ds, ResamplePlan("smote", seed=4))
+    out = oversample(ds, ResamplePlan("smote", seed=4))
     assert out.class_counts() == (3, 3)
     synth = out.rows[5]
     # on the segment between (0,0) and (1,1): equal coordinates in [0, 1)
@@ -100,7 +98,7 @@ def test_smote_two_point_segment():
 def test_smote_counts_and_geometry():
     ds = _imbalanced(12, 4, seed=1)
     plan = ResamplePlan("smote", smote_k=3, seed=9)
-    out = smote_oversample(ds, plan)
+    out = oversample(ds, plan)
     assert out.class_counts() == (12, 12)
     assert np.array_equal(out.rows[: ds.n], ds.rows)
     minority = ds.rows[ds.labels == 1]
@@ -122,14 +120,14 @@ def test_smote_counts_and_geometry():
 def test_smote_requires_two_minority_rows():
     ds = make_dataset([[0.0], [1.0], [2.0], [9.0]], [0, 0, 0, 1])
     with pytest.raises(MinorityTooSmallError):
-        smote_oversample(ds, ResamplePlan("smote"))
+        oversample(ds, ResamplePlan("smote"))
 
 
 def test_smote_deterministic():
     ds = _imbalanced(15, 6, seed=2)
     plan = ResamplePlan("smote", seed=21)
-    a = smote_oversample(ds, plan)
-    b = smote_oversample(ds, plan)
+    a = oversample(ds, plan)
+    b = oversample(ds, plan)
     assert np.array_equal(a.rows, b.rows)
 
 

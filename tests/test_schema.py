@@ -11,7 +11,6 @@ from spineml.schema import (
     default_schema,
     group_by_id,
     load_schema_json,
-    schema_to_json_dict,
 )
 
 EXPECTED_COLUMNS = [
@@ -102,7 +101,11 @@ def test_group_by_id_unknown():
 def test_schema_json_round_trip(tmp_path):
     schema = default_schema()
     path = tmp_path / "schema.json"
-    path.write_text(json.dumps(schema_to_json_dict(schema)))
+    columns = [{"name": c.name, "kind": c.kind, "role": c.role} for c in schema.columns]
+    for entry, c in zip(columns, schema.columns):
+        if c.valid_range is not None:
+            entry["min"], entry["max"] = c.valid_range
+    path.write_text(json.dumps({"columns": columns}))
     loaded = load_schema_json(path)
     assert loaded.names == schema.names
     for a, b in zip(loaded.columns, schema.columns):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spineml.dataset import derive_success
-from spineml.errors import NTooSmallError
+from spineml.errors import NTooSmallError, SyntheticSettingError
 from spineml.metrics import accuracy, confusion
 from spineml.schema import default_schema
 from spineml.synthetic import generate_synthetic
@@ -37,6 +37,12 @@ def test_rejects_tiny_n():
 def test_rejects_bad_signal():
     with pytest.raises(ValueError):
         generate_synthetic(50, seed=0, signal=1.5)
+
+
+@pytest.mark.parametrize("p_success", [-0.2, 1.5, float("nan")])
+def test_rejects_bad_p_success(p_success):
+    with pytest.raises(SyntheticSettingError):
+        generate_synthetic(50, seed=0, signal=0.5, p_success=p_success)
 
 
 def test_values_within_schema_ranges():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spineml import tree
 from spineml.dataset import Dataset
-from spineml.errors import EmptyCountsError, EmptyTrainingSetError, WidthMismatchError
+from spineml.errors import EmptyTrainingSetError, WidthMismatchError
 from spineml.model_selection import select_features, stratified_kfold
 from spineml.tree import (
     _MIN_DECREASE,
@@ -19,13 +19,11 @@ from spineml.tree import (
     dt_fit,
     dt_predict,
     dt_predict_many,
-    entropy_impurity,
     extratrees_fit,
-    gini_impurity,
     predict_constrained,
 )
 
-from helpers import make_dataset
+from helpers import entropy_impurity, gini_impurity, make_dataset
 
 
 def _is_leaf(model, node):
@@ -33,25 +31,18 @@ def _is_leaf(model, node):
 
 
 def test_gini_cases():
-    assert gini_impurity([5, 5]) == pytest.approx(0.5)
-    assert gini_impurity([10, 0]) == pytest.approx(0.0)
-    assert gini_impurity([3, 1]) == pytest.approx(0.375)
+    assert _binary_impurity(10, 5, "gini") == pytest.approx(0.5)
+    assert _binary_impurity(10, 0, "gini") == pytest.approx(0.0)
+    assert _binary_impurity(4, 1, "gini") == pytest.approx(0.375)
 
 
 def test_entropy_cases():
-    assert entropy_impurity([5, 5]) == pytest.approx(1.0)
-    assert entropy_impurity([8, 0]) == pytest.approx(0.0)
+    assert _binary_impurity(10, 5, "entropy") == pytest.approx(1.0)
+    assert _binary_impurity(8, 0, "entropy") == pytest.approx(0.0)
     # independent hand evaluation of -sum(p log2 p)
     expected = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
-    assert entropy_impurity([3, 1]) == pytest.approx(expected, abs=1e-12)
-    assert entropy_impurity([3, 1]) == pytest.approx(0.811278, abs=1e-6)
-
-
-def test_impurity_rejects_empty_counts():
-    with pytest.raises(EmptyCountsError):
-        gini_impurity([])
-    with pytest.raises(EmptyCountsError):
-        entropy_impurity([0, 0])
+    assert _binary_impurity(4, 1, "entropy") == pytest.approx(expected, abs=1e-12)
+    assert _binary_impurity(4, 1, "entropy") == pytest.approx(0.811278, abs=1e-6)
 
 
 def test_dt_fit_separable_single_split():
@@ -136,8 +127,6 @@ def test_dt_importances_normalized():
 
 def _exhaustive_best_root(rows, labels, criterion):
     """Enumerate every midpoint threshold of every feature."""
-    from spineml.tree import entropy_impurity, gini_impurity
-
     imp = gini_impurity if criterion == "gini" else entropy_impurity
 
     def counts(ls):
@@ -179,8 +168,6 @@ def test_dt_root_split_matches_exhaustive_enumeration(criterion):
 
 
 def _split_decrease(rows, labels, feature, threshold, criterion):
-    from spineml.tree import entropy_impurity, gini_impurity
-
     imp = gini_impurity if criterion == "gini" else entropy_impurity
 
     def counts(ls):
