@@ -50,7 +50,7 @@ class Dataset:
             raise ValueError("labels length must equal row count")
         if rows.size and not np.isfinite(rows).all():
             raise ValueError("rows contain non-finite values")
-        if labels.size and not np.isin(labels, (0, 1)).all():
+        if labels.size and not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
         rows.flags.writeable = False
         labels.flags.writeable = False

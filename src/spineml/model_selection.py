@@ -23,12 +23,14 @@ from .errors import (
     SingleClassError,
     TooFewRowsError,
 )
-from .metrics import accuracy, confusion, f1
-# _distances and knn_predict_many stay importable from this module
-# (perfbench's tracing tests check that their bindings here are rebound).
-from .neighbors import _distances, _nearest, _vote, knn_fit, knn_predict_many  # noqa: F401
-from .resampling import ResamplePlan, minority_basis, oversample
-from .tree import dt_fit_batch, extratrees_fit, predict_constrained
+from .metrics import accuracy_many, confusion_counts, f1_many
+# _vote and knn_predict_many stay imported here: perfbench's tracing tests
+# check that the tracer wraps them and rebinds these bindings.
+from .neighbors import (  # noqa: F401
+    _CHUNK_BYTES, KNNModel, _distances, _nearest, _prefix_vote, _vote, knn_predict_many,
+)
+from .resampling import ResamplePlan, _draw, minority_basis
+from .tree import _route, dt_fit_batch, extratrees_fit
 
 
 def derive_seed(*parts: int) -> int:
@@ -220,9 +222,11 @@ def default_dt_grid() -> ParamGrid:
     )
 
 
-def _score(scoring: str, y_true, y_pred) -> float:
-    cm = confusion(y_true, y_pred)
-    return f1(cm) if scoring == "f1" else accuracy(cm)
+def _fold_scores(scoring: str, y_true, P) -> np.ndarray:
+    """Each combination's score on one fold, from its row of the
+    (combinations, validation rows) prediction matrix P."""
+    counts = confusion_counts(y_true, P)
+    return f1_many(counts) if scoring == "f1" else accuracy_many(counts)
 
 
 def grid_search(
@@ -241,11 +245,12 @@ def grid_search(
     combination scores 0 on the failed folds and carries an error flag in
     the CV table.
 
-    Work that depends only on the fold is done once per fold: KNN caches
-    each validation row's k_max nearest training rows of the fold (and
-    SMOTE's neighbor lists), and DT grows the trees of every
-    (criterion, min_samples_leaf, fold) as one lockstep batch. The scores
-    equal refitting every (combination, fold) from scratch.
+    Each fold's combinations are scored together: KNN votes for every
+    combination from the fold's sorted neighbor lists, DT routes each
+    fold's validation rows once through the trees of every
+    (criterion, min_samples_leaf) for all depth and split-size limits, and
+    one `confusion_counts` per fold counts them all. The scores equal
+    refitting every (combination, fold) from scratch.
     """
     if scoring not in ("f1", "accuracy"):
         raise ValueError(f"unknown scoring: {scoring}")
@@ -282,64 +287,100 @@ def grid_search(
 
 
 def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scores, flags):
-    """Score KNN combinations from per-(metric, fold) sorted neighbor lists.
+    """Score KNN combinations fold by fold from per-(metric, fold) sorted
+    neighbor lists.
 
     The cache holds, for each validation row, the top-k_max original fold
-    rows in (distance, index) order. An oversampled fold is those rows
-    followed by appended rows, so per (combination, fold) only the distances
-    to the appended rows are new. Their stable top-k goes after the cached
-    top-k, and a stable sort of that merge is the (distance, stored index)
-    order of sorting the whole oversampled matrix. SMOTE's neighbor lists
-    come from one `minority_basis` per fold.
+    rows in (distance, index) order, and `_prefix_vote` takes the votes of
+    every k from one set of prefix sums over it. An oversampled fold is
+    those rows followed by the combination's appended rows, drawn by
+    `_draw` from one `minority_basis` per fold; `_with_appended` merges
+    them into the cached lists.
     """
-    subs = [train.take(tr) for tr in fold_train]
-    X_val = [train.rows[va] for va in fold_val]
-    k_max = max(combo["k"] for combo in combos)
-    cache = {}
-    for metric in dict.fromkeys(combo["metric"] for combo in combos):
-        for fi, sub in enumerate(subs):
-            dist, idx = _nearest(sub.rows, X_val[fi], metric, k_max)
-            cache[(metric, fi)] = (dist, sub.labels[idx])
-    bases = {}
-    for ci, combo in enumerate(combos):
-        k, weighting, metric = combo["k"], combo["weighting"], combo["metric"]
-        for fi, sub in enumerate(subs):
+    ks, weightings = np.array([c["k"] for c in combos]), [c["weighting"] for c in combos]
+    k_max = int(ks.max())
+    for fi, (tr, va) in enumerate(zip(fold_train, fold_val)):
+        sub, X_val = train.take(tr), train.rows[va]
+        try:
+            basis = None if resample is None else minority_basis(sub, resample)
+        except PipelineError as exc:
+            flags[:] = [str(exc)] * len(combos)
+            continue
+        need = 0 if basis is None else max(basis.need, 0)
+        ok, extra = np.zeros(len(combos), dtype=bool), np.empty((len(combos), need, sub.width))
+        for ci, combo in enumerate(combos):
             try:
-                fitted = sub
-                if resample is not None:
-                    if fi not in bases:
-                        bases[fi] = minority_basis(sub, resample)
-                    fitted = oversample(sub, resample.with_seed(derive_seed(seed, ci, fi)), bases[fi])
-                knn_fit(fitted, k, weighting, metric)
+                KNNModel.check(combo["k"], combo["weighting"], combo["metric"], sub.n + need)
             except PipelineError as exc:
-                scores[ci, fi] = 0.0
                 flags[ci] = str(exc)
                 continue
-            dist, labels = cache[(metric, fi)]
-            dist, labels = dist[:, :k], labels[:, :k]
-            if fitted.n > sub.n:
-                extra, top = _nearest(fitted.rows[sub.n:], X_val[fi], metric, k)
-                dist = np.concatenate([dist, extra], axis=1)
-                labels = np.concatenate([labels, fitted.labels[sub.n:][top]], axis=1)
-                top = np.argsort(dist, axis=1, kind="stable")[:, :k]
-                dist = np.take_along_axis(dist, top, axis=1)
-                labels = np.take_along_axis(labels, top, axis=1)
-            scores[ci, fi] = _score(scoring, train.labels[fold_val[fi]], _vote(dist, labels, weighting))
+            ok[ci] = True
+            if need:
+                extra[ci] = _draw(sub.rows, resample.method, basis, derive_seed(seed, ci, fi))
+        P = np.zeros((len(combos), va.size), dtype=np.int64)
+        for metric in dict.fromkeys(combo["metric"] for combo in combos):
+            at = np.flatnonzero(ok & [combo["metric"] == metric for combo in combos])
+            if at.size == 0:
+                continue
+            dist, idx = _nearest(sub.rows, X_val, metric, k_max)
+            dist, labels = dist[None], sub.labels[idx][None]
+            if need:
+                dist, labels = _with_appended(dist, labels, extra[at], basis.minority, X_val, metric, k_max)
+            P[at] = _prefix_vote(dist, labels, ks[at], [weightings[ci] for ci in at])
+        if ok.any():
+            scores[ok, fi] = _fold_scores(scoring, train.labels[va], P[ok])
+
+
+def _with_appended(dist, labels, extra, minority, X_val, metric, k):
+    """The (C, q, ≤ k) top-k neighbor lists of C oversampled folds: the
+    cached (1, q, k0) lists `dist`, `labels` of the original fold rows
+    followed by combination c's appended rows `extra[c]`, all labelled
+    `minority`.
+
+    A stable sort of a cached list followed by the distances to the appended
+    rows is the (distance, stored index) order of sorting the whole
+    oversampled matrix, and its first k serve every smaller k too. The
+    distances come in blocks of (combination, query row) pairs whose
+    difference tensor stays under `neighbors._CHUNK_BYTES`.
+    """
+    n_combos, need, d = extra.shape
+    q, k0 = dist.shape[1:]
+    width = min(k, k0 + need)
+    out_dist, out_labels = np.empty((n_combos, q, width)), np.empty((n_combos, q, width), dtype=np.int64)
+    pairs = max(1, _CHUNK_BYTES // (8 * need * d))
+    q_step = min(max(1, q), pairs)
+    c_step = max(1, pairs // q_step)
+    for c in range(0, n_combos, c_step):
+        for r in range(0, q, q_step):
+            new = _distances(extra[c:c + c_step].reshape(-1, d), X_val[r:r + q_step], metric)
+            new = new.reshape(new.shape[0], -1, need).transpose(1, 0, 2)  # (combos, rows, need)
+            shape = new.shape[:2] + (k0,)
+            cand = np.concatenate([np.broadcast_to(dist[:, r:r + q_step], shape), new], axis=2)
+            cand_labels = np.concatenate([np.broadcast_to(labels[:, r:r + q_step], shape),
+                                          np.full(new.shape, minority, dtype=np.int64)], axis=2)
+            order = np.argsort(cand, axis=2, kind="stable")[:, :, :width]
+            for out, a in ((out_dist, cand), (out_labels, cand_labels)):
+                out[c:c + c_step, r:r + q_step] = np.take_along_axis(a, order, axis=2)
+    return out_dist, out_labels
 
 
 def _dt_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags):
     """Grow the unconstrained trees of every (criterion, min_samples_leaf,
-    fold) as one lockstep batch over the cell's rows and evaluate depth and
-    split-size combos by constrained routing — identical to refitting
-    because split choice is local to the node."""
+    fold) as one lockstep batch over the cell's rows, then route each fold's
+    validation rows once through that fold's trees for every (max_depth,
+    min_samples_split) pair — identical to refitting because split choice is
+    local to the node. Routing fold by fold keeps the path matrix at one
+    fold's rows."""
     keys = list(dict.fromkeys((combo["criterion"], combo["min_samples_leaf"]) for combo in combos))
+    limits = list(dict.fromkeys((combo["max_depth"], combo["min_samples_split"]) for combo in combos))
     trees = dt_fit_batch(train, fold_train * len(keys), *zip(*(key for key in keys for _ in fold_train)))
-    for ci, combo in enumerate(combos):
-        k = keys.index((combo["criterion"], combo["min_samples_leaf"]))
-        for fi, (tr, va) in enumerate(zip(fold_train, fold_val)):
-            if tr.size == 0:
-                scores[ci, fi], flags[ci] = 0.0, "cannot fit a tree on zero rows"
-                continue
-            preds = predict_constrained(trees[k * len(fold_val) + fi], train.rows[va],
-                                        combo["max_depth"], combo["min_samples_split"])
-            scores[ci, fi] = _score(scoring, train.labels[va], preds)
+    key_of = np.array([keys.index((combo["criterion"], combo["min_samples_leaf"])) for combo in combos])
+    limit_of = np.array([limits.index((combo["max_depth"], combo["min_samples_split"])) for combo in combos])
+    for fi, (tr, va) in enumerate(zip(fold_train, fold_val)):
+        if tr.size == 0:
+            flags[:] = ["cannot fit a tree on zero rows"] * len(combos)
+            continue
+        # one column block of labels per key, in key order
+        labels = _route(trees[fi::len(fold_train)], [train.rows[va]] * len(keys), limits)
+        P = labels[limit_of[:, None], key_of[:, None] * va.size + np.arange(va.size)]
+        scores[:, fi] = _fold_scores(scoring, train.labels[va], P)

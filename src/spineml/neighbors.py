@@ -8,9 +8,11 @@ Every neighbor lookup (prediction here, grid search's fold cache and
 SMOTE's neighbor lists) goes through `_nearest`, which keeps each query
 row's k nearest one block of query rows at a time, so memory grows with
 n_query × k, not n_query × n_train. Batch prediction votes for all query
-rows at once (`_vote`); a row whose two class weights are equal up to
-rounding is settled by the one-row rule (`_vote_one`) that single-record
-prediction uses, so both give the same labels.
+rows at once (`_vote`), and grid search for all k of a combination list
+from one set of prefix sums (`_prefix_vote`); a row whose two class
+weights are equal up to rounding is settled by the one-row rule
+(`_vote_one`) that single-record prediction uses, so all give the same
+labels.
 """
 
 from __future__ import annotations
@@ -45,12 +47,18 @@ class KNNModel:
 
     def __post_init__(self):
         # Checked here so that a loaded model file is held to the same rules.
-        if not 1 <= self.k <= len(self.points):
-            raise KOutOfRangeError(f"k must be in [1, {len(self.points)}], got {self.k}")
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"unknown weighting: {self.weighting}")
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric: {self.metric}")
+        self.check(self.k, self.weighting, self.metric, len(self.points))
+
+    @staticmethod
+    def check(k: int, weighting: str, metric: str, n_train: int) -> None:
+        """The settings check of a model over `n_train` stored points; grid
+        search applies it to each (combination, fold) without building one."""
+        if not 1 <= k <= n_train:
+            raise KOutOfRangeError(f"k must be in [1, {n_train}], got {k}")
+        if weighting not in WEIGHTINGS:
+            raise ValueError(f"unknown weighting: {weighting}")
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric: {metric}")
 
 
 def knn_fit(train: Dataset, k: int, weighting: str = "uniform", metric: str = "euclidean") -> KNNModel:
@@ -106,23 +114,34 @@ def _vote_one(dist_k: np.ndarray, labels_k: np.ndarray, weighting: str) -> tuple
     return winner, frac
 
 
-def _vote(dist: np.ndarray, labels: np.ndarray, weighting: str) -> np.ndarray:
-    """Winning label of each row of (q, k) neighbor distances and 0/1 labels.
+def _prefix_vote(dist: np.ndarray, labels: np.ndarray, ks, weightings) -> np.ndarray:
+    """The (C, q) winning labels of C combinations, combination c voting with
+    `weightings[c]` over the first `ks[c]` of each row's neighbors.
 
-    Rows whose class weights are tied up to rounding go to `_vote_one`, so
-    every label equals the one-row rule's.
+    `dist` and `labels` are (C or 1, q, k_max) neighbor lists in (distance,
+    index) order. The class weights of every k are prefix sums along the
+    neighbor axis. Rows whose two weights are equal up to rounding go to
+    `_vote_one` on exactly their first k neighbors, so each row of the
+    result is `_vote(dist[c, :, :k], labels[c, :, :k], weighting)`.
     """
-    if weighting == "uniform":
-        weights = np.ones_like(dist)
-    else:
-        weights = 1.0 / (dist + _INV_EPS)
-    ones = (weights * labels).sum(axis=1)
-    zeros = (weights * (1 - labels)).sum(axis=1)
+    ks = np.asarray(ks)
+    inverse = np.array([w == "inverse-distance" for w in weightings])[:, None, None]
+    weights = np.where(inverse, 1.0 / (dist + _INV_EPS), 1.0)
+    at = np.arange(ks.size)[:, None], np.arange(dist.shape[1]), (ks - 1)[:, None]
+    ones = np.cumsum(weights * labels, axis=2)[at]
+    zeros = np.cumsum(weights * (1 - labels), axis=2)[at]
     winners = (ones > zeros).astype(np.int64)
     close = ~(np.abs(ones - zeros) > _TIE_RTOL * np.maximum(ones, zeros))
-    for i in np.flatnonzero(close):
-        winners[i] = _vote_one(dist[i], labels[i], weighting)[0]
+    for c, i in zip(*np.nonzero(close)):
+        c0, k = min(c, dist.shape[0] - 1), ks[c]
+        winners[c, i] = _vote_one(dist[c0, i, :k], labels[c0, i, :k], weightings[c])[0]
     return winners
+
+
+def _vote(dist: np.ndarray, labels: np.ndarray, weighting: str) -> np.ndarray:
+    """Winning label of each row of (q, k) neighbor distances and 0/1 labels;
+    every label equals the one-row rule's."""
+    return _prefix_vote(dist[None], labels[None], [dist.shape[1]], [weighting])[0]
 
 
 def knn_predict(model: KNNModel, x) -> tuple[int, float]:

@@ -6,8 +6,8 @@ experiment runner keeps validation and test rows out of reach.
 
 Oversampling is split into a seed-independent basis (`minority_basis`: the
 minority pool and SMOTE's neighbor lists) and the seeded draws
-(`oversample`), so grid search builds the basis once per fold and reseeds
-only the draws.
+(`_draw`), so grid search builds the basis once per fold and reseeds only
+the draws.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ def _target_count(plan: ResamplePlan, n_majority: int) -> int:
 
 
 def _append(ds: Dataset, new_rows: np.ndarray, minority_label: int) -> Dataset:
-    if new_rows.shape[0] == 0:
-        return ds
     rows = np.vstack([ds.rows, new_rows])
     labels = np.concatenate(
         [ds.labels, np.full(new_rows.shape[0], minority_label, dtype=np.int64)]
@@ -102,6 +100,21 @@ def minority_basis(train: Dataset, plan: ResamplePlan) -> MinorityBasis:
     return MinorityBasis(minority, need, pool, near[keep].reshape(pool.size, k))
 
 
+def _draw(rows: np.ndarray, method: str, basis: MinorityBasis, seed: int) -> np.ndarray:
+    """The rows that oversampling a training matrix `rows` by `method` under
+    `seed` appends; `basis.need` must be positive. Grid search calls this
+    directly, once per (combination, fold)."""
+    rng = np.random.default_rng(seed)
+    if method == "random_over":
+        return rows[basis.pool[rng.integers(0, basis.pool.size, size=basis.need)]]
+    points = rows[basis.pool]
+    start = int(rng.integers(0, basis.pool.size))
+    seeds = (start + np.arange(basis.need)) % basis.pool.size
+    picks = basis.neighbors[seeds, rng.integers(0, basis.neighbors.shape[1], size=basis.need)]
+    u = rng.random(basis.need)[:, None]
+    return points[seeds] + u * (points[picks] - points[seeds])
+
+
 def oversample(train: Dataset, plan: ResamplePlan, basis: MinorityBasis | None = None) -> Dataset:
     """Oversample `train` by `plan`; `basis` is `minority_basis(train, plan)`,
     passed in when one set is oversampled under many seeds.
@@ -114,14 +127,4 @@ def oversample(train: Dataset, plan: ResamplePlan, basis: MinorityBasis | None =
         basis = minority_basis(train, plan)
     if basis.need <= 0:
         return train
-    rng = np.random.default_rng(plan.seed)
-    if plan.method == "random_over":
-        picks = basis.pool[rng.integers(0, basis.pool.size, size=basis.need)]
-        return _append(train, train.rows[picks], basis.minority)
-    points = train.rows[basis.pool]
-    start = int(rng.integers(0, basis.pool.size))
-    seeds = (start + np.arange(basis.need)) % basis.pool.size
-    picks = basis.neighbors[seeds, rng.integers(0, basis.neighbors.shape[1], size=basis.need)]
-    u = rng.random(basis.need)[:, None]
-    new_rows = points[seeds] + u * (points[picks] - points[seeds])
-    return _append(train, new_rows, basis.minority)
+    return _append(train, _draw(train.rows, plan.method, basis, plan.seed), basis.minority)

@@ -24,10 +24,11 @@ candidate's node-local range. The ranges, CART's impurity decrease and the
 pick of the best, ties to the lower feature, are one numpy pass per step.
 
 Routing sends x[feature] ≤ threshold to the left child. Batch routing
-moves every row down one level per step, all rows at once, and a row stops
-at a leaf, at depth `max_depth`, or at a node that holds fewer than
-`min_samples_split` training rows. A row's label is its node's majority
-class (ties to the lower label).
+takes each row down its full tree once, all rows of all trees one level per
+step, keeping its node at each depth. Under a (max_depth, min_samples_split)
+pair a row stops at the first node on that path that is a leaf, is at depth
+max_depth, or holds fewer than min_samples_split training rows. A row's
+label is its node's majority class (ties to the lower label).
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ DT_LIMITS = {"max_depth": 0, "min_samples_split": 2, "min_samples_leaf": 1}
 
 def _binary_impurity(n, c1, criterion: str):
     """Vectorized two-class impurity from a node size and its class-1 count."""
-    n, c1 = np.broadcast_arrays(
-        np.asarray(n, dtype=float), np.asarray(c1, dtype=float)
-    )
+    n, c1 = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(c1, dtype=float))
     p1 = np.divide(c1, n, out=np.zeros_like(c1), where=n > 0)
     p0 = 1.0 - p1
     if criterion == "gini":
@@ -242,25 +241,30 @@ def dt_fit(train: Dataset, criterion: str = "gini", max_depth: int | None = None
                         min_samples_split)[0]
 
 
-def _route(
-    model: DecisionTreeModel, X, max_depth: int | None = None, min_samples_split: int = 2
-) -> np.ndarray:
-    """The majority label of the node each row of X stops at, routing all
-    rows one level per step."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != model.n_features:
-        raise WidthMismatchError(f"expected {model.n_features} features, got {X.shape[1]}")
-    splits = (model.left >= 0) & (model.counts.sum(axis=1) >= min_samples_split)
-    node = np.zeros(X.shape[0], dtype=np.intp)
-    rows = np.arange(X.shape[0])
-    depth = 0
-    while rows.size and (max_depth is None or depth < max_depth):
-        rows = rows[splits[node[rows]]]
-        at = node[rows]
-        go_left = X[rows, model.feature[at]] <= model.threshold[at]
-        node[rows] = np.where(go_left, model.left[at], model.right[at])
-        depth += 1
-    return np.argmax(model.counts[node], axis=1).astype(np.int64)
+def _route(models, Xs, limits) -> np.ndarray:
+    """The labels of the rows of each Xs[t] routed through models[t], rows of
+    all models end to end: one row of labels per (max_depth,
+    min_samples_split) pair of `limits`, all from one pass."""
+    Xs = [np.asarray(X, dtype=float) for X in Xs]
+    for model, X in zip(models, Xs):
+        if X.shape[1] != model.n_features:
+            raise WidthMismatchError(f"expected {model.n_features} features, got {X.shape[1]}")
+    base = np.cumsum([0] + [m.left.size for m in models])[:-1]
+    left, right = (np.concatenate([np.where(c >= 0, c + b, -1) for c, b in zip(children, base)])
+                   for children in ([m.left for m in models], [m.right for m in models]))
+    feature, threshold, counts = (np.concatenate([getattr(m, a) for m in models])
+                                  for a in ("feature", "threshold", "counts"))
+    X, node = np.concatenate(Xs), np.repeat(base, [X.shape[0] for X in Xs])
+    path, rows = [node], np.arange(X.shape[0])
+    while (rows := rows[left[node[rows]] >= 0]).size:
+        at, node = node[rows], node.copy()
+        node[rows] = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
+        path.append(node)
+    path = np.stack(path, axis=1)  # (rows, depth + 1); the last column holds only leaves
+    splits, size, deepest = left >= 0, counts.sum(axis=1), path.shape[1] - 1
+    stop = {s: np.argmin((splits & (size >= s))[path], axis=1) for s in {s for _, s in limits}}
+    at = np.stack([np.minimum(stop[s], deepest if d is None else min(d, deepest)) for d, s in limits])
+    return np.argmax(counts, axis=1)[path[np.arange(X.shape[0]), at]].astype(np.int64)
 
 
 def dt_predict(model: DecisionTreeModel, x) -> tuple[int, float]:
@@ -279,19 +283,15 @@ def dt_predict(model: DecisionTreeModel, x) -> tuple[int, float]:
 
 
 def dt_predict_many(model: DecisionTreeModel, X: np.ndarray) -> np.ndarray:
-    return _route(model, X)
+    return _route([model], [X], [(None, 2)])[0]
 
 
-def predict_constrained(
-    model: DecisionTreeModel, X: np.ndarray, max_depth: int | None, min_samples_split: int
-) -> np.ndarray:
-    """Predictions of the tree as if it had been grown under the given limits.
-
-    Valid because the split chosen at a node depends only on the node's
-    rows, the criterion, and min_samples_leaf; depth and split-size limits
-    only decide whether a node splits at all.
-    """
-    return _route(model, X, max_depth, min_samples_split)
+def predict_constrained(model: DecisionTreeModel, X: np.ndarray, max_depth: int | None,
+                        min_samples_split: int) -> np.ndarray:
+    """Predictions of the tree as if grown under the given limits: the split
+    chosen at a node depends only on its rows, the criterion and
+    min_samples_leaf, and these limits only decide whether a node splits."""
+    return _route([model], [X], [(max_depth, min_samples_split)])[0]
 
 
 def dt_to_dict(model: DecisionTreeModel) -> dict:

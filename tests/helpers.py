@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from spineml.dataset import Dataset
+from spineml.metrics import accuracy, confusion, f1
 from spineml.schema import ColumnSpec, Schema
 
 
@@ -74,3 +75,10 @@ def entropy_impurity(counts) -> float:
         raise ValueError("impurity of empty counts")
     p = c[c > 0] / total
     return float(-(p * np.log2(p)).sum())
+
+
+# Moved verbatim from `spineml.model_selection`, where grid search now scores
+# a whole fold at once; the per-fold DT oracle in test_model_selection uses it.
+def _score(scoring: str, y_true, y_pred) -> float:
+    cm = confusion(y_true, y_pred)
+    return f1(cm) if scoring == "f1" else accuracy(cm)

@@ -171,6 +171,8 @@ def test_dataset_validation():
         make_dataset([[np.nan]], [0])
     with pytest.raises(ValueError):
         make_dataset([[1.0]], [2])
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        make_dataset([[1.0]], [-1])
     ds = make_dataset([[1.0], [2.0]], [0, 1])
     with pytest.raises(ValueError):
         ds.rows[0, 0] = 5.0  # immutable after construction

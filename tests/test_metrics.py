@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spineml.errors import EmptyMatrixError, LengthMismatchError, NonBinaryLabelError
 from spineml.metrics import (
     ConfusionMatrix,
     accuracy,
+    accuracy_many,
     confusion,
+    confusion_counts,
     f1,
+    f1_many,
     macro_f1,
     precision,
     recall,
@@ -126,3 +131,54 @@ def test_randomized_against_counting_oracle():
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == counts
         assert abs(accuracy(cm) - acc) < 1e-12
         assert abs(f1(cm) - f1_val) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    n_combos=st.integers(1, 6),
+    fold=st.sampled_from(["random", "all_negative", "all_wrong", "all_right", "all_positive"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_confusion_counts_and_vector_scores_match_the_scalar_ones(n, n_combos, fold, seed):
+    """Each row of confusion_counts is `confusion` of that row of predictions,
+    and f1_many/accuracy_many equal f1/accuracy bit for bit, f1 = 0 folds
+    included."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, n)
+    P = rng.integers(0, 2, (n_combos, n))
+    if fold == "all_negative":
+        y[:] = 0
+        P[0] = 0
+    elif fold == "all_positive":
+        y[:] = 1
+    elif fold == "all_wrong":
+        P[0] = 1 - y
+    elif fold == "all_right":
+        P[0] = y
+    counts = confusion_counts(y, P)
+    assert counts.shape == (n_combos, 4)
+    f1s, accs = f1_many(counts), accuracy_many(counts)
+    for c in range(n_combos):
+        cm = confusion(y, P[c])
+        assert counts[c].tolist() == [cm.tn, cm.fp, cm.fn, cm.tp]
+        assert f1s[c].tobytes() == np.float64(f1(cm)).tobytes()
+        assert accs[c].tobytes() == np.float64(accuracy(cm)).tobytes()
+
+
+def test_confusion_counts_errors():
+    with pytest.raises(LengthMismatchError):
+        confusion_counts([1, 0], [[1]])
+    with pytest.raises(LengthMismatchError):
+        confusion_counts([], np.zeros((2, 0)))
+    with pytest.raises(LengthMismatchError):
+        confusion_counts([1, 0], [1, 0])  # one prediction vector, not a matrix
+    with pytest.raises(NonBinaryLabelError):
+        confusion_counts([1, 2], [[0, 1]])
+    for bad in ([0.5, 1.0], [np.nan, 1.0], [-1, 0]):
+        with pytest.raises(NonBinaryLabelError):
+            confusion_counts([0, 1], [[0, 1], bad])
+    with pytest.raises(EmptyMatrixError):
+        f1_many(np.zeros((1, 4), dtype=np.int64))
+    with pytest.raises(EmptyMatrixError):
+        accuracy_many(np.array([[1, 0, 0, 0], [0, 0, 0, 0]]))

@@ -23,7 +23,7 @@ from spineml.model_selection import (
 )
 from spineml import model_selection
 from spineml.errors import PipelineError
-from spineml.model_selection import _score
+from helpers import _score
 from spineml.neighbors import knn_fit, knn_predict, knn_predict_many
 from spineml.resampling import ResamplePlan, oversample
 from spineml.tree import dt_fit, dt_predict_many, predict_constrained
@@ -369,6 +369,22 @@ def test_fold_cached_knn_search_matches_refitting_every_fold(method, metric, wei
     ]
     assert table[-1]["error"] == "k must be in [1, 70], got 80"
     assert all(r["error"] is None for r in table[:-1])
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 6000])
+@pytest.mark.parametrize("method", ["random_over", "smote"])
+def test_fold_cached_knn_search_is_the_same_in_small_blocks(method, chunk_bytes, monkeypatch):
+    # fold training sets hold about 18 appended rows of 2 features, so one
+    # (combination, query row) pair takes 288 bytes: 1 byte gives one pair per
+    # block, 6 000 bytes a block of 2 to 3 combinations × all validation rows
+    ds = _blobs(60, seed=13)
+    ds = make_dataset(np.round(ds.rows, 1), np.array([0] * 40 + [1] * 20))
+    folds = stratified_kfold(ds.labels, 8, seed=3)
+    grid = ParamGrid("knn", {"k": (1, 4, 7, 60), "weighting": ("uniform", "inverse-distance"),
+                             "metric": ("euclidean", "manhattan")})
+    want = grid_search(ds, grid, folds, resample=ResamplePlan(method), seed=55)
+    monkeypatch.setattr(model_selection, "_CHUNK_BYTES", chunk_bytes)
+    assert grid_search(ds, grid, folds, resample=ResamplePlan(method), seed=55) == want
 
 
 def test_fold_cached_knn_search_keeps_resampling_errors():

@@ -10,6 +10,7 @@ from spineml.errors import KOutOfRangeError, WidthMismatchError
 from spineml.neighbors import (
     _distances,
     _nearest,
+    _prefix_vote,
     _vote,
     knn_fit,
     knn_predict,
@@ -162,6 +163,32 @@ def test_batch_vote_matches_one_row_oracle_on_tie_prone_rows(q, k, weighting, se
     labels = rng.integers(0, 2, size=(q, k))
     want = [_oracle_vote(dist[i], labels[i], weighting)[0] for i in range(q)]
     assert _vote(dist, labels, weighting).tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.integers(1, 8),
+    k_max=st.integers(1, 21),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefix_vote_matches_the_vote_on_each_prefix(q, k_max, shared, seed):
+    """Every (k ≤ k_max, weighting) combination of one prefix-sum vote gives
+    `_vote`, and the one-row oracle, on its first k neighbors: exact ties,
+    zero distances and even k included, with one shared neighbor list or one
+    list per combination."""
+    rng = np.random.default_rng(seed)
+    combos = [(k, w) for k in range(1, k_max + 1) for w in ("uniform", "inverse-distance")]
+    lists = 1 if shared else len(combos)
+    dist = np.sort(rng.integers(0, 5, size=(lists, q, k_max)) / 2.0, axis=2)
+    labels = rng.integers(0, 2, size=(lists, q, k_max))
+    got = _prefix_vote(dist, labels, [k for k, _ in combos], [w for _, w in combos])
+    assert got.shape == (len(combos), q)
+    for c, (k, weighting) in enumerate(combos):
+        c0 = 0 if shared else c
+        want = _vote(dist[c0, :, :k], labels[c0, :, :k], weighting).tolist()
+        assert got[c].tolist() == want == [
+            _oracle_vote(dist[c0, i, :k], labels[c0, i, :k], weighting)[0] for i in range(q)]
 
 
 @settings(max_examples=150, deadline=None)

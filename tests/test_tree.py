@@ -278,6 +278,59 @@ def test_batch_routing_matches_scalar_walk(n, d, criterion, min_samples_leaf, se
     assert predict_constrained(model, X, None, 2).tolist() == scalar
 
 
+def _walk_constrained(model, x, max_depth, min_samples_split) -> int:
+    """One-row walk that stops at a leaf, at depth max_depth, or at a node
+    holding fewer than min_samples_split training rows."""
+    node, depth = 0, 0
+    while (model.left[node] >= 0 and (max_depth is None or depth < max_depth)
+           and model.counts[node].sum() >= min_samples_split):
+        go_left = x[model.feature[node]] <= model.threshold[node]
+        node, depth = (model.left[node] if go_left else model.right[node]), depth + 1
+    return int(np.argmax(model.counts[node]))
+
+
+def _depths(model) -> np.ndarray:
+    depth = np.zeros(model.left.size, dtype=int)
+    for node in np.flatnonzero(model.left >= 0):  # children get higher ids than their parent
+        depth[[model.left[node], model.right[node]]] = depth[node] + 1
+    return depth
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    d=st.integers(1, 3),
+    levels=st.integers(1, 5),
+    n_repeated=st.integers(0, 15),
+    n_trees=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_path_router_matches_predict_constrained_for_every_limit_pair(n, d, levels, n_repeated, n_trees, seed):
+    """One pass of the path router over several trees gives, for every
+    (max_depth, min_samples_split) pair, each tree's predict_constrained
+    labels and the constrained one-row walk's."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, levels, size=(n, d)) / 2.0  # a coarse grid: many duplicates
+    rows[rng.integers(0, n, n_repeated)] = rows[rng.integers(0, n, n_repeated)]
+    ds = make_dataset(rows, rng.integers(0, 2, n))
+    roots = [rng.integers(0, n, rng.integers(1, 2 * n)) for _ in range(n_trees)]
+    models = tree.dt_fit_batch(ds, roots, rng.choice(CRITERIA, n_trees).tolist(),
+                               rng.choice([1, 2], n_trees).tolist())
+    Xs = [rows[rng.integers(0, n, rng.integers(0, n + 1))] for _ in range(n_trees)]
+    deepest = max(int(_depths(m).max()) for m in models)
+    depths = sorted({0, 1, 2, max(0, deepest - 1), deepest, deepest + 1}) + [None]
+    splits = sorted({2, 3, 5} | {r.size for r in roots} | {r.size + 1 for r in roots})
+    limits = [(depth, mss) for depth in depths for mss in splits]
+    got = tree._route(models, Xs, limits)
+    assert got.shape == (len(limits), sum(X.shape[0] for X in Xs)) and got.dtype == np.int64
+    start = 0
+    for model, X in zip(models, Xs):
+        for row, (depth, mss) in zip(got[:, start:start + X.shape[0]], limits):
+            want = predict_constrained(model, X, depth, mss)
+            assert row.tolist() == want.tolist() == [_walk_constrained(model, x, depth, mss) for x in X]
+        start += X.shape[0]
+
+
 def test_extratrees_single_feature_importance():
     ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
     model = extratrees_fit(ds, n_trees=10, seed=1)
