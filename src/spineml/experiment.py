@@ -5,7 +5,9 @@ train) → scale (standardize for GNB/KNN/DT, min-max for ComplementNB,
 fitted on train) → optional feature selection (fitted on train) → optional
 grid search with stratified CV on train (resampling only inside the CV
 training folds) → optional oversampling of the full training partition →
-final fit → evaluate on the untouched test partition.
+final fit → evaluate on the untouched test partition. The test partition
+is preprocessed and classified by the cell's `FittedCell`, as a record
+given to `persist.predict_single` is.
 
 One stratified split is shared by every cell of a run (configurable to
 per-cell splits), and each cell derives its random streams from
@@ -13,8 +15,8 @@ per-cell splits), and each cell derives its random streams from
 worker count.
 
 `FAMILIES` holds every per-family operation of the four classifier
-families. Training builds a `FittedCell`, which `persist` saves, loads
-back and predicts single records with.
+families. Training builds a `FittedCell`, which scores the test partition
+and which `persist` saves, loads back and predicts single records with.
 """
 
 from __future__ import annotations
@@ -55,10 +57,8 @@ from .naive_bayes import (
     ComplementNBModel,
     GaussianNBModel,
     cnb_fit,
-    cnb_predict,
     cnb_predict_many,
     gnb_fit,
-    gnb_predict,
     gnb_predict_many,
 )
 from .neighbors import METRICS, WEIGHTINGS, KNNModel, knn_fit, knn_predict, knn_predict_many
@@ -131,10 +131,11 @@ def _fields_to_dict(model) -> dict:
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(model).items()}
 
 
-def _fields_from_dict(cls, raw: dict):
+def _fields_from_dict(cls, raw: dict, dims: dict):
     """Inverse of `_fields_to_dict`: each field converted to its annotated
     type; the label arrays (`classes`, `labels`) must hold 0/1 and are int64,
-    other arrays float."""
+    other arrays float. `dims` names the axes of each array, e.g. "cd" for
+    (classes, features): an axis name stands for one size ≥ 1 throughout."""
     def convert(name, kind):
         if kind is not np.ndarray:
             return kind(raw[name])
@@ -145,19 +146,27 @@ def _fields_from_dict(cls, raw: dict):
             raise ValueError(f"{name} must be 0 or 1, got {np.unique(labels).tolist()}")
         return labels.astype(np.int64)
 
-    return cls(**{name: convert(name, kind) for name, kind in get_type_hints(cls).items()})
+    fields = {name: convert(name, kind) for name, kind in get_type_hints(cls).items()}
+    sizes = {}
+    for name, axes in dims.items():
+        shape = fields[name].shape
+        if len(shape) != len(axes) or any(sizes.setdefault(a, n) != n or n < 1
+                                          for a, n in zip(axes, shape)):
+            raise ValueError(f"{name} has shape {shape}, not ({', '.join(axes)})")
+    return cls(**fields)
 
 
-def _gnb_one(model, x) -> tuple[int, float]:
-    label, posteriors = gnb_predict(model, x)
-    return label, float(posteriors.max())  # the winner's posterior
+def _row_zero(batch, score) -> tuple[int, float]:
+    """Row 0's label and `score` of its per-class values, from a naive-Bayes
+    batch predictor's (labels, values)."""
+    labels, values = batch
+    return int(labels[0]), float(score(values[0]))
 
 
-def _cnb_one(model, x) -> tuple[int, float]:
-    """The label and its share of a softmax over the negated scores (lower
-    score wins, so the winner's term is exp(0) = 1)."""
-    label, scores = cnb_predict(model, x)
-    return label, float(1.0 / np.exp(-(scores - scores.min())).sum())
+def _cnb_share(scores) -> float:
+    """The winner's share of a softmax over the negated scores (lower score
+    wins, so the winner's term is exp(0) = 1)."""
+    return 1.0 / np.exp(-(scores - scores.min())).sum()
 
 
 @dataclass(frozen=True)
@@ -166,6 +175,16 @@ class Family:
 
     Each callable entry calls its function through this module's name for
     it, so rebinding that name (as a tracer does) reaches every caller.
+
+    The naive-Bayes families have one predictor each: `predict_one` is row 0
+    of a one-row batch call, scored by the winner's GaussianNB posterior or
+    ComplementNB softmax share. k-NN and CART keep a one-row function, for
+    reasons measured per call on group VII (n = 244, 2 vCPU):
+    - CART: the one-row walk `dt_predict` takes 9.5–11.8 µs; `dt_predict_many`
+      on one row takes 110–160 µs, and a bare vectorized walk 42–78 µs.
+    - k-NN: `knn_predict` already shares `_nearest` and `_vote_one` with the
+      batch vote, and `knn_predict_many` on one row is not faster (94 µs
+      against 84 µs).
     """
 
     fit: Callable  # (train, params) -> model
@@ -181,22 +200,24 @@ class Family:
 FAMILIES = {
     "gnb": Family(
         fit=lambda train, params: gnb_fit(train),
-        predict_many=lambda model, X: gnb_predict_many(model, X),
-        predict_one=lambda model, x: _gnb_one(model, x),
-        from_dict=lambda raw: _fields_from_dict(GaussianNBModel, raw),
+        predict_many=lambda model, X: gnb_predict_many(model, X)[0],
+        predict_one=lambda model, x: _row_zero(gnb_predict_many(model, x[None, :]), np.max),
+        from_dict=lambda raw: _fields_from_dict(
+            GaussianNBModel, raw, {"classes": "c", "priors": "c", "means": "cd", "variances": "cd"}),
     ),
     "cnb": Family(
         fit=lambda train, params: cnb_fit(train),
-        predict_many=lambda model, X: cnb_predict_many(model, X),
-        predict_one=lambda model, x: _cnb_one(model, x),
-        from_dict=lambda raw: _fields_from_dict(ComplementNBModel, raw),
+        predict_many=lambda model, X: cnb_predict_many(model, X)[0],
+        predict_one=lambda model, x: _row_zero(cnb_predict_many(model, x[None, :]), _cnb_share),
+        from_dict=lambda raw: _fields_from_dict(
+            ComplementNBModel, raw, {"classes": "c", "weights": "cd"}),
         scaling="minmax",
     ),
     "knn": Family(
         fit=lambda train, params: knn_fit(train, **params),
         predict_many=lambda model, X: knn_predict_many(model, X),
         predict_one=lambda model, x: knn_predict(model, x),
-        from_dict=lambda raw: _fields_from_dict(KNNModel, raw),
+        from_dict=lambda raw: _fields_from_dict(KNNModel, raw, {"points": "nd", "labels": "n"}),
         defaults=KNN_DEFAULTS,
         grid=lambda: default_knn_grid(),
     ),
@@ -477,25 +498,21 @@ def run_cell_fitted(
     states = _cell_states(config.seed, group.id, spec.id)
     gdata = select_group(data, group)
     train = gdata.take(split.train_idx)
-    test = gdata.take(split.test_idx)
 
     encoder = fit_ordinal_encoder(train)
     train = apply_ordinal_encoder(train, encoder)
-    test = apply_ordinal_encoder(test, encoder)
 
     family = FAMILIES[spec.family]
     # Min-max scales every column; standardize only the continuous ones.
     minmax = family.scaling == "minmax"
     scaler = fit_standardizer(train, columns=train.feature_names if minmax else None)
-    apply_scaler = apply_minmax if minmax else apply_standardizer
-    train, test = apply_scaler(train, scaler), apply_scaler(test, scaler)
+    train = (apply_minmax if minmax else apply_standardizer)(train, scaler)
 
     if config.keep_fraction < 1.0:
         # kept is sorted, so it indexes the columns in the subset schema's order.
         kept = select_features(train, config.keep_fraction, seed=int(states[0])).kept
-        sub_schema = train.schema.subset([train.feature_names[i] for i in kept])
-        train = Dataset(sub_schema, train.rows[:, kept], train.labels)
-        test = Dataset(sub_schema, test.rows[:, kept], test.labels)
+        train = Dataset(train.schema.subset([train.feature_names[i] for i in kept]),
+                        train.rows[:, kept], train.labels)
     else:
         kept = np.arange(train.width)
 
@@ -515,21 +532,6 @@ def run_cell_fitted(
         plan = ResamplePlan(spec.resample, seed=int(states[3]))
         train_fit = oversample(train_fit, plan)
 
-    model = family.fit(train_fit, params)
-    preds = family.predict_many(model, test.rows)
-    cm = confusion(test.labels, preds)
-
-    result = CellResult(
-        group_id=group.id,
-        model_id=spec.id,
-        hyperparameters=dict(params),
-        accuracy=accuracy(cm),
-        f1=f1(cm),
-        macro_f1=macro_f1(cm),
-        confusion=cm,
-        cv_table=cv_table,
-        n_test=test.n,
-    )
     fitted = FittedCell(
         model_id=spec.id,
         group_id=group.id,
@@ -552,10 +554,25 @@ def run_cell_fitted(
         scaler_constant=scaler.constant,
         scaling_mode=family.scaling,
         kept=np.asarray(kept),
-        classifier=model,
+        classifier=family.fit(train_fit, params),
         hyperparameters=dict(params),
         seed=config.seed,
         config_hash=config.config_hash(),
+    )
+    # The test partition goes from raw rows to labels as a predicted record does.
+    _, scaled = fitted.preprocess(gdata.rows[split.test_idx])
+    test_labels = gdata.labels[split.test_idx]
+    cm = confusion(test_labels, _predict_final(spec.family, fitted.classifier, scaled[:, fitted.kept]))
+    result = CellResult(
+        group_id=group.id,
+        model_id=spec.id,
+        hyperparameters=dict(params),
+        accuracy=accuracy(cm),
+        f1=f1(cm),
+        macro_f1=macro_f1(cm),
+        confusion=cm,
+        cv_table=cv_table,
+        n_test=test_labels.size,
     )
     return result, fitted
 

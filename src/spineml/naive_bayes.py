@@ -6,11 +6,15 @@ highest posterior. ComplementNB (Rennie et al.) weights each class by the
 feature statistics of its complement, which counteracts majority-class
 dominance on imbalanced data; it requires non-negative features, so the
 pipeline feeds it min-max-scaled inputs.
+
+Each family has one predictor, `gnb_predict_many` or `cnb_predict_many`:
+every row's label and per-class values, each row computed on its own, so
+a single record (row 0 of a one-row call) gets the label it gets in any
+batch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,21 +23,9 @@ from .dataset import Dataset
 from .errors import (
     ClassTooSmallError,
     NegativeFeatureError,
-    NonPositiveSigmaError,
     SingleClassError,
     WidthMismatchError,
 )
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def gaussian_pdf(x: float, mu: float, sigma: float) -> float:
-    """Normal density at x for mean mu and standard deviation sigma > 0."""
-    if sigma <= 0:
-        raise NonPositiveSigmaError(f"sigma must be positive, got {sigma}")
-    z = (x - mu) / sigma
-    return math.exp(-0.5 * z * z) / (_SQRT_2PI * sigma)
-
 
 def _require_two_classes(labels: np.ndarray) -> np.ndarray:
     classes = np.unique(labels)
@@ -87,27 +79,17 @@ def _gnb_log_posteriors(model: GaussianNBModel, X: np.ndarray) -> np.ndarray:
     return np.log(model.priors)[None, :] + log_pdf.sum(axis=2)
 
 
-def gnb_predict(model: GaussianNBModel, x) -> tuple[int, np.ndarray]:
-    """Predicted label (ties to the lowest) and normalized per-class posteriors."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.means.shape[1],):
-        raise WidthMismatchError(
-            f"expected {model.means.shape[1]} features, got {x.shape}"
-        )
-    logp = _gnb_log_posteriors(model, x[None, :])[0]
-    shifted = np.exp(logp - logp.max())
-    posteriors = shifted / shifted.sum()
-    return int(model.classes[int(np.argmax(logp))]), posteriors
-
-
-def gnb_predict_many(model: GaussianNBModel, X: np.ndarray) -> np.ndarray:
+def gnb_predict_many(model: GaussianNBModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's label (ties to the lowest) and normalized per-class posteriors."""
     X = np.asarray(X, dtype=float)
     if X.shape[1] != model.means.shape[1]:
         raise WidthMismatchError(
             f"expected {model.means.shape[1]} features, got {X.shape[1]}"
         )
     logp = _gnb_log_posteriors(model, X)
-    return model.classes[np.argmax(logp, axis=1)]
+    shifted = np.exp(logp - logp.max(axis=1, keepdims=True))
+    posteriors = shifted / shifted.sum(axis=1, keepdims=True)
+    return model.classes[np.argmax(logp, axis=1)], posteriors
 
 
 @dataclass(frozen=True)
@@ -137,20 +119,9 @@ def cnb_fit(train: Dataset, alpha: float = 1.0, normalize: bool = False) -> Comp
     return ComplementNBModel(classes=classes, weights=weights, alpha=alpha, normalize=normalize)
 
 
-def cnb_predict(model: ComplementNBModel, x) -> tuple[int, np.ndarray]:
-    """Label with the smallest complement-match score (ties to the lowest label)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.weights.shape[1],):
-        raise WidthMismatchError(
-            f"expected {model.weights.shape[1]} features, got {x.shape}"
-        )
-    if x.size and x.min() < 0:
-        raise NegativeFeatureError(0, int(np.argmin(x)))
-    scores = model.weights @ x
-    return int(model.classes[int(np.argmin(scores))]), scores
-
-
-def cnb_predict_many(model: ComplementNBModel, X: np.ndarray) -> np.ndarray:
+def cnb_predict_many(model: ComplementNBModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's label with the smallest complement-match score (ties to the
+    lowest label) and its per-class scores."""
     X = np.asarray(X, dtype=float)
     if X.shape[1] != model.weights.shape[1]:
         raise WidthMismatchError(
@@ -159,5 +130,7 @@ def cnb_predict_many(model: ComplementNBModel, X: np.ndarray) -> np.ndarray:
     if X.size and X.min() < 0:
         r, c = np.unravel_index(int(np.argmin(X)), X.shape)
         raise NegativeFeatureError(int(r), int(c))
-    scores = X @ model.weights.T
-    return model.classes[np.argmin(scores, axis=1)]
+    # One (1 × d) @ (d × classes) product per row: a row's scores round the
+    # same way in a batch of any size.
+    scores = (X[:, None, :] @ model.weights.T)[:, 0]
+    return model.classes[np.argmin(scores, axis=1)], scores

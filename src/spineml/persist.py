@@ -6,8 +6,10 @@ feature indices, scaling mode) and training metadata. `load_model` returns
 a `FittedCell` again, so loading a file reproduces the in-memory model's
 predictions exactly, and `predict_single` takes a cell just trained as
 well as a loaded one. The classifier is written and read by its family's
-entry in `experiment.FAMILIES`, and the record goes through the same
-encoder and scaler as training (`FittedCell.preprocess`).
+entry in `experiment.FAMILIES`. A record takes the path the cell's test
+partition took: `FittedCell.preprocess`, the kept columns, then the
+family's predictor. `load_model` builds the preprocessing plan and checks
+it, so a malformed file fails at load, not at predict.
 
 Scores reported by predict_single: GaussianNB posterior, KNN vote
 fraction, decision-tree leaf fraction, and for ComplementNB a softmax over
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
+from numbers import Real
 
 import numpy as np
 
@@ -88,10 +91,10 @@ def load_model(path) -> FittedCell:
         if prep["scaling_mode"] not in SCALING_MODES:
             raise ValueError(f"unknown scaling_mode: {prep['scaling_mode']!r}")
         kept = np.array(prep["kept"], dtype=np.int64)
-        if not ((0 <= kept) & (kept < len(raw["features"]))).all():
+        if kept.ndim != 1 or not ((0 <= kept) & (kept < len(raw["features"]))).all():
             raise ValueError(f"kept feature indices {kept.tolist()} outside "
                              f"[0, {len(raw['features'])})")
-        return FittedCell(
+        cell = FittedCell(
             model_id=raw["model_id"],
             group_id=raw["group_id"],
             family=raw["family"],
@@ -110,8 +113,18 @@ def load_model(path) -> FittedCell:
             seed=meta["seed"],
             config_hash=meta["config_hash"],
         )
-    except (KeyError, TypeError, ValueError, KOutOfRangeError) as exc:
+        for f in cell.feature_meta:
+            if not (isinstance(f, dict) and isinstance(f.get("name"), str)
+                    and all(isinstance(f.get(b), (Real, type(None))) for b in ("min", "max"))):
+                raise ValueError(f"feature {f!r} lacks a string name or numeric bounds")
+        if not all(cell.ordinal_codes.values()):
+            raise ValueError("an ordinal column has no codes")
+        # The preprocessing plan: every encoded and scaled column must be a
+        # feature, and every scaler array hold one entry per scaled column.
+        cell._steps
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, KOutOfRangeError) as exc:
         raise CorruptFileError(f"model file is malformed: {exc}") from exc
+    return cell
 
 
 def preprocess_record(pm: FittedCell, record: dict) -> tuple[np.ndarray, Callable[[], list]]:

@@ -6,8 +6,8 @@ rows, so no test-partition statistic can reach a fitted model.
 Each step has one array-level implementation, `rank_encode` and `scale`,
 which works on a block of rows of the affected columns. The Dataset
 wrappers (`apply_ordinal_encoder`, `apply_standardizer`, `apply_minmax`)
-serve training; `persist.preprocess_record` runs the same two functions on
-a 1×d row.
+serve training; `experiment.FittedCell.preprocess` runs the same two
+functions on the raw test partition and on a predicted record.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ class ScalerState:
     """Per-column mean/stddev (sample, n−1) and min/max over the training rows.
 
     Constant columns are flagged and get a stddev substitute of 1 so a
-    degenerate column rescales to zero instead of aborting a run.
+    degenerate column rescales to zero instead of aborting a run. Each array
+    holds one entry per column.
     """
 
     columns: tuple[str, ...]
@@ -43,6 +44,8 @@ class ScalerState:
     def __post_init__(self):
         for name in ("mean", "std", "minimum", "maximum", "constant"):
             arr = np.asarray(getattr(self, name))
+            if arr.shape != (len(self.columns),):
+                raise ValueError(f"scaler {name} has shape {arr.shape} for {len(self.columns)} columns")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

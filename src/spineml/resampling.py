@@ -39,9 +39,6 @@ class ResamplePlan:
         if self.smote_k < 1:
             raise ValueError(f"smote_k must be ≥ 1, got {self.smote_k}")
 
-    def with_seed(self, seed: int) -> "ResamplePlan":
-        return ResamplePlan(self.method, self.target_ratio, self.smote_k, int(seed))
-
 
 def _minority_majority(ds: Dataset) -> tuple[int, int]:
     n0, n1 = ds.class_counts()

@@ -286,14 +286,6 @@ def dt_predict_many(model: DecisionTreeModel, X: np.ndarray) -> np.ndarray:
     return _route([model], [X], [(None, 2)])[0]
 
 
-def predict_constrained(model: DecisionTreeModel, X: np.ndarray, max_depth: int | None,
-                        min_samples_split: int) -> np.ndarray:
-    """Predictions of the tree as if grown under the given limits: the split
-    chosen at a node depends only on its rows, the criterion and
-    min_samples_leaf, and these limits only decide whether a node splits."""
-    return _route([model], [X], [(max_depth, min_samples_split)])[0]
-
-
 def dt_to_dict(model: DecisionTreeModel) -> dict:
     """The tree as a JSON-ready dict of nested nodes: each node holds its
     counts, and a split also its feature, threshold, left and right."""

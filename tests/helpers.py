@@ -7,8 +7,10 @@ import math
 import numpy as np
 
 from spineml.dataset import Dataset
+from spineml.errors import NonPositiveSigmaError
 from spineml.metrics import accuracy, confusion, f1
 from spineml.schema import ColumnSpec, Schema
+from spineml.tree import DecisionTreeModel, _route
 
 
 def make_dataset(rows, labels, kinds=None, names=None) -> Dataset:
@@ -82,3 +84,26 @@ def entropy_impurity(counts) -> float:
 def _score(scoring: str, y_true, y_pred) -> float:
     cm = confusion(y_true, y_pred)
     return f1(cm) if scoring == "f1" else accuracy(cm)
+
+
+# Moved verbatim from `spineml.naive_bayes`, where nothing calls it; its
+# tests in test_naive_bayes check it against `normal_density`.
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def gaussian_pdf(x: float, mu: float, sigma: float) -> float:
+    """Normal density at x for mean mu and standard deviation sigma > 0."""
+    if sigma <= 0:
+        raise NonPositiveSigmaError(f"sigma must be positive, got {sigma}")
+    z = (x - mu) / sigma
+    return math.exp(-0.5 * z * z) / (_SQRT_2PI * sigma)
+
+
+# Moved verbatim from `spineml.tree`, where grid search routes every limit
+# pair through `_route` at once; the tree and grid-search oracles use it.
+def predict_constrained(model: DecisionTreeModel, X: np.ndarray, max_depth: int | None,
+                        min_samples_split: int) -> np.ndarray:
+    """Predictions of the tree as if grown under the given limits: the split
+    chosen at a node depends only on its rows, the criterion and
+    min_samples_leaf, and these limits only decide whether a node splits."""
+    return _route([model], [X], [(max_depth, min_samples_split)])[0]

@@ -23,7 +23,7 @@ from spineml.experiment import (
 )
 from spineml.metrics import ConfusionMatrix, accuracy, confusion, f1, recall
 from spineml.model_selection import stratified_kfold, stratified_shuffle_split
-from spineml.naive_bayes import cnb_predict_many, gnb_fit, gnb_predict, gnb_predict_many
+from spineml.naive_bayes import cnb_predict_many, gnb_fit, gnb_predict_many
 from spineml.neighbors import _nearest, knn_fit, knn_predict, knn_predict_many
 from spineml.persist import load_model, save_model
 from spineml.report import emit_report
@@ -96,7 +96,7 @@ def test_criterion_1_gnb_oracle_equivalence():
         rng.shuffle(labels)
         model = gnb_fit(make_dataset(rows, labels))
         for x in rng.normal(0, 2, size=(5, d)):
-            got_label, got_post = gnb_predict(model, x)
+            (got_label,), (got_post,) = gnb_predict_many(model, x[None, :])
             want_label, want_post = oracle(model, x)
             assert got_label == want_label
             assert np.abs(got_post - np.array(want_post)).max() < 1e-9
@@ -346,8 +346,8 @@ def test_criterion_9_determinism(default_run, tmp_path):
 @criterion(10, "persisted models reproduce in-memory predictions exactly")
 def test_criterion_10_persistence_fidelity(tmp_path):
     predict_many = {
-        "gnb": gnb_predict_many,
-        "cnb": cnb_predict_many,
+        "gnb": lambda model, X: gnb_predict_many(model, X)[0],
+        "cnb": lambda model, X: cnb_predict_many(model, X)[0],
         "knn": knn_predict_many,
         "dt": dt_predict_many,
     }

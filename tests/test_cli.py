@@ -231,6 +231,38 @@ def test_predict_rejects_a_model_file_with_an_unknown_setting(
     assert stderr.startswith("error: model file is malformed") and str(value) in stderr
 
 
+def _rename_ordinal_column(raw):
+    codes = raw["preprocessing"]["ordinal_codes"]
+    codes["BMI"] = codes.pop("EMP_ST")
+
+
+@pytest.mark.parametrize("model_id,edit", [
+    ("KNN", lambda raw: raw["features"][0].pop("name")),
+    ("KNN", lambda raw: raw["features"].__setitem__(0, "GEN")),
+    ("KNN", lambda raw: raw["preprocessing"]["scaler"]["columns"].__setitem__(0, "BMI")),
+    ("KNN", _rename_ordinal_column),
+    ("KNN", lambda raw: raw["features"][1].__setitem__("min", "eighteen")),
+    ("ComplementNB", lambda raw: raw["preprocessing"]["scaler"]["std"].pop()),
+    ("KNN", lambda raw: raw["preprocessing"]["ordinal_codes"].__setitem__("GEN", [])),
+], ids=["feature-without-name", "feature-not-an-object", "scaler-column-not-a-feature",
+        "ordinal-column-not-a-feature", "non-numeric-min", "scaler-array-one-short",
+        "empty-code-list"])
+def test_predict_rejects_a_malformed_preprocessing_section_at_load(tmp_path, capsys, model_id, edit):
+    _run(capsys, "run", "--n", "80", "--data-seed", "3", "--groups", "II",
+         "--models", model_id, "--folds", "4", "--save-models",
+         "--out", str(tmp_path / "r"))
+    raw = json.loads((tmp_path / "r" / "models" / f"{model_id}__II.json").read_text())
+    edit(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, stdout, stderr = _run(capsys, "predict", "--model", str(bad),
+                                "--record", json.dumps({"GEN": 1, "AGE": 50, "EMP_ST": 3}))
+    assert code == 1
+    assert stdout == ""
+    assert len(stderr.strip().splitlines()) == 1
+    assert stderr.startswith("error: model file is malformed: ")
+
+
 @pytest.mark.parametrize("command", ["generate", "run", "report", "predict"])
 def test_help_exits_zero(command, capsys):
     with pytest.raises(SystemExit) as exc:

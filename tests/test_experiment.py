@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spineml.errors import ConfigError, DataSourceError, UnknownGroupError
 from spineml.experiment import (
     DT_DEFAULTS,
+    FAMILIES,
     KNN_DEFAULTS,
     MODEL_IDS,
     MODEL_SPECS,
@@ -13,7 +16,11 @@ from spineml.experiment import (
     run_matrix,
 )
 from spineml.model_selection import stratified_shuffle_split
+from spineml.naive_bayes import ComplementNBModel
+from spineml.neighbors import METRICS, WEIGHTINGS
 from spineml.schema import GROUP_IDS, group_by_id
+
+from helpers import make_dataset
 
 
 def _cfg(**kwargs):
@@ -270,3 +277,54 @@ def test_no_signal_accuracy_near_majority_single_seed():
     majority = max(test_labels.mean(), 1 - test_labels.mean())
     se = np.sqrt(majority * (1 - majority) / test_labels.size)
     assert abs(cell.accuracy - majority) <= 3 * se + 1e-9
+
+
+# A coarse grid, so that rows repeat, distances tie and values sit on the
+# midpoint thresholds a tree learns from them.
+TIE_GRID = (0.0, 0.5, 1.0, 2.0)
+
+
+def _tie_rows(data, d, values, min_size, max_size):
+    """Rows of `values`, each either drawn per column or constant."""
+    row = st.one_of(st.lists(values, min_size=d, max_size=d), values.map(lambda v: [v] * d))
+    return np.array(data.draw(st.lists(row, min_size=min_size, max_size=max_size)), dtype=float)
+
+
+def _tie_heavy_case(family, data):
+    """A model of `family` and 1–60 query rows built to tie."""
+    d = data.draw(st.integers(1, 6))
+    if family == "cnb":
+        # Weight rows that are permutations of each other score every
+        # constant row equal up to the order of the sum.
+        w = data.draw(st.lists(st.floats(-8.0, -0.01), min_size=d, max_size=d))
+        weights = np.array([w, data.draw(st.permutations(w))])
+        model = ComplementNBModel(np.array([0, 1]), weights, 1.0, False)
+        return model, _tie_rows(data, d, st.floats(0.0, 1.0), 1, 60)
+    rows = _tie_rows(data, d, st.sampled_from(TIE_GRID), 4, 30)
+    labels = np.array([0, 0, 1, 1] + data.draw(st.lists(st.integers(0, 1), min_size=rows.shape[0] - 4,
+                                                        max_size=rows.shape[0] - 4)))
+    train = make_dataset(rows, labels)
+    if family == "knn":
+        params = {"k": data.draw(st.integers(1, train.n)),
+                  "weighting": data.draw(st.sampled_from(WEIGHTINGS)),
+                  "metric": data.draw(st.sampled_from(METRICS))}
+    else:
+        params = FAMILIES[family].defaults
+    model = FAMILIES[family].fit(train, params)
+    values = TIE_GRID
+    if family == "dt":
+        values += tuple(model.threshold[model.left >= 0].tolist())
+    return model, _tie_rows(data, d, st.sampled_from(values), 1, 60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_predict_one_label_equals_the_predict_many_label_on_tie_heavy_rows(family, data):
+    """Each family's one-record predictor gives every row the label its
+    batch predictor gives it: constant rows, ComplementNB weight rows that
+    are permutations of each other, duplicated k-NN points and rows on a
+    tree's thresholds."""
+    model, X = _tie_heavy_case(family, data)
+    labels = FAMILIES[family].predict_many(model, X)
+    for i, x in enumerate(X):
+        assert FAMILIES[family].predict_one(model, x)[0] == labels[i], (family, i)

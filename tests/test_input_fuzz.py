@@ -1,5 +1,6 @@
-"""Property tests: any config dict, schema file or predict record gives a
-valid object or a PipelineError, never another exception."""
+"""Property tests: any config dict, schema file, predict record or edited
+model file gives a valid object or a PipelineError, never another
+exception."""
 
 import json
 import os
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 from spineml.errors import PipelineError
 from spineml.experiment import (
     MODEL_SPECS,
+    CellResult,
     ExperimentConfig,
     load_config_data,
     run_cell_fitted,
 )
 from spineml.model_selection import stratified_shuffle_split
-from spineml.persist import predict_single
+from spineml.persist import load_model, predict_single, save_model
 from spineml.schema import (
     KINDS,
     LABEL_NAMES,
@@ -178,3 +180,63 @@ def test_any_record_gives_a_prediction_or_a_pipeline_error(fuzz_cells, cell, rec
     assert out["label"] in LABEL_NAMES.values()
     assert 0.0 <= out["score"] <= 1.0
     json.dumps(out, allow_nan=False)
+
+
+@pytest.fixture(scope="module")
+def saved_model_files(fuzz_cells, tmp_path_factory):
+    """The JSON of each fuzz cell's model file."""
+    out = tmp_path_factory.mktemp("models")
+    raws = []
+    for fit in fuzz_cells:
+        path = out / f"{fit.model_id}.json"
+        save_model(CellResult(fit.group_id, fit.model_id, {}), fit, path)
+        raws.append(json.loads(path.read_text()))
+    return raws
+
+
+def _places(node, depth=5, path=()):
+    """The paths to every place of a JSON tree, down to `depth` keys, with
+    "*" standing for any index of a list (whose entries share one shape)."""
+    if path:
+        yield path
+    if depth and isinstance(node, dict):
+        for key, child in node.items():
+            yield from _places(child, depth - 1, path + (key,))
+    elif depth and isinstance(node, list) and node:
+        yield from _places(node[0], depth - 1, path + ("*",))
+
+
+def _edit_model_file(data, raw) -> None:
+    """Edit one place of a JSON tree in place, drawn evenly from `_places`:
+    drop a key, retype a value or shorten a list."""
+    node, child = None, raw
+    for key in data.draw(st.sampled_from(list(_places(raw)))):
+        if key == "*":
+            key = data.draw(st.integers(0, len(child) - 1))
+        node, child = child, child[key]
+    edits = ["retype"] + ["drop"] * isinstance(node, dict) + ["shorten"] * bool(
+        isinstance(child, list) and child)
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "drop":
+        del node[key]
+    elif edit == "shorten":
+        del child[data.draw(st.integers(0, len(child) - 1)):]
+    else:
+        node[key] = data.draw(JSON)
+
+
+@settings(max_examples=500, deadline=None)
+@given(cell=st.integers(0, 3), data=st.data())
+def test_any_edited_model_file_predicts_or_gives_a_pipeline_error(saved_model_files, cell, data):
+    raw = json.loads(json.dumps(saved_model_files[cell]))
+    _edit_model_file(data, raw)
+    record = {"GEN": 1, "AGE": 50, "EMP_ST": 3}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        try:
+            out = predict_single(load_model(path), record, trace=True)
+        except PipelineError:
+            return
+    assert out["label"] in LABEL_NAMES.values()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -26,9 +28,9 @@ from spineml.errors import PipelineError
 from helpers import _score
 from spineml.neighbors import knn_fit, knn_predict, knn_predict_many
 from spineml.resampling import ResamplePlan, oversample
-from spineml.tree import dt_fit, dt_predict_many, predict_constrained
+from spineml.tree import dt_fit, dt_predict_many
 
-from helpers import make_dataset
+from helpers import make_dataset, predict_constrained
 
 
 def _labels(n0, n1):
@@ -275,7 +277,7 @@ def _naive_grid_recompute(ds, grid, folds, resample, scoring_seed):
             tr_idx = np.setdiff1d(all_idx, val_idx)
             sub = ds.take(tr_idx)
             if resample is not None:
-                sub = oversample(sub, resample.with_seed(derive_seed(scoring_seed, ci, fi)))
+                sub = oversample(sub, replace(resample, seed=derive_seed(scoring_seed, ci, fi)))
             if grid.family == "knn":
                 model = knn_fit(sub, combo["k"], combo["weighting"], combo["metric"])
                 preds = knn_predict_many(model, ds.rows[val_idx])
@@ -339,7 +341,7 @@ def _naive_knn_cv_table(ds, grid, folds, resample, scoring_seed):
             try:
                 sub = ds.take(np.setdiff1d(all_idx, val_idx))
                 if resample is not None:
-                    sub = oversample(sub, resample.with_seed(derive_seed(scoring_seed, ci, fi)))
+                    sub = oversample(sub, replace(resample, seed=derive_seed(scoring_seed, ci, fi)))
                 model = knn_fit(sub, combo["k"], combo["weighting"], combo["metric"])
             except PipelineError as exc:
                 fold_scores.append(0.0)

@@ -11,17 +11,21 @@ from spineml.errors import (
     SingleClassError,
     WidthMismatchError,
 )
+from spineml.experiment import FAMILIES
 from spineml.naive_bayes import (
     cnb_fit,
-    cnb_predict,
     cnb_predict_many,
-    gaussian_pdf,
     gnb_fit,
-    gnb_predict,
     gnb_predict_many,
 )
 
-from helpers import make_dataset, normal_density
+from helpers import gaussian_pdf, make_dataset, normal_density
+
+
+def row_zero(batch):
+    """The label and per-class values of row 0 of a batch predictor's output."""
+    labels, values = batch
+    return int(labels[0]), values[0]
 
 
 def test_gaussian_pdf_standard_peak():
@@ -84,7 +88,7 @@ def test_gnb_fit_class_errors():
 def test_gnb_predict_simple_separation():
     ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
     model = gnb_fit(ds)
-    label, post = gnb_predict(model, [1.2])
+    label, post = row_zero(gnb_predict_many(model, [[1.2]]))
     assert label == 0
     assert post.sum() == pytest.approx(1.0, abs=1e-12)
     assert post[0] > post[1]
@@ -95,7 +99,7 @@ def test_gnb_predict_confident_at_class_mean():
         [[0.0], [0.5], [1.0], [99.0], [100.0], [101.0]], [0, 0, 0, 1, 1, 1]
     )
     model = gnb_fit(ds)
-    label, post = gnb_predict(model, [0.5])
+    label, post = row_zero(gnb_predict_many(model, [[0.5]]))
     assert label == 0
     assert post[0] > 0.99
 
@@ -103,7 +107,7 @@ def test_gnb_predict_confident_at_class_mean():
 def test_gnb_predict_symmetric_tie_goes_to_lower_label():
     ds = make_dataset([[0.0], [1.0], [3.0], [4.0]], [0, 0, 1, 1])
     model = gnb_fit(ds)
-    label, post = gnb_predict(model, [2.0])
+    label, post = row_zero(gnb_predict_many(model, [[2.0]]))
     assert post[0] == pytest.approx(0.5, abs=1e-9)
     assert label == 0
 
@@ -111,7 +115,7 @@ def test_gnb_predict_symmetric_tie_goes_to_lower_label():
 def test_gnb_width_mismatch():
     model = gnb_fit(make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1]))
     with pytest.raises(WidthMismatchError):
-        gnb_predict(model, [1.0, 2.0])
+        gnb_predict_many(model, [[1.0, 2.0]])
 
 
 def _gnb_oracle(model, x):
@@ -141,7 +145,7 @@ def test_gnb_matches_direct_bayes_oracle():
         ds = make_dataset(rows, labels)
         model = gnb_fit(ds)
         for x in rng.normal(0, 2, size=(5, d)):
-            label, post = gnb_predict(model, x)
+            label, post = row_zero(gnb_predict_many(model, x[None, :]))
             o_label, o_post = _gnb_oracle(model, x)
             assert label == o_label
             assert np.abs(post - np.array(o_post)).max() < 1e-9
@@ -187,7 +191,7 @@ def test_cnb_single_class():
 def test_cnb_predict_zero_vector_ties_to_lowest_label():
     ds = make_dataset([[3.0, 1.0], [1.0, 2.0], [0.5, 0.5]], [0, 1, 1])
     model = cnb_fit(ds)
-    label, scores = cnb_predict(model, [0.0, 0.0])
+    label, scores = row_zero(cnb_predict_many(model, [[0.0, 0.0]]))
     assert label == 0
     assert scores.tolist() == [0.0, 0.0]
 
@@ -195,7 +199,7 @@ def test_cnb_predict_zero_vector_ties_to_lowest_label():
 def test_cnb_predict_hand_score():
     ds = make_dataset([[3.0, 1.0], [1.0, 2.0], [0.5, 0.5]], [0, 1, 1])
     model = cnb_fit(ds)
-    label, scores = cnb_predict(model, [1.0, 0.0])
+    label, scores = row_zero(cnb_predict_many(model, [[1.0, 0.0]]))
     assert scores[1] == pytest.approx(math.log(2.0 / 3.0), abs=1e-12)
     assert scores[0] == pytest.approx(math.log(2.5 / 6.0), abs=1e-12)
     # argmin picks the smaller complement match
@@ -209,15 +213,15 @@ def test_cnb_predict_scale_invariant_argmin():
     model = cnb_fit(ds)
     for _ in range(25):
         x = rng.uniform(0, 4, size=3)
-        base = cnb_predict(model, x)[0]
+        base = row_zero(cnb_predict_many(model, x[None, :]))[0]
         for c in (0.1, 2.0, 17.5):
-            assert cnb_predict(model, c * x)[0] == base
+            assert row_zero(cnb_predict_many(model, c * x[None, :]))[0] == base
 
 
 def test_cnb_predict_rejects_negative_input():
     model = cnb_fit(make_dataset([[1.0], [2.0]], [0, 1]))
     with pytest.raises(NegativeFeatureError):
-        cnb_predict(model, [-1.0])
+        cnb_predict_many(model, [[-1.0]])
 
 
 def test_predict_many_agrees_with_single():
@@ -225,6 +229,9 @@ def test_predict_many_agrees_with_single():
     ds = make_dataset(rng.uniform(0, 4, size=(25, 3)), rng.integers(0, 2, 25))
     X = rng.uniform(0, 4, size=(10, 3))
     gnb = gnb_fit(ds)
+    # The pipeline's batch and one-record predictors of each family.
+    gnb_predict_many, gnb_predict = FAMILIES["gnb"].predict_many, FAMILIES["gnb"].predict_one
     assert gnb_predict_many(gnb, X).tolist() == [gnb_predict(gnb, x)[0] for x in X]
     cnb = cnb_fit(ds)
+    cnb_predict_many, cnb_predict = FAMILIES["cnb"].predict_many, FAMILIES["cnb"].predict_one
     assert cnb_predict_many(cnb, X).tolist() == [cnb_predict(cnb, x)[0] for x in X]

@@ -32,8 +32,8 @@ MODEL_FOR_FAMILY = {
 }
 
 PREDICT_MANY = {
-    "gnb": gnb_predict_many,
-    "cnb": cnb_predict_many,
+    "gnb": lambda model, X: gnb_predict_many(model, X)[0],
+    "cnb": lambda model, X: cnb_predict_many(model, X)[0],
     "knn": knn_predict_many,
     "dt": dt_predict_many,
 }

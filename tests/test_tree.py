@@ -20,10 +20,9 @@ from spineml.tree import (
     dt_predict,
     dt_predict_many,
     extratrees_fit,
-    predict_constrained,
 )
 
-from helpers import entropy_impurity, gini_impurity, make_dataset
+from helpers import entropy_impurity, gini_impurity, make_dataset, predict_constrained
 
 
 def _is_leaf(model, node):
