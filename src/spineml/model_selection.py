@@ -27,7 +27,7 @@ from .metrics import accuracy_many, confusion_counts, f1_many
 # _vote and knn_predict_many stay imported here: perfbench's tracing tests
 # check that the tracer wraps them and rebinds these bindings.
 from .neighbors import (  # noqa: F401
-    _CHUNK_BYTES, KNNModel, _distances, _nearest, _prefix_vote, _vote, knn_predict_many,
+    _CHUNK_BYTES, KNNModel, _distances, _nearest_each, _prefix_vote, _top_k, _vote, knn_predict_many,
 )
 from .resampling import ResamplePlan, _draw, minority_basis
 from .tree import _route, dt_fit_batch, extratrees_fit
@@ -291,11 +291,13 @@ def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scor
     neighbor lists.
 
     The cache holds, for each validation row, the top-k_max original fold
-    rows in (distance, index) order, and `_prefix_vote` takes the votes of
-    every k from one set of prefix sums over it. An oversampled fold is
+    rows in (distance, index) order, both metrics' from one difference
+    tensor per block (`_nearest_each`), and `_prefix_vote` takes the votes
+    of every k from one set of prefix sums over it. An oversampled fold is
     those rows followed by the combination's appended rows, drawn by
-    `_draw` from one `minority_basis` per fold; `_with_appended` merges
-    them into the cached lists.
+    `_draw` from one `minority_basis` per fold. Random oversampling appends
+    copies, so `_with_copies` merges them by their multiplicities with no
+    distance computed; SMOTE's new rows go through `_with_appended`.
     """
     ks, weightings = np.array([c["k"] for c in combos]), [c["weighting"] for c in combos]
     k_max = int(ks.max())
@@ -307,7 +309,11 @@ def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scor
             flags[:] = [str(exc)] * len(combos)
             continue
         need = 0 if basis is None else max(basis.need, 0)
-        ok, extra = np.zeros(len(combos), dtype=bool), np.empty((len(combos), need, sub.width))
+        copies = need > 0 and resample.method == "random_over"
+        # per combination: how many copies of each fold row, or SMOTE's new rows
+        drawn = np.zeros((len(combos), sub.n), dtype=np.int64) if copies else np.empty(
+            (len(combos), need, sub.width))
+        ok = np.zeros(len(combos), dtype=bool)
         for ci, combo in enumerate(combos):
             try:
                 KNNModel.check(combo["k"], combo["weighting"], combo["metric"], sub.n + need)
@@ -315,33 +321,74 @@ def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scor
                 flags[ci] = str(exc)
                 continue
             ok[ci] = True
-            if need:
-                extra[ci] = _draw(sub.rows, resample.method, basis, derive_seed(seed, ci, fi))
+            if copies:  # `_draw` over row ids gives the ids it copies
+                ids = _draw(np.arange(sub.n), resample.method, basis, derive_seed(seed, ci, fi))
+                drawn[ci] = np.bincount(ids, minlength=sub.n)
+            elif need:
+                drawn[ci] = _draw(sub.rows, resample.method, basis, derive_seed(seed, ci, fi))
+        if not ok.any():
+            continue
+        metric_of = np.array([combo["metric"] for combo in combos])
+        metrics = tuple(dict.fromkeys(metric_of[ok].tolist()))
         P = np.zeros((len(combos), va.size), dtype=np.int64)
-        for metric in dict.fromkeys(combo["metric"] for combo in combos):
-            at = np.flatnonzero(ok & [combo["metric"] == metric for combo in combos])
-            if at.size == 0:
-                continue
-            dist, idx = _nearest(sub.rows, X_val, metric, k_max)
-            dist, labels = dist[None], sub.labels[idx][None]
-            if need:
-                dist, labels = _with_appended(dist, labels, extra[at], basis.minority, X_val, metric, k_max)
+        for metric, (dist, idx) in _nearest_each(sub.rows, X_val, metrics, k_max).items():
+            at = np.flatnonzero(ok & (metric_of == metric))
+            labels = sub.labels[idx]
+            if copies:
+                dist, labels = _with_copies(dist, idx, labels, drawn[at], basis.minority, k_max)
+            elif need:
+                dist, labels = _with_appended(dist[None], labels[None], drawn[at], basis.minority, X_val,
+                                              metric, k_max)
+            else:
+                dist, labels = dist[None], labels[None]
             P[at] = _prefix_vote(dist, labels, ks[at], [weightings[ci] for ci in at])
-        if ok.any():
-            scores[ok, fi] = _fold_scores(scoring, train.labels[va], P[ok])
+        scores[ok, fi] = _fold_scores(scoring, train.labels[va], P[ok])
+
+
+def _with_copies(dist, idx, labels, counts, minority, k):
+    """The (C, q, ≤ k) top-k neighbor lists of C randomly oversampled folds:
+    the cached (q, k0) lists `dist`, `idx`, `labels` of the original fold
+    rows, where `counts[c]` holds how many copies of each fold row
+    combination c appends. Equal to `_with_appended` on the copied rows.
+
+    A copy's distance is its source row's, bit for bit, and its stored index
+    is above every original's, so in (distance, index) order a group of
+    equal distances lists its originals, then the copies of its minority
+    rows. Copies of rows outside a cached list are no nearer than its last
+    entry, so they come after it. Each cached entry is thus followed by the
+    copies of its whole tie group when it is the group's last, and all
+    copies are `minority` rows at that distance.
+    """
+    n_combos, (q, k0) = counts.shape[0], dist.shape
+    width = min(k, k0 + int(counts[0].sum()))
+    last = np.ones((q, k0), dtype=bool)
+    last[:, :-1] = dist[:, 1:] != dist[:, :-1]
+    copied = np.cumsum(counts[:, idx], axis=2)
+    # copies listed before each cached entry: those of every earlier group
+    before = np.maximum.accumulate(np.where(last, copied, 0), axis=2)
+    slot = np.arange(k0) + np.concatenate([np.zeros((n_combos, q, 1), dtype=np.int64), before[:, :, :-1]],
+                                          axis=2)
+    # 1 + the cached entry at each output slot; 0 where a copy sits
+    entry = np.zeros((n_combos, q, width + 1), dtype=np.int64)
+    np.put_along_axis(entry, np.minimum(slot, width), np.arange(1, k0 + 1), axis=2)
+    entry = entry[:, :, :width]
+    src = np.maximum.accumulate(entry, axis=2) - 1
+    out_dist = np.take_along_axis(dist[None], src, axis=2)
+    out_labels = np.where(entry > 0, np.take_along_axis(labels[None], src, axis=2), minority)
+    return out_dist, out_labels
 
 
 def _with_appended(dist, labels, extra, minority, X_val, metric, k):
     """The (C, q, ≤ k) top-k neighbor lists of C oversampled folds: the
     cached (1, q, k0) lists `dist`, `labels` of the original fold rows
     followed by combination c's appended rows `extra[c]`, all labelled
-    `minority`.
+    `minority`. Grid search calls it for SMOTE's new rows.
 
-    A stable sort of a cached list followed by the distances to the appended
-    rows is the (distance, stored index) order of sorting the whole
-    oversampled matrix, and its first k serve every smaller k too. The
-    distances come in blocks of (combination, query row) pairs whose
-    difference tensor stays under `neighbors._CHUNK_BYTES`.
+    `_top_k` of a cached list followed by the distances to the appended
+    rows is the (distance, stored index) order of the whole oversampled
+    matrix, and its first k serve every smaller k too. The distances come
+    in blocks of (combination, query row) pairs whose difference tensor
+    stays under `neighbors._CHUNK_BYTES`.
     """
     n_combos, need, d = extra.shape
     q, k0 = dist.shape[1:]
@@ -358,9 +405,10 @@ def _with_appended(dist, labels, extra, minority, X_val, metric, k):
             cand = np.concatenate([np.broadcast_to(dist[:, r:r + q_step], shape), new], axis=2)
             cand_labels = np.concatenate([np.broadcast_to(labels[:, r:r + q_step], shape),
                                           np.full(new.shape, minority, dtype=np.int64)], axis=2)
-            order = np.argsort(cand, axis=2, kind="stable")[:, :, :width]
-            for out, a in ((out_dist, cand), (out_labels, cand_labels)):
-                out[c:c + c_step, r:r + q_step] = np.take_along_axis(a, order, axis=2)
+            top, order = _top_k(cand.reshape(-1, k0 + need), width)
+            picked = np.take_along_axis(cand_labels.reshape(-1, k0 + need), order, axis=1)
+            out_dist[c:c + c_step, r:r + q_step] = top.reshape(shape[:2] + (width,))
+            out_labels[c:c + c_step, r:r + q_step] = picked.reshape(shape[:2] + (width,))
     return out_dist, out_labels
 
 

@@ -119,6 +119,17 @@ def load_model(path) -> FittedCell:
                 raise ValueError(f"feature {f!r} lacks a string name or numeric bounds")
         if not all(cell.ordinal_codes.values()):
             raise ValueError("an ordinal column has no codes")
+        # Well-typed but impossible values would give NaN scores or labels
+        # after a numpy warning.
+        std = cell.scaler_std
+        if cell.scaling_mode == "standardize" and not ((std > 0) & np.isfinite(std)).all():
+            raise ValueError(f"scaler std must be finite and > 0, got {std.tolist()}")
+        if cell.family == "gnb":
+            var = cell.classifier.variances
+            smoothed = var + cell.classifier.var_smoothing
+            if not ((var >= 0) & (smoothed > 0) & np.isfinite(smoothed)).all():
+                raise ValueError("GaussianNB variances must be finite and ≥ 0, and > 0 "
+                                 "once var_smoothing is added")
         # The preprocessing plan: every encoded and scaled column must be a
         # feature, and every scaler array hold one entry per scaled column.
         cell._steps

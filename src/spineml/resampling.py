@@ -100,7 +100,9 @@ def minority_basis(train: Dataset, plan: ResamplePlan) -> MinorityBasis:
 def _draw(rows: np.ndarray, method: str, basis: MinorityBasis, seed: int) -> np.ndarray:
     """The rows that oversampling a training matrix `rows` by `method` under
     `seed` appends; `basis.need` must be positive. Grid search calls this
-    directly, once per (combination, fold)."""
+    directly, once per (combination, fold). Random oversampling only indexes
+    `rows`, so given the row ids `np.arange(n)` it returns the ids of the
+    rows it copies, in append order, from the same stream."""
     rng = np.random.default_rng(seed)
     if method == "random_over":
         return rows[basis.pool[rng.integers(0, basis.pool.size, size=basis.need)]]

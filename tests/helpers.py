@@ -9,6 +9,7 @@ import numpy as np
 from spineml.dataset import Dataset
 from spineml.errors import NonPositiveSigmaError
 from spineml.metrics import accuracy, confusion, f1
+from spineml.neighbors import _CHUNK_BYTES, _distances
 from spineml.schema import ColumnSpec, Schema
 from spineml.tree import DecisionTreeModel, _route
 
@@ -107,3 +108,40 @@ def predict_constrained(model: DecisionTreeModel, X: np.ndarray, max_depth: int 
     chosen at a node depends only on its rows, the criterion and
     min_samples_leaf, and these limits only decide whether a node splits."""
     return _route([model], [X], [(max_depth, min_samples_split)])[0]
+
+
+# The merge of appended rows into cached top-k lists as it stood before
+# random oversampling was merged by multiplicities: it measures every
+# appended row and sorts each cached list with them. Kept verbatim as the
+# oracle of `model_selection._with_copies` and `_with_appended`.
+def _with_appended(dist, labels, extra, minority, X_val, metric, k):
+    """The (C, q, ≤ k) top-k neighbor lists of C oversampled folds: the
+    cached (1, q, k0) lists `dist`, `labels` of the original fold rows
+    followed by combination c's appended rows `extra[c]`, all labelled
+    `minority`.
+
+    A stable sort of a cached list followed by the distances to the appended
+    rows is the (distance, stored index) order of sorting the whole
+    oversampled matrix, and its first k serve every smaller k too. The
+    distances come in blocks of (combination, query row) pairs whose
+    difference tensor stays under `neighbors._CHUNK_BYTES`.
+    """
+    n_combos, need, d = extra.shape
+    q, k0 = dist.shape[1:]
+    width = min(k, k0 + need)
+    out_dist, out_labels = np.empty((n_combos, q, width)), np.empty((n_combos, q, width), dtype=np.int64)
+    pairs = max(1, _CHUNK_BYTES // (8 * need * d))
+    q_step = min(max(1, q), pairs)
+    c_step = max(1, pairs // q_step)
+    for c in range(0, n_combos, c_step):
+        for r in range(0, q, q_step):
+            new = _distances(extra[c:c + c_step].reshape(-1, d), X_val[r:r + q_step], metric)
+            new = new.reshape(new.shape[0], -1, need).transpose(1, 0, 2)  # (combos, rows, need)
+            shape = new.shape[:2] + (k0,)
+            cand = np.concatenate([np.broadcast_to(dist[:, r:r + q_step], shape), new], axis=2)
+            cand_labels = np.concatenate([np.broadcast_to(labels[:, r:r + q_step], shape),
+                                          np.full(new.shape, minority, dtype=np.int64)], axis=2)
+            order = np.argsort(cand, axis=2, kind="stable")[:, :, :width]
+            for out, a in ((out_dist, cand), (out_labels, cand_labels)):
+                out[c:c + c_step, r:r + q_step] = np.take_along_axis(a, order, axis=2)
+    return out_dist, out_labels

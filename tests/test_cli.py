@@ -263,6 +263,51 @@ def test_predict_rejects_a_malformed_preprocessing_section_at_load(tmp_path, cap
     assert stderr.startswith("error: model file is malformed: ")
 
 
+def _set_variance(value, smoothing=None):
+    def edit(raw):
+        raw["classifier"]["variances"][0][0] = value
+        if smoothing is not None:
+            raw["classifier"]["var_smoothing"] = smoothing
+    return edit
+
+
+def _set_std(value):
+    return lambda raw: raw["preprocessing"]["scaler"]["std"].__setitem__(0, value)
+
+
+@pytest.mark.parametrize("model_id,edit", [
+    ("GaussianNB", _set_variance(-0.5)),
+    ("GaussianNB", _set_variance(float("nan"))),
+    ("GaussianNB", _set_variance(float("inf"))),
+    ("GaussianNB", _set_variance(0.0, smoothing=0.0)),
+    ("GaussianNB", _set_variance(0.25, smoothing=-1.0)),
+    ("GaussianNB", _set_variance(0.25, smoothing=float("nan"))),
+    ("KNN", _set_std(0.0)),
+    ("KNN", _set_std(-1.5)),
+    ("KNN", _set_std(float("nan"))),
+    ("KNN", _set_std(float("inf"))),
+], ids=["negative-variance", "nan-variance", "infinite-variance", "zero-smoothed-variance",
+        "negative-smoothed-variance", "nan-var-smoothing", "zero-std", "negative-std",
+        "nan-std", "infinite-std"])
+def test_predict_rejects_impossible_model_values_at_load(tmp_path, capsys, model_id, edit):
+    # Well-typed values that no fit can produce: each once gave a NaN score
+    # or a label after a numpy warning, with exit 0.
+    _run(capsys, "run", "--n", "80", "--data-seed", "3", "--groups", "II",
+         "--models", model_id, "--folds", "4", "--save-models",
+         "--out", str(tmp_path / "r"))
+    raw = json.loads((tmp_path / "r" / "models" / f"{model_id}__II.json").read_text())
+    assert raw["preprocessing"]["scaling_mode"] == "standardize"
+    edit(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, stdout, stderr = _run(capsys, "predict", "--model", str(bad),
+                                "--record", json.dumps({"GEN": 1, "AGE": 50, "EMP_ST": 3}))
+    assert code == 1
+    assert stdout == ""
+    assert len(stderr.strip().splitlines()) == 1
+    assert stderr.startswith("error: model file is malformed: ")
+
+
 @pytest.mark.parametrize("command", ["generate", "run", "report", "predict"])
 def test_help_exits_zero(command, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
 
 from spineml.errors import (
     ClassSmallerThanFoldsError,
@@ -23,10 +27,11 @@ from spineml.model_selection import (
     stratified_shuffle_split,
     univariate_f_scores,
 )
-from spineml import model_selection
+from spineml import model_selection, neighbors
 from spineml.errors import PipelineError
 from helpers import _score
-from spineml.neighbors import knn_fit, knn_predict, knn_predict_many
+from spineml.model_selection import _with_appended, _with_copies
+from spineml.neighbors import _distances, _nearest, knn_fit, knn_predict, knn_predict_many
 from spineml.resampling import ResamplePlan, oversample
 from spineml.tree import dt_fit, dt_predict_many
 
@@ -405,6 +410,82 @@ def test_fold_cached_knn_search_keeps_resampling_errors():
     ]
     assert table[0]["error"] == "SMOTE needs at least 2 minority rows"
     assert sorted(table[0]["fold_scores"]) == [0.0, 1.0]
+
+
+def _tie_heavy_fold(rng, n, d, q, duplicates):
+    """Coarse-grid fold rows with duplicated minority rows, and validation
+    rows on training rows (distance 0) and between them."""
+    points = rng.integers(-2, 3, size=(n, d)).astype(float)
+    labels = rng.integers(0, 2, n)
+    labels[0], labels[1] = 0, 1
+    minority = int(rng.integers(0, 2))
+    dup = rng.choice(np.flatnonzero(labels == minority), size=duplicates)
+    points, labels = np.vstack([points, points[dup]]), np.concatenate([labels, labels[dup]])
+    X = np.vstack([points[:q], rng.integers(-4, 5, size=(q, d)) / 2.0])
+    return points, labels, minority, X
+
+
+FOLD = dict(
+    n=st.integers(2, 40),
+    d=st.integers(1, 3),
+    q=st.integers(1, 10),
+    k=st.integers(1, 21),
+    combos=st.integers(1, 4),
+    need=st.integers(1, 30),
+    duplicates=st.integers(0, 10),
+    metric=st.sampled_from(["euclidean", "manhattan"]),
+    block_rows=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(far=st.booleans(), **FOLD)
+def test_copy_merge_equals_measuring_the_copies(n, d, q, k, combos, need, duplicates, metric,
+                                               block_rows, seed, far):
+    """Random oversampling merged by multiplicities equals measuring every
+    copy and sorting it into the cached lists (the old merge, kept in
+    helpers): ties among originals, copies and duplicated minority rows,
+    copies of rows outside the cached lists, and blocks split small."""
+    rng = np.random.default_rng(seed)
+    points, labels, minority, X = _tie_heavy_fold(rng, n, d, q, duplicates)
+    pool = np.flatnonzero(labels == minority)
+    src = pool[rng.integers(0, pool.size, size=(combos, need))]
+    if far:  # half the copies from the minority row farthest from query row 0
+        src[:, : need // 2] = pool[np.argmax(_distances(points[pool], X[:1], metric)[0])]
+    counts = np.stack([np.bincount(s, minlength=len(points)) for s in src])
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(neighbors, "_CHUNK_BYTES", block_rows * 8 * points.size)
+            mp.setattr(helpers, "_CHUNK_BYTES", block_rows * 8 * need * d)
+        dist, idx = _nearest(points, X, metric, k)
+        want = helpers._with_appended(dist[None], labels[idx][None], points[src], minority, X, metric, k)
+    got = _with_copies(dist, idx, labels[idx], counts, minority, k)
+    assert got[0].shape == want[0].shape and got[1].dtype == want[1].dtype
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(**FOLD)
+def test_appended_merge_equals_the_sorting_merge(n, d, q, k, combos, need, duplicates, metric,
+                                                 block_rows, seed):
+    """SMOTE's merge, `_top_k` over a cached list and its appended rows,
+    equals the old full stable sort of them, with appended rows on the same
+    coarse grid so that they tie with originals and with each other."""
+    rng = np.random.default_rng(seed)
+    points, labels, minority, X = _tie_heavy_fold(rng, n, d, q, duplicates)
+    extra = rng.integers(-4, 5, size=(combos, need, d)) / 2.0
+    dist, idx = _nearest(points, X, metric, k)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            for module in (model_selection, helpers):
+                mp.setattr(module, "_CHUNK_BYTES", block_rows * 8 * need * d)
+        want = helpers._with_appended(dist[None], labels[idx][None], extra, minority, X, metric, k)
+        got = _with_appended(dist[None], labels[idx][None], extra, minority, X, metric, k)
+    assert got[0].shape == want[0].shape
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_grid_search_accuracy_scoring():

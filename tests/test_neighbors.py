@@ -7,10 +7,15 @@ from hypothesis import strategies as st
 
 from spineml import neighbors
 from spineml.errors import KOutOfRangeError, WidthMismatchError
+from spineml.model_selection import ParamGrid, grid_search, stratified_kfold
 from spineml.neighbors import (
+    METRICS,
+    _both_distances,
     _distances,
     _nearest,
+    _nearest_each,
     _prefix_vote,
+    _top_k,
     _vote,
     knn_fit,
     knn_predict,
@@ -278,6 +283,64 @@ def test_nearest_equals_a_full_stable_sort(n, q, d, k, metric, duplicates, block
     assert got_dist.tobytes() == np.take_along_axis(dist, order, axis=1).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    q=st.integers(0, 12),
+    d=st.integers(1, 4),
+    k=st.integers(1, 40),
+    coarse=st.booleans(),
+    block_rows=st.sampled_from([1, 2, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_metrics_from_one_difference_tensor_equal_distances(n, q, d, k, coarse, block_rows, seed):
+    # Coarse grids give exact ties; the wide exponents give squares that
+    # underflow or overflow, where |a|·|a| must still round like a·a.
+    rng = np.random.default_rng(seed)
+    if coarse:
+        points = rng.integers(-2, 3, size=(n, d)).astype(float)
+        X = rng.integers(-4, 5, size=(q, d)) / 2.0
+    else:
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-170, 170, size=(n, d))
+        X = rng.normal(size=(q, d)) * 10.0 ** rng.integers(-170, 170, size=(q, d))
+    with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
+        want = {metric: _distances(points, X, metric) for metric in METRICS}
+        both = _both_distances(points, X)
+        blocks = [_both_distances(points, X[r:r + block_rows]) for r in range(0, q, block_rows)]
+        lists = {metric: _nearest(points, X, metric, k) for metric in METRICS}
+        mp.setattr(neighbors, "_CHUNK_BYTES", block_rows * 8 * points.size)
+        blocked = _nearest_each(points, X, METRICS, k)
+    for metric in METRICS:
+        assert both[metric].tobytes() == want[metric].tobytes()
+        if blocks:
+            assert np.concatenate([b[metric] for b in blocks]).tobytes() == want[metric].tobytes()
+    for metric in METRICS:
+        assert [a.tobytes() for a in blocked[metric]] == [a.tobytes() for a in lists[metric]]
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_nearest_keeps_the_lowest_indices_when_every_point_ties(metric):
+    # the k-th distance ties with every column, so all are candidates
+    points = np.full((9, 3), 0.25)
+    for k in (1, 4, 8):
+        dist, idx = _nearest(points, np.full((2, 3), 0.25), metric, k)
+        assert idx.tolist() == [list(range(k))] * 2
+        assert dist.tolist() == [[0.0] * k] * 2
+
+
+def test_top_k_orders_inf_and_nan_like_a_full_stable_sort():
+    nan, inf = np.nan, np.inf
+    dist = np.array([[nan, 1.0, inf, 1.0, nan, 0.0],
+                     [inf, inf, nan, inf, nan, nan],
+                     [nan, nan, nan, 2.0, nan, 2.0],
+                     [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]])
+    for k in range(1, 8):
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        got_dist, got_idx = _top_k(dist, k)
+        assert got_idx.tobytes() == order.tobytes()
+        assert got_dist.tobytes() == np.take_along_axis(dist, order, axis=1).tobytes()
+
+
 def _peak_mb(fn, *args):
     tracemalloc.start()
     try:
@@ -306,3 +369,20 @@ def test_distance_block_peak_stays_near_the_chunk_bound(metric):
     step = neighbors._CHUNK_BYTES // (8 * points.size)
     assert _peak_mb(_distances, points, points[:step], metric) <= (
         1.6 * neighbors._CHUNK_BYTES / 2**20)
+
+
+@pytest.mark.parametrize("method", ["random_over", "smote"])
+def test_oversampled_grid_search_memory_is_linear_in_n(method):
+    # One 2 500 × 2 500 float64 matrix is 50 MB, and one per combination of
+    # the fold's validation × training rows 65 MB. The grid holds distance
+    # blocks under _CHUNK_BYTES and neighbor lists of validation rows ×
+    # combinations × k, so its peak grows linearly in n.
+    n = 2500
+    rng = np.random.default_rng(0)
+    ds = make_dataset(rng.normal(size=(n, 4)), (np.arange(n) % 5 < 2).astype(np.int64))
+    grid = ParamGrid("knn", {"k": (1, 5, 21), "weighting": ("uniform", "inverse-distance"),
+                             "metric": ("euclidean", "manhattan")})
+    folds = stratified_kfold(ds.labels, 8, seed=0)
+    bound = 2 * neighbors._CHUNK_BYTES / 2**20 + 4 * n / 1024  # 8 MB + 4 KB per row
+    assert _peak_mb(grid_search, ds, grid, folds, ResamplePlan(method)) < bound
+
