@@ -24,7 +24,7 @@ from .experiment import (
 from .persist import load_model, predict_single, save_model
 from .report import emit_report, load_results, render_table5_text
 from .schema import GROUP_IDS, read_json
-from .synthetic import check_synthetic, generate_synthetic
+from .synthetic import SYNTHETIC_DEFAULTS, check_synthetic, generate_synthetic
 
 DEFAULT_SEED = 42
 
@@ -38,11 +38,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic patient CSV")
-    gen.add_argument("--n", type=int, default=244, help="number of patients (≥ 20)")
+    gen.add_argument("--n", type=int, default=SYNTHETIC_DEFAULTS["n"], help="number of patients (≥ 20)")
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    gen.add_argument("--signal", type=float, default=0.5,
+    gen.add_argument("--signal", type=float, default=SYNTHETIC_DEFAULTS["signal"],
                      help="strength of injected predictive structure in [0, 1]")
-    gen.add_argument("--p-success", type=float, default=0.522,
+    gen.add_argument("--p-success", type=float, default=SYNTHETIC_DEFAULTS["p_success"],
                      help="success-class proportion in [0, 1]")
     gen.add_argument("--out", required=True, help="output CSV path")
 
@@ -50,8 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="JSON experiment config (flags override it)")
     run.add_argument("--csv", help="input CSV path (default: synthetic data)")
     run.add_argument("--schema", help="JSON schema override file")
-    run.add_argument("--n", type=int, help="synthetic patient count (default 244)")
-    run.add_argument("--signal", type=float, help="synthetic signal strength (default 0.5)")
+    run.add_argument("--n", type=int, help=f"synthetic patient count (default {SYNTHETIC_DEFAULTS['n']})")
+    run.add_argument("--signal", type=float,
+                     help=f"synthetic signal strength (default {SYNTHETIC_DEFAULTS['signal']})")
     run.add_argument("--data-seed", type=int, help="synthetic generator seed (default: master seed)")
     run.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
     run.add_argument("--groups", help="comma list of variable groups, e.g. I,IV,VII")
@@ -176,7 +177,7 @@ def _cmd_predict(args, parser) -> int:
     text = args.record
     try:
         if not text.lstrip().startswith("{") and os.path.exists(text):
-            text = Path(text).read_text(encoding="utf-8")
+            text = Path(text).read_text(encoding="utf-8-sig")
         record = json.loads(text)
     except ValueError:  # JSONDecodeError and UnicodeDecodeError
         parser.error("--record must be a JSON object or a path to one")
@@ -200,10 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,11 @@
 """Dataset container, CSV ingestion/export, outcome derivation, group slicing.
 
-CSV conventions: UTF-8, comma-separated, header row with schema names,
-decimal point '.', no thousands separators. Canonical output prints
-integers without a fraction and other reals with up to 9 significant
-digits (round-half-even), which round-trips every value the synthetic
-generator or a loaded file can contain bit-exactly.
+CSV conventions: UTF-8 (a leading byte-order mark is skipped),
+comma-separated, header row with schema names, decimal point '.', no
+thousands separators. Canonical output prints integers without a
+fraction and other reals with up to 9 significant digits
+(round-half-even), which round-trips every value the synthetic generator
+or a loaded file can contain bit-exactly.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.schema, self.rows[idx], self.labels[idx])
 
-    def with_rows(self, rows: np.ndarray, labels: np.ndarray | None = None) -> "Dataset":
-        return Dataset(self.schema, rows, self.labels if labels is None else labels)
+    def with_rows(self, rows: np.ndarray) -> "Dataset":
+        return Dataset(self.schema, rows, self.labels)
 
     def class_counts(self) -> tuple[int, int]:
         return int(np.sum(self.labels == 0)), int(np.sum(self.labels == 1))
@@ -124,7 +125,7 @@ def load_csv(path, schema: Schema | None = None) -> tuple[Dataset, IngestionRepo
     report by their 1-based data-row number.
     """
     schema = schema or default_schema()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -60,10 +60,6 @@ class NTooSmallError(SyntheticSettingError):
     pass
 
 
-class NonPositiveSigmaError(PipelineError):
-    pass
-
-
 class SingleClassError(PipelineError):
     """Fitting requires both outcome classes to be present."""
 

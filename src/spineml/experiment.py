@@ -81,19 +81,8 @@ from .schema import (
     builtin_groups,
     load_schema_json,
 )
-from .synthetic import check_synthetic, generate_synthetic
+from .synthetic import SYNTHETIC_DEFAULTS, check_synthetic, generate_synthetic
 from .tree import CRITERIA, DT_LIMITS, dt_fit, dt_from_dict, dt_predict, dt_predict_many, dt_to_dict
-
-MODEL_IDS = (
-    "GaussianNB",
-    "ComplementNB",
-    "KNN",
-    "KNN_opt",
-    "KNN_RO",
-    "KNN_SMOTE",
-    "DT",
-    "DT_opt",
-)
 
 KNN_DEFAULTS = {"k": 5, "weighting": "uniform", "metric": "euclidean"}
 DT_DEFAULTS = {
@@ -114,16 +103,18 @@ class ModelSpec:
     resample: str | None = None
 
 
-MODEL_SPECS = {
-    "GaussianNB": ModelSpec("GaussianNB", "gnb"),
-    "ComplementNB": ModelSpec("ComplementNB", "cnb"),
-    "KNN": ModelSpec("KNN", "knn"),
-    "KNN_opt": ModelSpec("KNN_opt", "knn", uses_grid=True),
-    "KNN_RO": ModelSpec("KNN_RO", "knn", uses_grid=True, resample="random_over"),
-    "KNN_SMOTE": ModelSpec("KNN_SMOTE", "knn", uses_grid=True, resample="smote"),
-    "DT": ModelSpec("DT", "dt"),
-    "DT_opt": ModelSpec("DT_opt", "dt", uses_grid=True),
-}
+# In the paper's order, which is also the order of each cell's seed index.
+MODEL_SPECS = {spec.id: spec for spec in (
+    ModelSpec("GaussianNB", "gnb"),
+    ModelSpec("ComplementNB", "cnb"),
+    ModelSpec("KNN", "knn"),
+    ModelSpec("KNN_opt", "knn", uses_grid=True),
+    ModelSpec("KNN_RO", "knn", uses_grid=True, resample="random_over"),
+    ModelSpec("KNN_SMOTE", "knn", uses_grid=True, resample="smote"),
+    ModelSpec("DT", "dt"),
+    ModelSpec("DT_opt", "dt", uses_grid=True),
+)}
+MODEL_IDS = tuple(MODEL_SPECS)
 
 
 def _fields_to_dict(model) -> dict:
@@ -379,12 +370,7 @@ class ExperimentConfig:
         if self.csv_path is not None:
             data = {"csv": self.csv_path}
         else:
-            syn = dict(self.synthetic) if self.synthetic else {}
-            syn.setdefault("n", 244)
-            syn.setdefault("seed", self.seed)
-            syn.setdefault("signal", 0.5)
-            syn.setdefault("p_success", 0.522)
-            data = {"synthetic": syn}
+            data = {"synthetic": {**SYNTHETIC_DEFAULTS, "seed": self.seed, **self.synthetic}}
         return {
             "data": data,
             "schema": self.schema_path,
@@ -599,14 +585,7 @@ def load_config_data(config: ExperimentConfig) -> Dataset:
             print(f"note: dropped {report.n_dropped} of {report.n_loaded + report.n_dropped} data rows"
                   f" from {config.csv_path} (first: row {row}: bad {column})", file=sys.stderr)
         return ds
-    syn = config.canonical_dict()["data"]["synthetic"]
-    return generate_synthetic(
-        n=int(syn["n"]),
-        seed=int(syn["seed"]),
-        signal=float(syn["signal"]),
-        p_success=float(syn["p_success"]),
-        schema=schema,
-    )
+    return generate_synthetic(**config.canonical_dict()["data"]["synthetic"], schema=schema)
 
 
 def _stats(cells: list, spread: bool) -> dict:

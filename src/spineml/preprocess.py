@@ -121,24 +121,15 @@ class OrdinalEncoderState:
     codes: dict[str, np.ndarray]
 
 
-def encodable_columns(ds: Dataset) -> list[str]:
-    return [
-        c.name
-        for c in ds.schema.feature_columns
-        if c.kind in (KIND_ORDINAL, KIND_BINARY)
-    ]
-
-
-def fit_ordinal_encoder(train: Dataset, columns=None) -> OrdinalEncoderState:
+def fit_ordinal_encoder(train: Dataset) -> OrdinalEncoderState:
     """Learn the distinct sorted codes of each ordinal/binary column."""
-    if columns is None:
-        columns = encodable_columns(train)
     codes = {}
-    for name in columns:
-        col = train.column(name)
-        if not np.array_equal(col, np.round(col)):
-            raise NonIntegerCategoricalError(name)
-        codes[name] = np.unique(col)
+    for c in train.schema.feature_columns:
+        if c.kind in (KIND_ORDINAL, KIND_BINARY):
+            col = train.column(c.name)
+            if not np.array_equal(col, np.round(col)):
+                raise NonIntegerCategoricalError(c.name)
+            codes[c.name] = np.unique(col)
     return OrdinalEncoderState(codes)
 
 

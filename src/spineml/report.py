@@ -10,6 +10,7 @@ axis and value labels.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from numbers import Real
 from pathlib import Path
 
@@ -23,41 +24,21 @@ RESULTS_FORMAT_VERSION = 1
 _AGG_TOLERANCE = 1e-12
 
 
+# results.json names the CellResult fields `group_id` and `model_id` this way.
+_JSON_NAMES = {"group_id": "group", "model_id": "model"}
+
+
 def matrix_to_dict(matrix: ExperimentMatrix) -> dict:
     cells = []
     for g in matrix.groups:
         for m in matrix.models:
-            c = matrix.cells[(g, m)]
-            cells.append(
-                {
-                    "group": g,
-                    "model": m,
-                    "hyperparameters": c.hyperparameters,
-                    "accuracy": c.accuracy,
-                    "f1": c.f1,
-                    "macro_f1": c.macro_f1,
-                    "confusion": None
-                    if c.confusion is None
-                    else {
-                        "tp": c.confusion.tp,
-                        "fp": c.confusion.fp,
-                        "tn": c.confusion.tn,
-                        "fn": c.confusion.fn,
-                    },
-                    "n_test": c.n_test,
-                    "cv_table": c.cv_table,
-                    "error": c.error,
-                }
-            )
-    return {
-        "format_version": RESULTS_FORMAT_VERSION,
-        "provenance": matrix.provenance,
-        "groups": list(matrix.groups),
-        "models": list(matrix.models),
-        "cells": cells,
-        "group_stats": matrix.group_stats,
-        "model_stats": matrix.model_stats,
-    }
+            cell = matrix.cells[(g, m)]
+            entry = {_JSON_NAMES.get(k, k): v for k, v in vars(cell).items()}
+            if cell.confusion is not None:
+                entry["confusion"] = vars(cell.confusion)
+            cells.append(entry)
+    return {**vars(matrix), "format_version": RESULTS_FORMAT_VERSION, "groups": list(matrix.groups),
+            "models": list(matrix.models), "cells": cells}
 
 
 def matrix_from_dict(raw: dict) -> ExperimentMatrix:
@@ -71,32 +52,17 @@ def matrix_from_dict(raw: dict) -> ExperimentMatrix:
                 value = entry[key]
                 if value is not None and not isinstance(value, Real):
                     raise CorruptFileError(f"results file holds a non-numeric {key}: {value!r}")
-            cm = entry["confusion"]
-            cells[(entry["group"], entry["model"])] = CellResult(
-                group_id=entry["group"],
-                model_id=entry["model"],
-                hyperparameters=entry["hyperparameters"],
-                accuracy=entry["accuracy"],
-                f1=entry["f1"],
-                macro_f1=entry["macro_f1"],
-                confusion=None if cm is None else ConfusionMatrix(**cm),
-                cv_table=entry["cv_table"],
-                n_test=entry["n_test"],
-                error=entry["error"],
-            )
-        matrix = ExperimentMatrix(
-            groups=tuple(raw["groups"]),
-            models=tuple(raw["models"]),
-            cells=cells,
-            group_stats=raw["group_stats"],
-            model_stats=raw["model_stats"],
-            provenance=raw["provenance"],
-        )
+            cell = CellResult(**{f.name: entry[_JSON_NAMES.get(f.name, f.name)] for f in fields(CellResult)})
+            if cell.confusion is not None:
+                cell.confusion = ConfusionMatrix(**cell.confusion)
+            cells[(cell.group_id, cell.model_id)] = cell
+        matrix = ExperimentMatrix(**{f.name: raw[f.name] for f in fields(ExperimentMatrix)})
+        matrix.groups, matrix.models, matrix.cells = tuple(matrix.groups), tuple(matrix.models), cells
         _check_aggregates(matrix, CorruptFileError)
         return matrix
     except KeyError as exc:
         raise CorruptFileError(f"results file is malformed: missing key {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: an integer past float range
         raise CorruptFileError(f"results file is malformed: {exc}") from exc
 
 
@@ -155,13 +121,16 @@ def render_table5_text(matrix: ExperimentMatrix) -> str:
     return "\n".join(lines)
 
 
-def _svg_grouped_bars(title: str, categories, series: dict, width=720, height=400) -> str:
-    """Two-series grouped bar chart on a fixed [0, 1] axis with 0.1 ticks."""
+def _svg_grouped_bars(title: str, names, stats: dict, width: int) -> str:
+    """Mean accuracy and mean F1 of each name in `stats` as a grouped bar
+    chart on a fixed [0, 1] axis with 0.1 ticks."""
+    height = 400
+    series = {"Accuracy": [stats[n]["mean_acc"] for n in names], "F1": [stats[n]["mean_f1"] for n in names]}
     margin_l, margin_r, margin_t, margin_b = 56, 16, 44, 56
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
     colors = ("#4878a8", "#e49444", "#6aa56e", "#d1605e")
-    n_cat = len(categories)
+    n_cat = len(names)
     n_ser = len(series)
     slot = plot_w / max(n_cat, 1)
     bar_w = slot * 0.72 / max(n_ser, 1)
@@ -205,7 +174,7 @@ def _svg_grouped_bars(title: str, categories, series: dict, width=720, height=40
                 f'font-size="9">{value:.2f}</text>'
             )
     # x labels
-    for ci, cat in enumerate(categories):
+    for ci, cat in enumerate(names):
         x = margin_l + ci * slot + slot / 2
         y = margin_t + plot_h + 16
         out.append(f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="middle">{cat}</text>')
@@ -222,28 +191,13 @@ def _svg_grouped_bars(title: str, categories, series: dict, width=720, height=40
 
 
 def render_fig2a(matrix: ExperimentMatrix) -> str:
-    stats = matrix.group_stats
-    return _svg_grouped_bars(
-        "Mean accuracy and F1 by variable group (across models)",
-        matrix.groups,
-        {
-            "Accuracy": [stats[g]["mean_acc"] for g in matrix.groups],
-            "F1": [stats[g]["mean_f1"] for g in matrix.groups],
-        },
-    )
+    return _svg_grouped_bars("Mean accuracy and F1 by variable group (across models)",
+                             matrix.groups, matrix.group_stats, 720)
 
 
 def render_fig2b(matrix: ExperimentMatrix) -> str:
-    stats = matrix.model_stats
-    return _svg_grouped_bars(
-        "Mean accuracy and F1 by model (across variable groups)",
-        matrix.models,
-        {
-            "Accuracy": [stats[m]["mean_acc"] for m in matrix.models],
-            "F1": [stats[m]["mean_f1"] for m in matrix.models],
-        },
-        width=860,
-    )
+    return _svg_grouped_bars("Mean accuracy and F1 by model (across variable groups)",
+                             matrix.models, matrix.model_stats, 860)
 
 
 def _check_aggregates(matrix: ExperimentMatrix, error=AssertionError) -> None:

@@ -213,9 +213,10 @@ def group_by_id(group_id: str) -> VariableGroup:
 
 def read_json(path, error: type[Exception], what: str):
     """The JSON value in the file at `path`. A file that cannot be read, or
-    is not UTF-8 JSON, raises `error` with a message naming `what`."""
+    is not UTF-8 JSON, raises `error` with a message naming `what`. A
+    leading byte-order mark is skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return json.load(fh)
     except OSError as exc:
         raise error(f"cannot read {what}: {exc}") from exc

@@ -32,6 +32,12 @@ from .schema import (
     default_schema,
 )
 
+# The default cohort: the study's size and success rate, with moderate signal.
+SYNTHETIC_DEFAULTS = {"n": 244, "signal": 0.5, "p_success": 0.522}
+
+# The study's share of male patients.
+_P_MALE = 0.525
+
 # Fraction of the column range the label-conditional center moves by.
 _SHIFT_FRACTION = 1.0 / 12.0
 
@@ -95,8 +101,7 @@ def generate_synthetic(
     n: int,
     seed: int,
     signal: float,
-    p_success: float = 0.522,
-    p_male: float = 0.525,
+    p_success: float = SYNTHETIC_DEFAULTS["p_success"],
     schema: Schema | None = None,
 ) -> Dataset:
     """Generate a deterministic synthetic Dataset of n patients."""
@@ -118,7 +123,7 @@ def generate_synthetic(
     columns = {}
     for spec in schema.feature_columns:
         if spec.name == "GEN":
-            columns[spec.name] = _exact_count_binary(rng, n, p_male).astype(float)
+            columns[spec.name] = _exact_count_binary(rng, n, _P_MALE).astype(float)
             continue
         if spec.name in pair_cols:
             columns[spec.name] = sat_6m[:, pair_cols.index(spec.name)]

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
 from spineml.dataset import Dataset
-from spineml.errors import NonPositiveSigmaError
-from spineml.metrics import accuracy, confusion, f1
+from spineml.errors import CorruptFileError, PipelineError, VersionMismatchError
+from spineml.experiment import CellResult, ExperimentConfig, ExperimentMatrix, run_matrix
+from spineml.metrics import ConfusionMatrix, accuracy, confusion, f1
 from spineml.neighbors import _CHUNK_BYTES, _distances
+from spineml.report import RESULTS_FORMAT_VERSION, _check_aggregates
 from spineml.schema import ColumnSpec, Schema
 from spineml.tree import DecisionTreeModel, _route
 
@@ -87,6 +90,11 @@ def _score(scoring: str, y_true, y_pred) -> float:
     return f1(cm) if scoring == "f1" else accuracy(cm)
 
 
+# Moved from `spineml.errors` with `gaussian_pdf`, its only raiser.
+class NonPositiveSigmaError(PipelineError):
+    pass
+
+
 # Moved verbatim from `spineml.naive_bayes`, where nothing calls it; its
 # tests in test_naive_bayes check it against `normal_density`.
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -145,3 +153,95 @@ def _with_appended(dist, labels, extra, minority, X_val, metric, k):
             for out, a in ((out_dist, cand), (out_labels, cand_labels)):
                 out[c:c + c_step, r:r + q_step] = np.take_along_axis(a, order, axis=2)
     return out_dist, out_labels
+
+
+def failed_and_tuned_matrix() -> ExperimentMatrix:
+    """Two groups × three models: KNN untuned, KNN_opt failed in every group
+    (its only k is 0) and DT_opt tuned over 4 combinations, with a cv_table."""
+    return run_matrix(ExperimentConfig(
+        synthetic={"n": 80, "seed": 3}, groups=("I", "VII"), models=("KNN", "KNN_opt", "DT_opt"),
+        n_folds=4, grids={"KNN": {"k": (0,)}, "DT": {"max_depth": (2, None), "min_samples_split": (2,),
+                                                    "min_samples_leaf": (1,)}},
+    ))
+
+
+# Copied verbatim from `spineml.report` as it stood when each results.json
+# field was still named one by one; the oracle of its field-driven
+# replacement in test_report. Since then `matrix_from_dict` also maps an
+# OverflowError (an integer past float range) to CorruptFileError.
+def matrix_to_dict(matrix: ExperimentMatrix) -> dict:
+    cells = []
+    for g in matrix.groups:
+        for m in matrix.models:
+            c = matrix.cells[(g, m)]
+            cells.append(
+                {
+                    "group": g,
+                    "model": m,
+                    "hyperparameters": c.hyperparameters,
+                    "accuracy": c.accuracy,
+                    "f1": c.f1,
+                    "macro_f1": c.macro_f1,
+                    "confusion": None
+                    if c.confusion is None
+                    else {
+                        "tp": c.confusion.tp,
+                        "fp": c.confusion.fp,
+                        "tn": c.confusion.tn,
+                        "fn": c.confusion.fn,
+                    },
+                    "n_test": c.n_test,
+                    "cv_table": c.cv_table,
+                    "error": c.error,
+                }
+            )
+    return {
+        "format_version": RESULTS_FORMAT_VERSION,
+        "provenance": matrix.provenance,
+        "groups": list(matrix.groups),
+        "models": list(matrix.models),
+        "cells": cells,
+        "group_stats": matrix.group_stats,
+        "model_stats": matrix.model_stats,
+    }
+
+
+def matrix_from_dict(raw: dict) -> ExperimentMatrix:
+    try:
+        version = raw["format_version"]
+        if version != RESULTS_FORMAT_VERSION:
+            raise VersionMismatchError(f"unsupported results version: {version}")
+        cells = {}
+        for entry in raw["cells"]:
+            for key in ("accuracy", "f1", "macro_f1"):
+                value = entry[key]
+                if value is not None and not isinstance(value, Real):
+                    raise CorruptFileError(f"results file holds a non-numeric {key}: {value!r}")
+            cm = entry["confusion"]
+            cells[(entry["group"], entry["model"])] = CellResult(
+                group_id=entry["group"],
+                model_id=entry["model"],
+                hyperparameters=entry["hyperparameters"],
+                accuracy=entry["accuracy"],
+                f1=entry["f1"],
+                macro_f1=entry["macro_f1"],
+                confusion=None if cm is None else ConfusionMatrix(**cm),
+                cv_table=entry["cv_table"],
+                n_test=entry["n_test"],
+                error=entry["error"],
+            )
+        matrix = ExperimentMatrix(
+            groups=tuple(raw["groups"]),
+            models=tuple(raw["models"]),
+            cells=cells,
+            group_stats=raw["group_stats"],
+            model_stats=raw["model_stats"],
+            provenance=raw["provenance"],
+        )
+        _check_aggregates(matrix, CorruptFileError)
+        return matrix
+    except KeyError as exc:
+        raise CorruptFileError(f"results file is malformed: missing key {exc}") from exc
+    except TypeError as exc:
+        raise CorruptFileError(f"results file is malformed: {exc}") from exc
+

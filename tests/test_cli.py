@@ -1,3 +1,4 @@
+import codecs
 import json
 
 import pytest
@@ -137,7 +138,10 @@ def test_report_rerenders_without_recompute(tmp_path, capsys):
     (lambda r: r["cells"][0].update(accuracy="0.9"),
      "results file holds a non-numeric accuracy: '0.9'"),
     (lambda r: r["group_stats"].pop("VII"), "results file is malformed: missing key 'VII'"),
-], ids=["changed-group-stat", "removed-cell", "string-accuracy", "missing-group-stats"])
+    (lambda r: r["cells"][0].update(accuracy=10**400),
+     "results file is malformed: int too large to convert to float"),
+], ids=["changed-group-stat", "removed-cell", "string-accuracy", "missing-group-stats",
+        "huge-integer-accuracy"])
 def test_report_rejects_an_edited_results_file(tmp_path, capsys, edit, message):
     _run(capsys, "run", "--n", "80", "--data-seed", "4", "--groups", "I,VII",
          "--models", "GaussianNB,DT", "--folds", "4", "--out", str(tmp_path / "r"))
@@ -486,3 +490,48 @@ def test_run_reports_dropped_csv_rows_on_stderr(tmp_path, capsys):
     assert "note:" not in stdout
     code, _, stderr = _run(capsys, *args, "--csv", str(clean), "--out", str(tmp_path / "c"))
     assert code == 0 and stderr == ""
+
+
+def _outputs(out):
+    """The files a command wrote to `out`, results.json without its timestamp."""
+    files = {p.name: p.read_text() for p in sorted(out.glob("*.*"))}
+    if "results.json" in files:
+        raw = json.loads(files["results.json"])
+        raw["provenance"]["timestamp"] = None
+        files["results.json"] = raw
+    return files
+
+
+@pytest.mark.parametrize("case", ["csv", "config", "model", "record", "results"])
+def test_input_files_may_start_with_a_utf8_bom(tmp_path, capsys, case):
+    # Excel's "CSV UTF-8" export and Windows Notepad write a byte-order mark.
+    out = tmp_path / "out"
+    run = ["run", "--groups", "IV", "--models", "GaussianNB", "--folds", "4", "--out", str(out)]
+    path = tmp_path / "input"
+    if case == "csv":
+        _run(capsys, "generate", "--n", "60", "--seed", "5", "--out", str(path))
+        argv = run + ["--csv", str(path)]
+    elif case == "config":
+        path.write_text(json.dumps({"data": {"synthetic": {"n": 60, "seed": 5}}, "n_folds": 4}))
+        argv = ["run", "--config", str(path), "--groups", "IV", "--out", str(out)]
+    elif case == "results":
+        _run(capsys, *run, "--n", "60")
+        (out / "results.json").rename(path)
+        argv = ["report", "--results", str(path), "--out", str(out)]
+    else:
+        model = _make_model(tmp_path, capsys)
+        record = {"GEN": 0, "AGE": 61, "EMP_ST": 7}
+        if case == "model":
+            model.rename(path)
+            argv = ["predict", "--model", str(path), "--record", json.dumps(record)]
+        else:
+            path.write_text(json.dumps(record))
+            argv = ["predict", "--model", str(model), "--record", str(path), "--trace"]
+    plain = path.read_bytes()
+    outcomes = []
+    for data in (plain, codecs.BOM_UTF8 + plain):
+        path.write_bytes(data)
+        code, stdout, stderr = _run(capsys, *argv)
+        outcomes.append((code, stdout, stderr, _outputs(out) if out.exists() else None))
+    assert outcomes[0][0] == 0
+    assert outcomes[1] == outcomes[0]

@@ -1,12 +1,13 @@
-"""Property tests: any config dict, schema file, predict record or edited
-model file gives a valid object or a PipelineError, never another
-exception."""
+"""Property tests: any config dict, schema file, predict record, edited
+model file or edited results file gives a valid object or a PipelineError,
+never another exception."""
 
 import json
 import os
 import tempfile
 
 import pytest
+from helpers import failed_and_tuned_matrix
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from spineml.experiment import (
 )
 from spineml.model_selection import stratified_shuffle_split
 from spineml.persist import load_model, predict_single, save_model
+from spineml.report import emit_report, load_results, results_json_text
 from spineml.schema import (
     KINDS,
     LABEL_NAMES,
@@ -196,23 +198,36 @@ def saved_model_files(fuzz_cells, tmp_path_factory):
 
 def _places(node, depth=5, path=()):
     """The paths to every place of a JSON tree, down to `depth` keys, with
-    "*" standing for any index of a list (whose entries share one shape)."""
+    "*" standing for an index of a list: places under any of its items."""
     if path:
         yield path
     if depth and isinstance(node, dict):
         for key, child in node.items():
             yield from _places(child, depth - 1, path + (key,))
-    elif depth and isinstance(node, list) and node:
-        yield from _places(node[0], depth - 1, path + ("*",))
+    elif depth and isinstance(node, list):
+        for child in node:
+            yield from _places(child, depth - 1, path + ("*",))
 
 
-def _edit_model_file(data, raw) -> None:
+def _reaches(node, path) -> bool:
+    """Whether a path from `_places` leads to a place in `node`."""
+    if not path:
+        return True
+    key, rest = path[0], path[1:]
+    if key == "*":
+        return isinstance(node, list) and any(_reaches(item, rest) for item in node)
+    return isinstance(node, dict) and key in node and _reaches(node[key], rest)
+
+
+def _edit_json(data, raw) -> None:
     """Edit one place of a JSON tree in place, drawn evenly from `_places`:
     drop a key, retype a value or shorten a list."""
+    path = data.draw(st.sampled_from(list(dict.fromkeys(_places(raw)))))
     node, child = None, raw
-    for key in data.draw(st.sampled_from(list(_places(raw)))):
+    for i, key in enumerate(path):
         if key == "*":
-            key = data.draw(st.integers(0, len(child) - 1))
+            key = data.draw(st.sampled_from(
+                [j for j, item in enumerate(child) if _reaches(item, path[i + 1:])]))
         node, child = child, child[key]
     edits = ["retype"] + ["drop"] * isinstance(node, dict) + ["shorten"] * bool(
         isinstance(child, list) and child)
@@ -229,7 +244,7 @@ def _edit_model_file(data, raw) -> None:
 @given(cell=st.integers(0, 3), data=st.data())
 def test_any_edited_model_file_predicts_or_gives_a_pipeline_error(saved_model_files, cell, data):
     raw = json.loads(json.dumps(saved_model_files[cell]))
-    _edit_model_file(data, raw)
+    _edit_json(data, raw)
     record = {"GEN": 1, "AGE": 50, "EMP_ST": 3}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
@@ -240,3 +255,25 @@ def test_any_edited_model_file_predicts_or_gives_a_pipeline_error(saved_model_fi
         except PipelineError:
             return
     assert out["label"] in LABEL_NAMES.values()
+
+
+@pytest.fixture(scope="module")
+def saved_results():
+    """The JSON of a results file with failed, untuned and tuned cells."""
+    return json.loads(results_json_text(failed_and_tuned_matrix()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_any_edited_results_file_renders_or_gives_a_pipeline_error(saved_results, data):
+    raw = json.loads(json.dumps(saved_results))
+    _edit_json(data, raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "results.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        try:
+            files = emit_report(load_results(path), tmp, write_results=False)
+        except PipelineError:
+            return
+        assert all(os.path.getsize(p) > 0 for p in files.values())

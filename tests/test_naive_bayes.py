@@ -7,7 +7,6 @@ import pytest
 from spineml.errors import (
     ClassTooSmallError,
     NegativeFeatureError,
-    NonPositiveSigmaError,
     SingleClassError,
     WidthMismatchError,
 )
@@ -19,7 +18,7 @@ from spineml.naive_bayes import (
     gnb_predict_many,
 )
 
-from helpers import gaussian_pdf, make_dataset, normal_density
+from helpers import NonPositiveSigmaError, gaussian_pdf, make_dataset, normal_density
 
 
 def row_zero(batch):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import helpers
 from spineml.errors import CorruptFileError, VersionMismatchError
 from spineml.experiment import ExperimentConfig, run_matrix
 from spineml.report import (
@@ -135,6 +136,81 @@ def test_load_results_version_and_corruption(tmp_path):
 def test_matrix_dict_round_trip(matrix):
     again = matrix_from_dict(matrix_to_dict(matrix))
     assert results_json_text(again) == results_json_text(matrix)
+
+
+@pytest.fixture(scope="module")
+def mixed_matrix():
+    return helpers.failed_and_tuned_matrix()
+
+
+def _oracle_text(matrix) -> str:
+    return json.dumps(helpers.matrix_to_dict(matrix), sort_keys=True, indent=2) + "\n"
+
+
+def test_results_json_matches_the_field_by_field_oracle(matrix, full_matrix, mixed_matrix):
+    cells = mixed_matrix.cells.values()
+    assert any(c.error and c.confusion is None and c.accuracy is None for c in cells)
+    assert any(c.cv_table for c in cells)
+    for m in (matrix, full_matrix, mixed_matrix):
+        text = results_json_text(m)
+        assert text == _oracle_text(m)
+        assert results_json_text(matrix_from_dict(json.loads(text))) == text
+        assert _oracle_text(helpers.matrix_from_dict(json.loads(text))) == text
+
+
+def _places(node, path=()):
+    """The path to every dict entry and list item; of a list longer than 8,
+    only the first and the last item."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = list(range(len(node))) if len(node) <= 8 else [0, len(node) - 1]
+    else:
+        keys = []
+    for key in keys:
+        yield path + (key,)
+        yield from _places(node[key], path + (key,))
+
+
+_RETYPES = (None, "x", 1.5, True, 7, [], [1], {}, {"a": 1})
+
+
+def _edits(text):
+    """Every single-place edit of a results file's JSON: drop a dict key,
+    shorten a list to half its length, or replace a value by one of _RETYPES."""
+    for path in _places(json.loads(text)):
+        for edit in ("drop", "shorten") + _RETYPES:
+            raw = json.loads(text)
+            parent = raw
+            for key in path[:-1]:
+                parent = parent[key]
+            key, child = path[-1], parent[path[-1]]
+            if edit == "drop" and isinstance(parent, dict):
+                del parent[key]
+            elif edit == "shorten" and isinstance(child, list) and child:
+                del child[len(child) // 2:]
+            elif edit not in ("drop", "shorten"):
+                parent[key] = json.loads(json.dumps(edit))
+            else:
+                continue
+            yield raw
+
+
+def _outcome(load, to_dict, raw):
+    try:
+        return to_dict(load(raw))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_edited_results_load_as_the_oracle_loads_them(mixed_matrix):
+    text = results_json_text(mixed_matrix)
+    n = 0
+    for raw in _edits(text):
+        ours = _outcome(matrix_from_dict, matrix_to_dict, json.loads(json.dumps(raw)))
+        assert ours == _outcome(helpers.matrix_from_dict, helpers.matrix_to_dict, raw)
+        n += 1
+    assert n > 1000
 
 
 def test_svg_charts_have_axis_and_values(matrix, tmp_path):
