@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain error (printed to stderr) or a run in
 which every cell failed, 2 usage error.
 All randomness flows from explicit --seed flags (default constant 42), so
-repeat invocations are reproducible.
+repeat invocations are reproducible. Each scalar config setting has one
+`run` flag, whose dest is the setting's name.
 """
 
 from __future__ import annotations
@@ -18,18 +19,19 @@ from .dataset import write_csv
 from .errors import ConfigError, PipelineError
 from .experiment import (
     MODEL_IDS,
+    SETTING_TYPES,
     ExperimentConfig,
     run_matrix_fitted,
 )
+from .model_selection import SCORINGS
 from .persist import load_model, predict_single, save_model
 from .report import emit_report, load_results, render_table5_text
 from .schema import GROUP_IDS, read_json
 from .synthetic import SYNTHETIC_DEFAULTS, check_synthetic, generate_synthetic
 
-DEFAULT_SEED = 42
-
 
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = ExperimentConfig  # the class attributes are the fields' defaults
     parser = argparse.ArgumentParser(
         prog="spineml",
         description="Spine-surgery outcome prediction pipeline: synthetic data, "
@@ -39,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic patient CSV")
     gen.add_argument("--n", type=int, default=SYNTHETIC_DEFAULTS["n"], help="number of patients (≥ 20)")
-    gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    gen.add_argument("--seed", type=int, default=defaults.seed)
     gen.add_argument("--signal", type=float, default=SYNTHETIC_DEFAULTS["signal"],
                      help="strength of injected predictive structure in [0, 1]")
     gen.add_argument("--p-success", type=float, default=SYNTHETIC_DEFAULTS["p_success"],
@@ -54,19 +56,23 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--signal", type=float,
                      help=f"synthetic signal strength (default {SYNTHETIC_DEFAULTS['signal']})")
     run.add_argument("--data-seed", type=int, help="synthetic generator seed (default: master seed)")
-    run.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
+    run.add_argument("--seed", type=int, help=f"master seed (default {defaults.seed})")
     run.add_argument("--groups", help="comma list of variable groups, e.g. I,IV,VII")
     run.add_argument("--models", help="comma list of model ids, e.g. KNN,DT_opt")
-    run.add_argument("--test-fraction", type=float, help="test partition fraction (default 0.25)")
-    run.add_argument("--folds", type=int, help="cross-validation folds (default 8)")
-    run.add_argument("--keep-fraction", type=float, help="feature-selection keep fraction (default 1.0)")
-    run.add_argument("--scoring", choices=("f1", "accuracy"), help="grid-search scoring (default f1)")
-    run.add_argument("--per-cell-split", action="store_true",
+    run.add_argument("--test-fraction", type=float,
+                     help=f"test partition fraction (default {defaults.test_fraction})")
+    run.add_argument("--folds", dest="n_folds", metavar="FOLDS", type=int,
+                     help=f"cross-validation folds (default {defaults.n_folds})")
+    run.add_argument("--keep-fraction", type=float,
+                     help=f"feature-selection keep fraction (default {defaults.keep_fraction})")
+    run.add_argument("--scoring", choices=SCORINGS, help=f"grid-search scoring (default {defaults.scoring})")
+    run.add_argument("--per-cell-split", action="store_true", default=None,
                      help="use an independent split per cell instead of one shared split")
-    run.add_argument("--workers", type=int, help="concurrent cell workers (default 1)")
-    run.add_argument("--save-models", action="store_true",
+    run.add_argument("--workers", type=int, help=f"concurrent cell workers (default {defaults.workers})")
+    run.add_argument("--save-models", action="store_true", default=None,
                      help="persist every fitted cell under <out>/models/")
-    run.add_argument("--out", help="report directory (default: results)")
+    run.add_argument("--out", dest="out_dir", metavar="OUT",
+                     help=f"report directory (default: {defaults.out_dir})")
 
     rep = sub.add_parser("report", help="re-render tables/charts from results.json")
     rep.add_argument("--results", required=True, help="existing results.json")
@@ -105,42 +111,27 @@ def _parse_list(parser, text, valid, what):
 
 
 def _build_run_config(args, parser) -> ExperimentConfig:
+    synthetic = {key: value for key, value in (("n", args.n), ("signal", args.signal),
+                                               ("seed", args.data_seed)) if value is not None}
+    if args.csv and synthetic:
+        parser.error("--csv cannot be combined with --n, --signal or --data-seed")
     raw = {}
     if args.config:
         raw = read_json(args.config, ConfigError, "config")
         ExperimentConfig.from_dict(raw)  # a malformed file fails before any flag is laid over it
     if args.csv:
         raw["data"] = {"csv": args.csv}
-    elif args.n is not None or args.signal is not None or args.data_seed is not None:
-        syn = (raw.get("data") or {}).get("synthetic", {})
-        if args.n is not None:
-            syn["n"] = args.n
-        if args.signal is not None:
-            syn["signal"] = args.signal
-        if args.data_seed is not None:
-            syn["seed"] = args.data_seed
-        raw["data"] = {"synthetic": syn}
+    elif synthetic:  # over the file's synthetic settings, or in place of its CSV
+        raw["data"] = {"synthetic": {**(raw.get("data") or {}).get("synthetic", {}), **synthetic}}
     if args.schema:
         raw["schema"] = args.schema
     if args.groups:
         raw["groups"] = list(_parse_list(parser, args.groups, GROUP_IDS, "group"))
     if args.models:
         raw["models"] = list(_parse_list(parser, args.models, MODEL_IDS, "model"))
-    for key, value in (
-        ("test_fraction", args.test_fraction),
-        ("n_folds", args.folds),
-        ("seed", args.seed),
-        ("keep_fraction", args.keep_fraction),
-        ("scoring", args.scoring),
-        ("workers", args.workers),
-        ("out_dir", args.out),
-    ):
-        if value is not None:
-            raw[key] = value
-    if args.per_cell_split:
-        raw["per_cell_split"] = True
-    if args.save_models:
-        raw["save_models"] = True
+    for name in SETTING_TYPES:
+        if getattr(args, name) is not None:
+            raw[name] = getattr(args, name)
     return ExperimentConfig.from_dict(raw)
 
 

@@ -44,6 +44,7 @@ from .errors import (
 )
 from .metrics import ConfusionMatrix, accuracy, confusion, f1, macro_f1
 from .model_selection import (
+    SCORINGS,
     ParamGrid,
     SplitIndices,
     default_dt_grid,
@@ -223,13 +224,6 @@ FAMILIES = {
     ),
 }
 
-# Each scalar setting of a config file and its type (a bool is no number).
-_SETTING_TYPES = {
-    "test_fraction": Real, "n_folds": Integral, "seed": Integral, "keep_fraction": Real,
-    "scoring": str, "per_cell_split": bool, "workers": Integral, "out_dir": str,
-    "save_models": bool,
-}
-_CONFIG_KEYS = {"data", "schema", "groups", "models", "grids", *_SETTING_TYPES}
 # The synthetic keys, all numeric.
 _SYNTHETIC_KEYS = {"n": Integral, "seed": Integral, "signal": Real, "p_success": Real}
 _TYPE_NAMES = {Integral: "an integer", Real: "a number", str: "a string",
@@ -280,7 +274,7 @@ class ExperimentConfig:
     save_models: bool = False
 
     def __post_init__(self):
-        for name, kind in _SETTING_TYPES.items():
+        for name, kind in SETTING_TYPES.items():
             _check_type(name, getattr(self, name), kind)
         for name in ("csv_path", "schema_path"):
             if getattr(self, name) is not None:
@@ -299,7 +293,7 @@ class ExperimentConfig:
             raise ConfigError(f"keep_fraction must be in (0, 1]: {self.keep_fraction}")
         if self.n_folds < 2:
             raise ConfigError(f"n_folds must be ≥ 2: {self.n_folds}")
-        if self.scoring not in ("f1", "accuracy"):
+        if self.scoring not in SCORINGS:
             raise ConfigError(f"unknown scoring: {self.scoring}")
         if self.workers < 1:
             raise ConfigError(f"workers must be ≥ 1: {self.workers}")
@@ -331,10 +325,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _check_type("config", raw, dict)
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - {"data", "schema", "groups", "models", "grids", *SETTING_TYPES}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {key: raw[key] for key in _SETTING_TYPES if key in raw}
+        kwargs = {key: raw[key] for key in SETTING_TYPES if key in raw}
         data = raw.get("data")
         if data is not None:
             if not isinstance(data, dict) or set(data) - {"csv", "synthetic"} or len(data) != 1:
@@ -365,8 +359,8 @@ class ExperimentConfig:
         return cls(**kwargs)
 
     def canonical_dict(self) -> dict:
-        """Semantic fields only: excludes out_dir/workers/save_models so the
-        same experiment hashes identically wherever and however it runs."""
+        """Semantic fields only: excludes the `_RUN_SETTINGS` so the same
+        experiment hashes identically wherever and however it runs."""
         if self.csv_path is not None:
             data = {"csv": self.csv_path}
         else:
@@ -376,18 +370,24 @@ class ExperimentConfig:
             "schema": self.schema_path,
             "groups": list(self.groups),
             "models": list(self.models),
-            "test_fraction": self.test_fraction,
-            "n_folds": self.n_folds,
-            "seed": self.seed,
-            "keep_fraction": self.keep_fraction,
-            "scoring": self.scoring,
-            "per_cell_split": self.per_cell_split,
+            **{name: getattr(self, name) for name in SETTING_TYPES if name not in _RUN_SETTINGS},
             "grids": {k: {p: list(v) for p, v in g.items()} for k, g in self.grids.items()},
         }
 
     def config_hash(self) -> str:
         text = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# Each scalar setting of a config file, which is also a `spineml run` flag,
+# and the type its value must have (a bool is no number): read from the
+# fields of `ExperimentConfig` annotated with a plain scalar type.
+_SCALAR_KINDS = {float: Real, int: Integral, str: str, bool: bool}
+SETTING_TYPES = {name: _SCALAR_KINDS[hint] for name, hint in get_type_hints(ExperimentConfig).items()
+                 if hint in _SCALAR_KINDS}
+# The settings that say how a run executes, not what it computes: the
+# config hash ignores them.
+_RUN_SETTINGS = ("workers", "out_dir", "save_models")
 
 
 @dataclass

@@ -222,6 +222,9 @@ def default_dt_grid() -> ParamGrid:
     )
 
 
+SCORINGS = ("f1", "accuracy")
+
+
 def _fold_scores(scoring: str, y_true, P) -> np.ndarray:
     """Each combination's score on one fold, from its row of the
     (combinations, validation rows) prediction matrix P."""
@@ -252,7 +255,7 @@ def grid_search(
     one `confusion_counts` per fold counts them all. The scores equal
     refitting every (combination, fold) from scratch.
     """
-    if scoring not in ("f1", "accuracy"):
+    if scoring not in SCORINGS:
         raise ValueError(f"unknown scoring: {scoring}")
     combos = grid.combos()
     if grid.family not in ("knn", "dt"):

@@ -27,6 +27,9 @@ from .errors import (
     WidthMismatchError,
 )
 
+_SMOOTHING_FACTOR = 1e-9  # GaussianNB variance smoothing, as a share of the largest variance
+
+
 def _require_two_classes(labels: np.ndarray) -> np.ndarray:
     classes = np.unique(labels)
     if classes.size < 2:
@@ -43,10 +46,10 @@ class GaussianNBModel:
     var_smoothing: float   # added to every variance at predict time
 
 
-def gnb_fit(train: Dataset, smoothing_factor: float = 1e-9) -> GaussianNBModel:
+def gnb_fit(train: Dataset) -> GaussianNBModel:
     """Per class and feature: sample mean and n−1 variance; priors by frequency.
 
-    The smoothing term is smoothing_factor times the largest overall
+    The smoothing term is `_SMOOTHING_FACTOR` times the largest overall
     feature variance (or 1 if every feature is constant), preventing a
     zero-variance density from collapsing.
     """
@@ -61,7 +64,7 @@ def gnb_fit(train: Dataset, smoothing_factor: float = 1e-9) -> GaussianNBModel:
         priors.append(block.shape[0] / train.n)
     overall = train.rows.var(axis=0, ddof=1) if train.n > 1 else np.zeros(train.width)
     max_var = float(overall.max()) if overall.size else 0.0
-    eps = smoothing_factor * (max_var if max_var > 0 else 1.0)
+    eps = _SMOOTHING_FACTOR * (max_var if max_var > 0 else 1.0)
     return GaussianNBModel(
         classes=classes,
         priors=np.array(priors),

@@ -114,16 +114,14 @@ def _draw(rows: np.ndarray, method: str, basis: MinorityBasis, seed: int) -> np.
     return points[seeds] + u * (points[picks] - points[seeds])
 
 
-def oversample(train: Dataset, plan: ResamplePlan, basis: MinorityBasis | None = None) -> Dataset:
-    """Oversample `train` by `plan`; `basis` is `minority_basis(train, plan)`,
-    passed in when one set is oversampled under many seeds.
+def oversample(train: Dataset, plan: ResamplePlan) -> Dataset:
+    """Oversample `train` by `plan`.
 
     SMOTE seed points rotate round-robin over the minority rows from a seeded
     start, one of the seed's k nearest minority neighbors (euclidean) is
     chosen uniformly, and the synthetic point is x + u·(z − x), u ∈ [0, 1).
     """
-    if basis is None:
-        basis = minority_basis(train, plan)
+    basis = minority_basis(train, plan)
     if basis.need <= 0:
         return train
     return _append(train, _draw(train.rows, plan.method, basis, plan.seed), basis.minority)

@@ -2,18 +2,39 @@
 
 from __future__ import annotations
 
+import argparse
+import hashlib
+import json
 import math
-from numbers import Real
+from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
+from spineml.cli import _parse_list
 from spineml.dataset import Dataset
-from spineml.errors import CorruptFileError, PipelineError, VersionMismatchError
-from spineml.experiment import CellResult, ExperimentConfig, ExperimentMatrix, run_matrix
+from spineml.errors import (
+    ConfigError,
+    CorruptFileError,
+    PipelineError,
+    UnknownGroupError,
+    VersionMismatchError,
+)
+from spineml.experiment import (
+    _GRID_VALUES,
+    _SYNTHETIC_KEYS,
+    MODEL_IDS,
+    CellResult,
+    ExperimentConfig,
+    ExperimentMatrix,
+    _check_type,
+    run_matrix,
+)
 from spineml.metrics import ConfusionMatrix, accuracy, confusion, f1
 from spineml.neighbors import _CHUNK_BYTES, _distances
 from spineml.report import RESULTS_FORMAT_VERSION, _check_aggregates
-from spineml.schema import ColumnSpec, Schema
+from spineml.schema import GROUP_IDS, ColumnSpec, Schema, read_json
+from spineml.synthetic import SYNTHETIC_DEFAULTS, check_synthetic
 from spineml.tree import DecisionTreeModel, _route
 
 
@@ -244,4 +265,245 @@ def matrix_from_dict(raw: dict) -> ExperimentMatrix:
         raise CorruptFileError(f"results file is malformed: missing key {exc}") from exc
     except TypeError as exc:
         raise CorruptFileError(f"results file is malformed: {exc}") from exc
+
+
+# Copied verbatim from `spineml.experiment` and `spineml.cli` as they stood
+# when each scalar setting was still listed by hand in the config check, the
+# canonical form and the `run` flags, with `ExperimentConfig` renamed
+# `OracleConfig`; the oracle of the settings table read from
+# `ExperimentConfig`'s fields, in test_input_fuzz. Since then `run` also
+# rejects --csv together with --n, --signal or --data-seed.
+DEFAULT_SEED = 42
+
+# Each scalar setting of a config file and its type (a bool is no number).
+_SETTING_TYPES = {
+    "test_fraction": Real, "n_folds": Integral, "seed": Integral, "keep_fraction": Real,
+    "scoring": str, "per_cell_split": bool, "workers": Integral, "out_dir": str,
+    "save_models": bool,
+}
+_CONFIG_KEYS = {"data", "schema", "groups", "models", "grids", *_SETTING_TYPES}
+
+
+@dataclass(frozen=True)
+class OracleConfig:
+    csv_path: str | None = None
+    schema_path: str | None = None
+    synthetic: dict | None = None  # {"n", "seed", "signal", "p_success"}
+    groups: tuple[str, ...] = GROUP_IDS
+    models: tuple[str, ...] = MODEL_IDS
+    test_fraction: float = 0.25
+    n_folds: int = 8
+    seed: int = 42
+    keep_fraction: float = 1.0
+    scoring: str = "f1"
+    per_cell_split: bool = False
+    grids: dict = field(default_factory=dict)
+    workers: int = 1
+    out_dir: str = "results"
+    save_models: bool = False
+
+    def __post_init__(self):
+        for name, kind in _SETTING_TYPES.items():
+            _check_type(name, getattr(self, name), kind)
+        for name in ("csv_path", "schema_path"):
+            if getattr(self, name) is not None:
+                _check_type(name, getattr(self, name), str)
+        if not self.groups or not self.models:
+            raise ConfigError("groups and models must be non-empty")
+        for g in self.groups:
+            if g not in GROUP_IDS:
+                raise UnknownGroupError(g)
+        for m in self.models:
+            if m not in MODEL_IDS:
+                raise ConfigError(f"unknown model: {m}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must be in (0, 1): {self.test_fraction}")
+        if not 0.0 < self.keep_fraction <= 1.0:
+            raise ConfigError(f"keep_fraction must be in (0, 1]: {self.keep_fraction}")
+        if self.n_folds < 2:
+            raise ConfigError(f"n_folds must be ≥ 2: {self.n_folds}")
+        if self.scoring not in ("f1", "accuracy"):
+            raise ConfigError(f"unknown scoring: {self.scoring}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be ≥ 1: {self.workers}")
+        if (self.csv_path is None) == (self.synthetic is None):
+            raise ConfigError("configure exactly one data source (csv or synthetic)")
+        if self.synthetic is not None:
+            unknown = set(self.synthetic) - set(_SYNTHETIC_KEYS)
+            if unknown:
+                raise ConfigError(f"unknown synthetic keys: {sorted(unknown)}")
+            for key, value in self.synthetic.items():
+                _check_type(f"synthetic {key}", value, _SYNTHETIC_KEYS[key])
+            if self.synthetic.get("seed", 0) < 0:
+                raise ConfigError(f"synthetic seed must be ≥ 0: {self.synthetic['seed']}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be ≥ 0: {self.seed}")
+        for fam, grid in self.grids.items():
+            if fam not in _GRID_VALUES:
+                raise ConfigError(f"unknown grid family: {fam}")
+            for name, values in grid.items():
+                if name not in _GRID_VALUES[fam]:
+                    raise ConfigError(f"unknown grid parameter for {fam}: {name}")
+                for value in values:
+                    if not _GRID_VALUES[fam][name](value):
+                        raise ConfigError(f"grid {fam} {name}: invalid value {value!r}")
+        if self.synthetic is not None:
+            syn = self.canonical_dict()["data"]["synthetic"]
+            check_synthetic(syn["n"], syn["signal"], syn["p_success"])
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "OracleConfig":
+        _check_type("config", raw, dict)
+        unknown = set(raw) - _CONFIG_KEYS
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        kwargs = {key: raw[key] for key in _SETTING_TYPES if key in raw}
+        data = raw.get("data")
+        if data is not None:
+            if not isinstance(data, dict) or set(data) - {"csv", "synthetic"} or len(data) != 1:
+                raise ConfigError("data must hold exactly one of 'csv' or 'synthetic'")
+            if "csv" in data:
+                kwargs["csv_path"] = data["csv"]
+            else:
+                _check_type("data.synthetic", data["synthetic"], dict)
+                kwargs["synthetic"] = dict(data["synthetic"])
+        else:
+            kwargs["synthetic"] = {}
+        if "schema" in raw:
+            kwargs["schema_path"] = raw["schema"]
+        for key in ("groups", "models"):
+            if key in raw:
+                _check_type(key, raw[key], list)
+                kwargs[key] = tuple(raw[key])
+        if "grids" in raw:
+            _check_type("grids", raw["grids"], dict)
+            for fam, grid in raw["grids"].items():
+                _check_type(f"grid {fam}", grid, dict)
+                for name, values in grid.items():
+                    _check_type(f"grid {fam} {name}", values, list)
+            kwargs["grids"] = {
+                fam: {name: tuple(v) for name, v in grid.items()}
+                for fam, grid in raw["grids"].items()
+            }
+        return cls(**kwargs)
+
+    def canonical_dict(self) -> dict:
+        """Semantic fields only: excludes out_dir/workers/save_models so the
+        same experiment hashes identically wherever and however it runs."""
+        if self.csv_path is not None:
+            data = {"csv": self.csv_path}
+        else:
+            data = {"synthetic": {**SYNTHETIC_DEFAULTS, "seed": self.seed, **self.synthetic}}
+        return {
+            "data": data,
+            "schema": self.schema_path,
+            "groups": list(self.groups),
+            "models": list(self.models),
+            "test_fraction": self.test_fraction,
+            "n_folds": self.n_folds,
+            "seed": self.seed,
+            "keep_fraction": self.keep_fraction,
+            "scoring": self.scoring,
+            "per_cell_split": self.per_cell_split,
+            "grids": {k: {p: list(v) for p, v in g.items()} for k, g in self.grids.items()},
+        }
+
+    def config_hash(self) -> str:
+        text = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+
+
+def oracle_build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="spineml",
+        description="Spine-surgery outcome prediction pipeline: synthetic data, "
+        "model-by-group experiments, reports, and single-record prediction.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    gen = sub.add_parser("generate", help="write a synthetic patient CSV")
+    gen.add_argument("--n", type=int, default=SYNTHETIC_DEFAULTS["n"], help="number of patients (≥ 20)")
+    gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    gen.add_argument("--signal", type=float, default=SYNTHETIC_DEFAULTS["signal"],
+                     help="strength of injected predictive structure in [0, 1]")
+    gen.add_argument("--p-success", type=float, default=SYNTHETIC_DEFAULTS["p_success"],
+                     help="success-class proportion in [0, 1]")
+    gen.add_argument("--out", required=True, help="output CSV path")
+
+    run = sub.add_parser("run", help="run the experiment matrix and write reports")
+    run.add_argument("--config", help="JSON experiment config (flags override it)")
+    run.add_argument("--csv", help="input CSV path (default: synthetic data)")
+    run.add_argument("--schema", help="JSON schema override file")
+    run.add_argument("--n", type=int, help=f"synthetic patient count (default {SYNTHETIC_DEFAULTS['n']})")
+    run.add_argument("--signal", type=float,
+                     help=f"synthetic signal strength (default {SYNTHETIC_DEFAULTS['signal']})")
+    run.add_argument("--data-seed", type=int, help="synthetic generator seed (default: master seed)")
+    run.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
+    run.add_argument("--groups", help="comma list of variable groups, e.g. I,IV,VII")
+    run.add_argument("--models", help="comma list of model ids, e.g. KNN,DT_opt")
+    run.add_argument("--test-fraction", type=float, help="test partition fraction (default 0.25)")
+    run.add_argument("--folds", type=int, help="cross-validation folds (default 8)")
+    run.add_argument("--keep-fraction", type=float, help="feature-selection keep fraction (default 1.0)")
+    run.add_argument("--scoring", choices=("f1", "accuracy"), help="grid-search scoring (default f1)")
+    run.add_argument("--per-cell-split", action="store_true",
+                     help="use an independent split per cell instead of one shared split")
+    run.add_argument("--workers", type=int, help="concurrent cell workers (default 1)")
+    run.add_argument("--save-models", action="store_true",
+                     help="persist every fitted cell under <out>/models/")
+    run.add_argument("--out", help="report directory (default: results)")
+
+    rep = sub.add_parser("report", help="re-render tables/charts from results.json")
+    rep.add_argument("--results", required=True, help="existing results.json")
+    rep.add_argument("--out", required=True, help="directory for re-rendered files")
+
+    pred = sub.add_parser("predict", help="classify one record with a saved model")
+    pred.add_argument("--model", required=True, help="persisted model file")
+    pred.add_argument("--record", required=True,
+                      help="JSON file path or inline JSON object with the features")
+    pred.add_argument("--trace", action="store_true",
+                      help="include the preprocessing trace in the output")
+    return parser
+
+
+
+def oracle_build_run_config(args, parser) -> OracleConfig:
+    raw = {}
+    if args.config:
+        raw = read_json(args.config, ConfigError, "config")
+        OracleConfig.from_dict(raw)  # a malformed file fails before any flag is laid over it
+    if args.csv:
+        raw["data"] = {"csv": args.csv}
+    elif args.n is not None or args.signal is not None or args.data_seed is not None:
+        syn = (raw.get("data") or {}).get("synthetic", {})
+        if args.n is not None:
+            syn["n"] = args.n
+        if args.signal is not None:
+            syn["signal"] = args.signal
+        if args.data_seed is not None:
+            syn["seed"] = args.data_seed
+        raw["data"] = {"synthetic": syn}
+    if args.schema:
+        raw["schema"] = args.schema
+    if args.groups:
+        raw["groups"] = list(_parse_list(parser, args.groups, GROUP_IDS, "group"))
+    if args.models:
+        raw["models"] = list(_parse_list(parser, args.models, MODEL_IDS, "model"))
+    for key, value in (
+        ("test_fraction", args.test_fraction),
+        ("n_folds", args.folds),
+        ("seed", args.seed),
+        ("keep_fraction", args.keep_fraction),
+        ("scoring", args.scoring),
+        ("workers", args.workers),
+        ("out_dir", args.out),
+    ):
+        if value is not None:
+            raw[key] = value
+    if args.per_cell_split:
+        raw["per_cell_split"] = True
+    if args.save_models:
+        raw["save_models"] = True
+    return OracleConfig.from_dict(raw)
 

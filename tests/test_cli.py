@@ -1,9 +1,12 @@
+import argparse
 import codecs
 import json
+import re
 
 import pytest
 
-from spineml.cli import main
+from spineml.cli import _build_parser, _build_run_config, main
+from spineml.experiment import SETTING_TYPES, ExperimentConfig
 
 
 def _run(capsys, *argv):
@@ -44,6 +47,59 @@ def test_run_rejects_an_out_of_range_signal_flag(tmp_path, capsys):
     assert code == 1
     assert stderr.strip().splitlines() == ["error: signal must be in [0, 1], got 3.0"]
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flags", [["--n", "5000"], ["--signal", "0.9"], ["--data-seed", "3"],
+                                   ["--n", "5000", "--signal", "0.9"]])
+def test_run_rejects_csv_with_a_synthetic_data_flag(tmp_path, capsys, flags):
+    csv = tmp_path / "p.csv"
+    main(["generate", "--n", "60", "--out", str(csv)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--csv", str(csv), *flags, "--groups", "I", "--models", "GaussianNB",
+              "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "spineml: error: --csv cannot be combined with --n, --signal or --data-seed")
+    assert not (tmp_path / "r").exists()
+
+
+def test_synthetic_data_flags_replace_a_config_files_csv(tmp_path):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"data": {"csv": "p.csv"}}))
+    parser = _build_parser()
+    config = _build_run_config(parser.parse_args(["run", "--config", str(cfg_path), "--n", "60"]), parser)
+    assert config.csv_path is None
+    assert config.synthetic == {"n": 60}
+
+
+def _run_flag_actions():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["run"]._actions
+
+
+def _other_value(action, default):
+    """A valid value of the setting other than its default."""
+    if action.choices:
+        return next(c for c in action.choices if c != default)
+    if isinstance(default, str):
+        return default + "_x"
+    return default + 1 if isinstance(default, int) else default / 2
+
+
+@pytest.mark.parametrize("name", list(SETTING_TYPES))
+def test_each_config_setting_has_one_run_flag(name):
+    [action] = [a for a in _run_flag_actions() if a.dest == name]
+    default = getattr(ExperimentConfig, name)
+    if action.nargs == 0:  # a switch, off unless given
+        assert default is False
+        argv, value = [action.option_strings[0]], True
+    else:
+        assert re.search(rf"\(default:? {re.escape(str(default))}\)", action.help)
+        value = _other_value(action, default)
+        argv = [action.option_strings[0], str(value)]
+    parser = _build_parser()
+    assert getattr(_build_run_config(parser.parse_args(["run", *argv]), parser), name) == value
 
 
 def test_generate_deterministic_bytes(tmp_path, capsys):

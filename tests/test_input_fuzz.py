@@ -7,10 +7,11 @@ import os
 import tempfile
 
 import pytest
-from helpers import failed_and_tuned_matrix
+from helpers import OracleConfig, failed_and_tuned_matrix, oracle_build_parser, oracle_build_run_config
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spineml import cli
 from spineml.errors import PipelineError
 from spineml.experiment import (
     MODEL_SPECS,
@@ -101,6 +102,91 @@ def test_any_config_dict_gives_a_config_or_a_pipeline_error(raw):
     # A config that is accepted hashes, and its canonical form is accepted
     # again and describes the same experiment.
     assert ExperimentConfig.from_dict(config.canonical_dict()).config_hash() == config.config_hash()
+
+
+def _config_outcome(build):
+    """What building a config gives: its fields, canonical form (in key
+    order) and hash; the exception's class and message; or the exit code."""
+    try:
+        config = build()
+    except SystemExit as exc:
+        return ("exit", exc.code)
+    except Exception as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("config", repr(vars(config)), json.dumps(config.canonical_dict()), config.config_hash())
+
+
+# Configs whose every value is valid, so that most of them are accepted.
+VALID_CONFIGS = st.fixed_dictionaries({}, optional={
+    "data": st.fixed_dictionaries({"csv": st.text(min_size=1, max_size=8)}) | st.fixed_dictionaries(
+        {"synthetic": st.fixed_dictionaries({}, optional={
+            "n": st.integers(20, 300), "seed": st.integers(0, 99), "signal": st.floats(0, 1),
+            "p_success": st.floats(0.2, 0.8)})}),
+    "test_fraction": st.floats(0.1, 0.9), "n_folds": st.integers(2, 10), "seed": st.integers(0, 99),
+    "keep_fraction": st.floats(0.1, 1.0), "scoring": st.sampled_from(["f1", "accuracy"]),
+    "per_cell_split": st.booleans(), "workers": st.integers(1, 4), "out_dir": st.text(max_size=8),
+    "save_models": st.booleans(),
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(CONFIGS | VALID_CONFIGS)
+def test_config_dicts_load_as_the_hand_listed_oracle_loads_them(raw):
+    assert _config_outcome(lambda: ExperimentConfig.from_dict(raw)) == _config_outcome(
+        lambda: OracleConfig.from_dict(raw))
+
+
+def _flag(valid, invalid=()):
+    """A run flag's values: mostly valid ones, sometimes invalid ones."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(valid), st.sampled_from(invalid or valid))
+
+
+RUN_FLAG_VALUES = {  # () for a switch, which takes no value
+    "--csv": _flag(["p.csv"], [""]),
+    "--schema": _flag(["s.json"], [""]),
+    "--n": _flag(["60", "5000"], ["0", "-3", "x"]),
+    "--signal": _flag(["0.9", "0"], ["2", "nan"]),
+    "--data-seed": _flag(["3", "0"], ["-1"]),
+    "--seed": _flag(["7", "0"], ["-1", "1e3"]),
+    "--groups": _flag(["I,IV", " VII , I"], ["VIII", ","]),
+    "--models": _flag(["KNN,DT_opt", "GaussianNB"], ["RF", ""]),
+    "--test-fraction": _flag(["0.3"], ["1.5", "nan"]),
+    "--folds": _flag(["4"], ["1", "x"]),
+    "--keep-fraction": _flag(["0.5", "1"], ["0", "inf"]),
+    "--scoring": _flag(["accuracy", "f1"], ["auc"]),
+    "--per-cell-split": st.just(()),
+    "--workers": _flag(["2"], ["0"]),
+    "--save-models": st.just(()),
+    "--out": _flag(["elsewhere"], [""]),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), flags=st.lists(st.sampled_from(sorted(RUN_FLAG_VALUES)), max_size=6),
+       config=st.none() | CONFIGS | VALID_CONFIGS)
+def test_run_flags_build_the_config_the_hand_listed_oracle_builds(data, flags, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["run"]
+        if config is not None:
+            argv += ["--config", os.path.join(tmp, "config.json")]
+            with open(argv[-1], "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+        for flag in flags:
+            value = data.draw(RUN_FLAG_VALUES[flag])
+            argv += [flag, *([] if value == () else [value])]
+        parser = cli._build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            got = ("exit", exc.code)
+        else:
+            got = _config_outcome(lambda: cli._build_run_config(args, parser))
+            if args.csv and (args.n, args.signal, args.data_seed) != (None, None, None):
+                assert got == ("exit", 2)  # new: --csv with a synthetic-data flag
+                return
+        oracle = oracle_build_parser()
+        assert got == _config_outcome(
+            lambda: oracle_build_run_config(oracle.parse_args(argv), oracle))
 
 
 COLUMNS = st.lists(

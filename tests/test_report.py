@@ -225,7 +225,8 @@ def test_svg_charts_have_axis_and_values(matrix, tmp_path):
 
 
 def test_emit_report_catches_aggregate_drift(matrix, tmp_path):
-    broken = matrix_from_dict(matrix_to_dict(matrix))
+    # loaded as `spineml report` loads a file, so the edit cannot reach `matrix`
+    broken = matrix_from_dict(json.loads(results_json_text(matrix)))
     broken.group_stats[matrix.groups[0]]["mean_acc"] = 0.123456
     with pytest.raises(AssertionError):
         emit_report(broken, tmp_path / "broken")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spineml.errors import MinorityTooSmallError, SingleClassError
 from spineml.resampling import (
     ResamplePlan,
+    _draw,
     minority_basis,
     oversample,
 )
@@ -173,9 +174,9 @@ def test_one_basis_serves_every_seed_bit_for_bit(method):
     basis = minority_basis(ds, ResamplePlan(method, smote_k=3))
     for seed in range(6):
         plan = ResamplePlan(method, smote_k=3, seed=seed)
-        out = oversample(ds, plan, basis)
-        assert out.rows[ds.n:].tobytes() == _oracle_new_rows(ds, plan).tobytes()
-        assert out.rows.tobytes() == oversample(ds, plan).rows.tobytes()
+        drawn = _draw(ds.rows, method, basis, seed)
+        assert drawn.tobytes() == _oracle_new_rows(ds, plan).tobytes()
+        assert drawn.tobytes() == oversample(ds, plan).rows[ds.n:].tobytes()
 
 
 def _oracle_neighbor_lists(points, k):
