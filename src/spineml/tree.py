@@ -10,7 +10,10 @@ numbered in the order their parents split.
 
 One grower builds a batch of trees in lockstep from a split rule: each
 step hands the rule the next node of every tree still growing, while each
-tree keeps its own depth-first order and node ids. The CART rule takes, at
+tree keeps its own depth-first order and node ids. Its state is arrays:
+the trees' root rows lie end to end in one array, each node owns a range
+of it that its split partitions stably, and each tree has a stack of
+nodes in a (trees × depth) array. The CART rule takes, at
 every node, the midpoint between consecutive distinct values of a feature
 with the largest weighted impurity decrease; ties go to the lower feature,
 then the lower threshold. It scores all nodes of a step in one segmented
@@ -22,6 +25,12 @@ node draws from its tree's own generator `max_features` candidate features
 without replacement, then a uniform threshold inside each non-constant
 candidate's node-local range. The ranges, CART's impurity decrease and the
 pick of the best, ties to the lower feature, are one numpy pass per step.
+The draws are the values, and leave the stream, of the numpy calls
+`choice(d, max_features, replace=False)` and `random(k)` on each tree's
+generator, but `_Draws` makes them for all trees of a step at once from
+the generators' raw PCG64 words. They therefore follow numpy's `choice`
+algorithm, Floyd's for d ≤ 10 000 or max_features ≤ d // 50; a forest
+that would need numpy's other one is refused.
 
 Routing sends x[feature] ≤ threshold to the left child. Batch routing
 takes each row down its full tree once, all rows of all trees one level per
@@ -35,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -52,15 +60,14 @@ DT_LIMITS = {"max_depth": 0, "min_samples_split": 2, "min_samples_leaf": 1}
 
 def _binary_impurity(n, c1, criterion: str):
     """Vectorized two-class impurity from a node size and its class-1 count."""
-    n, c1 = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(c1, dtype=float))
-    p1 = np.divide(c1, n, out=np.zeros_like(c1), where=n > 0)
+    n = np.asarray(n, dtype=float)
+    p1 = np.asarray(c1, dtype=float) / np.where(n > 0, n, 1.0)  # an empty node has c1 = 0
     p0 = 1.0 - p1
     if criterion == "gini":
         return 1.0 - p0 * p0 - p1 * p1
-    out = np.zeros_like(p1)
+    out = 0.0
     for p in (p0, p1):
-        mask = p > 0
-        out = out - np.where(mask, p * np.log2(np.where(mask, p, 1.0)), 0.0)
+        out = out - p * np.log2(p + (p == 0))  # an absent class adds 0 · log2(1)
     return out
 
 
@@ -149,68 +156,90 @@ def _cart_split(X, y, criteria, min_samples_leaf):
         return np.where(ok, j, -1), np.where(ok, (below + above) / 2.0, np.nan), best
 
     def split(trees, counts, rows, seg, starts):
-        ends, bounds = [*starts[1:], rows.size], [0]
-        for b in range(1, len(trees)):  # a block takes nodes while they fit under cap rows
-            if ends[b] - starts[bounds[-1]] > cap:
-                bounds.append(b)
-        parts = [score(np.array(trees[a:z]), counts[a:z], rows[starts[a]:ends[z - 1]],
-                       np.array(ends[a:z]) - starts[a]) for a, z in zip(bounds, [*bounds[1:], len(trees)])]
+        ends, parts, a = np.append(starts[1:], rows.size), [], 0
+        while a < trees.size:  # a block takes nodes while they fit under cap rows
+            z = max(a + 1, int(np.searchsorted(ends, starts[a] + cap, side="right")))
+            parts.append(score(trees[a:z], counts[a:z], rows[starts[a]:ends[z - 1]], ends[a:z] - starts[a]))
+            a = z
         return map(np.concatenate, zip(*parts))
 
     return split
 
 
-def _grow(X, y, split, roots, max_depth=None, min_samples_split=2) -> tuple[list, np.ndarray]:
-    """Grow one tree per root row set in lockstep; returns each tree's node
-    arrays and the (trees, d) normalized impurity-decrease importances. Each
-    step asks `split(trees, counts, rows, seg, starts)` about the next node of
-    every growing tree (node b: tree `trees[b]`, class counts `counts[b]`;
-    `rows` holds the nodes' rows end to end, node b's from `starts[b]`, and
-    `seg` the node of each) for (feature, threshold, decrease) arrays,
-    feature −1 for a leaf. Only impure nodes inside the limits are asked.
+def _grows(size, depth, c1, max_depth, min_samples_split):
+    """Which nodes the grower asks the split rule about: impure ones inside the limits."""
+    return ((depth < max_depth if max_depth is not None else True) & (size >= min_samples_split)
+            & (c1 > 0) & (c1 < size))
+
+
+def _grow(X, y, split, roots, max_depth=None, min_samples_split=2):
+    """Grow one tree per root row set in lockstep. Each step asks
+    `split(trees, counts, rows, seg, starts)` about the next node of every
+    growing tree (node b: tree `trees[b]`, class counts `counts[b]`; `rows`
+    holds the nodes' rows end to end, node b's from `starts[b]`, and `seg` the
+    node of each) for (feature, threshold, decrease) arrays, feature −1 for a
+    leaf. Only impure nodes inside the limits are asked.
+
+    Returns ((root counts, split records), importances): the (trees, 2) root
+    class counts, one (tree, node, feature, threshold, left counts, right
+    counts) row per split in the order made, and the (trees, d) normalized
+    impurity-decrease importances. Tree t's k-th split gives its node the
+    children 2k + 1 and 2k + 2.
+
+    The trees' root rows lie end to end in one array, and a node owns a
+    range of it; a split reorders its range stably into the left rows, then
+    the right. Each tree keeps a stack of (node, start, end, depth, class-1
+    count) rows and pops its right child first, so its nodes come in
+    depth-first order.
     """
     n_trees, d = len(roots), X.shape[1]
-    raw = np.zeros((n_trees, d))
+    sizes = np.array([len(r) for r in roots], dtype=np.intp)
+    perm = np.concatenate([np.zeros(0, np.intp), *roots]).astype(np.intp)
     is_one = y == 1
-    root_counts = [(float(r.size - is_one[r].sum()), float(is_one[r].sum())) for r in roots]
-    n_splits = [0] * n_trees  # tree t's k-th split gets the children 2k + 1 and 2k + 2
-    made = [np.zeros((0, 8))]  # per step: tree, node, feature, threshold, children's counts
-
-    def grows(size, depth, counts) -> bool:
-        return ((max_depth is None or depth < max_depth) and size >= min_samples_split
-                and max(counts) < size)  # impure
-
-    stacks = [[(0, r, 0, c)] if grows(r.size, 0, c) else [] for r, c in zip(roots, root_counts)]
-    while trees := [t for t in range(n_trees) if stacks[t]]:
-        node_ids, idxs, depths, counts = zip(*(stacks[t].pop() for t in trees))
-        sizes = [idx.size for idx in idxs]
-        *starts, _ = accumulate(sizes, initial=0)
-        seg = np.repeat(np.arange(len(trees)), sizes)
-        rows = np.concatenate(idxs)
-        feature, threshold, decrease = split(trees, np.array(counts), rows, seg, starts)
+    root_c1 = np.array([np.count_nonzero(is_one[r]) for r in roots], dtype=np.intp)
+    raw = np.zeros((n_trees, d))
+    n_splits = np.zeros(n_trees, dtype=np.intp)
+    stack = np.zeros((n_trees, 8, 5), dtype=np.intp)  # root: node 0 at depth 0
+    stack[:, 0, 2] = np.cumsum(sizes)
+    stack[:, 0, 1], stack[:, 0, 4] = stack[:, 0, 2] - sizes, root_c1
+    top = _grows(sizes, 0, root_c1, max_depth, min_samples_split).astype(np.intp)
+    made = [(np.zeros(0),) * 9]  # per step: tree, node, feature, threshold, decrease, n_left, c1_left, size, c1
+    while (trees := top.nonzero()[0]).size:
+        top[trees] -= 1
+        node, lo, hi, depth, c1 = stack[trees, top[trees]].T
+        size = hi - lo
+        starts = np.cumsum(size) - size
+        seg = np.repeat(np.arange(trees.size), size)
+        rows = perm[np.arange(seg.size) + (lo - starts)[seg]]
+        feature, threshold, decrease = split(trees, np.array([size - c1, c1], dtype=float).T, rows, seg, starts)
         go_left = X[rows, feature[seg]] <= threshold[seg]
-        n_left = np.add.reduceat(go_left, starts).tolist()
-        c1_left = np.add.reduceat(go_left & is_one[rows], starts).tolist()
-        step = []
-        for b, (j, cut, dec) in enumerate(zip(*(a.tolist() for a in (feature, threshold, decrease)))):
-            if j < 0:
-                continue
-            t, idx, mask, (c0, c1) = trees[b], idxs[b], go_left[starts[b]:starts[b] + sizes[b]], counts[b]
-            raw[t, j] += (sizes[b] / roots[t].size) * dec
-            left = (float(n_left[b] - c1_left[b]), float(c1_left[b]))
-            right = (c0 - left[0], c1 - left[1])
-            step.append((t, node_ids[b], j, cut, *left, *right))
-            first, n_splits[t], depth = 2 * n_splits[t] + 1, n_splits[t] + 1, depths[b] + 1
-            for node, part, c in zip((first, first + 1), (idx[mask], idx[~mask]), (left, right)):
-                if grows(part.size, depth, c):
-                    stacks[t].append((node, part, depth, c))
-        made.append(np.array(step).reshape(-1, 8))
-    made = np.concatenate(made)
-    made = made[np.argsort(made[:, 0], kind="stable")]  # each tree's splits, in its own order
-    arrays = [_node_arrays([c, *rec[:, 4:].reshape(-1, 2)], rec[:, 1:4])
-              for c, rec in zip(root_counts, np.split(made, np.cumsum(n_splits)[:-1]))]
+        n_left = np.add.reduceat(go_left, starts)
+        c1_left = np.add.reduceat(go_left & is_one[rows], starts)
+        # each node's slots take its left rows, then its right rows, each in
+        # order: a stable sort on (node, side), a radix sort on ≤ 16-bit keys
+        side = (2 * seg + ~go_left).astype(np.min_scalar_type(2 * trees.size))
+        perm[np.arange(seg.size) + (lo - starts)[seg]] = rows[np.argsort(side, kind="stable")]
+        s = feature >= 0
+        t, m, nl, l1, c1 = trees[s], size[s], n_left[s], c1_left[s], c1[s]
+        made.append((t, node[s], feature[s], threshold[s], decrease[s], nl, l1, m, c1))
+        first, mid, below = 2 * n_splits[t] + 1, lo[s] + nl, depth[s] + 1
+        n_splits[t] += 1
+        # the (node, start, end, depth, class-1 count) rows of the left and the
+        # right child; the left goes on the stack first, and the right on top
+        kids = np.array([[first, lo[s], mid, below, l1], [first + 1, mid, hi[s], below, c1 - l1]])
+        push = _grows(kids[:, 2] - kids[:, 1], below, kids[:, 4], max_depth, min_samples_split)
+        if stack.shape[1] < top.max() + 2:
+            stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+        stack[t, top[t]] = kids[0].T
+        stack[t, top[t] + push[0]] = kids[1].T  # over the left child if that is a leaf
+        top[t] += push.sum(axis=0)
+    t, node, feature, threshold, decrease, nl, l1, m, c1 = map(np.concatenate, zip(*made))
+    t = t.astype(np.intp)
+    np.add.at(raw, (t, feature.astype(np.intp)), (m / sizes[t]) * decrease)  # in the order made
+    made = np.stack([t, node, feature, threshold, nl - l1, l1, (m - nl) - (c1 - l1), c1 - l1], axis=1)
+    root_counts = np.stack([sizes - root_c1, root_c1], axis=1).astype(float)
     totals = raw.sum(axis=1, keepdims=True)
-    return arrays, np.divide(raw, totals, out=raw, where=totals > 0)
+    return (root_counts, made), np.divide(raw, totals, out=raw, where=totals > 0)
 
 
 def dt_fit_batch(train: Dataset, roots, criteria, min_samples_leaf, max_depth: int | None = None,
@@ -226,8 +255,12 @@ def dt_fit_batch(train: Dataset, roots, criteria, min_samples_leaf, max_depth: i
         if value is not None and value < DT_LIMITS[name]:
             raise ValueError(f"{name} must be ≥ {DT_LIMITS[name]}, got {value}")
     X, y = train.rows, train.labels
-    arrays, importances = _grow(X, y, _cart_split(X, y, criteria, min_samples_leaf), roots,
-                                max_depth, min_samples_split)
+    (root_counts, made), importances = _grow(X, y, _cart_split(X, y, criteria, min_samples_leaf), roots,
+                                             max_depth, min_samples_split)
+    made = made[np.argsort(made[:, 0], kind="stable")]  # each tree's splits, in its own order
+    n_splits = np.bincount(made[:, 0].astype(np.intp), minlength=len(roots))
+    arrays = [_node_arrays([c, *rec[:, 4:].reshape(-1, 2)], rec[:, 1:4])
+              for c, rec in zip(root_counts, np.split(made, np.cumsum(n_splits)[:-1]))]
     return [DecisionTreeModel(**a, criterion=c, max_depth=max_depth, min_samples_split=min_samples_split,
                               min_samples_leaf=msl, feature_importances=imp, n_features=X.shape[1])
             for a, c, msl, imp in zip(arrays, criteria, min_samples_leaf, importances)]
@@ -342,22 +375,137 @@ class ExtraTreesModel:
     importances: np.ndarray
 
 
+class _Draws:
+    """The draws a forest makes from its trees' numpy Generators, read from each
+    generator's raw PCG64 words in blocks and made for all trees of a step at
+    once. They are the values and the stream of numpy's own calls (numpy 2.x):
+
+    - a 32-bit draw is the low half of a fresh 64-bit word, whose high half is
+      kept for the next 32-bit draw;
+    - a bounded draw below e > 1 is Lemire's (2019): m = u32 · e, drawn again
+      while m mod 2³² < (2³² − e) mod e, gives m >> 32; below 1 it is 0 and
+      draws nothing;
+    - `choice(d, size, replace=False)` with d ≤ 10 000 or size ≤ d // 50 is
+      Floyd's algorithm, a bounded draw below j + 1 for j = d − size … d − 1
+      (j itself if the draw is already taken), then a shuffle that swaps
+      position i with a bounded draw below i + 1, for i = size − 1 … 1;
+    - `random(k)` is k whole words, (w >> 11) · 2⁻⁵³, leaving a kept half be.
+
+    `finish` sets each generator to the state those calls would leave.
+    """
+
+    BLOCK = 1024  # words read from a generator at a time
+
+    def __init__(self, rngs: list):
+        self.rngs = rngs
+        self.states = [r.bit_generator.state for r in rngs]
+        n = len(rngs)
+        self.words = np.zeros((n, 0), dtype=np.uint64)  # row t: tree t's words from index base[t]
+        self.base, self.end, self.pos = (np.zeros(n, dtype=np.int64) for _ in range(3))
+        self.has = np.array([s["has_uint32"] for s in self.states], dtype=bool)  # a high half is kept
+        self.half = np.array([s["uinteger"] for s in self.states], dtype=np.uint64)  # the last high half
+
+    def _ensure(self, trees, need: int):
+        """Hold at least `need` unspent words of each of `trees`."""
+        short = trees[self.end[trees] - self.pos[trees] < need]
+        width = max(self.words.shape[1], 2 * need, self.BLOCK)
+        if width > self.words.shape[1]:
+            self.words = np.pad(self.words, ((0, 0), (0, width - self.words.shape[1])))
+        for t in short.tolist():
+            spent, left = self.pos[t] - self.base[t], self.end[t] - self.pos[t]
+            self.words[t, :left] = self.words[t, spent:spent + left]
+            self.words[t, left:] = self.rngs[t].bit_generator.random_raw(width - left)
+            self.base[t], self.end[t] = self.pos[t], self.pos[t] + width
+
+    def _u32(self, trees, k):
+        """The 32-bit draws numbered k[b, q] in the coming stream of tree
+        trees[b], −1 being its kept half; spends none."""
+        self._ensure(trees, int(k.max(initial=0)) // 2 + 1)  # a word to index even for the kept half
+        w = self.words[trees[:, None], (self.pos - self.base)[trees][:, None] + np.maximum(k, 0) // 2]
+        return np.where(k < 0, self.half[trees][:, None], np.where(k % 2 == 1, w >> 32, w & 0xFFFFFFFF))
+
+    def _spend(self, trees, n):
+        """Spend n[b] 32-bit draws of tree trees[b]."""
+        has = self.has[trees]
+        fresh = n - has  # draws split from new words
+        pos = self.pos[trees] + np.maximum(fresh + 1, 0) // 2
+        split = fresh > 0  # the last word split leaves its high half in the generator
+        self.half[trees[split]] = self.words[trees[split], (pos - 1 - self.base[trees])[split]] >> 32
+        self.has[trees] = np.where(n > 0, fresh % 2 == 1, has)
+        self.pos[trees] = pos
+
+    def bounded(self, trees, excl):
+        """(trees, len(excl)) draws: draw q of each tree is below excl[q] > 1."""
+        excl = np.asarray(excl, dtype=np.uint64)
+        k = np.arange(excl.size) - self.has[trees][:, None]
+        m = self._u32(trees, k) * excl
+        ok = (m & 0xFFFFFFFF) >= (2**32 - excl) % excl
+        spent = np.full(trees.size, excl.size)
+        for b in np.flatnonzero(~ok.all(axis=1)).tolist():  # a rejection: that tree's draws one by one
+            tree, q = trees[b:b + 1], -int(self.has[trees[b]])
+            for i, e in enumerate(excl):
+                while True:
+                    m[b, i] = self._u32(tree, np.array([[q]]))[0, 0] * e
+                    q += 1
+                    if m[b, i] & 0xFFFFFFFF >= (2**32 - e) % e:
+                        break
+            spent[b] = q + self.has[trees[b]]
+        self._spend(trees, spent)
+        return (m >> 32).astype(np.int64)
+
+    def choice(self, trees, d: int, size: int):
+        """Each tree's `choice(d, size, replace=False)`, one row per tree."""
+        floyd = np.arange(d - size, d)
+        drawn = self.bounded(trees, np.concatenate([floyd[floyd > 0], np.arange(size - 1, 0, -1)]) + 1)
+        if floyd[0] == 0:  # below 1: 0, with no draw
+            drawn = np.concatenate([np.zeros((trees.size, 1), dtype=np.int64), drawn], axis=1)
+        nodes, picked = np.arange(trees.size), np.zeros((trees.size, d), dtype=bool)
+        out = np.empty((trees.size, size), dtype=np.int64)
+        for i, j in enumerate(floyd.tolist()):
+            v = np.where(picked[nodes, drawn[:, i]], j, drawn[:, i])
+            picked[nodes, v] = True
+            out[:, i] = v
+        for i, j in zip(range(size - 1, 0, -1), drawn[:, size:].T):
+            out[nodes, j], out[:, i] = out[:, i], out[nodes, j]
+        return out
+
+    def random(self, trees, k):
+        """Each tree's `random(k[b])`, end to end."""
+        self._ensure(trees, int(k.max(initial=0)))
+        ends = np.cumsum(k)
+        at = np.arange(ends[-1]) + np.repeat(self.pos[trees] - self.base[trees] - (ends - k), k)
+        w = self.words[np.repeat(trees, k), at]
+        self.pos[trees] += k
+        return (w >> 11) * 2.0**-53
+
+    def finish(self):
+        for rng, state, used, has, half in zip(self.rngs, self.states, self.pos.tolist(), self.has.tolist(),
+                                               self.half.tolist()):
+            bit_generator = rng.bit_generator
+            bit_generator.state = state
+            bit_generator.advance(used)
+            bit_generator.state = {**bit_generator.state, "has_uint32": int(has), "uinteger": half}
+
+
 def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:
     """The (len(rngs), d) normalized importances of extremely randomized trees
     grown in lockstep, tree t drawing from `rngs[t]`."""
     d = X.shape[1]
     size = min(max_features, d)
+    if d > 10_000 and size > d // 50:  # numpy's choice draws these by another algorithm
+        raise ValueError(f"max_features must be ≤ {d // 50} (d // 50) with more than 10 000 features, "
+                         f"got {size}")
+    draws = _Draws(rngs)
 
     def random_split(trees, counts, rows, seg, starts):
         nodes = np.arange(len(trees))
-        feats = np.array([rngs[t].choice(d, size=size, replace=False) for t in trees])
+        feats = draws.choice(trees, d, size)
         block = X[rows[:, None], feats[seg]]
         lo, hi = np.minimum.reduceat(block, starts), np.maximum.reduceat(block, starts)
         live = lo < hi  # a constant candidate draws no threshold
         # lo + (hi - lo) * random() is the value rng.uniform(lo, hi) draws
-        draws = [rngs[t].random(k) for t, k in zip(trees, live.sum(axis=1).tolist())]
         thresholds = np.full(lo.shape, np.nan)
-        thresholds[live] = lo[live] + (hi[live] - lo[live]) * np.concatenate(draws)
+        thresholds[live] = lo[live] + (hi[live] - lo[live]) * draws.random(trees, live.sum(axis=1))
         go_left = block <= thresholds[seg]
         m = counts.sum(axis=1, keepdims=True)
         parent = 1.0 - ((counts / m) ** 2).sum(axis=1, keepdims=True)  # the node's gini
@@ -369,7 +517,9 @@ def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:
         best = decrease[nodes, k]
         return np.where(best > _MIN_DECREASE, feats[nodes, k], -1), thresholds[nodes, k], best
 
-    return _grow(X, y, random_split, [np.arange(X.shape[0])] * len(rngs))[1]
+    importances = _grow(X, y, random_split, [np.arange(X.shape[0])] * len(rngs))[1]
+    draws.finish()
+    return importances
 
 
 def extratrees_fit(train: Dataset, n_trees: int = 100, max_features: int | None = None,

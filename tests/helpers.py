@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from numbers import Integral, Real
 
 import numpy as np
@@ -35,7 +36,7 @@ from spineml.neighbors import _CHUNK_BYTES, _distances
 from spineml.report import RESULTS_FORMAT_VERSION, _check_aggregates
 from spineml.schema import GROUP_IDS, ColumnSpec, Schema, read_json
 from spineml.synthetic import SYNTHETIC_DEFAULTS, check_synthetic
-from spineml.tree import DecisionTreeModel, _route
+from spineml.tree import DecisionTreeModel, _node_arrays, _route
 
 
 def make_dataset(rows, labels, kinds=None, names=None) -> Dataset:
@@ -137,6 +138,78 @@ def predict_constrained(model: DecisionTreeModel, X: np.ndarray, max_depth: int 
     chosen at a node depends only on its rows, the criterion and
     min_samples_leaf, and these limits only decide whether a node splits."""
     return _route([model], [X], [(max_depth, min_samples_split)])[0]
+
+
+# Moved verbatim from `spineml.tree`, which now divides by a node size of 1
+# where a node is empty instead of dividing under a mask; the impurity test
+# in test_tree checks the two give the same bytes.
+def binary_impurity_reference(n, c1, criterion: str):
+    """Vectorized two-class impurity from a node size and its class-1 count."""
+    n, c1 = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(c1, dtype=float))
+    p1 = np.divide(c1, n, out=np.zeros_like(c1), where=n > 0)
+    p0 = 1.0 - p1
+    if criterion == "gini":
+        return 1.0 - p0 * p0 - p1 * p1
+    out = np.zeros_like(p1)
+    for p in (p0, p1):
+        mask = p > 0
+        out = out - np.where(mask, p * np.log2(np.where(mask, p, 1.0)), 0.0)
+    return out
+
+
+# Moved verbatim from `spineml.tree`, whose grower now keeps its nodes, rows
+# and stacks in arrays; the lockstep-grower oracle test in test_tree uses it.
+def grow_reference(X, y, split, roots, max_depth=None, min_samples_split=2) -> tuple[list, np.ndarray]:
+    """Grow one tree per root row set in lockstep; returns each tree's node
+    arrays and the (trees, d) normalized impurity-decrease importances. Each
+    step asks `split(trees, counts, rows, seg, starts)` about the next node of
+    every growing tree (node b: tree `trees[b]`, class counts `counts[b]`;
+    `rows` holds the nodes' rows end to end, node b's from `starts[b]`, and
+    `seg` the node of each) for (feature, threshold, decrease) arrays,
+    feature −1 for a leaf. Only impure nodes inside the limits are asked.
+    """
+    n_trees, d = len(roots), X.shape[1]
+    raw = np.zeros((n_trees, d))
+    is_one = y == 1
+    root_counts = [(float(r.size - is_one[r].sum()), float(is_one[r].sum())) for r in roots]
+    n_splits = [0] * n_trees  # tree t's k-th split gets the children 2k + 1 and 2k + 2
+    made = [np.zeros((0, 8))]  # per step: tree, node, feature, threshold, children's counts
+
+    def grows(size, depth, counts) -> bool:
+        return ((max_depth is None or depth < max_depth) and size >= min_samples_split
+                and max(counts) < size)  # impure
+
+    stacks = [[(0, r, 0, c)] if grows(r.size, 0, c) else [] for r, c in zip(roots, root_counts)]
+    while trees := [t for t in range(n_trees) if stacks[t]]:
+        node_ids, idxs, depths, counts = zip(*(stacks[t].pop() for t in trees))
+        sizes = [idx.size for idx in idxs]
+        *starts, _ = accumulate(sizes, initial=0)
+        seg = np.repeat(np.arange(len(trees)), sizes)
+        rows = np.concatenate(idxs)
+        feature, threshold, decrease = split(trees, np.array(counts), rows, seg, starts)
+        go_left = X[rows, feature[seg]] <= threshold[seg]
+        n_left = np.add.reduceat(go_left, starts).tolist()
+        c1_left = np.add.reduceat(go_left & is_one[rows], starts).tolist()
+        step = []
+        for b, (j, cut, dec) in enumerate(zip(*(a.tolist() for a in (feature, threshold, decrease)))):
+            if j < 0:
+                continue
+            t, idx, mask, (c0, c1) = trees[b], idxs[b], go_left[starts[b]:starts[b] + sizes[b]], counts[b]
+            raw[t, j] += (sizes[b] / roots[t].size) * dec
+            left = (float(n_left[b] - c1_left[b]), float(c1_left[b]))
+            right = (c0 - left[0], c1 - left[1])
+            step.append((t, node_ids[b], j, cut, *left, *right))
+            first, n_splits[t], depth = 2 * n_splits[t] + 1, n_splits[t] + 1, depths[b] + 1
+            for node, part, c in zip((first, first + 1), (idx[mask], idx[~mask]), (left, right)):
+                if grows(part.size, depth, c):
+                    stacks[t].append((node, part, depth, c))
+        made.append(np.array(step).reshape(-1, 8))
+    made = np.concatenate(made)
+    made = made[np.argsort(made[:, 0], kind="stable")]  # each tree's splits, in its own order
+    arrays = [_node_arrays([c, *rec[:, 4:].reshape(-1, 2)], rec[:, 1:4])
+              for c, rec in zip(root_counts, np.split(made, np.cumsum(n_splits)[:-1]))]
+    totals = raw.sum(axis=1, keepdims=True)
+    return arrays, np.divide(raw, totals, out=raw, where=totals > 0)
 
 
 # The merge of appended rows into cached top-k lists as it stood before

@@ -64,6 +64,21 @@ def test_run_rejects_csv_with_a_synthetic_data_flag(tmp_path, capsys, flags):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("flag", ["--csv", "--schema", "--config", "--groups", "--models"])
+def test_run_rejects_an_empty_path_or_list_flag(tmp_path, capsys, flag):
+    # An empty value once counted as no flag: `--csv ""` ran synthetic data.
+    rest = {"--groups": "I", "--models": "GaussianNB"}
+    argv = ["run", flag, "", "--folds", "4", "--out", str(tmp_path / "r")]
+    for other, value in rest.items():
+        if other != flag:
+            argv += [other, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"spineml: error: {flag} must not be empty"
+    assert not (tmp_path / "r").exists()
+
+
 def test_synthetic_data_flags_replace_a_config_files_csv(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"data": {"csv": "p.csv"}}))

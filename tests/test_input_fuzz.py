@@ -184,6 +184,9 @@ def test_run_flags_build_the_config_the_hand_listed_oracle_builds(data, flags, c
             if args.csv and (args.n, args.signal, args.data_seed) != (None, None, None):
                 assert got == ("exit", 2)  # new: --csv with a synthetic-data flag
                 return
+            if "" in (args.config, args.csv, args.schema, args.groups, args.models):
+                assert got == ("exit", 2)  # new: an empty path or list is a usage error
+                return
         oracle = oracle_build_parser()
         assert got == _config_outcome(
             lambda: oracle_build_run_config(oracle.parse_args(argv), oracle))

@@ -22,7 +22,14 @@ from spineml.tree import (
     extratrees_fit,
 )
 
-from helpers import entropy_impurity, gini_impurity, make_dataset, predict_constrained
+from helpers import (
+    binary_impurity_reference,
+    entropy_impurity,
+    gini_impurity,
+    grow_reference,
+    make_dataset,
+    predict_constrained,
+)
 
 
 def _is_leaf(model, node):
@@ -725,3 +732,171 @@ def test_dt_batch_peak_memory_stays_near_the_chunk_bound():
     finally:
         tracemalloc.stop()
     assert peak_mb < 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    shapes=st.sampled_from([((), ()), ((4,), (4,)), ((3, 1), (3, 5)), ((), (6,)), ((5,), ()), ((2, 3), (3,))]),
+    as_float=st.booleans(),
+    criterion=st.sampled_from(CRITERIA),
+)
+def test_binary_impurity_matches_the_masked_division(data, shapes, as_float, criterion):
+    """Dividing by 1 at an empty node gives the bytes of the masked division it
+    replaced: for empty nodes (n = 0), pure nodes (c1 = 0 or c1 = n), and
+    counts of broadcast shapes, under both criteria."""
+    n_shape, c1_shape = shapes
+    full = np.broadcast_shapes(n_shape, c1_shape)
+    sizes = st.sampled_from([0, 1, 2]) | st.integers(0, 10**6)
+    n = np.array(data.draw(st.lists(sizes, min_size=math.prod(n_shape), max_size=math.prod(n_shape))))
+    n = n.reshape(n_shape)
+    # the largest class-1 count each c1 may take: its least n once broadcast
+    cap = np.broadcast_to(n, full).reshape(-1, *c1_shape).min(axis=0) if c1_shape != full else \
+        np.broadcast_to(n, full)
+    c1 = np.array([data.draw(st.sampled_from([0, c]) | st.integers(0, c)) for c in cap.flat]).reshape(c1_shape)
+    if as_float:
+        n, c1 = n.astype(float), c1.astype(float)
+    got = np.asarray(_binary_impurity(n, c1, criterion))
+    want = np.asarray(binary_impurity_reference(n, c1, criterion))
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n_rngs=st.integers(1, 3),
+    kept=st.lists(st.booleans(), min_size=3, max_size=3),
+    block=st.sampled_from([1, 5, 1024]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draws_match_numpy_choice_and_random(data, n_rngs, kept, block, seed):
+    """Emulated `choice(d, size, replace=False)` and `random(k)` calls,
+    interleaved in any order over several generators, give numpy's values,
+    and leave every generator in numpy's state, whether it starts with a
+    kept half word or not and however few words are read at a time."""
+
+    def generators():
+        rngs = [np.random.default_rng(np.random.SeedSequence((seed, t))) for t in range(n_rngs)]
+        for rng, half in zip(rngs, kept):
+            if half:  # a 32-bit draw was made before: the next one is this kept high half
+                rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": seed}
+        return rngs
+
+    real, emulated = generators(), generators()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree._Draws, "BLOCK", block)
+        draws = tree._Draws(emulated)
+        for _ in range(data.draw(st.integers(1, 12))):
+            trees = np.array(data.draw(st.lists(st.integers(0, n_rngs - 1), min_size=1, max_size=n_rngs,
+                                                unique=True)))
+            if data.draw(st.booleans()):
+                d = data.draw(st.integers(1, 64))
+                size = data.draw(st.integers(1, d))
+                got = draws.choice(trees, d, size)
+                want = np.array([real[t].choice(d, size, replace=False) for t in trees])
+            else:
+                k = np.array(data.draw(st.lists(st.integers(0, 6), min_size=trees.size, max_size=trees.size)))
+                got = draws.random(trees, k)
+                want = np.concatenate([real[t].random(n) for t, n in zip(trees, k)])
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+        draws.finish()
+    assert [r.bit_generator.state for r in emulated] == [r.bit_generator.state for r in real]
+
+
+def test_draws_from_the_kept_half_alone_after_every_read_word_is_spent():
+    # One-candidate choices among 2 or 3 features make one 32-bit draw each,
+    # so every second one takes only the kept half; with one word read at a
+    # time, that happens when every word read so far is spent.
+    real, emulated = np.random.default_rng(9), np.random.default_rng(9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree._Draws, "BLOCK", 1)
+        draws = tree._Draws([emulated])
+        for d in (3, 2, 2, 2, 5):
+            assert draws.choice(np.array([0]), d, 1).tolist() == [real.choice(d, 1, replace=False).tolist()]
+        draws.finish()
+    assert emulated.bit_generator.state == real.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    offset=st.integers(0, 2**30),
+    q=st.integers(1, 40),
+    kept=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bounded_draw_rejection_loop_matches_integers(offset, q, kept, seed):
+    """With m = 2³¹ + offset, Lemire's rule redraws about half of all 32-bit
+    draws below m + 1; the emulated loop gives `integers(0, m + 1)`'s values
+    and stream, for two generators of different half-word parity at once."""
+    m = 2**31 + offset
+
+    def generators():
+        rngs = [np.random.default_rng(np.random.SeedSequence((seed, t))) for t in range(2)]
+        rngs[kept].bit_generator.state = {**rngs[kept].bit_generator.state, "has_uint32": 1, "uinteger": seed}
+        return rngs
+
+    real, emulated = generators(), generators()
+    draws = tree._Draws(emulated)
+    got = draws.bounded(np.arange(2), np.full(q, m + 1))
+    draws.finish()
+    want = np.array([rng.integers(0, m + 1, size=q) for rng in real])
+    assert got.tolist() == want.tolist()
+    assert [r.bit_generator.state for r in emulated] == [r.bit_generator.state for r in real]
+
+
+def test_extratrees_rejects_max_features_beyond_floyds_draw():
+    # Over 10 000 features, numpy's choice draws more than d // 50 candidates
+    # by another algorithm, which the forest does not emulate.
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(4, 10_001)), np.array([0, 1, 0, 1])
+    with pytest.raises(ValueError, match=r"max_features must be ≤ 200 \(d // 50\) with more than 10 000 "
+                                         r"features, got 201"):
+        extratrees_fit(make_dataset(X, y), n_trees=1, max_features=201)
+    want = _per_tree_oracle(X, y, [np.random.default_rng(5)], 200)  # still Floyd's at d // 50
+    assert tree._extra_trees_importances(X, y, [np.random.default_rng(5)], 200).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 4),
+    coarse=st.booleans(),
+    levels=st.integers(1, 5),
+    n_trees=st.integers(1, 10),
+    max_depth=st.sampled_from([None, 0, 1, 2, 3, 5]),
+    min_samples_split=st.sampled_from([2, 3, 5, 10]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_grower_matches_the_list_grower(n, d, coarse, levels, n_trees, max_depth, min_samples_split, seed):
+    """The grower that keeps its state in arrays asks the split rule about the
+    same nodes, with the same rows in the same order, as the grower it
+    replaced, and gives each tree the same node arrays and importances byte for
+    byte: mixed CART batches on roots with repeated, unordered or no rows,
+    under every depth and split limit."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, d)) / 2.0 if coarse else rng.normal(size=(n, d))
+    y = rng.integers(0, 2, n)
+    roots = [rng.integers(0, n, rng.integers(0, 2 * n + 1)) for _ in range(n_trees)]
+    roots[rng.integers(0, n_trees)] = np.zeros(0, dtype=np.int64)
+    criteria = rng.choice(CRITERIA, n_trees).tolist()
+    leaves = rng.choice([1, 2, 5], n_trees).tolist()
+    rule = tree._cart_split(X, y, criteria, leaves)
+    asked = {"new": [], "old": []}
+
+    def recorded(side):
+        def split(trees, counts, rows, seg, starts):
+            trees, starts = np.asarray(trees), np.asarray(starts)
+            asked[side].append((trees.tolist(), counts.tobytes(), rows.tolist(), starts.tolist()))
+            return rule(trees, counts, rows, seg, starts)
+        return split
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "_cart_split", lambda *args: recorded("new"))
+        batch = tree.dt_fit_batch(make_dataset(X, y), roots, criteria, leaves, max_depth, min_samples_split)
+    arrays, importances = grow_reference(X, y, recorded("old"), roots, max_depth, min_samples_split)
+    assert asked["new"] == asked["old"]
+    for model, want, imp in zip(batch, arrays, importances, strict=True):
+        for name in _TREE_ARRAYS[:-1]:
+            a, b = getattr(model, name), want[name]
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert model.feature_importances.tobytes() == imp.tobytes()
