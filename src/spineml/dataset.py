@@ -11,6 +11,7 @@ or a loaded file can contain bit-exactly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,12 +118,22 @@ def format_value(v: float) -> str:
     return format(f, ".9g")
 
 
+def _number(text: str) -> float | None:
+    """The finite float that `float()` reads from a stripped CSV field, or None."""
+    try:
+        x = float(text.strip())
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def load_csv(path, schema: Schema | None = None) -> tuple[Dataset, IngestionReport]:
     """Read a CSV whose header names a superset of the schema columns.
 
-    Columns are reordered to schema order; rows with a missing or
-    unparseable value in any schema column are dropped and recorded in the
-    report by their 1-based data-row number.
+    Columns are reordered to schema order. Every field is read by one rule,
+    `_number`, and a label must also be 0 or 1; a row with a field that
+    fails is dropped and recorded in the report by its 1-based data-row
+    number and its first failing column in schema order, the label last.
     """
     schema = schema or default_schema()
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -146,28 +157,10 @@ def load_csv(path, schema: Schema | None = None) -> tuple[Dataset, IngestionRepo
                 continue  # blank line
             if len(record) != len(header):
                 raise MalformedCsvError(row_no, "field count does not match header")
-            bad = None
-            values = np.empty(len(feature_pos))
-            for j, pos in enumerate(feature_pos):
-                text = record[pos].strip()
-                try:
-                    x = float(text)
-                except ValueError:
-                    bad = schema.feature_names[j]
-                    break
-                if not np.isfinite(x):
-                    bad = schema.feature_names[j]
-                    break
-                values[j] = x
-            if bad is None:
-                text = record[label_pos].strip()
-                try:
-                    y = float(text)
-                except ValueError:
-                    y = None
-                if y not in (0.0, 1.0):
-                    bad = schema.outcome.name
-            if bad is not None:
+            values = [_number(record[pos]) for pos in feature_pos]
+            y = _number(record[label_pos])
+            if None in values or y not in (0.0, 1.0):
+                bad = schema.feature_names[values.index(None)] if None in values else schema.outcome.name
                 dropped.append((row_no, bad))
                 continue
             rows.append(values)

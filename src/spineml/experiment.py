@@ -81,6 +81,7 @@ from .schema import (
     VariableGroup,
     builtin_groups,
     load_schema_json,
+    typed,
 )
 from .synthetic import SYNTHETIC_DEFAULTS, check_synthetic, generate_synthetic
 from .tree import CRITERIA, DT_LIMITS, dt_fit, dt_from_dict, dt_predict, dt_predict_many, dt_to_dict
@@ -124,19 +125,19 @@ def _fields_to_dict(model) -> dict:
 
 
 def _fields_from_dict(cls, raw: dict, dims: dict):
-    """Inverse of `_fields_to_dict`: each field converted to its annotated
-    type; the label arrays (`classes`, `labels`) must hold 0/1 and are int64,
-    other arrays float. `dims` names the axes of each array, e.g. "cd" for
+    """Inverse of `_fields_to_dict`: each field read as its annotated type;
+    the label arrays (`classes`, `labels`) must hold integers 0/1, other
+    arrays finite numbers. `dims` names the axes of each array, e.g. "cd" for
     (classes, features): an axis name stands for one size ≥ 1 throughout."""
     def convert(name, kind):
         if kind is not np.ndarray:
-            return kind(raw[name])
+            return typed(raw[name], kind, name)
         if name not in ("classes", "labels"):
-            return np.array(raw[name], dtype=float)
-        labels = np.array(raw[name])
+            return typed(raw[name], float, name, array=True)
+        labels = typed(raw[name], int, name, array=True)
         if not np.isin(labels, (0, 1)).all():
             raise ValueError(f"{name} must be 0 or 1, got {np.unique(labels).tolist()}")
-        return labels.astype(np.int64)
+        return labels
 
     fields = {name: convert(name, kind) for name, kind in get_type_hints(cls).items()}
     sizes = {}
@@ -287,6 +288,10 @@ class ExperimentConfig:
         for m in self.models:
             if m not in MODEL_IDS:
                 raise ConfigError(f"unknown model: {m}")
+        # Kept in run order, once each, so that every order of a list is one
+        # experiment with one hash.
+        object.__setattr__(self, "groups", tuple(g for g in GROUP_IDS if g in self.groups))
+        object.__setattr__(self, "models", tuple(m for m in MODEL_IDS if m in self.models))
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1): {self.test_fraction}")
         if not 0.0 < self.keep_fraction <= 1.0:
@@ -607,8 +612,6 @@ def _aggregate(cells: dict, groups, models) -> tuple[dict, dict]:
 
 def run_matrix_fitted(config: ExperimentConfig) -> tuple[ExperimentMatrix, dict]:
     data = load_config_data(config)
-    groups = tuple(g for g in GROUP_IDS if g in config.groups)
-    models = tuple(m for m in MODEL_IDS if m in config.models)
     registry = builtin_groups()
 
     shared_split = stratified_shuffle_split(
@@ -631,7 +634,7 @@ def run_matrix_fitted(config: ExperimentConfig) -> tuple[ExperimentMatrix, dict]
                 None,
             )
 
-    keys = [(g, m) for g in groups for m in models]
+    keys = [(g, m) for g in config.groups for m in config.models]
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(job, keys))
@@ -644,7 +647,7 @@ def run_matrix_fitted(config: ExperimentConfig) -> tuple[ExperimentMatrix, dict]
         if fit is not None:
             fitted[gm] = fit
 
-    group_stats, model_stats = _aggregate(cells, groups, models)
+    group_stats, model_stats = _aggregate(cells, config.groups, config.models)
     provenance = {
         "artifact_version": __version__,
         "config_hash": config.config_hash(),
@@ -654,8 +657,8 @@ def run_matrix_fitted(config: ExperimentConfig) -> tuple[ExperimentMatrix, dict]
         "label_coding": {str(k): v for k, v in LABEL_NAMES.items()},
     }
     matrix = ExperimentMatrix(
-        groups=groups,
-        models=models,
+        groups=config.groups,
+        models=config.models,
         cells=cells,
         group_stats=group_stats,
         model_stats=model_stats,

@@ -99,7 +99,8 @@ class FoldPlan:
 
 def stratified_kfold(labels, n_folds: int = 8, seed: int = 0) -> FoldPlan:
     """Deal each class's shuffled members round-robin, continuing the fold
-    cursor across classes so fold sizes differ by at most one overall."""
+    cursor across classes so fold sizes differ by at most one overall: all
+    classes' permutations end to end, row i going to fold i mod n_folds."""
     y = np.asarray(labels)
     classes, counts = np.unique(y, return_counts=True)
     if (counts < n_folds).any():
@@ -108,14 +109,8 @@ def stratified_kfold(labels, n_folds: int = 8, seed: int = 0) -> FoldPlan:
             f"class {small[0]} has fewer rows than {n_folds} folds"
         )
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(n_folds)]
-    cursor = 0
-    for c in classes:
-        members = np.flatnonzero(y == c)
-        for idx in rng.permutation(members):
-            folds[cursor % n_folds].append(int(idx))
-            cursor += 1
-    return FoldPlan(tuple(np.sort(np.array(f, dtype=np.int64)) for f in folds))
+    dealt = np.concatenate([np.zeros(0, np.int64), *(rng.permutation(np.flatnonzero(y == c)) for c in classes)])
+    return FoldPlan(tuple(np.sort(dealt[f::n_folds]) for f in range(n_folds)))
 
 
 def univariate_f_scores(train: Dataset) -> np.ndarray:

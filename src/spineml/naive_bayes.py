@@ -28,6 +28,7 @@ from .errors import (
 )
 
 _SMOOTHING_FACTOR = 1e-9  # GaussianNB variance smoothing, as a share of the largest variance
+_ALPHA = 1.0  # ComplementNB's additive smoothing of the complement counts
 
 
 def _require_two_classes(labels: np.ndarray) -> np.ndarray:
@@ -103,8 +104,8 @@ class ComplementNBModel:
     normalize: bool
 
 
-def cnb_fit(train: Dataset, alpha: float = 1.0, normalize: bool = False) -> ComplementNBModel:
-    """Smoothed log-frequencies of each class's complement, optionally L1-normalized."""
+def cnb_fit(train: Dataset) -> ComplementNBModel:
+    """Smoothed log-frequencies of each class's complement."""
     if train.rows.size and train.rows.min() < 0:
         r, c = np.unravel_index(int(np.argmin(train.rows)), train.rows.shape)
         raise NegativeFeatureError(int(r), int(c))
@@ -112,14 +113,9 @@ def cnb_fit(train: Dataset, alpha: float = 1.0, normalize: bool = False) -> Comp
     d = train.width
     weights = np.empty((classes.size, d))
     for i, c in enumerate(classes):
-        comp = train.rows[train.labels != c]
-        counts = comp.sum(axis=0)
-        theta = (alpha + counts) / (alpha * d + counts.sum())
-        w = np.log(theta)
-        if normalize:
-            w = w / np.abs(w).sum()
-        weights[i] = w
-    return ComplementNBModel(classes=classes, weights=weights, alpha=alpha, normalize=normalize)
+        counts = train.rows[train.labels != c].sum(axis=0)
+        weights[i] = np.log((_ALPHA + counts) / (_ALPHA * d + counts.sum()))
+    return ComplementNBModel(classes=classes, weights=weights, alpha=_ALPHA, normalize=False)
 
 
 def cnb_predict_many(model: ComplementNBModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

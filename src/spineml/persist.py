@@ -34,7 +34,7 @@ from .errors import (
 )
 from .experiment import FAMILIES, CellResult, FittedCell
 from .preprocess import SCALING_MODES
-from .schema import LABEL_NAMES, read_json
+from .schema import LABEL_NAMES, read_json, typed
 
 MODEL_FORMAT_VERSION = 1
 
@@ -90,28 +90,27 @@ def load_model(path) -> FittedCell:
         meta = raw["metadata"]
         if prep["scaling_mode"] not in SCALING_MODES:
             raise ValueError(f"unknown scaling_mode: {prep['scaling_mode']!r}")
-        kept = np.array(prep["kept"], dtype=np.int64)
+        kept = typed(prep["kept"], int, "kept", array=True)
         if kept.ndim != 1 or not ((0 <= kept) & (kept < len(raw["features"]))).all():
             raise ValueError(f"kept feature indices {kept.tolist()} outside "
                              f"[0, {len(raw['features'])})")
         cell = FittedCell(
-            model_id=raw["model_id"],
-            group_id=raw["group_id"],
+            model_id=typed(raw["model_id"], str, "model_id"),
+            group_id=typed(raw["group_id"], str, "group_id"),
             family=raw["family"],
             feature_meta=raw["features"],
-            ordinal_codes={k: [float(c) for c in v] for k, v in prep["ordinal_codes"].items()},
-            scaler_columns=tuple(scaler["columns"]),
-            scaler_mean=np.array(scaler["mean"], dtype=float),
-            scaler_std=np.array(scaler["std"], dtype=float),
-            scaler_min=np.array(scaler["min"], dtype=float),
-            scaler_max=np.array(scaler["max"], dtype=float),
-            scaler_constant=np.array(scaler["constant"], dtype=bool),
+            ordinal_codes={k: typed(v, float, f"codes of {k}", array=True).tolist()
+                           for k, v in prep["ordinal_codes"].items()},
+            scaler_columns=tuple(typed(scaler["columns"], str, "scaler columns", array=True).tolist()),
+            **{f"scaler_{key}": typed(scaler[key], float, f"scaler {key}", array=True)
+               for key in ("mean", "std", "min", "max")},
+            scaler_constant=typed(scaler["constant"], bool, "scaler constant", array=True),
             scaling_mode=prep["scaling_mode"],
             kept=kept,
             classifier=FAMILIES[raw["family"]].from_dict(raw["classifier"]),
             hyperparameters=meta["hyperparameters"],
-            seed=meta["seed"],
-            config_hash=meta["config_hash"],
+            seed=typed(meta["seed"], int, "seed"),
+            config_hash=typed(meta["config_hash"], str, "config_hash"),
         )
         for f in cell.feature_meta:
             if not (isinstance(f, dict) and isinstance(f.get("name"), str)

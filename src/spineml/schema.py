@@ -13,7 +13,10 @@ predictor group: they encode the outcome and would leak it.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, MissingColumnError, UnknownGroupError
 
@@ -222,6 +225,26 @@ def read_json(path, error: type[Exception], what: str):
         raise error(f"cannot read {what}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
+# The JSON types a value of each kind may take: a bool is no integer or
+# number, and a number must also be finite.
+_JSON_TYPES = {int: {int}, float: {int, float}, str: {str}, bool: {bool}}
+_KIND_NAMES = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
+               str: ("a string", "strings"), bool: ("true or false", "booleans")}
+
+
+def typed(value, kind, name: str, array: bool = False):
+    """A value read from JSON as `kind` (int, float, str or bool) or, with
+    `array`, nested lists of such values as a numpy array of `kind`. Any
+    other value raises a ValueError naming `name`."""
+    cells = np.array(value, dtype=object)  # a scalar is a 0-d array, and an array is not
+    ok = (cells.ndim > 0) == array and set(map(type, cells.flat)) <= _JSON_TYPES[kind]
+    out = cells.astype(kind) if ok else None
+    if not ok or kind is float and not np.isfinite(out).all():
+        what = f"an array of {_KIND_NAMES[kind][1]}" if array else _KIND_NAMES[kind][0]
+        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
+    return out if array else out.item()
 
 
 def load_schema_json(path) -> Schema:

@@ -9,7 +9,8 @@ it, so any node can act as a leaf under stricter limits. Children are
 numbered in the order their parents split.
 
 One grower builds a batch of trees in lockstep from a split rule: each
-step hands the rule the next node of every tree still growing, while each
+step hands the rule the next node of every tree still growing (a step too
+large for its row cap leaves some of them to the next steps), while each
 tree keeps its own depth-first order and node ids. Its state is arrays:
 the trees' root rows lie end to end in one array, each node owns a range
 of it that its split partitions stably, and each tree has a stack of
@@ -49,6 +50,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import EmptyTrainingSetError, WidthMismatchError
+from .schema import typed
 
 _MIN_DECREASE = 1e-12
 
@@ -112,9 +114,26 @@ def _decrease(parent, m, c1, n_left, c1_left, criterion: str):
     ) / m
 
 
-# Upper bound on the rows × d × 8 bytes of one float64 array of the CART
-# rule: it scores a step's nodes in blocks of whole nodes that stay under it.
+# Upper bound on the rows × columns × 8 bytes of one float64 array of a split
+# rule: each scores a step's nodes in blocks of whole nodes that stay under it.
 _CHUNK_BYTES = 2**18
+
+
+def _blocked(score, cap: int):
+    """The split rule that hands `score` a step's nodes in blocks of whole
+    nodes, each of at most `cap` rows unless one node alone has more, as the
+    block's own (trees, counts, rows, seg, starts), and joins the blocks'
+    (feature, threshold, decrease) arrays."""
+    def split(trees, counts, rows, seg, starts):
+        ends, parts, a = np.append(starts[1:], rows.size), [], 0
+        while a < trees.size:  # a block takes nodes while they fit under cap rows
+            z = max(a + 1, int(np.searchsorted(ends, starts[a] + cap, side="right")))
+            lo, hi = starts[a], ends[z - 1]
+            parts.append(score(trees[a:z], counts[a:z], rows[lo:hi], seg[lo:hi] - a, starts[a:z] - lo))
+            a = z
+        return map(np.concatenate, zip(*parts))
+
+    return split
 
 
 def _cart_split(X, y, criteria, min_samples_leaf):
@@ -126,11 +145,9 @@ def _cart_split(X, y, criteria, min_samples_leaf):
     entropy, min_leaf, is_one = np.array(criteria) == "entropy", np.array(min_samples_leaf), y == 1
     n, d = X.shape
     rank = np.stack([np.unique(col, return_inverse=True)[1] for col in X.T])  # (d, n)
-    cap = max(1, _CHUNK_BYTES // (8 * d))  # rows per block
 
-    def score(trees, counts, rows, ends):  # arrays are (d, block rows)
-        sizes = np.diff(ends, prepend=0)
-        starts, seg, pos = ends - sizes, np.repeat(np.arange(len(trees)), sizes), np.arange(rows.size)
+    def score(trees, counts, rows, seg, starts):  # arrays are (d, block rows)
+        sizes, pos = np.diff(starts, append=rows.size), np.arange(rows.size)
         key = rank[:, rows] + seg * n
         order = np.argsort(key, axis=1)
         # a cut lies between distinct ranks, which are distinct values since rows are finite
@@ -155,15 +172,13 @@ def _cart_split(X, y, criteria, min_samples_leaf):
         below, above = X[rows[order[j, first]], j], X[rows[order[j, first + 1]], j]
         return np.where(ok, j, -1), np.where(ok, (below + above) / 2.0, np.nan), best
 
-    def split(trees, counts, rows, seg, starts):
-        ends, parts, a = np.append(starts[1:], rows.size), [], 0
-        while a < trees.size:  # a block takes nodes while they fit under cap rows
-            z = max(a + 1, int(np.searchsorted(ends, starts[a] + cap, side="right")))
-            parts.append(score(trees[a:z], counts[a:z], rows[starts[a]:ends[z - 1]], ends[a:z] - starts[a]))
-            a = z
-        return map(np.concatenate, zip(*parts))
+    return _blocked(score, max(1, _CHUNK_BYTES // (8 * d)))
 
-    return split
+
+# The rows one grower step takes, unless its largest node alone has more: a
+# step that would take more leaves some trees' nodes to later steps, which
+# changes no tree, since each tree grows in its own order.
+_STEP_ROWS = 2**18
 
 
 def _grows(size, depth, c1, max_depth, min_samples_split):
@@ -172,19 +187,21 @@ def _grows(size, depth, c1, max_depth, min_samples_split):
             & (c1 > 0) & (c1 < size))
 
 
-def _grow(X, y, split, roots, max_depth=None, min_samples_split=2):
+def _grow(X, y, split, roots, max_depth=None, min_samples_split=2, records=True):
     """Grow one tree per root row set in lockstep. Each step asks
     `split(trees, counts, rows, seg, starts)` about the next node of every
-    growing tree (node b: tree `trees[b]`, class counts `counts[b]`; `rows`
+    growing tree, or of those that fit under `_STEP_ROWS` (node b: tree
+    `trees[b]`, class counts `counts[b]`; `rows`
     holds the nodes' rows end to end, node b's from `starts[b]`, and `seg` the
     node of each) for (feature, threshold, decrease) arrays, feature −1 for a
     leaf. Only impure nodes inside the limits are asked.
 
     Returns ((root counts, split records), importances): the (trees, 2) root
     class counts, one (tree, node, feature, threshold, left counts, right
-    counts) row per split in the order made, and the (trees, d) normalized
-    impurity-decrease importances. Tree t's k-th split gives its node the
-    children 2k + 1 and 2k + 2.
+    counts) row per split in the order made (none without `records`, which
+    a forest does not need), and the (trees, d) normalized impurity-decrease
+    importances. Tree t's k-th split gives its node the children 2k + 1 and
+    2k + 2.
 
     The trees' root rows lie end to end in one array, and a node owns a
     range of it; a split reorders its range stably into the left rows, then
@@ -203,11 +220,17 @@ def _grow(X, y, split, roots, max_depth=None, min_samples_split=2):
     stack[:, 0, 2] = np.cumsum(sizes)
     stack[:, 0, 1], stack[:, 0, 4] = stack[:, 0, 2] - sizes, root_c1
     top = _grows(sizes, 0, root_c1, max_depth, min_samples_split).astype(np.intp)
-    made = [(np.zeros(0),) * 9]  # per step: tree, node, feature, threshold, decrease, n_left, c1_left, size, c1
+    made = [(np.zeros(0),) * 8]  # per step: tree, node, feature, threshold, n_left, c1_left, size, c1
     while (trees := top.nonzero()[0]).size:
-        top[trees] -= 1
-        node, lo, hi, depth, c1 = stack[trees, top[trees]].T
+        node, lo, hi, depth, c1 = stack[trees, top[trees] - 1].T
         size = hi - lo
+        if size.sum() > _STEP_ROWS:  # the largest node, and the others smallest first while they fit
+            by_size = np.argsort(size, kind="stable")
+            fit = np.cumsum(size[by_size]) <= _STEP_ROWS
+            fit[-1] = True
+            pick = np.sort(by_size[fit])
+            trees, node, lo, hi, depth, c1, size = (a[pick] for a in (trees, node, lo, hi, depth, c1, size))
+        top[trees] -= 1
         starts = np.cumsum(size) - size
         seg = np.repeat(np.arange(trees.size), size)
         rows = perm[np.arange(seg.size) + (lo - starts)[seg]]
@@ -220,8 +243,10 @@ def _grow(X, y, split, roots, max_depth=None, min_samples_split=2):
         side = (2 * seg + ~go_left).astype(np.min_scalar_type(2 * trees.size))
         perm[np.arange(seg.size) + (lo - starts)[seg]] = rows[np.argsort(side, kind="stable")]
         s = feature >= 0
-        t, m, nl, l1, c1 = trees[s], size[s], n_left[s], c1_left[s], c1[s]
-        made.append((t, node[s], feature[s], threshold[s], decrease[s], nl, l1, m, c1))
+        t, f, m, nl, l1, c1 = trees[s], feature[s], size[s], n_left[s], c1_left[s], c1[s]
+        raw[t, f] += (m / sizes[t]) * decrease[s]  # a tree splits once per step, so in the order made
+        if records:
+            made.append((t, node[s], f, threshold[s], nl, l1, m, c1))
         first, mid, below = 2 * n_splits[t] + 1, lo[s] + nl, depth[s] + 1
         n_splits[t] += 1
         # the (node, start, end, depth, class-1 count) rows of the left and the
@@ -233,10 +258,8 @@ def _grow(X, y, split, roots, max_depth=None, min_samples_split=2):
         stack[t, top[t]] = kids[0].T
         stack[t, top[t] + push[0]] = kids[1].T  # over the left child if that is a leaf
         top[t] += push.sum(axis=0)
-    t, node, feature, threshold, decrease, nl, l1, m, c1 = map(np.concatenate, zip(*made))
-    t = t.astype(np.intp)
-    np.add.at(raw, (t, feature.astype(np.intp)), (m / sizes[t]) * decrease)  # in the order made
-    made = np.stack([t, node, feature, threshold, nl - l1, l1, (m - nl) - (c1 - l1), c1 - l1], axis=1)
+    t, node, f, threshold, nl, l1, m, c1 = map(np.concatenate, zip(*made))
+    made = np.stack([t, node, f, threshold, nl - l1, l1, (m - nl) - (c1 - l1), c1 - l1], axis=1)
     root_counts = np.stack([sizes - root_c1, root_c1], axis=1).astype(float)
     totals = raw.sum(axis=1, keepdims=True)
     return (root_counts, made), np.divide(raw, totals, out=raw, where=totals > 0)
@@ -345,25 +368,26 @@ def dt_from_dict(raw: dict) -> DecisionTreeModel:
     """Inverse of `dt_to_dict`; nodes get the ids the fit gave them."""
     if raw["criterion"] not in CRITERIA:
         raise ValueError(f"unknown criterion: {raw['criterion']!r}")
-    n_features = int(raw["n_features"])
+    n_features = typed(raw["n_features"], int, "n_features")
     counts, splits = [raw["root"]["counts"]], []
     stack = [(0, raw["root"])]
     while stack:
         node, entry = stack.pop()
         if "feature" in entry:
-            feature, children = int(entry["feature"]), (entry["left"], entry["right"])
+            feature, children = typed(entry["feature"], int, "feature"), (entry["left"], entry["right"])
             if not 0 <= feature < n_features:
                 raise ValueError(f"split on feature {feature} of {n_features}")
-            splits.append((node, feature, float(entry["threshold"])))
+            splits.append((node, feature, typed(entry["threshold"], float, "threshold")))
             stack += zip((len(counts), len(counts) + 1), children)
             counts += [c["counts"] for c in children]
+    max_depth = raw["max_depth"]
     return DecisionTreeModel(
-        **_node_arrays(counts, splits),
+        **_node_arrays(typed(counts, float, "counts", array=True), splits),
         criterion=raw["criterion"],
-        max_depth=raw["max_depth"],
-        min_samples_split=int(raw["min_samples_split"]),
-        min_samples_leaf=int(raw["min_samples_leaf"]),
-        feature_importances=np.array(raw["feature_importances"], dtype=float),
+        max_depth=None if max_depth is None else typed(max_depth, int, "max_depth"),
+        min_samples_split=typed(raw["min_samples_split"], int, "min_samples_split"),
+        min_samples_leaf=typed(raw["min_samples_leaf"], int, "min_samples_leaf"),
+        feature_importances=typed(raw["feature_importances"], float, "feature_importances", array=True),
         n_features=n_features,
     )
 
@@ -497,7 +521,7 @@ def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:
                          f"got {size}")
     draws = _Draws(rngs)
 
-    def random_split(trees, counts, rows, seg, starts):
+    def random_split(trees, counts, rows, seg, starts):  # arrays are (block rows, size)
         nodes = np.arange(len(trees))
         feats = draws.choice(trees, d, size)
         block = X[rows[:, None], feats[seg]]
@@ -517,7 +541,8 @@ def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:
         best = decrease[nodes, k]
         return np.where(best > _MIN_DECREASE, feats[nodes, k], -1), thresholds[nodes, k], best
 
-    importances = _grow(X, y, random_split, [np.arange(X.shape[0])] * len(rngs))[1]
+    split = _blocked(random_split, max(1, _CHUNK_BYTES // (8 * size)))
+    importances = _grow(X, y, split, [np.arange(X.shape[0])] * len(rngs), records=False)[1]
     draws.finish()
     return importances
 

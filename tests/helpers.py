@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -13,10 +14,14 @@ from numbers import Integral, Real
 import numpy as np
 
 from spineml.cli import _parse_list
-from spineml.dataset import Dataset
+from spineml.dataset import Dataset, IngestionReport
 from spineml.errors import (
+    ClassSmallerThanFoldsError,
     ConfigError,
     CorruptFileError,
+    EmptyAfterFilteringError,
+    MalformedCsvError,
+    MissingColumnError,
     PipelineError,
     UnknownGroupError,
     VersionMismatchError,
@@ -32,9 +37,10 @@ from spineml.experiment import (
     run_matrix,
 )
 from spineml.metrics import ConfusionMatrix, accuracy, confusion, f1
+from spineml.model_selection import FoldPlan
 from spineml.neighbors import _CHUNK_BYTES, _distances
 from spineml.report import RESULTS_FORMAT_VERSION, _check_aggregates
-from spineml.schema import GROUP_IDS, ColumnSpec, Schema, read_json
+from spineml.schema import GROUP_IDS, ColumnSpec, Schema, default_schema, read_json
 from spineml.synthetic import SYNTHETIC_DEFAULTS, check_synthetic
 from spineml.tree import DecisionTreeModel, _node_arrays, _route
 
@@ -249,14 +255,105 @@ def _with_appended(dist, labels, extra, minority, X_val, metric, k):
     return out_dist, out_labels
 
 
+# Two groups × three models: KNN untuned, KNN_opt failed in every group (its
+# only k is 0) and DT_opt tuned over 4 combinations, with a cv_table.
+FAILED_AND_TUNED = ExperimentConfig(
+    synthetic={"n": 80, "seed": 3}, groups=("I", "VII"), models=("KNN", "KNN_opt", "DT_opt"),
+    n_folds=4, grids={"KNN": {"k": (0,)}, "DT": {"max_depth": (2, None), "min_samples_split": (2,),
+                                                "min_samples_leaf": (1,)}},
+)
+
+
 def failed_and_tuned_matrix() -> ExperimentMatrix:
-    """Two groups × three models: KNN untuned, KNN_opt failed in every group
-    (its only k is 0) and DT_opt tuned over 4 combinations, with a cv_table."""
-    return run_matrix(ExperimentConfig(
-        synthetic={"n": 80, "seed": 3}, groups=("I", "VII"), models=("KNN", "KNN_opt", "DT_opt"),
-        n_folds=4, grids={"KNN": {"k": (0,)}, "DT": {"max_depth": (2, None), "min_samples_split": (2,),
-                                                    "min_samples_leaf": (1,)}},
-    ))
+    return run_matrix(FAILED_AND_TUNED)
+
+
+# Moved verbatim from `spineml.model_selection`, which now deals all classes'
+# permutations end to end in one array; the fold oracle test in
+# test_model_selection uses it.
+def stratified_kfold_reference(labels, n_folds: int = 8, seed: int = 0) -> FoldPlan:
+    """Deal each class's shuffled members round-robin, continuing the fold
+    cursor across classes so fold sizes differ by at most one overall."""
+    y = np.asarray(labels)
+    classes, counts = np.unique(y, return_counts=True)
+    if (counts < n_folds).any():
+        small = classes[counts < n_folds]
+        raise ClassSmallerThanFoldsError(
+            f"class {small[0]} has fewer rows than {n_folds} folds"
+        )
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(n_folds)]
+    cursor = 0
+    for c in classes:
+        members = np.flatnonzero(y == c)
+        for idx in rng.permutation(members):
+            folds[cursor % n_folds].append(int(idx))
+            cursor += 1
+    return FoldPlan(tuple(np.sort(np.array(f, dtype=np.int64)) for f in folds))
+
+
+# Moved verbatim from `spineml.dataset`, which now reads every field through
+# one number rule; the CSV oracle test in test_dataset uses it.
+def load_csv_reference(path, schema: Schema | None = None) -> tuple[Dataset, IngestionReport]:
+    """Read a CSV whose header names a superset of the schema columns.
+
+    Columns are reordered to schema order; rows with a missing or
+    unparseable value in any schema column are dropped and recorded in the
+    report by their 1-based data-row number.
+    """
+    schema = schema or default_schema()
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedCsvError(0, "empty file") from None
+        header = [h.strip() for h in header]
+        positions = {}
+        for name in schema.names:
+            if name not in header:
+                raise MissingColumnError(name)
+            positions[name] = header.index(name)
+        label_pos = positions[schema.outcome.name]
+        feature_pos = [positions[n] for n in schema.feature_names]
+
+        rows, labels, dropped = [], [], []
+        for row_no, record in enumerate(reader, start=1):
+            if not record or all(f.strip() == "" for f in record):
+                continue  # blank line
+            if len(record) != len(header):
+                raise MalformedCsvError(row_no, "field count does not match header")
+            bad = None
+            values = np.empty(len(feature_pos))
+            for j, pos in enumerate(feature_pos):
+                text = record[pos].strip()
+                try:
+                    x = float(text)
+                except ValueError:
+                    bad = schema.feature_names[j]
+                    break
+                if not np.isfinite(x):
+                    bad = schema.feature_names[j]
+                    break
+                values[j] = x
+            if bad is None:
+                text = record[label_pos].strip()
+                try:
+                    y = float(text)
+                except ValueError:
+                    y = None
+                if y not in (0.0, 1.0):
+                    bad = schema.outcome.name
+            if bad is not None:
+                dropped.append((row_no, bad))
+                continue
+            rows.append(values)
+            labels.append(int(y))
+
+    if not rows:
+        raise EmptyAfterFilteringError(f"no usable rows in {path}")
+    ds = Dataset(schema, np.array(rows), np.array(labels))
+    return ds, IngestionReport(ds.n, tuple(dropped))
 
 
 # Copied verbatim from `spineml.report` as it stood when each results.json

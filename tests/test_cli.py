@@ -5,6 +5,8 @@ import re
 
 import pytest
 
+from helpers import FAILED_AND_TUNED
+
 from spineml.cli import _build_parser, _build_run_config, main
 from spineml.experiment import SETTING_TYPES, ExperimentConfig
 
@@ -287,6 +289,13 @@ def test_predict_version_mismatch_exits_1(tmp_path, capsys):
     ("KNN", "classifier", "labels", [0, 2]),
     ("GaussianNB", "classifier", "classes", [0, 2]),
     ("DT", "preprocessing", "kept", [0, 99]),
+    ("KNN", "classifier", "k", 3.7),
+    ("KNN", "classifier", "k", True),
+    ("KNN", "classifier", "k", "3"),
+    ("KNN", "classifier", "k", [3]),
+    ("DT", "classifier", "n_features", 16.9),
+    ("DT", "classifier", "max_depth", "deep"),
+    ("DT", "classifier", "min_samples_leaf", "1"),
 ])
 def test_predict_rejects_a_model_file_with_an_unknown_setting(
     tmp_path, capsys, model_id, section, field, value
@@ -350,6 +359,13 @@ def _set_std(value):
     return lambda raw: raw["preprocessing"]["scaler"]["std"].__setitem__(0, value)
 
 
+def _set_scaler(key, value):
+    def edit(raw):
+        scaler = raw["preprocessing"]["scaler"]
+        scaler[key] = [value(v) for v in scaler[key]]
+    return edit
+
+
 @pytest.mark.parametrize("model_id,edit", [
     ("GaussianNB", _set_variance(-0.5)),
     ("GaussianNB", _set_variance(float("nan"))),
@@ -361,9 +377,16 @@ def _set_std(value):
     ("KNN", _set_std(-1.5)),
     ("KNN", _set_std(float("nan"))),
     ("KNN", _set_std(float("inf"))),
+    ("DT", lambda raw: raw["classifier"]["root"].__setitem__("threshold", float("nan"))),
+    ("KNN", lambda raw: raw["classifier"]["points"][0].__setitem__(1, float("inf"))),
+    ("KNN", _set_scaler("mean", lambda v: float("inf"))),
+    ("KNN", _set_scaler("constant", lambda v: "no")),
+    ("DT", lambda raw: raw["preprocessing"]["kept"].__setitem__(-1, raw["preprocessing"]["kept"][-1] + 0.5)),
+    ("KNN", _set_scaler("mean", str)),
 ], ids=["negative-variance", "nan-variance", "infinite-variance", "zero-smoothed-variance",
         "negative-smoothed-variance", "nan-var-smoothing", "zero-std", "negative-std",
-        "nan-std", "infinite-std"])
+        "nan-std", "infinite-std", "nan-threshold", "infinite-point", "infinite-scaler-mean",
+        "string-constant-flag", "fractional-kept", "string-scaler-mean"])
 def test_predict_rejects_impossible_model_values_at_load(tmp_path, capsys, model_id, edit):
     # Well-typed values that no fit can produce: each once gave a NaN score
     # or a label after a numpy warning, with exit 0.
@@ -606,3 +629,46 @@ def test_input_files_may_start_with_a_utf8_bom(tmp_path, capsys, case):
         outcomes.append((code, stdout, stderr, _outputs(out) if out.exists() else None))
     assert outcomes[0][0] == 0
     assert outcomes[1] == outcomes[0]
+
+
+def _run_files(capsys, out, *argv):
+    """A run's exit code, stdout, stderr and output files by relative path,
+    with results.json's timestamp nulled and the output path masked."""
+    code, stdout, stderr = _run(capsys, "run", *argv, "--out", str(out))
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "results.json":
+            raw = json.loads(data)
+            raw["provenance"]["timestamp"] = None
+            data = json.dumps(raw, sort_keys=True).encode()
+        files[str(path.relative_to(out))] = data
+    return code, stdout.replace(str(out), "<out>"), stderr, files
+
+
+def test_group_and_model_order_is_one_experiment(tmp_path, capsys):
+    # Groups and models run in their paper order whatever order the flags
+    # list them in, so every order (and a repeat) is one experiment, with one
+    # config_hash in results.json and in every model file.
+    runs = [_run_files(capsys, tmp_path / str(i), "--n", "80", "--data-seed", "3", "--folds", "4",
+                       "--save-models", "--groups", groups, "--models", models)
+            for i, (groups, models) in enumerate([("I,VII", "KNN,DT"), ("VII,I", "DT,KNN"),
+                                                  ("VII,I,VII", "DT,KNN,KNN")])]
+    assert runs[0][0] == 0 and len(runs[0][3]) > 4
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    config = json.loads(runs[0][3]["results.json"])["provenance"]["config"]
+    assert (config["groups"], config["models"]) == (["I", "VII"], ["KNN", "DT"])
+
+
+@pytest.mark.parametrize("models,code", [(None, 0), ("KNN_opt", 1)], ids=["some-cells-fail", "every-cell-fails"])
+def test_failing_cells_give_the_same_run_for_any_worker_count(tmp_path, capsys, models, code):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(FAILED_AND_TUNED.canonical_dict()))
+    runs = [_run_files(capsys, tmp_path / f"w{workers}", "--config", str(config), "--save-models",
+                       "--workers", str(workers), *(["--models", models] if models else []))
+            for workers in (1, 2, 3)]
+    assert runs[0][0] == code
+    failed = [line.split(":")[1].strip() for line in runs[0][2].splitlines() if line.startswith("cell failed:")]
+    assert failed == ["KNN_opt × I", "KNN_opt × VII"]
+    assert _error_lines(runs[0][2]) == ([] if code == 0 else ["error: all 2 cells failed"])
+    assert runs[1] == runs[0] and runs[2] == runs[0]

@@ -1,5 +1,11 @@
+import csv
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spineml.dataset import (
     derive_success,
@@ -13,11 +19,12 @@ from spineml.errors import (
     MalformedCsvError,
     MissingColumnError,
     OutOfRangeError,
+    PipelineError,
 )
 from spineml.schema import default_schema, group_by_id
 from spineml.synthetic import generate_synthetic
 
-from helpers import make_dataset
+from helpers import load_csv_reference, make_dataset
 
 
 def _write_rows(path, header, rows):
@@ -105,6 +112,42 @@ def test_load_csv_empty_after_filtering(tmp_path):
     _write_rows(path, schema.names, [[row[c] for c in schema.names]])
     with pytest.raises(EmptyAfterFilteringError):
         load_csv(path)
+
+
+# Field texts around the number rule: blanks, padding, words, non-finite and
+# out-of-range numbers, signed zero, underscores, labels other than 0 and 1,
+# and whitespace and digits that only `str.strip` or `float` know.
+CSV_FIELDS = st.sampled_from([
+    "", " 41 ", "abc", "inf", "nan", "1e400", "-0", "1_000", "2", "0.0", " 1 ", "1.0", "-1e-400",
+    "-inf", "NaN", "0x10", "1,5", "\x1c1\x1f", "\u20030\u2003", "\u0661", "+1", ".5", "1e", "1__0",
+]) | st.text(max_size=4)
+
+
+def _csv_outcome(load, path):
+    try:
+        ds, report = load(path)
+    except PipelineError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return (ds.rows.dtype, ds.rows.shape, ds.rows.tobytes(), ds.labels.dtype, ds.labels.tobytes(), report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data_seed=st.integers(0, 3), edits=st.lists(
+    st.tuples(st.integers(0, 19), st.sampled_from(default_schema().names), CSV_FIELDS), max_size=16))
+def test_csv_fields_read_as_the_per_field_loop_read_them(data_seed, edits):
+    """One number rule for every feature and label field keeps the rows,
+    labels and dropped rows (with their first bad column) of the per-field
+    loop it replaced."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        write_csv(generate_synthetic(20, data_seed, 0.5), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        for r, name, text in edits:
+            rows[1 + r][rows[0].index(name)] = text
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        assert _csv_outcome(load_csv, path) == _csv_outcome(load_csv_reference, path)
 
 
 def test_csv_round_trip_bit_exact(tmp_path):

@@ -129,6 +129,34 @@ def test_kfold_deterministic():
     assert all(x.tolist() == y.tolist() for x, y in zip(a.folds, b.folds))
 
 
+def _fold_outcome(deal, labels, n_folds, seed):
+    try:
+        plan = deal(labels, n_folds, seed)
+    except ClassSmallerThanFoldsError as exc:
+        return ("error", str(exc))
+    return [(f.dtype, f.shape, f.tobytes()) for f in plan.folds]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n_folds=st.integers(2, 10),
+    classes=st.lists(st.integers(-3, 9), min_size=0, max_size=4, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kfold_deals_the_folds_the_per_row_loop_dealt(data, n_folds, classes, seed):
+    """Dealing all classes' permutations end to end in one array gives the
+    bytes of the per-row loop it replaced: 1–4 classes in any label order,
+    classes of exactly n_folds rows or fewer, and empty labels."""
+    sizes = [data.draw(st.sampled_from([n_folds, n_folds - 1]) | st.integers(0, 3 * n_folds)) for _ in classes]
+    labels = data.draw(st.permutations([c for c, k in zip(classes, sizes) for _ in range(k)]))
+    labels = np.array(labels, dtype=np.int64)
+    want = _fold_outcome(helpers.stratified_kfold_reference, labels, n_folds, seed)
+    assert _fold_outcome(stratified_kfold, labels, n_folds, seed) == want
+    if not labels.size:
+        assert want == [(np.dtype(np.int64), (0,), b"")] * n_folds
+
+
 def test_f_scores_constant_feature_is_zero():
     ds = make_dataset([[1.0, 0.0], [1.0, 1.0], [1.0, 5.0], [1.0, 6.0]], [0, 0, 1, 1])
     scores = univariate_f_scores(ds)

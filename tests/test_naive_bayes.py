@@ -160,20 +160,12 @@ def test_cnb_fit_uniform_complement_gives_equal_weights():
 def test_cnb_fit_hand_case():
     # class-1 complement (= class-0 rows) sums to (3, 1)
     ds = make_dataset([[3.0, 1.0], [1.0, 2.0], [0.5, 0.5]], [0, 1, 1])
-    model = cnb_fit(ds, alpha=1.0)
+    model = cnb_fit(ds)
     assert model.weights[1, 0] == pytest.approx(math.log(4.0 / 6.0), abs=1e-12)
     assert model.weights[1, 1] == pytest.approx(math.log(2.0 / 6.0), abs=1e-12)
     # class-0 complement rows sum to (1.5, 2.5); denominator 1*2 + 4 = 6
     assert model.weights[0, 0] == pytest.approx(math.log(2.5 / 6.0), abs=1e-12)
     assert model.weights[0, 1] == pytest.approx(math.log(3.5 / 6.0), abs=1e-12)
-
-
-def test_cnb_fit_normalized_weights_have_unit_l1():
-    rng = np.random.default_rng(0)
-    ds = make_dataset(rng.uniform(0, 5, size=(20, 4)), rng.integers(0, 2, 20))
-    model = cnb_fit(ds, normalize=True)
-    for row in model.weights:
-        assert np.abs(row).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cnb_fit_rejects_negative_features():
