@@ -24,12 +24,14 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from numbers import Integral, Real
+from threading import Lock
 from typing import get_type_hints
 
 import numpy as np
@@ -62,7 +64,7 @@ from .naive_bayes import (
     gnb_fit,
     gnb_predict_many,
 )
-from .neighbors import METRICS, WEIGHTINGS, KNNModel, knn_fit, knn_predict, knn_predict_many
+from .neighbors import METRICS, WEIGHTINGS, KNNModel, TableStore, knn_fit, knn_predict, knn_predict_many
 from .preprocess import (
     ScalerState,
     apply_minmax,
@@ -480,7 +482,11 @@ def run_cell_fitted(
     spec: ModelSpec,
     config: ExperimentConfig,
     split: SplitIndices,
+    tables: TableStore | None = None,
 ) -> tuple[CellResult, FittedCell]:
+    """Train, tune and score one cell. A k-NN cell's grid folds and final
+    SMOTE basis read one set of neighbor tables of its training partition,
+    taken from `tables` (a store shared by the cells of a group) when given."""
     train_set = set(int(i) for i in split.train_idx)
     test_set = set(int(i) for i in split.test_idx)
     if train_set & test_set:
@@ -507,13 +513,14 @@ def run_cell_fitted(
     else:
         kept = np.arange(train.width)
 
+    knn_tables = None if spec.family != "knn" else (tables or TableStore()).tables(train.rows, train.labels)
     cv_table = None
     if spec.uses_grid:
         folds = stratified_kfold(train.labels, config.n_folds, seed=int(states[1]))
         grid = _resolved_grid(config, spec.family)
         plan = ResamplePlan(spec.resample) if spec.resample else None
         params, cv_table = grid_search(
-            train, grid, folds, resample=plan, scoring=config.scoring, seed=int(states[2])
+            train, grid, folds, resample=plan, scoring=config.scoring, seed=int(states[2]), tables=knn_tables
         )
     else:
         params = dict(family.defaults)
@@ -521,7 +528,7 @@ def run_cell_fitted(
     train_fit = train
     if spec.resample:
         plan = ResamplePlan(spec.resample, seed=int(states[3]))
-        train_fit = oversample(train_fit, plan)
+        train_fit = oversample(train_fit, plan, knn_tables)
 
     fitted = FittedCell(
         model_id=spec.id,
@@ -618,6 +625,12 @@ def run_matrix_fitted(config: ExperimentConfig) -> tuple[ExperimentMatrix, dict]
         data.labels, config.test_fraction, seed=config.seed
     )
 
+    # One store of neighbor tables per group, emptied when the group's last
+    # cell is done, so that a group's k-NN cells with equal training
+    # partitions share their tables and no table outlives its group.
+    keys = [(g, m) for g in config.groups for m in config.models]
+    tables, left, lock = {g: TableStore() for g in config.groups}, Counter(g for g, _ in keys), Lock()
+
     def job(gm):
         g, m = gm
         spec = MODEL_SPECS[m]
@@ -627,14 +640,18 @@ def run_matrix_fitted(config: ExperimentConfig) -> tuple[ExperimentMatrix, dict]
         else:
             split = shared_split
         try:
-            return gm, run_cell_fitted(data, registry[g], spec, config, split)
+            return gm, run_cell_fitted(data, registry[g], spec, config, split, tables[g])
         except PipelineError as exc:
             return gm, (
                 CellResult(group_id=g, model_id=m, hyperparameters={}, error=str(exc)),
                 None,
             )
+        finally:
+            with lock:
+                left[g] -= 1
+                if not left[g]:
+                    tables[g].clear()
 
-    keys = [(g, m) for g in config.groups for m in config.models]
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(job, keys))

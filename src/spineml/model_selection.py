@@ -27,7 +27,8 @@ from .metrics import accuracy_many, confusion_counts, f1_many
 # _vote and knn_predict_many stay imported here: perfbench's tracing tests
 # check that the tracer wraps them and rebinds these bindings.
 from .neighbors import (  # noqa: F401
-    _CHUNK_BYTES, KNNModel, _distances, _nearest_each, _prefix_vote, _top_k, _vote, knn_predict_many,
+    _CHUNK_BYTES, METRICS, KNNModel, NeighborTables, _distances, _prefix_vote, _top_k, _vote, _within,
+    knn_predict_many,
 )
 from .resampling import ResamplePlan, _draw, minority_basis
 from .tree import _route, dt_fit_batch, extratrees_fit
@@ -234,6 +235,7 @@ def grid_search(
     resample: ResamplePlan | None = None,
     scoring: str = "f1",
     seed: int = 0,
+    tables: NeighborTables | None = None,
 ) -> tuple[dict, list[dict]]:
     """Exhaustive cross-validated search; best = highest mean score, ties to
     the earlier (simpler) combination.
@@ -248,7 +250,9 @@ def grid_search(
     fold's validation rows once through the trees of every
     (criterion, min_samples_leaf) for all depth and split-size limits, and
     one `confusion_counts` per fold counts them all. The scores equal
-    refitting every (combination, fold) from scratch.
+    refitting every (combination, fold) from scratch. A KNN grid reads its
+    neighbor lists from `tables`, which must be `train`'s own; without
+    them, it builds its own.
     """
     if scoring not in SCORINGS:
         raise ValueError(f"unknown scoring: {scoring}")
@@ -266,7 +270,8 @@ def grid_search(
     flags: list[str | None] = [None] * len(combos)
 
     if grid.family == "knn":
-        _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scores, flags)
+        _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scores, flags,
+                  tables or NeighborTables(train.rows, train.labels))
     else:
         _dt_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags)
 
@@ -284,25 +289,31 @@ def grid_search(
     return dict(combos[best_i]), cv_table
 
 
-def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scores, flags):
+def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scores, flags, tables):
     """Score KNN combinations fold by fold from per-(metric, fold) sorted
     neighbor lists.
 
-    The cache holds, for each validation row, the top-k_max original fold
-    rows in (distance, index) order, both metrics' from one difference
-    tensor per block (`_nearest_each`), and `_prefix_vote` takes the votes
-    of every k from one set of prefix sums over it. An oversampled fold is
-    those rows followed by the combination's appended rows, drawn by
-    `_draw` from one `minority_basis` per fold. Random oversampling appends
-    copies, so `_with_copies` merges them by their multiplicities with no
-    distance computed; SMOTE's new rows go through `_with_appended`.
+    The cache holds, for each validation row, the top-k_max fold training
+    rows in (distance, index) order. It is read from one `neighbor_table`
+    of `train` (`tables`), which keeps k_max + `NeighborTables.SPARE` of
+    every row's nearest: a validation row's list minus its own fold's rows,
+    cut to k_max (`neighbors._within`), and computed directly for the few
+    rows that fall short. `_prefix_vote` takes the votes of every k from
+    one set of prefix sums over it. An oversampled fold is those rows
+    followed by the combination's appended rows, drawn by `_draw` from one
+    `minority_basis` per fold, whose SMOTE lists come from the same
+    `tables`. Random oversampling appends copies, so `_with_copies` merges
+    them by their multiplicities with no distance computed; SMOTE's new
+    rows go through `_with_appended`.
     """
     ks, weightings = np.array([c["k"] for c in combos]), [c["weighting"] for c in combos]
     k_max = int(ks.max())
+    metric_of = np.array([combo["metric"] for combo in combos])
+    table_metrics = tuple(m for m in METRICS if m in metric_of)
     for fi, (tr, va) in enumerate(zip(fold_train, fold_val)):
         sub, X_val = train.take(tr), train.rows[va]
         try:
-            basis = None if resample is None else minority_basis(sub, resample)
+            basis = None if resample is None else minority_basis(sub, resample, tables, tr)
         except PipelineError as exc:
             flags[:] = [str(exc)] * len(combos)
             continue
@@ -326,10 +337,13 @@ def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scor
                 drawn[ci] = _draw(sub.rows, resample.method, basis, derive_seed(seed, ci, fi))
         if not ok.any():
             continue
-        metric_of = np.array([combo["metric"] for combo in combos])
-        metrics = tuple(dict.fromkeys(metric_of[ok].tolist()))
+        lists = tables.lists(table_metrics, k_max)
+        inside = np.zeros(train.n, dtype=bool)
+        inside[tr] = True
         P = np.zeros((len(combos), va.size), dtype=np.int64)
-        for metric, (dist, idx) in _nearest_each(sub.rows, X_val, metrics, k_max).items():
+        metrics = dict.fromkeys(metric_of[ok].tolist())
+        near = _within({m: lists[m] for m in metrics}, train.rows, va, inside, k_max)
+        for metric, (dist, idx) in near.items():
             at = np.flatnonzero(ok & (metric_of == metric))
             labels = sub.labels[idx]
             if copies:

@@ -9,17 +9,33 @@ SMOTE's neighbor lists) keeps each query row's k nearest in (distance,
 index) order by one rule, `_top_k`: partition to the k-th smallest
 distance, keep every column at or below it, and order only those. The
 lookups run one block of query rows at a time, so memory grows with
-n_query × k, not n_query × n_train. Grid search takes both metrics' lists
-from one difference tensor per block (`_nearest_each`). Batch prediction
+n_query × k, not n_query × n_train. Both metrics' lists come from one
+difference tensor per block (`_nearest_each`). Batch prediction
 votes for all query rows at once (`_vote`), and grid search for all k of a
 combination list from one set of prefix sums (`_prefix_vote`); a row whose
 two class weights are equal up to rounding is settled by the one-row rule
 (`_vote_one`) that single-record prediction uses, so all give the same
 labels.
+
+Grid search and SMOTE measure a training partition once: `neighbor_table`
+lists every row's K nearest rows of the partition, itself included, from
+tiles of the upper triangle of the distance matrix, and `_within` reads a
+subset's lists from it: a fold's training rows for the fold's validation
+rows, or a fold's minority rows for SMOTE. K is the widest list a caller
+reads plus `NeighborTables.SPARE` (8): k_max + 8 for the grid, smote_k + 9
+for SMOTE's table over the rows of the minority label. A row whose list
+holds fewer rows of the subset than it needs is measured directly by
+`_nearest_each`. `NeighborTables` builds each table on first use; a
+`TableStore` shares them between the cells of a group whose partitions are
+equal byte for byte, and the experiment runner empties it when the group
+is done.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +111,11 @@ def _both_distances(points: np.ndarray, X: np.ndarray) -> dict[str, np.ndarray]:
     return {"euclidean": np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2)), "manhattan": manhattan}
 
 
+def _each_distances(points: np.ndarray, X: np.ndarray, metrics) -> dict:
+    """`_distances` for each of `metrics`; both from one difference tensor."""
+    return _both_distances(points, X) if len(metrics) == 2 else {metrics[0]: _distances(points, X, metrics[0])}
+
+
 def _top_k(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's first min(k, n) columns in (distance, column) order, the
     order of a full stable sort, with their distances.
@@ -113,15 +134,26 @@ def _top_k(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if b == 1 or flat.size == b * k:  # one row, or no row tied at its cut
         width = flat.size if b == 1 else k
         cand, cols = dist.ravel()[flat].reshape(b, width), (flat % n).reshape(b, width)
-    else:  # pad rows with fewer candidates with (inf, n), which sorts after all
-        counts = np.count_nonzero(keep, axis=1)
-        row_of = flat // n
-        at = row_of, np.arange(flat.size) - (np.cumsum(counts) - counts)[row_of]
-        cand, cols = np.full((b, counts.max()), np.inf), np.full((b, counts.max()), n)
-        cand[at], cols[at] = dist.ravel()[flat], flat % n
+    else:
+        _, cand, cols = _packed(dist, flat)
     order = np.lexsort((cols, cand), axis=1)[:, :k]
     rows = np.arange(b)[:, None]
     return cand[rows, order], cols[rows, order]
+
+
+def _packed(dist: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of `dist` at flat positions `flat` (ascending), by row:
+    the rows that have any, and their entries' distances and columns
+    left-aligned in column order, rows with fewer padded with (inf, n),
+    which sorts after every entry."""
+    b, n = dist.shape
+    row_of, col = np.divmod(flat, n)
+    counts = np.bincount(row_of, minlength=b)
+    at = (np.cumsum(counts > 0) - 1)[row_of], np.arange(flat.size) - (np.cumsum(counts) - counts)[row_of]
+    shape = (np.count_nonzero(counts), counts.max())
+    cand, cols = np.full(shape, np.inf), np.full(shape, n)
+    cand[at], cols[at] = dist[row_of, col], col
+    return np.flatnonzero(counts), cand, cols
 
 
 def _nearest(points: np.ndarray, X: np.ndarray, metric: str, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,21 +166,154 @@ def _nearest(points: np.ndarray, X: np.ndarray, metric: str, k: int) -> tuple[np
 def _nearest_each(points: np.ndarray, X: np.ndarray, metrics, k: int) -> dict:
     """`_nearest` for each of `metrics`, one block of query rows at a time.
 
-    One metric's distances come from `_distances`, both metrics' from one
-    difference tensor (`_both_distances`). Blocks are sized so that a
-    block's difference tensor stays under _CHUNK_BYTES.
+    Distances come from `_each_distances`, both metrics' from one
+    difference tensor. Blocks are sized so that a block's difference tensor
+    stays under _CHUNK_BYTES.
     """
     step = max(1, _CHUNK_BYTES // max(1, 8 * points.size))
     blocks = []
     for start in range(0, max(1, X.shape[0]), step):
-        block = X[start:start + step]
-        dists = (_both_distances(points, block) if len(metrics) == 2
-                 else {metrics[0]: _distances(points, block, metrics[0])})
+        dists = _each_distances(points, X[start:start + step], metrics)
         blocks.append({metric: _top_k(dists[metric], k) for metric in metrics})
     if len(blocks) == 1:
         return blocks[0]
     return {metric: tuple(np.concatenate([b[metric][i] for b in blocks]) for i in (0, 1))
             for metric in metrics}
+
+
+def neighbor_table(points: np.ndarray, metrics, k: int) -> dict:
+    """For each of `metrics`, every row's first min(k, n) rows of `points`
+    in (distance, index) order, itself included: the (n, ≤ k) distances,
+    bit for bit, and indices of `_nearest_each(points, points, metrics, k)`.
+
+    The table is built from square tiles of the upper triangle of the
+    distance matrix, each holding a quarter of _CHUNK_BYTES of distances
+    per metric, measured in row blocks under _CHUNK_BYTES of differences.
+    A distance is the same double either way round, so tile (a, b) feeds
+    the running lists of row block a and, transposed, of row block b.
+    Tiles go row block by row block, so each block receives its candidate
+    columns in ascending index order; `_top_k` of a list followed by later
+    columns is then the (distance, index) order of both. Once a list is
+    full, only candidates below its last entry can enter it, so a merge
+    takes just those. The lists are filled in place in preallocated (n, k)
+    arrays, indices in the smallest unsigned type that holds n.
+    """
+    n, d = points.shape
+    k = min(k, n)
+    lists = {metric: (np.empty((n, k)), np.empty((n, k), dtype=np.min_scalar_type(n))) for metric in metrics}
+    step = max(1, math.isqrt(_CHUNK_BYTES // 32))
+    rows_per = max(1, _CHUNK_BYTES // max(1, 8 * d * step))
+    filled = dict.fromkeys(range(0, n, step), 0)  # each block's list width so far
+
+    def merge(start, width, new, first, dist, idx):
+        """Merge candidates `new` into the `width`-wide lists of the rows
+        from `start`, the candidates' columns counting from `first`."""
+        rows, cols = np.arange(start, start + new.shape[0]), np.broadcast_to(np.arange(new.shape[1]), new.shape)
+        if width == k:  # a NaN last entry sorts after every value
+            last = dist[rows, k - 1:]
+            enter = new < last
+            enter[np.isnan(last[:, 0])] = True
+            flat = np.flatnonzero(enter)
+            if not flat.size:
+                return
+            hit, new, cols = _packed(new, flat)
+            rows = rows[hit]
+        top, order = _top_k(np.concatenate([dist[rows, :width], new], axis=1), k)
+        cand = np.concatenate([idx[rows, :width], first + cols], axis=1)
+        dist[rows, :top.shape[1]], idx[rows, :top.shape[1]] = top, np.take_along_axis(cand, order, axis=1)
+
+    tile = {metric: np.empty((min(step, n), min(step, n))) for metric in metrics}
+    for a in filled:
+        size_a = min(step, n - a)
+        for b in range(a, n, step):
+            against, size_b = points[b:b + step], min(step, n - b)
+            for r in range(0, size_a, rows_per):  # the tile's rows, under _CHUNK_BYTES of differences each
+                block = points[a + r:a + min(r + rows_per, size_a)]
+                for metric, part in _each_distances(against, block, metrics).items():
+                    tile[metric][r:r + len(block), :size_b] = part
+            for metric, (dist, idx) in lists.items():
+                new = tile[metric][:size_a, :size_b]
+                merge(a, filled[a], new, b, dist, idx)
+                if b > a:
+                    merge(b, filled[b], new.T, a, dist, idx)
+            filled[a] = min(k, filled[a] + size_b)
+            if b > a:
+                filled[b] = min(k, filled[b] + size_a)
+    return lists
+
+
+def _within(lists: dict, points: np.ndarray, rows: np.ndarray, inside: np.ndarray, k: int) -> dict:
+    """`_nearest_each(points[inside], points[rows], metrics, k)`, read from
+    `lists`, each metric's `neighbor_table` of `points`.
+
+    Since the rows of `points[inside]` keep their order, a row's list minus
+    the rows outside, cut to min(k, inside rows), is its list there, with
+    indices renumbered to positions among the inside rows. A row left with
+    fewer entries than that (its table list was cut before enough inside
+    rows came) is computed directly by `_nearest_each`.
+    """
+    width = min(k, int(np.count_nonzero(inside)))
+    position = np.cumsum(inside) - 1
+    out, short = {}, np.zeros(rows.size, dtype=bool)
+    for metric, (dist, idx) in lists.items():
+        near = idx[rows]
+        keep = inside[near]
+        keep &= np.cumsum(keep, axis=1) <= width
+        full = np.count_nonzero(keep, axis=1) == width
+        short |= ~full
+        keep[~full] = False
+        got_dist, got_idx = np.zeros((rows.size, width)), np.zeros((rows.size, width), dtype=np.intp)
+        got_dist[full] = dist[rows][keep].reshape(-1, width)
+        got_idx[full] = position[near[keep]].reshape(-1, width)
+        out[metric] = got_dist, got_idx
+    if short.any():
+        direct = _nearest_each(points[inside], points[rows[short]], tuple(lists), width)
+        for metric, (got_dist, got_idx) in out.items():
+            got_dist[short], got_idx[short] = direct[metric]
+    return out
+
+
+class NeighborTables:
+    """The `neighbor_table`s of one matrix and its labels, each built on
+    first use and then kept: all rows over all rows, and the rows of one
+    label over those rows. `lists` builds under a lock, so threads that
+    share the object never see a table half built."""
+
+    # Rows a table keeps beyond the widest list its callers read, so that
+    # few rows fall short once a fold's rows are taken out.
+    SPARE = 8
+
+    def __init__(self, points: np.ndarray, labels: np.ndarray):
+        self.points, self.labels = points, labels
+        self._built, self._lock = {}, threading.Lock()
+
+    def lists(self, metrics: tuple, k: int, label: int | None = None) -> dict:
+        """The table of `metrics` over every row, or only over the rows
+        labelled `label`, keeping k + SPARE of each row's nearest."""
+        key = metrics, k, label
+        with self._lock:
+            if key not in self._built:
+                points = self.points if label is None else self.points[self.labels == label]
+                self._built[key] = neighbor_table(points, metrics, k + self.SPARE)
+            return self._built[key]
+
+
+class TableStore:
+    """`NeighborTables` by the bytes of a matrix and its labels, so that the
+    cells of one group whose training partitions are equal share them."""
+
+    def __init__(self):
+        self._by_key, self._lock = {}, threading.Lock()
+
+    def tables(self, points: np.ndarray, labels: np.ndarray) -> NeighborTables:
+        digest = hashlib.sha256(np.ascontiguousarray(points))
+        digest.update(np.ascontiguousarray(labels))
+        with self._lock:
+            return self._by_key.setdefault((points.shape, digest.hexdigest()), NeighborTables(points, labels))
+
+    def clear(self) -> None:
+        with self._lock:
+            self._by_key.clear()
 
 
 def _vote_one(dist_k: np.ndarray, labels_k: np.ndarray, weighting: str) -> tuple[int, float]:

@@ -7,7 +7,11 @@ experiment runner keeps validation and test rows out of reach.
 Oversampling is split into a seed-independent basis (`minority_basis`: the
 minority pool and SMOTE's neighbor lists) and the seeded draws
 (`_draw`), so grid search builds the basis once per fold and reseeds only
-the draws.
+the draws. SMOTE's neighbor lists come from one Euclidean table over a
+training partition's rows of the minority label (`neighbors.NeighborTables`,
+which keeps `SPARE` = 8 more than the k + 1 a basis reads): a fold's basis
+filters it to the fold's rows, the final fit's basis reads it as it is, and
+a row left short by the filter is measured directly.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import MinorityTooSmallError, SingleClassError
-from .neighbors import _nearest
+from .neighbors import NeighborTables, _within
 
 METHODS = ("random_over", "smote")
 
@@ -73,11 +77,14 @@ class MinorityBasis:
     neighbors: np.ndarray | None = None
 
 
-def minority_basis(train: Dataset, plan: ResamplePlan) -> MinorityBasis:
+def minority_basis(train: Dataset, plan: ResamplePlan, tables: NeighborTables | None = None,
+                   rows: np.ndarray | None = None) -> MinorityBasis:
     """Minority label, rows needed, minority pool and SMOTE neighbor lists.
 
     Depends on the training set and the plan but not on its seed, so one
-    basis serves every reseeded `oversample` of the same set.
+    basis serves every reseeded `oversample` of the same set. `tables` are
+    those of a matrix whose sorted rows `rows` (all when None) `train`
+    holds; without them, `train` gets its own.
     """
     minority, majority = _minority_majority(train)
     counts = train.class_counts()
@@ -87,9 +94,15 @@ def minority_basis(train: Dataset, plan: ResamplePlan) -> MinorityBasis:
     need = _target_count(plan, counts[majority]) - counts[minority]
     if plan.method == "random_over" or need <= 0:
         return MinorityBasis(minority, need, pool)
-    points = train.rows[pool]
+    if tables is None:
+        tables = NeighborTables(train.rows, train.labels)
+    held = np.zeros(tables.labels.size, dtype=bool)
+    held[slice(None) if rows is None else rows] = True
+    members = tables.labels == minority
+    inside = held[members]  # the pool, among the matrix's minority rows
     k = min(plan.smote_k, pool.size - 1)
-    _, near = _nearest(points, points, "euclidean", k + 1)
+    lists = tables.lists(("euclidean",), plan.smote_k + 1, minority)
+    _, near = _within(lists, tables.points[members], np.flatnonzero(inside), inside, k + 1)["euclidean"]
     # Drop each row itself; when k + 1 lower-index duplicates come first,
     # the row is not among them and the last one goes instead.
     keep = near != np.arange(pool.size)[:, None]
@@ -114,14 +127,15 @@ def _draw(rows: np.ndarray, method: str, basis: MinorityBasis, seed: int) -> np.
     return points[seeds] + u * (points[picks] - points[seeds])
 
 
-def oversample(train: Dataset, plan: ResamplePlan) -> Dataset:
+def oversample(train: Dataset, plan: ResamplePlan, tables: NeighborTables | None = None) -> Dataset:
     """Oversample `train` by `plan`.
 
     SMOTE seed points rotate round-robin over the minority rows from a seeded
     start, one of the seed's k nearest minority neighbors (euclidean) is
     chosen uniformly, and the synthetic point is x + u·(z − x), u ∈ [0, 1).
+    `tables`, if given, are `train`'s own.
     """
-    basis = minority_basis(train, plan)
+    basis = minority_basis(train, plan, tables)
     if basis.need <= 0:
         return train
     return _append(train, _draw(train.rows, plan.method, basis, plan.seed), basis.minority)

@@ -520,10 +520,11 @@ def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:
         raise ValueError(f"max_features must be ≤ {d // 50} (d // 50) with more than 10 000 features, "
                          f"got {size}")
     draws = _Draws(rngs)
+    candidates = np.zeros((len(rngs), size), dtype=np.int64)  # each tree's at the current step
 
     def random_split(trees, counts, rows, seg, starts):  # arrays are (block rows, size)
         nodes = np.arange(len(trees))
-        feats = draws.choice(trees, d, size)
+        feats = candidates[trees]
         block = X[rows[:, None], feats[seg]]
         lo, hi = np.minimum.reduceat(block, starts), np.maximum.reduceat(block, starts)
         live = lo < hi  # a constant candidate draws no threshold
@@ -541,7 +542,14 @@ def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:
         best = decrease[nodes, k]
         return np.where(best > _MIN_DECREASE, feats[nodes, k], -1), thresholds[nodes, k], best
 
-    split = _blocked(random_split, max(1, _CHUNK_BYTES // (8 * size)))
+    blocked = _blocked(random_split, max(1, _CHUNK_BYTES // (8 * size)))
+
+    def split(trees, counts, rows, seg, starts):
+        # One draw of every tree's candidates per step, before its blocks
+        # draw thresholds: each tree still draws its candidates first.
+        candidates[trees] = draws.choice(trees, d, size)
+        return blocked(trees, counts, rows, seg, starts)
+
     importances = _grow(X, y, split, [np.arange(X.shape[0])] * len(rngs), records=False)[1]
     draws.finish()
     return importances

@@ -21,6 +21,7 @@ from spineml.errors import (
     CorruptFileError,
     EmptyAfterFilteringError,
     MalformedCsvError,
+    MinorityTooSmallError,
     MissingColumnError,
     PipelineError,
     UnknownGroupError,
@@ -38,7 +39,8 @@ from spineml.experiment import (
 )
 from spineml.metrics import ConfusionMatrix, accuracy, confusion, f1
 from spineml.model_selection import FoldPlan
-from spineml.neighbors import _CHUNK_BYTES, _distances
+from spineml.neighbors import _CHUNK_BYTES, _distances, _nearest, _nearest_each
+from spineml.resampling import MinorityBasis, _minority_majority, _target_count
 from spineml.report import RESULTS_FORMAT_VERSION, _check_aggregates
 from spineml.schema import GROUP_IDS, ColumnSpec, Schema, default_schema, read_json
 from spineml.synthetic import SYNTHETIC_DEFAULTS, check_synthetic
@@ -253,6 +255,41 @@ def _with_appended(dist, labels, extra, minority, X_val, metric, k):
             for out, a in ((out_dist, cand), (out_labels, cand_labels)):
                 out[c:c + c_step, r:r + q_step] = np.take_along_axis(a, order, axis=2)
     return out_dist, out_labels
+
+
+# The grid's fold cache as `model_selection._knn_grid` built it before the
+# neighbor table: each fold's validation rows measured against that fold's
+# training rows. Kept verbatim as the oracle of `neighbors._within`.
+def fold_cache(train, tr, va, metrics, k_max):
+    sub, X_val = train.take(tr), train.rows[va]
+    return _nearest_each(sub.rows, X_val, metrics, k_max)
+
+
+# `resampling.minority_basis` as it stood before the neighbor table, with
+# its own neighbor search over the minority rows of each training set. Kept
+# verbatim as the oracle of the filtered minority tables.
+def minority_basis(train, plan):
+    """Minority label, rows needed, minority pool and SMOTE neighbor lists.
+
+    Depends on the training set and the plan but not on its seed, so one
+    basis serves every reseeded `oversample` of the same set.
+    """
+    minority, majority = _minority_majority(train)
+    counts = train.class_counts()
+    pool = np.flatnonzero(train.labels == minority)
+    if plan.method == "smote" and pool.size < 2:
+        raise MinorityTooSmallError("SMOTE needs at least 2 minority rows")
+    need = _target_count(plan, counts[majority]) - counts[minority]
+    if plan.method == "random_over" or need <= 0:
+        return MinorityBasis(minority, need, pool)
+    points = train.rows[pool]
+    k = min(plan.smote_k, pool.size - 1)
+    _, near = _nearest(points, points, "euclidean", k + 1)
+    # Drop each row itself; when k + 1 lower-index duplicates come first,
+    # the row is not among them and the last one goes instead.
+    keep = near != np.arange(pool.size)[:, None]
+    keep[keep.all(axis=1), -1] = False
+    return MinorityBasis(minority, need, pool, near[keep].reshape(pool.size, k))
 
 
 # Two groups × three models: KNN untuned, KNN_opt failed in every group (its

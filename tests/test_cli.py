@@ -672,3 +672,14 @@ def test_failing_cells_give_the_same_run_for_any_worker_count(tmp_path, capsys, 
     assert failed == ["KNN_opt × I", "KNN_opt × VII"]
     assert _error_lines(runs[0][2]) == ([] if code == 0 else ["error: all 2 cells failed"])
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("flags", [[], ["--keep-fraction", "0.5"], ["--per-cell-split"]],
+                         ids=["shared-partition", "own-columns", "own-split"])
+def test_shared_neighbor_tables_give_the_same_run_for_any_worker_count(tmp_path, capsys, flags):
+    # Two workers run a group's k-NN cells at once against one table store.
+    runs = [_run_files(capsys, tmp_path / f"w{workers}", "--n", "300", "--groups", "VII", "--models",
+                       "KNN_opt,KNN_RO,KNN_SMOTE", "--save-models", "--workers", str(workers), *flags)
+            for workers in (1, 2)]
+    assert runs[0][0] == 0 and sum(name.startswith("models") for name in runs[0][3]) == 3
+    assert runs[1] == runs[0]

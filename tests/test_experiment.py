@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+from spineml import neighbors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -328,3 +330,36 @@ def test_predict_one_label_equals_the_predict_many_label_on_tie_heavy_rows(famil
     labels = FAMILIES[family].predict_many(model, X)
     for i, x in enumerate(X):
         assert FAMILIES[family].predict_one(model, x)[0] == labels[i], (family, i)
+
+
+def test_each_run_builds_its_own_tables_and_a_group_shares_them(monkeypatch):
+    # A group's KNN_opt, KNN_RO and KNN_SMOTE train on one partition, so
+    # they share one table of both metrics, and the group's tables are
+    # dropped before the next group starts; a second run of the same config
+    # builds its tables again, as many times.
+    events = []
+    real_build, real_clear = neighbors.neighbor_table, neighbors.TableStore.clear
+
+    def counting(points, metrics, k):
+        events.append((points.shape[1], metrics, k))
+        return real_build(points, metrics, k)
+
+    def clearing(store):
+        events.append("clear")
+        real_clear(store)
+
+    monkeypatch.setattr(neighbors, "neighbor_table", counting)
+    monkeypatch.setattr(neighbors.TableStore, "clear", clearing)
+    config = _cfg(groups=("IV", "VII"), models=("KNN", "KNN_opt", "KNN_RO", "KNN_SMOTE"))
+    first = run_matrix(config)
+    runs = [list(events)]
+    events.clear()
+    second = run_matrix(config)
+    runs.append(list(events))
+    assert runs[0] == runs[1]
+    at = runs[0].index("clear")
+    assert runs[0][-1] == "clear" and runs[0].count("clear") == 2
+    for group in (runs[0][:at], runs[0][at + 1:-1]):  # each group's builds, over its own columns
+        assert len({width for width, _, _ in group}) == 1
+        assert [metrics for _, metrics, _ in group].count(METRICS) == 1
+    assert first.cells == second.cells

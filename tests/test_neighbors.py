@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from spineml import neighbors
-from spineml.errors import KOutOfRangeError, WidthMismatchError
+from spineml.errors import KOutOfRangeError, PipelineError, WidthMismatchError
 from spineml.model_selection import ParamGrid, grid_search, stratified_kfold
 from spineml.neighbors import (
     METRICS,
+    NeighborTables,
     _both_distances,
     _distances,
     _nearest,
@@ -17,9 +21,11 @@ from spineml.neighbors import (
     _prefix_vote,
     _top_k,
     _vote,
+    _within,
     knn_fit,
     knn_predict,
     knn_predict_many,
+    neighbor_table,
 )
 from spineml.resampling import ResamplePlan, minority_basis
 
@@ -386,3 +392,171 @@ def test_oversampled_grid_search_memory_is_linear_in_n(method):
     bound = 2 * neighbors._CHUNK_BYTES / 2**20 + 4 * n / 1024  # 8 MB + 4 KB per row
     assert _peak_mb(grid_search, ds, grid, folds, ResamplePlan(method)) < bound
 
+
+
+def _coarse_rows(rng, n, d, duplicates):
+    """Coarse-grid rows, some repeated: equal distances everywhere, so the
+    index tie-break decides."""
+    points = rng.integers(-2, 3, size=(n, d)).astype(float)
+    return np.vstack([points, points[rng.integers(0, n, size=duplicates)]])
+
+
+def test_neighbor_table_equals_a_full_stable_sort_under_every_tile_cap(monkeypatch):
+    # A 1-byte cap makes 1 × 1 tiles; the largest holds the whole matrix.
+    rng = np.random.default_rng(3)
+    points = np.vstack([_coarse_rows(rng, 45, 3, 7) / 2.0, rng.normal(size=(12, 3))])
+    k = 30
+    tables = []
+    for chunk in (1, 8, 100, 1000, 2**12, 2**15, 2**22):
+        monkeypatch.setattr(neighbors, "_CHUNK_BYTES", chunk)
+        tables.append(neighbor_table(points, METRICS, k))
+    for metric in METRICS:
+        dist = _distances(points, points, metric)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        for table in tables:
+            assert table[metric][0].tobytes() == tables[0][metric][0].tobytes()
+            assert table[metric][1].tobytes() == tables[0][metric][1].tobytes()
+        assert tables[0][metric][0].tobytes() == np.take_along_axis(dist, order, axis=1).tobytes()
+        assert np.array_equal(tables[0][metric][1], order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    d=st.integers(1, 3),
+    duplicates=st.integers(0, 12),
+    n_folds=st.integers(2, 8),
+    k_max=st.integers(1, 40),
+    spare=st.sampled_from([0, 1, 8]),
+    metrics=st.sampled_from([("euclidean",), ("manhattan",), METRICS]),
+    chunk=st.sampled_from([None, 1, 64, 2000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filtered_table_equals_each_folds_own_neighbor_search(n, d, duplicates, n_folds, k_max, spare, metrics,
+                                                             chunk, seed):
+    """A fold's cache read from the partition's one table equals measuring
+    the fold's validation rows against its training rows, the cache it
+    replaced (kept in helpers): coarse grids with duplicated rows, k_max at
+    or above a fold's training rows, uneven folds whose tiny training sets
+    leave rows short of entries (the direct path), and tiles split small."""
+    rng = np.random.default_rng(seed)
+    points = _coarse_rows(rng, n, d, duplicates)
+    ds = make_dataset(points, rng.integers(0, 2, len(points)))
+    fold_of = rng.choice(n_folds, size=len(points), p=rng.dirichlet(np.full(n_folds, 0.3)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NeighborTables, "SPARE", spare)
+        if chunk is not None:
+            mp.setattr(neighbors, "_CHUNK_BYTES", chunk)
+        lists = NeighborTables(ds.rows, ds.labels).lists(metrics, k_max)
+    for f in range(n_folds):
+        inside = fold_of != f
+        if not inside.any():
+            continue
+        va, tr = np.flatnonzero(~inside), np.flatnonzero(inside)
+        got = _within(lists, ds.rows, va, inside, k_max)
+        want = helpers.fold_cache(ds, tr, va, metrics, k_max)
+        for metric in metrics:
+            assert got[metric][0].shape == want[metric][0].shape
+            assert got[metric][0].tobytes() == want[metric][0].tobytes()
+            assert got[metric][1].tobytes() == want[metric][1].tobytes()
+
+
+def test_rows_left_short_by_a_fold_are_measured_directly(monkeypatch):
+    # The fold's 4 training rows lie far from its 40 validation rows, so a
+    # validation row's table list (k_max + SPARE = 11 entries) holds none of
+    # them, while the training rows' own lists hold only each other.
+    rng = np.random.default_rng(0)
+    points = np.vstack([rng.normal(size=(40, 2)), rng.normal(50, 1, size=(4, 2))])
+    inside = np.arange(44) >= 40
+    measured = []
+
+    def counting(points, X, metrics, k):
+        measured.append(len(X))
+        return _nearest_each(points, X, metrics, k)
+
+    lists = neighbor_table(points, METRICS, 3 + NeighborTables.SPARE)
+    monkeypatch.setattr(neighbors, "_nearest_each", counting)
+    rows = np.arange(44)
+    got = _within(lists, points, rows, inside, 3)
+    assert measured == [40]  # the 40 short rows, in one call
+    want = _nearest_each(points[inside], points, METRICS, 3)
+    for metric in METRICS:
+        assert [a.tobytes() for a in got[metric]] == [a.tobytes() for a in want[metric]]
+
+
+def test_a_table_is_built_once_for_every_thread_that_asks():
+    # Eight threads on two cores, switching every few microseconds, ask for
+    # the same table at once: one builds it, and every one gets that table.
+    built, gate = [], threading.Barrier(8)
+    real = neighbor_table
+
+    def counting(points, metrics, k):
+        built.append(k)
+        return real(points, metrics, k)
+
+    tables = NeighborTables(np.random.default_rng(1).normal(size=(300, 4)), np.arange(300) % 2)
+    got = []
+
+    def ask():
+        gate.wait(timeout=30)
+        got.append(tables.lists(METRICS, 5))
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "neighbor_table", counting)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert built == [5 + NeighborTables.SPARE]
+    assert len(got) == 8 and all(g is got[0] for g in got)
+    assert got[0]["euclidean"][0].shape == (300, 5 + NeighborTables.SPARE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n0=st.integers(1, 25),
+    n1=st.integers(1, 25),
+    d=st.integers(1, 3),
+    duplicates=st.integers(0, 8),
+    smote_k=st.integers(1, 8),
+    held=st.floats(0.3, 1.0),
+    spare=st.sampled_from([0, 8]),
+    chunk=st.sampled_from([None, 1, 500]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filtered_minority_tables_give_the_direct_smote_basis(n0, n1, d, duplicates, smote_k, held, spare, chunk,
+                                                             seed):
+    """A SMOTE basis read from the partition's minority table, filtered to a
+    subset of its rows (a fold's training rows, or all of them for the final
+    fit), equals the basis built by its own neighbor search (kept in
+    helpers): either label the minority, duplicated rows at distance 0 from
+    the row itself, k + 1 above the pool, and subsets too small for SMOTE."""
+    rng = np.random.default_rng(seed)
+    points = _coarse_rows(rng, n0 + n1, d, duplicates)
+    labels = rng.permutation(np.r_[np.zeros(n0, dtype=np.int64), np.ones(n1 + duplicates, dtype=np.int64)])
+    ds = make_dataset(points, labels)
+    rows = np.flatnonzero(rng.random(ds.n) < held) if held < 1.0 else np.arange(ds.n)
+    sub, plan = ds.take(rows), ResamplePlan("smote", smote_k=smote_k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NeighborTables, "SPARE", spare)
+        if chunk is not None:
+            mp.setattr(neighbors, "_CHUNK_BYTES", chunk)
+        tables = NeighborTables(ds.rows, ds.labels)
+        try:
+            want = helpers.minority_basis(sub, plan)
+        except PipelineError as exc:
+            with pytest.raises(type(exc), match=str(exc)):
+                minority_basis(sub, plan, tables, rows)
+            return
+        got = minority_basis(sub, plan, tables, rows)
+    assert (got.minority, got.need, got.pool.tobytes()) == (want.minority, want.need, want.pool.tobytes())
+    assert (got.neighbors is None) == (want.neighbors is None)
+    if want.neighbors is not None:
+        assert got.neighbors.tobytes() == want.neighbors.tobytes()

@@ -960,6 +960,30 @@ def test_step_and_block_caps_change_no_tree(n_trees, n, d, coarse, max_features,
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
+def test_forest_draws_each_steps_candidates_once_however_it_is_blocked(monkeypatch):
+    # Under a 64-byte block cap a step of many nodes splits into many
+    # blocks, but every tree's candidates of the step come from one draw.
+    rng = np.random.default_rng(2)
+    rows = np.concatenate([rng.normal(size=(60, 3)), rng.integers(0, 4, size=(60, 6)) / 2.0], axis=1)
+    labels = (rows[:, 0] + rng.normal(size=60) > 0).astype(int)
+    counts = {"steps": 0, "blocks": 0, "choices": 0}
+    grow, blocked, choice = tree._grow, tree._blocked, tree._Draws.choice
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(tree, "_CHUNK_BYTES", 64)
+    monkeypatch.setattr(tree, "_grow", lambda X, y, split, *a, **kw: grow(X, y, counted("steps", split), *a, **kw))
+    monkeypatch.setattr(tree, "_blocked", lambda score, cap: blocked(counted("blocks", score), cap))
+    monkeypatch.setattr(tree._Draws, "choice", lambda self, *a: counted("choices", choice)(self, *a))
+    extratrees_fit(make_dataset(rows, labels), n_trees=20, seed=1)
+    assert counts["choices"] == counts["steps"] > 0
+    assert counts["blocks"] > 2 * counts["steps"]
+
+
 def test_forest_peak_memory_stays_near_the_step_bound():
     # 100 trees on 1 000 rows take 100 000 rows at their first step. Under a
     # 32 768-row step cap, scoring in 8 192-row blocks and keeping no split
