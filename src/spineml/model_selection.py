@@ -426,11 +426,13 @@ def _with_appended(dist, labels, extra, minority, X_val, metric, k):
 
 def _dt_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags):
     """Grow the unconstrained trees of every (criterion, min_samples_leaf,
-    fold) as one lockstep batch over the cell's rows, then route each fold's
-    validation rows once through that fold's trees for every (max_depth,
-    min_samples_split) pair — identical to refitting because split choice is
-    local to the node. Routing fold by fold keeps the path matrix at one
-    fold's rows."""
+    fold) as one lockstep batch over the cell's rows, level by level (each
+    grower step takes the pending nodes of all of them, and each tree gets
+    its depth-first node ids and importances back at the end), then route
+    each fold's validation rows once through that fold's trees for every
+    (max_depth, min_samples_split) pair — identical to refitting because
+    split choice is local to the node. Routing fold by fold keeps the path
+    matrix at one fold's rows."""
     keys = list(dict.fromkeys((combo["criterion"], combo["min_samples_leaf"]) for combo in combos))
     limits = list(dict.fromkeys((combo["max_depth"], combo["min_samples_split"]) for combo in combos))
     trees = dt_fit_batch(train, fold_train * len(keys), *zip(*(key for key in keys for _ in fold_train)))

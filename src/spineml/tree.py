@@ -6,15 +6,21 @@ A tree is a set of parallel node arrays (the layout of Louppe 2014,
 its children (−1 at a leaf, where the feature is −1 and the threshold
 NaN), and `counts[i]` the class counts of the training rows that reached
 it, so any node can act as a leaf under stricter limits. Children are
-numbered in the order their parents split.
+numbered in the depth-first order of their parents' splits, right child
+first: the k-th split gives its node the children 2k + 1 and 2k + 2.
 
-One grower builds a batch of trees in lockstep from a split rule: each
-step hands the rule the next node of every tree still growing (a step too
-large for its row cap leaves some of them to the next steps), while each
-tree keeps its own depth-first order and node ids. Its state is arrays:
-the trees' root rows lie end to end in one array, each node owns a range
-of it that its split partitions stably, and each tree has a stack of
-nodes in a (trees × depth) array. The CART rule takes, at
+One grower builds a batch of trees in lockstep from a split rule. A CART
+step hands the rule every pending node of every tree, the whole frontier,
+so a batch grows level by level, as in SLIQ (Mehta, Agrawal & Rissanen
+1996): a split depends only on its node's rows, so the order the nodes
+are asked in changes no split. The node ids and the importance sums do
+depend on it, so both are rebuilt at the end in each tree's depth-first
+order. A forest's step takes only the next node of each tree in that
+order, since its draws come from each tree's stream node by node. A step
+too large for its row cap leaves some nodes to the next steps. The
+grower's state is arrays: the trees' root rows lie end to end in one
+array, each node owns a range of it that its split partitions stably, and
+the pending nodes are rows of one array. The CART rule takes, at
 every node, the midpoint between consecutive distinct values of a feature
 with the largest weighted impurity decrease; ties go to the lower feature,
 then the lower threshold. It scores all nodes of a step in one segmented
@@ -172,12 +178,15 @@ def _cart_split(X, y, criteria, min_samples_leaf):
         below, above = X[rows[order[j, first]], j], X[rows[order[j, first + 1]], j]
         return np.where(ok, j, -1), np.where(ok, (below + above) / 2.0, np.nan), best
 
-    return _blocked(score, max(1, _CHUNK_BYTES // (8 * d)))
+    # A level-by-level step fills its blocks with small nodes whose every cut
+    # is scored, where the rule's peak is about 16 block-sized arrays (4.1 MB
+    # for 256 KB ones), so CART's blocks take half the rows the bound allows.
+    return _blocked(score, max(1, _CHUNK_BYTES // (16 * d)))
 
 
 # The rows one grower step takes, unless its largest node alone has more: a
-# step that would take more leaves some trees' nodes to later steps, which
-# changes no tree, since each tree grows in its own order.
+# step that would take more leaves some nodes to later steps, which changes
+# no tree, since a node's split depends only on its own rows.
 _STEP_ROWS = 2**18
 
 
@@ -187,53 +196,62 @@ def _grows(size, depth, c1, max_depth, min_samples_split):
             & (c1 > 0) & (c1 < size))
 
 
-def _grow(X, y, split, roots, max_depth=None, min_samples_split=2, records=True):
+def _grow(X, y, split, roots, max_depth=None, min_samples_split=2, depth_first=False):
     """Grow one tree per root row set in lockstep. Each step asks
-    `split(trees, counts, rows, seg, starts)` about the next node of every
-    growing tree, or of those that fit under `_STEP_ROWS` (node b: tree
-    `trees[b]`, class counts `counts[b]`; `rows`
-    holds the nodes' rows end to end, node b's from `starts[b]`, and `seg` the
-    node of each) for (feature, threshold, decrease) arrays, feature −1 for a
-    leaf. Only impure nodes inside the limits are asked.
+    `split(trees, counts, rows, seg, starts)` about pending nodes (node b:
+    tree `trees[b]`, class counts `counts[b]`; `rows` holds the nodes' rows
+    end to end, node b's from `starts[b]`, and `seg` the node of each) for
+    (feature, threshold, decrease) arrays, feature −1 for a leaf. Only
+    impure nodes inside the limits are pending. A CART step takes every
+    pending node of every tree, the whole frontier, so a batch grows level
+    by level. A `depth_first` step, the forest's, whose draws follow each
+    tree's node order, takes the next node of each tree, right child first.
+    Either way a step takes at most `_STEP_ROWS` rows besides its largest
+    node, the smallest nodes first; the rest wait.
 
-    Returns ((root counts, split records), importances): the (trees, 2) root
-    class counts, one (tree, node, feature, threshold, left counts, right
-    counts) row per split in the order made (none without `records`, which
-    a forest does not need), and the (trees, d) normalized impurity-decrease
-    importances. Tree t's k-th split gives its node the children 2k + 1 and
-    2k + 2.
+    Returns ((root counts, splits), importances): the (trees, 2) root class
+    counts, the (trees, d) normalized impurity-decrease importances, and,
+    for CART, the splits in each tree's depth-first order (`_preorder`); a
+    forest keeps none, only each tree's importance sums.
 
     The trees' root rows lie end to end in one array, and a node owns a
     range of it; a split reorders its range stably into the left rows, then
-    the right. Each tree keeps a stack of (node, start, end, depth, class-1
-    count) rows and pops its right child first, so its nodes come in
-    depth-first order.
+    the right. The pending nodes are (tree, start, end, depth, class-1
+    count, ref) rows in the order pushed, ref being 2 · (parent split) +
+    side (0 left, 1 right), or −1 − tree at a root.
     """
     n_trees, d = len(roots), X.shape[1]
     sizes = np.array([len(r) for r in roots], dtype=np.intp)
-    perm = np.concatenate([np.zeros(0, np.intp), *roots]).astype(np.intp)
+    # row ids in the least dtype that holds them: it is the grower's largest array
+    perm = np.concatenate([np.zeros(0, np.intp), *roots]).astype(np.min_scalar_type(X.shape[0]))
     is_one = y == 1
     root_c1 = np.array([np.count_nonzero(is_one[r]) for r in roots], dtype=np.intp)
     raw = np.zeros((n_trees, d))
-    n_splits = np.zeros(n_trees, dtype=np.intp)
-    stack = np.zeros((n_trees, 8, 5), dtype=np.intp)  # root: node 0 at depth 0
-    stack[:, 0, 2] = np.cumsum(sizes)
-    stack[:, 0, 1], stack[:, 0, 4] = stack[:, 0, 2] - sizes, root_c1
-    top = _grows(sizes, 0, root_c1, max_depth, min_samples_split).astype(np.intp)
-    made = [(np.zeros(0),) * 8]  # per step: tree, node, feature, threshold, n_left, c1_left, size, c1
-    while (trees := top.nonzero()[0]).size:
-        node, lo, hi, depth, c1 = stack[trees, top[trees] - 1].T
-        size = hi - lo
+    t, ends = np.arange(n_trees), np.cumsum(sizes)
+    pool = np.stack([t, ends - sizes, ends, 0 * t, root_c1, -1 - t], axis=1)
+    pool = pool[_grows(sizes, 0, root_c1, max_depth, min_samples_split)]
+    made, n_made = [(np.zeros((0, 6), np.int32), np.zeros((0, 2)))], 0  # per step: the splits' records
+    while len(pool):
+        if depth_first:  # each tree's last pushed node, the top of its stack
+            top = np.full(n_trees, -1)
+            np.maximum.at(top, pool[:, 0], np.arange(len(pool)))
+            pick = top[top >= 0]
+        else:
+            pick = np.arange(len(pool))
+        picked = pool[pick]
+        size = picked[:, 2] - picked[:, 1]
         if size.sum() > _STEP_ROWS:  # the largest node, and the others smallest first while they fit
             by_size = np.argsort(size, kind="stable")
             fit = np.cumsum(size[by_size]) <= _STEP_ROWS
             fit[-1] = True
-            pick = np.sort(by_size[fit])
-            trees, node, lo, hi, depth, c1, size = (a[pick] for a in (trees, node, lo, hi, depth, c1, size))
-        top[trees] -= 1
+            keep = np.sort(by_size[fit])
+            pick, picked, size = pick[keep], picked[keep], size[keep]
+        wait = np.ones(len(pool), dtype=bool)
+        wait[pick] = False
+        (trees, lo, hi, depth, c1, ref), pool = picked.T, pool[wait]
         starts = np.cumsum(size) - size
         seg = np.repeat(np.arange(trees.size), size)
-        rows = perm[np.arange(seg.size) + (lo - starts)[seg]]
+        rows = perm[np.arange(seg.size) + (lo - starts)[seg]].astype(np.intp)  # an index many times a step
         feature, threshold, decrease = split(trees, np.array([size - c1, c1], dtype=float).T, rows, seg, starts)
         go_left = X[rows, feature[seg]] <= threshold[seg]
         n_left = np.add.reduceat(go_left, starts)
@@ -244,25 +262,64 @@ def _grow(X, y, split, roots, max_depth=None, min_samples_split=2, records=True)
         perm[np.arange(seg.size) + (lo - starts)[seg]] = rows[np.argsort(side, kind="stable")]
         s = feature >= 0
         t, f, m, nl, l1, c1 = trees[s], feature[s], size[s], n_left[s], c1_left[s], c1[s]
-        raw[t, f] += (m / sizes[t]) * decrease[s]  # a tree splits once per step, so in the order made
-        if records:
-            made.append((t, node[s], f, threshold[s], nl, l1, m, c1))
-        first, mid, below = 2 * n_splits[t] + 1, lo[s] + nl, depth[s] + 1
-        n_splits[t] += 1
-        # the (node, start, end, depth, class-1 count) rows of the left and the
-        # right child; the left goes on the stack first, and the right on top
-        kids = np.array([[first, lo[s], mid, below, l1], [first + 1, mid, hi[s], below, c1 - l1]])
-        push = _grows(kids[:, 2] - kids[:, 1], below, kids[:, 4], max_depth, min_samples_split)
-        if stack.shape[1] < top.max() + 2:
-            stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
-        stack[t, top[t]] = kids[0].T
-        stack[t, top[t] + push[0]] = kids[1].T  # over the left child if that is a leaf
-        top[t] += push.sum(axis=0)
-    t, node, f, threshold, nl, l1, m, c1 = map(np.concatenate, zip(*made))
-    made = np.stack([t, node, f, threshold, nl - l1, l1, (m - nl) - (c1 - l1), c1 - l1], axis=1)
+        gain = (m / sizes[t]) * decrease[s]
+        if depth_first:
+            raw[t, f] += gain  # a tree splits once per step, so in the order made
+        else:  # (ref, feature, left counts, right counts) and (threshold, gain)
+            rec = np.stack([ref[s], f, nl - l1, l1, (m - nl) - (c1 - l1), c1 - l1], axis=1).astype(np.int32)
+            made.append((rec, np.stack([threshold[s], gain], axis=1)))
+        kids = np.repeat(picked[s], 2, axis=0)  # each split's left child's row, then its right's
+        kids[0::2, 2] = kids[1::2, 1] = lo[s] + nl
+        kids[:, 3] += 1
+        kids[0::2, 4] = l1
+        kids[1::2, 4] -= l1
+        kids[:, 5] = 2 * n_made + np.arange(len(kids))
+        n_made += t.size
+        pool = np.concatenate([pool, kids[_grows(kids[:, 2] - kids[:, 1], kids[:, 3], kids[:, 4], max_depth,
+                                                 min_samples_split)]])
     root_counts = np.stack([sizes - root_c1, root_c1], axis=1).astype(float)
+    splits = None
+    if not depth_first:  # each gain added in (tree, rank) order, as a depth-first grower adds it
+        *splits, gain = _preorder(made, n_trees)
+        np.add.at(raw, (splits[0], splits[2]), gain)
     totals = raw.sum(axis=1, keepdims=True)
-    return (root_counts, made), np.divide(raw, totals, out=raw, where=totals > 0)
+    return (root_counts, splits), np.divide(raw, totals, out=raw, where=totals > 0)
+
+
+def _preorder(made, n_trees: int):
+    """The splits a level-by-level growth recorded per step, put back in
+    each tree's depth-first order, right child first, as (tree, node,
+    feature, threshold, (left counts, right counts), gain) arrays. The k-th
+    split of a tree in that order gives its node the children 2k + 1 and
+    2k + 2. Ranks come in one pass per level: a right child's rank is its
+    parent's + 1, a left child's its parent's + 1 + the splits under its
+    right sibling.
+    """
+    ints, floats = map(np.concatenate, zip(*made))
+    ref, n = ints[:, 0], len(ints)
+    inner = np.flatnonzero(ref >= 0)
+    child = np.full(2 * n + 2, n)  # child[2k + side]: split k's child split there; n, a sentinel, for none
+    child[ref[inner]] = inner
+    child = child.reshape(-1, 2)
+    levels = [np.flatnonzero(ref < 0)]  # the last one empty
+    while levels[-1].size:
+        kids = child[levels[-1]].ravel()
+        levels.append(kids[kids < n])
+    under = np.zeros(n + 1, dtype=np.intp)  # splits in each split's subtree, itself included; 0 at the sentinel
+    for level in reversed(levels):
+        under[level] = 1 + under[child[level]].sum(axis=1)
+    tree, rank, node = (np.zeros(n + 1, dtype=np.intp) for _ in range(3))
+    tree[levels[0]] = -1 - ref[levels[0]]
+    for level in levels:  # the sentinel takes the writes of absent children
+        left, right = child[level].T
+        first = rank[level] + 1
+        for kid, kid_rank, side in ((right, first, 2), (left, first + under[right], 1)):
+            tree[kid], rank[kid], node[kid] = tree[level], kid_rank, 2 * rank[level] + side
+    n_splits = np.bincount(tree[:n], minlength=n_trees)
+    order = np.empty(n, dtype=np.intp)
+    order[(np.cumsum(n_splits) - n_splits)[tree[:n]] + rank[:n]] = np.arange(n)
+    ints, floats = ints[order], floats[order]
+    return tree[order], node[order], ints[:, 1], floats[:, 0], ints[:, 2:], floats[:, 1]
 
 
 def dt_fit_batch(train: Dataset, roots, criteria, min_samples_leaf, max_depth: int | None = None,
@@ -278,12 +335,11 @@ def dt_fit_batch(train: Dataset, roots, criteria, min_samples_leaf, max_depth: i
         if value is not None and value < DT_LIMITS[name]:
             raise ValueError(f"{name} must be ≥ {DT_LIMITS[name]}, got {value}")
     X, y = train.rows, train.labels
-    (root_counts, made), importances = _grow(X, y, _cart_split(X, y, criteria, min_samples_leaf), roots,
-                                             max_depth, min_samples_split)
-    made = made[np.argsort(made[:, 0], kind="stable")]  # each tree's splits, in its own order
-    n_splits = np.bincount(made[:, 0].astype(np.intp), minlength=len(roots))
-    arrays = [_node_arrays([c, *rec[:, 4:].reshape(-1, 2)], rec[:, 1:4])
-              for c, rec in zip(root_counts, np.split(made, np.cumsum(n_splits)[:-1]))]
+    (root_counts, (tree, *splits)), importances = _grow(X, y, _cart_split(X, y, criteria, min_samples_leaf),
+                                                        roots, max_depth, min_samples_split)
+    cuts = np.cumsum(np.bincount(tree, minlength=len(roots)))[:-1]
+    arrays = [_node_arrays(np.concatenate([c[None], kids.reshape(-1, 2)]), np.stack([node, f, th], axis=1))
+              for c, node, f, th, kids in zip(root_counts, *(np.split(a, cuts) for a in splits))]
     return [DecisionTreeModel(**a, criterion=c, max_depth=max_depth, min_samples_split=min_samples_split,
                               min_samples_leaf=msl, feature_importances=imp, n_features=X.shape[1])
             for a, c, msl, imp in zip(arrays, criteria, min_samples_leaf, importances)]
@@ -550,7 +606,7 @@ def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:
         candidates[trees] = draws.choice(trees, d, size)
         return blocked(trees, counts, rows, seg, starts)
 
-    importances = _grow(X, y, split, [np.arange(X.shape[0])] * len(rngs), records=False)[1]
+    importances = _grow(X, y, split, [np.arange(X.shape[0])] * len(rngs), depth_first=True)[1]
     draws.finish()
     return importances
 

@@ -868,11 +868,13 @@ def test_extratrees_rejects_max_features_beyond_floyds_draw():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_array_grower_matches_the_list_grower(n, d, coarse, levels, n_trees, max_depth, min_samples_split, seed):
-    """The grower that keeps its state in arrays asks the split rule about the
-    same nodes, with the same rows in the same order, as the grower it
-    replaced, and gives each tree the same node arrays and importances byte for
-    byte: mixed CART batches on roots with repeated, unordered or no rows,
-    under every depth and split limit."""
+    """The grower that keeps its state in arrays asks the split rule about
+    every node the grower it replaced asks about, exactly once, with the same
+    counts and the same rows in the same order, though in other steps (it
+    takes a CART batch's whole frontier at once), and gives each tree the
+    same node arrays and importances byte for byte: mixed CART batches on
+    roots with repeated, unordered or no rows, under every depth and split
+    limit."""
     rng = np.random.default_rng(seed)
     X = rng.integers(0, levels, size=(n, d)) / 2.0 if coarse else rng.normal(size=(n, d))
     y = rng.integers(0, 2, n)
@@ -886,7 +888,9 @@ def test_array_grower_matches_the_list_grower(n, d, coarse, levels, n_trees, max
     def recorded(side):
         def split(trees, counts, rows, seg, starts):
             trees, starts = np.asarray(trees), np.asarray(starts)
-            asked[side].append((trees.tolist(), counts.tobytes(), rows.tolist(), starts.tolist()))
+            ends = np.append(starts[1:], rows.size)
+            asked[side] += [(t, c.tobytes(), tuple(rows[a:b].tolist()))
+                            for t, c, a, b in zip(trees.tolist(), counts, starts.tolist(), ends.tolist())]
             return rule(trees, counts, rows, seg, starts)
         return split
 
@@ -894,7 +898,10 @@ def test_array_grower_matches_the_list_grower(n, d, coarse, levels, n_trees, max
         mp.setattr(tree, "_cart_split", lambda *args: recorded("new"))
         batch = tree.dt_fit_batch(make_dataset(X, y), roots, criteria, leaves, max_depth, min_samples_split)
     arrays, importances = grow_reference(X, y, recorded("old"), roots, max_depth, min_samples_split)
-    assert asked["new"] == asked["old"]
+    # (tree, counts, rows) tells the list grower's nodes apart, so equal
+    # multisets ask every node once
+    assert len(set(asked["old"])) == len(asked["old"])
+    assert sorted(asked["new"]) == sorted(asked["old"])
     for model, want, imp in zip(batch, arrays, importances, strict=True):
         for name in _TREE_ARRAYS[:-1]:
             a, b = getattr(model, name), want[name]
@@ -1001,3 +1008,101 @@ def test_forest_peak_memory_stays_near_the_step_bound():
         finally:
             tracemalloc.stop()
     assert peak_mb < 4
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 40) | st.integers(200, 400),
+    d=st.integers(2, 4),
+    coarse=st.booleans(),
+    n_repeated=st.integers(0, 40),
+    n_trees=st.integers(1, 6),
+    roots_like=st.sampled_from(["folds", "any", "sorted"]),
+    max_depth=st.sampled_from([None, 0, 1, 3]),
+    min_samples_split=st.sampled_from([2, 5]),
+    step_rows=st.integers(1, 200),
+    chunk_bytes=st.integers(8, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_grown_batch_matches_both_depth_first_growers(
+    n, d, coarse, n_repeated, n_trees, roots_like, max_depth, min_samples_split, step_rows, chunk_bytes, seed
+):
+    """A CART batch grown level by level, under any step and block cap, gives
+    every tree the node arrays and importances of the list grower and of the
+    one-tree grower byte for byte: deep trees whose many splits on feature 0
+    show the order importances are summed in, empty, repeated and unordered
+    roots, mixed criteria and min_samples_leaf, and every depth limit."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, d))  # feature 0 takes most splits
+    if coarse:  # the others on a grid: thresholds between ties
+        rows[:, 1:] = rng.integers(0, 4, size=(n, d - 1)) / 2.0
+    rows[rng.integers(0, n, n_repeated)] = rows[rng.integers(0, n, n_repeated)]  # duplicated rows
+    labels = rng.integers(0, 2, n)
+    if roots_like == "folds":  # all rows but one fold's, as a cross-validated grid grows them
+        fold = rng.integers(0, n_trees + 1, n)
+        roots = [np.flatnonzero(fold != t) for t in range(n_trees)]
+    else:  # any rows in any order, repeats included, or sorted with repeats
+        roots = [rng.integers(0, n, rng.integers(0, 2 * n)) for _ in range(n_trees)]
+        roots = [np.sort(r) for r in roots] if roots_like == "sorted" else roots
+    if n_trees > 1:
+        roots[rng.integers(0, n_trees)] = np.zeros(0, dtype=np.int64)
+    criteria = rng.choice(CRITERIA, n_trees).tolist()
+    leaves = rng.choice([1, 2, 5], n_trees).tolist()
+    ds = make_dataset(rows, labels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "_STEP_ROWS", step_rows)
+        mp.setattr(tree, "_CHUNK_BYTES", chunk_bytes)
+        batch = tree.dt_fit_batch(ds, roots, criteria, leaves, max_depth, min_samples_split)
+    rule = tree._cart_split(rows, labels, criteria, leaves)
+    arrays, importances = grow_reference(
+        rows, labels, lambda trees, c, r, seg, starts: rule(np.asarray(trees), c, r, seg, np.asarray(starts)),
+        roots, max_depth, min_samples_split)
+    for model, want, imp, root, criterion, msl in zip(batch, arrays, importances, roots, criteria, leaves,
+                                                     strict=True):
+        for name in _TREE_ARRAYS[:-1]:
+            a, b = getattr(model, name), want[name]
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert model.feature_importances.tobytes() == imp.tobytes()
+        if root.size:
+            old = _dt_fit_reference(ds.take(root), criterion, max_depth, min_samples_split, msl)
+            for name in _TREE_ARRAYS:
+                a, b = getattr(model, name), getattr(old, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 40) | st.integers(100, 200),
+    d=st.integers(1, 4),
+    n_trees=st.integers(1, 8),
+    max_depth=st.sampled_from([None, 0, 1, 3, 6]),
+    min_samples_split=st.sampled_from([2, 5, 20]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cart_batch_asks_the_rule_once_per_level(n, d, n_trees, max_depth, min_samples_split, seed):
+    """When no step cap binds, a CART batch asks its rule once per level of
+    the nodes it asks about, all trees together: 1 + the deepest such node's
+    depth, however many nodes each level holds."""
+    rng = np.random.default_rng(seed)
+    rows, labels = rng.normal(size=(n, d)), rng.integers(0, 2, n)
+    roots = [rng.integers(0, n, rng.integers(1, 2 * n)) for _ in range(n_trees)]
+    criteria, leaves = rng.choice(CRITERIA, n_trees).tolist(), rng.choice([1, 2], n_trees).tolist()
+    steps, rule = [0], tree._cart_split
+
+    def counted(*args):
+        split = rule(*args)
+
+        def step(*a):
+            steps[0] += 1
+            return split(*a)
+        return step
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "_cart_split", counted)
+        batch = tree.dt_fit_batch(make_dataset(rows, labels), roots, criteria, leaves, max_depth,
+                                  min_samples_split)
+    asked = [depth[(model.counts.min(axis=1) > 0) & (model.counts.sum(axis=1) >= min_samples_split)
+                   & (depth < (max_depth if max_depth is not None else depth.size))]
+             for model, depth in ((m, _depths(m)) for m in batch)]
+    deepest = max((int(a.max()) for a in asked if a.size), default=-1)
+    assert steps[0] == 1 + deepest
