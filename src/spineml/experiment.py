@@ -12,7 +12,9 @@ given to `persist.predict_single` is.
 One stratified split is shared by every cell of a run (configurable to
 per-cell splits), and each cell derives its random streams from
 (master seed, group index, model index), so results are identical for any
-worker count.
+worker count. A job runs one group's cells, or one cell where the run has
+fewer groups than workers. With one worker or one job the jobs run in
+process, one by one; otherwise they go to a pool of worker processes.
 
 `FAMILIES` holds every per-family operation of the four classifier
 families. Training builds a `FittedCell`, which scores the test partition
@@ -24,14 +26,12 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from numbers import Integral, Real
-from threading import Lock
 from typing import get_type_hints
 
 import numpy as np
@@ -484,9 +484,10 @@ def run_cell_fitted(
     split: SplitIndices,
     tables: TableStore | None = None,
 ) -> tuple[CellResult, FittedCell]:
-    """Train, tune and score one cell. A k-NN cell's grid folds and final
-    SMOTE basis read one set of neighbor tables of its training partition,
-    taken from `tables` (a store shared by the cells of a group) when given."""
+    """Train, tune and score one cell. A tuned k-NN cell's grid folds and
+    final SMOTE basis read one set of neighbor tables of its training
+    partition, taken from `tables` (a store shared by the cells of a job)
+    when given."""
     train_set = set(int(i) for i in split.train_idx)
     test_set = set(int(i) for i in split.test_idx)
     if train_set & test_set:
@@ -513,7 +514,8 @@ def run_cell_fitted(
     else:
         kept = np.arange(train.width)
 
-    knn_tables = None if spec.family != "knn" else (tables or TableStore()).tables(train.rows, train.labels)
+    tuned_knn = spec.family == "knn" and spec.uses_grid
+    knn_tables = (tables or TableStore()).tables(train.rows, train.labels) if tuned_knn else None
     cv_table = None
     if spec.uses_grid:
         folds = stratified_kfold(train.labels, config.n_folds, seed=int(states[1]))
@@ -617,49 +619,52 @@ def _aggregate(cells: dict, groups, models) -> tuple[dict, dict]:
             {m: _stats([cells[(g, m)] for g in groups], spread=False) for m in models})
 
 
-def run_matrix_fitted(config: ExperimentConfig) -> tuple[ExperimentMatrix, dict]:
-    data = load_config_data(config)
-    registry = builtin_groups()
-
-    shared_split = stratified_shuffle_split(
-        data.labels, config.test_fraction, seed=config.seed
-    )
-
-    # One store of neighbor tables per group, emptied when the group's last
-    # cell is done, so that a group's k-NN cells with equal training
-    # partitions share their tables and no table outlives its group.
-    keys = [(g, m) for g in config.groups for m in config.models]
-    tables, left, lock = {g: TableStore() for g in config.groups}, Counter(g for g, _ in keys), Lock()
-
-    def job(gm):
-        g, m = gm
-        spec = MODEL_SPECS[m]
+def _run_cells(cells: list, data: Dataset, config: ExperimentConfig,
+               shared_split: SplitIndices) -> list:
+    """One job: each cell's (result, fitted cell or None), for (group id,
+    model id) cells of one group in `MODEL_IDS` order. Its k-NN cells share
+    one `TableStore`; a `PipelineError` gives the cell's failed `CellResult`."""
+    registry, tables, outcomes = builtin_groups(), TableStore(), []
+    for g, m in cells:
         if config.per_cell_split:
             split_seed = int(_cell_states(config.seed, g, m)[4])
             split = stratified_shuffle_split(data.labels, config.test_fraction, split_seed)
         else:
             split = shared_split
         try:
-            return gm, run_cell_fitted(data, registry[g], spec, config, split, tables[g])
+            outcomes.append(run_cell_fitted(data, registry[g], MODEL_SPECS[m], config, split, tables))
         except PipelineError as exc:
-            return gm, (
-                CellResult(group_id=g, model_id=m, hyperparameters={}, error=str(exc)),
-                None,
-            )
-        finally:
-            with lock:
-                left[g] -= 1
-                if not left[g]:
-                    tables[g].clear()
+            outcomes.append((CellResult(group_id=g, model_id=m, hyperparameters={}, error=str(exc)), None))
+    return outcomes
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(job, keys))
+
+def run_matrix_fitted(config: ExperimentConfig) -> tuple[ExperimentMatrix, dict]:
+    data = load_config_data(config)
+
+    shared_split = stratified_shuffle_split(
+        data.labels, config.test_fraction, seed=config.seed
+    )
+
+    # A job is one group's cells, or one cell where the run has fewer groups
+    # than workers, so that a small run still spreads over the workers.
+    keys = [(g, m) for g in config.groups for m in config.models]
+    step = 1 if len(config.groups) < config.workers else len(config.models)
+    jobs = [keys[i:i + step] for i in range(0, len(keys), step)]
+    run = partial(_run_cells, data=data, config=config, shared_split=shared_split)
+    size = min(config.workers, len(jobs))
+    if size > 1:
+        # Imported here: multiprocessing adds about 20 ms to every start of
+        # the program, `spineml predict` included.
+        from concurrent.futures import ProcessPoolExecutor
+        # Last jobs first: the slowest cells, DT_opt and KNN_SMOTE, come late
+        # in model order, and started first they leave the shortest tail.
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            outcomes = list(pool.map(run, jobs[::-1]))[::-1]
     else:
-        outcomes = [job(k) for k in keys]
+        outcomes = [run(job) for job in jobs]
 
     cells, fitted = {}, {}
-    for gm, (result, fit) in outcomes:
+    for gm, (result, fit) in zip(keys, chain.from_iterable(outcomes)):
         cells[gm] = result
         if fit is not None:
             fitted[gm] = fit

@@ -27,15 +27,14 @@ for SMOTE's table over the rows of the minority label. A row whose list
 holds fewer rows of the subset than it needs is measured directly by
 `_nearest_each`. `NeighborTables` builds each table on first use; a
 `TableStore` shares them between the cells of a group whose partitions are
-equal byte for byte, and the experiment runner empties it when the group
-is done.
+equal byte for byte. Each job of the experiment runner owns one store,
+which goes when the job returns.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,26 +275,23 @@ def _within(lists: dict, points: np.ndarray, rows: np.ndarray, inside: np.ndarra
 class NeighborTables:
     """The `neighbor_table`s of one matrix and its labels, each built on
     first use and then kept: all rows over all rows, and the rows of one
-    label over those rows. `lists` builds under a lock, so threads that
-    share the object never see a table half built."""
+    label over those rows."""
 
     # Rows a table keeps beyond the widest list its callers read, so that
     # few rows fall short once a fold's rows are taken out.
     SPARE = 8
 
     def __init__(self, points: np.ndarray, labels: np.ndarray):
-        self.points, self.labels = points, labels
-        self._built, self._lock = {}, threading.Lock()
+        self.points, self.labels, self._built = points, labels, {}
 
     def lists(self, metrics: tuple, k: int, label: int | None = None) -> dict:
         """The table of `metrics` over every row, or only over the rows
         labelled `label`, keeping k + SPARE of each row's nearest."""
         key = metrics, k, label
-        with self._lock:
-            if key not in self._built:
-                points = self.points if label is None else self.points[self.labels == label]
-                self._built[key] = neighbor_table(points, metrics, k + self.SPARE)
-            return self._built[key]
+        if key not in self._built:
+            points = self.points if label is None else self.points[self.labels == label]
+            self._built[key] = neighbor_table(points, metrics, k + self.SPARE)
+        return self._built[key]
 
 
 class TableStore:
@@ -303,17 +299,12 @@ class TableStore:
     cells of one group whose training partitions are equal share them."""
 
     def __init__(self):
-        self._by_key, self._lock = {}, threading.Lock()
+        self._by_key = {}
 
     def tables(self, points: np.ndarray, labels: np.ndarray) -> NeighborTables:
         digest = hashlib.sha256(np.ascontiguousarray(points))
         digest.update(np.ascontiguousarray(labels))
-        with self._lock:
-            return self._by_key.setdefault((points.shape, digest.hexdigest()), NeighborTables(points, labels))
-
-    def clear(self) -> None:
-        with self._lock:
-            self._by_key.clear()
+        return self._by_key.setdefault((points.shape, digest.hexdigest()), NeighborTables(points, labels))
 
 
 def _vote_one(dist_k: np.ndarray, labels_k: np.ndarray, weighting: str) -> tuple[int, float]:

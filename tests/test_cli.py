@@ -674,12 +674,16 @@ def test_failing_cells_give_the_same_run_for_any_worker_count(tmp_path, capsys, 
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
-@pytest.mark.parametrize("flags", [[], ["--keep-fraction", "0.5"], ["--per-cell-split"]],
-                         ids=["shared-partition", "own-columns", "own-split"])
-def test_shared_neighbor_tables_give_the_same_run_for_any_worker_count(tmp_path, capsys, flags):
-    # Two workers run a group's k-NN cells at once against one table store.
-    runs = [_run_files(capsys, tmp_path / f"w{workers}", "--n", "300", "--groups", "VII", "--models",
+@pytest.mark.parametrize("groups, flags", [("VII", []), ("VII", ["--keep-fraction", "0.5"]),
+                                           ("VII", ["--per-cell-split"]), ("I,IV,VII", [])],
+                         ids=["shared-partition", "own-columns", "own-split", "group-jobs"])
+def test_shared_neighbor_tables_give_the_same_run_for_any_worker_count(tmp_path, capsys, groups, flags):
+    # With two workers a one-group run makes each cell a job in a worker
+    # process, with its own tables; a three-group run makes each group a
+    # job, whose k-NN cells share one table store in their process.
+    runs = [_run_files(capsys, tmp_path / f"w{workers}", "--n", "300", "--groups", groups, "--models",
                        "KNN_opt,KNN_RO,KNN_SMOTE", "--save-models", "--workers", str(workers), *flags)
             for workers in (1, 2)]
-    assert runs[0][0] == 0 and sum(name.startswith("models") for name in runs[0][3]) == 3
+    assert runs[0][0] == 0
+    assert sum(name.startswith("models") for name in runs[0][3]) == 3 * len(groups.split(","))
     assert runs[1] == runs[0]

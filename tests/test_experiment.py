@@ -1,7 +1,13 @@
+import concurrent.futures
+import multiprocessing
+import threading
+import weakref
+from itertools import groupby
+
 import numpy as np
 import pytest
 
-from spineml import neighbors
+from spineml import experiment, neighbors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -335,21 +341,18 @@ def test_predict_one_label_equals_the_predict_many_label_on_tie_heavy_rows(famil
 def test_each_run_builds_its_own_tables_and_a_group_shares_them(monkeypatch):
     # A group's KNN_opt, KNN_RO and KNN_SMOTE train on one partition, so
     # they share one table of both metrics, and the group's tables are
-    # dropped before the next group starts; a second run of the same config
-    # builds its tables again, as many times.
-    events = []
-    real_build, real_clear = neighbors.neighbor_table, neighbors.TableStore.clear
+    # freed when its job returns, before the next group's first build; a
+    # second run of the same config builds and frees its tables again, as
+    # many times.
+    events, real_build = [], neighbors.neighbor_table
 
     def counting(points, metrics, k):
         events.append((points.shape[1], metrics, k))
-        return real_build(points, metrics, k)
-
-    def clearing(store):
-        events.append("clear")
-        real_clear(store)
+        table = real_build(points, metrics, k)
+        weakref.finalize(table[metrics[0]][0], events.append, "freed")
+        return table
 
     monkeypatch.setattr(neighbors, "neighbor_table", counting)
-    monkeypatch.setattr(neighbors.TableStore, "clear", clearing)
     config = _cfg(groups=("IV", "VII"), models=("KNN", "KNN_opt", "KNN_RO", "KNN_SMOTE"))
     first = run_matrix(config)
     runs = [list(events)]
@@ -357,9 +360,97 @@ def test_each_run_builds_its_own_tables_and_a_group_shares_them(monkeypatch):
     second = run_matrix(config)
     runs.append(list(events))
     assert runs[0] == runs[1]
-    at = runs[0].index("clear")
-    assert runs[0][-1] == "clear" and runs[0].count("clear") == 2
-    for group in (runs[0][:at], runs[0][at + 1:-1]):  # each group's builds, over its own columns
-        assert len({width for width, _, _ in group}) == 1
-        assert [metrics for _, metrics, _ in group].count(METRICS) == 1
+    segments = [(freed, list(run)) for freed, run in groupby(runs[0], lambda e: e == "freed")]
+    assert [freed for freed, _ in segments] == [False, True, False, True]
+    for (_, builds), (_, frees) in (segments[0:2], segments[2:4]):
+        assert len(frees) == len(builds)
+        assert len({width for width, _, _ in builds}) == 1  # over the group's own columns
+        assert [metrics for _, metrics, _ in builds].count(METRICS) == 1
     assert first.cells == second.cells
+
+
+def test_untuned_knn_asks_for_no_neighbor_tables(monkeypatch):
+    # Plain KNN has no grid and no resampling, so it never reads a table.
+    asked = []
+    monkeypatch.setattr(neighbors.TableStore, "tables", lambda store, points, labels: asked.append(points.shape))
+    matrix = run_matrix(_cfg(groups=("VII",), models=("KNN",)))
+    assert asked == [] and matrix.cells[("VII", "KNN")].error is None
+
+
+@pytest.mark.parametrize("workers, groups, models, jobs, sizes", [
+    (1000, ("I", "VII"), ("GaussianNB",), [[("I", "GaussianNB")], [("VII", "GaussianNB")]], [2]),
+    (2, ("VII",), ("GaussianNB",), [[("VII", "GaussianNB")]], []),
+    (3, ("VII",), ("GaussianNB", "DT"), [[("VII", "GaussianNB")], [("VII", "DT")]], [2]),
+    (2, ("I", "IV", "VII"), ("GaussianNB", "DT"),
+     [[(g, "GaussianNB"), (g, "DT")] for g in ("I", "IV", "VII")], [2]),
+], ids=["a-pool-of-two-not-1000", "one-job-no-pool", "cell-jobs", "group-jobs"])
+def test_jobs_are_groups_or_cells_and_the_pool_has_no_more_workers_than_jobs(
+        monkeypatch, workers, groups, models, jobs, sizes):
+    # A stand-in pool records its size and its jobs, which go to it last
+    # first, and runs them in process, so no large pool is ever started.
+    made, given = [], []
+
+    class Recording:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, todo):
+            given.extend(todo)
+            return map(fn, given)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    matrix = run_matrix(_cfg(groups=groups, models=models, workers=workers))
+    assert made == sizes
+    assert given == (jobs[::-1] if sizes else [])
+    assert matrix.cells == run_matrix(_cfg(groups=groups, models=models)).cells
+
+
+def _within(seconds: float, call):
+    """`call()`'s value, or its exception raised again; fails the test if it
+    takes longer than `seconds`."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = call()
+        except BaseException as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_crash_in_a_cell_reaches_the_caller_and_no_worker_outlives_a_run(monkeypatch, workers):
+    # A non-pipeline error in one cell, raised in a worker process with two
+    # workers, reaches the caller as the same exception without hanging the
+    # run, and no worker process outlives a failing or a successful run.
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("only forked workers see the patched cell function")
+    real = experiment.run_cell_fitted
+
+    def crashing(data, group, spec, *args):
+        if (group.id, spec.id) == ("IV", "KNN_opt"):
+            raise RuntimeError("cell IV × KNN_opt crashed")
+        return real(data, group, spec, *args)
+
+    config = _cfg(groups=("I", "IV", "VII"), models=("GaussianNB", "KNN_opt"), workers=workers)
+    monkeypatch.setattr(experiment, "run_cell_fitted", crashing)
+    with pytest.raises(RuntimeError) as raised:
+        _within(120, lambda: run_matrix(config))
+    assert type(raised.value) is RuntimeError and str(raised.value) == "cell IV × KNN_opt crashed"
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(experiment, "run_cell_fitted", real)
+    assert _within(120, lambda: run_matrix(config)).cells[("IV", "KNN_opt")].error is None
+    assert multiprocessing.active_children() == []

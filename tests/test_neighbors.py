@@ -1,5 +1,3 @@
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -484,38 +482,19 @@ def test_rows_left_short_by_a_fold_are_measured_directly(monkeypatch):
         assert [a.tobytes() for a in got[metric]] == [a.tobytes() for a in want[metric]]
 
 
-def test_a_table_is_built_once_for_every_thread_that_asks():
-    # Eight threads on two cores, switching every few microseconds, ask for
-    # the same table at once: one builds it, and every one gets that table.
-    built, gate = [], threading.Barrier(8)
-    real = neighbor_table
+def test_a_table_is_built_once_and_then_kept(monkeypatch):
+    # Two asks for the same table build it once and get the same object.
+    built, real = [], neighbor_table
 
     def counting(points, metrics, k):
         built.append(k)
         return real(points, metrics, k)
 
+    monkeypatch.setattr(neighbors, "neighbor_table", counting)
     tables = NeighborTables(np.random.default_rng(1).normal(size=(300, 4)), np.arange(300) % 2)
-    got = []
-
-    def ask():
-        gate.wait(timeout=30)
-        got.append(tables.lists(METRICS, 5))
-
-    interval = sys.getswitchinterval()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(neighbors, "neighbor_table", counting)
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=ask) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    got = [tables.lists(METRICS, 5) for _ in range(2)]
     assert built == [5 + NeighborTables.SPARE]
-    assert len(got) == 8 and all(g is got[0] for g in got)
+    assert got[1] is got[0]
     assert got[0]["euclidean"][0].shape == (300, 5 + NeighborTables.SPARE)
 
 
