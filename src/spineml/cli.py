@@ -111,9 +111,10 @@ def _parse_list(parser, text, valid, what):
 
 
 def _build_run_config(args, parser) -> ExperimentConfig:
-    for name in ("config", "csv", "schema", "groups", "models"):
-        if getattr(args, name) == "":
-            parser.error(f"--{name} must not be empty")
+    for flag, value in (("config", args.config), ("csv", args.csv), ("schema", args.schema),
+                        ("groups", args.groups), ("models", args.models), ("out", args.out_dir)):
+        if value == "":
+            parser.error(f"--{flag} must not be empty")
     synthetic = {key: value for key, value in (("n", args.n), ("signal", args.signal),
                                                ("seed", args.data_seed)) if value is not None}
     if args.csv and synthetic:

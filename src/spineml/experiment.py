@@ -328,6 +328,9 @@ class ExperimentConfig:
         if self.synthetic is not None:
             syn = self.canonical_dict()["data"]["synthetic"]
             check_synthetic(syn["n"], syn["signal"], syn["p_success"])
+        for name in ("csv_path", "schema_path", "out_dir"):
+            if getattr(self, name) == "":
+                raise ConfigError(f"{name} must not be empty")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -47,9 +47,8 @@ def confusion_counts(y_true, P) -> np.ndarray:
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
-    if cm.total == 0:
-        raise EmptyMatrixError("no evaluated rows")
-    return (cm.tp + cm.tn) / cm.total
+    """Row 0 of `accuracy_many` on the one row (tn, fp, fn, tp)."""
+    return float(accuracy_many([[cm.tn, cm.fp, cm.fn, cm.tp]])[0])
 
 
 def precision(cm: ConfusionMatrix) -> float:
@@ -63,12 +62,8 @@ def recall(cm: ConfusionMatrix) -> float:
 
 
 def f1(cm: ConfusionMatrix) -> float:
-    """Harmonic mean of precision and recall; 0 when both degenerate."""
-    if cm.total == 0:
-        raise EmptyMatrixError("no evaluated rows")
-    p = precision(cm)
-    r = recall(cm)
-    return 2 * p * r / (p + r) if p + r > 0 else 0.0
+    """Row 0 of `f1_many` on the one row (tn, fp, fn, tp)."""
+    return float(f1_many([[cm.tn, cm.fp, cm.fn, cm.tp]])[0])
 
 
 def _columns(counts):
@@ -79,14 +74,13 @@ def _columns(counts):
 
 
 def accuracy_many(counts) -> np.ndarray:
-    """`accuracy` of each row of `confusion_counts`, in the same operation order."""
+    """The accuracy of each row of `confusion_counts`."""
     tn, fp, fn, tp = _columns(counts)
     return (tp + tn) / (tp + fp + tn + fn)
 
 
 def f1_many(counts) -> np.ndarray:
-    """`f1` of each row of `confusion_counts`, in the same operation order, so
-    every value is bit-identical to the scalar one."""
+    """The F1 score of each row of `confusion_counts`, 0 where it is 0/0."""
     tn, fp, fn, tp = _columns(counts)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(tp + fp > 0, tp / (tp + fp), 0.0)

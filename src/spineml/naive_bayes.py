@@ -10,7 +10,8 @@ pipeline feeds it min-max-scaled inputs.
 Each family has one predictor, `gnb_predict_many` or `cnb_predict_many`:
 every row's label and per-class values, each row computed on its own, so
 a single record (row 0 of a one-row call) gets the label it gets in any
-batch.
+batch of any layout: `_gnb_log_posteriors` sums in one order, by the rule
+and for the reasons of `neighbors._distances`.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ def gnb_fit(train: Dataset) -> GaussianNBModel:
 
 def _gnb_log_posteriors(model: GaussianNBModel, X: np.ndarray) -> np.ndarray:
     var = model.variances + model.var_smoothing
-    # (n, n_classes, d) deviations -> sum of per-feature log densities
-    dev = X[:, None, :] - model.means[None, :, :]
+    # (n, n_classes, d) deviations, C-ordered as in `neighbors._distances`
+    dev = np.subtract(X[:, None, :], model.means[None, :, :], order="C")
     log_pdf = -0.5 * (np.log(2.0 * np.pi * var)[None, :, :] + dev * dev / var[None, :, :])
     return np.log(model.priors)[None, :] + log_pdf.sum(axis=2)
 

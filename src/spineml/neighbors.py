@@ -15,7 +15,7 @@ votes for all query rows at once (`_vote`), and grid search for all k of a
 combination list from one set of prefix sums (`_prefix_vote`); a row whose
 two class weights are equal up to rounding is settled by the one-row rule
 (`_vote_one`) that single-record prediction uses, so all give the same
-labels.
+labels. The distance kernels own the order of their sums (`_distances`).
 
 Grid search and SMOTE measure a training partition once: `neighbor_table`
 lists every row's K nearest rows of the partition, itself included, from
@@ -89,30 +89,30 @@ def _distances(points: np.ndarray, X: np.ndarray, metric: str) -> np.ndarray:
     """(n_query, n_train) distances from each row of X to each stored point.
 
     Each entry is reduced over its own d differences, so the values do not
-    depend on how `_nearest` splits the queries into blocks.
+    depend on how `_nearest` splits the queries into blocks, nor on the
+    inputs' layout: the tensor is C-ordered, so each sum runs in numpy's
+    pairwise order, as a one-row query's does (a strided sum would not from
+    d = 8 on). The kernels own this rule, not the callers that make blocks:
+    the benchmark's parity reference scores a Fortran-ordered test block,
+    C-ordering `train.rows[:, kept]` would move `gnb_fit`'s bits and so model
+    files, and fitted points keep their block's layout, loaded ones not.
     """
-    diff = X[:, None, :] - points[None, :, :]
+    diff = np.subtract(X[:, None, :], points[None, :, :], order="C")
     # squared or made absolute in place, so a block holds one difference tensor
     if metric == "euclidean":
         return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
     return np.abs(diff, out=diff).sum(axis=2)
 
 
-def _both_distances(points: np.ndarray, X: np.ndarray) -> dict[str, np.ndarray]:
-    """`_distances` for both metrics from one difference tensor, bit for bit.
-
-    The tensor is made absolute in place and reduced for Manhattan, then
-    squared in place and reduced for Euclidean: |a|·|a| rounds to the same
-    double as a·a, so both keep `_distances`' values with one tensor.
-    """
-    diff = X[:, None, :] - points[None, :, :]
+def _each_distances(points: np.ndarray, X: np.ndarray, metrics) -> dict:
+    """`_distances` for each of `metrics`, bit for bit. Both come from one
+    C-ordered tensor, made absolute in place for Manhattan, then squared in
+    place for Euclidean: |a|·|a| rounds to the same double as a·a."""
+    if len(metrics) == 1:
+        return {metrics[0]: _distances(points, X, metrics[0])}
+    diff = np.subtract(X[:, None, :], points[None, :, :], order="C")
     manhattan = np.abs(diff, out=diff).sum(axis=2)
     return {"euclidean": np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2)), "manhattan": manhattan}
-
-
-def _each_distances(points: np.ndarray, X: np.ndarray, metrics) -> dict:
-    """`_distances` for each of `metrics`; both from one difference tensor."""
-    return _both_distances(points, X) if len(metrics) == 2 else {metrics[0]: _distances(points, X, metrics[0])}
 
 
 def _top_k(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -258,7 +258,7 @@ def load_schema_json(path) -> Schema:
         for entry in raw["columns"]:
             rng = None
             if entry.get("min") is not None or entry.get("max") is not None:
-                rng = (float(entry["min"]), float(entry["max"]))
+                rng = tuple(typed(entry[key], float, f"{key} of column {entry['name']!r}") for key in ("min", "max"))
             cols.append(
                 ColumnSpec(entry["name"], entry["kind"], entry["role"], rng)
             )

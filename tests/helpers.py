@@ -20,6 +20,7 @@ from spineml.errors import (
     ConfigError,
     CorruptFileError,
     EmptyAfterFilteringError,
+    EmptyMatrixError,
     MalformedCsvError,
     MinorityTooSmallError,
     MissingColumnError,
@@ -37,7 +38,7 @@ from spineml.experiment import (
     _check_type,
     run_matrix,
 )
-from spineml.metrics import ConfusionMatrix, accuracy, confusion, f1
+from spineml.metrics import ConfusionMatrix, accuracy, confusion, f1, precision, recall
 from spineml.model_selection import FoldPlan
 from spineml.neighbors import _CHUNK_BYTES, _distances, _nearest, _nearest_each
 from spineml.resampling import MinorityBasis, _minority_majority, _target_count
@@ -58,6 +59,14 @@ def make_dataset(rows, labels, kinds=None, names=None) -> Dataset:
     cols = [ColumnSpec(n, k, "presurgical") for n, k in zip(names, kinds)]
     cols.append(ColumnSpec("SUCCESS", "binary", "outcome", (0, 1)))
     return Dataset(Schema(tuple(cols)), rows, np.asarray(labels, dtype=np.int64))
+
+
+def layouts(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values of 2-d `A` C-ordered, Fortran-ordered and as a view with
+    strided columns. From d = 8 on, numpy sums a contiguous axis pairwise and
+    a strided one in order, so a reduction over the columns may round each
+    layout differently."""
+    return np.ascontiguousarray(A), np.asfortranarray(A), np.repeat(A, 2, axis=1)[:, ::2]
 
 
 def normal_density(x: float, mu: float, sigma: float) -> float:
@@ -118,6 +127,24 @@ def entropy_impurity(counts) -> float:
 def _score(scoring: str, y_true, y_pred) -> float:
     cm = confusion(y_true, y_pred)
     return f1(cm) if scoring == "f1" else accuracy(cm)
+
+
+# The scalar `accuracy` and `f1` as `spineml.metrics` spelled them before
+# each became row 0 of `accuracy_many` and `f1_many`. Kept verbatim, renamed,
+# as the oracle of the batch scores in test_metrics.
+def scalar_accuracy(cm: ConfusionMatrix) -> float:
+    if cm.total == 0:
+        raise EmptyMatrixError("no evaluated rows")
+    return (cm.tp + cm.tn) / cm.total
+
+
+def scalar_f1(cm: ConfusionMatrix) -> float:
+    """Harmonic mean of precision and recall; 0 when both degenerate."""
+    if cm.total == 0:
+        raise EmptyMatrixError("no evaluated rows")
+    p = precision(cm)
+    r = recall(cm)
+    return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
 # Moved from `spineml.errors` with `gaussian_pdf`, its only raiser.
@@ -218,6 +245,21 @@ def grow_reference(X, y, split, roots, max_depth=None, min_samples_split=2) -> t
               for c, rec in zip(root_counts, np.split(made, np.cumsum(n_splits)[:-1]))]
     totals = raw.sum(axis=1, keepdims=True)
     return arrays, np.divide(raw, totals, out=raw, where=totals > 0)
+
+
+# Moved verbatim from `spineml.neighbors`, where `_each_distances` now
+# measures both metrics from its own C-ordered difference tensor; the
+# oracle of the two-metric test in test_neighbors.
+def _both_distances(points: np.ndarray, X: np.ndarray) -> dict[str, np.ndarray]:
+    """`_distances` for both metrics from one difference tensor, bit for bit.
+
+    The tensor is made absolute in place and reduced for Manhattan, then
+    squared in place and reduced for Euclidean: |a|·|a| rounds to the same
+    double as a·a, so both keep `_distances`' values with one tensor.
+    """
+    diff = X[:, None, :] - points[None, :, :]
+    manhattan = np.abs(diff, out=diff).sum(axis=2)
+    return {"euclidean": np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2)), "manhattan": manhattan}
 
 
 # The merge of appended rows into cached top-k lists as it stood before

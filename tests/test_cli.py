@@ -9,6 +9,7 @@ from helpers import FAILED_AND_TUNED
 
 from spineml.cli import _build_parser, _build_run_config, main
 from spineml.experiment import SETTING_TYPES, ExperimentConfig
+from spineml.schema import default_schema
 
 
 def _run(capsys, *argv):
@@ -66,11 +67,13 @@ def test_run_rejects_csv_with_a_synthetic_data_flag(tmp_path, capsys, flags):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("flag", ["--csv", "--schema", "--config", "--groups", "--models"])
-def test_run_rejects_an_empty_path_or_list_flag(tmp_path, capsys, flag):
-    # An empty value once counted as no flag: `--csv ""` ran synthetic data.
-    rest = {"--groups": "I", "--models": "GaussianNB"}
-    argv = ["run", flag, "", "--folds", "4", "--out", str(tmp_path / "r")]
+@pytest.mark.parametrize("flag", ["--csv", "--schema", "--config", "--groups", "--models", "--out"])
+def test_run_rejects_an_empty_path_or_list_flag(tmp_path, monkeypatch, capsys, flag):
+    # An empty value once counted as no flag: `--csv ""` ran synthetic data,
+    # and `--out ""` wrote the reports into the working directory.
+    monkeypatch.chdir(tmp_path)
+    rest = {"--groups": "I", "--models": "GaussianNB", "--out": "r"}
+    argv = ["run", flag, "", "--folds", "4"]
     for other, value in rest.items():
         if other != flag:
             argv += [other, value]
@@ -78,7 +81,7 @@ def test_run_rejects_an_empty_path_or_list_flag(tmp_path, capsys, flag):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"spineml: error: {flag} must not be empty"
-    assert not (tmp_path / "r").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synthetic_data_flags_replace_a_config_files_csv(tmp_path):
@@ -451,6 +454,28 @@ def test_run_with_some_failed_cells_exits_0_with_notes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "key, bound, shown",
+    [("min", "NaN", "nan"), ("max", "Infinity", "inf"), ("min", '"18"', "'18'"), ("max", "true", "True")],
+)
+def test_run_rejects_a_schema_bound_that_is_no_finite_number(tmp_path, capsys, key, bound, shown):
+    # Read with float(), NaN and infinite bounds reached the data generator
+    # and ended in a traceback, and "18" and true were taken as numbers.
+    columns = [{"name": c.name, "kind": c.kind, "role": c.role,
+                **dict(zip(("min", "max"), c.valid_range or (None, None)))} for c in default_schema().columns]
+    for entry in columns:
+        if entry["name"] == "AGE":
+            entry[key] = "BOUND"
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps({"columns": columns}).replace('"BOUND"', bound))
+    code, _, stderr = _run(capsys, "run", "--schema", str(schema_path), "--n", "80", "--groups", "I",
+                           "--models", "KNN", "--out", str(tmp_path / "r"))
+    assert code == 1
+    assert stderr.strip().splitlines() == [
+        f"error: schema {schema_path}: {key} of column 'AGE' must be a finite number, got {shown}"]
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
     "schema_text, message",
     [("{bad", "is not valid JSON"), ("{}", "missing key 'columns'")],
 )
@@ -507,6 +532,9 @@ def test_run_rejects_a_mistyped_config_number_without_traceback(tmp_path, capsys
         ({"data": {"synthetic": {"p_success": 1.5}}}, "p_success must be in [0, 1], got 1.5"),
         ({"data": {"synthetic": {"p_success": float("nan")}}},
          "p_success must be in [0, 1], got nan"),
+        ({"out_dir": ""}, "out_dir must not be empty"),
+        ({"schema": ""}, "schema_path must not be empty"),
+        ({"data": {"csv": ""}}, "csv_path must not be empty"),
     ],
 )
 def test_run_rejects_a_malformed_config_without_traceback(tmp_path, capsys, config, message):

@@ -142,8 +142,21 @@ VALID_CONFIGS = st.fixed_dictionaries({}, optional={
 @settings(max_examples=400, deadline=None)
 @given(CONFIGS | VALID_CONFIGS)
 def test_config_dicts_load_as_the_hand_listed_oracle_loads_them(raw):
-    assert _config_outcome(lambda: ExperimentConfig.from_dict(raw)) == _config_outcome(
-        lambda: _in_run_order(OracleConfig.from_dict(raw)))
+    got = _config_outcome(lambda: ExperimentConfig.from_dict(raw))
+    empty = _empty_paths(raw)
+    if empty:  # new: an empty path is refused once every other check passes
+        assert got == ("error", "ConfigError", f"{empty[0]} must not be empty")
+        return
+    assert got == _config_outcome(lambda: _in_run_order(OracleConfig.from_dict(raw)))
+
+
+def _empty_paths(raw) -> list:
+    """The path fields left empty by a config dict the oracle accepts."""
+    try:
+        config = OracleConfig.from_dict(raw)
+    except Exception:
+        return []
+    return [name for name in ("csv_path", "schema_path", "out_dir") if getattr(config, name) == ""]
 
 
 def _flag(valid, invalid=()):
@@ -194,8 +207,12 @@ def test_run_flags_build_the_config_the_hand_listed_oracle_builds(data, flags, c
             if args.csv and (args.n, args.signal, args.data_seed) != (None, None, None):
                 assert got == ("exit", 2)  # new: --csv with a synthetic-data flag
                 return
-            if "" in (args.config, args.csv, args.schema, args.groups, args.models):
+            if "" in (args.config, args.csv, args.schema, args.groups, args.models, args.out_dir):
                 assert got == ("exit", 2)  # new: an empty path or list is a usage error
+                return
+            empty = _empty_paths(config) if config is not None else []
+            if empty:  # new: so is an empty path in the config file
+                assert got == ("error", "ConfigError", f"{empty[0]} must not be empty")
                 return
         oracle = oracle_build_parser()
         assert got == _config_outcome(

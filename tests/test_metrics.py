@@ -17,6 +17,8 @@ from spineml.metrics import (
     recall,
 )
 
+from helpers import scalar_accuracy, scalar_f1
+
 
 def test_confusion_perfect():
     cm = confusion([1, 0, 1], [1, 0, 1])
@@ -142,8 +144,8 @@ def test_randomized_against_counting_oracle():
 )
 def test_confusion_counts_and_vector_scores_match_the_scalar_ones(n, n_combos, fold, seed):
     """Each row of confusion_counts is `confusion` of that row of predictions,
-    and f1_many/accuracy_many equal f1/accuracy bit for bit, f1 = 0 folds
-    included."""
+    and f1_many/accuracy_many equal the old scalar f1/accuracy bit for bit,
+    f1 = 0 folds included."""
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 2, n)
     P = rng.integers(0, 2, (n_combos, n))
@@ -162,8 +164,8 @@ def test_confusion_counts_and_vector_scores_match_the_scalar_ones(n, n_combos, f
     for c in range(n_combos):
         cm = confusion(y, P[c])
         assert counts[c].tolist() == [cm.tn, cm.fp, cm.fn, cm.tp]
-        assert f1s[c].tobytes() == np.float64(f1(cm)).tobytes()
-        assert accs[c].tobytes() == np.float64(accuracy(cm)).tobytes()
+        assert f1s[c].tobytes() == np.float64(scalar_f1(cm)).tobytes()
+        assert accs[c].tobytes() == np.float64(scalar_accuracy(cm)).tobytes()
 
 
 def test_confusion_counts_errors():

@@ -3,6 +3,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spineml.errors import (
     ClassTooSmallError,
@@ -12,13 +14,14 @@ from spineml.errors import (
 )
 from spineml.experiment import FAMILIES
 from spineml.naive_bayes import (
+    _gnb_log_posteriors,
     cnb_fit,
     cnb_predict_many,
     gnb_fit,
     gnb_predict_many,
 )
 
-from helpers import NonPositiveSigmaError, gaussian_pdf, make_dataset, normal_density
+from helpers import NonPositiveSigmaError, gaussian_pdf, layouts, make_dataset, normal_density
 
 
 def row_zero(batch):
@@ -226,3 +229,15 @@ def test_predict_many_agrees_with_single():
     cnb = cnb_fit(ds)
     cnb_predict_many, cnb_predict = FAMILIES["cnb"].predict_many, FAMILIES["cnb"].predict_one
     assert cnb_predict_many(cnb, X).tolist() == [cnb_predict(cnb, x)[0] for x in X]
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.integers(1, 9), d=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_gnb_log_posteriors_have_the_bits_of_one_row_calls_for_any_layout(q, d, seed):
+    rng = np.random.default_rng(seed)
+    model = gnb_fit(make_dataset(rng.normal(size=(12, d)) * 10.0 ** rng.integers(-2, 3, size=d),
+                                 [0, 1] * 6))
+    X = rng.normal(size=(q, d)) * 10.0 ** rng.integers(-2, 3, size=(q, d))
+    want = np.vstack([_gnb_log_posteriors(model, x[None]) for x in X])
+    for Q in layouts(X):
+        assert _gnb_log_posteriors(model, Q).tobytes() == want.tobytes()

@@ -12,8 +12,8 @@ from spineml.model_selection import ParamGrid, grid_search, stratified_kfold
 from spineml.neighbors import (
     METRICS,
     NeighborTables,
-    _both_distances,
     _distances,
+    _each_distances,
     _nearest,
     _nearest_each,
     _prefix_vote,
@@ -309,17 +309,54 @@ def test_both_metrics_from_one_difference_tensor_equal_distances(n, q, d, k, coa
         X = rng.normal(size=(q, d)) * 10.0 ** rng.integers(-170, 170, size=(q, d))
     with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
         want = {metric: _distances(points, X, metric) for metric in METRICS}
-        both = _both_distances(points, X)
-        blocks = [_both_distances(points, X[r:r + block_rows]) for r in range(0, q, block_rows)]
+        oracle = helpers._both_distances(points, X)
+        both = _each_distances(points, X, METRICS)
+        blocks = [_each_distances(points, X[r:r + block_rows], METRICS) for r in range(0, q, block_rows)]
         lists = {metric: _nearest(points, X, metric, k) for metric in METRICS}
         mp.setattr(neighbors, "_CHUNK_BYTES", block_rows * 8 * points.size)
         blocked = _nearest_each(points, X, METRICS, k)
     for metric in METRICS:
-        assert both[metric].tobytes() == want[metric].tobytes()
+        assert both[metric].tobytes() == want[metric].tobytes() == oracle[metric].tobytes()
         if blocks:
             assert np.concatenate([b[metric] for b in blocks]).tobytes() == want[metric].tobytes()
     for metric in METRICS:
         assert [a.tobytes() for a in blocked[metric]] == [a.tobytes() for a in lists[metric]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    q=st.integers(1, 9),
+    d=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distances_have_the_bits_of_one_row_queries_for_any_layout(n, q, d, seed):
+    # Wide exponents make the order of a row's sum show in its last bits.
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+    X = rng.normal(size=(q, d)) * 10.0 ** rng.integers(-3, 4, size=(q, d))
+    want = {metric: np.vstack([_distances(points, x[None], metric) for x in X]) for metric in METRICS}
+    for P in helpers.layouts(points):
+        for Q in helpers.layouts(X):
+            both = _each_distances(P, Q, METRICS)
+            for metric in METRICS:
+                assert _distances(P, Q, metric).tobytes() == want[metric].tobytes()
+                assert _each_distances(P, Q, (metric,))[metric].tobytes() == want[metric].tobytes()
+                assert both[metric].tobytes() == want[metric].tobytes()
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_batch_prediction_matches_one_row_prediction_on_a_fortran_ordered_block(metric):
+    # The two stored rows' differences from the query (the origin) are
+    # permutations of each other: their distances are equal but for
+    # rounding, and the order of the sum decides which row is nearer. With
+    # a sum that followed the block's layout, the Fortran-ordered block got
+    # the labels [1, 1] and the one-row calls [0, 0].
+    v = np.array([173.966, -1670.85, 0.83, -0.001, -1.173, 637.751, 0.001, 493.028])
+    ds = make_dataset(np.vstack([v, v[[0, 5, 6, 1, 3, 7, 2, 4]]]), [0, 1])
+    model = knn_fit(ds, k=1, metric=metric)
+    X = np.asfortranarray(np.zeros((2, v.size)))
+    assert knn_predict_many(model, X).tolist() == [knn_predict(model, x)[0] for x in X]
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from spineml import experiment
+from spineml.dataset import Dataset
 from spineml.errors import (
     CorruptFileError,
     MissingFeatureError,
@@ -21,7 +23,7 @@ from spineml.model_selection import stratified_shuffle_split
 from spineml.naive_bayes import cnb_predict_many, gnb_predict_many
 from spineml.neighbors import knn_predict_many
 from spineml.persist import MODEL_FORMAT_VERSION, load_model, predict_single, save_model
-from spineml.schema import LABEL_NAMES, group_by_id
+from spineml.schema import LABEL_NAMES, ColumnSpec, Schema, default_schema, group_by_id
 from spineml.tree import dt_predict_many
 
 MODEL_FOR_FAMILY = {
@@ -268,6 +270,69 @@ def test_predict_single_reproduces_each_cells_confusion_matrix(tmp_path, keep_fr
                 preds = [LABEL_CODES[predict_single(served, r)["label"]] for r in records]
                 assert confusion(data.labels[split.test_idx], np.array(preds)) == cell.confusion, \
                     f"{model_id} × {group_id} at keep_fraction {keep_fraction}"
+
+
+def _mirrored_ties(n: int, seed: int):
+    """Group VII data in which every test record is equally near a row of
+    each class but for rounding, and equally likely under both classes.
+
+    The continuous columns have no bounds and come in pairs (the odd one
+    out is constant at 50). Each pair holds integers around 50 whose
+    deviations sum to 0, so the two columns of a pair get the same mean
+    and standard deviation bits. The i-th training row of class 1 is the
+    i-th of class 0 with the two columns of every pair swapped, so the
+    classes' means and variances are each other's with the pairs swapped.
+    A test record has equal values within each pair, so its differences
+    from those two rows, and its per-feature log densities under the two
+    classes, are permutations of each other: which sum is smaller is
+    decided by the order in which they are summed.
+    """
+    rng = np.random.default_rng(seed)
+    schema = Schema(tuple(ColumnSpec(c.name, c.kind, c.role, None if c.kind == "continuous" else c.valid_range)
+                          for c in default_schema().columns))
+    labels = np.arange(n) % 2
+    split = stratified_shuffle_split(labels, 0.25, seed=seed)
+    train = np.sort(split.train_idx)
+    first, second = train[labels[train] == 0], train[labels[train] == 1]
+    assert first.size == second.size
+    rows = np.array([[0.0 if c.valid_range is None else c.valid_range[0] for c in schema.feature_columns]] * n)
+    group = group_by_id("VII")
+    pairs = [schema.feature_index(c.name) for c in schema.feature_columns
+             if c.name in group.column_names and c.kind == "continuous"]
+    rows[:, pairs] = 50.0
+    for j, k in zip(pairs[0::2], pairs[1::2]):
+        a = rng.integers(-3, 4, first.size)
+        b = -rng.permutation(a)
+        rows[first, j], rows[first, k] = 50 + a, 50 + b
+        rows[second, k], rows[second, j] = 50 + a, 50 + b
+        rows[split.test_idx, j] = rows[split.test_idx, k] = 50 + rng.integers(-3, 4, split.test_idx.size)
+    return Dataset(schema, rows, labels), split
+
+
+@pytest.mark.parametrize("keep_fraction", [1.0, 0.5])
+def test_test_partition_labels_are_predict_single_labels_on_tied_data(tmp_path, monkeypatch, keep_fraction):
+    """Each test record's label in the batch that scores the test partition
+    is the label predict_single gives it, on the in-memory cell and on its
+    saved and reloaded copy, on data where only rounding breaks each
+    record's ties (`_mirrored_ties`), for k-NN and GaussianNB alike."""
+    data, split = _mirrored_ties(248, seed=0)
+    group = group_by_id("VII")
+    records = [{c: float(data.column(c)[i]) for c in group.column_names} for i in split.test_idx]
+    scored, predict_final = [], experiment._predict_final
+
+    def recorded(*args):  # the labels the cell scores its test partition with
+        scored.append(predict_final(*args))
+        return scored[-1]
+
+    monkeypatch.setattr(experiment, "_predict_final", recorded)
+    cfg = ExperimentConfig(synthetic={}, keep_fraction=keep_fraction)
+    for model_id in ("KNN", "KNN_opt", "GaussianNB"):
+        cell, fit = run_cell_fitted(data, group, MODEL_SPECS[model_id], cfg, split)
+        path = tmp_path / f"{model_id}.json"
+        save_model(cell, fit, path)
+        for served in (fit, load_model(path)):
+            preds = [LABEL_CODES[predict_single(served, r)["label"]] for r in records]
+            assert preds == scored[-1].tolist(), f"{model_id} at keep_fraction {keep_fraction}"
 
 
 # sha256 of the model file each family saves for the config below. A change
