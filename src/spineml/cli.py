@@ -161,6 +161,8 @@ def _cmd_run(args, parser) -> int:
 
 
 def _cmd_report(args, parser) -> int:
+    if args.out == "":
+        parser.error("--out must not be empty")
     matrix = load_results(args.results)
     files = emit_report(matrix, args.out, write_results=False)
     print(f"re-rendered {len(files)} files in {args.out}")

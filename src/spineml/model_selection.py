@@ -3,7 +3,11 @@
 Everything here is seed-deterministic: splits and folds shuffle within
 class from an explicit seed, and every grid cell derives its stream from
 (seed, combination index, fold index), so results never depend on
-evaluation order or worker count.
+evaluation order or worker count. An oversampled grid derives the seeds of
+all its cells with one vectorized `SeedSequence` hash and draws a fold's
+rows for all its combinations in one pass (`resampling._draw_many`); the
+rows are those numpy's own `default_rng(derive_seed(seed, ci, fi))` would
+draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,17 +31,19 @@ from .metrics import accuracy_many, confusion_counts, f1_many
 # _vote and knn_predict_many stay imported here: perfbench's tracing tests
 # check that the tracer wraps them and rebinds these bindings.
 from .neighbors import (  # noqa: F401
-    _CHUNK_BYTES, METRICS, KNNModel, NeighborTables, _distances, _prefix_vote, _top_k, _vote, _within,
-    knn_predict_many,
+    _CHUNK_BYTES, METRICS, WEIGHTINGS, KNNModel, NeighborTables, _distances, _prefix_vote, _top_k, _vote,
+    _within, knn_predict_many,
 )
-from .resampling import ResamplePlan, _draw, minority_basis
+from .resampling import ResamplePlan, _draw_many, minority_basis
+from .streams import _entropy, _rng_words, _seed_hash
 from .tree import _route, dt_fit_batch, extratrees_fit
 
 
 def derive_seed(*parts: int) -> int:
-    """Stable child seed from integer context (seed, combination, fold, ...)."""
-    seq = np.random.SeedSequence(tuple(int(p) for p in parts))
-    return int(seq.generate_state(1)[0])
+    """Stable child seed from integer context (seed, combination, fold, ...):
+    numpy's `SeedSequence(parts).generate_state(1)[0]`, the one-row case of
+    the batch `_seed_hash` that grid search uses."""
+    return int(_seed_hash(np.array([_entropy(*parts)], dtype=np.uint32), 1)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -300,16 +306,25 @@ def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scor
     cut to k_max (`neighbors._within`), and computed directly for the few
     rows that fall short. `_prefix_vote` takes the votes of every k from
     one set of prefix sums over it. An oversampled fold is those rows
-    followed by the combination's appended rows, drawn by `_draw` from one
-    `minority_basis` per fold, whose SMOTE lists come from the same
-    `tables`. Random oversampling appends copies, so `_with_copies` merges
-    them by their multiplicities with no distance computed; SMOTE's new
-    rows go through `_with_appended`.
+    followed by the combination's appended rows. One `minority_basis` per
+    fold serves them all, its SMOTE lists read from the same `tables`, and
+    one `_draw_many` draws every combination's rows at once, each from its
+    own stream `default_rng(derive_seed(seed, ci, fi))`, whose seeds are
+    hashed once per grid. Random oversampling appends copies, so
+    `_with_copies` merges them by their multiplicities with no distance
+    computed; SMOTE's new rows go through `_with_appended`.
     """
     ks, weightings = np.array([c["k"] for c in combos]), [c["weighting"] for c in combos]
     k_max = int(ks.max())
     metric_of = np.array([combo["metric"] for combo in combos])
     table_metrics = tuple(m for m in METRICS if m in metric_of)
+    known = np.array([c["weighting"] in WEIGHTINGS and c["metric"] in METRICS for c in combos])
+    if resample is not None:  # each (combination, fold)'s stream is default_rng(derive_seed(seed, ci, fi))
+        fold_of, combo_of = np.divmod(np.arange(len(fold_train) * len(combos)), len(combos))
+        # ci and fi are one entropy word each, and so is a derived seed
+        entropy = np.column_stack([np.tile(_entropy(seed), (combo_of.size, 1)), combo_of, fold_of])
+        derived = _seed_hash(entropy.astype(np.uint32), 1)
+        stream_seeds = _rng_words(derived).reshape(len(fold_train), len(combos), 4)
     for fi, (tr, va) in enumerate(zip(fold_train, fold_val)):
         sub, X_val = train.take(tr), train.rows[va]
         try:
@@ -318,25 +333,21 @@ def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scor
             flags[:] = [str(exc)] * len(combos)
             continue
         need = 0 if basis is None else max(basis.need, 0)
-        copies = need > 0 and resample.method == "random_over"
-        # per combination: how many copies of each fold row, or SMOTE's new rows
-        drawn = np.zeros((len(combos), sub.n), dtype=np.int64) if copies else np.empty(
-            (len(combos), need, sub.width))
-        ok = np.zeros(len(combos), dtype=bool)
-        for ci, combo in enumerate(combos):
+        ok = known & (ks >= 1) & (ks <= sub.n + need)
+        for ci in np.flatnonzero(~ok).tolist():  # the check flags a k out of range, raises on an unknown name
             try:
-                KNNModel.check(combo["k"], combo["weighting"], combo["metric"], sub.n + need)
+                KNNModel.check(combos[ci]["k"], weightings[ci], combos[ci]["metric"], sub.n + need)
             except PipelineError as exc:
                 flags[ci] = str(exc)
-                continue
-            ok[ci] = True
-            if copies:  # `_draw` over row ids gives the ids it copies
-                ids = _draw(np.arange(sub.n), resample.method, basis, derive_seed(seed, ci, fi))
-                drawn[ci] = np.bincount(ids, minlength=sub.n)
-            elif need:
-                drawn[ci] = _draw(sub.rows, resample.method, basis, derive_seed(seed, ci, fi))
         if not ok.any():
             continue
+        copies = need > 0 and resample.method == "random_over"
+        if copies:  # over row ids, the draws are the ids copied; drawn[c] counts combination c's copies
+            ids = _draw_many(np.arange(sub.n), resample.method, basis, stream_seeds[fi])
+            drawn = np.bincount((ids + sub.n * np.arange(len(combos))[:, None]).ravel(),
+                                minlength=len(combos) * sub.n).reshape(len(combos), sub.n)
+        elif need:  # drawn[c] holds combination c's new rows
+            drawn = _draw_many(sub.rows, resample.method, basis, stream_seeds[fi])
         lists = tables.lists(table_metrics, k_max)
         inside = np.zeros(train.n, dtype=bool)
         inside[tr] = True

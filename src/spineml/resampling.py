@@ -6,8 +6,12 @@ experiment runner keeps validation and test rows out of reach.
 
 Oversampling is split into a seed-independent basis (`minority_basis`: the
 minority pool and SMOTE's neighbor lists) and the seeded draws
-(`_draw`), so grid search builds the basis once per fold and reseeds only
-the draws. SMOTE's neighbor lists come from one Euclidean table over a
+(`_draw_many`), so grid search builds the basis once per fold and draws
+the rows of every combination's seed in one pass. The draws are those of
+`numpy.random.default_rng(seed)`'s `integers` and `random`, bit for bit,
+made for many seeds at once from their raw PCG64 words by
+`streams._Draws`; `_draw` is the one-seed case, which `oversample` uses.
+SMOTE's neighbor lists come from one Euclidean table over a
 training partition's rows of the minority label (`neighbors.NeighborTables`,
 which keeps `SPARE` = 8 more than the k + 1 a basis reads): a fold's basis
 filters it to the fold's rows, the final fit's basis reads it as it is, and
@@ -24,6 +28,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import MinorityTooSmallError, SingleClassError
 from .neighbors import NeighborTables, _within
+from .streams import _Draws, _entropy, _rng_words
 
 METHODS = ("random_over", "smote")
 
@@ -110,21 +115,39 @@ def minority_basis(train: Dataset, plan: ResamplePlan, tables: NeighborTables | 
     return MinorityBasis(minority, need, pool, near[keep].reshape(pool.size, k))
 
 
-def _draw(rows: np.ndarray, method: str, basis: MinorityBasis, seed: int) -> np.ndarray:
-    """The rows that oversampling a training matrix `rows` by `method` under
-    `seed` appends; `basis.need` must be positive. Grid search calls this
-    directly, once per (combination, fold). Random oversampling only indexes
+def _draw_many(rows: np.ndarray, method: str, basis: MinorityBasis, rng_words: np.ndarray) -> np.ndarray:
+    """The (S, need, ...) rows that oversampling a training matrix `rows` by
+    `method` appends, one block per stream, whose PCG64 is seeded with a row
+    of the (S, 4) `rng_words` (`streams._rng_words`: `default_rng(seed)`'s
+    stream); `basis.need` must be positive. The draws of all streams are
+    made together and equal numpy's: random oversampling picks pool rows by
+    `integers(0, pool size, need)`; SMOTE takes a start by
+    `integers(0, pool size)`, a neighbor column by `integers(0, k, need)`
+    and the gaps by `random(need)`. Random oversampling only indexes
     `rows`, so given the row ids `np.arange(n)` it returns the ids of the
-    rows it copies, in append order, from the same stream."""
-    rng = np.random.default_rng(seed)
+    rows it copies, in append order."""
+    need, n_pool, streams = basis.need, basis.pool.size, np.arange(len(rng_words))
     if method == "random_over":
-        return rows[basis.pool[rng.integers(0, basis.pool.size, size=basis.need)]]
+        draws = _Draws.seeded(rng_words, (need + 1) // 2)  # one 32-bit draw per row
+        return rows[basis.pool[draws.bounded(streams, np.full(need, n_pool))]]
+    k = basis.neighbors.shape[1]
+    draws = _Draws.seeded(rng_words, (2 + need * (k > 1)) // 2 + need)  # the start, the picks, then the gaps
     points = rows[basis.pool]
-    start = int(rng.integers(0, basis.pool.size))
-    seeds = (start + np.arange(basis.need)) % basis.pool.size
-    picks = basis.neighbors[seeds, rng.integers(0, basis.neighbors.shape[1], size=basis.need)]
-    u = rng.random(basis.need)[:, None]
-    return points[seeds] + u * (points[picks] - points[seeds])
+    drawn = draws.bounded(streams, np.concatenate([[n_pool], np.full(need, k)]))  # the start, then the picks
+    seeds = (drawn[:, :1] + np.arange(need)) % n_pool
+    picks = basis.neighbors[seeds, drawn[:, 1:]]
+    u = draws.random(streams, np.full(streams.size, need)).reshape(-1, need, 1)
+    x, new = points.take(seeds, axis=0), points.take(picks, axis=0)
+    new -= x  # x + u · (z − x), in place: the same operations on the same values
+    new *= u
+    new += x
+    return new
+
+
+def _draw(rows: np.ndarray, method: str, basis: MinorityBasis, seed: int) -> np.ndarray:
+    """`_draw_many` for the one stream `default_rng(seed)`: the rows that
+    `oversample` appends under `seed`."""
+    return _draw_many(rows, method, basis, _rng_words([_entropy(seed)]))[0]
 
 
 def oversample(train: Dataset, plan: ResamplePlan, tables: NeighborTables | None = None) -> Dataset:

@@ -34,8 +34,8 @@ candidate's node-local range. The ranges, CART's impurity decrease and the
 pick of the best, ties to the lower feature, are one numpy pass per step.
 The draws are the values, and leave the stream, of the numpy calls
 `choice(d, max_features, replace=False)` and `random(k)` on each tree's
-generator, but `_Draws` makes them for all trees of a step at once from
-the generators' raw PCG64 words. They therefore follow numpy's `choice`
+generator, but `streams._Draws` makes them for all trees of a step at once
+from the generators' raw PCG64 words. They therefore follow numpy's `choice`
 algorithm, Floyd's for d ≤ 10 000 or max_features ≤ d // 50; a forest
 that would need numpy's other one is refused.
 
@@ -57,6 +57,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import EmptyTrainingSetError, WidthMismatchError
 from .schema import typed
+from .streams import _Draws
 
 _MIN_DECREASE = 1e-12
 
@@ -453,118 +454,6 @@ class ExtraTreesModel:
     n_trees: int
     max_features: int
     importances: np.ndarray
-
-
-class _Draws:
-    """The draws a forest makes from its trees' numpy Generators, read from each
-    generator's raw PCG64 words in blocks and made for all trees of a step at
-    once. They are the values and the stream of numpy's own calls (numpy 2.x):
-
-    - a 32-bit draw is the low half of a fresh 64-bit word, whose high half is
-      kept for the next 32-bit draw;
-    - a bounded draw below e > 1 is Lemire's (2019): m = u32 · e, drawn again
-      while m mod 2³² < (2³² − e) mod e, gives m >> 32; below 1 it is 0 and
-      draws nothing;
-    - `choice(d, size, replace=False)` with d ≤ 10 000 or size ≤ d // 50 is
-      Floyd's algorithm, a bounded draw below j + 1 for j = d − size … d − 1
-      (j itself if the draw is already taken), then a shuffle that swaps
-      position i with a bounded draw below i + 1, for i = size − 1 … 1;
-    - `random(k)` is k whole words, (w >> 11) · 2⁻⁵³, leaving a kept half be.
-
-    `finish` sets each generator to the state those calls would leave.
-    """
-
-    BLOCK = 1024  # words read from a generator at a time
-
-    def __init__(self, rngs: list):
-        self.rngs = rngs
-        self.states = [r.bit_generator.state for r in rngs]
-        n = len(rngs)
-        self.words = np.zeros((n, 0), dtype=np.uint64)  # row t: tree t's words from index base[t]
-        self.base, self.end, self.pos = (np.zeros(n, dtype=np.int64) for _ in range(3))
-        self.has = np.array([s["has_uint32"] for s in self.states], dtype=bool)  # a high half is kept
-        self.half = np.array([s["uinteger"] for s in self.states], dtype=np.uint64)  # the last high half
-
-    def _ensure(self, trees, need: int):
-        """Hold at least `need` unspent words of each of `trees`."""
-        short = trees[self.end[trees] - self.pos[trees] < need]
-        width = max(self.words.shape[1], 2 * need, self.BLOCK)
-        if width > self.words.shape[1]:
-            self.words = np.pad(self.words, ((0, 0), (0, width - self.words.shape[1])))
-        for t in short.tolist():
-            spent, left = self.pos[t] - self.base[t], self.end[t] - self.pos[t]
-            self.words[t, :left] = self.words[t, spent:spent + left]
-            self.words[t, left:] = self.rngs[t].bit_generator.random_raw(width - left)
-            self.base[t], self.end[t] = self.pos[t], self.pos[t] + width
-
-    def _u32(self, trees, k):
-        """The 32-bit draws numbered k[b, q] in the coming stream of tree
-        trees[b], −1 being its kept half; spends none."""
-        self._ensure(trees, int(k.max(initial=0)) // 2 + 1)  # a word to index even for the kept half
-        w = self.words[trees[:, None], (self.pos - self.base)[trees][:, None] + np.maximum(k, 0) // 2]
-        return np.where(k < 0, self.half[trees][:, None], np.where(k % 2 == 1, w >> 32, w & 0xFFFFFFFF))
-
-    def _spend(self, trees, n):
-        """Spend n[b] 32-bit draws of tree trees[b]."""
-        has = self.has[trees]
-        fresh = n - has  # draws split from new words
-        pos = self.pos[trees] + np.maximum(fresh + 1, 0) // 2
-        split = fresh > 0  # the last word split leaves its high half in the generator
-        self.half[trees[split]] = self.words[trees[split], (pos - 1 - self.base[trees])[split]] >> 32
-        self.has[trees] = np.where(n > 0, fresh % 2 == 1, has)
-        self.pos[trees] = pos
-
-    def bounded(self, trees, excl):
-        """(trees, len(excl)) draws: draw q of each tree is below excl[q] > 1."""
-        excl = np.asarray(excl, dtype=np.uint64)
-        k = np.arange(excl.size) - self.has[trees][:, None]
-        m = self._u32(trees, k) * excl
-        ok = (m & 0xFFFFFFFF) >= (2**32 - excl) % excl
-        spent = np.full(trees.size, excl.size)
-        for b in np.flatnonzero(~ok.all(axis=1)).tolist():  # a rejection: that tree's draws one by one
-            tree, q = trees[b:b + 1], -int(self.has[trees[b]])
-            for i, e in enumerate(excl):
-                while True:
-                    m[b, i] = self._u32(tree, np.array([[q]]))[0, 0] * e
-                    q += 1
-                    if m[b, i] & 0xFFFFFFFF >= (2**32 - e) % e:
-                        break
-            spent[b] = q + self.has[trees[b]]
-        self._spend(trees, spent)
-        return (m >> 32).astype(np.int64)
-
-    def choice(self, trees, d: int, size: int):
-        """Each tree's `choice(d, size, replace=False)`, one row per tree."""
-        floyd = np.arange(d - size, d)
-        drawn = self.bounded(trees, np.concatenate([floyd[floyd > 0], np.arange(size - 1, 0, -1)]) + 1)
-        if floyd[0] == 0:  # below 1: 0, with no draw
-            drawn = np.concatenate([np.zeros((trees.size, 1), dtype=np.int64), drawn], axis=1)
-        nodes, picked = np.arange(trees.size), np.zeros((trees.size, d), dtype=bool)
-        out = np.empty((trees.size, size), dtype=np.int64)
-        for i, j in enumerate(floyd.tolist()):
-            v = np.where(picked[nodes, drawn[:, i]], j, drawn[:, i])
-            picked[nodes, v] = True
-            out[:, i] = v
-        for i, j in zip(range(size - 1, 0, -1), drawn[:, size:].T):
-            out[nodes, j], out[:, i] = out[:, i], out[nodes, j]
-        return out
-
-    def random(self, trees, k):
-        """Each tree's `random(k[b])`, end to end."""
-        self._ensure(trees, int(k.max(initial=0)))
-        ends = np.cumsum(k)
-        at = np.arange(ends[-1]) + np.repeat(self.pos[trees] - self.base[trees] - (ends - k), k)
-        w = self.words[np.repeat(trees, k), at]
-        self.pos[trees] += k
-        return (w >> 11) * 2.0**-53
-
-    def finish(self):
-        for rng, state, used, has, half in zip(self.rngs, self.states, self.pos.tolist(), self.has.tolist(),
-                                               self.half.tolist()):
-            bit_generator = rng.bit_generator
-            bit_generator.state = state
-            bit_generator.advance(used)
-            bit_generator.state = {**bit_generator.state, "has_uint32": int(has), "uinteger": half}
 
 
 def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:

@@ -334,6 +334,33 @@ def minority_basis(train, plan):
     return MinorityBasis(minority, need, pool, near[keep].reshape(pool.size, k))
 
 
+# `model_selection.derive_seed` and `resampling._draw` as they stood before
+# the batch draws, on numpy's own SeedSequence and Generator. Kept verbatim
+# as the oracle of `streams._seed_hash`, `streams._Draws.seeded` and
+# `resampling._draw_many`.
+def derive_seed(*parts: int) -> int:
+    """Stable child seed from integer context (seed, combination, fold, ...)."""
+    seq = np.random.SeedSequence(tuple(int(p) for p in parts))
+    return int(seq.generate_state(1)[0])
+
+
+def _draw(rows: np.ndarray, method: str, basis: MinorityBasis, seed: int) -> np.ndarray:
+    """The rows that oversampling a training matrix `rows` by `method` under
+    `seed` appends; `basis.need` must be positive. Grid search calls this
+    directly, once per (combination, fold). Random oversampling only indexes
+    `rows`, so given the row ids `np.arange(n)` it returns the ids of the
+    rows it copies, in append order, from the same stream."""
+    rng = np.random.default_rng(seed)
+    if method == "random_over":
+        return rows[basis.pool[rng.integers(0, basis.pool.size, size=basis.need)]]
+    points = rows[basis.pool]
+    start = int(rng.integers(0, basis.pool.size))
+    seeds = (start + np.arange(basis.need)) % basis.pool.size
+    picks = basis.neighbors[seeds, rng.integers(0, basis.neighbors.shape[1], size=basis.need)]
+    u = rng.random(basis.need)[:, None]
+    return points[seeds] + u * (points[picks] - points[seeds])
+
+
 # Two groups × three models: KNN untuned, KNN_opt failed in every group (its
 # only k is 0) and DT_opt tuned over 4 combinations, with a cv_table.
 FAILED_AND_TUNED = ExperimentConfig(

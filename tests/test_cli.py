@@ -207,6 +207,20 @@ def test_report_rerenders_without_recompute(tmp_path, capsys):
     assert not (tmp_path / "again" / "results.json").exists()
 
 
+def test_report_rejects_an_empty_out(tmp_path, monkeypatch, capsys):
+    # An empty --out once re-rendered the reports into the working directory.
+    _run(capsys, "run", "--n", "80", "--data-seed", "4", "--groups", "I",
+         "--models", "GaussianNB", "--folds", "4", "--out", str(tmp_path / "r"))
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--results", str(tmp_path / "r" / "results.json"), "--out", ""])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "spineml: error: --out must not be empty"
+    assert list(here.iterdir()) == []
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda r: r["group_stats"]["VII"].update(mean_acc=0.123),
      "aggregate mismatch for group VII/mean_acc"),
