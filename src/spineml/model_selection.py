@@ -3,11 +3,12 @@
 Everything here is seed-deterministic: splits and folds shuffle within
 class from an explicit seed, and every grid cell derives its stream from
 (seed, combination index, fold index), so results never depend on
-evaluation order or worker count. An oversampled grid derives the seeds of
-all its cells with one vectorized `SeedSequence` hash and draws a fold's
-rows for all its combinations in one pass (`resampling._draw_many`); the
-rows are those numpy's own `default_rng(derive_seed(seed, ci, fi))` would
-draw, bit for bit.
+evaluation order or worker count. An oversampled grid's cell (combination
+ci, fold fi) draws from `default_rng(s)`, s being the first word of
+`SeedSequence((seed, ci, fi)).generate_state(1)`. Vectorized hashes
+give the streams of all its cells at once, and a fold's rows for all its
+combinations are drawn in one pass (`resampling._draw_many`), bit for bit
+those numpy's own generators would draw.
 """
 
 from __future__ import annotations
@@ -39,13 +40,6 @@ from .streams import _entropy, _rng_words, _seed_hash
 from .tree import _route, dt_fit_batch, extratrees_fit
 
 
-def derive_seed(*parts: int) -> int:
-    """Stable child seed from integer context (seed, combination, fold, ...):
-    numpy's `SeedSequence(parts).generate_state(1)[0]`, the one-row case of
-    the batch `_seed_hash` that grid search uses."""
-    return int(_seed_hash(np.array([_entropy(*parts)], dtype=np.uint32), 1)[0, 0])
-
-
 @dataclass(frozen=True)
 class SplitIndices:
     train_idx: np.ndarray
@@ -57,7 +51,8 @@ def stratified_shuffle_split(labels, test_fraction: float = 0.25, seed: int = 0)
 
     Each class contributes round(test_fraction × class count) test rows,
     adjusted by ±1 on the most misallocated class so the test total equals
-    round(test_fraction × n).
+    round(test_fraction × n). It fails on one-class labels and on sizes that
+    leave no test row or a class no training row, for every seed alike.
     """
     y = np.asarray(labels)
     n = y.size
@@ -67,8 +62,12 @@ def stratified_shuffle_split(labels, test_fraction: float = 0.25, seed: int = 0)
     if (counts < 2).any():
         small = classes[counts < 2]
         raise ClassTooSmallError(f"class {small[0]} has fewer than 2 rows")
+    if classes.size == 1:
+        raise SingleClassError(f"every label is class {classes[0]}: a stratified split needs both classes")
 
     total_target = round(test_fraction * n)
+    if total_target == 0:
+        raise TooFewRowsError(f"test_fraction {test_fraction} of {n} rows leaves no test row")
     targets = {int(c): round(test_fraction * k) for c, k in zip(classes, counts)}
     sizes = {int(c): int(k) for c, k in zip(classes, counts)}
     diff = total_target - sum(targets.values())
@@ -84,6 +83,9 @@ def stratified_shuffle_split(labels, test_fraction: float = 0.25, seed: int = 0)
         chosen = max(eligible, key=lambda c: (step * miss(c), -c))
         targets[chosen] += step
         diff -= step
+    for c in targets:
+        if targets[c] == sizes[c]:
+            raise TooFewRowsError(f"test_fraction {test_fraction} of {n} rows leaves no class {c} row to train on")
 
     rng = np.random.default_rng(seed)
     test_parts, train_parts = [], []
@@ -309,8 +311,8 @@ def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scor
     followed by the combination's appended rows. One `minority_basis` per
     fold serves them all, its SMOTE lists read from the same `tables`, and
     one `_draw_many` draws every combination's rows at once, each from its
-    own stream `default_rng(derive_seed(seed, ci, fi))`, whose seeds are
-    hashed once per grid. Random oversampling appends copies, so
+    own stream (see the module docstring), whose seeds are hashed once per
+    grid. Random oversampling appends copies, so
     `_with_copies` merges them by their multiplicities with no distance
     computed; SMOTE's new rows go through `_with_appended`.
     """
@@ -319,7 +321,7 @@ def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scor
     metric_of = np.array([combo["metric"] for combo in combos])
     table_metrics = tuple(m for m in METRICS if m in metric_of)
     known = np.array([c["weighting"] in WEIGHTINGS and c["metric"] in METRICS for c in combos])
-    if resample is not None:  # each (combination, fold)'s stream is default_rng(derive_seed(seed, ci, fi))
+    if resample is not None:  # the streams of every (combination, fold), as the module docstring says
         fold_of, combo_of = np.divmod(np.arange(len(fold_train) * len(combos)), len(combos))
         # ci and fi are one entropy word each, and so is a derived seed
         entropy = np.column_stack([np.tile(_entropy(seed), (combo_of.size, 1)), combo_of, fold_of])

@@ -31,6 +31,7 @@ from .errors import (
     MissingFeatureError,
     OutOfSchemaValueError,
     VersionMismatchError,
+    WidthMismatchError,
 )
 from .experiment import FAMILIES, CellResult, FittedCell
 from .preprocess import SCALING_MODES
@@ -91,8 +92,8 @@ def load_model(path) -> FittedCell:
         if prep["scaling_mode"] not in SCALING_MODES:
             raise ValueError(f"unknown scaling_mode: {prep['scaling_mode']!r}")
         kept = typed(prep["kept"], int, "kept", array=True)
-        if kept.ndim != 1 or not ((0 <= kept) & (kept < len(raw["features"]))).all():
-            raise ValueError(f"kept feature indices {kept.tolist()} outside "
+        if kept.ndim != 1 or (np.diff(kept) <= 0).any() or not ((0 <= kept) & (kept < len(raw["features"]))).all():
+            raise ValueError(f"kept feature indices {kept.tolist()} are not increasing within "
                              f"[0, {len(raw['features'])})")
         cell = FittedCell(
             model_id=typed(raw["model_id"], str, "model_id"),
@@ -132,6 +133,10 @@ def load_model(path) -> FittedCell:
         # The preprocessing plan: every encoded and scaled column must be a
         # feature, and every scaler array hold one entry per scaled column.
         cell._steps
+        try:  # the classifier takes a row of the kept columns
+            FAMILIES[cell.family].predict_one(cell.classifier, np.zeros(kept.size))
+        except WidthMismatchError as exc:
+            raise ValueError(f"kept feature indices {kept.tolist()} do not fit the classifier: {exc}") from None
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, KOutOfRangeError) as exc:
         raise CorruptFileError(f"model file is malformed: {exc}") from exc
     return cell

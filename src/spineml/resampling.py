@@ -9,8 +9,9 @@ minority pool and SMOTE's neighbor lists) and the seeded draws
 (`_draw_many`), so grid search builds the basis once per fold and draws
 the rows of every combination's seed in one pass. The draws are those of
 `numpy.random.default_rng(seed)`'s `integers` and `random`, bit for bit,
-made for many seeds at once from their raw PCG64 words by
-`streams._Draws`; `_draw` is the one-seed case, which `oversample` uses.
+made for many seeds at once from their raw PCG64 words by `streams._Draws`,
+as the feature-selection forest's are; no Generator is made. `_draw` is
+the one-seed case, which `oversample` uses.
 SMOTE's neighbor lists come from one Euclidean table over a
 training partition's rows of the minority label (`neighbors.NeighborTables`,
 which keeps `SPARE` = 8 more than the k + 1 a basis reads): a fold's basis
@@ -128,10 +129,10 @@ def _draw_many(rows: np.ndarray, method: str, basis: MinorityBasis, rng_words: n
     rows it copies, in append order."""
     need, n_pool, streams = basis.need, basis.pool.size, np.arange(len(rng_words))
     if method == "random_over":
-        draws = _Draws.seeded(rng_words, (need + 1) // 2)  # one 32-bit draw per row
+        draws = _Draws(rng_words, (need + 1) // 2)  # one 32-bit draw per row
         return rows[basis.pool[draws.bounded(streams, np.full(need, n_pool))]]
     k = basis.neighbors.shape[1]
-    draws = _Draws.seeded(rng_words, (2 + need * (k > 1)) // 2 + need)  # the start, the picks, then the gaps
+    draws = _Draws(rng_words, (2 + need * (k > 1)) // 2 + need)  # the start, the picks, then the gaps
     points = rows[basis.pool]
     drawn = draws.bounded(streams, np.concatenate([[n_pool], np.full(need, k)]))  # the start, then the picks
     seeds = (drawn[:, :1] + np.arange(need)) % n_pool

@@ -10,9 +10,9 @@ Generation*). `default_rng(seed)` takes four 64-bit words of it as the
 its 64-bit output words. `_seed_hash` runs the hash for many entropy rows
 at once in numpy `uint32` arithmetic, and `_hashed` hands its words to
 numpy's own PCG64 seeding, so the 128-bit steps stay numpy's. `_Draws`
-reads the raw words of many streams, from numpy Generators or straight
-from seeds, and makes the draws of numpy's calls from them for all
-streams at once.
+reads the raw words of the streams of many seeds and makes the draws of
+numpy's calls from them for all streams at once: a resampled grid's
+oversampling and the feature-selection forest draw through it alone.
 """
 
 from __future__ import annotations
@@ -116,10 +116,9 @@ def _hashed() -> type:
 
 class _Draws:
     """The draws of numpy Generator calls on many streams, made for all of
-    them at once from the streams' raw PCG64 words, read in blocks. The
-    words come from each of a list of Generators (`_Draws(rngs)`), or from
-    the PCG64 of each of many seeds (`_Draws.seeded`). They are the values
-    and the stream of numpy's own calls (numpy 2.x):
+    them at once from the raw words of the PCG64 of each of many seeds, read
+    in blocks. They are the values and the stream of numpy's own calls
+    (numpy 2.x):
 
     - a 32-bit draw is the low half of a fresh 64-bit word, whose high half is
       kept for the next 32-bit draw;
@@ -131,44 +130,26 @@ class _Draws:
       (j itself if the draw is already taken), then a shuffle that swaps
       position i with a bounded draw below i + 1, for i = size − 1 … 1;
     - `random(k)` is k whole words, (w >> 11) · 2⁻⁵³, leaving a kept half be.
-
-    `finish` sets each Generator to the state those calls would leave.
     """
 
-    BLOCK = 1024  # words read from a stream at a time
-
-    def __init__(self, rngs: list):
-        self.rngs = rngs
-        self.states = [r.bit_generator.state for r in rngs]
-        self._open([r.bit_generator for r in rngs], np.zeros((len(rngs), 0), dtype=np.uint64),
-                   [s["has_uint32"] for s in self.states], [s["uinteger"] for s in self.states])
-
-    @classmethod
-    def seeded(cls, seeds: np.ndarray, words: int) -> _Draws:
+    def __init__(self, seeds: np.ndarray, block: int):
         """The streams of PCG64s seeded with the rows of the (S, 4) `_rng_words`
-        `seeds`, with `words` words of each read at once."""
-        draws = cls.__new__(cls)
-        draws.BLOCK = words
+        `seeds`, `block` words of each read at once, now and on each refill."""
         hashed = _hashed()
-        bits = [np.random.PCG64(hashed(w)) for w in seeds]
-        draws._open(bits, np.array([b.random_raw(words) for b in bits]).reshape(len(bits), words),
-                    np.zeros(len(bits), dtype=bool), np.zeros(len(bits), dtype=np.uint64))
-        return draws
-
-    def _open(self, bits: list, words: np.ndarray, has, half):
-        self.bits = bits  # each stream's PCG64
-        self.words = words  # row t: stream t's words from index base[t]
-        self.base, self.pos = np.zeros(len(bits), dtype=np.int64), np.zeros(len(bits), dtype=np.int64)
-        self.end = np.full(len(bits), words.shape[1], dtype=np.int64)
-        self.has = np.asarray(has, dtype=bool)  # a high half is kept
-        self.half = np.asarray(half, dtype=np.uint64)  # the last high half
+        self.bits = [np.random.PCG64(hashed(w)) for w in seeds]  # each stream's PCG64
+        # row t: stream t's words from index base[t]
+        self.words = np.array([b.random_raw(block) for b in self.bits]).reshape(len(self.bits), block)
+        self.base, self.pos = np.zeros(len(seeds), dtype=np.int64), np.zeros(len(seeds), dtype=np.int64)
+        self.end = np.full(len(seeds), block, dtype=np.int64)
+        self.has = np.zeros(len(seeds), dtype=bool)  # a high half is kept
+        self.half = np.zeros(len(seeds), dtype=np.uint64)  # the last high half
 
     def _ensure(self, streams, need: int):
         """Hold at least `need` unspent words of each of `streams`."""
         short = streams[self.end[streams] - self.pos[streams] < need]
         if not short.size:
             return
-        width = max(self.words.shape[1], need, self.BLOCK)
+        width = max(self.words.shape[1], need)
         if width > self.words.shape[1]:
             self.words = np.pad(self.words, ((0, 0), (0, width - self.words.shape[1])))
         spent, left = (self.pos - self.base)[short].tolist(), (self.end - self.pos)[short].tolist()
@@ -232,11 +213,3 @@ class _Draws:
         w = self.words[np.repeat(streams, k), at]
         self.pos[streams] += k
         return (w >> 11) * 2.0**-53
-
-    def finish(self):
-        for rng, state, used, has, half in zip(self.rngs, self.states, self.pos.tolist(), self.has.tolist(),
-                                               self.half.tolist()):
-            bit_generator = rng.bit_generator
-            bit_generator.state = state
-            bit_generator.advance(used)
-            bit_generator.state = {**bit_generator.state, "has_uint32": int(has), "uinteger": half}

@@ -28,16 +28,16 @@ numpy pass, so a grid search grows the trees of all its (criterion,
 min_samples_leaf, fold) triples as one batch, and `dt_fit` is a batch of
 one. Extremely randomized trees
 (Geurts et al. 2006) grow one batch per forest, on the full sample: each
-node draws from its tree's own generator `max_features` candidate features
+node draws from its tree's own stream `max_features` candidate features
 without replacement, then a uniform threshold inside each non-constant
 candidate's node-local range. The ranges, CART's impurity decrease and the
 pick of the best, ties to the lower feature, are one numpy pass per step.
-The draws are the values, and leave the stream, of the numpy calls
-`choice(d, max_features, replace=False)` and `random(k)` on each tree's
-generator, but `streams._Draws` makes them for all trees of a step at once
-from the generators' raw PCG64 words. They therefore follow numpy's `choice`
-algorithm, Floyd's for d ≤ 10 000 or max_features ≤ d // 50; a forest
-that would need numpy's other one is refused.
+Tree t draws the values of numpy's `choice(d, max_features,
+replace=False)` and `random(k)` on `default_rng(SeedSequence((seed, t)))`,
+but from no generator: `streams._Draws` makes all trees' draws of a step
+at once from the raw words of PCG64s seeded by one vectorized hash. So
+they follow numpy's `choice` algorithm, Floyd's for d ≤ 10 000 or
+max_features ≤ d // 50; a forest that needs the other one is refused.
 
 Routing sends x[feature] ≤ threshold to the left child. Batch routing
 takes each row down its full tree once, all rows of all trees one level per
@@ -57,7 +57,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import EmptyTrainingSetError, WidthMismatchError
 from .schema import typed
-from .streams import _Draws
+from .streams import _Draws, _entropy, _rng_words
 
 _MIN_DECREASE = 1e-12
 
@@ -456,16 +456,16 @@ class ExtraTreesModel:
     importances: np.ndarray
 
 
-def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:
-    """The (len(rngs), d) normalized importances of extremely randomized trees
-    grown in lockstep, tree t drawing from `rngs[t]`."""
+def _extra_trees_importances(X, y, seeds: np.ndarray, max_features: int) -> np.ndarray:
+    """The (len(seeds), d) normalized importances of extremely randomized trees
+    grown in lockstep, tree t drawing from the stream of the words `seeds[t]`."""
     d = X.shape[1]
     size = min(max_features, d)
     if d > 10_000 and size > d // 50:  # numpy's choice draws these by another algorithm
         raise ValueError(f"max_features must be ≤ {d // 50} (d // 50) with more than 10 000 features, "
                          f"got {size}")
-    draws = _Draws(rngs)
-    candidates = np.zeros((len(rngs), size), dtype=np.int64)  # each tree's at the current step
+    draws = _Draws(seeds, 1024)  # words of each tree's stream read at a time
+    candidates = np.zeros((len(seeds), size), dtype=np.int64)  # each tree's at the current step
 
     def random_split(trees, counts, rows, seg, starts):  # arrays are (block rows, size)
         nodes = np.arange(len(trees))
@@ -495,9 +495,7 @@ def _extra_trees_importances(X, y, rngs: list, max_features: int) -> np.ndarray:
         candidates[trees] = draws.choice(trees, d, size)
         return blocked(trees, counts, rows, seg, starts)
 
-    importances = _grow(X, y, split, [np.arange(X.shape[0])] * len(rngs), depth_first=True)[1]
-    draws.finish()
-    return importances
+    return _grow(X, y, split, [np.arange(X.shape[0])] * len(seeds), depth_first=True)[1]
 
 
 def extratrees_fit(train: Dataset, n_trees: int = 100, max_features: int | None = None,
@@ -511,8 +509,8 @@ def extratrees_fit(train: Dataset, n_trees: int = 100, max_features: int | None 
     mf = max(1, math.isqrt(train.width - 1) + 1) if max_features is None else max_features
     if mf < 1:
         raise ValueError("max_features must be ≥ 1")
-    rngs = [np.random.default_rng(np.random.SeedSequence((seed, t))) for t in range(n_trees)]
-    mean_imp = _extra_trees_importances(train.rows, train.labels, rngs, mf).mean(axis=0)
+    seeds = _rng_words(np.array([_entropy(seed, t) for t in range(n_trees)], dtype=np.uint32))
+    mean_imp = _extra_trees_importances(train.rows, train.labels, seeds, mf).mean(axis=0)
     total = mean_imp.sum()
     importances = mean_imp / total if total > 0 else mean_imp
     return ExtraTreesModel(n_trees=n_trees, max_features=mf, importances=importances)

@@ -336,7 +336,7 @@ def minority_basis(train, plan):
 
 # `model_selection.derive_seed` and `resampling._draw` as they stood before
 # the batch draws, on numpy's own SeedSequence and Generator. Kept verbatim
-# as the oracle of `streams._seed_hash`, `streams._Draws.seeded` and
+# as the oracle of `streams._seed_hash`, the seeded `streams._Draws` and
 # `resampling._draw_many`.
 def derive_seed(*parts: int) -> int:
     """Stable child seed from integer context (seed, combination, fold, ...)."""
@@ -359,6 +359,18 @@ def _draw(rows: np.ndarray, method: str, basis: MinorityBasis, seed: int) -> np.
     picks = basis.neighbors[seeds, rng.integers(0, basis.neighbors.shape[1], size=basis.need)]
     u = rng.random(basis.need)[:, None]
     return points[seeds] + u * (points[picks] - points[seeds])
+
+
+def finish(draws, rngs: list) -> None:
+    """Set each of `rngs`, the numpy Generators of the seeds of `draws` (a
+    `streams._Draws`) with nothing drawn yet, to the state the calls `draws`
+    emulated would leave it in: the state logic of `_Draws.finish` as it
+    stood when `_Draws` also read Generators."""
+    for rng, used, has, half in zip(rngs, draws.pos.tolist(), draws.has.tolist(), draws.half.tolist(),
+                                    strict=True):
+        bit_generator = rng.bit_generator
+        bit_generator.advance(used)
+        bit_generator.state = {**bit_generator.state, "has_uint32": int(has), "uinteger": half}
 
 
 # Two groups × three models: KNN untuned, KNN_opt failed in every group (its

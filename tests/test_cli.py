@@ -1,12 +1,17 @@
 import argparse
 import codecs
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import FAILED_AND_TUNED
 
+import spineml
 from spineml.cli import _build_parser, _build_run_config, main
 from spineml.experiment import SETTING_TYPES, ExperimentConfig
 from spineml.schema import default_schema
@@ -253,6 +258,19 @@ def _make_model(tmp_path, capsys):
     return tmp_path / "r" / "models" / "KNN__II.json"
 
 
+def test_predict_does_not_import_numpy_random(tmp_path, capsys):
+    # Importing numpy.random adds 3–5% to a cold `spineml predict`, and
+    # nothing predict runs draws a random number.
+    model = _make_model(tmp_path, capsys)
+    record = json.dumps({"GEN": 1, "AGE": 50, "EMP_ST": 3})
+    script = (f"import sys; from spineml.cli import main; code = main(['predict', '--model', {str(model)!r}, "
+              f"'--record', {record!r}]); print(code, 'numpy.random' in sys.modules)")
+    src = str(Path(spineml.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
 def test_predict_inline_record(tmp_path, capsys):
     model = _make_model(tmp_path, capsys)
     record = json.dumps({"GEN": 1, "AGE": 50, "EMP_ST": 3})
@@ -313,6 +331,9 @@ def test_predict_version_mismatch_exits_1(tmp_path, capsys):
     ("DT", "classifier", "n_features", 16.9),
     ("DT", "classifier", "max_depth", "deep"),
     ("DT", "classifier", "min_samples_leaf", "1"),
+    ("KNN", "preprocessing", "kept", [2, 1, 0]),
+    ("GaussianNB", "preprocessing", "kept", [0, 0, 1]),
+    ("KNN", "preprocessing", "kept", [0, 1]),
 ])
 def test_predict_rejects_a_model_file_with_an_unknown_setting(
     tmp_path, capsys, model_id, section, field, value
@@ -441,6 +462,29 @@ def test_predict_output_is_strict_json(tmp_path, capsys):
 
 def _error_lines(stderr):
     return [line for line in stderr.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("fraction,message", [
+    ("0.001", "test_fraction 0.001 of 244 rows leaves no test row"),
+    ("0.999", "test_fraction 0.999 of 244 rows leaves no class 0 row to train on"),
+], ids=["no-test-row", "no-training-row"])
+@pytest.mark.parametrize("per_cell", [[], ["--per-cell-split"]], ids=["shared-split", "per-cell-split"])
+def test_run_with_an_empty_partition_fails_before_any_cell(tmp_path, capsys, monkeypatch, workers, fraction,
+                                                          message, per_cell):
+    monkeypatch.setattr("spineml.experiment.run_cell_fitted", None)  # a cell that ran would fail otherwise
+    code, stdout, stderr = _run(capsys, "run", "--groups", "VII", "--models", "KNN,DT", "--test-fraction",
+                                fraction, "--workers", workers, *per_cell, "--out", str(tmp_path / "r"))
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "r").exists()
+
+
+def test_run_on_one_outcome_class_fails_before_any_cell(tmp_path, capsys, monkeypatch):
+    _run(capsys, "generate", "--p-success", "1.0", "--out", str(tmp_path / "one.csv"))
+    monkeypatch.setattr("spineml.experiment.run_cell_fitted", None)
+    code, stdout, stderr = _run(capsys, "run", "--csv", str(tmp_path / "one.csv"), "--out", str(tmp_path / "r"))
+    assert (code, stdout, stderr) == (1, "", "error: every label is class 1: a stratified split needs both classes\n")
+    assert not (tmp_path / "r").exists()
 
 
 def test_run_exits_1_when_every_cell_failed(tmp_path, capsys):

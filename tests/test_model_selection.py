@@ -20,7 +20,6 @@ from spineml.model_selection import (
     _top_m,
     default_dt_grid,
     default_knn_grid,
-    derive_seed,
     grid_search,
     select_features,
     stratified_kfold,
@@ -29,7 +28,7 @@ from spineml.model_selection import (
 )
 from spineml import model_selection, neighbors
 from spineml.errors import PipelineError
-from helpers import _score
+from helpers import _score, derive_seed
 from spineml.model_selection import _with_appended, _with_copies
 from spineml.neighbors import _distances, _nearest, knn_fit, knn_predict, knn_predict_many
 from spineml.resampling import ResamplePlan, oversample

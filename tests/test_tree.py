@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spineml import tree
+from spineml import streams, tree
 from spineml.dataset import Dataset
 from spineml.errors import EmptyTrainingSetError, WidthMismatchError
 from spineml.model_selection import select_features, stratified_kfold
+from spineml.streams import _Draws, _entropy, _rng_words
 from spineml.tree import (
     _MIN_DECREASE,
     CRITERIA,
@@ -25,11 +26,15 @@ from spineml.tree import (
 from helpers import (
     binary_impurity_reference,
     entropy_impurity,
+    finish,
     gini_impurity,
     grow_reference,
     make_dataset,
     predict_constrained,
 )
+
+# Forest seeds of one 32-bit entropy word, and of two to seven
+FOREST_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**200))
 
 
 def _is_leaf(model, node):
@@ -546,6 +551,31 @@ def _per_tree_oracle(X, y, rngs, max_features):
     return np.array([_grow_extra_tree_per_candidate(X, y, rng, max_features) for rng in rngs])
 
 
+def _generators(seed, n_trees):
+    """The numpy Generators of a forest seeded with `seed`, one per tree."""
+    return [np.random.default_rng(np.random.SeedSequence((seed, t))) for t in range(n_trees)]
+
+
+def _seeds(seed, n_trees):
+    """The `_rng_words` of those generators' PCG64s."""
+    return _rng_words(np.array([_entropy(seed, t) for t in range(n_trees)], dtype=np.uint32))
+
+
+def _left_states(draws, seed, n_trees):
+    """The states in which the draws of `draws` leave `_generators(seed, n_trees)`."""
+    rngs = _generators(seed, n_trees)
+    finish(draws, rngs)
+    return [rng.bit_generator.state for rng in rngs]
+
+
+def _forest_and_draws(X, y, seeds, max_features):
+    """`_extra_trees_importances` and the `_Draws` its trees drew from."""
+    made = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "_Draws", lambda *args: made.append(streams._Draws(*args)) or made[-1])
+        return tree._extra_trees_importances(X, y, seeds, max_features), made[0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(1, 30),
@@ -556,9 +586,10 @@ def _per_tree_oracle(X, y, rngs, max_features):
     max_features=st.integers(1, 6),
     keep_fraction=st.sampled_from([0.2, 0.5, 1.0]),
     seed=st.integers(0, 2**32 - 1),
+    forest_seed=FOREST_SEEDS,
 )
 def test_extratrees_matches_per_candidate_rule(
-    n, d, levels, n_constant, n_repeated, max_features, keep_fraction, seed
+    n, d, levels, n_constant, n_repeated, max_features, keep_fraction, seed, forest_seed
 ):
     """Scoring a node's candidates together gives the per-candidate rule's
     importances bit for bit, and the same selected features."""
@@ -569,14 +600,14 @@ def test_extratrees_matches_per_candidate_rule(
     rows = np.concatenate([rows, rows[repeats]])
     labels = rng.integers(0, 2, rows.shape[0])
     ds = make_dataset(rows, labels)
-    forest_seed = int(rng.integers(0, 1000))
     mf = min(max_features, d)
 
     new = extratrees_fit(ds, n_trees=3, max_features=mf, seed=forest_seed)
     picked = select_features(ds, keep_fraction, forest_seed, n_trees=3) if (
         ds.n >= 3 and np.unique(labels).size == 2) else None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tree, "_extra_trees_importances", _per_tree_oracle)
+        mp.setattr(tree, "_extra_trees_importances",
+                   lambda X, y, seeds, mf: _per_tree_oracle(X, y, _generators(forest_seed, len(seeds)), mf))
         old = extratrees_fit(ds, n_trees=3, max_features=mf, seed=forest_seed)
         if picked is not None:
             reference = select_features(ds, keep_fraction, forest_seed, n_trees=3)
@@ -629,7 +660,7 @@ def test_dt_fit_matches_one_tree_grower(
     coarse=st.booleans(),
     levels=st.integers(2, 6),
     max_features=st.integers(1, 21),
-    seed=st.integers(0, 2**32 - 1),
+    seed=FOREST_SEEDS,
 )
 def test_lockstep_forest_matches_per_tree_growth(n_trees, n, d, coarse, levels, max_features, seed):
     """Growing a forest in lockstep gives every tree the importances it gets
@@ -639,14 +670,11 @@ def test_lockstep_forest_matches_per_tree_growth(n_trees, n, d, coarse, levels, 
     rows = rng.integers(0, levels, size=(n, d)) / 2.0 if coarse else rng.normal(size=(n, d))
     labels = rng.integers(0, 2, n)
 
-    def generators():
-        return [np.random.default_rng(np.random.SeedSequence((seed, t))) for t in range(n_trees)]
-
-    lockstep, alone = generators(), generators()
-    got = tree._extra_trees_importances(rows, labels, lockstep, max_features)
+    got, draws = _forest_and_draws(rows, labels, _seeds(seed, n_trees), max_features)
+    alone = _generators(seed, n_trees)
     want = _per_tree_oracle(rows, labels, alone, max_features)
     assert got.tobytes() == want.tobytes()
-    assert [g.bit_generator.state for g in lockstep] == [g.bit_generator.state for g in alone]
+    assert _left_states(draws, seed, n_trees) == [g.bit_generator.state for g in alone]
     forest = extratrees_fit(make_dataset(rows, labels), n_trees, max_features, seed)
     mean = want.mean(axis=0)
     assert forest.importances.tobytes() == (mean / mean.sum() if mean.sum() > 0 else mean).tobytes()
@@ -767,40 +795,30 @@ def test_binary_impurity_matches_the_masked_division(data, shapes, as_float, cri
     n_rngs=st.integers(1, 3),
     kept=st.lists(st.booleans(), min_size=3, max_size=3),
     block=st.sampled_from([1, 5, 1024]),
-    seed=st.integers(0, 2**32 - 1),
+    seed=FOREST_SEEDS,
 )
 def test_draws_match_numpy_choice_and_random(data, n_rngs, kept, block, seed):
     """Emulated `choice(d, size, replace=False)` and `random(k)` calls,
     interleaved in any order over several generators, give numpy's values,
     and leave every generator in numpy's state, whether it starts with a
     kept half word or not and however few words are read at a time."""
-
-    def generators():
-        rngs = [np.random.default_rng(np.random.SeedSequence((seed, t))) for t in range(n_rngs)]
-        for rng, half in zip(rngs, kept):
-            if half:  # a 32-bit draw was made before: the next one is this kept high half
-                rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": seed}
-        return rngs
-
-    real, emulated = generators(), generators()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tree._Draws, "BLOCK", block)
-        draws = tree._Draws(emulated)
-        for _ in range(data.draw(st.integers(1, 12))):
-            trees = np.array(data.draw(st.lists(st.integers(0, n_rngs - 1), min_size=1, max_size=n_rngs,
-                                                unique=True)))
-            if data.draw(st.booleans()):
-                d = data.draw(st.integers(1, 64))
-                size = data.draw(st.integers(1, d))
-                got = draws.choice(trees, d, size)
-                want = np.array([real[t].choice(d, size, replace=False) for t in trees])
-            else:
-                k = np.array(data.draw(st.lists(st.integers(0, 6), min_size=trees.size, max_size=trees.size)))
-                got = draws.random(trees, k)
-                want = np.concatenate([real[t].random(n) for t, n in zip(trees, k)])
-            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
-        draws.finish()
-    assert [r.bit_generator.state for r in emulated] == [r.bit_generator.state for r in real]
+    real, draws = _generators(seed, n_rngs), _Draws(_seeds(seed, n_rngs), block)
+    for t in np.flatnonzero(kept[:n_rngs]):  # one 32-bit draw first: the next one is its kept high half
+        assert draws.bounded(np.array([t]), [7]).tolist() == [real[t].integers(0, 7, size=1).tolist()]
+    for _ in range(data.draw(st.integers(1, 12))):
+        trees = np.array(data.draw(st.lists(st.integers(0, n_rngs - 1), min_size=1, max_size=n_rngs,
+                                            unique=True)))
+        if data.draw(st.booleans()):
+            d = data.draw(st.integers(1, 64))
+            size = data.draw(st.integers(1, d))
+            got = draws.choice(trees, d, size)
+            want = np.array([real[t].choice(d, size, replace=False) for t in trees])
+        else:
+            k = np.array(data.draw(st.lists(st.integers(0, 6), min_size=trees.size, max_size=trees.size)))
+            got = draws.random(trees, k)
+            want = np.concatenate([real[t].random(n) for t, n in zip(trees, k)])
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    assert _left_states(draws, seed, n_rngs) == [r.bit_generator.state for r in real]
 
 
 def test_draws_from_the_kept_half_alone_after_every_read_word_is_spent():
@@ -808,12 +826,10 @@ def test_draws_from_the_kept_half_alone_after_every_read_word_is_spent():
     # so every second one takes only the kept half; with one word read at a
     # time, that happens when every word read so far is spent.
     real, emulated = np.random.default_rng(9), np.random.default_rng(9)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tree._Draws, "BLOCK", 1)
-        draws = tree._Draws([emulated])
-        for d in (3, 2, 2, 2, 5):
-            assert draws.choice(np.array([0]), d, 1).tolist() == [real.choice(d, 1, replace=False).tolist()]
-        draws.finish()
+    draws = _Draws(_rng_words([_entropy(9)]), 1)
+    for d in (3, 2, 2, 2, 5):
+        assert draws.choice(np.array([0]), d, 1).tolist() == [real.choice(d, 1, replace=False).tolist()]
+    finish(draws, [emulated])
     assert emulated.bit_generator.state == real.bit_generator.state
 
 
@@ -822,26 +838,20 @@ def test_draws_from_the_kept_half_alone_after_every_read_word_is_spent():
     offset=st.integers(0, 2**30),
     q=st.integers(1, 40),
     kept=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
+    seed=FOREST_SEEDS,
 )
 def test_bounded_draw_rejection_loop_matches_integers(offset, q, kept, seed):
     """With m = 2³¹ + offset, Lemire's rule redraws about half of all 32-bit
     draws below m + 1; the emulated loop gives `integers(0, m + 1)`'s values
     and stream, for two generators of different half-word parity at once."""
     m = 2**31 + offset
-
-    def generators():
-        rngs = [np.random.default_rng(np.random.SeedSequence((seed, t))) for t in range(2)]
-        rngs[kept].bit_generator.state = {**rngs[kept].bit_generator.state, "has_uint32": 1, "uinteger": seed}
-        return rngs
-
-    real, emulated = generators(), generators()
-    draws = tree._Draws(emulated)
+    real, draws = _generators(seed, 2), _Draws(_seeds(seed, 2), 1024)
+    # one 32-bit draw on one stream first: its next draw is the kept high half
+    assert draws.bounded(np.array([int(kept)]), [7]).tolist() == [real[kept].integers(0, 7, size=1).tolist()]
     got = draws.bounded(np.arange(2), np.full(q, m + 1))
-    draws.finish()
     want = np.array([rng.integers(0, m + 1, size=q) for rng in real])
     assert got.tolist() == want.tolist()
-    assert [r.bit_generator.state for r in emulated] == [r.bit_generator.state for r in real]
+    assert _left_states(draws, seed, 2) == [r.bit_generator.state for r in real]
 
 
 def test_extratrees_rejects_max_features_beyond_floyds_draw():
@@ -853,7 +863,7 @@ def test_extratrees_rejects_max_features_beyond_floyds_draw():
                                          r"features, got 201"):
         extratrees_fit(make_dataset(X, y), n_trees=1, max_features=201)
     want = _per_tree_oracle(X, y, [np.random.default_rng(5)], 200)  # still Floyd's at d // 50
-    assert tree._extra_trees_importances(X, y, [np.random.default_rng(5)], 200).tobytes() == want.tobytes()
+    assert tree._extra_trees_importances(X, y, _rng_words([_entropy(5)]), 200).tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -918,7 +928,7 @@ def test_array_grower_matches_the_list_grower(n, d, coarse, levels, n_trees, max
     max_features=st.integers(1, 8),
     step_rows=st.sampled_from([1, 7, 40, 200]),
     chunk_bytes=st.sampled_from([8, 100, 2000]),
-    seed=st.integers(0, 2**32 - 1),
+    seed=FOREST_SEEDS,
 )
 def test_step_and_block_caps_change_no_tree(n_trees, n, d, coarse, max_features, step_rows, chunk_bytes, seed):
     """A grower step that leaves some trees' nodes to later steps, and split
@@ -933,11 +943,7 @@ def test_step_and_block_caps_change_no_tree(n_trees, n, d, coarse, max_features,
     roots = [rng.integers(0, n, rng.integers(0, 2 * n + 1)) for _ in range(n_trees)]
     criteria, leaves = rng.choice(CRITERIA, n_trees).tolist(), rng.choice([1, 2, 5], n_trees).tolist()
     ds = make_dataset(rows, labels)
-
-    def generators():
-        return [np.random.default_rng(np.random.SeedSequence((seed, t))) for t in range(n_trees)]
-
-    alone, default = generators(), tree.dt_fit_batch(ds, roots, criteria, leaves)
+    alone, default = _generators(seed, n_trees), tree.dt_fit_batch(ds, roots, criteria, leaves)
     want = _per_tree_oracle(rows, labels, alone, max_features)
     blocked = tree._blocked
 
@@ -957,11 +963,10 @@ def test_step_and_block_caps_change_no_tree(n_trees, n, d, coarse, max_features,
         mp.setattr(tree, "_STEP_ROWS", step_rows)
         mp.setattr(tree, "_CHUNK_BYTES", chunk_bytes)
         mp.setattr(tree, "_blocked", checked)
-        lockstep = generators()
-        got = tree._extra_trees_importances(rows, labels, lockstep, max_features)
+        got, draws = _forest_and_draws(rows, labels, _seeds(seed, n_trees), max_features)
         capped = tree.dt_fit_batch(ds, roots, criteria, leaves)
     assert got.tobytes() == want.tobytes()
-    assert [g.bit_generator.state for g in lockstep] == [g.bit_generator.state for g in alone]
+    assert _left_states(draws, seed, n_trees) == [g.bit_generator.state for g in alone]
     for a, b in zip(capped, default, strict=True):
         for name in _TREE_ARRAYS:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
