@@ -39,6 +39,7 @@ import numpy as np
 from . import __version__
 from .dataset import Dataset, load_csv, select_group
 from .errors import (
+    ClassSmallerThanFoldsError,
     ConfigError,
     DataSourceError,
     PipelineError,
@@ -647,6 +648,14 @@ def run_matrix_fitted(config: ExperimentConfig) -> tuple[ExperimentMatrix, dict]
     shared_split = stratified_shuffle_split(
         data.labels, config.test_fraction, seed=config.seed
     )
+    if any(MODEL_SPECS[m].uses_grid for m in config.models):
+        # A grid deals every class of the training partition over the folds;
+        # the partition's class sizes are the same for every split seed.
+        classes, counts = np.unique(data.labels[shared_split.train_idx], return_counts=True)
+        if (counts < config.n_folds).any():
+            c, k = classes[counts < config.n_folds][0], counts[counts < config.n_folds][0]
+            raise ClassSmallerThanFoldsError(
+                f"class {c} has {k} rows in the training partition, fewer than {config.n_folds} folds")
 
     # A job is one group's cells, or one cell where the run has fewer groups
     # than workers, so that a small run still spreads over the workers.

@@ -441,7 +441,9 @@ def _dt_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags)
     """Grow the unconstrained trees of every (criterion, min_samples_leaf,
     fold) as one lockstep batch over the cell's rows, level by level (each
     grower step takes the pending nodes of all of them, and each tree gets
-    its depth-first node ids and importances back at the end), then route
+    its depth-first node ids and importances back at the end; a fold's trees
+    of one criterion share each node until their min_samples_leaf picks
+    part, so it is sorted and scored once for all of them), then route
     each fold's validation rows once through that fold's trees for every
     (max_depth, min_samples_split) pair — identical to refitting because
     split choice is local to the node. Routing fold by fold keeps the path

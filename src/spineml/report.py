@@ -52,6 +52,7 @@ def matrix_from_dict(raw: dict) -> ExperimentMatrix:
                 value = entry[key]
                 if value is not None and not isinstance(value, Real):
                     raise CorruptFileError(f"results file holds a non-numeric {key}: {value!r}")
+                float(value or 0)  # an integer past float range raises OverflowError here, not when rendered
             cell = CellResult(**{f.name: entry[_JSON_NAMES.get(f.name, f.name)] for f in fields(CellResult)})
             if cell.confusion is not None:
                 cell.confusion = ConfusionMatrix(**cell.confusion)

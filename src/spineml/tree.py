@@ -26,7 +26,16 @@ with the largest weighted impurity decrease; ties go to the lower feature,
 then the lower threshold. It scores all nodes of a step in one segmented
 numpy pass, so a grid search grows the trees of all its (criterion,
 min_samples_leaf, fold) triples as one batch, and `dt_fit` is a batch of
-one. Extremely randomized trees
+one. Trees of one criterion on equal root rows share a node while their
+growths agree, and the node is held once with its member trees: the rule
+sorts and scores its cuts once, and each member takes the best cut of its
+own window, the sorted positions that leave min_samples_leaf rows on each
+side. Members that pick one cut share the children; a member that picks
+another partitions the node's rows into its own tree's range. A tree's
+pick under a looser limit that also meets a stricter one is that tree's
+pick under the stricter one too, ties included, so a grid's three
+min_samples_leaf trees of a (fold, criterion) share their nodes until one
+tree's best cut leaves another too few rows. Extremely randomized trees
 (Geurts et al. 2006) grow one batch per forest, on the full sample: each
 node draws from its tree's own stream `max_features` candidate features
 without replacement, then a uniform threshold inside each non-constant
@@ -128,15 +137,18 @@ _CHUNK_BYTES = 2**18
 
 def _blocked(score, cap: int):
     """The split rule that hands `score` a step's nodes in blocks of whole
-    nodes, each of at most `cap` rows unless one node alone has more, as the
-    block's own (trees, counts, rows, seg, starts), and joins the blocks'
-    (feature, threshold, decrease) arrays."""
-    def split(trees, counts, rows, seg, starts):
+    nodes, each of at most `cap` rows unless one node alone has more, with all
+    their members, as the block's own (trees, node, counts, rows, seg,
+    starts), and joins the blocks' per-member (feature, threshold, decrease)
+    arrays."""
+    def split(trees, node, counts, rows, seg, starts):
         ends, parts, a = np.append(starts[1:], rows.size), [], 0
-        while a < trees.size:  # a block takes nodes while they fit under cap rows
+        while a < starts.size:  # a block takes nodes while they fit under cap rows
             z = max(a + 1, int(np.searchsorted(ends, starts[a] + cap, side="right")))
             lo, hi = starts[a], ends[z - 1]
-            parts.append(score(trees[a:z], counts[a:z], rows[lo:hi], seg[lo:hi] - a, starts[a:z] - lo))
+            ma, mz = np.searchsorted(node, (a, z))
+            parts.append(score(trees[ma:mz], node[ma:mz] - a, counts[a:z], rows[lo:hi], seg[lo:hi] - a,
+                               starts[a:z] - lo))
             a = z
         return map(np.concatenate, zip(*parts))
 
@@ -145,39 +157,60 @@ def _blocked(score, cap: int):
 
 def _cart_split(X, y, criteria, min_samples_leaf):
     """The CART rule of a batch whose tree t uses `criteria[t]` and
-    `min_samples_leaf[t]`. A block of nodes is sorted per column by node,
-    then by value, in one sort of (node, value rank) keys: the order of tied
-    values cannot move a cut, since cuts lie only between distinct values.
-    The class-1 count left of a cut is one cumsum minus its node's base."""
+    `min_samples_leaf[t]`; the members of a node share a criterion. A block of
+    nodes is sorted per column by node, then by value, in one sort of (node,
+    value rank) keys: the order of tied values cannot move a cut, since cuts
+    lie only between distinct values. The class-1 count left of a cut is one
+    cumsum minus its node's base. A node's cuts are scored once, those that
+    leave its least leaf limit on each side; each member then takes the first
+    best cut of its own window of sorted positions, those that leave its own
+    limit on each side."""
     entropy, min_leaf, is_one = np.array(criteria) == "entropy", np.array(min_samples_leaf), y == 1
     n, d = X.shape
     rank = np.stack([np.unique(col, return_inverse=True)[1] for col in X.T])  # (d, n)
 
-    def score(trees, counts, rows, seg, starts):  # arrays are (d, block rows)
-        sizes, pos = np.diff(starts, append=rows.size), np.arange(rows.size)
+    def score(trees, node, counts, rows, seg, starts):  # arrays are (d, block rows)
+        sizes, pos = np.append(starts[1:], rows.size) - starts, np.arange(rows.size)
+        leaf, head = min_leaf[trees], np.searchsorted(node, np.arange(starts.size))
+        least = np.minimum.reduceat(leaf, head)[seg]
         key = rank[:, rows] + seg * n
         order = np.argsort(key, axis=1)
+        key = np.take_along_axis(key, order, axis=1)
         # a cut lies between distinct ranks, which are distinct values since rows are finite
-        valid = np.diff(np.take_along_axis(key, order, axis=1), axis=1, append=-1) > 0
-        n_left, leaf = pos - starts[seg] + 1.0, min_leaf[trees][seg]
-        valid &= (n_left >= leaf) & (sizes[seg] - n_left >= leaf)
+        valid = np.zeros(key.shape, dtype=bool)
+        np.greater(key[:, 1:], key[:, :-1], out=valid[:, :-1])
+        n_left = pos - starts[seg] + 1.0
+        valid &= (n_left >= least) & (sizes[seg] - n_left >= least)
         cum = np.cumsum(is_one[rows][order], axis=1)
+        before = cum[:, starts] - is_one[rows[order[:, starts]]]  # (d, nodes) class-1 rows before each node
         c, r = np.nonzero(valid)  # only valid cuts are scored
-        node, m, c1, ent = seg[r], sizes.astype(float), counts[:, 1], entropy[trees]
-        c1_left = (cum[c, r] - cum[c, starts[node]] + is_one[rows[order[c, starts[node]]]]).astype(float)
+        nd, m, c1, ent = seg[r], sizes.astype(float), counts[:, 1], entropy[trees[head]]
+        c1_left = (cum[c, r] - before[c, nd]).astype(float)
         del key, cum, valid  # before the decrease, the block's peak
-        parent = np.where(ent, _binary_impurity(m, c1, "entropy"), _binary_impurity(m, c1, "gini"))
-        decrease = np.full(order.shape, -np.inf)
-        for criterion, at in (("gini", ~ent[node]), ("entropy", ent[node])):
-            b = node[at]
-            decrease[c[at], r[at]] = _decrease(parent[b], m[b], c1[b], n_left[r[at]], c1_left[at], criterion)
-        col_best = np.maximum.reduceat(decrease, starts, axis=1)
+        decrease = np.full((d, rows.size + 1), -np.inf)  # the last column ends a window at the block's end
+        for criterion, at in (("gini", ~ent[nd]), ("entropy", ent[nd])):
+            if at.any():  # a block of one criterion's nodes skips the other
+                b, parent = nd[at], _binary_impurity(m, c1, criterion)
+                decrease[c[at], r[at]] = _decrease(parent[b], m[b], c1[b], n_left[r[at]], c1_left[at], criterion)
+        # member i may cut after the positions lo[i] ≤ p < hi[i], which leave
+        # it leaf[i] rows or more on each side
+        lo, hi = starts[node] + leaf - 1, starts[node] + sizes[node] - leaf
+        feature, threshold, best = np.full(trees.size, -1), np.full(trees.size, np.nan), np.full(trees.size, -np.inf)
+        i = np.flatnonzero(lo < hi)
+        col_best = np.maximum.reduceat(decrease, np.stack([lo[i], hi[i]], axis=1).ravel(), axis=1)[:, ::2]
         j = np.argmax(col_best, axis=0)  # first max: lowest feature
-        best = col_best[j, np.arange(len(trees))]
-        first = np.minimum.reduceat(np.where(decrease[j[seg], pos] == best[seg], pos, pos.size), starts)
-        ok = best > _MIN_DECREASE  # first is then the lowest threshold; first + 1 is in the node
+        best[i] = col_best[j, np.arange(i.size)]
+        ok = best[i] > _MIN_DECREASE
+        i, j, lo, hi = i[ok], j[ok], lo[i[ok]], hi[i[ok]]
+        width = hi - lo
+        w_starts = np.cumsum(width) - width
+        w = np.repeat(np.arange(i.size), width)
+        p = np.arange(w.size) + (lo - w_starts)[w]
+        first = np.minimum.reduceat(np.where(decrease[j[w], p] == best[i][w], p, rows.size), w_starts)
+        # first is the lowest threshold, and first + 1 is in the node
         below, above = X[rows[order[j, first]], j], X[rows[order[j, first + 1]], j]
-        return np.where(ok, j, -1), np.where(ok, (below + above) / 2.0, np.nan), best
+        feature[i], threshold[i] = j, (below + above) / 2.0
+        return feature, threshold, best
 
     # A level-by-level step fills its blocks with small nodes whose every cut
     # is scored, where the rule's peak is about 16 block-sized arrays (4.1 MB
@@ -197,18 +230,23 @@ def _grows(size, depth, c1, max_depth, min_samples_split):
             & (c1 > 0) & (c1 < size))
 
 
-def _grow(X, y, split, roots, max_depth=None, min_samples_split=2, depth_first=False):
-    """Grow one tree per root row set in lockstep. Each step asks
-    `split(trees, counts, rows, seg, starts)` about pending nodes (node b:
-    tree `trees[b]`, class counts `counts[b]`; `rows` holds the nodes' rows
-    end to end, node b's from `starts[b]`, and `seg` the node of each) for
-    (feature, threshold, decrease) arrays, feature −1 for a leaf. Only
-    impure nodes inside the limits are pending. A CART step takes every
-    pending node of every tree, the whole frontier, so a batch grows level
-    by level. A `depth_first` step, the forest's, whose draws follow each
-    tree's node order, takes the next node of each tree, right child first.
-    Either way a step takes at most `_STEP_ROWS` rows besides its largest
-    node, the smallest nodes first; the rest wait.
+def _grow(X, y, split, roots, max_depth=None, min_samples_split=2, depth_first=False, kinds=None):
+    """Grow one tree per root row set in lockstep. Trees of one kind
+    (`kinds[t]`; no two trees share without kinds) on equal root rows share
+    each node their growths reach alike: it is asked about once, with its
+    member trees. Each step asks `split(trees, node, counts, rows, seg,
+    starts)` about pending nodes (member i: tree `trees[i]` at node
+    `node[i]`, members grouped by node; node b: class counts `counts[b]`;
+    `rows` holds the nodes' rows end to end, node b's from `starts[b]`, and
+    `seg` the node of each) for per-member (feature, threshold, decrease)
+    arrays, feature −1 for a leaf. Members that pick one cut share its
+    children. Only impure nodes inside the limits are pending. A CART step
+    takes every pending node of every tree, the whole frontier, so a batch
+    grows level by level. A `depth_first` step, the forest's, whose draws
+    follow each tree's node order, takes the next node of each tree, right
+    child first. Either way a step takes at most `_STEP_ROWS` rows besides
+    its largest node, the smallest nodes first, each with all its members;
+    the rest wait.
 
     Returns ((root counts, splits), importances): the (trees, 2) root class
     counts, the (trees, d) normalized impurity-decrease importances, and,
@@ -216,10 +254,13 @@ def _grow(X, y, split, roots, max_depth=None, min_samples_split=2, depth_first=F
     forest keeps none, only each tree's importance sums.
 
     The trees' root rows lie end to end in one array, and a node owns a
-    range of it; a split reorders its range stably into the left rows, then
-    the right. The pending nodes are (tree, start, end, depth, class-1
-    count, ref) rows in the order pushed, ref being 2 · (parent split) +
-    side (0 left, 1 right), or −1 − tree at a root.
+    range of it, in the range of its lowest member tree at the offsets its
+    rows have in each member; a split reorders the range stably into the
+    left rows, then the right. Members that pick another cut than the lowest
+    one write their partition at their own lowest tree's offsets. The pending
+    nodes are (tree, start, end, depth, class-1 count, ref) rows, one per
+    member, a node's members together in tree order, ref being 2 · (parent
+    split) + side (0 left, 1 right), or −1 − tree at a root.
     """
     n_trees, d = len(roots), X.shape[1]
     sizes = np.array([len(r) for r in roots], dtype=np.intp)
@@ -229,9 +270,26 @@ def _grow(X, y, split, roots, max_depth=None, min_samples_split=2, depth_first=F
     root_c1 = np.array([np.count_nonzero(is_one[r]) for r in roots], dtype=np.intp)
     raw = np.zeros((n_trees, d))
     t, ends = np.arange(n_trees), np.cumsum(sizes)
-    pool = np.stack([t, ends - sizes, ends, 0 * t, root_c1, -1 - t], axis=1)
-    pool = pool[_grows(sizes, 0, root_c1, max_depth, min_samples_split)]
+    base = ends - sizes
+    lead, firsts = t.copy(), {}  # a tree's root is the first one of its kind on equal rows
+    for i, (kind, r) in enumerate(zip(kinds, roots) if kinds is not None else ()):
+        lead[i] = firsts.setdefault((kind, np.asarray(r, np.intp).tobytes()), i)
+    pool = np.stack([t, base[lead], base[lead] + sizes, 0 * t, root_c1, -1 - t], axis=1)
+    pool = pool[np.argsort(base[lead], kind="stable")]
+    pool = pool[_grows(pool[:, 2] - pool[:, 1], 0, pool[:, 4], max_depth, min_samples_split)]
+    shared = bool((lead != t).any())  # else every node has one member
     made, n_made = [(np.zeros((0, 6), np.int32), np.zeros((0, 2)))], 0  # per step: the splits' records
+
+    def partition(rows, seg, starts, at, feature, threshold):
+        """Reorder node b's rows, `rows` from `starts[b]`, into `perm` from
+        `at[b]` by its split: its left rows, then its right rows, each in
+        order (a stable sort on (node, side), a radix sort on ≤ 16-bit keys).
+        Returns the nodes' left row and class-1 counts."""
+        go_left = X[rows, feature[seg]] <= threshold[seg]
+        side = (2 * seg + ~go_left).astype(np.min_scalar_type(2 * starts.size))
+        perm[np.arange(seg.size) + (at - starts)[seg]] = rows[np.argsort(side, kind="stable")]
+        return np.add.reduceat(go_left, starts), np.add.reduceat(go_left & is_one[rows], starts)
+
     while len(pool):
         if depth_first:  # each tree's last pushed node, the top of its stack
             top = np.full(n_trees, -1)
@@ -240,42 +298,63 @@ def _grow(X, y, split, roots, max_depth=None, min_samples_split=2, depth_first=F
         else:
             pick = np.arange(len(pool))
         picked = pool[pick]
-        size = picked[:, 2] - picked[:, 1]
+        heads = np.ones(len(picked), dtype=bool)  # a node's first member
+        if shared:
+            heads[1:] = picked[1:, 1] != picked[:-1, 1]
+        size = (picked[:, 2] - picked[:, 1])[heads]
         if size.sum() > _STEP_ROWS:  # the largest node, and the others smallest first while they fit
             by_size = np.argsort(size, kind="stable")
             fit = np.cumsum(size[by_size]) <= _STEP_ROWS
             fit[-1] = True
             keep = np.sort(by_size[fit])
-            pick, picked, size = pick[keep], picked[keep], size[keep]
+            kept = np.isin(np.cumsum(heads) - 1, keep)  # each kept node's members
+            pick, picked, heads, size = pick[kept], picked[kept], heads[kept], size[keep]
         wait = np.ones(len(pool), dtype=bool)
         wait[pick] = False
         (trees, lo, hi, depth, c1, ref), pool = picked.T, pool[wait]
+        node, head = np.cumsum(heads) - 1, np.flatnonzero(heads)
         starts = np.cumsum(size) - size
-        seg = np.repeat(np.arange(trees.size), size)
-        rows = perm[np.arange(seg.size) + (lo - starts)[seg]].astype(np.intp)  # an index many times a step
-        feature, threshold, decrease = split(trees, np.array([size - c1, c1], dtype=float).T, rows, seg, starts)
-        go_left = X[rows, feature[seg]] <= threshold[seg]
-        n_left = np.add.reduceat(go_left, starts)
-        c1_left = np.add.reduceat(go_left & is_one[rows], starts)
-        # each node's slots take its left rows, then its right rows, each in
-        # order: a stable sort on (node, side), a radix sort on ≤ 16-bit keys
-        side = (2 * seg + ~go_left).astype(np.min_scalar_type(2 * trees.size))
-        perm[np.arange(seg.size) + (lo - starts)[seg]] = rows[np.argsort(side, kind="stable")]
-        s = feature >= 0
-        t, f, m, nl, l1, c1 = trees[s], feature[s], size[s], n_left[s], c1_left[s], c1[s]
+        seg = np.repeat(np.arange(size.size), size)
+        rows = perm[np.arange(seg.size) + (lo[head] - starts)[seg]].astype(np.intp)  # an index many times a step
+        counts = np.array([size - c1[head], c1[head]], dtype=float).T
+        feature, threshold, decrease = split(trees, node, counts, rows, seg, starts)
+        # a node's rows are partitioned in place by its first member's pick
+        f0, th0 = feature[head], threshold[head]
+        n_left, c1_left = partition(rows, seg, starts, lo[head], f0, th0)
+        s = np.flatnonzero(feature >= 0)
+        b = node[s]
+        t, f, m, c1 = trees[s], feature[s], size[b], c1[s]
+        at, nl, l1 = lo[s], n_left[b], c1_left[b]
+        # members that pick another cut take a copy of the node's rows, one
+        # per (node, cut), partitioned at the offsets of their lowest tree
+        parted = np.flatnonzero((f != f0[b]) | (threshold[s] != th0[b])) if shared else s[:0]
+        if parted.size:  # g: each (node, cut)'s first member in tree order, a lexsort being stable
+            cuts = np.stack([b[parted], f[parted], threshold[s[parted]]])
+            by_cut = np.lexsort(cuts[::-1])
+            parted, cuts = parted[by_cut], cuts[:, by_cut]
+            new = np.ones(parted.size, dtype=bool)
+            new[1:] = (cuts[:, 1:] != cuts[:, :-1]).any(axis=0)
+            cut, g = np.cumsum(new) - 1, s[parted[new]]
+            g_size = size[node[g]]
+            g_starts = np.cumsum(g_size) - g_size
+            g_seg = np.repeat(np.arange(g.size), g_size)
+            g_at = lo[g] + base[trees[g]] - base[trees[head[node[g]]]]
+            g_rows = rows[np.arange(g_seg.size) + (starts[node[g]] - g_starts)[g_seg]]
+            g_nl, g_l1 = partition(g_rows, g_seg, g_starts, g_at, feature[g], threshold[g])
+            at[parted], nl[parted], l1[parted] = g_at[cut], g_nl[cut], g_l1[cut]
         gain = (m / sizes[t]) * decrease[s]
         if depth_first:
             raw[t, f] += gain  # a tree splits once per step, so in the order made
         else:  # (ref, feature, left counts, right counts) and (threshold, gain)
             rec = np.stack([ref[s], f, nl - l1, l1, (m - nl) - (c1 - l1), c1 - l1], axis=1).astype(np.int32)
             made.append((rec, np.stack([threshold[s], gain], axis=1)))
-        kids = np.repeat(picked[s], 2, axis=0)  # each split's left child's row, then its right's
-        kids[0::2, 2] = kids[1::2, 1] = lo[s] + nl
-        kids[:, 3] += 1
-        kids[0::2, 4] = l1
-        kids[1::2, 4] -= l1
-        kids[:, 5] = 2 * n_made + np.arange(len(kids))
-        n_made += t.size
+        # the left children, then the right ones: a child's members together, in tree order
+        k = 2 * (n_made + np.arange(s.size))
+        kids = np.concatenate([np.stack([t, at, at + nl, depth[s] + 1, l1, k], axis=1),
+                               np.stack([t, at + nl, at + m, depth[s] + 1, c1 - l1, k + 1], axis=1)])
+        if parted.size:
+            kids = kids[np.argsort(kids[:, 1], kind="stable")]
+        n_made += s.size
         pool = np.concatenate([pool, kids[_grows(kids[:, 2] - kids[:, 1], kids[:, 3], kids[:, 4], max_depth,
                                                  min_samples_split)]])
     root_counts = np.stack([sizes - root_c1, root_c1], axis=1).astype(float)
@@ -327,7 +406,14 @@ def dt_fit_batch(train: Dataset, roots, criteria, min_samples_leaf, max_depth: i
                  min_samples_split: int = 2) -> list[DecisionTreeModel]:
     """CART trees grown as one lockstep batch over `train`: tree t is
     `dt_fit(train.take(roots[t]), criteria[t], max_depth, min_samples_split,
-    min_samples_leaf[t])`, and a tree on an empty root is a leaf."""
+    min_samples_leaf[t])`, and a tree on an empty root is a leaf. Trees of
+    one criterion on equal roots share each node until their picks part: the
+    rule sorts and scores it once, and each tree picks within its own
+    min_samples_leaf."""
+    lengths = len(roots), len(criteria), len(min_samples_leaf)
+    if len(set(lengths)) > 1:
+        raise ValueError("roots, criteria and min_samples_leaf must be one per tree, got lengths "
+                         f"{', '.join(map(str, lengths))}")
     for criterion in criteria:
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion: {criterion}")
@@ -337,7 +423,7 @@ def dt_fit_batch(train: Dataset, roots, criteria, min_samples_leaf, max_depth: i
             raise ValueError(f"{name} must be ≥ {DT_LIMITS[name]}, got {value}")
     X, y = train.rows, train.labels
     (root_counts, (tree, *splits)), importances = _grow(X, y, _cart_split(X, y, criteria, min_samples_leaf),
-                                                        roots, max_depth, min_samples_split)
+                                                        roots, max_depth, min_samples_split, kinds=criteria)
     cuts = np.cumsum(np.bincount(tree, minlength=len(roots)))[:-1]
     arrays = [_node_arrays(np.concatenate([c[None], kids.reshape(-1, 2)]), np.stack([node, f, th], axis=1))
               for c, node, f, th, kids in zip(root_counts, *(np.split(a, cuts) for a in splits))]
@@ -467,7 +553,7 @@ def _extra_trees_importances(X, y, seeds: np.ndarray, max_features: int) -> np.n
     draws = _Draws(seeds, 1024)  # words of each tree's stream read at a time
     candidates = np.zeros((len(seeds), size), dtype=np.int64)  # each tree's at the current step
 
-    def random_split(trees, counts, rows, seg, starts):  # arrays are (block rows, size)
+    def random_split(trees, node, counts, rows, seg, starts):  # arrays are (block rows, size); node b is member b
         nodes = np.arange(len(trees))
         feats = candidates[trees]
         block = X[rows[:, None], feats[seg]]
@@ -489,11 +575,11 @@ def _extra_trees_importances(X, y, seeds: np.ndarray, max_features: int) -> np.n
 
     blocked = _blocked(random_split, max(1, _CHUNK_BYTES // (8 * size)))
 
-    def split(trees, counts, rows, seg, starts):
+    def split(trees, node, counts, rows, seg, starts):
         # One draw of every tree's candidates per step, before its blocks
         # draw thresholds: each tree still draws its candidates first.
         candidates[trees] = draws.choice(trees, d, size)
-        return blocked(trees, counts, rows, seg, starts)
+        return blocked(trees, node, counts, rows, seg, starts)
 
     return _grow(X, y, split, [np.arange(X.shape[0])] * len(seeds), depth_first=True)[1]
 

@@ -13,6 +13,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from spineml import tree
 from spineml.cli import _parse_list
 from spineml.dataset import Dataset, IngestionReport
 from spineml.errors import (
@@ -45,7 +46,16 @@ from spineml.resampling import MinorityBasis, _minority_majority, _target_count
 from spineml.report import RESULTS_FORMAT_VERSION, _check_aggregates
 from spineml.schema import GROUP_IDS, ColumnSpec, Schema, default_schema, read_json
 from spineml.synthetic import SYNTHETIC_DEFAULTS, check_synthetic
-from spineml.tree import DecisionTreeModel, _node_arrays, _route
+from spineml.tree import (
+    _MIN_DECREASE,
+    DecisionTreeModel,
+    _binary_impurity,
+    _decrease,
+    _grows,
+    _node_arrays,
+    _preorder,
+    _route,
+)
 
 
 def make_dataset(rows, labels, kinds=None, names=None) -> Dataset:
@@ -245,6 +255,161 @@ def grow_reference(X, y, split, roots, max_depth=None, min_samples_split=2) -> t
               for c, rec in zip(root_counts, np.split(made, np.cumsum(n_splits)[:-1]))]
     totals = raw.sum(axis=1, keepdims=True)
     return arrays, np.divide(raw, totals, out=raw, where=totals > 0)
+
+
+# `spineml.tree`'s CART rule, its blocking and the grower as they stood
+# before trees of one criterion on equal roots shared their nodes: every
+# tree's every node is sorted and scored for itself, under a leaf mask. Kept
+# verbatim as the oracle of the sharing grower, renamed, with the two caps
+# read from `spineml.tree` so that a test's caps reach both growers.
+
+def blocked_per_tree(score, cap: int):
+    """The split rule that hands `score` a step's nodes in blocks of whole
+    nodes, each of at most `cap` rows unless one node alone has more, as the
+    block's own (trees, counts, rows, seg, starts), and joins the blocks'
+    (feature, threshold, decrease) arrays."""
+    def split(trees, counts, rows, seg, starts):
+        ends, parts, a = np.append(starts[1:], rows.size), [], 0
+        while a < trees.size:  # a block takes nodes while they fit under cap rows
+            z = max(a + 1, int(np.searchsorted(ends, starts[a] + cap, side="right")))
+            lo, hi = starts[a], ends[z - 1]
+            parts.append(score(trees[a:z], counts[a:z], rows[lo:hi], seg[lo:hi] - a, starts[a:z] - lo))
+            a = z
+        return map(np.concatenate, zip(*parts))
+
+    return split
+
+
+def cart_split_per_tree(X, y, criteria, min_samples_leaf):
+    """The CART rule of a batch whose tree t uses `criteria[t]` and
+    `min_samples_leaf[t]`. A block of nodes is sorted per column by node,
+    then by value, in one sort of (node, value rank) keys: the order of tied
+    values cannot move a cut, since cuts lie only between distinct values.
+    The class-1 count left of a cut is one cumsum minus its node's base."""
+    entropy, min_leaf, is_one = np.array(criteria) == "entropy", np.array(min_samples_leaf), y == 1
+    n, d = X.shape
+    rank = np.stack([np.unique(col, return_inverse=True)[1] for col in X.T])  # (d, n)
+
+    def score(trees, counts, rows, seg, starts):  # arrays are (d, block rows)
+        sizes, pos = np.diff(starts, append=rows.size), np.arange(rows.size)
+        key = rank[:, rows] + seg * n
+        order = np.argsort(key, axis=1)
+        # a cut lies between distinct ranks, which are distinct values since rows are finite
+        valid = np.diff(np.take_along_axis(key, order, axis=1), axis=1, append=-1) > 0
+        n_left, leaf = pos - starts[seg] + 1.0, min_leaf[trees][seg]
+        valid &= (n_left >= leaf) & (sizes[seg] - n_left >= leaf)
+        cum = np.cumsum(is_one[rows][order], axis=1)
+        c, r = np.nonzero(valid)  # only valid cuts are scored
+        node, m, c1, ent = seg[r], sizes.astype(float), counts[:, 1], entropy[trees]
+        c1_left = (cum[c, r] - cum[c, starts[node]] + is_one[rows[order[c, starts[node]]]]).astype(float)
+        del key, cum, valid  # before the decrease, the block's peak
+        parent = np.where(ent, _binary_impurity(m, c1, "entropy"), _binary_impurity(m, c1, "gini"))
+        decrease = np.full(order.shape, -np.inf)
+        for criterion, at in (("gini", ~ent[node]), ("entropy", ent[node])):
+            b = node[at]
+            decrease[c[at], r[at]] = _decrease(parent[b], m[b], c1[b], n_left[r[at]], c1_left[at], criterion)
+        col_best = np.maximum.reduceat(decrease, starts, axis=1)
+        j = np.argmax(col_best, axis=0)  # first max: lowest feature
+        best = col_best[j, np.arange(len(trees))]
+        first = np.minimum.reduceat(np.where(decrease[j[seg], pos] == best[seg], pos, pos.size), starts)
+        ok = best > _MIN_DECREASE  # first is then the lowest threshold; first + 1 is in the node
+        below, above = X[rows[order[j, first]], j], X[rows[order[j, first + 1]], j]
+        return np.where(ok, j, -1), np.where(ok, (below + above) / 2.0, np.nan), best
+
+    # A level-by-level step fills its blocks with small nodes whose every cut
+    # is scored, where the rule's peak is about 16 block-sized arrays (4.1 MB
+    # for 256 KB ones), so CART's blocks take half the rows the bound allows.
+    return blocked_per_tree(score, max(1, tree._CHUNK_BYTES // (16 * d)))
+
+
+def grow_per_tree(X, y, split, roots, max_depth=None, min_samples_split=2, depth_first=False):
+    """Grow one tree per root row set in lockstep. Each step asks
+    `split(trees, counts, rows, seg, starts)` about pending nodes (node b:
+    tree `trees[b]`, class counts `counts[b]`; `rows` holds the nodes' rows
+    end to end, node b's from `starts[b]`, and `seg` the node of each) for
+    (feature, threshold, decrease) arrays, feature −1 for a leaf. Only
+    impure nodes inside the limits are pending. A CART step takes every
+    pending node of every tree, the whole frontier, so a batch grows level
+    by level. A `depth_first` step, the forest's, whose draws follow each
+    tree's node order, takes the next node of each tree, right child first.
+    Either way a step takes at most `tree._STEP_ROWS` rows besides its largest
+    node, the smallest nodes first; the rest wait.
+
+    Returns ((root counts, splits), importances): the (trees, 2) root class
+    counts, the (trees, d) normalized impurity-decrease importances, and,
+    for CART, the splits in each tree's depth-first order (`_preorder`); a
+    forest keeps none, only each tree's importance sums.
+
+    The trees' root rows lie end to end in one array, and a node owns a
+    range of it; a split reorders its range stably into the left rows, then
+    the right. The pending nodes are (tree, start, end, depth, class-1
+    count, ref) rows in the order pushed, ref being 2 · (parent split) +
+    side (0 left, 1 right), or −1 − tree at a root.
+    """
+    n_trees, d = len(roots), X.shape[1]
+    sizes = np.array([len(r) for r in roots], dtype=np.intp)
+    # row ids in the least dtype that holds them: it is the grower's largest array
+    perm = np.concatenate([np.zeros(0, np.intp), *roots]).astype(np.min_scalar_type(X.shape[0]))
+    is_one = y == 1
+    root_c1 = np.array([np.count_nonzero(is_one[r]) for r in roots], dtype=np.intp)
+    raw = np.zeros((n_trees, d))
+    t, ends = np.arange(n_trees), np.cumsum(sizes)
+    pool = np.stack([t, ends - sizes, ends, 0 * t, root_c1, -1 - t], axis=1)
+    pool = pool[_grows(sizes, 0, root_c1, max_depth, min_samples_split)]
+    made, n_made = [(np.zeros((0, 6), np.int32), np.zeros((0, 2)))], 0  # per step: the splits' records
+    while len(pool):
+        if depth_first:  # each tree's last pushed node, the top of its stack
+            top = np.full(n_trees, -1)
+            np.maximum.at(top, pool[:, 0], np.arange(len(pool)))
+            pick = top[top >= 0]
+        else:
+            pick = np.arange(len(pool))
+        picked = pool[pick]
+        size = picked[:, 2] - picked[:, 1]
+        if size.sum() > tree._STEP_ROWS:  # the largest node, and the others smallest first while they fit
+            by_size = np.argsort(size, kind="stable")
+            fit = np.cumsum(size[by_size]) <= tree._STEP_ROWS
+            fit[-1] = True
+            keep = np.sort(by_size[fit])
+            pick, picked, size = pick[keep], picked[keep], size[keep]
+        wait = np.ones(len(pool), dtype=bool)
+        wait[pick] = False
+        (trees, lo, hi, depth, c1, ref), pool = picked.T, pool[wait]
+        starts = np.cumsum(size) - size
+        seg = np.repeat(np.arange(trees.size), size)
+        rows = perm[np.arange(seg.size) + (lo - starts)[seg]].astype(np.intp)  # an index many times a step
+        feature, threshold, decrease = split(trees, np.array([size - c1, c1], dtype=float).T, rows, seg, starts)
+        go_left = X[rows, feature[seg]] <= threshold[seg]
+        n_left = np.add.reduceat(go_left, starts)
+        c1_left = np.add.reduceat(go_left & is_one[rows], starts)
+        # each node's slots take its left rows, then its right rows, each in
+        # order: a stable sort on (node, side), a radix sort on ≤ 16-bit keys
+        side = (2 * seg + ~go_left).astype(np.min_scalar_type(2 * trees.size))
+        perm[np.arange(seg.size) + (lo - starts)[seg]] = rows[np.argsort(side, kind="stable")]
+        s = feature >= 0
+        t, f, m, nl, l1, c1 = trees[s], feature[s], size[s], n_left[s], c1_left[s], c1[s]
+        gain = (m / sizes[t]) * decrease[s]
+        if depth_first:
+            raw[t, f] += gain  # a tree splits once per step, so in the order made
+        else:  # (ref, feature, left counts, right counts) and (threshold, gain)
+            rec = np.stack([ref[s], f, nl - l1, l1, (m - nl) - (c1 - l1), c1 - l1], axis=1).astype(np.int32)
+            made.append((rec, np.stack([threshold[s], gain], axis=1)))
+        kids = np.repeat(picked[s], 2, axis=0)  # each split's left child's row, then its right's
+        kids[0::2, 2] = kids[1::2, 1] = lo[s] + nl
+        kids[:, 3] += 1
+        kids[0::2, 4] = l1
+        kids[1::2, 4] -= l1
+        kids[:, 5] = 2 * n_made + np.arange(len(kids))
+        n_made += t.size
+        pool = np.concatenate([pool, kids[_grows(kids[:, 2] - kids[:, 1], kids[:, 3], kids[:, 4], max_depth,
+                                                 min_samples_split)]])
+    root_counts = np.stack([sizes - root_c1, root_c1], axis=1).astype(float)
+    splits = None
+    if not depth_first:  # each gain added in (tree, rank) order, as a depth-first grower adds it
+        *splits, gain = _preorder(made, n_trees)
+        np.add.at(raw, (splits[0], splits[2]), gain)
+    totals = raw.sum(axis=1, keepdims=True)
+    return (root_counts, splits), np.divide(raw, totals, out=raw, where=totals > 0)
 
 
 # Moved verbatim from `spineml.neighbors`, where `_each_distances` now

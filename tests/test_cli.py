@@ -479,6 +479,28 @@ def test_run_with_an_empty_partition_fails_before_any_cell(tmp_path, capsys, mon
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("per_cell", [[], ["--per-cell-split"]], ids=["shared-split", "per-cell-split"])
+def test_run_with_a_class_smaller_than_the_folds_fails_before_any_cell(tmp_path, capsys, monkeypatch, workers,
+                                                                       per_cell):
+    # At test fraction 0.95 the default data leave 6 class-0 training rows
+    # for 8 folds, for every split seed: every tuned cell would fail alike.
+    monkeypatch.setattr("spineml.experiment.run_cell_fitted", None)  # a cell that ran would fail otherwise
+    code, stdout, stderr = _run(capsys, "run", "--test-fraction", "0.95", "--workers", workers, *per_cell,
+                                "--out", str(tmp_path / "r"))
+    assert (code, stdout, stderr) == (
+        1, "", "error: class 0 has 6 rows in the training partition, fewer than 8 folds\n")
+    assert not (tmp_path / "r").exists()
+
+
+def test_run_of_untuned_models_with_a_class_smaller_than_the_folds_succeeds(tmp_path, capsys):
+    code, _, stderr = _run(capsys, "run", "--test-fraction", "0.95", "--models", "GaussianNB,KNN,DT",
+                           "--out", str(tmp_path / "r"))
+    assert (code, stderr) == (0, "")
+    cells = json.loads((tmp_path / "r" / "results.json").read_text())["cells"]
+    assert len(cells) == 21 and all(cell["error"] is None for cell in cells)
+
+
 def test_run_on_one_outcome_class_fails_before_any_cell(tmp_path, capsys, monkeypatch):
     _run(capsys, "generate", "--p-success", "1.0", "--out", str(tmp_path / "one.csv"))
     monkeypatch.setattr("spineml.experiment.run_cell_fitted", None)

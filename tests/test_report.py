@@ -133,6 +133,17 @@ def test_load_results_version_and_corruption(tmp_path):
         load_results(incomplete)
 
 
+def test_load_results_rejects_a_failed_cell_with_an_integer_past_float_range(tmp_path):
+    # A failed cell's accuracy enters no aggregate, so only rendering would
+    # have met it, as an OverflowError rather than a malformed file.
+    raw = json.loads(results_json_text(helpers.failed_and_tuned_matrix()))
+    next(cell for cell in raw["cells"] if cell["error"] is not None)["accuracy"] = 10**400
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(CorruptFileError, match="^results file is malformed: int too large to convert to float$"):
+        load_results(path)
+
+
 def test_matrix_dict_round_trip(matrix):
     again = matrix_from_dict(matrix_to_dict(matrix))
     assert results_json_text(again) == results_json_text(matrix)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from spineml import streams, tree
 from spineml.dataset import Dataset
 from spineml.errors import EmptyTrainingSetError, WidthMismatchError
-from spineml.model_selection import select_features, stratified_kfold
+from spineml.experiment import MODEL_SPECS, ExperimentConfig, load_config_data, run_cell_fitted
+from spineml.model_selection import select_features, stratified_kfold, stratified_shuffle_split
+from spineml.schema import group_by_id
 from spineml.streams import _Draws, _entropy, _rng_words
 from spineml.tree import (
     _MIN_DECREASE,
@@ -25,9 +27,11 @@ from spineml.tree import (
 
 from helpers import (
     binary_impurity_reference,
+    cart_split_per_tree,
     entropy_impurity,
     finish,
     gini_impurity,
+    grow_per_tree,
     grow_reference,
     make_dataset,
     predict_constrained,
@@ -881,7 +885,8 @@ def test_array_grower_matches_the_list_grower(n, d, coarse, levels, n_trees, max
     """The grower that keeps its state in arrays asks the split rule about
     every node the grower it replaced asks about, exactly once, with the same
     counts and the same rows in the same order, though in other steps (it
-    takes a CART batch's whole frontier at once), and gives each tree the
+    takes a CART batch's whole frontier at once) and a shared node once for
+    all its member trees (each listed out here), and gives each tree the
     same node arrays and importances byte for byte: mixed CART batches on
     roots with repeated, unordered or no rows, under every depth and split
     limit."""
@@ -892,22 +897,27 @@ def test_array_grower_matches_the_list_grower(n, d, coarse, levels, n_trees, max
     roots[rng.integers(0, n_trees)] = np.zeros(0, dtype=np.int64)
     criteria = rng.choice(CRITERIA, n_trees).tolist()
     leaves = rng.choice([1, 2, 5], n_trees).tolist()
-    rule = tree._cart_split(X, y, criteria, leaves)
+    rule, per_tree_rule = tree._cart_split(X, y, criteria, leaves), cart_split_per_tree(X, y, criteria, leaves)
     asked = {"new": [], "old": []}
 
-    def recorded(side):
-        def split(trees, counts, rows, seg, starts):
-            trees, starts = np.asarray(trees), np.asarray(starts)
-            ends = np.append(starts[1:], rows.size)
-            asked[side] += [(t, c.tobytes(), tuple(rows[a:b].tolist()))
-                            for t, c, a, b in zip(trees.tolist(), counts, starts.tolist(), ends.tolist())]
-            return rule(trees, counts, rows, seg, starts)
-        return split
+    def record(side, trees, node, counts, rows, starts):
+        ends = np.append(starts[1:], rows.size)
+        asked[side] += [(t, counts[b].tobytes(), tuple(rows[starts[b]:ends[b]].tolist()))
+                        for t, b in zip(trees.tolist(), node.tolist())]
+
+    def recorded_new(trees, node, counts, rows, seg, starts):  # a shared node once per member tree
+        record("new", trees, node, counts, rows, starts)
+        return rule(trees, node, counts, rows, seg, starts)
+
+    def recorded_old(trees, counts, rows, seg, starts):
+        trees, starts = np.asarray(trees), np.asarray(starts)
+        record("old", trees, np.arange(trees.size), counts, rows, starts)
+        return per_tree_rule(trees, counts, rows, seg, starts)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tree, "_cart_split", lambda *args: recorded("new"))
+        mp.setattr(tree, "_cart_split", lambda *args: recorded_new)
         batch = tree.dt_fit_batch(make_dataset(X, y), roots, criteria, leaves, max_depth, min_samples_split)
-    arrays, importances = grow_reference(X, y, recorded("old"), roots, max_depth, min_samples_split)
+    arrays, importances = grow_reference(X, y, recorded_old, roots, max_depth, min_samples_split)
     # (tree, counts, rows) tells the list grower's nodes apart, so equal
     # multisets ask every node once
     assert len(set(asked["old"])) == len(asked["old"])
@@ -948,15 +958,16 @@ def test_step_and_block_caps_change_no_tree(n_trees, n, d, coarse, max_features,
     blocked = tree._blocked
 
     def checked(score, cap):
-        def scored(trees, counts, rows, seg, starts):
-            assert rows.size <= cap or len(trees) == 1
-            return score(trees, counts, rows, seg, starts)
+        def scored(trees, node, counts, rows, seg, starts):
+            assert rows.size <= cap or len(starts) == 1
+            assert np.array_equal(np.unique(node), np.arange(len(starts)))  # each node with its members
+            return score(trees, node, counts, rows, seg, starts)
 
         split = blocked(scored, cap)
 
-        def step(trees, counts, rows, seg, starts):
+        def step(trees, node, counts, rows, seg, starts):
             assert rows.size - np.diff(starts, append=rows.size).max() <= step_rows or rows.size <= step_rows
-            return split(trees, counts, rows, seg, starts)
+            return split(trees, node, counts, rows, seg, starts)
         return step
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1058,7 +1069,7 @@ def test_level_grown_batch_matches_both_depth_first_growers(
         mp.setattr(tree, "_STEP_ROWS", step_rows)
         mp.setattr(tree, "_CHUNK_BYTES", chunk_bytes)
         batch = tree.dt_fit_batch(ds, roots, criteria, leaves, max_depth, min_samples_split)
-    rule = tree._cart_split(rows, labels, criteria, leaves)
+    rule = cart_split_per_tree(rows, labels, criteria, leaves)
     arrays, importances = grow_reference(
         rows, labels, lambda trees, c, r, seg, starts: rule(np.asarray(trees), c, r, seg, np.asarray(starts)),
         roots, max_depth, min_samples_split)
@@ -1111,3 +1122,133 @@ def test_cart_batch_asks_the_rule_once_per_level(n, d, n_trees, max_depth, min_s
              for model, depth in ((m, _depths(m)) for m in batch)]
     deepest = max((int(a.max()) for a in asked if a.size), default=-1)
     assert steps[0] == 1 + deepest
+
+
+def _per_tree_batch(ds, roots, criteria, leaves, max_depth=None, min_samples_split=2):
+    """`dt_fit_batch` on the grower and CART rule it had before trees shared
+    nodes: every tree's every node sorted and scored for itself."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "_grow", lambda X, y, split, roots, max_depth, min_samples_split, **kw:
+                   grow_per_tree(X, y, split, roots, max_depth, min_samples_split))
+        mp.setattr(tree, "_cart_split", cart_split_per_tree)
+        return tree.dt_fit_batch(ds, roots, criteria, leaves, max_depth, min_samples_split)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 40) | st.integers(150, 300),
+    d=st.integers(1, 4),
+    coarse=st.booleans(),
+    n_repeated=st.integers(0, 30),
+    n_roots=st.integers(1, 3),
+    n_trees=st.integers(1, 12),
+    copies=st.floats(0, 1),
+    max_depth=st.sampled_from([None, 0, 1, 2, 3, 5]),
+    min_samples_split=st.sampled_from([2, 3, 5, 10]),
+    step_rows=st.integers(1, 400),
+    chunk_bytes=st.integers(8, 4000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_node_batch_matches_the_per_tree_grower(
+    n, d, coarse, n_repeated, n_roots, n_trees, copies, max_depth, min_samples_split, step_rows, chunk_bytes, seed
+):
+    """Trees that share nodes get the node arrays and importances of the
+    grower that grew every tree's nodes for itself, byte for byte: roots
+    repeated as one object and as equal copies, min_samples_leaf limits that
+    part the trees' picks at many depths, mixed criteria, every depth and
+    split limit, and any step and block cap."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, d))
+    if coarse:  # all but feature 0 on a grid: thresholds between ties
+        rows[:, 1:] = rng.integers(0, 4, size=(n, d - 1)) / 2.0
+    rows[rng.integers(0, n, n_repeated)] = rows[rng.integers(0, n, n_repeated)]  # duplicated rows
+    ds = make_dataset(rows, rng.integers(0, 2, n))
+    fold = rng.integers(0, n_roots + 1, n)
+    bases = [np.flatnonzero(fold != r) if rng.random() < 0.5 else rng.integers(0, n, rng.integers(0, 2 * n))
+             for r in range(n_roots)]
+    roots = [bases[i] for i in rng.integers(0, n_roots, n_trees)]
+    roots = [root.copy() if rng.random() < copies else root for root in roots]
+    criteria = rng.choice(CRITERIA, n_trees).tolist()
+    leaves = rng.choice([1, 2, 3, 5, 8], n_trees).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "_STEP_ROWS", step_rows)
+        mp.setattr(tree, "_CHUNK_BYTES", chunk_bytes)
+        batch = tree.dt_fit_batch(ds, roots, criteria, leaves, max_depth, min_samples_split)
+    want = _per_tree_batch(ds, roots, criteria, leaves, max_depth, min_samples_split)
+    for new, old in zip(batch, want, strict=True):
+        for name in _TREE_ARRAYS:
+            a, b = getattr(new, name), getattr(old, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def _scored(fit, per_tree=False):
+    """The nodes the CART rule scores while `fit()` runs, as (member trees,
+    rows) pairs, and `fit()`'s value; `per_tree` runs the grower and rule
+    that grew every tree's nodes for itself, whose nodes have one member."""
+    nodes = []
+
+    def recorded(*args):
+        split = (cart_split_per_tree if per_tree else rule)(*args)
+
+        def step(trees, *rest):
+            node, (counts, rows, seg, starts) = (np.arange(len(trees)) if per_tree else rest[0]), rest[-4:]
+            sizes = np.diff(np.append(starts, rows.size))
+            nodes.extend((tuple(np.asarray(trees)[node == b].tolist()), int(sizes[b])) for b in range(len(starts)))
+            return split(trees, *rest)
+        return step
+
+    rule = tree._cart_split
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "_cart_split", recorded)
+        if per_tree:
+            mp.setattr(tree, "_grow", lambda X, y, split, roots, max_depth, min_samples_split, **kw:
+                       grow_per_tree(X, y, split, roots, max_depth, min_samples_split))
+        return nodes, fit()
+
+
+@pytest.mark.parametrize("criterion,leaf", [("gini", 1), ("entropy", 2), ("gini", 5)])
+def test_trees_on_one_root_score_the_rows_of_one_tree(criterion, leaf):
+    rng = np.random.default_rng(4)
+    rows = np.concatenate([rng.normal(size=(300, 2)), rng.integers(0, 6, size=(300, 3)) / 2.0], axis=1)
+    ds = make_dataset(rows, (rows[:, 0] + rng.normal(size=300) > 0).astype(int))
+    root = rng.permutation(300)[:250]
+    one, (alone,) = _scored(lambda: tree.dt_fit_batch(ds, [root], [criterion], [leaf]))
+    for k in (2, 3, 7):
+        roots = [root] + [root.copy() for _ in range(k - 1)]
+        shared, batch = _scored(lambda: tree.dt_fit_batch(ds, roots, [criterion] * k, [leaf] * k))
+        assert sum(size for _, size in shared) == sum(size for _, size in one) > 0
+        assert {members for members, _ in shared} == {tuple(range(k))}  # every node holds every tree
+        for model in batch:
+            for name in _TREE_ARRAYS:
+                assert getattr(model, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+def test_default_grid_scores_at_most_055_of_the_per_tree_rows():
+    # The 48 trees of DT_opt's grid on group VII's training partition of the
+    # default run (8 folds × 2 criteria × min_samples_leaf 1, 2 and 5), and
+    # its final tree: sharing scores 0.43 of the rows the per-tree grower does.
+    config = ExperimentConfig.from_dict({})  # the default run
+    data = load_config_data(config)
+    split = stratified_shuffle_split(data.labels, config.test_fraction, seed=config.seed)
+
+    def cell():
+        return run_cell_fitted(data, group_by_id("VII"), MODEL_SPECS["DT_opt"], config, split)[0]
+
+    shared, got = _scored(cell)
+    per_tree, want = _scored(cell, per_tree=True)
+    assert got == want
+    assert max(len(members) for members, _ in shared) == 3
+    assert {len(members) for members, _ in per_tree} == {1}
+    assert sum(size for _, size in shared) <= 0.55 * sum(size for _, size in per_tree)
+
+
+def test_dt_batch_rejects_arguments_of_other_lengths():
+    rng = np.random.default_rng(0)
+    ds = make_dataset(rng.normal(size=(20, 2)), rng.integers(0, 2, 20))
+    root = np.arange(20)
+    for roots, criteria, leaves, lengths in (([root], ["gini", "entropy"], [1, 1], "1, 2, 2"),
+                                             ([root, root], ["gini"], [1, 2], "2, 1, 2"),
+                                             ([root, root], ["gini", "gini"], [1], "2, 2, 1"),
+                                             ([], ["gini"], [], "0, 1, 0")):
+        with pytest.raises(ValueError, match=f"one per tree, got lengths {lengths}$"):
+            tree.dt_fit_batch(ds, roots, criteria, leaves)
