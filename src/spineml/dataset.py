@@ -21,6 +21,7 @@ from .errors import (
     MalformedCsvError,
     MissingColumnError,
     OutOfRangeError,
+    WidthMismatchError,
 )
 from .schema import Schema, VariableGroup, default_schema
 
@@ -83,6 +84,15 @@ class Dataset:
 
     def class_counts(self) -> tuple[int, int]:
         return int(np.sum(self.labels == 0)), int(np.sum(self.labels == 1))
+
+
+def predictor_input(X, width: int, ndim: int = 2) -> np.ndarray:
+    """A predictor's input as floats, (rows × width) or one row with ndim=1;
+    any other shape raises WidthMismatchError. Values are not checked."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != ndim or X.shape[-1] != width:
+        raise WidthMismatchError(f"expected {width} features, got {X.shape}")
+    return X
 
 
 @dataclass(frozen=True)

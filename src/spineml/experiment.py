@@ -242,7 +242,7 @@ def _is_int(value) -> bool:
 # large for a fold is left to fail that cell.
 _GRID_VALUES = {
     "KNN": {
-        "k": _is_int,
+        "k": lambda v: _is_int(v) and v >= 1,
         "weighting": lambda v: v in WEIGHTINGS,
         "metric": lambda v: v in METRICS,
     },
@@ -323,6 +323,8 @@ class ExperimentConfig:
             for name, values in grid.items():
                 if name not in _GRID_VALUES[fam]:
                     raise ConfigError(f"unknown grid parameter for {fam}: {name}")
+                if not values:
+                    raise ConfigError(f"grid {fam} {name} must not be empty")
                 for value in values:
                     if not _GRID_VALUES[fam][name](value):
                         raise ConfigError(f"grid {fam} {name}: invalid value {value!r}")

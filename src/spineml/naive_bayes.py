@@ -11,7 +11,7 @@ Each family has one predictor, `gnb_predict_many` or `cnb_predict_many`:
 every row's label and per-class values, each row computed on its own, so
 a single record (row 0 of a one-row call) gets the label it gets in any
 batch of any layout: `_gnb_log_posteriors` sums in one order, by the rule
-and for the reasons of `neighbors._distances`.
+and for the reasons of `neighbors._each_distances`.
 """
 
 from __future__ import annotations
@@ -20,13 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import (
-    ClassTooSmallError,
-    NegativeFeatureError,
-    SingleClassError,
-    WidthMismatchError,
-)
+from .dataset import Dataset, predictor_input
+from .errors import ClassTooSmallError, NegativeFeatureError, SingleClassError
 
 _SMOOTHING_FACTOR = 1e-9  # GaussianNB variance smoothing, as a share of the largest variance
 _ALPHA = 1.0  # ComplementNB's additive smoothing of the complement counts
@@ -46,6 +41,14 @@ class GaussianNBModel:
     means: np.ndarray      # (n_classes, d)
     variances: np.ndarray  # (n_classes, d), raw sample variances
     var_smoothing: float   # added to every variance at predict time
+
+    def __post_init__(self):
+        # Checked here so that a loaded model file is held to values a fit gives.
+        smoothed = self.variances + self.var_smoothing
+        if not ((self.variances >= 0) & (smoothed > 0) & np.isfinite(smoothed)).all():
+            raise ValueError("GaussianNB variances must be finite and ≥ 0, and > 0 once var_smoothing is added")
+        if not (self.priors > 0).all():
+            raise ValueError(f"GaussianNB priors must be > 0, got {self.priors.tolist()}")
 
 
 def gnb_fit(train: Dataset) -> GaussianNBModel:
@@ -78,7 +81,7 @@ def gnb_fit(train: Dataset) -> GaussianNBModel:
 
 def _gnb_log_posteriors(model: GaussianNBModel, X: np.ndarray) -> np.ndarray:
     var = model.variances + model.var_smoothing
-    # (n, n_classes, d) deviations, C-ordered as in `neighbors._distances`
+    # (n, n_classes, d) deviations, C-ordered as in `neighbors._each_distances`
     dev = np.subtract(X[:, None, :], model.means[None, :, :], order="C")
     log_pdf = -0.5 * (np.log(2.0 * np.pi * var)[None, :, :] + dev * dev / var[None, :, :])
     return np.log(model.priors)[None, :] + log_pdf.sum(axis=2)
@@ -86,13 +89,11 @@ def _gnb_log_posteriors(model: GaussianNBModel, X: np.ndarray) -> np.ndarray:
 
 def gnb_predict_many(model: GaussianNBModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's label (ties to the lowest) and normalized per-class posteriors."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != model.means.shape[1]:
-        raise WidthMismatchError(
-            f"expected {model.means.shape[1]} features, got {X.shape[1]}"
-        )
+    X = predictor_input(X, model.means.shape[1])
     logp = _gnb_log_posteriors(model, X)
-    shifted = np.exp(logp - logp.max(axis=1, keepdims=True))
+    # fmin makes a row whose every class density underflowed (-inf - -inf is
+    # NaN) a tie of equal shares, as its label already is
+    shifted = np.exp(np.fmin(logp - logp.max(axis=1, keepdims=True), 0.0))
     posteriors = shifted / shifted.sum(axis=1, keepdims=True)
     return model.classes[np.argmax(logp, axis=1)], posteriors
 
@@ -122,11 +123,7 @@ def cnb_fit(train: Dataset) -> ComplementNBModel:
 def cnb_predict_many(model: ComplementNBModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's label with the smallest complement-match score (ties to the
     lowest label) and its per-class scores."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != model.weights.shape[1]:
-        raise WidthMismatchError(
-            f"expected {model.weights.shape[1]} features, got {X.shape[1]}"
-        )
+    X = predictor_input(X, model.weights.shape[1])
     if X.size and X.min() < 0:
         r, c = np.unravel_index(int(np.argmin(X)), X.shape)
         raise NegativeFeatureError(int(r), int(c))

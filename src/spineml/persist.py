@@ -8,8 +8,10 @@ predictions exactly, and `predict_single` takes a cell just trained as
 well as a loaded one. The classifier is written and read by its family's
 entry in `experiment.FAMILIES`. A record takes the path the cell's test
 partition took: `FittedCell.preprocess`, the kept columns, then the
-family's predictor. `load_model` builds the preprocessing plan and checks
-it, so a malformed file fails at load, not at predict.
+family's predictor. A malformed file fails at load: each part checks its
+content where it is built (its family's model class or reader, or
+`preprocess.ScalerState`), and `load_model` the rules that span parts (kept
+indices against the features and the classifier, bounds, code lists).
 
 Scores reported by predict_single: GaussianNB posterior, KNN vote
 fraction, decision-tree leaf fraction, and for ComplementNB a softmax over
@@ -119,19 +121,7 @@ def load_model(path) -> FittedCell:
                 raise ValueError(f"feature {f!r} lacks a string name or numeric bounds")
         if not all(cell.ordinal_codes.values()):
             raise ValueError("an ordinal column has no codes")
-        # Well-typed but impossible values would give NaN scores or labels
-        # after a numpy warning.
-        std = cell.scaler_std
-        if cell.scaling_mode == "standardize" and not ((std > 0) & np.isfinite(std)).all():
-            raise ValueError(f"scaler std must be finite and > 0, got {std.tolist()}")
-        if cell.family == "gnb":
-            var = cell.classifier.variances
-            smoothed = var + cell.classifier.var_smoothing
-            if not ((var >= 0) & (smoothed > 0) & np.isfinite(smoothed)).all():
-                raise ValueError("GaussianNB variances must be finite and ≥ 0, and > 0 "
-                                 "once var_smoothing is added")
-        # The preprocessing plan: every encoded and scaled column must be a
-        # feature, and every scaler array hold one entry per scaled column.
+        # the preprocessing plan: its columns must be features, its scaler state valid
         cell._steps
         try:  # the classifier takes a row of the kept columns
             FAMILIES[cell.family].predict_one(cell.classifier, np.zeros(kept.size))

@@ -8,6 +8,10 @@ which works on a block of rows of the affected columns. The Dataset
 wrappers (`apply_ordinal_encoder`, `apply_standardizer`, `apply_minmax`)
 serve training; `experiment.FittedCell.preprocess` runs the same two
 functions on the raw test partition and on a predicted record.
+
+A column whose training max equals its min (or whose stddev is 0) is
+constant: min-max maps it to 0, and standardizing divides by 1, not by a
+stddev of rounding error. A `ScalerState`, a loaded one too, checks its values.
 """
 
 from __future__ import annotations
@@ -27,12 +31,9 @@ from .schema import KIND_BINARY, KIND_CONTINUOUS, KIND_ORDINAL
 
 @dataclass(frozen=True)
 class ScalerState:
-    """Per-column mean/stddev (sample, n−1) and min/max over the training rows.
-
-    Constant columns are flagged and get a stddev substitute of 1 so a
-    degenerate column rescales to zero instead of aborting a run. Each array
-    holds one entry per column.
-    """
+    """Per-column mean/stddev (sample, n−1), min/max and constant flag over
+    the training rows, refusing values no fit gives: a stddev ≤ 0, a max
+    below the min, or equal to it in a column not flagged constant."""
 
     columns: tuple[str, ...]
     mean: np.ndarray
@@ -48,6 +49,12 @@ class ScalerState:
                 raise ValueError(f"scaler {name} has shape {arr.shape} for {len(self.columns)} columns")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        # not isfinite: a fit's std may overflow to inf, which a file cannot hold (`schema.typed`)
+        if not (self.std > 0).all():
+            raise ValueError(f"scaler std must be finite and > 0, got {self.std.tolist()}")
+        if not ((self.maximum > self.minimum) | (self.constant & (self.maximum == self.minimum))).all():
+            raise ValueError(f"scaler max must be ≥ min, and > min unless the column is constant, got min "
+                             f"{self.minimum.tolist()} and max {self.maximum.tolist()}")
 
 
 def fit_standardizer(train: Dataset, columns=None) -> ScalerState:
@@ -65,12 +72,10 @@ def fit_standardizer(train: Dataset, columns=None) -> ScalerState:
     idx = [train.schema.feature_index(name) for name in columns]
     block = train.rows[:, idx]
     mean = block.mean(axis=0)
-    std = block.std(axis=0, ddof=1)
-    constant = std == 0.0
+    lo, hi, std = block.min(axis=0), block.max(axis=0), block.std(axis=0, ddof=1)
+    constant = (hi == lo) | (std == 0.0)  # a column of 0.7 has a std of 2.2e-16
     std = np.where(constant, 1.0, std)
-    return ScalerState(
-        columns, mean, std, block.min(axis=0), block.max(axis=0), constant
-    )
+    return ScalerState(columns, mean, std, lo, hi, constant)
 
 
 def _column_indices(ds: Dataset, columns, what: str) -> list[int]:

@@ -63,8 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import EmptyTrainingSetError, WidthMismatchError
+from .dataset import Dataset, predictor_input
+from .errors import EmptyTrainingSetError
 from .schema import typed
 from .streams import _Draws, _entropy, _rng_words
 
@@ -444,10 +444,7 @@ def _route(models, Xs, limits) -> np.ndarray:
     """The labels of the rows of each Xs[t] routed through models[t], rows of
     all models end to end: one row of labels per (max_depth,
     min_samples_split) pair of `limits`, all from one pass."""
-    Xs = [np.asarray(X, dtype=float) for X in Xs]
-    for model, X in zip(models, Xs):
-        if X.shape[1] != model.n_features:
-            raise WidthMismatchError(f"expected {model.n_features} features, got {X.shape[1]}")
+    Xs = [predictor_input(X, model.n_features) for model, X in zip(models, Xs)]
     base = np.cumsum([0] + [m.left.size for m in models])[:-1]
     left, right = (np.concatenate([np.where(c >= 0, c + b, -1) for c, b in zip(children, base)])
                    for children in ([m.left for m in models], [m.right for m in models]))
@@ -469,9 +466,7 @@ def _route(models, Xs, limits) -> np.ndarray:
 def dt_predict(model: DecisionTreeModel, x) -> tuple[int, float]:
     """Leaf majority label (ties to the lower label) and its count fraction,
     by a walk over one row."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n_features,):
-        raise WidthMismatchError(f"expected {model.n_features} features, got {x.shape}")
+    x = predictor_input(x, model.n_features, ndim=1)
     node = 0
     while model.left[node] >= 0:
         go_left = x[model.feature[node]] <= model.threshold[node]
@@ -523,9 +518,12 @@ def dt_from_dict(raw: dict) -> DecisionTreeModel:
             splits.append((node, feature, typed(entry["threshold"], float, "threshold")))
             stack += zip((len(counts), len(counts) + 1), children)
             counts += [c["counts"] for c in children]
+    nodes = _node_arrays(typed(counts, float, "counts", array=True), splits)
+    if not ((nodes["counts"] >= 0).all() and (nodes["counts"].sum(axis=1) > 0).all()):
+        raise ValueError("node counts must be ≥ 0 with a positive sum")
     max_depth = raw["max_depth"]
     return DecisionTreeModel(
-        **_node_arrays(typed(counts, float, "counts", array=True), splits),
+        **nodes,
         criterion=raw["criterion"],
         max_depth=None if max_depth is None else typed(max_depth, int, "max_depth"),
         min_samples_split=typed(raw["min_samples_split"], int, "min_samples_split"),

@@ -427,6 +427,17 @@ def _both_distances(points: np.ndarray, X: np.ndarray) -> dict[str, np.ndarray]:
     return {"euclidean": np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2)), "manhattan": manhattan}
 
 
+# Moved verbatim from `spineml.neighbors`, where `_distances` now reads one
+# metric of `_each_distances`; the oracle of the one-metric test in
+# test_neighbors.
+def _one_distances(points: np.ndarray, X: np.ndarray, metric: str) -> np.ndarray:
+    diff = np.subtract(X[:, None, :], points[None, :, :], order="C")
+    # squared or made absolute in place, so a block holds one difference tensor
+    if metric == "euclidean":
+        return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
+    return np.abs(diff, out=diff).sum(axis=2)
+
+
 # The merge of appended rows into cached top-k lists as it stood before
 # random oversampling was merged by multiplicities: it measures every
 # appended row and sorts each cached list with them. Kept verbatim as the
@@ -539,10 +550,11 @@ def finish(draws, rngs: list) -> None:
 
 
 # Two groups × three models: KNN untuned, KNN_opt failed in every group (its
-# only k is 0) and DT_opt tuned over 4 combinations, with a cv_table.
+# only k is larger than any fold) and DT_opt tuned over 4 combinations, with
+# a cv_table.
 FAILED_AND_TUNED = ExperimentConfig(
     synthetic={"n": 80, "seed": 3}, groups=("I", "VII"), models=("KNN", "KNN_opt", "DT_opt"),
-    n_folds=4, grids={"KNN": {"k": (0,)}, "DT": {"max_depth": (2, None), "min_samples_split": (2,),
+    n_folds=4, grids={"KNN": {"k": (5000,)}, "DT": {"max_depth": (2, None), "min_samples_split": (2,),
                                                 "min_samples_leaf": (1,)}},
 )
 

@@ -404,6 +404,16 @@ def _set_scaler(key, value):
     return edit
 
 
+def _set_counts(value):
+    def edit(raw):  # every node's
+        nodes = [raw["classifier"]["root"]]
+        while nodes:
+            node = nodes.pop()
+            node["counts"] = list(value)
+            nodes += [node[side] for side in ("left", "right") if side in node]
+    return edit
+
+
 @pytest.mark.parametrize("model_id,edit", [
     ("GaussianNB", _set_variance(-0.5)),
     ("GaussianNB", _set_variance(float("nan"))),
@@ -421,18 +431,44 @@ def _set_scaler(key, value):
     ("KNN", _set_scaler("constant", lambda v: "no")),
     ("DT", lambda raw: raw["preprocessing"]["kept"].__setitem__(-1, raw["preprocessing"]["kept"][-1] + 0.5)),
     ("KNN", _set_scaler("mean", str)),
+    ("GaussianNB", lambda raw: raw["classifier"].__setitem__("priors", [0.0, 0.0])),
+    ("GaussianNB", lambda raw: raw["classifier"].__setitem__("priors", [-0.5, 1.5])),
+    ("DT", _set_counts([0, 0])),
+    ("DT", _set_counts([3, -5])),
 ], ids=["negative-variance", "nan-variance", "infinite-variance", "zero-smoothed-variance",
         "negative-smoothed-variance", "nan-var-smoothing", "zero-std", "negative-std",
         "nan-std", "infinite-std", "nan-threshold", "infinite-point", "infinite-scaler-mean",
-        "string-constant-flag", "fractional-kept", "string-scaler-mean"])
+        "string-constant-flag", "fractional-kept", "string-scaler-mean", "zero-priors",
+        "negative-prior", "zero-counts", "negative-count"])
 def test_predict_rejects_impossible_model_values_at_load(tmp_path, capsys, model_id, edit):
-    # Well-typed values that no fit can produce: each once gave a NaN score
-    # or a label after a numpy warning, with exit 0.
+    # Well-typed values that no fit can produce: each once gave a NaN score,
+    # a score outside [0, 1] or a label after a numpy warning, with exit 0.
+    _assert_refused_at_load(tmp_path, capsys, model_id, edit, "standardize")
+
+
+def _set_minmax(low, high, constant=False):
+    def edit(raw):
+        scaler = raw["preprocessing"]["scaler"]
+        scaler["min"][1], scaler["max"][1], scaler["constant"][1] = low, high, constant
+    return edit
+
+
+@pytest.mark.parametrize("edit", [_set_minmax(3.0, 1.0), _set_minmax(2.0, 2.0),
+                                  _set_minmax(3.0, 1.0, constant=True)],
+                         ids=["max-below-min", "max-equals-min", "constant-max-below-min"])
+def test_predict_rejects_impossible_minmax_scaler_values_at_load(tmp_path, capsys, edit):
+    # A ComplementNB file scales every column by min-max: a max below the min
+    # or equal to it in a column not flagged constant once predicted with exit
+    # 0, the latter after a RuntimeWarning.
+    _assert_refused_at_load(tmp_path, capsys, "ComplementNB", edit, "minmax")
+
+
+def _assert_refused_at_load(tmp_path, capsys, model_id, edit, scaling_mode):
     _run(capsys, "run", "--n", "80", "--data-seed", "3", "--groups", "II",
          "--models", model_id, "--folds", "4", "--save-models",
          "--out", str(tmp_path / "r"))
     raw = json.loads((tmp_path / "r" / "models" / f"{model_id}__II.json").read_text())
-    assert raw["preprocessing"]["scaling_mode"] == "standardize"
+    assert raw["preprocessing"]["scaling_mode"] == scaling_mode
     edit(raw)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
@@ -442,6 +478,32 @@ def test_predict_rejects_impossible_model_values_at_load(tmp_path, capsys, model
     assert stdout == ""
     assert len(stderr.strip().splitlines()) == 1
     assert stderr.startswith("error: model file is malformed: ")
+
+
+def test_a_constant_column_scales_to_zero_in_run_and_predict(tmp_path, capsys):
+    # A column of 0.7 has a sample std of 2.2e-16, not 0, so it was not taken
+    # for constant: min-max divided 0 by 0 and the run ended in a traceback,
+    # and a saved KNN scaled a record's 0.8 to 4.5e14.
+    data = tmp_path / "d.csv"
+    _run(capsys, "generate", "--n", "120", "--seed", "5", "--out", str(data))
+    header, *rows = [line.split(",") for line in data.read_text().splitlines()]
+    creat = header.index("CREAT")
+    for row in rows:
+        row[creat] = "0.7"
+    data.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    code, _, stderr = _run(capsys, "run", "--csv", str(data), "--groups", "IV", "--models",
+                           "ComplementNB,KNN", "--save-models", "--out", str(tmp_path / "r"))
+    assert (code, _error_lines(stderr)) == (0, [])
+    for model_id in ("ComplementNB", "KNN"):
+        model = tmp_path / "r" / "models" / f"{model_id}__IV.json"
+        scaler = json.loads(model.read_text())["preprocessing"]["scaler"]
+        assert [c == "CREAT" for c in scaler["columns"]] == scaler["constant"]
+        record = {name: float(rows[0][header.index(name)]) for name in ("GLU", "UREA", "URIC_ACID", "CHOL")}
+        code, stdout, _ = _run(capsys, "predict", "--model", str(model), "--trace",
+                               "--record", json.dumps({**record, "CREAT": 0.8}))
+        assert code == 0
+        scaled = next(t["scaled"] for t in json.loads(stdout)["trace"] if t["name"] == "CREAT")
+        assert abs(scaled) <= 0.1 + 1e-9
 
 
 @pytest.mark.parametrize("command", ["generate", "run", "report", "predict"])
@@ -511,7 +573,7 @@ def test_run_on_one_outcome_class_fails_before_any_cell(tmp_path, capsys, monkey
 
 def test_run_exits_1_when_every_cell_failed(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"grids": {"KNN": {"k": [0]}}}))
+    cfg_path.write_text(json.dumps({"grids": {"KNN": {"k": [5000]}}}))
     code, _, stderr = _run(
         capsys, "run", "--config", str(cfg_path), "--models", "KNN_opt", "--groups", "VII",
         "--n", "80", "--out", str(tmp_path / "r"),
@@ -523,7 +585,7 @@ def test_run_exits_1_when_every_cell_failed(tmp_path, capsys):
 
 def test_run_with_some_failed_cells_exits_0_with_notes(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"grids": {"KNN": {"k": [0]}}}))
+    cfg_path.write_text(json.dumps({"grids": {"KNN": {"k": [5000]}}}))
     code, _, stderr = _run(
         capsys, "run", "--config", str(cfg_path), "--models", "KNN,KNN_opt", "--groups", "VII",
         "--n", "80", "--out", str(tmp_path / "r"),
@@ -615,6 +677,10 @@ def test_run_rejects_a_mistyped_config_number_without_traceback(tmp_path, capsys
         ({"out_dir": ""}, "out_dir must not be empty"),
         ({"schema": ""}, "schema_path must not be empty"),
         ({"data": {"csv": ""}}, "csv_path must not be empty"),
+        ({"grids": {"KNN": {"k": []}}}, "grid KNN k must not be empty"),
+        ({"grids": {"DT": {"criterion": []}}}, "grid DT criterion must not be empty"),
+        ({"grids": {"KNN": {"k": [0]}}}, "grid KNN k: invalid value 0"),
+        ({"grids": {"KNN": {"k": [3, -2]}}}, "grid KNN k: invalid value -2"),
     ],
 )
 def test_run_rejects_a_malformed_config_without_traceback(tmp_path, capsys, config, message):

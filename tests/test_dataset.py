@@ -20,9 +20,13 @@ from spineml.errors import (
     MissingColumnError,
     OutOfRangeError,
     PipelineError,
+    WidthMismatchError,
 )
+from spineml.naive_bayes import cnb_fit, cnb_predict_many, gnb_fit, gnb_predict_many
+from spineml.neighbors import knn_fit, knn_predict, knn_predict_many
 from spineml.schema import default_schema, group_by_id
 from spineml.synthetic import generate_synthetic
+from spineml.tree import dt_fit, dt_predict, dt_predict_many
 
 from helpers import load_csv_reference, make_dataset
 
@@ -219,6 +223,30 @@ def test_dataset_validation():
     ds = make_dataset([[1.0], [2.0]], [0, 1])
     with pytest.raises(ValueError):
         ds.rows[0, 0] = 5.0  # immutable after construction
+
+
+_PREDICTORS = {  # predictor: (fit, whether it takes one row)
+    knn_predict: (lambda ds: knn_fit(ds, k=1), True),
+    knn_predict_many: (lambda ds: knn_fit(ds, k=1), False),
+    gnb_predict_many: (gnb_fit, False),
+    cnb_predict_many: (cnb_fit, False),
+    dt_predict: (dt_fit, True),
+    dt_predict_many: (dt_fit, False),
+}
+
+
+@pytest.mark.parametrize("predict", list(_PREDICTORS), ids=lambda f: f.__name__)
+def test_every_predictor_refuses_a_wrong_width_or_rank(predict):
+    fit, one_row = _PREDICTORS[predict]
+    model = fit(make_dataset([[0.0, 1.0], [1.0, 0.5], [2.0, 0.0], [3.0, 0.5]], [0, 0, 1, 1]))
+    if one_row:
+        right, wrong = [0.5, 0.5], ([0.5, 0.5, 0.5], [[0.5, 0.5]], 0.5)
+    else:
+        right, wrong = [[0.5, 0.5]], ([[0.5, 0.5, 0.5]], [0.5, 0.5], [[[0.5, 0.5]]])
+    predict(model, right)
+    for x in wrong:  # a wrong width, then wrong ranks
+        with pytest.raises(WidthMismatchError, match=r"^expected 2 features, got \("):
+            predict(model, x)
 
 
 def test_format_value():

@@ -147,13 +147,36 @@ def test_config_dicts_load_as_the_hand_listed_oracle_loads_them(raw):
     if empty:  # new: an empty path is refused once every other check passes
         assert got == ("error", "ConfigError", f"{empty[0]} must not be empty")
         return
-    assert got == _config_outcome(lambda: _in_run_order(OracleConfig.from_dict(raw)))
+    assert got == _unmarked(_config_outcome(lambda: _in_run_order(OracleConfig.from_dict(_marked(raw)))))
+
+
+# New: an empty grid value list is refused where its first value would be
+# checked. The oracle is given a marker value in its place, which it refuses
+# at that point, and its refusal is read as the empty list's.
+_EMPTY_MARK = "<empty>"
+
+
+def _marked(raw):
+    """A config dict with each empty grid value list holding `_EMPTY_MARK`."""
+    if not (isinstance(raw, dict) and isinstance(raw.get("grids"), dict)):
+        return raw
+    return {**raw, "grids": {fam: {name: [_EMPTY_MARK] if values == [] else values for name, values in grid.items()}
+                             if isinstance(grid, dict) else grid for fam, grid in raw["grids"].items()}}
+
+
+def _unmarked(outcome):
+    """An oracle outcome of a `_marked` config, its refusal of the marker
+    read as the refusal of an empty list."""
+    refused = f": invalid value {_EMPTY_MARK!r}"
+    if outcome[:2] == ("error", "ConfigError") and outcome[2].endswith(refused):
+        return ("error", "ConfigError", outcome[2].removesuffix(refused) + " must not be empty")
+    return outcome
 
 
 def _empty_paths(raw) -> list:
     """The path fields left empty by a config dict the oracle accepts."""
     try:
-        config = OracleConfig.from_dict(raw)
+        config = OracleConfig.from_dict(_marked(raw))
     except Exception:
         return []
     return [name for name in ("csv_path", "schema_path", "out_dir") if getattr(config, name) == ""]
@@ -214,9 +237,12 @@ def test_run_flags_build_the_config_the_hand_listed_oracle_builds(data, flags, c
             if empty:  # new: so is an empty path in the config file
                 assert got == ("error", "ConfigError", f"{empty[0]} must not be empty")
                 return
+        if config is not None:
+            with open(argv[2], "w", encoding="utf-8") as fh:
+                json.dump(_marked(config), fh)
         oracle = oracle_build_parser()
-        assert got == _config_outcome(
-            lambda: _in_run_order(oracle_build_run_config(oracle.parse_args(argv), oracle)))
+        assert got == _unmarked(_config_outcome(
+            lambda: _in_run_order(oracle_build_run_config(oracle.parse_args(argv), oracle))))
 
 
 COLUMNS = st.lists(
@@ -371,6 +397,8 @@ def test_any_edited_model_file_predicts_or_gives_a_pipeline_error(saved_model_fi
         except PipelineError:
             return
     assert out["label"] in LABEL_NAMES.values()
+    assert 0.0 <= out["score"] <= 1.0
+    json.dumps(out, allow_nan=False)
 
 
 @pytest.fixture(scope="module")

@@ -114,6 +114,18 @@ def test_gnb_predict_symmetric_tie_goes_to_lower_label():
     assert label == 0
 
 
+def test_gnb_row_far_from_every_class_is_an_even_tie():
+    # Every class density of the first row underflows to 0, so its log
+    # posteriors are all -inf: it once got NaN posteriors, where its label
+    # already took the tie to the lower class.
+    model = gnb_fit(make_dataset([[0.0], [1.0], [3.0], [4.0]], [0, 0, 1, 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        labels, post = gnb_predict_many(model, [[1e200], [2.5]])
+    assert labels.tolist() == [0, 1]
+    assert post[0].tolist() == [0.5, 0.5]
+    assert post[1].tolist() == gnb_predict_many(model, [[2.5]])[1][0].tolist()
+
+
 def test_gnb_width_mismatch():
     model = gnb_fit(make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1]))
     with pytest.raises(WidthMismatchError):

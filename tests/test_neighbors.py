@@ -323,6 +323,41 @@ def test_both_metrics_from_one_difference_tensor_equal_distances(n, q, d, k, coa
         assert [a.tobytes() for a in blocked[metric]] == [a.tobytes() for a in lists[metric]]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    q=st.integers(0, 12),
+    d=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distances_are_one_metric_of_each_distances_bit_for_bit(n, q, d, seed):
+    # `_each_distances` is the one body that forms and reduces a difference
+    # tensor: `_distances` reads one metric of it, with the bits of the
+    # one-metric body it replaced, and each metric's values are the same
+    # measured alone or with the other. Wide exponents make the order of
+    # a sum show, and squares underflow or overflow.
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-170, 170, size=(n, d))
+    X = rng.normal(size=(q, d)) * 10.0 ** rng.integers(-170, 170, size=(q, d))
+    calls = []
+
+    def spy(points, X, metrics):
+        calls.append(tuple(metrics))
+        return _each_distances(points, X, metrics)
+
+    with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "_each_distances", spy)
+        for metric in METRICS:
+            got = _distances(points, X, metric)
+            assert calls == [(metric,)]
+            calls.clear()
+            want = helpers._one_distances(points, X, metric).tobytes()
+            assert got.tobytes() == want
+            assert _each_distances(points, X, (metric,))[metric].tobytes() == want
+            for both in (METRICS, METRICS[::-1]):
+                assert _each_distances(points, X, both)[metric].tobytes() == want
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 9),

@@ -9,6 +9,7 @@ from spineml.errors import (
     TooFewRowsError,
 )
 from spineml.preprocess import (
+    ScalerState,
     apply_minmax,
     apply_ordinal_encoder,
     apply_standardizer,
@@ -34,6 +35,32 @@ def test_fit_standardizer_constant_column_flagged():
     assert state.mean[0] == 5.0
     assert state.std[0] == 1.0
     assert state.constant[0]
+
+
+def test_fit_standardizer_flags_a_column_whose_max_equals_its_min():
+    # The sample std of three rows of 0.7 is 1.4e-16, not 0: standardizing
+    # by it sent a record's 0.8 to 7e14, and min-max divided 0 by 0.
+    ds = make_dataset([[0.7], [0.7], [0.7]], [0, 1, 0])
+    assert ds.rows[:, 0].std(ddof=1) > 0
+    state = fit_standardizer(ds, columns=["F0"])
+    assert state.constant[0] and state.std[0] == 1.0
+    record = make_dataset([[0.8]], [0])
+    assert abs(apply_standardizer(record, state).rows[0, 0] - 0.1) < 1e-9
+    assert apply_minmax(record, state).rows[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("std, low, high, constant, message", [
+    (0.0, 1.0, 2.0, False, "scaler std must be finite and > 0"),
+    (-1.0, 1.0, 2.0, False, "scaler std must be finite and > 0"),
+    (1.0, 2.0, 1.0, False, "scaler max must be ≥ min"),
+    (1.0, 2.0, 1.0, True, "scaler max must be ≥ min"),
+    (1.0, 2.0, 2.0, False, "and > min unless the column is constant"),
+])
+def test_scaler_state_refuses_values_no_fit_gives(std, low, high, constant, message):
+    with pytest.raises(ValueError, match=message):
+        ScalerState(("F0",), np.array([1.5]), np.array([std]), np.array([low]), np.array([high]),
+                    np.array([constant]))
+    ScalerState(("F0",), np.array([2.0]), np.array([1.0]), np.array([2.0]), np.array([2.0]), np.array([True]))
 
 
 def test_fit_standardizer_hand_case():
