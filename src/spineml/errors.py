@@ -60,6 +60,11 @@ class NTooSmallError(SyntheticSettingError):
     pass
 
 
+class NonFiniteScalerError(PipelineError, ValueError):
+    """A scaler statistic that is no finite number, as when a column's
+    squares overflow."""
+
+
 class SingleClassError(PipelineError):
     """Fitting requires both outcome classes to be present."""
 

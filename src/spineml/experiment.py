@@ -47,11 +47,11 @@ from .errors import (
 )
 from .metrics import ConfusionMatrix, accuracy, confusion, f1, macro_f1
 from .model_selection import (
+    HYPERPARAMETERS,
     SCORINGS,
     ParamGrid,
     SplitIndices,
-    default_dt_grid,
-    default_knn_grid,
+    default_grid,
     grid_search,
     select_features,
     stratified_kfold,
@@ -65,7 +65,7 @@ from .naive_bayes import (
     gnb_fit,
     gnb_predict_many,
 )
-from .neighbors import METRICS, WEIGHTINGS, KNNModel, TableStore, knn_fit, knn_predict, knn_predict_many
+from .neighbors import KNNModel, TableStore, knn_fit, knn_predict, knn_predict_many
 from .preprocess import (
     ScalerState,
     apply_minmax,
@@ -87,15 +87,13 @@ from .schema import (
     typed,
 )
 from .synthetic import SYNTHETIC_DEFAULTS, check_synthetic, generate_synthetic
-from .tree import CRITERIA, DT_LIMITS, dt_fit, dt_from_dict, dt_predict, dt_predict_many, dt_to_dict
+from .tree import dt_fit, dt_from_dict, dt_predict, dt_predict_many, dt_to_dict
 
-KNN_DEFAULTS = {"k": 5, "weighting": "uniform", "metric": "euclidean"}
-DT_DEFAULTS = {
-    "criterion": "gini",
-    "max_depth": None,
-    "min_samples_split": 2,
-    "min_samples_leaf": 1,
-}
+# The params of an untuned fit, and the values each config grid parameter accepts.
+KNN_DEFAULTS, DT_DEFAULTS = ({name: untuned for name, (untuned, _, _) in HYPERPARAMETERS[family].items()}
+                             for family in ("knn", "dt"))
+_GRID_VALUES = {family.upper(): {name: rule for name, (_, _, rule) in params.items()}
+                for family, params in HYPERPARAMETERS.items()}
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,6 @@ class Family:
     from_dict: Callable  # dict -> model
     to_dict: Callable = _fields_to_dict  # model -> JSON-ready dict
     defaults: dict = field(default_factory=dict)  # params of an untuned fit
-    grid: Callable | None = None  # () -> the default ParamGrid
     scaling: str = "standardize"  # or "minmax" (ComplementNB needs x ≥ 0)
 
 
@@ -215,7 +212,6 @@ FAMILIES = {
         predict_one=lambda model, x: knn_predict(model, x),
         from_dict=lambda raw: _fields_from_dict(KNNModel, raw, {"points": "nd", "labels": "n"}),
         defaults=KNN_DEFAULTS,
-        grid=lambda: default_knn_grid(),
     ),
     "dt": Family(
         fit=lambda train, params: dt_fit(train, **params),
@@ -224,7 +220,6 @@ FAMILIES = {
         to_dict=lambda model: dt_to_dict(model),
         from_dict=lambda raw: dt_from_dict(raw),
         defaults=DT_DEFAULTS,
-        grid=lambda: default_dt_grid(),
     ),
 }
 
@@ -232,26 +227,6 @@ FAMILIES = {
 _SYNTHETIC_KEYS = {"n": Integral, "seed": Integral, "signal": Real, "p_success": Real}
 _TYPE_NAMES = {Integral: "an integer", Real: "a number", str: "a string",
                bool: "true or false", dict: "an object", list: "a list"}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-# The values each grid parameter accepts, by config grid family. A k too
-# large for a fold is left to fail that cell.
-_GRID_VALUES = {
-    "KNN": {
-        "k": lambda v: _is_int(v) and v >= 1,
-        "weighting": lambda v: v in WEIGHTINGS,
-        "metric": lambda v: v in METRICS,
-    },
-    "DT": {
-        "criterion": lambda v: v in CRITERIA,
-        **{name: lambda v, name=name: v is None and name == "max_depth" or _is_int(v) and v >= DT_LIMITS[name]
-           for name in DT_LIMITS},
-    },
-}
 
 
 def _check_type(name: str, value, kind) -> None:
@@ -472,10 +447,9 @@ def _cell_states(master_seed: int, group_id: str, model_id: str) -> np.ndarray:
 
 
 def _resolved_grid(config: ExperimentConfig, family: str) -> ParamGrid:
-    """The family's default grid with the config's (already checked)
-    overrides; config grids are keyed "KNN" and "DT"."""
-    base = FAMILIES[family].grid()
-    return ParamGrid(base.family, {**base.params, **config.grids.get(family.upper(), {})})
+    """The family's default grid (`model_selection.HYPERPARAMETERS`) with the
+    config's (already checked) overrides; config grids are keyed "KNN" and "DT"."""
+    return ParamGrid(family, {**default_grid(family).params, **config.grids.get(family.upper(), {})})
 
 
 def _predict_final(family: str, model, X: np.ndarray) -> np.ndarray:

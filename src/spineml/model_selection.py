@@ -1,5 +1,8 @@
 """Stratified splitting, stratified k-fold plans, feature scoring, grid search.
 
+`HYPERPARAMETERS` declares each tuned family's untuned values, default grid
+and config value rules once; the experiment reads them from there.
+
 Everything here is seed-deterministic: splits and folds shuffle within
 class from an explicit seed, and every grid cell derives its stream from
 (seed, combination index, fold index), so results never depend on
@@ -16,6 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -37,7 +42,7 @@ from .neighbors import (  # noqa: F401
 )
 from .resampling import ResamplePlan, _draw_many, minority_basis
 from .streams import _entropy, _rng_words, _seed_hash
-from .tree import _route, dt_fit_batch, extratrees_fit
+from .tree import CRITERIA, DT_LIMITS, _route, dt_fit_batch, extratrees_fit
 
 
 @dataclass(frozen=True)
@@ -203,27 +208,35 @@ class ParamGrid:
         ]
 
 
-def default_knn_grid() -> ParamGrid:
-    return ParamGrid(
-        "knn",
-        {
-            "k": (1, 3, 5, 7, 9, 11, 15, 21),
-            "weighting": ("uniform", "inverse-distance"),
-            "metric": ("euclidean", "manhattan"),
-        },
-    )
+def _at_least(low: int, none: bool = False):
+    """The rule of an integer (not a bool) ≥ `low`, or also None where `none`."""
+    return lambda v: v is None and none or isinstance(v, Integral) and not isinstance(v, bool) and v >= low
 
 
-def default_dt_grid() -> ParamGrid:
-    return ParamGrid(
-        "dt",
-        {
-            "criterion": ("gini", "entropy"),
-            "max_depth": (2, 3, 4, 5, 8, None),
-            "min_samples_split": (2, 5, 10),
-            "min_samples_leaf": (1, 2, 5),
-        },
-    )
+# Each tuned family's parameters in combination order: (untuned value, default
+# grid values, simplest first as ties go, the rule every value of a config's
+# grid must meet). A k too large for a fold passes and fails only that cell.
+HYPERPARAMETERS = {
+    "knn": {
+        "k": (5, (1, 3, 5, 7, 9, 11, 15, 21), _at_least(1)),
+        "weighting": ("uniform", WEIGHTINGS, WEIGHTINGS.__contains__),
+        "metric": ("euclidean", METRICS, METRICS.__contains__),
+    },
+    "dt": {
+        "criterion": ("gini", CRITERIA, CRITERIA.__contains__),
+        "max_depth": (None, (2, 3, 4, 5, 8, None), _at_least(DT_LIMITS["max_depth"], none=True)),
+        "min_samples_split": (2, (2, 5, 10), _at_least(DT_LIMITS["min_samples_split"])),
+        "min_samples_leaf": (1, (1, 2, 5), _at_least(DT_LIMITS["min_samples_leaf"])),
+    },
+}
+
+
+def default_grid(family: str) -> ParamGrid:
+    """A tuned family's ("knn" or "dt") default grid."""
+    return ParamGrid(family, {name: grid for name, (_, grid, _) in HYPERPARAMETERS[family].items()})
+
+
+default_knn_grid, default_dt_grid = partial(default_grid, "knn"), partial(default_grid, "dt")
 
 
 SCORINGS = ("f1", "accuracy")
@@ -251,7 +264,8 @@ def grid_search(
     When a resampling plan is given (KNN grids only) it is applied to the
     CV-training folds only, reseeded per (combination, fold). A failing
     combination scores 0 on the failed folds and carries an error flag in
-    the CV table.
+    the CV table. Fold f trains on every row outside it; no row may be in
+    two folds.
 
     Each fold's combinations are scored together: KNN votes for every
     combination from the fold's sorted neighbor lists, DT routes each
@@ -270,17 +284,21 @@ def grid_search(
     if grid.family == "dt" and resample is not None:
         raise ValueError("a dt grid search takes no resampling plan")
     n_folds = len(folds.folds)
-    all_idx = np.arange(train.n)
     fold_val = [np.asarray(f, dtype=np.int64) for f in folds.folds]
-    fold_train = [np.setdiff1d(all_idx, f) for f in fold_val]
+    fold_of = np.full(train.n, n_folds)  # a row of no fold trains in every fold
+    for f, va in enumerate(fold_val):
+        fold_of[va] = f
+    if np.count_nonzero(fold_of < n_folds) != sum(va.size for va in fold_val):
+        raise ValueError("folds must not share a row")
 
     scores = np.zeros((len(combos), n_folds))
     flags: list[str | None] = [None] * len(combos)
 
     if grid.family == "knn":
-        _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scores, flags,
+        _knn_grid(train, combos, fold_of, fold_val, resample, seed, scoring, scores, flags,
                   tables or NeighborTables(train.rows, train.labels))
     else:
+        fold_train = [np.flatnonzero(fold_of != f) for f in range(n_folds)]
         _dt_grid_shared(train, combos, fold_train, fold_val, scoring, scores, flags)
 
     means = scores.mean(axis=1)
@@ -297,9 +315,10 @@ def grid_search(
     return dict(combos[best_i]), cv_table
 
 
-def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scores, flags, tables):
+def _knn_grid(train, combos, fold_of, fold_val, resample, seed, scoring, scores, flags, tables):
     """Score KNN combinations fold by fold from per-(metric, fold) sorted
-    neighbor lists.
+    neighbor lists. Fold f trains on the rows whose `fold_of` is not f, and
+    that one mask selects them for both `_within` and `minority_basis`.
 
     The cache holds, for each validation row, the top-k_max fold training
     rows in (distance, index) order. It is read from one `neighbor_table`
@@ -322,15 +341,16 @@ def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scor
     table_metrics = tuple(m for m in METRICS if m in metric_of)
     known = np.array([c["weighting"] in WEIGHTINGS and c["metric"] in METRICS for c in combos])
     if resample is not None:  # the streams of every (combination, fold), as the module docstring says
-        fold_of, combo_of = np.divmod(np.arange(len(fold_train) * len(combos)), len(combos))
+        fi_of, ci_of = np.divmod(np.arange(len(fold_val) * len(combos)), len(combos))
         # ci and fi are one entropy word each, and so is a derived seed
-        entropy = np.column_stack([np.tile(_entropy(seed), (combo_of.size, 1)), combo_of, fold_of])
+        entropy = np.column_stack([np.tile(_entropy(seed), (ci_of.size, 1)), ci_of, fi_of])
         derived = _seed_hash(entropy.astype(np.uint32), 1)
-        stream_seeds = _rng_words(derived).reshape(len(fold_train), len(combos), 4)
-    for fi, (tr, va) in enumerate(zip(fold_train, fold_val)):
-        sub, X_val = train.take(tr), train.rows[va]
+        stream_seeds = _rng_words(derived).reshape(len(fold_val), len(combos), 4)
+    for fi, va in enumerate(fold_val):
+        inside = fold_of != fi
+        sub, X_val = train.take(np.flatnonzero(inside)), train.rows[va]
         try:
-            basis = None if resample is None else minority_basis(sub, resample, tables, tr)
+            basis = None if resample is None else minority_basis(sub, resample, tables, inside)
         except PipelineError as exc:
             flags[:] = [str(exc)] * len(combos)
             continue
@@ -351,8 +371,6 @@ def _knn_grid(train, combos, fold_train, fold_val, resample, seed, scoring, scor
         elif need:  # drawn[c] holds combination c's new rows
             drawn = _draw_many(sub.rows, resample.method, basis, stream_seeds[fi])
         lists = tables.lists(table_metrics, k_max)
-        inside = np.zeros(train.n, dtype=bool)
-        inside[tr] = True
         P = np.zeros((len(combos), va.size), dtype=np.int64)
         metrics = dict.fromkeys(metric_of[ok].tolist())
         near = _within({m: lists[m] for m in metrics}, train.rows, va, inside, k_max)

@@ -314,15 +314,20 @@ class TableStore:
 
 def _vote_one(dist_k: np.ndarray, labels_k: np.ndarray, weighting: str) -> tuple[int, float]:
     """Winning label of one row of k neighbors with 0/1 labels, and its
-    weight fraction."""
+    weight fraction. Where every inverse-distance weight is 0 (all k
+    neighbors at an infinite distance), the weights are equal, the limit of
+    equal distances, so the fraction is a number in [0, 1], not 0/0."""
     weights = np.ones_like(dist_k) if weighting == "uniform" else 1.0 / (dist_k + _INV_EPS)
+    total = weights.sum()
+    if total == 0:
+        weights, total = np.ones_like(dist_k), dist_k.size
     members = {c: labels_k == c for c in (0, 1)}
     totals = {c: weights[m].sum() for c, m in members.items() if m.any()}
     tied = [c for c, t in totals.items() if t == max(totals.values())]
     if len(tied) > 1:
         sums = {c: dist_k[members[c]].sum() for c in tied}
         tied = [c for c in tied if sums[c] == min(sums.values())]
-    return tied[0], float(totals[tied[0]] / weights.sum())
+    return tied[0], float(totals[tied[0]] / total)
 
 
 def _prefix_vote(dist: np.ndarray, labels: np.ndarray, ks, weightings) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     ColumnMismatchError,
+    NonFiniteScalerError,
     NonIntegerCategoricalError,
     TooFewRowsError,
 )
@@ -32,8 +33,10 @@ from .schema import KIND_BINARY, KIND_CONTINUOUS, KIND_ORDINAL
 @dataclass(frozen=True)
 class ScalerState:
     """Per-column mean/stddev (sample, n−1), min/max and constant flag over
-    the training rows, refusing values no fit gives: a stddev ≤ 0, a max
-    below the min, or equal to it in a column not flagged constant."""
+    the training rows, refusing values no fit gives: a value that is no
+    finite number, a stddev ≤ 0, a max below the min, or equal to it in a
+    column not flagged constant. A fit whose statistics overflow fails with
+    `NonFiniteScalerError` rather than give a state no model file can hold."""
 
     columns: tuple[str, ...]
     mean: np.ndarray
@@ -47,9 +50,10 @@ class ScalerState:
             arr = np.asarray(getattr(self, name))
             if arr.shape != (len(self.columns),):
                 raise ValueError(f"scaler {name} has shape {arr.shape} for {len(self.columns)} columns")
+            if not np.isfinite(arr).all():
+                raise NonFiniteScalerError(f"scaler {name} must be finite, got {arr.tolist()}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        # not isfinite: a fit's std may overflow to inf, which a file cannot hold (`schema.typed`)
         if not (self.std > 0).all():
             raise ValueError(f"scaler std must be finite and > 0, got {self.std.tolist()}")
         if not ((self.maximum > self.minimum) | (self.constant & (self.maximum == self.minimum))).all():
@@ -71,8 +75,9 @@ def fit_standardizer(train: Dataset, columns=None) -> ScalerState:
     columns = tuple(columns)
     idx = [train.schema.feature_index(name) for name in columns]
     block = train.rows[:, idx]
-    mean = block.mean(axis=0)
-    lo, hi, std = block.min(axis=0), block.max(axis=0), block.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # ScalerState refuses what overflows
+        mean, std = block.mean(axis=0), block.std(axis=0, ddof=1)
+    lo, hi = block.min(axis=0), block.max(axis=0)
     constant = (hi == lo) | (std == 0.0)  # a column of 0.7 has a std of 2.2e-16
     std = np.where(constant, 1.0, std)
     return ScalerState(columns, mean, std, lo, hi, constant)

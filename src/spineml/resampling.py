@@ -89,8 +89,9 @@ def minority_basis(train: Dataset, plan: ResamplePlan, tables: NeighborTables | 
 
     Depends on the training set and the plan but not on its seed, so one
     basis serves every reseeded `oversample` of the same set. `tables` are
-    those of a matrix whose sorted rows `rows` (all when None) `train`
-    holds; without them, `train` gets its own.
+    those of a matrix whose rows `rows` (all when None) `train` holds, in
+    order: sorted row ids, or a boolean mask, which `held[rows] = True`
+    reads alike. Without them, `train` gets its own.
     """
     minority, majority = _minority_majority(train)
     counts = train.class_counts()

@@ -40,14 +40,16 @@ from spineml.experiment import (
     run_matrix,
 )
 from spineml.metrics import ConfusionMatrix, accuracy, confusion, f1, precision, recall
-from spineml.model_selection import FoldPlan
-from spineml.neighbors import _CHUNK_BYTES, _distances, _nearest, _nearest_each
+from spineml.model_selection import FoldPlan, ParamGrid
+from spineml.neighbors import _CHUNK_BYTES, METRICS, WEIGHTINGS, _distances, _nearest, _nearest_each
 from spineml.resampling import MinorityBasis, _minority_majority, _target_count
 from spineml.report import RESULTS_FORMAT_VERSION, _check_aggregates
 from spineml.schema import GROUP_IDS, ColumnSpec, Schema, default_schema, read_json
 from spineml.synthetic import SYNTHETIC_DEFAULTS, check_synthetic
 from spineml.tree import (
     _MIN_DECREASE,
+    CRITERIA,
+    DT_LIMITS,
     DecisionTreeModel,
     _binary_impurity,
     _decrease,
@@ -561,6 +563,62 @@ FAILED_AND_TUNED = ExperimentConfig(
 
 def failed_and_tuned_matrix() -> ExperimentMatrix:
     return run_matrix(FAILED_AND_TUNED)
+
+
+# The default grids of `spineml.model_selection` and the untuned values and
+# config grid value rules of `spineml.experiment` as they stood before the
+# one hyperparameter table derived them, kept verbatim under new names; the
+# oracles of `model_selection.HYPERPARAMETERS` in test_experiment.
+def knn_grid_reference() -> ParamGrid:
+    return ParamGrid(
+        "knn",
+        {
+            "k": (1, 3, 5, 7, 9, 11, 15, 21),
+            "weighting": ("uniform", "inverse-distance"),
+            "metric": ("euclidean", "manhattan"),
+        },
+    )
+
+
+def dt_grid_reference() -> ParamGrid:
+    return ParamGrid(
+        "dt",
+        {
+            "criterion": ("gini", "entropy"),
+            "max_depth": (2, 3, 4, 5, 8, None),
+            "min_samples_split": (2, 5, 10),
+            "min_samples_leaf": (1, 2, 5),
+        },
+    )
+
+
+KNN_DEFAULTS_REFERENCE = {"k": 5, "weighting": "uniform", "metric": "euclidean"}
+DT_DEFAULTS_REFERENCE = {
+    "criterion": "gini",
+    "max_depth": None,
+    "min_samples_split": 2,
+    "min_samples_leaf": 1,
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+# The values each grid parameter accepts, by config grid family. A k too
+# large for a fold is left to fail that cell.
+GRID_VALUES_REFERENCE = {
+    "KNN": {
+        "k": lambda v: _is_int(v) and v >= 1,
+        "weighting": lambda v: v in WEIGHTINGS,
+        "metric": lambda v: v in METRICS,
+    },
+    "DT": {
+        "criterion": lambda v: v in CRITERIA,
+        **{name: lambda v, name=name: v is None and name == "max_depth" or _is_int(v) and v >= DT_LIMITS[name]
+           for name in DT_LIMITS},
+    },
+}
 
 
 # Moved verbatim from `spineml.model_selection`, which now deals all classes'

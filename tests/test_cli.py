@@ -258,6 +258,12 @@ def _make_model(tmp_path, capsys):
     return tmp_path / "r" / "models" / "KNN__II.json"
 
 
+def _subprocess_env():
+    """The environment of a child interpreter that imports this spineml."""
+    src = str(Path(spineml.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_predict_does_not_import_numpy_random(tmp_path, capsys):
     # Importing numpy.random adds 3–5% to a cold `spineml predict`, and
     # nothing predict runs draws a random number.
@@ -265,9 +271,8 @@ def test_predict_does_not_import_numpy_random(tmp_path, capsys):
     record = json.dumps({"GEN": 1, "AGE": 50, "EMP_ST": 3})
     script = (f"import sys; from spineml.cli import main; code = main(['predict', '--model', {str(model)!r}, "
               f"'--record', {record!r}]); print(code, 'numpy.random' in sys.modules)")
-    src = str(Path(spineml.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_subprocess_env(),
+                          timeout=120)
     assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
@@ -520,6 +525,56 @@ def test_predict_output_is_strict_json(tmp_path, capsys):
     _, stdout, _ = _run(capsys, "predict", "--model", str(model), "--record", record)
     line = stdout.strip().split("\n")[-1]
     json.loads(line)  # must parse strictly
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_predict_gives_a_finite_score_when_every_neighbor_is_infinitely_far(tmp_path, capsys):
+    # A loaded scaler mean of 1e200 puts every neighbor at an infinite
+    # distance, so every inverse-distance weight is 0: the score was 0/0 and
+    # `predict` printed "score": NaN with exit 0.
+    _run(capsys, "run", "--groups", "II", "--models", "KNN", "--save-models", "--out", str(tmp_path / "r"))
+    raw = json.loads((tmp_path / "r" / "models" / "KNN__II.json").read_text())
+    raw["classifier"]["weighting"] = "inverse-distance"
+    raw["preprocessing"]["scaler"]["mean"] = [1e200]
+    model = tmp_path / "far.json"
+    model.write_text(json.dumps(raw))
+    code, stdout, _ = _run(capsys, "predict", "--model", str(model),
+                           "--record", json.dumps({"GEN": 1, "AGE": 50, "EMP_ST": 3}))
+    assert code == 0
+    payload = json.loads(stdout, parse_constant=_refuse_constant)
+    assert payload["label"] in ("success", "no-success") and 0.0 <= payload["score"] <= 1.0
+
+
+def test_a_run_whose_scaler_overflows_fails_those_cells_and_saves_only_loadable_files(tmp_path, capsys):
+    # One AGE of 1e200 in ten rows makes the sample std of AGE overflow: the
+    # run printed numpy's RuntimeWarning, exited 0 and saved group II's files
+    # with a std of Infinity, which `predict` refused, the ComplementNB file
+    # too although min-max scaling never reads it.
+    data = tmp_path / "huge.csv"
+    _run(capsys, "generate", "--out", str(data))
+    header, *rows = [line.split(",") for line in data.read_text().splitlines()]
+    for row in rows[:10]:
+        row[header.index("AGE")] = "1e200"
+    data.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    proc = subprocess.run([sys.executable, "-c", "import sys; from spineml.cli import main; sys.exit(main())",
+                           "run", "--csv", str(data), "--groups", "I,II", "--models", "KNN,ComplementNB",
+                           "--save-models", "--out", str(tmp_path / "r")],
+                          capture_output=True, text=True, env=_subprocess_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    failed = [line.split(": ")[1] for line in proc.stderr.splitlines() if line.startswith("cell failed: ")]
+    assert failed == ["ComplementNB × II", "KNN × II"]
+    saved = sorted(p.name for p in (tmp_path / "r" / "models").iterdir())
+    assert saved == ["ComplementNB__I.json", "KNN__I.json"]
+    record = {name: float(value) for name, value in zip(header, rows[-1])}
+    for name in saved:
+        code, stdout, stderr = _run(capsys, "predict", "--model", str(tmp_path / "r" / "models" / name),
+                                    "--record", json.dumps(record))
+        assert (code, stderr) == (0, "")
+        assert json.loads(stdout, parse_constant=_refuse_constant)["label"] in ("success", "no-success")
 
 
 def _error_lines(stderr):

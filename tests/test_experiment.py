@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spineml import experiment, neighbors
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spineml.errors import ConfigError, DataSourceError, UnknownGroupError
@@ -18,17 +18,26 @@ from spineml.experiment import (
     KNN_DEFAULTS,
     MODEL_IDS,
     MODEL_SPECS,
+    _GRID_VALUES,
     ExperimentConfig,
+    _resolved_grid,
     load_config_data,
     run_cell_fitted,
     run_matrix,
 )
-from spineml.model_selection import stratified_shuffle_split
+from spineml.model_selection import default_dt_grid, default_knn_grid, stratified_shuffle_split
 from spineml.naive_bayes import ComplementNBModel
 from spineml.neighbors import METRICS, WEIGHTINGS
 from spineml.schema import GROUP_IDS, group_by_id
 
-from helpers import make_dataset
+from helpers import (
+    DT_DEFAULTS_REFERENCE,
+    GRID_VALUES_REFERENCE,
+    KNN_DEFAULTS_REFERENCE,
+    dt_grid_reference,
+    knn_grid_reference,
+    make_dataset,
+)
 
 
 def _cfg(**kwargs):
@@ -56,6 +65,49 @@ def test_model_nomenclature_mapping():
         "criterion": "gini", "max_depth": None,
         "min_samples_split": 2, "min_samples_leaf": 1,
     }
+
+
+def _typed(value):
+    """`value` spelled out with the exact type of every part and the order
+    of every dict, so that 5 and True, or 2 and np.int64(2), differ."""
+    if isinstance(value, dict):
+        return [(key, _typed(v)) for key, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return type(value), [_typed(v) for v in value]
+    return type(value), value
+
+
+def test_hyperparameter_table_gives_the_grids_and_defaults_it_replaced():
+    for got, want in ((default_knn_grid(), knn_grid_reference()), (default_dt_grid(), dt_grid_reference())):
+        assert (got.family, _typed(got.params)) == (want.family, _typed(want.params))
+    assert _typed(KNN_DEFAULTS) == _typed(KNN_DEFAULTS_REFERENCE)
+    assert _typed(DT_DEFAULTS) == _typed(DT_DEFAULTS_REFERENCE)
+    assert [(fam, list(rules)) for fam, rules in _GRID_VALUES.items()] == \
+        [(fam, list(rules)) for fam, rules in GRID_VALUES_REFERENCE.items()]
+    # README's example grids: the overrides take their parameters' places
+    config = _cfg(grids={"KNN": {"k": (3, 5, 7)}, "DT": {"max_depth": (2, 4, None)}})
+    for family, base in (("knn", knn_grid_reference()), ("dt", dt_grid_reference())):
+        got = _resolved_grid(config, family)
+        assert (got.family, _typed(got.params)) == \
+            (family, _typed({**base.params, **config.grids[family.upper()]}))
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([-1, 0, 1, 2, 10**30])
+                 | st.floats() | st.sampled_from([1.0, 2.0, float("nan"), float("inf")]) | st.text(max_size=4)
+                 | st.sampled_from(["uniform", "inverse-distance", "euclidean", "manhattan", "gini", "entropy"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=4))
+@example(value=True)
+@example(value=False)
+@example(value=None)
+@example(value=1)
+def test_each_config_grid_rule_accepts_what_the_rule_it_replaced_accepts(value):
+    for fam, rules in GRID_VALUES_REFERENCE.items():
+        for name, rule in rules.items():
+            assert bool(_GRID_VALUES[fam][name](value)) == bool(rule(value)), (fam, name)
 
 
 def test_config_validation():

@@ -578,3 +578,15 @@ def test_dt_grid_flags_a_fold_with_no_training_rows(monkeypatch):
     assert {row["error"] for row in got[1]} == {"cannot fit a tree on zero rows"}
     monkeypatch.setattr(model_selection, "_dt_grid_shared", _dt_grid_per_fold)
     assert got == grid_search(ds, grid, folds)
+
+
+@pytest.mark.parametrize("family", ["knn", "dt"])
+def test_grid_search_refuses_folds_that_share_a_row(family):
+    # Each row's fold is kept once, so a row in two folds would train the
+    # fold it validates.
+    ds = _blobs(40, seed=3)
+    grid = model_selection.default_grid(family)
+    with pytest.raises(ValueError, match="folds must not share a row"):
+        grid_search(ds, grid, model_selection.FoldPlan((np.arange(25), np.arange(20, 40))))
+    with pytest.raises(ValueError, match="folds must not share a row"):
+        grid_search(ds, grid, model_selection.FoldPlan((np.array([0, 0, 1]), np.arange(2, 40))))
