@@ -442,7 +442,7 @@ def _with_appended(dist, labels, extra, minority, X_val, metric, k):
     c_step = max(1, pairs // q_step)
     for c in range(0, n_combos, c_step):
         for r in range(0, q, q_step):
-            new = _distances(extra[c:c + c_step].reshape(-1, d), X_val[r:r + q_step], metric)
+            new = _distances(extra[c:c + c_step].reshape(-1, d), X_val[r:r + q_step], (metric,))[metric]
             new = new.reshape(new.shape[0], -1, need).transpose(1, 0, 2)  # (combos, rows, need)
             shape = new.shape[:2] + (k0,)
             cand = np.concatenate([np.broadcast_to(dist[:, r:r + q_step], shape), new], axis=2)

@@ -11,7 +11,7 @@ Each family has one predictor, `gnb_predict_many` or `cnb_predict_many`:
 every row's label and per-class values, each row computed on its own, so
 a single record (row 0 of a one-row call) gets the label it gets in any
 batch of any layout: `_gnb_log_posteriors` sums in one order, by the rule
-and for the reasons of `neighbors._each_distances`.
+and for the reasons of `neighbors._distances`.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def gnb_fit(train: Dataset) -> GaussianNBModel:
 
 def _gnb_log_posteriors(model: GaussianNBModel, X: np.ndarray) -> np.ndarray:
     var = model.variances + model.var_smoothing
-    # (n, n_classes, d) deviations, C-ordered as in `neighbors._each_distances`
+    # (n, n_classes, d) deviations, C-ordered as in `neighbors._distances`
     dev = np.subtract(X[:, None, :], model.means[None, :, :], order="C")
     log_pdf = -0.5 * (np.log(2.0 * np.pi * var)[None, :, :] + dev * dev / var[None, :, :])
     return np.log(model.priors)[None, :] + log_pdf.sum(axis=2)
@@ -90,10 +90,11 @@ def _gnb_log_posteriors(model: GaussianNBModel, X: np.ndarray) -> np.ndarray:
 def gnb_predict_many(model: GaussianNBModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's label (ties to the lowest) and normalized per-class posteriors."""
     X = predictor_input(X, model.means.shape[1])
-    logp = _gnb_log_posteriors(model, X)
-    # fmin makes a row whose every class density underflowed (-inf - -inf is
-    # NaN) a tie of equal shares, as its label already is
-    shifted = np.exp(np.fmin(logp - logp.max(axis=1, keepdims=True), 0.0))
+    # An overflowing square makes a density 0 (log -inf); fmin makes a row whose
+    # every density is 0 (-inf - -inf is NaN) an even tie, as its label is.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logp = _gnb_log_posteriors(model, X)
+        shifted = np.exp(np.fmin(logp - logp.max(axis=1, keepdims=True), 0.0))
     posteriors = shifted / shifted.sum(axis=1, keepdims=True)
     return model.classes[np.argmax(logp, axis=1)], posteriors
 

@@ -15,7 +15,8 @@ votes for all query rows at once (`_vote`), and grid search for all k of a
 combination list from one set of prefix sums (`_prefix_vote`); a row whose
 two class weights are equal up to rounding is settled by the one-row rule
 (`_vote_one`) that single-record prediction uses, so all give the same
-labels. One distance kernel owns the order of the sums (`_each_distances`).
+labels. One kernel, `_distances`, forms every difference tensor and owns
+the order of its sums and its overflow rule.
 
 Grid search and SMOTE measure a training partition once: `neighbor_table`
 lists every row's K nearest rows of the partition, itself included, from
@@ -85,38 +86,32 @@ def knn_fit(train: Dataset, k: int, weighting: str = "uniform", metric: str = "e
                     points=train.rows, labels=train.labels)
 
 
-def _distances(points: np.ndarray, X: np.ndarray, metric: str) -> np.ndarray:
-    """`_each_distances` for one metric."""
-    return _each_distances(points, X, (metric,))[metric]
-
-
-def _measure(points: np.ndarray, X: np.ndarray, metrics) -> dict:
-    """`_each_distances`, a lone metric through `_distances`: the benchmark's
-    tracer counts the distance work from the calls of that name."""
-    return _each_distances(points, X, metrics) if metrics[1:] else {m: _distances(points, X, m) for m in metrics}
-
-
-def _each_distances(points: np.ndarray, X: np.ndarray, metrics) -> dict:
+def _distances(points: np.ndarray, X: np.ndarray, metrics) -> dict:
     """(n_query, n_train) distances from each row of X to each stored point,
-    for each of `metrics`, from one difference tensor.
+    for each of `metrics`, from one difference tensor. It is the one function
+    that forms such a tensor, so the benchmark's tracer, which counts the
+    calls of this name, sees every one.
 
     Each entry is reduced over its own d differences, so the values do not
-    depend on how `_nearest` splits the queries into blocks, nor on the
+    depend on how the callers split the queries into blocks, nor on the
     inputs' layout: the tensor is C-ordered, so each sum runs in numpy's
     pairwise order, as a one-row query's does (a strided sum would not from
     d = 8 on). The kernels own this rule, not the callers that make blocks:
     the benchmark's parity reference scores a Fortran-ordered test block,
     C-ordering `train.rows[:, kept]` would move `gnb_fit`'s bits and so model
     files, and fitted points keep their block's layout, loaded ones not.
+    A square or sum that overflows is +inf, which `_top_k` orders last and
+    `_vote_one` votes on, so the overflow warns nothing.
     """
-    diff = np.subtract(X[:, None, :], points[None, :, :], order="C")
-    # made absolute, then squared, in place, so a block holds one tensor; a
-    # metric's values are the same alone or not, as |a|·|a| rounds like a·a
-    out = {}
-    if "manhattan" in metrics:
-        out["manhattan"] = np.abs(diff, out=diff).sum(axis=2)
-    if "euclidean" in metrics:
-        out["euclidean"] = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
+    with np.errstate(over="ignore"):
+        diff = np.subtract(X[:, None, :], points[None, :, :], order="C")
+        # made absolute, then squared, in place, so a block holds one tensor; a
+        # metric's values are the same alone or not, as |a|·|a| rounds like a·a
+        out = {}
+        if "manhattan" in metrics:
+            out["manhattan"] = np.abs(diff, out=diff).sum(axis=2)
+        if "euclidean" in metrics:
+            out["euclidean"] = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
     return out
 
 
@@ -170,14 +165,14 @@ def _nearest(points: np.ndarray, X: np.ndarray, metric: str, k: int) -> tuple[np
 def _nearest_each(points: np.ndarray, X: np.ndarray, metrics, k: int) -> dict:
     """`_nearest` for each of `metrics`, one block of query rows at a time.
 
-    Distances come from `_measure`, both metrics' from one difference
-    tensor. Blocks are sized so that a block's difference tensor
-    stays under _CHUNK_BYTES.
+    Each block's distances come from one `_distances` call, both metrics'
+    from one difference tensor. Blocks are sized so that a block's
+    difference tensor stays under _CHUNK_BYTES.
     """
     step = max(1, _CHUNK_BYTES // max(1, 8 * points.size))
     blocks = []
     for start in range(0, max(1, X.shape[0]), step):
-        dists = _measure(points, X[start:start + step], metrics)
+        dists = _distances(points, X[start:start + step], metrics)
         blocks.append({metric: _top_k(dists[metric], k) for metric in metrics})
     if len(blocks) == 1:
         return blocks[0]
@@ -191,16 +186,17 @@ def neighbor_table(points: np.ndarray, metrics, k: int) -> dict:
     bit for bit, and indices of `_nearest_each(points, points, metrics, k)`.
 
     The table is built from square tiles of the upper triangle of the
-    distance matrix, each holding a quarter of _CHUNK_BYTES of distances
-    per metric, measured in row blocks under _CHUNK_BYTES of differences.
-    A distance is the same double either way round, so tile (a, b) feeds
-    the running lists of row block a and, transposed, of row block b.
-    Tiles go row block by row block, so each block receives its candidate
-    columns in ascending index order; `_top_k` of a list followed by later
-    columns is then the (distance, index) order of both. Once a list is
-    full, only candidates below its last entry can enter it, so a merge
-    takes just those. The lists are filled in place in preallocated (n, k)
-    arrays, indices in the smallest unsigned type that holds n.
+    distance matrix, each holding a quarter of _CHUNK_BYTES of distances per
+    metric, measured by one `_distances` call per row block under
+    _CHUNK_BYTES of differences. A distance is the same double either way
+    round, so tile (a, b) feeds the running lists of row block a and,
+    transposed, of row block b. Tiles go row block by row block, so each
+    block receives its candidate columns in ascending index order; `_top_k`
+    of a list followed by later columns is then the (distance, index) order
+    of both. Once a list is full, only candidates below its last entry can
+    enter it, so a merge takes just those. The lists are filled in place in
+    preallocated (n, k) arrays, indices in the smallest unsigned type that
+    holds n.
     """
     n, d = points.shape
     k = min(k, n)
@@ -233,7 +229,7 @@ def neighbor_table(points: np.ndarray, metrics, k: int) -> dict:
             against, size_b = points[b:b + step], min(step, n - b)
             for r in range(0, size_a, rows_per):  # the tile's rows, under _CHUNK_BYTES of differences each
                 block = points[a + r:a + min(r + rows_per, size_a)]
-                for metric, part in _measure(against, block, metrics).items():
+                for metric, part in _distances(against, block, metrics).items():
                     tile[metric][r:r + len(block), :size_b] = part
             for metric, (dist, idx) in lists.items():
                 new = tile[metric][:size_a, :size_b]

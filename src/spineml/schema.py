@@ -94,12 +94,6 @@ class Schema:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.feature_columns)
 
-    def column(self, name: str) -> ColumnSpec:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise MissingColumnError(name)
-
     def feature_index(self, name: str) -> int:
         for i, c in enumerate(self.feature_columns):
             if c.name == name:

@@ -414,8 +414,8 @@ def grow_per_tree(X, y, split, roots, max_depth=None, min_samples_split=2, depth
     return (root_counts, splits), np.divide(raw, totals, out=raw, where=totals > 0)
 
 
-# Moved verbatim from `spineml.neighbors`, where `_each_distances` now
-# measures both metrics from its own C-ordered difference tensor; the
+# Moved verbatim from `spineml.neighbors`, where `_distances` now
+# measures each metric asked from its own C-ordered difference tensor; the
 # oracle of the two-metric test in test_neighbors.
 def _both_distances(points: np.ndarray, X: np.ndarray) -> dict[str, np.ndarray]:
     """`_distances` for both metrics from one difference tensor, bit for bit.
@@ -429,9 +429,9 @@ def _both_distances(points: np.ndarray, X: np.ndarray) -> dict[str, np.ndarray]:
     return {"euclidean": np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2)), "manhattan": manhattan}
 
 
-# Moved verbatim from `spineml.neighbors`, where `_distances` now reads one
-# metric of `_each_distances`; the oracle of the one-metric test in
-# test_neighbors.
+# Moved verbatim from `spineml.neighbors`, where `_distances` now measures
+# each metric asked from one difference tensor; the oracle of the
+# one-metric test in test_neighbors.
 def _one_distances(points: np.ndarray, X: np.ndarray, metric: str) -> np.ndarray:
     diff = np.subtract(X[:, None, :], points[None, :, :], order="C")
     # squared or made absolute in place, so a block holds one difference tensor
@@ -465,7 +465,7 @@ def _with_appended(dist, labels, extra, minority, X_val, metric, k):
     c_step = max(1, pairs // q_step)
     for c in range(0, n_combos, c_step):
         for r in range(0, q, q_step):
-            new = _distances(extra[c:c + c_step].reshape(-1, d), X_val[r:r + q_step], metric)
+            new = _distances(extra[c:c + c_step].reshape(-1, d), X_val[r:r + q_step], (metric,))[metric]
             new = new.reshape(new.shape[0], -1, need).transpose(1, 0, 2)  # (combos, rows, need)
             shape = new.shape[:2] + (k0,)
             cand = np.concatenate([np.broadcast_to(dist[:, r:r + q_step], shape), new], axis=2)

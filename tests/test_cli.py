@@ -13,7 +13,9 @@ from helpers import FAILED_AND_TUNED
 
 import spineml
 from spineml.cli import _build_parser, _build_run_config, main
+from spineml.dataset import load_csv
 from spineml.experiment import SETTING_TYPES, ExperimentConfig
+from spineml.model_selection import stratified_shuffle_split
 from spineml.schema import default_schema
 
 
@@ -531,6 +533,46 @@ def _refuse_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 
 
+def _spineml(*argv):
+    """`spineml *argv` in a child interpreter, so that its real stderr is read."""
+    return subprocess.run([sys.executable, "-c", "import sys; from spineml.cli import main; sys.exit(main())",
+                           *argv], capture_output=True, text=True, env=_subprocess_env(), timeout=300)
+
+
+@pytest.mark.parametrize("model_id,printed", [("KNN", '{"label": "no-success", "score": 0.6}'),
+                                              ("GaussianNB", '{"label": "no-success", "score": 0.5}')])
+def test_predict_on_a_record_scaled_past_the_square_range_warns_nothing(tmp_path, capsys, model_id, printed):
+    # A loaded scaler mean of 1e200 scales the record to about -1e200, whose
+    # square overflows: numpy's "overflow encountered in multiply" reached
+    # stderr, and GaussianNB's "invalid value encountered in subtract" too,
+    # from the all -inf row its shift leaves NaN. The printed result is the
+    # one it was then.
+    _run(capsys, "run", "--groups", "II", "--models", model_id, "--save-models", "--out", str(tmp_path / "r"))
+    raw = json.loads((tmp_path / "r" / "models" / f"{model_id}__II.json").read_text())
+    raw["preprocessing"]["scaler"]["mean"] = [1e200]
+    model = tmp_path / "far.json"
+    model.write_text(json.dumps(raw))
+    proc = _spineml("predict", "--model", str(model), "--record", json.dumps({"GEN": 1, "AGE": 50, "EMP_ST": 3}))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, printed + "\n", "")
+
+
+def test_a_run_whose_test_row_is_scaled_past_the_square_range_warns_nothing(tmp_path, capsys):
+    # The first test row of the seed-42 split has an AGE of 1e200: the
+    # scaler fitted on the training rows maps it past the square range, and
+    # the run printed all three warnings above. Its results are as they were.
+    data = tmp_path / "huge.csv"
+    _run(capsys, "generate", "--out", str(data))
+    header, *rows = [line.split(",") for line in data.read_text().splitlines()]
+    labels = load_csv(data)[0].labels
+    first = stratified_shuffle_split(labels, ExperimentConfig.test_fraction, seed=42).test_idx[0]
+    rows[first][header.index("AGE")] = "1e200"
+    data.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    proc = _spineml("run", "--csv", str(data), "--groups", "II", "--models", "GaussianNB,KNN,KNN_opt,DT",
+                    "--out", str(tmp_path / "r"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "II    Socioeconomic                      0.48    0.02     0.50    0.05" in proc.stdout.splitlines()
+
+
 def test_predict_gives_a_finite_score_when_every_neighbor_is_infinitely_far(tmp_path, capsys):
     # A loaded scaler mean of 1e200 puts every neighbor at an infinite
     # distance, so every inverse-distance weight is 0: the score was 0/0 and
@@ -559,10 +601,8 @@ def test_a_run_whose_scaler_overflows_fails_those_cells_and_saves_only_loadable_
     for row in rows[:10]:
         row[header.index("AGE")] = "1e200"
     data.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
-    proc = subprocess.run([sys.executable, "-c", "import sys; from spineml.cli import main; sys.exit(main())",
-                           "run", "--csv", str(data), "--groups", "I,II", "--models", "KNN,ComplementNB",
-                           "--save-models", "--out", str(tmp_path / "r")],
-                          capture_output=True, text=True, env=_subprocess_env(), timeout=300)
+    proc = _spineml("run", "--csv", str(data), "--groups", "I,II", "--models", "KNN,ComplementNB",
+                    "--save-models", "--out", str(tmp_path / "r"))
     assert proc.returncode == 0, proc.stderr
     assert "Warning" not in proc.stderr
     failed = [line.split(": ")[1] for line in proc.stderr.splitlines() if line.startswith("cell failed: ")]

@@ -295,7 +295,7 @@ MISSING = object()
 
 
 def _feature_value(name):
-    lo, hi = default_schema().column(name).valid_range
+    lo, hi = next(c for c in default_schema().columns if c.name == name).valid_range
     in_range = st.floats(lo, hi) | st.integers(int(lo), int(hi))
     junk = (
         st.floats(lo - 50, hi + 50)

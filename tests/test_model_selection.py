@@ -479,7 +479,7 @@ def test_copy_merge_equals_measuring_the_copies(n, d, q, k, combos, need, duplic
     pool = np.flatnonzero(labels == minority)
     src = pool[rng.integers(0, pool.size, size=(combos, need))]
     if far:  # half the copies from the minority row farthest from query row 0
-        src[:, : need // 2] = pool[np.argmax(_distances(points[pool], X[:1], metric)[0])]
+        src[:, : need // 2] = pool[np.argmax(_distances(points[pool], X[:1], (metric,))[metric][0])]
     counts = np.stack([np.bincount(s, minlength=len(points)) for s in src])
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:

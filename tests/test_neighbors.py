@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from spineml import neighbors
+from spineml import model_selection, neighbors
 from spineml.errors import KOutOfRangeError, PipelineError, WidthMismatchError
 from spineml.model_selection import ParamGrid, grid_search, stratified_kfold
 from spineml.neighbors import (
     METRICS,
     NeighborTables,
     _distances,
-    _each_distances,
     _nearest,
     _nearest_each,
     _prefix_vote,
@@ -224,7 +223,7 @@ def test_batch_prediction_matches_one_row_oracle(n, d, k, weighting, metric, dup
     k = min(k, rows.shape[0])
     model = knn_fit(make_dataset(rows, labels), k=k, weighting=weighting, metric=metric)
     X = np.vstack([rows[: min(n, 6)], rng.integers(-4, 5, size=(6, d)) / 2.0])
-    dist = _distances(rows, X, metric)
+    dist = _distances(rows, X, (metric,))[metric]
     want = []
     for i, x in enumerate(X):
         order = np.argsort(dist[i], kind="stable")[:k]
@@ -249,13 +248,13 @@ def test_chunked_distances_equal_unchunked_bytes(monkeypatch, metric):
     rng = np.random.default_rng(5)
     points = rng.normal(0, 3, size=(37, 6))
     X = rng.normal(0, 3, size=(23, 6))
-    whole = _distances(points, X, metric)
+    whole = _distances(points, X, (metric,))[metric]
     # below one row's block: one query row at a time
     monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 1)
-    assert _distances(points, X, metric).tobytes() == whole.tobytes()
+    assert _distances(points, X, (metric,))[metric].tobytes() == whole.tobytes()
     # uneven blocks of 4 rows
     monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 4 * 8 * 37 * 6)
-    assert _distances(points, X, metric).tobytes() == whole.tobytes()
+    assert _distances(points, X, (metric,))[metric].tobytes() == whole.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -277,7 +276,7 @@ def test_nearest_equals_a_full_stable_sort(n, q, d, k, metric, duplicates, block
     points = rng.integers(-2, 3, size=(n, d)).astype(float)
     points = np.vstack([points, points[rng.integers(0, n, size=duplicates)]])
     X = np.vstack([points[:q], rng.integers(-4, 5, size=(q, d)) / 2.0])
-    dist = _distances(points, X, metric)
+    dist = _distances(points, X, (metric,))[metric]
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
@@ -308,10 +307,10 @@ def test_both_metrics_from_one_difference_tensor_equal_distances(n, q, d, k, coa
         points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-170, 170, size=(n, d))
         X = rng.normal(size=(q, d)) * 10.0 ** rng.integers(-170, 170, size=(q, d))
     with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
-        want = {metric: _distances(points, X, metric) for metric in METRICS}
+        want = {metric: _distances(points, X, (metric,))[metric] for metric in METRICS}
         oracle = helpers._both_distances(points, X)
-        both = _each_distances(points, X, METRICS)
-        blocks = [_each_distances(points, X[r:r + block_rows], METRICS) for r in range(0, q, block_rows)]
+        both = _distances(points, X, METRICS)
+        blocks = [_distances(points, X[r:r + block_rows], METRICS) for r in range(0, q, block_rows)]
         lists = {metric: _nearest(points, X, metric, k) for metric in METRICS}
         mp.setattr(neighbors, "_CHUNK_BYTES", block_rows * 8 * points.size)
         blocked = _nearest_each(points, X, METRICS, k)
@@ -330,32 +329,65 @@ def test_both_metrics_from_one_difference_tensor_equal_distances(n, q, d, k, coa
     d=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_distances_are_one_metric_of_each_distances_bit_for_bit(n, q, d, seed):
-    # `_each_distances` is the one body that forms and reduces a difference
-    # tensor: `_distances` reads one metric of it, with the bits of the
-    # one-metric body it replaced, and each metric's values are the same
-    # measured alone or with the other. Wide exponents make the order of
-    # a sum show, and squares underflow or overflow.
+def test_each_metric_of_distances_has_the_bits_of_the_one_metric_body(n, q, d, seed):
+    # `_distances` is the one body that forms and reduces a difference
+    # tensor: each metric's values have the bits of the one-metric body it
+    # replaced (kept in helpers), measured alone or with the other metric in
+    # either order. Wide exponents make the order of a sum show, and squares
+    # underflow or overflow.
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-170, 170, size=(n, d))
     X = rng.normal(size=(q, d)) * 10.0 ** rng.integers(-170, 170, size=(q, d))
-    calls = []
+    for metric in METRICS:
+        with np.errstate(over="ignore"):
+            want = helpers._one_distances(points, X, metric).tobytes()
+        assert _distances(points, X, (metric,))[metric].tobytes() == want
+        for both in (METRICS, METRICS[::-1]):
+            assert _distances(points, X, both)[metric].tobytes() == want
+
+
+class _CountingNumpy:
+    """numpy, with `subtract` counting the elements of every array it forms."""
+
+    def __init__(self):
+        self.formed = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, *args, **kwargs):
+        out = np.subtract(*args, **kwargs)
+        self.formed += out.size
+        return out
+
+
+def test_every_difference_tensor_is_one_distances_call(monkeypatch):
+    # The benchmark's tracer counts distance work as q·n·d of each call named
+    # `_distances`; so every tensor the neighbors module forms, one metric or
+    # two, in the table, the direct searches and the grid's appended rows,
+    # must come from one such call. Small blocks make many calls.
+    rng = np.random.default_rng(2)
+    points, X = rng.normal(size=(60, 3)), rng.normal(size=(17, 3))
+    ds = make_dataset(points, (np.arange(60) % 3 == 0).astype(np.int64))
+    grid = ParamGrid("knn", {"k": (1, 5, 21), "weighting": ("uniform",), "metric": METRICS})
+    folds = stratified_kfold(ds.labels, 4, seed=0)
+    counting, seen, real = _CountingNumpy(), [], neighbors._distances
 
     def spy(points, X, metrics):
-        calls.append(tuple(metrics))
-        return _each_distances(points, X, metrics)
+        seen.append(len(X) * points.size)
+        return real(points, X, metrics)
 
-    with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(neighbors, "_each_distances", spy)
-        for metric in METRICS:
-            got = _distances(points, X, metric)
-            assert calls == [(metric,)]
-            calls.clear()
-            want = helpers._one_distances(points, X, metric).tobytes()
-            assert got.tobytes() == want
-            assert _each_distances(points, X, (metric,))[metric].tobytes() == want
-            for both in (METRICS, METRICS[::-1]):
-                assert _each_distances(points, X, both)[metric].tobytes() == want
+    monkeypatch.setattr(neighbors, "np", counting)
+    monkeypatch.setattr(neighbors, "_distances", spy)
+    monkeypatch.setattr(model_selection, "_distances", spy)
+    monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 2000)
+    monkeypatch.setattr(model_selection, "_CHUNK_BYTES", 2000)
+    monkeypatch.setattr(NeighborTables, "SPARE", 0)
+    for run in (lambda: neighbor_table(points, METRICS, 7), lambda: _nearest_each(points, X, METRICS, 7),
+                lambda: grid_search(ds, grid, folds, ResamplePlan("smote"))):
+        counting.formed, seen[:] = 0, []
+        run()
+        assert len(seen) > 1 and sum(seen) == counting.formed > 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -370,13 +402,12 @@ def test_distances_have_the_bits_of_one_row_queries_for_any_layout(n, q, d, seed
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
     X = rng.normal(size=(q, d)) * 10.0 ** rng.integers(-3, 4, size=(q, d))
-    want = {metric: np.vstack([_distances(points, x[None], metric) for x in X]) for metric in METRICS}
+    want = {metric: np.vstack([_distances(points, x[None], (metric,))[metric] for x in X]) for metric in METRICS}
     for P in helpers.layouts(points):
         for Q in helpers.layouts(X):
-            both = _each_distances(P, Q, METRICS)
+            both = _distances(P, Q, METRICS)
             for metric in METRICS:
-                assert _distances(P, Q, metric).tobytes() == want[metric].tobytes()
-                assert _each_distances(P, Q, (metric,))[metric].tobytes() == want[metric].tobytes()
+                assert _distances(P, Q, (metric,))[metric].tobytes() == want[metric].tobytes()
                 assert both[metric].tobytes() == want[metric].tobytes()
 
 
@@ -443,7 +474,7 @@ def test_distance_block_peak_stays_near_the_chunk_bound(metric):
     # the absolute value in place keeps a second tensor of that size away.
     points = np.random.default_rng(1).normal(size=(3000, 4))
     step = neighbors._CHUNK_BYTES // (8 * points.size)
-    assert _peak_mb(_distances, points, points[:step], metric) <= (
+    assert _peak_mb(_distances, points, points[:step], (metric,)) <= (
         1.6 * neighbors._CHUNK_BYTES / 2**20)
 
 
@@ -481,7 +512,7 @@ def test_neighbor_table_equals_a_full_stable_sort_under_every_tile_cap(monkeypat
         monkeypatch.setattr(neighbors, "_CHUNK_BYTES", chunk)
         tables.append(neighbor_table(points, METRICS, k))
     for metric in METRICS:
-        dist = _distances(points, points, metric)
+        dist = _distances(points, points, (metric,))[metric]
         order = np.argsort(dist, axis=1, kind="stable")[:, :k]
         for table in tables:
             assert table[metric][0].tobytes() == tables[0][metric][0].tobytes()
