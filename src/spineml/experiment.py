@@ -89,13 +89,6 @@ from .schema import (
 from .synthetic import SYNTHETIC_DEFAULTS, check_synthetic, generate_synthetic
 from .tree import dt_fit, dt_from_dict, dt_predict, dt_predict_many, dt_to_dict
 
-# The params of an untuned fit, and the values each config grid parameter accepts.
-KNN_DEFAULTS, DT_DEFAULTS = ({name: untuned for name, (untuned, _, _) in HYPERPARAMETERS[family].items()}
-                             for family in ("knn", "dt"))
-_GRID_VALUES = {family.upper(): {name: rule for name, (_, _, rule) in params.items()}
-                for family, params in HYPERPARAMETERS.items()}
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """One entry of the model nomenclature: family, tuning, resampling."""
@@ -186,7 +179,6 @@ class Family:
     predict_one: Callable  # (model, x) -> (label, score)
     from_dict: Callable  # dict -> model
     to_dict: Callable = _fields_to_dict  # model -> JSON-ready dict
-    defaults: dict = field(default_factory=dict)  # params of an untuned fit
     scaling: str = "standardize"  # or "minmax" (ComplementNB needs x ≥ 0)
 
 
@@ -211,7 +203,6 @@ FAMILIES = {
         predict_many=lambda model, X: knn_predict_many(model, X),
         predict_one=lambda model, x: knn_predict(model, x),
         from_dict=lambda raw: _fields_from_dict(KNNModel, raw, {"points": "nd", "labels": "n"}),
-        defaults=KNN_DEFAULTS,
     ),
     "dt": Family(
         fit=lambda train, params: dt_fit(train, **params),
@@ -219,7 +210,6 @@ FAMILIES = {
         predict_one=lambda model, x: dt_predict(model, x),
         to_dict=lambda model: dt_to_dict(model),
         from_dict=lambda raw: dt_from_dict(raw),
-        defaults=DT_DEFAULTS,
     ),
 }
 
@@ -292,16 +282,17 @@ class ExperimentConfig:
                 raise ConfigError(f"synthetic seed must be ≥ 0: {self.synthetic['seed']}")
         if self.seed < 0:
             raise ConfigError(f"seed must be ≥ 0: {self.seed}")
-        for fam, grid in self.grids.items():
-            if fam not in _GRID_VALUES:
+        for fam, grid in self.grids.items():  # keyed by a tuned family's name in upper case
+            if fam not in map(str.upper, HYPERPARAMETERS):
                 raise ConfigError(f"unknown grid family: {fam}")
+            rules = HYPERPARAMETERS[fam.lower()]
             for name, values in grid.items():
-                if name not in _GRID_VALUES[fam]:
+                if name not in rules:
                     raise ConfigError(f"unknown grid parameter for {fam}: {name}")
                 if not values:
                     raise ConfigError(f"grid {fam} {name} must not be empty")
                 for value in values:
-                    if not _GRID_VALUES[fam][name](value):
+                    if not rules[name][2](value):
                         raise ConfigError(f"grid {fam} {name}: invalid value {value!r}")
         if self.synthetic is not None:
             syn = self.canonical_dict()["data"]["synthetic"]
@@ -446,12 +437,6 @@ def _cell_states(master_seed: int, group_id: str, model_id: str) -> np.ndarray:
     return seq.generate_state(5)
 
 
-def _resolved_grid(config: ExperimentConfig, family: str) -> ParamGrid:
-    """The family's default grid (`model_selection.HYPERPARAMETERS`) with the
-    config's (already checked) overrides; config grids are keyed "KNN" and "DT"."""
-    return ParamGrid(family, {**default_grid(family).params, **config.grids.get(family.upper(), {})})
-
-
 def _predict_final(family: str, model, X: np.ndarray) -> np.ndarray:
     return FAMILIES[family].predict_many(model, X)
 
@@ -464,13 +449,14 @@ def run_cell_fitted(
     split: SplitIndices,
     tables: TableStore | None = None,
 ) -> tuple[CellResult, FittedCell]:
-    """Train, tune and score one cell. A tuned k-NN cell's grid folds and
-    final SMOTE basis read one set of neighbor tables of its training
-    partition, taken from `tables` (a store shared by the cells of a job)
-    when given."""
-    train_set = set(int(i) for i in split.train_idx)
-    test_set = set(int(i) for i in split.test_idx)
-    if train_set & test_set:
+    """Train, tune and score one cell. An untuned cell fits with its
+    family's untuned values in `model_selection.HYPERPARAMETERS` (none for
+    the naive-Bayes families); a tuned cell searches the family's default
+    grid with the config's (already checked) overrides in place. A tuned
+    k-NN cell's grid folds and final SMOTE basis read one set of neighbor
+    tables of its training partition, taken from `tables` (a store shared
+    by the cells of a job) when given."""
+    if np.intersect1d(split.train_idx, split.test_idx).size:
         raise ValueError("train/test index sets overlap")
 
     states = _cell_states(config.seed, group.id, spec.id)
@@ -499,13 +485,14 @@ def run_cell_fitted(
     cv_table = None
     if spec.uses_grid:
         folds = stratified_kfold(train.labels, config.n_folds, seed=int(states[1]))
-        grid = _resolved_grid(config, spec.family)
+        overrides = config.grids.get(spec.family.upper(), {})
+        grid = ParamGrid(spec.family, {**default_grid(spec.family).params, **overrides})
         plan = ResamplePlan(spec.resample) if spec.resample else None
         params, cv_table = grid_search(
             train, grid, folds, resample=plan, scoring=config.scoring, seed=int(states[2]), tables=knn_tables
         )
     else:
-        params = dict(family.defaults)
+        params = {name: untuned for name, (untuned, _, _) in HYPERPARAMETERS.get(spec.family, {}).items()}
 
     train_fit = train
     if spec.resample:

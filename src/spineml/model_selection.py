@@ -318,7 +318,8 @@ def grid_search(
 def _knn_grid(train, combos, fold_of, fold_val, resample, seed, scoring, scores, flags, tables):
     """Score KNN combinations fold by fold from per-(metric, fold) sorted
     neighbor lists. Fold f trains on the rows whose `fold_of` is not f, and
-    that one mask selects them for both `_within` and `minority_basis`.
+    that one mask, `inside`, selects them from `tables` for both `_within`
+    and `minority_basis`.
 
     The cache holds, for each validation row, the top-k_max fold training
     rows in (distance, index) order. It is read from one `neighbor_table`
@@ -350,7 +351,7 @@ def _knn_grid(train, combos, fold_of, fold_val, resample, seed, scoring, scores,
         inside = fold_of != fi
         sub, X_val = train.take(np.flatnonzero(inside)), train.rows[va]
         try:
-            basis = None if resample is None else minority_basis(sub, resample, tables, inside)
+            basis = None if resample is None else minority_basis(tables, resample, inside)
         except PipelineError as exc:
             flags[:] = [str(exc)] * len(combos)
             continue

@@ -12,11 +12,12 @@ the rows of every combination's seed in one pass. The draws are those of
 made for many seeds at once from their raw PCG64 words by `streams._Draws`,
 as the feature-selection forest's are; no Generator is made. `_draw` is
 the one-seed case, which `oversample` uses.
-SMOTE's neighbor lists come from one Euclidean table over a
-training partition's rows of the minority label (`neighbors.NeighborTables`,
-which keeps `SPARE` = 8 more than the k + 1 a basis reads): a fold's basis
-filters it to the fold's rows, the final fit's basis reads it as it is, and
-a row left short by the filter is measured directly.
+A basis reads the `neighbors.NeighborTables` of a training partition and
+a boolean mask of the partition's rows it is built from: a fold's rows, or
+all of them for the final fit. SMOTE's neighbor lists come from one
+Euclidean table over the partition's rows of the minority label (which
+keeps `SPARE` = 8 more than the k + 1 a basis reads), filtered to the
+masked rows; a row left short by the filter is measured directly.
 """
 
 from __future__ import annotations
@@ -50,17 +51,6 @@ class ResamplePlan:
             raise ValueError(f"smote_k must be ≥ 1, got {self.smote_k}")
 
 
-def _minority_majority(ds: Dataset) -> tuple[int, int]:
-    n0, n1 = ds.class_counts()
-    if n0 == 0 or n1 == 0:
-        raise SingleClassError("resampling needs both classes present")
-    return (0, 1) if n0 < n1 else (1, 0)
-
-
-def _target_count(plan: ResamplePlan, n_majority: int) -> int:
-    return math.ceil(plan.target_ratio * n_majority)
-
-
 def _append(ds: Dataset, new_rows: np.ndarray, minority_label: int) -> Dataset:
     rows = np.vstack([ds.rows, new_rows])
     labels = np.concatenate(
@@ -83,28 +73,27 @@ class MinorityBasis:
     neighbors: np.ndarray | None = None
 
 
-def minority_basis(train: Dataset, plan: ResamplePlan, tables: NeighborTables | None = None,
-                   rows: np.ndarray | None = None) -> MinorityBasis:
-    """Minority label, rows needed, minority pool and SMOTE neighbor lists.
+def minority_basis(tables: NeighborTables, plan: ResamplePlan, held: np.ndarray | None = None) -> MinorityBasis:
+    """Minority label (a tie goes to label 1), rows needed, minority pool and
+    SMOTE neighbor lists of the training set that the boolean mask `held`
+    (all rows when None) marks among the rows of the `tables`' matrix; the
+    pool numbers its rows among those rows.
 
     Depends on the training set and the plan but not on its seed, so one
-    basis serves every reseeded `oversample` of the same set. `tables` are
-    those of a matrix whose rows `rows` (all when None) `train` holds, in
-    order: sorted row ids, or a boolean mask, which `held[rows] = True`
-    reads alike. Without them, `train` gets its own.
+    basis serves every reseeded `oversample` of the same set.
     """
-    minority, majority = _minority_majority(train)
-    counts = train.class_counts()
-    pool = np.flatnonzero(train.labels == minority)
+    held = np.ones(tables.labels.size, dtype=bool) if held is None else held
+    labels = tables.labels[held]
+    counts = np.bincount(labels, minlength=2).tolist()
+    if 0 in counts:
+        raise SingleClassError("resampling needs both classes present")
+    minority = int(counts[0] >= counts[1])
+    pool = np.flatnonzero(labels == minority)
     if plan.method == "smote" and pool.size < 2:
         raise MinorityTooSmallError("SMOTE needs at least 2 minority rows")
-    need = _target_count(plan, counts[majority]) - counts[minority]
+    need = math.ceil(plan.target_ratio * counts[1 - minority]) - counts[minority]
     if plan.method == "random_over" or need <= 0:
         return MinorityBasis(minority, need, pool)
-    if tables is None:
-        tables = NeighborTables(train.rows, train.labels)
-    held = np.zeros(tables.labels.size, dtype=bool)
-    held[slice(None) if rows is None else rows] = True
     members = tables.labels == minority
     inside = held[members]  # the pool, among the matrix's minority rows
     k = min(plan.smote_k, pool.size - 1)
@@ -160,7 +149,7 @@ def oversample(train: Dataset, plan: ResamplePlan, tables: NeighborTables | None
     chosen uniformly, and the synthetic point is x + u·(z − x), u ∈ [0, 1).
     `tables`, if given, are `train`'s own.
     """
-    basis = minority_basis(train, plan, tables)
+    basis = minority_basis(tables or NeighborTables(train.rows, train.labels), plan)
     if basis.need <= 0:
         return train
     return _append(train, _draw(train.rows, plan.method, basis, plan.seed), basis.minority)

@@ -177,8 +177,6 @@ _SOCIOECONOMIC = ("GEN", "AGE", "EMP_ST")
 _PSYCHOMETRIC = ("MSPQ", "ZUNG", "DRAM")
 _ANALYTICAL = ("GLU", "UREA", "URIC_ACID", "CREAT", "CHOL")
 
-GROUP_IDS = ("I", "II", "III", "IV", "V", "VI", "VII")
-
 
 def builtin_groups() -> dict[str, VariableGroup]:
     """The seven built-in predictor groups, keyed by roman-numeral id."""
@@ -199,6 +197,9 @@ def builtin_groups() -> dict[str, VariableGroup]:
             _PRESURGICAL + _SOCIOECONOMIC + _PSYCHOMETRIC + _ANALYTICAL,
         ),
     }
+
+
+GROUP_IDS = tuple(builtin_groups())
 
 
 def group_by_id(group_id: str) -> VariableGroup:

@@ -26,11 +26,11 @@ from spineml.errors import (
     MinorityTooSmallError,
     MissingColumnError,
     PipelineError,
+    SingleClassError,
     UnknownGroupError,
     VersionMismatchError,
 )
 from spineml.experiment import (
-    _GRID_VALUES,
     _SYNTHETIC_KEYS,
     MODEL_IDS,
     CellResult,
@@ -42,7 +42,7 @@ from spineml.experiment import (
 from spineml.metrics import ConfusionMatrix, accuracy, confusion, f1, precision, recall
 from spineml.model_selection import FoldPlan, ParamGrid
 from spineml.neighbors import _CHUNK_BYTES, METRICS, WEIGHTINGS, _distances, _nearest, _nearest_each
-from spineml.resampling import MinorityBasis, _minority_majority, _target_count
+from spineml.resampling import MinorityBasis, ResamplePlan
 from spineml.report import RESULTS_FORMAT_VERSION, _check_aggregates
 from spineml.schema import GROUP_IDS, ColumnSpec, Schema, default_schema, read_json
 from spineml.synthetic import SYNTHETIC_DEFAULTS, check_synthetic
@@ -486,8 +486,20 @@ def fold_cache(train, tr, va, metrics, k_max):
 
 
 # `resampling.minority_basis` as it stood before the neighbor table, with
-# its own neighbor search over the minority rows of each training set. Kept
-# verbatim as the oracle of the filtered minority tables.
+# its own neighbor search over the minority rows of each training set, and
+# the two helpers it called then. Kept verbatim as the oracle of the
+# filtered minority tables and of the class counts read from a row mask.
+def _minority_majority(ds: Dataset) -> tuple[int, int]:
+    n0, n1 = ds.class_counts()
+    if n0 == 0 or n1 == 0:
+        raise SingleClassError("resampling needs both classes present")
+    return (0, 1) if n0 < n1 else (1, 0)
+
+
+def _target_count(plan: ResamplePlan, n_majority: int) -> int:
+    return math.ceil(plan.target_ratio * n_majority)
+
+
 def minority_basis(train, plan):
     """Minority label, rows needed, minority pool and SMOTE neighbor lists.
 
@@ -862,13 +874,13 @@ class OracleConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be ≥ 0: {self.seed}")
         for fam, grid in self.grids.items():
-            if fam not in _GRID_VALUES:
+            if fam not in GRID_VALUES_REFERENCE:
                 raise ConfigError(f"unknown grid family: {fam}")
             for name, values in grid.items():
-                if name not in _GRID_VALUES[fam]:
+                if name not in GRID_VALUES_REFERENCE[fam]:
                     raise ConfigError(f"unknown grid parameter for {fam}: {name}")
                 for value in values:
-                    if not _GRID_VALUES[fam][name](value):
+                    if not GRID_VALUES_REFERENCE[fam][name](value):
                         raise ConfigError(f"grid {fam} {name}: invalid value {value!r}")
         if self.synthetic is not None:
             syn = self.canonical_dict()["data"]["synthetic"]

@@ -1,5 +1,6 @@
 import concurrent.futures
 import multiprocessing
+import re
 import threading
 import weakref
 from itertools import groupby
@@ -13,19 +14,15 @@ from hypothesis import strategies as st
 
 from spineml.errors import ConfigError, DataSourceError, UnknownGroupError
 from spineml.experiment import (
-    DT_DEFAULTS,
     FAMILIES,
-    KNN_DEFAULTS,
     MODEL_IDS,
     MODEL_SPECS,
-    _GRID_VALUES,
     ExperimentConfig,
-    _resolved_grid,
     load_config_data,
     run_cell_fitted,
     run_matrix,
 )
-from spineml.model_selection import default_dt_grid, default_knn_grid, stratified_shuffle_split
+from spineml.model_selection import ParamGrid, default_dt_grid, default_knn_grid, stratified_shuffle_split
 from spineml.naive_bayes import ComplementNBModel
 from spineml.neighbors import METRICS, WEIGHTINGS
 from spineml.schema import GROUP_IDS, group_by_id
@@ -60,11 +57,6 @@ def test_model_nomenclature_mapping():
     assert MODEL_SPECS["KNN_SMOTE"].resample == "smote"
     assert not MODEL_SPECS["DT"].uses_grid
     assert MODEL_SPECS["DT_opt"].uses_grid
-    assert KNN_DEFAULTS["k"] == 5
-    assert DT_DEFAULTS == {
-        "criterion": "gini", "max_depth": None,
-        "min_samples_split": 2, "min_samples_leaf": 1,
-    }
 
 
 def _typed(value):
@@ -80,16 +72,16 @@ def _typed(value):
 def test_hyperparameter_table_gives_the_grids_and_defaults_it_replaced():
     for got, want in ((default_knn_grid(), knn_grid_reference()), (default_dt_grid(), dt_grid_reference())):
         assert (got.family, _typed(got.params)) == (want.family, _typed(want.params))
-    assert _typed(KNN_DEFAULTS) == _typed(KNN_DEFAULTS_REFERENCE)
-    assert _typed(DT_DEFAULTS) == _typed(DT_DEFAULTS_REFERENCE)
-    assert [(fam, list(rules)) for fam, rules in _GRID_VALUES.items()] == \
-        [(fam, list(rules)) for fam, rules in GRID_VALUES_REFERENCE.items()]
-    # README's example grids: the overrides take their parameters' places
+    # an untuned cell fits with its family's untuned values
+    assert _typed(_one_cell("KNN").hyperparameters) == _typed(KNN_DEFAULTS_REFERENCE)
+    assert _typed(_one_cell("DT").hyperparameters) == _typed(DT_DEFAULTS_REFERENCE)
+    # README's example grids: the overrides take their parameters' places,
+    # and a tuned cell's CV table lists the combinations of that grid
     config = _cfg(grids={"KNN": {"k": (3, 5, 7)}, "DT": {"max_depth": (2, 4, None)}})
-    for family, base in (("knn", knn_grid_reference()), ("dt", dt_grid_reference())):
-        got = _resolved_grid(config, family)
-        assert (got.family, _typed(got.params)) == \
-            (family, _typed({**base.params, **config.grids[family.upper()]}))
+    for model_id, base in (("KNN_opt", knn_grid_reference()), ("DT_opt", dt_grid_reference())):
+        want = ParamGrid(base.family, {**base.params, **config.grids[model_id[:-4].upper()]}).combos()
+        cell = _one_cell(model_id, config=config)
+        assert [_typed(row["params"]) for row in cell.cv_table] == [_typed(combo) for combo in want]
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([-1, 0, 1, 2, 10**30])
@@ -105,9 +97,23 @@ _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([-1
 @example(value=None)
 @example(value=1)
 def test_each_config_grid_rule_accepts_what_the_rule_it_replaced_accepts(value):
+    assert list(GRID_VALUES_REFERENCE) == ["KNN", "DT"]
     for fam, rules in GRID_VALUES_REFERENCE.items():
         for name, rule in rules.items():
-            assert bool(_GRID_VALUES[fam][name](value)) == bool(rule(value)), (fam, name)
+            if rule(value):
+                assert _cfg(grids={fam: {name: (value,)}}).grids == {fam: {name: (value,)}}
+            else:
+                with pytest.raises(ConfigError, match=f"^{re.escape(f'grid {fam} {name}: invalid value {value!r}')}$"):
+                    _cfg(grids={fam: {name: (value,)}})
+    for fam, rules in GRID_VALUES_REFERENCE.items():  # a parameter the family does not have
+        with pytest.raises(ConfigError, match=f"^unknown grid parameter for {fam}: nope$"):
+            _cfg(grids={fam: {"nope": (value,)}})
+
+
+@pytest.mark.parametrize("family", ["knn", "Knn", "\u212aNN", "dt", "Dt", "", "KNN ", "GAUSSIANNB"])
+def test_a_grid_family_is_known_only_by_its_exact_upper_case_name(family):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'unknown grid family: {family}')}$"):
+        _cfg(grids={family: {"k": (3,)}})
 
 
 def test_config_validation():
@@ -300,10 +306,15 @@ def test_train_test_disjointness_guard():
     cfg = _cfg()
     data = load_config_data(cfg)
     split = stratified_shuffle_split(data.labels, 0.25, seed=1)
-    bad = type(split)(train_idx=split.train_idx,
-                      test_idx=np.concatenate([split.test_idx, split.train_idx[:1]]))
-    with pytest.raises(ValueError):
-        run_cell_fitted(data, group_by_id("I"), MODEL_SPECS["KNN"], cfg, bad)
+    shared = split.train_idx[len(split.train_idx) // 2]  # one row in both, inside both sorted lists
+    for bad in (type(split)(train_idx=split.train_idx,
+                            test_idx=np.concatenate([split.test_idx, split.train_idx[:1]])),
+                type(split)(train_idx=split.train_idx, test_idx=np.sort(np.r_[split.test_idx, shared])),
+                type(split)(train_idx=np.sort(np.r_[split.train_idx, split.test_idx[-1]]), test_idx=split.test_idx),
+                type(split)(train_idx=split.train_idx, test_idx=split.train_idx)):
+        for model_id in ("GaussianNB", "KNN", "KNN_SMOTE"):
+            with pytest.raises(ValueError, match="^train/test index sets overlap$"):
+                run_cell_fitted(data, group_by_id("I"), MODEL_SPECS[model_id], cfg, bad)
 
 
 def test_run_matrix_with_feature_selection_enabled():
@@ -369,7 +380,7 @@ def _tie_heavy_case(family, data):
                   "weighting": data.draw(st.sampled_from(WEIGHTINGS)),
                   "metric": data.draw(st.sampled_from(METRICS))}
     else:
-        params = FAMILIES[family].defaults
+        params = DT_DEFAULTS_REFERENCE if family == "dt" else {}
     model = FAMILIES[family].fit(train, params)
     values = TIE_GRID
     if family == "dt":

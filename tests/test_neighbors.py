@@ -245,16 +245,29 @@ def test_batch_vote_settles_exact_ties_like_the_oracle():
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
 def test_chunked_distances_equal_unchunked_bytes(monkeypatch, metric):
+    """`_nearest_each` blocks its query rows under `_CHUNK_BYTES`; every
+    blocking gives each metric's `_top_k` of one unblocked `_distances`
+    call, bit for bit. `metric` is the one asked first."""
     rng = np.random.default_rng(5)
-    points = rng.normal(0, 3, size=(37, 6))
-    X = rng.normal(0, 3, size=(23, 6))
-    whole = _distances(points, X, (metric,))[metric]
-    # below one row's block: one query row at a time
-    monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 1)
-    assert _distances(points, X, (metric,))[metric].tobytes() == whole.tobytes()
-    # uneven blocks of 4 rows
-    monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 4 * 8 * 37 * 6)
-    assert _distances(points, X, (metric,))[metric].tobytes() == whole.tobytes()
+    points = np.round(rng.normal(0, 3, size=(37, 6)))  # whole numbers, so that distances tie
+    X = np.round(rng.normal(0, 3, size=(23, 6)))
+    metrics = (metric, *(m for m in METRICS if m != metric))
+    calls = []
+    spy = lambda points, X, metrics: calls.append(X.shape[0]) or _distances(points, X, metrics)  # noqa: E731
+    monkeypatch.setattr(neighbors, "_distances", spy)
+    # below one row's block: one query row at a time; then blocks of 4 rows, the last of 3
+    for chunk, blocks in ((1, [1] * 23), (4 * 8 * 37 * 6, [4] * 5 + [3])):
+        monkeypatch.setattr(neighbors, "_CHUNK_BYTES", chunk)
+        for k in (5, 40):
+            whole = _distances(points, X, metrics)
+            calls.clear()
+            got = _nearest_each(points, X, metrics, k)
+            assert calls == blocks
+            assert list(got) == list(metrics)
+            for m in metrics:
+                want = _top_k(whole[m], k)
+                assert [(a.dtype, a.shape, a.tobytes()) for a in got[m]] == \
+                    [(a.dtype, a.shape, a.tobytes()) for a in want]
 
 
 @settings(max_examples=200, deadline=None)
@@ -463,7 +476,7 @@ def test_neighbor_memory_is_linear_in_n():
     rng = np.random.default_rng(0)
     rows = rng.normal(size=(6500, 4))
     ds = make_dataset(rows, np.array([0] * 3500 + [1] * 3000))
-    assert _peak_mb(minority_basis, ds, ResamplePlan("smote")) < 24
+    assert _peak_mb(minority_basis, NeighborTables(ds.rows, ds.labels), ResamplePlan("smote")) < 24
     model = knn_fit(make_dataset(rows[:3000], np.arange(3000) % 2), k=21)
     assert _peak_mb(knn_predict_many, model, rows[3000:6000]) < 24
 
@@ -626,6 +639,8 @@ def test_filtered_minority_tables_give_the_direct_smote_basis(n0, n1, d, duplica
     ds = make_dataset(points, labels)
     rows = np.flatnonzero(rng.random(ds.n) < held) if held < 1.0 else np.arange(ds.n)
     sub, plan = ds.take(rows), ResamplePlan("smote", smote_k=smote_k)
+    mask = np.zeros(ds.n, dtype=bool)
+    mask[rows] = True
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(NeighborTables, "SPARE", spare)
         if chunk is not None:
@@ -635,9 +650,9 @@ def test_filtered_minority_tables_give_the_direct_smote_basis(n0, n1, d, duplica
             want = helpers.minority_basis(sub, plan)
         except PipelineError as exc:
             with pytest.raises(type(exc), match=str(exc)):
-                minority_basis(sub, plan, tables, rows)
+                minority_basis(tables, plan, mask)
             return
-        got = minority_basis(sub, plan, tables, rows)
+        got = minority_basis(tables, plan, mask)
     assert (got.minority, got.need, got.pool.tobytes()) == (want.minority, want.need, want.pool.tobytes())
     assert (got.neighbors is None) == (want.neighbors is None)
     if want.neighbors is not None:

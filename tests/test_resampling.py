@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spineml.errors import MinorityTooSmallError, SingleClassError
+from spineml.neighbors import NeighborTables
 from spineml.resampling import (
     ResamplePlan,
     _draw,
@@ -13,6 +14,7 @@ from spineml.resampling import (
     oversample,
 )
 
+import helpers
 from helpers import brute_force_neighbors, make_dataset, point_to_segment_distance
 
 
@@ -171,12 +173,34 @@ def test_one_basis_serves_every_seed_bit_for_bit(method):
     ds = _imbalanced(14, 5, seed=3)
     # rounded rows make equal neighbor distances, where the sort order matters
     ds = make_dataset(np.round(ds.rows, 0), ds.labels)
-    basis = minority_basis(ds, ResamplePlan(method, smote_k=3))
+    basis = minority_basis(NeighborTables(ds.rows, ds.labels), ResamplePlan(method, smote_k=3))
     for seed in range(6):
         plan = ResamplePlan(method, smote_k=3, seed=seed)
         drawn = _draw(ds.rows, method, basis, seed)
         assert drawn.tobytes() == _oracle_new_rows(ds, plan).tobytes()
         assert drawn.tobytes() == oversample(ds, plan).rows[ds.n:].tobytes()
+
+
+@pytest.mark.parametrize("method", ["random_over", "smote"])
+def test_a_class_count_tie_makes_label_1_the_minority(method):
+    """With equal class counts, label 1 is the minority, as in the basis
+    before row masks (kept in helpers), whether the tie is in the whole
+    matrix or only among the rows a mask holds; the pool numbers the
+    minority rows among the held rows."""
+    plan = ResamplePlan(method)
+    ds = _imbalanced(6, 6, seed=4)
+    for held in (None, np.ones(ds.n, dtype=bool)):
+        basis = minority_basis(NeighborTables(ds.rows, ds.labels), plan, held)
+        want = helpers.minority_basis(ds, plan)
+        assert (basis.minority, basis.need, basis.pool.tolist()) == (1, 0, list(range(6, 12)))
+        assert (want.minority, want.need, want.pool.tolist()) == (1, 0, list(range(6, 12)))
+    wider = _imbalanced(6, 8, seed=4)
+    held = np.ones(wider.n, dtype=bool)
+    held[[7, 10]] = False  # 6 rows of each label stay
+    basis = minority_basis(NeighborTables(wider.rows, wider.labels), plan, held)
+    want = helpers.minority_basis(wider.take(np.flatnonzero(held)), plan)
+    assert (basis.minority, basis.need, basis.pool.tolist()) == (1, 0, list(range(6, 12)))
+    assert (want.minority, want.need, want.pool.tolist()) == (1, 0, list(range(6, 12)))
 
 
 def _oracle_neighbor_lists(points, k):
@@ -203,7 +227,7 @@ def test_smote_neighbor_lists_match_the_masked_matrix_oracle(n_minor, d, smote_k
     minor = np.vstack([minor, minor[rng.integers(0, n_minor, size=duplicates)]])
     major = rng.normal(5, 1, size=(minor.shape[0] + 3, d))
     ds = make_dataset(np.vstack([major, minor]), [0] * len(major) + [1] * len(minor))
-    basis = minority_basis(ds, ResamplePlan("smote", smote_k=smote_k))
+    basis = minority_basis(NeighborTables(ds.rows, ds.labels), ResamplePlan("smote", smote_k=smote_k))
     k = min(smote_k, minor.shape[0] - 1)
     assert basis.neighbors.tobytes() == _oracle_neighbor_lists(minor, k).tobytes()
 
@@ -213,6 +237,6 @@ def test_smote_neighbor_lists_skip_the_row_behind_many_equal_rows():
     # nearest do not include it.
     minor = np.array([[1.0], [1.0], [1.0], [1.0], [2.0]])
     ds = make_dataset(np.vstack([np.zeros((6, 1)), minor]), [0] * 6 + [1] * 5)
-    basis = minority_basis(ds, ResamplePlan("smote", smote_k=2))
+    basis = minority_basis(NeighborTables(ds.rows, ds.labels), ResamplePlan("smote", smote_k=2))
     assert basis.neighbors.tolist() == [[1, 2], [0, 2], [0, 1], [0, 1], [0, 1]]
     assert basis.neighbors.tobytes() == _oracle_neighbor_lists(minor, 2).tobytes()

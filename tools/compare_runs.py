@@ -1,0 +1,98 @@
+"""Run one `spineml run` sweep in two checkouts and compare every output.
+
+Usage: python tools/compare_runs.py PARENT_DIR CHANGE_DIR
+
+Each run of `SWEEP` is `spineml run --save-models` with the listed flags,
+made once in each checkout by a child interpreter with
+PYTHONPATH=<checkout>/src and PYTHONDONTWRITEBYTECODE=1, into a fresh
+temporary output directory. The `--config` run reads README's example
+`grids` from a temporary file. Every output file must be equal byte for
+byte, with results.json's `provenance.timestamp` set to null on both sides;
+stdout and stderr must be equal with the output directory masked, and so
+must the exit code. Each difference is printed; the exit code is 1 if there
+is any, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# README's example `grids`.
+README_GRIDS = {"KNN": {"k": [3, 5, 7]}, "DT": {"max_depth": [2, 4, None]}}
+
+# (name, flags); "{config}" stands for the path of a config holding README_GRIDS.
+SWEEP = (
+    ("seed 42", ["--seed", "42"]),
+    ("seed 7", ["--seed", "7"]),
+    ("seed 3", ["--seed", "3"]),
+    ("keep fraction 0.5", ["--keep-fraction", "0.5"]),
+    ("n 1000, group VII, k-NN models", ["--n", "1000", "--groups", "VII", "--models", "KNN,KNN_opt,KNN_RO,KNN_SMOTE"]),
+    ("2 workers", ["--workers", "2"]),
+    ("README grids", ["--config", "{config}"]),
+)
+
+
+def run(checkout: Path, flags: list, out: Path) -> tuple:
+    """(exit code, stdout, stderr) of `spineml run --save-models` in
+    `checkout`, writing to `out`, which the streams name as <out>."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from spineml.cli import main; sys.exit(main())",
+         "run", *flags, "--save-models", "--out", str(out)],
+        capture_output=True, text=True, env=env, cwd=out.parent)
+    return done.returncode, done.stdout.replace(str(out), "<out>"), done.stderr.replace(str(out), "<out>")
+
+
+def contents(path: Path) -> bytes:
+    """A file's bytes; results.json's with its timestamp set to null."""
+    data = path.read_bytes()
+    if path.name == "results.json":
+        stamp = json.loads(data)["provenance"]["timestamp"]
+        data = data.replace(json.dumps(stamp).encode(), b"null", 1)
+    return data
+
+
+def differences(out_parent: Path, out_change: Path, outcome: list) -> list:
+    """What differs between the two sides of one run."""
+    found = [f"{what} differs:\n  parent: {a!r}\n  change: {b!r}"
+             for what, a, b in zip(("exit code", "stdout", "stderr"), *outcome) if a != b]
+    files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in (out_parent, out_change)]
+    for name in sorted(files[0] ^ files[1]):
+        found.append(f"{name}: only in {'parent' if name in files[0] else 'change'}")
+    for name in sorted(files[0] & files[1]):
+        if contents(out_parent / name) != contents(out_change / name):
+            found.append(f"{name}: contents differ")
+    return found
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/compare_runs.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    any_difference = False
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "grids.json"
+        config.write_text(json.dumps({"grids": README_GRIDS}), encoding="utf-8")
+        for i, (name, flags) in enumerate(SWEEP):
+            flags = [f.replace("{config}", str(config)) for f in flags]
+            outs = [Path(tmp) / side / str(i) / "out" for side in ("parent", "change")]
+            for out in outs:
+                out.parent.mkdir(parents=True)
+            outcome = [run(checkout, flags, out) for checkout, out in zip((parent, change), outs)]
+            found = differences(*outs, outcome)
+            n_files = sum(1 for p in outs[1].rglob("*") if p.is_file())
+            print(f"{name}: {'DIFFERENT' if found else 'same'} (exit {outcome[1][0]}, {n_files} files)")
+            for line in found:
+                print("  " + line.replace("\n", "\n    "))
+            any_difference |= bool(found)
+    return 1 if any_difference else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
