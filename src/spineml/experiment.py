@@ -474,7 +474,7 @@ def run_cell_fitted(
 
     if config.keep_fraction < 1.0:
         # kept is sorted, so it indexes the columns in the subset schema's order.
-        kept = select_features(train, config.keep_fraction, seed=int(states[0])).kept
+        kept = select_features(train, config.keep_fraction, seed=int(states[0]))
         train = Dataset(train.schema.subset([train.feature_names[i] for i in kept]),
                         train.rows[:, kept], train.labels)
     else:

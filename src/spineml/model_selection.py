@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -33,12 +32,13 @@ from .errors import (
     SingleClassError,
     TooFewRowsError,
 )
+from . import neighbors
 from .metrics import accuracy_many, confusion_counts, f1_many
 # _vote and knn_predict_many stay imported here: perfbench's tracing tests
 # check that the tracer wraps them and rebinds these bindings.
 from .neighbors import (  # noqa: F401
-    _CHUNK_BYTES, METRICS, WEIGHTINGS, KNNModel, NeighborTables, _distances, _prefix_vote, _top_k, _vote,
-    _within, knn_predict_many,
+    METRICS, WEIGHTINGS, KNNModel, NeighborTables, _distances, _prefix_vote, _top_k, _vote, _within,
+    knn_predict_many,
 )
 from .resampling import ResamplePlan, _draw_many, minority_basis
 from .streams import _entropy, _rng_words, _seed_hash
@@ -153,41 +153,19 @@ def univariate_f_scores(train: Dataset) -> np.ndarray:
     return scores
 
 
-@dataclass(frozen=True)
-class SelectionResult:
-    scores: np.ndarray
-    importances: np.ndarray
-    kept: np.ndarray
-
-
-def _top_m(values: np.ndarray, m: int) -> set[int]:
-    order = np.argsort(-values, kind="stable")
-    return set(int(i) for i in order[:m])
-
-
-def select_features(
-    train: Dataset,
-    keep_fraction: float = 1.0,
-    seed: int = 0,
-    n_trees: int = 100,
-) -> SelectionResult:
-    """Union of the top-m features by F score and by forest importance.
+def select_features(train: Dataset, keep_fraction: float = 1.0, seed: int = 0, n_trees: int = 100) -> np.ndarray:
+    """The sorted int64 indices of the union of the top-m columns by F score
+    and by forest importance (`extratrees_fit`), each ranked by a stable sort
+    of its values, highest first, so that ties go to the lower column.
 
     m = max(1, ceil(keep_fraction × d)); the default keep_fraction of 1.0
     keeps every feature.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    d = train.width
-    m = max(1, math.ceil(keep_fraction * d))
-    scores = univariate_f_scores(train)
-    forest = extratrees_fit(train, n_trees=n_trees, seed=seed)
-    kept = sorted(_top_m(scores, m) | _top_m(forest.importances, m))
-    return SelectionResult(
-        scores=scores,
-        importances=forest.importances,
-        kept=np.array(kept, dtype=np.int64),
-    )
+    m = max(1, math.ceil(keep_fraction * train.width))
+    rankings = univariate_f_scores(train), extratrees_fit(train, n_trees=n_trees, seed=seed)
+    return np.union1d(*(np.argsort(-values, kind="stable")[:m] for values in rankings))
 
 
 @dataclass(frozen=True)
@@ -209,13 +187,15 @@ class ParamGrid:
 
 
 def _at_least(low: int, none: bool = False):
-    """The rule of an integer (not a bool) ≥ `low`, or also None where `none`."""
-    return lambda v: v is None and none or isinstance(v, Integral) and not isinstance(v, bool) and v >= low
+    """The rule of an integer (not a bool) from `low` to 2**63 − 1, the largest
+    a model file holds, or also None where `none`."""
+    return lambda v: v is None and none or isinstance(v, Integral) and not isinstance(v, bool) and low <= v < 2**63
 
 
 # Each tuned family's parameters in combination order: (untuned value, default
 # grid values, simplest first as ties go, the rule every value of a config's
-# grid must meet). A k too large for a fold passes and fails only that cell.
+# grid must meet; `default_grid` reads the grids). An integer above 2**63 − 1
+# fails the config; a k too large for a fold passes and fails only that cell.
 HYPERPARAMETERS = {
     "knn": {
         "k": (5, (1, 3, 5, 7, 9, 11, 15, 21), _at_least(1)),
@@ -234,9 +214,6 @@ HYPERPARAMETERS = {
 def default_grid(family: str) -> ParamGrid:
     """A tuned family's ("knn" or "dt") default grid."""
     return ParamGrid(family, {name: grid for name, (_, grid, _) in HYPERPARAMETERS[family].items()})
-
-
-default_knn_grid, default_dt_grid = partial(default_grid, "knn"), partial(default_grid, "dt")
 
 
 SCORINGS = ("f1", "accuracy")
@@ -432,13 +409,13 @@ def _with_appended(dist, labels, extra, minority, X_val, metric, k):
     rows is the (distance, stored index) order of the whole oversampled
     matrix, and its first k serve every smaller k too. The distances come
     in blocks of (combination, query row) pairs whose difference tensor
-    stays under `neighbors._CHUNK_BYTES`.
+    stays under `neighbors._CHUNK_BYTES`, read at each call.
     """
     n_combos, need, d = extra.shape
     q, k0 = dist.shape[1:]
     width = min(k, k0 + need)
     out_dist, out_labels = np.empty((n_combos, q, width)), np.empty((n_combos, q, width), dtype=np.int64)
-    pairs = max(1, _CHUNK_BYTES // (8 * need * d))
+    pairs = max(1, neighbors._CHUNK_BYTES // (8 * need * d))
     q_step = min(max(1, q), pairs)
     c_step = max(1, pairs // q_step)
     for c in range(0, n_combos, c_step):

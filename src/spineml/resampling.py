@@ -51,14 +51,6 @@ class ResamplePlan:
             raise ValueError(f"smote_k must be ≥ 1, got {self.smote_k}")
 
 
-def _append(ds: Dataset, new_rows: np.ndarray, minority_label: int) -> Dataset:
-    rows = np.vstack([ds.rows, new_rows])
-    labels = np.concatenate(
-        [ds.labels, np.full(new_rows.shape[0], minority_label, dtype=np.int64)]
-    )
-    return Dataset(ds.schema, rows, labels)
-
-
 @dataclass(frozen=True)
 class MinorityBasis:
     """The seed-independent part of oversampling one training set.
@@ -142,7 +134,8 @@ def _draw(rows: np.ndarray, method: str, basis: MinorityBasis, seed: int) -> np.
 
 
 def oversample(train: Dataset, plan: ResamplePlan, tables: NeighborTables | None = None) -> Dataset:
-    """Oversample `train` by `plan`.
+    """`train` followed by the rows that oversampling it by `plan` appends,
+    all labelled with the minority label; `train` itself when none are needed.
 
     SMOTE seed points rotate round-robin over the minority rows from a seeded
     start, one of the seed's k nearest minority neighbors (euclidean) is
@@ -152,4 +145,6 @@ def oversample(train: Dataset, plan: ResamplePlan, tables: NeighborTables | None
     basis = minority_basis(tables or NeighborTables(train.rows, train.labels), plan)
     if basis.need <= 0:
         return train
-    return _append(train, _draw(train.rows, plan.method, basis, plan.seed), basis.minority)
+    new = _draw(train.rows, plan.method, basis, plan.seed)
+    return Dataset(train.schema, np.vstack([train.rows, new]),
+                   np.concatenate([train.labels, np.full(len(new), basis.minority, dtype=np.int64)]))

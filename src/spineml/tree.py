@@ -164,9 +164,11 @@ def _cart_split(X, y, criteria, min_samples_leaf):
     cumsum minus its node's base. A node's cuts are scored once, those that
     leave its least leaf limit on each side; each member then takes the first
     best cut of its own window of sorted positions, those that leave its own
-    limit on each side."""
-    entropy, min_leaf, is_one = np.array(criteria) == "entropy", np.array(min_samples_leaf), y == 1
+    limit on each side. A limit above the n rows is taken as n, which also
+    forbids every cut, so that the window arithmetic stays in int64."""
     n, d = X.shape
+    entropy, is_one = np.array(criteria) == "entropy", y == 1
+    min_leaf = np.array([min(leaf, n) for leaf in min_samples_leaf], dtype=np.int64)
     rank = np.stack([np.unique(col, return_inverse=True)[1] for col in X.T])  # (d, n)
 
     def score(trees, node, counts, rows, seg, starts):  # arrays are (d, block rows)
@@ -533,13 +535,6 @@ def dt_from_dict(raw: dict) -> DecisionTreeModel:
     )
 
 
-@dataclass(frozen=True)
-class ExtraTreesModel:
-    n_trees: int
-    max_features: int
-    importances: np.ndarray
-
-
 def _extra_trees_importances(X, y, seeds: np.ndarray, max_features: int) -> np.ndarray:
     """The (len(seeds), d) normalized importances of extremely randomized trees
     grown in lockstep, tree t drawing from the stream of the words `seeds[t]`."""
@@ -583,8 +578,10 @@ def _extra_trees_importances(X, y, seeds: np.ndarray, max_features: int) -> np.n
 
 
 def extratrees_fit(train: Dataset, n_trees: int = 100, max_features: int | None = None,
-                   seed: int = 0) -> ExtraTreesModel:
-    """Seeded forest of extremely randomized trees; importances average to 1."""
+                   seed: int = 0) -> np.ndarray:
+    """The (d,) feature importances of a seeded forest of extremely randomized
+    trees: each tree's normalized importances, averaged over the trees and
+    scaled to sum to 1 (all 0 when no tree splits)."""
     if train.n == 0:
         raise EmptyTrainingSetError("cannot fit a forest on zero rows")
     if n_trees < 1:
@@ -596,5 +593,4 @@ def extratrees_fit(train: Dataset, n_trees: int = 100, max_features: int | None 
     seeds = _rng_words(np.array([_entropy(seed, t) for t in range(n_trees)], dtype=np.uint32))
     mean_imp = _extra_trees_importances(train.rows, train.labels, seeds, mf).mean(axis=0)
     total = mean_imp.sum()
-    importances = mean_imp / total if total > 0 else mean_imp
-    return ExtraTreesModel(n_trees=n_trees, max_features=mf, importances=importances)
+    return mean_imp / total if total > 0 else mean_imp

@@ -617,6 +617,12 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def past_int64(value) -> bool:
+    """An integer above 2**63 − 1, which no model file holds: a config's grid
+    now refuses it where `GRID_VALUES_REFERENCE` accepts it."""
+    return _is_int(value) and value > 2**63 - 1
+
+
 # The values each grid parameter accepts, by config grid family. A k too
 # large for a fold is left to fail that cell.
 GRID_VALUES_REFERENCE = {

@@ -790,6 +790,33 @@ def test_run_rejects_a_malformed_config_without_traceback(tmp_path, capsys, conf
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("grid, error", [
+    ({"min_samples_leaf": [2**63 - 1]}, None),
+    ({"max_depth": [2**64]}, "grid DT max_depth: invalid value 18446744073709551616"),
+    ({"min_samples_split": [2**64]}, "grid DT min_samples_split: invalid value 18446744073709551616"),
+], ids=["leaf-2**63-1", "depth-2**64", "split-2**64"])
+def test_a_grid_integer_runs_to_a_loadable_model_or_fails_the_config(tmp_path, capsys, grid, error):
+    # A min_samples_leaf of 2**63 − 1 ended in an IndexError from the CART
+    # grower's int64 arithmetic. A max_depth or min_samples_split of 2**64
+    # ran and saved a DT_opt file that `predict` refused as malformed: a
+    # model file holds no integer above 2**63 − 1, and now no grid does.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grids": {"DT": grid}}))
+    code, _, stderr = _run(capsys, "run", "--config", str(cfg_path), "--groups", "II", "--models", "DT_opt",
+                           "--save-models", "--out", str(tmp_path / "r"))
+    if error is not None:
+        assert (code, stderr) == (1, f"error: {error}\n")
+        assert not (tmp_path / "r").exists()
+        return
+    assert (code, stderr) == (0, "")
+    model = tmp_path / "r" / "models" / "DT_opt__II.json"
+    assert json.loads(model.read_text())["classifier"]["min_samples_leaf"] == 2**63 - 1
+    code, stdout, stderr = _run(capsys, "predict", "--model", str(model),
+                                "--record", json.dumps({"GEN": 1, "AGE": 50, "EMP_ST": 3}))
+    assert (code, stderr) == (0, "")
+    assert json.loads(stdout)["label"] in ("success", "no-success")
+
+
 def test_config_file_leaves_the_data_seed_to_the_seed_flag(tmp_path, capsys):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text("{}")

@@ -5,10 +5,11 @@ never another exception."""
 import dataclasses
 import json
 import os
+import re
 import tempfile
 
 import pytest
-from helpers import OracleConfig, failed_and_tuned_matrix, oracle_build_parser, oracle_build_run_config
+from helpers import OracleConfig, failed_and_tuned_matrix, oracle_build_parser, oracle_build_run_config, past_int64
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -56,7 +57,7 @@ def _maybe(plausible):
 
 
 GRID_VALUES = st.sampled_from(
-    [1, 3, 0, -2, 2.5, None, True, "uniform", "inverse-distance", "euclidean", "manhattan",
+    [1, 3, 0, -2, 2**63 - 1, 2**64, 2.5, None, True, "uniform", "inverse-distance", "euclidean", "manhattan",
      "gini", "entropy", "foo"]
 )
 CONFIG_VALUES = {
@@ -151,26 +152,39 @@ def test_config_dicts_load_as_the_hand_listed_oracle_loads_them(raw):
 
 
 # New: an empty grid value list is refused where its first value would be
-# checked. The oracle is given a marker value in its place, which it refuses
-# at that point, and its refusal is read as the empty list's.
+# checked, and so is an integer above 2**63 − 1, which no model file holds.
+# The oracle is given a marker value in each one's place, which it refuses
+# at that point, and its refusal is read as the new one.
 _EMPTY_MARK = "<empty>"
+_PAST_INT64_MARK = re.compile(r": invalid value '<past int64 (\d+)>'$")
 
 
 def _marked(raw):
-    """A config dict with each empty grid value list holding `_EMPTY_MARK`."""
+    """A config dict with each empty grid value list holding `_EMPTY_MARK`,
+    and each grid integer above 2**63 − 1 marked as `<past int64 …>`."""
     if not (isinstance(raw, dict) and isinstance(raw.get("grids"), dict)):
         return raw
-    return {**raw, "grids": {fam: {name: [_EMPTY_MARK] if values == [] else values for name, values in grid.items()}
+
+    def mark(values):
+        if values == []:
+            return [_EMPTY_MARK]
+        if not isinstance(values, list):
+            return values
+        return [f"<past int64 {value}>" if past_int64(value) else value for value in values]
+
+    return {**raw, "grids": {fam: {name: mark(values) for name, values in grid.items()}
                              if isinstance(grid, dict) else grid for fam, grid in raw["grids"].items()}}
 
 
 def _unmarked(outcome):
-    """An oracle outcome of a `_marked` config, its refusal of the marker
-    read as the refusal of an empty list."""
+    """An oracle outcome of a `_marked` config, its refusal of a marker read
+    as the refusal of what it marks."""
+    if outcome[:2] != ("error", "ConfigError"):
+        return outcome
     refused = f": invalid value {_EMPTY_MARK!r}"
-    if outcome[:2] == ("error", "ConfigError") and outcome[2].endswith(refused):
+    if outcome[2].endswith(refused):
         return ("error", "ConfigError", outcome[2].removesuffix(refused) + " must not be empty")
-    return outcome
+    return ("error", "ConfigError", _PAST_INT64_MARK.sub(r": invalid value \1", outcome[2]))
 
 
 def _empty_paths(raw) -> list:

@@ -17,9 +17,7 @@ from spineml.errors import (
 from spineml.metrics import confusion, f1
 from spineml.model_selection import (
     ParamGrid,
-    _top_m,
-    default_dt_grid,
-    default_knn_grid,
+    default_grid,
     grid_search,
     select_features,
     stratified_kfold,
@@ -209,24 +207,27 @@ def test_f_scores_single_class():
 def test_select_features_default_keeps_all():
     rng = np.random.default_rng(1)
     ds = make_dataset(rng.normal(0, 1, size=(40, 5)), rng.integers(0, 2, 40))
-    result = select_features(ds, seed=0, n_trees=10)
-    assert result.kept.tolist() == [0, 1, 2, 3, 4]
+    kept = select_features(ds, seed=0, n_trees=10)
+    assert (kept.dtype, kept.tolist()) == (np.int64, [0, 1, 2, 3, 4])
 
 
-def test_top_m_union_rule():
-    scores = np.array([10.0, 9.0, 1.0, 2.0])
-    imps = np.array([0.1, 0.5, 0.05, 0.35])
-    assert sorted(_top_m(scores, 2) | _top_m(imps, 2)) == [0, 1, 3]
+def test_top_m_union_rule(monkeypatch):
+    # top 2 by F score: 0, 1; by importance: 1, 3
+    monkeypatch.setattr(model_selection, "univariate_f_scores", lambda train: np.array([10.0, 9.0, 1.0, 2.0]))
+    monkeypatch.setattr(model_selection, "extratrees_fit", lambda *args, **kwargs: np.array(
+        [0.1, 0.5, 0.05, 0.35]))
+    ds = make_dataset(np.zeros((4, 4)), [0, 0, 1, 1])
+    kept = select_features(ds, keep_fraction=0.5)
+    assert (kept.dtype, kept.tolist()) == (np.int64, [0, 1, 3])
 
 
 def test_select_features_finds_signal_feature():
     rng = np.random.default_rng(19)
     rows = rng.normal(0, 1, size=(500, 5))
     labels = (rows[:, 2] + 0.3 * rng.normal(size=500) > 0).astype(int)
-    result = select_features(make_dataset(rows, labels), keep_fraction=0.2,
-                             seed=5, n_trees=30)
-    assert 2 in result.kept.tolist()
-    assert len(result.kept) <= 2  # union of two singletons
+    kept = select_features(make_dataset(rows, labels), keep_fraction=0.2, seed=5, n_trees=30)
+    assert 2 in kept.tolist()
+    assert len(kept) <= 2  # union of two singletons
 
 
 def test_param_grid_combos_order_and_empty():
@@ -240,8 +241,8 @@ def test_param_grid_combos_order_and_empty():
 
 
 def test_default_grids_match_documented_shapes():
-    assert len(default_knn_grid().combos()) == 8 * 2 * 2
-    assert len(default_dt_grid().combos()) == 2 * 6 * 3 * 3
+    assert len(default_grid("knn").combos()) == 8 * 2 * 2
+    assert len(default_grid("dt").combos()) == 2 * 6 * 3 * 3
 
 
 def _blobs(n, seed, noise=1.6):
@@ -417,7 +418,7 @@ def test_fold_cached_knn_search_is_the_same_in_small_blocks(method, chunk_bytes,
     grid = ParamGrid("knn", {"k": (1, 4, 7, 60), "weighting": ("uniform", "inverse-distance"),
                              "metric": ("euclidean", "manhattan")})
     want = grid_search(ds, grid, folds, resample=ResamplePlan(method), seed=55)
-    monkeypatch.setattr(model_selection, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(neighbors, "_CHUNK_BYTES", chunk_bytes)
     assert grid_search(ds, grid, folds, resample=ResamplePlan(method), seed=55) == want
 
 
@@ -506,13 +507,34 @@ def test_appended_merge_equals_the_sorting_merge(n, d, q, k, combos, need, dupli
     dist, idx = _nearest(points, X, metric, k)
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
-            for module in (model_selection, helpers):
+            for module in (neighbors, helpers):
                 mp.setattr(module, "_CHUNK_BYTES", block_rows * 8 * need * d)
         want = helpers._with_appended(dist[None], labels[idx][None], extra, minority, X, metric, k)
         got = _with_appended(dist[None], labels[idx][None], extra, minority, X, metric, k)
     assert got[0].shape == want[0].shape
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_appended_merge_blocks_under_the_neighbors_byte_cap(monkeypatch):
+    """`_with_appended` reads `neighbors._CHUNK_BYTES` when it is called:
+    patching that one name splits its distances into one block per
+    (combination, query row) pair, with the same lists."""
+    rng = np.random.default_rng(4)
+    points, labels, minority, X = _tie_heavy_fold(rng, 20, 2, 5, 3)
+    combos, need, d, k = 3, 4, 2, 7
+    extra = rng.integers(-4, 5, size=(combos, need, d)) / 2.0
+    dist, idx = _nearest(points, X, "euclidean", k)
+    args = dist[None], labels[idx][None], extra, minority, X, "euclidean", k
+    calls, real = [], model_selection._distances
+    monkeypatch.setattr(model_selection, "_distances", lambda *a: calls.append(1) or real(*a))
+    want = _with_appended(*args)
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 8 * need * d)
+    got = _with_appended(*args)
+    assert len(calls) == combos * len(X)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 def test_grid_search_accuracy_scoring():
@@ -564,9 +586,9 @@ def test_dt_grid_batch_matches_per_fold_fits(seed, scoring, monkeypatch):
     rows = np.concatenate([rng.normal(size=(150, 3)), rng.integers(0, 4, size=(150, 5)) / 2.0], axis=1)
     labels = (rows[:, 0] + rows[:, 4] + rng.normal(size=150) > 1).astype(int)
     ds, folds = make_dataset(rows, labels), stratified_kfold(labels, 8, seed=seed)
-    got = grid_search(ds, default_dt_grid(), folds, scoring=scoring)
+    got = grid_search(ds, default_grid("dt"), folds, scoring=scoring)
     monkeypatch.setattr(model_selection, "_dt_grid_shared", _dt_grid_per_fold)
-    assert got == grid_search(ds, default_dt_grid(), folds, scoring=scoring)
+    assert got == grid_search(ds, default_grid("dt"), folds, scoring=scoring)
 
 
 def test_dt_grid_flags_a_fold_with_no_training_rows(monkeypatch):

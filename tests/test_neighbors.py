@@ -394,7 +394,6 @@ def test_every_difference_tensor_is_one_distances_call(monkeypatch):
     monkeypatch.setattr(neighbors, "_distances", spy)
     monkeypatch.setattr(model_selection, "_distances", spy)
     monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 2000)
-    monkeypatch.setattr(model_selection, "_CHUNK_BYTES", 2000)
     monkeypatch.setattr(NeighborTables, "SPARE", 0)
     for run in (lambda: neighbor_table(points, METRICS, 7), lambda: _nearest_each(points, X, METRICS, 7),
                 lambda: grid_search(ds, grid, folds, ResamplePlan("smote"))):

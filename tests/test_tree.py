@@ -348,8 +348,7 @@ def test_path_router_matches_predict_constrained_for_every_limit_pair(n, d, leve
 
 def test_extratrees_single_feature_importance():
     ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
-    model = extratrees_fit(ds, n_trees=10, seed=1)
-    assert model.importances.tolist() == [1.0]
+    assert extratrees_fit(ds, n_trees=10, seed=1).tolist() == [1.0]
 
 
 def test_extratrees_deterministic():
@@ -360,25 +359,27 @@ def test_extratrees_deterministic():
     ds = make_dataset(rows, labels)
     a = extratrees_fit(ds, n_trees=20, seed=7)
     b = extratrees_fit(ds, n_trees=20, seed=7)
-    assert a.importances.tolist() == b.importances.tolist()
+    assert a.tolist() == b.tolist()
     c = extratrees_fit(ds, n_trees=20, seed=8)
-    assert a.importances.tolist() != c.importances.tolist()
+    assert a.tolist() != c.tolist()
 
 
 def test_extratrees_signal_feature_dominates():
     rng = np.random.default_rng(6)
     rows = rng.normal(0, 1, size=(500, 5))
     labels = (rows[:, 0] > np.median(rows[:, 0])).astype(int)
-    model = extratrees_fit(make_dataset(rows, labels), n_trees=50, seed=3)
-    assert model.importances.sum() == pytest.approx(1.0, abs=1e-12)
-    assert model.importances[0] > 0.5
+    importances = extratrees_fit(make_dataset(rows, labels), n_trees=50, seed=3)
+    assert importances.sum() == pytest.approx(1.0, abs=1e-12)
+    assert importances[0] > 0.5
 
 
 def test_extratrees_default_max_features():
-    ds = make_dataset(np.random.default_rng(0).normal(size=(30, 9)),
-                      np.random.default_rng(1).integers(0, 2, 30))
-    model = extratrees_fit(ds, n_trees=2, seed=0)
-    assert model.max_features == 3  # ceil(sqrt(9))
+    # ceil(sqrt(d)) candidates; 5 and 10 columns tell it from floor(sqrt(d))
+    for d, ceil_sqrt in ((9, 3), (5, 3), (10, 4)):
+        ds = make_dataset(np.random.default_rng(0).normal(size=(30, d)),
+                          np.random.default_rng(1).integers(0, 2, 30))
+        default = extratrees_fit(ds, n_trees=2, seed=0)
+        assert default.tobytes() == extratrees_fit(ds, n_trees=2, max_features=ceil_sqrt, seed=0).tobytes(), d
 
 
 # The one-tree-at-a-time grower, per-node CART split and CART fit that the
@@ -607,17 +608,18 @@ def test_extratrees_matches_per_candidate_rule(
     mf = min(max_features, d)
 
     new = extratrees_fit(ds, n_trees=3, max_features=mf, seed=forest_seed)
+    new_default = extratrees_fit(ds, n_trees=3, seed=forest_seed)
     picked = select_features(ds, keep_fraction, forest_seed, n_trees=3) if (
         ds.n >= 3 and np.unique(labels).size == 2) else None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree, "_extra_trees_importances",
                    lambda X, y, seeds, mf: _per_tree_oracle(X, y, _generators(forest_seed, len(seeds)), mf))
         old = extratrees_fit(ds, n_trees=3, max_features=mf, seed=forest_seed)
+        old_default = extratrees_fit(ds, n_trees=3, seed=forest_seed)
         if picked is not None:
-            reference = select_features(ds, keep_fraction, forest_seed, n_trees=3)
-            assert picked.kept.tolist() == reference.kept.tolist()
-            assert picked.importances.tobytes() == reference.importances.tobytes()
-    assert new.importances.tobytes() == old.importances.tobytes()
+            assert picked.tolist() == select_features(ds, keep_fraction, forest_seed, n_trees=3).tolist()
+    assert new.tobytes() == old.tobytes()
+    assert new_default.tobytes() == old_default.tobytes()
 
 
 _TREE_ARRAYS = ("feature", "threshold", "left", "right", "counts", "feature_importances")
@@ -656,6 +658,28 @@ def test_dt_fit_matches_one_tree_grower(
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
+@pytest.mark.parametrize("leaf", [2**63 - 1, 2**70])
+def test_a_leaf_limit_past_the_rows_grows_the_trees_of_a_limit_of_n(leaf):
+    """A min_samples_leaf above the n rows forbids every cut as n does: the
+    int64 window arithmetic on it ended in an IndexError or a TypeError.
+    The model keeps the limit it was given."""
+    rng = np.random.default_rng(11)
+    ds = make_dataset(rng.integers(0, 4, size=(40, 3)) / 2.0, rng.integers(0, 2, 40))
+    n = ds.n
+    pairs = [(dt_fit(ds, criterion, min_samples_leaf=leaf), dt_fit(ds, criterion, min_samples_leaf=n))
+             for criterion in CRITERIA]
+    # members of one criterion on one root share nodes until their limits part
+    roots, criteria = [np.arange(n), np.arange(n), np.arange(0, n, 2), np.arange(n)], ["gini"] * 2 + ["entropy"] * 2
+    got = tree.dt_fit_batch(ds, roots, criteria, [1, leaf, leaf, 3])
+    pairs += zip(got, tree.dt_fit_batch(ds, roots, criteria, [1, n, n, 3]))
+    assert [model.min_samples_leaf for model in got] == [1, leaf, leaf, 3]
+    for new, want in pairs:
+        for name in _TREE_ARRAYS:
+            a, b = getattr(new, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert pairs[0][0].min_samples_leaf == leaf and pairs[0][0].left.tolist() == [-1]  # a single leaf
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n_trees=st.integers(2, 16),
@@ -681,7 +705,7 @@ def test_lockstep_forest_matches_per_tree_growth(n_trees, n, d, coarse, levels, 
     assert _left_states(draws, seed, n_trees) == [g.bit_generator.state for g in alone]
     forest = extratrees_fit(make_dataset(rows, labels), n_trees, max_features, seed)
     mean = want.mean(axis=0)
-    assert forest.importances.tobytes() == (mean / mean.sum() if mean.sum() > 0 else mean).tobytes()
+    assert forest.tobytes() == (mean / mean.sum() if mean.sum() > 0 else mean).tobytes()
 
 
 def test_threshold_draw_is_the_uniform_draw():
@@ -703,7 +727,7 @@ def test_extratrees_rejects_bad_max_features():
         with pytest.raises(ValueError, match="max_features must be ≥ 1"):
             extratrees_fit(ds, n_trees=2, max_features=bad)
     clipped = extratrees_fit(ds, n_trees=4, max_features=7, seed=1)
-    assert clipped.importances.tobytes() == extratrees_fit(ds, 4, 3, seed=1).importances.tobytes()
+    assert clipped.tobytes() == extratrees_fit(ds, 4, 3, seed=1).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

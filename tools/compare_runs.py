@@ -9,8 +9,12 @@ temporary output directory. The `--config` run reads README's example
 `grids` from a temporary file. Every output file must be equal byte for
 byte, with results.json's `provenance.timestamp` set to null on both sides;
 stdout and stderr must be equal with the output directory masked, and so
-must the exit code. Each difference is printed; the exit code is 1 if there
-is any, else 0.
+must the exit code. After each run one more child per checkout loads every
+saved model file in sorted order and prints, one JSON line per file,
+`predict_single(load_model(path), RECORD, trace=True)` or the error line,
+RECORD holding every predictor column of the default schema at the midpoint
+of its range; its stdout, stderr and exit code are compared as the run's.
+Each difference is printed; the exit code is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -37,15 +41,38 @@ SWEEP = (
 )
 
 
-def run(checkout: Path, flags: list, out: Path) -> tuple:
-    """(exit code, stdout, stderr) of `spineml run --save-models` in
-    `checkout`, writing to `out`, which the streams name as <out>."""
+# The child that predicts RECORD with each model file named on its command line.
+PREDICT = """
+import json, sys
+from spineml.errors import PipelineError
+from spineml.persist import load_model, predict_single
+from spineml.schema import default_schema
+RECORD = {c.name: sum(c.valid_range) / 2 for c in default_schema().feature_columns}
+for path in sys.argv[1:]:
+    try:
+        print(json.dumps(predict_single(load_model(path), RECORD, trace=True)))
+    except (PipelineError, OSError) as exc:
+        print(f"error: {exc}")
+"""
+
+
+def child(checkout: Path, argv: list, out: Path) -> tuple:
+    """(exit code, stdout, stderr) of `python argv` with `checkout`'s
+    spineml, the streams naming `out` as <out>."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys; from spineml.cli import main; sys.exit(main())",
-         "run", *flags, "--save-models", "--out", str(out)],
-        capture_output=True, text=True, env=env, cwd=out.parent)
+    done = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=out.parent)
     return done.returncode, done.stdout.replace(str(out), "<out>"), done.stderr.replace(str(out), "<out>")
+
+
+def run(checkout: Path, flags: list, out: Path) -> tuple:
+    """`spineml run --save-models` in `checkout`, writing to `out`."""
+    return child(checkout, ["-c", "import sys; from spineml.cli import main; sys.exit(main())",
+                            "run", *flags, "--save-models", "--out", str(out)], out)
+
+
+def predict(checkout: Path, out: Path) -> tuple:
+    """PREDICT in `checkout` over the model files saved in `out`."""
+    return child(checkout, ["-c", PREDICT, *map(str, sorted((out / "models").glob("*.json")))], out)
 
 
 def contents(path: Path) -> bytes:
@@ -57,10 +84,12 @@ def contents(path: Path) -> bytes:
     return data
 
 
-def differences(out_parent: Path, out_change: Path, outcome: list) -> list:
-    """What differs between the two sides of one run."""
-    found = [f"{what} differs:\n  parent: {a!r}\n  change: {b!r}"
-             for what, a, b in zip(("exit code", "stdout", "stderr"), *outcome) if a != b]
+def differences(out_parent: Path, out_change: Path, outcome: list, predicted: list) -> list:
+    """What differs between the two sides of one run and its predictions."""
+    found = []
+    for prefix, sides in (("", outcome), ("predict ", predicted)):
+        found += [f"{prefix}{what} differs:\n  parent: {a!r}\n  change: {b!r}"
+                  for what, a, b in zip(("exit code", "stdout", "stderr"), *sides) if a != b]
     files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in (out_parent, out_change)]
     for name in sorted(files[0] ^ files[1]):
         found.append(f"{name}: only in {'parent' if name in files[0] else 'change'}")
@@ -85,9 +114,12 @@ def main(argv: list) -> int:
             for out in outs:
                 out.parent.mkdir(parents=True)
             outcome = [run(checkout, flags, out) for checkout, out in zip((parent, change), outs)]
-            found = differences(*outs, outcome)
+            predicted = [predict(checkout, out) for checkout, out in zip((parent, change), outs)]
+            found = differences(*outs, outcome, predicted)
             n_files = sum(1 for p in outs[1].rglob("*") if p.is_file())
-            print(f"{name}: {'DIFFERENT' if found else 'same'} (exit {outcome[1][0]}, {n_files} files)")
+            n_lines = len(predicted[1][1].splitlines())
+            print(f"{name}: {'DIFFERENT' if found else 'same'} (exit {outcome[1][0]}, {n_files} files, "
+                  f"{n_lines} predictions)")
             for line in found:
                 print("  " + line.replace("\n", "\n    "))
             any_difference |= bool(found)
