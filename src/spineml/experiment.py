@@ -27,6 +27,7 @@ import hashlib
 import json
 import sys
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property, partial
@@ -87,7 +88,7 @@ from .schema import (
     typed,
 )
 from .synthetic import SYNTHETIC_DEFAULTS, check_synthetic, generate_synthetic
-from .tree import dt_fit, dt_from_dict, dt_predict, dt_predict_many, dt_to_dict
+from .tree import dt_fit, dt_from_dict, dt_predict, dt_predict_many, dt_to_dict, extratrees_fit_batch
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -441,6 +442,19 @@ def _predict_final(family: str, model, X: np.ndarray) -> np.ndarray:
     return FAMILIES[family].predict_many(model, X)
 
 
+def _encoded_and_scaled(data: Dataset, group: VariableGroup, spec: ModelSpec, split: SplitIndices) -> tuple:
+    """A cell's group columns, its fitted encoder and scaler, and its training
+    partition rank-encoded, then scaled: min-max scales every column (for
+    ComplementNB), standardize only the continuous ones."""
+    gdata = select_group(data, group)
+    train = gdata.take(split.train_idx)
+    encoder = fit_ordinal_encoder(train)
+    train = apply_ordinal_encoder(train, encoder)
+    minmax = FAMILIES[spec.family].scaling == "minmax"
+    scaler = fit_standardizer(train, columns=train.feature_names if minmax else None)
+    return gdata, encoder, scaler, (apply_minmax if minmax else apply_standardizer)(train, scaler)
+
+
 def run_cell_fitted(
     data: Dataset,
     group: VariableGroup,
@@ -448,6 +462,7 @@ def run_cell_fitted(
     config: ExperimentConfig,
     split: SplitIndices,
     tables: TableStore | None = None,
+    importances: np.ndarray | None = None,
 ) -> tuple[CellResult, FittedCell]:
     """Train, tune and score one cell. An untuned cell fits with its
     family's untuned values in `model_selection.HYPERPARAMETERS` (none for
@@ -455,26 +470,19 @@ def run_cell_fitted(
     grid with the config's (already checked) overrides in place. A tuned
     k-NN cell's grid folds and final SMOTE basis read one set of neighbor
     tables of its training partition, taken from `tables` (a store shared
-    by the cells of a job) when given."""
+    by the cells of a job) when given. Feature selection (keep_fraction < 1)
+    takes its forest's `importances` when its job fitted them, and fits the
+    forest itself when not."""
     if np.intersect1d(split.train_idx, split.test_idx).size:
         raise ValueError("train/test index sets overlap")
 
     states = _cell_states(config.seed, group.id, spec.id)
-    gdata = select_group(data, group)
-    train = gdata.take(split.train_idx)
-
-    encoder = fit_ordinal_encoder(train)
-    train = apply_ordinal_encoder(train, encoder)
-
+    gdata, encoder, scaler, train = _encoded_and_scaled(data, group, spec, split)
     family = FAMILIES[spec.family]
-    # Min-max scales every column; standardize only the continuous ones.
-    minmax = family.scaling == "minmax"
-    scaler = fit_standardizer(train, columns=train.feature_names if minmax else None)
-    train = (apply_minmax if minmax else apply_standardizer)(train, scaler)
 
     if config.keep_fraction < 1.0:
         # kept is sorted, so it indexes the columns in the subset schema's order.
-        kept = select_features(train, config.keep_fraction, seed=int(states[0]))
+        kept = select_features(train, config.keep_fraction, seed=int(states[0]), importances=importances)
         train = Dataset(train.schema.subset([train.feature_names[i] for i in kept]),
                         train.rows[:, kept], train.labels)
     else:
@@ -500,48 +508,21 @@ def run_cell_fitted(
         train_fit = oversample(train_fit, plan, knn_tables)
 
     fitted = FittedCell(
-        model_id=spec.id,
-        group_id=group.id,
-        family=spec.family,
-        feature_meta=[
-            {
-                "name": c.name,
-                "kind": c.kind,
-                "min": None if c.valid_range is None else c.valid_range[0],
-                "max": None if c.valid_range is None else c.valid_range[1],
-            }
-            for c in gdata.schema.feature_columns
-        ],
+        model_id=spec.id, group_id=group.id, family=spec.family,
+        feature_meta=[{"name": c.name, "kind": c.kind, **dict(zip(("min", "max"), c.valid_range or (None, None)))}
+                      for c in gdata.schema.feature_columns],
         ordinal_codes={k: [float(v) for v in arr] for k, arr in encoder.codes.items()},
-        scaler_columns=scaler.columns,
-        scaler_mean=scaler.mean,
-        scaler_std=scaler.std,
-        scaler_min=scaler.minimum,
-        scaler_max=scaler.maximum,
-        scaler_constant=scaler.constant,
-        scaling_mode=family.scaling,
-        kept=np.asarray(kept),
-        classifier=family.fit(train_fit, params),
-        hyperparameters=dict(params),
-        seed=config.seed,
-        config_hash=config.config_hash(),
+        scaler_columns=scaler.columns, scaler_mean=scaler.mean, scaler_std=scaler.std, scaler_min=scaler.minimum,
+        scaler_max=scaler.maximum, scaler_constant=scaler.constant, scaling_mode=family.scaling,
+        kept=np.asarray(kept), classifier=family.fit(train_fit, params), hyperparameters=dict(params),
+        seed=config.seed, config_hash=config.config_hash(),
     )
     # The test partition goes from raw rows to labels as a predicted record does.
     _, scaled = fitted.preprocess(gdata.rows[split.test_idx])
     test_labels = gdata.labels[split.test_idx]
     cm = confusion(test_labels, _predict_final(spec.family, fitted.classifier, scaled[:, fitted.kept]))
-    result = CellResult(
-        group_id=group.id,
-        model_id=spec.id,
-        hyperparameters=dict(params),
-        accuracy=accuracy(cm),
-        f1=f1(cm),
-        macro_f1=macro_f1(cm),
-        confusion=cm,
-        cv_table=cv_table,
-        n_test=test_labels.size,
-    )
-    return result, fitted
+    return CellResult(group.id, spec.id, dict(params), accuracy=accuracy(cm), f1=f1(cm), macro_f1=macro_f1(cm),
+                      confusion=cm, cv_table=cv_table, n_test=test_labels.size), fitted
 
 
 @dataclass
@@ -590,18 +571,28 @@ def _run_cells(cells: list, data: Dataset, config: ExperimentConfig,
                shared_split: SplitIndices) -> list:
     """One job: each cell's (result, fitted cell or None), for (group id,
     model id) cells of one group in `MODEL_IDS` order. Its k-NN cells share
-    one `TableStore`; a `PipelineError` gives the cell's failed `CellResult`."""
-    registry, tables, outcomes = builtin_groups(), TableStore(), []
-    for g, m in cells:
-        if config.per_cell_split:
-            split_seed = int(_cell_states(config.seed, g, m)[4])
-            split = stratified_shuffle_split(data.labels, config.test_fraction, split_seed)
-        else:
-            split = shared_split
+    one `TableStore`. Its feature-selection forests (keep_fraction < 1),
+    one per cell on the cell's encoded and scaled training partition, grow
+    as one `extratrees_fit_batch` before the cells run; a cell whose
+    preprocessing fails has none, and fails again when it runs. A
+    `PipelineError` gives the cell's failed `CellResult`."""
+    registry, tables, runs, outcomes = builtin_groups(), TableStore(), [], []
+    trains, seeds = {}, []  # the training partition and forest seed of each cell that selects features
+    for i, (g, m) in enumerate(cells):
+        states = _cell_states(config.seed, g, m)
+        split = (stratified_shuffle_split(data.labels, config.test_fraction, int(states[4]))
+                 if config.per_cell_split else shared_split)
+        runs.append((registry[g], MODEL_SPECS[m], split))
+        if config.keep_fraction < 1.0:
+            with suppress(PipelineError):  # the cell fails again when it runs
+                trains[i] = _encoded_and_scaled(data, *runs[-1])[3]
+                seeds.append(int(states[0]))
+    importances = dict(zip(trains, extratrees_fit_batch(list(trains.values()), seeds) if trains else ()))
+    for i, (group, spec, split) in enumerate(runs):
         try:
-            outcomes.append(run_cell_fitted(data, registry[g], MODEL_SPECS[m], config, split, tables))
+            outcomes.append(run_cell_fitted(data, group, spec, config, split, tables, importances.get(i)))
         except PipelineError as exc:
-            outcomes.append((CellResult(group_id=g, model_id=m, hyperparameters={}, error=str(exc)), None))
+            outcomes.append((CellResult(group.id, spec.id, hyperparameters={}, error=str(exc)), None))
     return outcomes
 
 

@@ -153,10 +153,12 @@ def univariate_f_scores(train: Dataset) -> np.ndarray:
     return scores
 
 
-def select_features(train: Dataset, keep_fraction: float = 1.0, seed: int = 0, n_trees: int = 100) -> np.ndarray:
+def select_features(train: Dataset, keep_fraction: float = 1.0, seed: int = 0, n_trees: int = 100,
+                    importances: np.ndarray | None = None) -> np.ndarray:
     """The sorted int64 indices of the union of the top-m columns by F score
     and by forest importance (`extratrees_fit`), each ranked by a stable sort
-    of its values, highest first, so that ties go to the lower column.
+    of its values, highest first, so that ties go to the lower column. Given
+    `importances`, the forest's, fitted beforehand, are not fitted again.
 
     m = max(1, ceil(keep_fraction × d)); the default keep_fraction of 1.0
     keeps every feature.
@@ -164,7 +166,8 @@ def select_features(train: Dataset, keep_fraction: float = 1.0, seed: int = 0, n
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
     m = max(1, math.ceil(keep_fraction * train.width))
-    rankings = univariate_f_scores(train), extratrees_fit(train, n_trees=n_trees, seed=seed)
+    forest = extratrees_fit(train, n_trees, seed=seed) if importances is None else importances
+    rankings = univariate_f_scores(train), forest
     return np.union1d(*(np.argsort(-values, kind="stable")[:m] for values in rankings))
 
 

@@ -88,10 +88,16 @@ def _failure_satisfaction_pairs() -> np.ndarray:
     )
 
 
-def check_synthetic(n: int, signal: float, p_success: float) -> None:
-    """Reject n < 20, and a signal or p_success outside [0, 1] or NaN."""
+def check_synthetic(n: int, signal: float, p_success: float, width: int | None = None) -> None:
+    """Reject n < 20, an n whose largest array numpy cannot hold (the n rows
+    of float64s of the `width` feature columns, the default schema's by
+    default, or of the two satisfaction answers), and a signal or p_success
+    outside [0, 1] or NaN."""
     if n < 20:
         raise NTooSmallError(f"n must be ≥ 20, got {n}")
+    width = len(default_schema().feature_columns) if width is None else width
+    if n > (most := np.iinfo(np.intp).max // (8 * max(width, 2))):
+        raise SyntheticSettingError(f"n must be ≤ {most} for {width} feature columns, got {n}")
     for name, value in (("signal", signal), ("p_success", p_success)):
         if not 0.0 <= value <= 1.0:
             raise SyntheticSettingError(f"{name} must be in [0, 1], got {value}")
@@ -105,8 +111,8 @@ def generate_synthetic(
     schema: Schema | None = None,
 ) -> Dataset:
     """Generate a deterministic synthetic Dataset of n patients."""
-    check_synthetic(n, signal, p_success)
     schema = schema or default_schema()
+    check_synthetic(n, signal, p_success, len(schema.feature_columns))
     rng = np.random.default_rng(seed)
 
     labels = _exact_count_binary(rng, n, p_success)

@@ -36,7 +36,9 @@ pick under a looser limit that also meets a stricter one is that tree's
 pick under the stricter one too, ties included, so a grid's three
 min_samples_leaf trees of a (fold, criterion) share their nodes until one
 tree's best cut leaves another too few rows. Extremely randomized trees
-(Geurts et al. 2006) grow one batch per forest, on the full sample: each
+(Geurts et al. 2006) grow one batch per forest, on the full sample, or
+one batch for many forests on trains of one width (`extratrees_fit_batch`),
+their rows end to end and each forest's trees rooted at its own: each
 node draws from its tree's own stream `max_features` candidate features
 without replacement, then a uniform threshold inside each non-constant
 candidate's node-local range. The ranges, CART's impurity decrease and the
@@ -164,11 +166,12 @@ def _cart_split(X, y, criteria, min_samples_leaf):
     cumsum minus its node's base. A node's cuts are scored once, those that
     leave its least leaf limit on each side; each member then takes the first
     best cut of its own window of sorted positions, those that leave its own
-    limit on each side. A limit above the n rows is taken as n, which also
-    forbids every cut, so that the window arithmetic stays in int64."""
+    limit on each side. A limit above 2**62, more rows than any node holds
+    (roots may repeat rows), is taken as 2**62, which also forbids every cut,
+    so that the window arithmetic stays in int64."""
     n, d = X.shape
     entropy, is_one = np.array(criteria) == "entropy", y == 1
-    min_leaf = np.array([min(leaf, n) for leaf in min_samples_leaf], dtype=np.int64)
+    min_leaf = np.array([min(leaf, 2**62) for leaf in min_samples_leaf], dtype=np.int64)
     rank = np.stack([np.unique(col, return_inverse=True)[1] for col in X.T])  # (d, n)
 
     def score(trees, node, counts, rows, seg, starts):  # arrays are (d, block rows)
@@ -246,9 +249,9 @@ def _grow(X, y, split, roots, max_depth=None, min_samples_split=2, depth_first=F
     takes every pending node of every tree, the whole frontier, so a batch
     grows level by level. A `depth_first` step, the forest's, whose draws
     follow each tree's node order, takes the next node of each tree, right
-    child first. Either way a step takes at most `_STEP_ROWS` rows besides
-    its largest node, the smallest nodes first, each with all its members;
-    the rest wait.
+    child first. A CART step takes at most `_STEP_ROWS` rows besides its
+    largest node, a forest step a sixteenth of that, the smallest nodes
+    first, each with all its members; the rest wait.
 
     Returns ((root counts, splits), importances): the (trees, 2) root class
     counts, the (trees, d) normalized impurity-decrease importances, and,
@@ -281,6 +284,10 @@ def _grow(X, y, split, roots, max_depth=None, min_samples_split=2, depth_first=F
     pool = pool[_grows(pool[:, 2] - pool[:, 1], 0, pool[:, 4], max_depth, min_samples_split)]
     shared = bool((lead != t).any())  # else every node has one member
     made, n_made = [(np.zeros((0, 6), np.int32), np.zeros((0, 2)))], 0  # per step: the splits' records
+    # A forest's first steps hold the roots of all its trees, or of a batch
+    # of forests: a sixteenth of a CART step's rows at a time (16 384) keeps
+    # a batch's peak memory near one forest's.
+    step_rows = _STEP_ROWS // 16 if depth_first else _STEP_ROWS
 
     def partition(rows, seg, starts, at, feature, threshold):
         """Reorder node b's rows, `rows` from `starts[b]`, into `perm` from
@@ -304,9 +311,9 @@ def _grow(X, y, split, roots, max_depth=None, min_samples_split=2, depth_first=F
         if shared:
             heads[1:] = picked[1:, 1] != picked[:-1, 1]
         size = (picked[:, 2] - picked[:, 1])[heads]
-        if size.sum() > _STEP_ROWS:  # the largest node, and the others smallest first while they fit
+        if size.sum() > step_rows:  # the largest node, and the others smallest first while they fit
             by_size = np.argsort(size, kind="stable")
-            fit = np.cumsum(size[by_size]) <= _STEP_ROWS
+            fit = np.cumsum(size[by_size]) <= step_rows
             fit[-1] = True
             keep = np.sort(by_size[fit])
             kept = np.isin(np.cumsum(heads) - 1, keep)  # each kept node's members
@@ -535,15 +542,16 @@ def dt_from_dict(raw: dict) -> DecisionTreeModel:
     )
 
 
-def _extra_trees_importances(X, y, seeds: np.ndarray, max_features: int) -> np.ndarray:
+def _extra_trees_importances(X, y, seeds: np.ndarray, max_features: int, roots=None) -> np.ndarray:
     """The (len(seeds), d) normalized importances of extremely randomized trees
-    grown in lockstep, tree t drawing from the stream of the words `seeds[t]`."""
+    grown in lockstep, tree t on the rows `roots[t]` (every row by default),
+    drawing from the stream of the words `seeds[t]`."""
     d = X.shape[1]
     size = min(max_features, d)
     if d > 10_000 and size > d // 50:  # numpy's choice draws these by another algorithm
         raise ValueError(f"max_features must be ≤ {d // 50} (d // 50) with more than 10 000 features, "
                          f"got {size}")
-    draws = _Draws(seeds, 1024)  # words of each tree's stream read at a time
+    draws = _Draws(seeds, max(1, _CHUNK_BYTES // (8 * len(seeds))))  # words read at once: all trees' in _CHUNK_BYTES
     candidates = np.zeros((len(seeds), size), dtype=np.int64)  # each tree's at the current step
 
     def random_split(trees, node, counts, rows, seg, starts):  # arrays are (block rows, size); node b is member b
@@ -574,7 +582,34 @@ def _extra_trees_importances(X, y, seeds: np.ndarray, max_features: int) -> np.n
         candidates[trees] = draws.choice(trees, d, size)
         return blocked(trees, node, counts, rows, seg, starts)
 
-    return _grow(X, y, split, [np.arange(X.shape[0])] * len(seeds), depth_first=True)[1]
+    return _grow(X, y, split, [np.arange(X.shape[0])] * len(seeds) if roots is None else roots, depth_first=True)[1]
+
+
+def extratrees_fit_batch(trains, seeds, n_trees: int = 100, max_features: int | None = None) -> np.ndarray:
+    """The (forests, d) importances of seeded forests grown as one lockstep
+    batch: row f is `extratrees_fit(trains[f], n_trees, max_features,
+    seeds[f])`. The trains' rows lie end to end, each forest's trees rooted
+    at its own, so the grower's fixed cost per step is paid once for all."""
+    if len(trains) != len(seeds) or len({t.width for t in trains}) > 1:
+        raise ValueError("forests need one seed each and trains of one width")
+    if any(t.n == 0 for t in trains):
+        raise EmptyTrainingSetError("cannot fit a forest on zero rows")
+    if n_trees < 1:
+        raise ValueError("n_trees must be ≥ 1")
+    # default: ceil(sqrt(d))
+    mf = max(1, math.isqrt(trains[0].width - 1) + 1) if max_features is None else max_features
+    if mf < 1:
+        raise ValueError("max_features must be ≥ 1")
+    words = np.concatenate([_rng_words(np.array([_entropy(s, t) for t in range(n_trees)], dtype=np.uint32))
+                            for s in seeds])
+    ends = np.cumsum([t.n for t in trains])
+    X, y = (np.concatenate([getattr(t, a) for t in trains]) for a in ("rows", "labels"))
+    roots = [r for e, t in zip(ends, trains) for r in [np.arange(e - t.n, e)] * n_trees]
+    # a lone forest's trees take every row, the default roots
+    imp = _extra_trees_importances(X, y, words, mf, *([roots] if len(trains) > 1 else []))
+    means = np.stack([forest.mean(axis=0) for forest in np.split(imp, len(trains))])
+    totals = means.sum(axis=1, keepdims=True)
+    return np.divide(means, totals, out=means, where=totals > 0)
 
 
 def extratrees_fit(train: Dataset, n_trees: int = 100, max_features: int | None = None,
@@ -582,15 +617,4 @@ def extratrees_fit(train: Dataset, n_trees: int = 100, max_features: int | None 
     """The (d,) feature importances of a seeded forest of extremely randomized
     trees: each tree's normalized importances, averaged over the trees and
     scaled to sum to 1 (all 0 when no tree splits)."""
-    if train.n == 0:
-        raise EmptyTrainingSetError("cannot fit a forest on zero rows")
-    if n_trees < 1:
-        raise ValueError("n_trees must be ≥ 1")
-    # default: ceil(sqrt(d))
-    mf = max(1, math.isqrt(train.width - 1) + 1) if max_features is None else max_features
-    if mf < 1:
-        raise ValueError("max_features must be ≥ 1")
-    seeds = _rng_words(np.array([_entropy(seed, t) for t in range(n_trees)], dtype=np.uint32))
-    mean_imp = _extra_trees_importances(train.rows, train.labels, seeds, mf).mean(axis=0)
-    total = mean_imp.sum()
-    return mean_imp / total if total > 0 else mean_imp
+    return extratrees_fit_batch([train], [seed], n_trees, max_features)[0]

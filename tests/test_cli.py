@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,33 @@ def test_generate_rejects_small_n(tmp_path, capsys):
         main(["generate", "--n", "5", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
     assert "n must be ≥ 20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["100000000000000000000", "4611686018427387904"])
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_an_n_past_the_largest_array_is_refused_before_anything_is_allocated(tmp_path, capsys, command, n):
+    # Both n ended in a traceback from the generator's first arrays: numpy's
+    # "Maximum allowed dimension exceeded" and "array is too big". The bound
+    # is the most rows of 23 float64 columns an array can hold. `generate`
+    # refuses a setting as argparse does, with exit code 2.
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        if command == "generate":
+            with pytest.raises(SystemExit) as exc:
+                main(["generate", "--n", n, "--out", str(out)])
+            code = exc.value.code
+        else:
+            code = main(["run", "--n", n, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == (2 if command == "generate" else 1)
+    assert [line for line in err.splitlines() if "error: " in line] == [
+        f"{'spineml: ' if command == 'generate' else ''}error: n must be ≤ {(2**63 - 1) // (8 * 23)} "
+        f"for 23 feature columns, got {n}"]
+    assert peak < 2**20 and not out.exists()
 
 
 @pytest.mark.parametrize("value", ["-0.2", "1.5", "nan"])

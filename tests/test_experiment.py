@@ -1,4 +1,6 @@
 import concurrent.futures
+import dataclasses
+import json
 import multiprocessing
 import re
 import threading
@@ -12,7 +14,9 @@ from spineml import experiment, neighbors
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spineml.errors import ConfigError, DataSourceError, UnknownGroupError
+from spineml.cli import main
+from spineml.dataset import Dataset, write_csv
+from spineml.errors import ConfigError, DataSourceError, PipelineError, UnknownGroupError
 from spineml.experiment import (
     FAMILIES,
     MODEL_IDS,
@@ -521,3 +525,80 @@ def test_a_crash_in_a_cell_reaches_the_caller_and_no_worker_outlives_a_run(monke
     monkeypatch.setattr(experiment, "run_cell_fitted", real)
     assert _within(120, lambda: run_matrix(config)).cells[("IV", "KNN_opt")].error is None
     assert multiprocessing.active_children() == []
+
+
+def _run_outputs(out, *argv) -> dict:
+    """A `spineml run`'s output files by relative path, each as bytes, with
+    results.json's timestamp nulled."""
+    assert main(["run", *argv, "--save-models", "--out", str(out)]) == 0
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "results.json":
+            raw = json.loads(data)
+            raw["provenance"]["timestamp"] = None
+            data = json.dumps(raw, indent=2).encode()
+        files[str(path.relative_to(out))] = data
+    return files
+
+
+@pytest.mark.parametrize("per_cell", [[], ["--per-cell-split"]], ids=["shared-split", "per-cell-split"])
+def test_batched_selection_forests_give_the_same_run_for_any_worker_count(tmp_path, monkeypatch, capsys,
+                                                                          per_cell):
+    # One worker runs group VII's cells as one job, whose four selection
+    # forests grow as one batch; two and three workers run each cell as a
+    # job of its own, whose forest is a batch of one. Per-cell splits root
+    # the batch's forests on other rows of the data.
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("only forked workers see the patched batch function")
+    batch, log = experiment.extratrees_fit_batch, tmp_path / "batches"
+
+    def logged(trains, *args):
+        with open(log, "a") as f:
+            f.write(f"{len(trains)}\n")
+        return batch(trains, *args)
+
+    monkeypatch.setattr(experiment, "extratrees_fit_batch", logged)
+    runs, sizes = [], []
+    for workers in (1, 2, 3):
+        runs.append(_run_outputs(tmp_path / f"w{workers}", "--groups", "VII", "--models",
+                                 "GaussianNB,ComplementNB,DT,DT_opt", "--keep-fraction", "0.5",
+                                 "--workers", str(workers), *per_cell))
+        sizes.append(sorted(map(int, log.read_text().split())))
+        log.unlink()
+    capsys.readouterr()
+    assert sizes == [[4], [1, 1, 1, 1], [1, 1, 1, 1]]
+    assert sum(name.startswith("models") for name in runs[0]) == 4
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("bad_rows, groups, models, per_cell, failed", [
+    (10, ("I", "II"), ("ComplementNB", "KNN"), False, ["ComplementNB × II", "KNN × II"]),
+    (1, ("II", "VII"), ("GaussianNB", "ComplementNB", "KNN", "DT", "DT_opt"), True,
+     [f"{m} × {g}" for g in ("II", "VII") for m in ("GaussianNB", "ComplementNB", "DT_opt")]),
+], ids=["every-cell-of-a-group", "some-cells-of-a-group"])
+def test_a_scaler_overflow_fails_the_cells_it_fails_unbatched_with_their_messages(
+        tmp_path, bad_rows, groups, models, per_cell, failed):
+    # An AGE of 1e200 overflows the sample std of AGE in every cell whose
+    # training partition holds it. Such a cell has no forest in its job's
+    # batch and fails when it runs; every cell, failed or not, must be what
+    # it is run alone, fitting its own forest. With one bad row and per-cell
+    # splits, a job's batch holds some of its cells' forests and not others.
+    data = load_config_data(ExperimentConfig(synthetic={}))
+    rows = data.rows.copy()
+    rows[:bad_rows, data.schema.feature_names.index("AGE")] = 1e200
+    write_csv(Dataset(data.schema, rows, data.labels), tmp_path / "huge.csv")
+    config = ExperimentConfig(csv_path=str(tmp_path / "huge.csv"), groups=groups, models=models,
+                              keep_fraction=0.5, per_cell_split=per_cell)
+    data = load_config_data(config)
+    matrix = run_matrix(config)
+    for (g, m), cell in matrix.cells.items():
+        split_seed = int(experiment._cell_states(config.seed, g, m)[4]) if per_cell else config.seed
+        split = stratified_shuffle_split(data.labels, config.test_fraction, split_seed)
+        try:
+            alone = run_cell_fitted(data, group_by_id(g), MODEL_SPECS[m], config, split)[0]
+        except PipelineError as exc:
+            alone = experiment.CellResult(group_id=g, model_id=m, hyperparameters={}, error=str(exc))
+        assert json.dumps(dataclasses.asdict(cell)) == json.dumps(dataclasses.asdict(alone))
+    assert [f"{m} × {g}" for (g, m), c in matrix.cells.items() if c.error] == failed
+    assert {c.error.split(", got")[0] for c in matrix.cells.values() if c.error} == {"scaler std must be finite"}

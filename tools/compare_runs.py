@@ -35,6 +35,7 @@ SWEEP = (
     ("seed 7", ["--seed", "7"]),
     ("seed 3", ["--seed", "3"]),
     ("keep fraction 0.5", ["--keep-fraction", "0.5"]),
+    ("keep fraction 0.5, per-cell split", ["--keep-fraction", "0.5", "--per-cell-split"]),
     ("n 1000, group VII, k-NN models", ["--n", "1000", "--groups", "VII", "--models", "KNN,KNN_opt,KNN_RO,KNN_SMOTE"]),
     ("2 workers", ["--workers", "2"]),
     ("README grids", ["--config", "{config}"]),
