@@ -21,13 +21,14 @@ from .experiment import (
     MODEL_IDS,
     SETTING_TYPES,
     ExperimentConfig,
+    load_config_data,
     run_matrix_fitted,
 )
 from .model_selection import SCORINGS
 from .persist import load_model, predict_single, save_model
 from .report import emit_report, load_results, render_table5_text
 from .schema import GROUP_IDS, read_json
-from .synthetic import SYNTHETIC_DEFAULTS, check_synthetic, generate_synthetic
+from .synthetic import SYNTHETIC_DEFAULTS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,11 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args, parser) -> int:
-    try:
-        check_synthetic(args.n, args.signal, args.p_success)
-    except PipelineError as exc:
-        parser.error(str(exc))
-    ds = generate_synthetic(args.n, args.seed, args.signal, p_success=args.p_success)
+    ds = load_config_data(ExperimentConfig(synthetic={
+        "n": args.n, "seed": args.seed, "signal": args.signal, "p_success": args.p_success}))
     write_csv(ds, args.out)
     n0, n1 = ds.class_counts()
     print(

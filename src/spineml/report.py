@@ -203,7 +203,7 @@ def render_fig2b(matrix: ExperimentMatrix) -> str:
 
 def _check_aggregates(matrix: ExperimentMatrix, error=AssertionError) -> None:
     """Raise `error` unless every stored group and model statistic is within
-    _AGG_TOLERANCE of its value recomputed from the cells."""
+    _AGG_TOLERANCE of its value recomputed from the cells (NaN never is)."""
     recomputed = _aggregate(matrix.cells, matrix.groups, matrix.models)
     stored = (matrix.group_stats, matrix.model_stats)
     for kind, names, fresh, kept in zip(("group", "model"), (matrix.groups, matrix.models),
@@ -214,7 +214,7 @@ def _check_aggregates(matrix: ExperimentMatrix, error=AssertionError) -> None:
                 if value is None or old is None:
                     drifted = value != old
                 else:
-                    drifted = abs(value - old) > _AGG_TOLERANCE
+                    drifted = not abs(value - old) <= _AGG_TOLERANCE
                 if drifted:
                     raise error(f"aggregate mismatch for {kind} {name}/{key}")
 

@@ -38,10 +38,26 @@ def test_generate_writes_header_plus_rows(tmp_path, capsys):
 
 
 def test_generate_rejects_small_n(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["generate", "--n", "5", "--out", str(tmp_path / "x.csv")])
-    assert exc.value.code == 2
-    assert "n must be ≥ 20" in capsys.readouterr().err
+    code, _, stderr = _run(capsys, "generate", "--n", "5", "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert stderr.splitlines() == ["error: n must be ≥ 20, got 5"]
+
+
+@pytest.mark.parametrize("generate_flags,run_flags,message", [
+    (["--seed", "-1"], ["--data-seed", "-1"], "synthetic seed must be ≥ 0: -1"),
+    (["--n", "5"], ["--n", "5"], "n must be ≥ 20, got 5"),
+    (["--signal", "nan"], ["--signal", "nan"], "signal must be in [0, 1], got nan"),
+    (["--n", "100000000000000000000"], ["--n", "100000000000000000000"],
+     f"n must be ≤ {(2**63 - 1) // (8 * 23)} for 23 feature columns, got 100000000000000000000"),
+])
+def test_generate_refuses_a_synthetic_setting_with_runs_error_line(tmp_path, capsys, generate_flags, run_flags,
+                                                                   message):
+    # `generate --seed -1` reached numpy's generator unchecked and ended in a
+    # traceback; its other bad settings exited 2 with argparse's usage line.
+    gen = _run(capsys, "generate", *generate_flags, "--out", str(tmp_path / "x.csv"))
+    run = _run(capsys, "run", *run_flags, "--out", str(tmp_path / "r"))
+    assert gen == run == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("n", ["100000000000000000000", "4611686018427387904"])
@@ -49,34 +65,25 @@ def test_generate_rejects_small_n(tmp_path, capsys):
 def test_an_n_past_the_largest_array_is_refused_before_anything_is_allocated(tmp_path, capsys, command, n):
     # Both n ended in a traceback from the generator's first arrays: numpy's
     # "Maximum allowed dimension exceeded" and "array is too big". The bound
-    # is the most rows of 23 float64 columns an array can hold. `generate`
-    # refuses a setting as argparse does, with exit code 2.
+    # is the most rows of 23 float64 columns an array can hold.
     out = tmp_path / "out"
     tracemalloc.start()
     try:
-        if command == "generate":
-            with pytest.raises(SystemExit) as exc:
-                main(["generate", "--n", n, "--out", str(out)])
-            code = exc.value.code
-        else:
-            code = main(["run", "--n", n, "--out", str(out)])
+        code = main([command, "--n", n, "--out", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
-    assert code == (2 if command == "generate" else 1)
-    assert [line for line in err.splitlines() if "error: " in line] == [
-        f"{'spineml: ' if command == 'generate' else ''}error: n must be ≤ {(2**63 - 1) // (8 * 23)} "
-        f"for 23 feature columns, got {n}"]
+    assert code == 1
+    assert err.splitlines() == [f"error: n must be ≤ {(2**63 - 1) // (8 * 23)} for 23 feature columns, got {n}"]
     assert peak < 2**20 and not out.exists()
 
 
 @pytest.mark.parametrize("value", ["-0.2", "1.5", "nan"])
 def test_generate_rejects_an_out_of_range_p_success(tmp_path, capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["generate", "--p-success", value, "--out", str(tmp_path / "x.csv")])
-    assert exc.value.code == 2
-    assert f"p_success must be in [0, 1], got {float(value)}" in capsys.readouterr().err
+    code, _, stderr = _run(capsys, "generate", "--p-success", value, "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert stderr.splitlines() == [f"error: p_success must be in [0, 1], got {float(value)}"]
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -279,6 +286,23 @@ def test_report_rejects_an_edited_results_file(tmp_path, capsys, edit, message):
     assert code == 1
     assert stdout == ""
     assert stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("edit", [lambda r: r["group_stats"]["I"].update(mean_f1=float("nan")),
+                                  lambda r: r["cells"][0].update(f1=float("nan"))],
+                         ids=["nan-group-stat", "nan-cell-f1"])
+def test_report_rejects_a_results_file_with_a_nan_statistic(tmp_path, capsys, edit):
+    # json reads the NaN token, and a NaN compared within the tolerance read
+    # as no drift: `report` wrote "nan" into table5 or table4 and exited 0.
+    _run(capsys, "run", "--n", "80", "--data-seed", "4", "--groups", "I,VII",
+         "--models", "GaussianNB,DT", "--folds", "4", "--out", str(tmp_path / "r"))
+    raw = json.loads((tmp_path / "r" / "results.json").read_text())
+    edit(raw)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(raw))
+    code, stdout, stderr = _run(capsys, "report", "--results", str(bad), "--out", str(tmp_path / "again"))
+    assert (code, stdout, stderr) == (1, "", "error: aggregate mismatch for group I/mean_f1\n")
+    assert not (tmp_path / "again").exists()
 
 
 def _make_model(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Run one `spineml run` sweep in two checkouts and compare every output.
+"""Run one `spineml run` sweep and a `spineml generate` sweep in two
+checkouts and compare every output.
 
 Usage: python tools/compare_runs.py PARENT_DIR CHANGE_DIR
 
@@ -14,6 +15,8 @@ saved model file in sorted order and prints, one JSON line per file,
 `predict_single(load_model(path), RECORD, trace=True)` or the error line,
 RECORD holding every predictor column of the default schema at the midpoint
 of its range; its stdout, stderr and exit code are compared as the run's.
+Each run of `GENERATE` is `spineml generate` with the listed flags, writing
+<out>/data.csv; the CSV bytes, stdout, stderr and exit code are compared.
 Each difference is printed; the exit code is 1 if there is any, else 0.
 """
 
@@ -41,6 +44,12 @@ SWEEP = (
     ("README grids", ["--config", "{config}"]),
 )
 
+# (name, flags) of `spineml generate`: the sweep's seeds at n 244 and 1 000.
+GENERATE = tuple((f"generate seed {seed}, n {n}", ["--seed", str(seed), "--n", str(n)])
+                 for n in (244, 1000) for seed in (42, 7, 3))
+
+MAIN = "import sys; from spineml.cli import main; sys.exit(main())"
+
 
 # The child that predicts RECORD with each model file named on its command line.
 PREDICT = """
@@ -67,8 +76,13 @@ def child(checkout: Path, argv: list, out: Path) -> tuple:
 
 def run(checkout: Path, flags: list, out: Path) -> tuple:
     """`spineml run --save-models` in `checkout`, writing to `out`."""
-    return child(checkout, ["-c", "import sys; from spineml.cli import main; sys.exit(main())",
-                            "run", *flags, "--save-models", "--out", str(out)], out)
+    return child(checkout, ["-c", MAIN, "run", *flags, "--save-models", "--out", str(out)], out)
+
+
+def generate(checkout: Path, flags: list, out: Path) -> tuple:
+    """`spineml generate` in `checkout`, writing `out`/data.csv."""
+    out.mkdir()
+    return child(checkout, ["-c", MAIN, "generate", *flags, "--out", str(out / "data.csv")], out)
 
 
 def predict(checkout: Path, out: Path) -> tuple:
@@ -85,10 +99,11 @@ def contents(path: Path) -> bytes:
     return data
 
 
-def differences(out_parent: Path, out_change: Path, outcome: list, predicted: list) -> list:
-    """What differs between the two sides of one run and its predictions."""
+def differences(out_parent: Path, out_change: Path, outcomes: dict) -> list:
+    """What differs between the two sides of one command's output directory
+    and of `outcomes`, each prefix's two (exit code, stdout, stderr)."""
     found = []
-    for prefix, sides in (("", outcome), ("predict ", predicted)):
+    for prefix, sides in outcomes.items():
         found += [f"{prefix}{what} differs:\n  parent: {a!r}\n  change: {b!r}"
                   for what, a, b in zip(("exit code", "stdout", "stderr"), *sides) if a != b]
     files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in (out_parent, out_change)]
@@ -100,30 +115,38 @@ def differences(out_parent: Path, out_change: Path, outcome: list, predicted: li
     return found
 
 
+def show(name: str, found: list, detail: str) -> bool:
+    """Print one command's verdict and differences; whether there are any."""
+    print(f"{name}: {'DIFFERENT' if found else 'same'} ({detail})")
+    for line in found:
+        print("  " + line.replace("\n", "\n    "))
+    return bool(found)
+
+
 def main(argv: list) -> int:
     if len(argv) != 2:
         print("usage: python tools/compare_runs.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
         return 2
-    parent, change = (Path(a).resolve() for a in argv)
+    checkouts = tuple(Path(a).resolve() for a in argv)
     any_difference = False
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "grids.json"
         config.write_text(json.dumps({"grids": README_GRIDS}), encoding="utf-8")
-        for i, (name, flags) in enumerate(SWEEP):
+        for i, (name, flags) in enumerate(SWEEP + GENERATE):
             flags = [f.replace("{config}", str(config)) for f in flags]
             outs = [Path(tmp) / side / str(i) / "out" for side in ("parent", "change")]
             for out in outs:
                 out.parent.mkdir(parents=True)
-            outcome = [run(checkout, flags, out) for checkout, out in zip((parent, change), outs)]
-            predicted = [predict(checkout, out) for checkout, out in zip((parent, change), outs)]
-            found = differences(*outs, outcome, predicted)
+            if i >= len(SWEEP):
+                outcome = [generate(checkout, flags, out) for checkout, out in zip(checkouts, outs)]
+                any_difference |= show(name, differences(*outs, {"": outcome}), f"exit {outcome[1][0]}")
+                continue
+            outcome = [run(checkout, flags, out) for checkout, out in zip(checkouts, outs)]
+            predicted = [predict(checkout, out) for checkout, out in zip(checkouts, outs)]
+            found = differences(*outs, {"": outcome, "predict ": predicted})
             n_files = sum(1 for p in outs[1].rglob("*") if p.is_file())
             n_lines = len(predicted[1][1].splitlines())
-            print(f"{name}: {'DIFFERENT' if found else 'same'} (exit {outcome[1][0]}, {n_files} files, "
-                  f"{n_lines} predictions)")
-            for line in found:
-                print("  " + line.replace("\n", "\n    "))
-            any_difference |= bool(found)
+            any_difference |= show(name, found, f"exit {outcome[1][0]}, {n_files} files, {n_lines} predictions")
     return 1 if any_difference else 0
 
 
