@@ -196,9 +196,6 @@ def write_csv(ds: Dataset, path) -> None:
 
 def select_group(ds: Dataset, group: VariableGroup) -> Dataset:
     """Dataset restricted to the group's columns (schema order kept) with the same labels."""
-    for name in group.column_names:
-        if name not in ds.schema.feature_names:
-            raise MissingColumnError(name)
     sub = ds.schema.subset(group.column_names)
     cols = [ds.schema.feature_index(n) for n in sub.feature_names]
     return Dataset(sub, ds.rows[:, cols], ds.labels)

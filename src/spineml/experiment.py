@@ -420,6 +420,12 @@ class FittedCell:
                         self.scaler_min, self.scaler_max, self.scaler_constant),
         )
 
+    @cached_property
+    def _bounds(self) -> list:
+        """Each feature's name and valid range; (-inf, inf) unless both bounds are given."""
+        bounds = [(f["name"], f.get("min"), f.get("max")) for f in self.feature_meta]
+        return [(n, lo, hi) if lo is not None and hi is not None else (n, -np.inf, np.inf) for n, lo, hi in bounds]
+
     def preprocess(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Encoded, then scaled, copies of raw rows in `feature_meta` order,
         through the same encoder and scaler as training."""

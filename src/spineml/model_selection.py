@@ -54,9 +54,11 @@ class SplitIndices:
 def stratified_shuffle_split(labels, test_fraction: float = 0.25, seed: int = 0) -> SplitIndices:
     """Class-proportional train/test partition by seeded within-class shuffle.
 
-    Each class contributes round(test_fraction × class count) test rows,
-    adjusted by ±1 on the most misallocated class so the test total equals
-    round(test_fraction × n). It fails on one-class labels and on sizes that
+    Each class contributes round(test_fraction × class count) test rows. If
+    these miss round(test_fraction × n) by diff, each of the |diff| classes
+    with the largest sign(diff) × (test_fraction × count − rows), among those
+    that can move, moves one row by sign(diff), ties to the lower label; with
+    two classes |diff| ≤ 1. It fails on one-class labels and on sizes that
     leave no test row or a class no training row, for every seed alike.
     """
     y = np.asarray(labels)
@@ -73,31 +75,21 @@ def stratified_shuffle_split(labels, test_fraction: float = 0.25, seed: int = 0)
     total_target = round(test_fraction * n)
     if total_target == 0:
         raise TooFewRowsError(f"test_fraction {test_fraction} of {n} rows leaves no test row")
-    targets = {int(c): round(test_fraction * k) for c, k in zip(classes, counts)}
-    sizes = {int(c): int(k) for c, k in zip(classes, counts)}
-    diff = total_target - sum(targets.values())
-    while diff != 0:
-        step = 1 if diff > 0 else -1
-        # most under-allocated (or over-allocated) class; ties to the lower label
-        def miss(c):
-            return test_fraction * sizes[c] - targets[c]
-        eligible = [
-            c for c in sorted(targets)
-            if (step > 0 and targets[c] < sizes[c]) or (step < 0 and targets[c] > 0)
-        ]
-        chosen = max(eligible, key=lambda c: (step * miss(c), -c))
-        targets[chosen] += step
-        diff -= step
-    for c in targets:
-        if targets[c] == sizes[c]:
-            raise TooFewRowsError(f"test_fraction {test_fraction} of {n} rows leaves no class {c} row to train on")
+    sizes = [int(k) for k in counts]
+    targets = [round(test_fraction * k) for k in sizes]
+    diff = total_target - sum(targets)
+    step = 1 if diff > 0 else -1
+    movable = [i for i, (t, k) in enumerate(zip(targets, sizes)) if (t < k if step > 0 else t > 0)]
+    for i in sorted(movable, key=lambda i: -step * (test_fraction * sizes[i] - targets[i]))[:abs(diff)]:
+        targets[i] += step
+    for c, t, k in zip(classes, targets, sizes):
+        if t == k:
+            raise TooFewRowsError(f"test_fraction {test_fraction} of {n} rows leaves no class {int(c)} row to train on")
 
     rng = np.random.default_rng(seed)
     test_parts, train_parts = [], []
-    for c in classes:
-        members = np.flatnonzero(y == c)
-        perm = rng.permutation(members)
-        t = targets[int(c)]
+    for c, t in zip(classes, targets):
+        perm = rng.permutation(np.flatnonzero(y == c))
         test_parts.append(perm[:t])
         train_parts.append(perm[t:])
     return SplitIndices(

@@ -2,11 +2,14 @@
 
 A model file holds one `experiment.FittedCell`: the fitted classifier, the
 train-fitted preprocessing (ordinal code maps, scaler statistics, kept
-feature indices, scaling mode) and training metadata. `load_model` returns
-a `FittedCell` again, so loading a file reproduces the in-memory model's
-predictions exactly, and `predict_single` takes a cell just trained as
-well as a loaded one. The classifier is written and read by its family's
-entry in `experiment.FAMILIES`. A record takes the path the cell's test
+feature indices, scaling mode) and training metadata. `_LAYOUT` gives each
+field but the classifier its one place in the file and its reader:
+`save_model` writes by it, and `load_model` reads a `FittedCell` back by
+it, so loading a file reproduces the in-memory model's predictions exactly,
+and `predict_single` takes a cell just trained as well as a loaded one. The
+classifier is written and read by its family's entry in
+`experiment.FAMILIES`. A record's values are read by `schema.typed`'s JSON
+number rule, as every JSON input is. A record takes the path the cell's test
 partition took: `FittedCell.preprocess`, the kept columns, then the
 family's predictor. A malformed file fails at load: each part checks its
 content where it is built (its family's model class or reader, or
@@ -21,7 +24,6 @@ the negated complement-match scores (lower score wins).
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Callable
 from numbers import Real
 
@@ -42,40 +44,45 @@ from .schema import LABEL_NAMES, read_json, typed
 MODEL_FORMAT_VERSION = 1
 
 
+# Each FittedCell field that a model file holds, but the classifier (its
+# family's entry writes and reads that): its place in the file, and the
+# reader that `load_model` passes the stored value to (None: kept as read).
+_LAYOUT = {
+    "model_id": ("model_id", lambda v: typed(v, str, "model_id")),
+    "group_id": ("group_id", lambda v: typed(v, str, "group_id")),
+    "family": ("family", None),
+    "feature_meta": ("features", None),
+    "ordinal_codes": ("preprocessing/ordinal_codes",
+                      lambda v: {k: typed(c, float, f"codes of {k}", array=True).tolist() for k, c in v.items()}),
+    "scaler_columns": ("preprocessing/scaler/columns",
+                       lambda v: tuple(typed(v, str, "scaler columns", array=True).tolist())),
+    "scaler_mean": ("preprocessing/scaler/mean", lambda v: typed(v, float, "scaler mean", array=True)),
+    "scaler_std": ("preprocessing/scaler/std", lambda v: typed(v, float, "scaler std", array=True)),
+    "scaler_min": ("preprocessing/scaler/min", lambda v: typed(v, float, "scaler min", array=True)),
+    "scaler_max": ("preprocessing/scaler/max", lambda v: typed(v, float, "scaler max", array=True)),
+    "scaler_constant": ("preprocessing/scaler/constant", lambda v: typed(v, bool, "scaler constant", array=True)),
+    "scaling_mode": ("preprocessing/scaling_mode", None),
+    "kept": ("preprocessing/kept", lambda v: typed(v, int, "kept", array=True)),
+    "hyperparameters": ("metadata/hyperparameters", None),
+    "seed": ("metadata/seed", lambda v: typed(v, int, "seed")),
+    "config_hash": ("metadata/config_hash", lambda v: typed(v, str, "config_hash")),
+}
+
+
 def save_model(cell: CellResult, fitted: FittedCell, path) -> None:
     """Write one versioned model file for a successfully evaluated cell."""
     if cell.error is not None:
         raise ValueError("cannot persist a failed cell")
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "model_id": fitted.model_id,
-        "group_id": fitted.group_id,
-        "family": fitted.family,
-        "features": fitted.feature_meta,
-        "preprocessing": {
-            "ordinal_codes": fitted.ordinal_codes,
-            "scaling_mode": fitted.scaling_mode,
-            "scaler": {
-                "columns": list(fitted.scaler_columns),
-                "mean": fitted.scaler_mean.tolist(),
-                "std": fitted.scaler_std.tolist(),
-                "min": fitted.scaler_min.tolist(),
-                "max": fitted.scaler_max.tolist(),
-                "constant": [bool(b) for b in fitted.scaler_constant],
-            },
-            "kept": [int(i) for i in fitted.kept],
-        },
-        "classifier": FAMILIES[fitted.family].to_dict(fitted.classifier),
-        "metadata": {
-            "seed": fitted.seed,
-            "config_hash": fitted.config_hash,
-            "hyperparameters": fitted.hyperparameters,
-            "accuracy": cell.accuracy,
-            "f1": cell.f1,
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+    payload = {"format_version": MODEL_FORMAT_VERSION, "metadata": {"accuracy": cell.accuracy, "f1": cell.f1},
+               "classifier": FAMILIES[fitted.family].to_dict(fitted.classifier)}
+    for field, (place, _) in _LAYOUT.items():
+        *parents, key = place.split("/")
+        node = payload
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = getattr(fitted, field)
+    with open(path, "w", encoding="utf-8") as fh:  # arrays and numpy scalars go as their lists and numbers
+        json.dump(payload, fh, sort_keys=True, indent=2, default=lambda v: v.tolist())
         fh.write("\n")
 
 
@@ -88,33 +95,18 @@ def load_model(path) -> FittedCell:
             f"unsupported model format version: {raw['format_version']}"
         )
     try:
-        prep = raw["preprocessing"]
-        scaler = prep["scaler"]
-        meta = raw["metadata"]
-        if prep["scaling_mode"] not in SCALING_MODES:
-            raise ValueError(f"unknown scaling_mode: {prep['scaling_mode']!r}")
-        kept = typed(prep["kept"], int, "kept", array=True)
-        if kept.ndim != 1 or (np.diff(kept) <= 0).any() or not ((0 <= kept) & (kept < len(raw["features"]))).all():
-            raise ValueError(f"kept feature indices {kept.tolist()} are not increasing within "
-                             f"[0, {len(raw['features'])})")
-        cell = FittedCell(
-            model_id=typed(raw["model_id"], str, "model_id"),
-            group_id=typed(raw["group_id"], str, "group_id"),
-            family=raw["family"],
-            feature_meta=raw["features"],
-            ordinal_codes={k: typed(v, float, f"codes of {k}", array=True).tolist()
-                           for k, v in prep["ordinal_codes"].items()},
-            scaler_columns=tuple(typed(scaler["columns"], str, "scaler columns", array=True).tolist()),
-            **{f"scaler_{key}": typed(scaler[key], float, f"scaler {key}", array=True)
-               for key in ("mean", "std", "min", "max")},
-            scaler_constant=typed(scaler["constant"], bool, "scaler constant", array=True),
-            scaling_mode=prep["scaling_mode"],
-            kept=kept,
-            classifier=FAMILIES[raw["family"]].from_dict(raw["classifier"]),
-            hyperparameters=meta["hyperparameters"],
-            seed=typed(meta["seed"], int, "seed"),
-            config_hash=typed(meta["config_hash"], str, "config_hash"),
-        )
+        fields = {}
+        for field, (place, read) in _LAYOUT.items():
+            value = raw
+            for key in place.split("/"):
+                value = value[key]
+            fields[field] = value if read is None else read(value)
+        cell = FittedCell(**fields, classifier=FAMILIES[fields["family"]].from_dict(raw["classifier"]))
+        if cell.scaling_mode not in SCALING_MODES:
+            raise ValueError(f"unknown scaling_mode: {cell.scaling_mode!r}")
+        kept, width = cell.kept, len(cell.feature_meta)
+        if kept.ndim != 1 or (np.diff(kept) <= 0).any() or not ((0 <= kept) & (kept < width)).all():
+            raise ValueError(f"kept feature indices {kept.tolist()} are not increasing within [0, {width})")
         for f in cell.feature_meta:
             if not (isinstance(f, dict) and isinstance(f.get("name"), str)
                     and all(isinstance(f.get(b), (Real, type(None))) for b in ("min", "max"))):
@@ -136,23 +128,15 @@ def preprocess_record(pm: FittedCell, record: dict) -> tuple[np.ndarray, Callabl
     """Validate, encode and scale one named-value record; returns the kept
     feature vector and a function that builds the per-kept-feature trace."""
     values = []
-    for meta in pm.feature_meta:
-        name = meta["name"]
-        if name not in record:
-            raise MissingFeatureError(name)
-        try:
-            value = float(record[name])
-        except (TypeError, ValueError, OverflowError):
-            raise OutOfSchemaValueError(
-                f"feature {name} is not numeric: {record[name]!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise OutOfSchemaValueError(f"feature {name} is not finite")
-        lo, hi = meta.get("min"), meta.get("max")
-        if lo is not None and hi is not None and not lo <= value <= hi:
-            raise OutOfSchemaValueError(
-                f"feature {name}={value} outside valid range [{lo}, {hi}]"
-            )
+    for name, lo, hi in pm._bounds:
+        try:  # the program's JSON number rule: no bool, no string, finite
+            value = typed(record[name], float, "value")
+        except KeyError:
+            raise MissingFeatureError(name) from None
+        except (ValueError, OverflowError) as exc:
+            raise OutOfSchemaValueError(f"feature {name}: {exc}") from None
+        if not lo <= value <= hi:
+            raise OutOfSchemaValueError(f"feature {name}={value} outside valid range [{lo}, {hi}]")
         values.append(value)
 
     raw = np.array([values])

@@ -4,7 +4,7 @@ CSV tables print values with 2 decimal places and flag each row's best
 value with a trailing asterisk; results.json keeps full precision and is
 byte-deterministic apart from its provenance timestamp. Charts are plain
 hand-built SVG (no plotting dependency): grouped bars with a 0.1-step
-axis and value labels.
+axis and value labels. `_FILES` names each file and its renderer.
 """
 
 from __future__ import annotations
@@ -191,16 +191,6 @@ def _svg_grouped_bars(title: str, names, stats: dict, width: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_fig2a(matrix: ExperimentMatrix) -> str:
-    return _svg_grouped_bars("Mean accuracy and F1 by variable group (across models)",
-                             matrix.groups, matrix.group_stats, 720)
-
-
-def render_fig2b(matrix: ExperimentMatrix) -> str:
-    return _svg_grouped_bars("Mean accuracy and F1 by model (across variable groups)",
-                             matrix.models, matrix.model_stats, 860)
-
-
 def _check_aggregates(matrix: ExperimentMatrix, error=AssertionError) -> None:
     """Raise `error` unless every stored group and model statistic is within
     _AGG_TOLERANCE of its value recomputed from the cells (NaN never is)."""
@@ -219,26 +209,28 @@ def _check_aggregates(matrix: ExperimentMatrix, error=AssertionError) -> None:
                     raise error(f"aggregate mismatch for {kind} {name}/{key}")
 
 
-def emit_report(matrix: ExperimentMatrix, out_dir, write_results: bool = True) -> dict:
-    """Write table4.csv, table5.csv, fig2a.svg, fig2b.svg and results.json.
+# The report files: (key in emit_report's result, file name, renderer).
+_FILES = (
+    ("table4", "table4.csv", render_table4),
+    ("table5", "table5.csv", render_table5),
+    ("fig2a", "fig2a.svg", lambda m: _svg_grouped_bars(
+        "Mean accuracy and F1 by variable group (across models)", m.groups, m.group_stats, 720)),
+    ("fig2b", "fig2b.svg", lambda m: _svg_grouped_bars(
+        "Mean accuracy and F1 by model (across variable groups)", m.models, m.model_stats, 860)),
+    ("results", "results.json", results_json_text),
+)
 
-    Aggregates are recomputed from the cells before writing and must agree
-    with the stored ones to within 1e-12.
-    """
+
+def emit_report(matrix: ExperimentMatrix, out_dir, write_results: bool = True) -> dict:
+    """Write the `_FILES` (results.json only with `write_results`) and return
+    their paths by key. Aggregates are recomputed from the cells before
+    writing and must agree with the stored ones to within 1e-12."""
     _check_aggregates(matrix)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = {
-        "table4": out / "table4.csv",
-        "table5": out / "table5.csv",
-        "fig2a": out / "fig2a.svg",
-        "fig2b": out / "fig2b.svg",
-    }
-    files["table4"].write_text(render_table4(matrix), encoding="utf-8")
-    files["table5"].write_text(render_table5(matrix), encoding="utf-8")
-    files["fig2a"].write_text(render_fig2a(matrix), encoding="utf-8")
-    files["fig2b"].write_text(render_fig2b(matrix), encoding="utf-8")
-    if write_results:
-        files["results"] = out / "results.json"
-        files["results"].write_text(results_json_text(matrix), encoding="utf-8")
+    files = {}
+    for key, name, render in _FILES:
+        if write_results or key != "results":
+            files[key] = out / name
+            files[key].write_text(render(matrix), encoding="utf-8")
     return files

@@ -13,6 +13,7 @@ predictor group: they encode the outcome and would leak it.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from dataclasses import dataclass
 
@@ -102,10 +103,10 @@ class Schema:
 
     def subset(self, feature_names) -> "Schema":
         """Schema restricted to the given feature columns (schema order) plus the outcome."""
-        wanted = set(feature_names)
-        missing = wanted - set(self.feature_names)
-        if missing:
-            raise MissingColumnError(sorted(missing)[0])
+        wanted, have = set(feature_names), set(self.feature_names)
+        missing = [name for name in feature_names if name not in have]
+        if missing:  # the first in the order asked
+            raise MissingColumnError(missing[0])
         cols = tuple(
             c for c in self.columns if c.name in wanted or c.role == "outcome"
         )
@@ -233,6 +234,9 @@ def typed(value, kind, name: str, array: bool = False):
     """A value read from JSON as `kind` (int, float, str or bool) or, with
     `array`, nested lists of such values as a numpy array of `kind`. Any
     other value raises a ValueError naming `name`."""
+    # A finite number takes no numpy; one past float range raises OverflowError here, as in astype.
+    if kind is float and not array and type(value) in _JSON_TYPES[float] and math.isfinite(value):
+        return float(value)
     cells = np.array(value, dtype=object)  # a scalar is a 0-d array, and an array is not
     ok = (cells.ndim > 0) == array and set(map(type, cells.flat)) <= _JSON_TYPES[kind]
     out = cells.astype(kind) if ok else None

@@ -18,6 +18,7 @@ from spineml.cli import _parse_list
 from spineml.dataset import Dataset, IngestionReport
 from spineml.errors import (
     ClassSmallerThanFoldsError,
+    ClassTooSmallError,
     ConfigError,
     CorruptFileError,
     EmptyAfterFilteringError,
@@ -27,6 +28,7 @@ from spineml.errors import (
     MissingColumnError,
     PipelineError,
     SingleClassError,
+    TooFewRowsError,
     UnknownGroupError,
     VersionMismatchError,
 )
@@ -40,7 +42,7 @@ from spineml.experiment import (
     run_matrix,
 )
 from spineml.metrics import ConfusionMatrix, accuracy, confusion, f1, precision, recall
-from spineml.model_selection import FoldPlan, ParamGrid
+from spineml.model_selection import FoldPlan, ParamGrid, SplitIndices
 from spineml.neighbors import _CHUNK_BYTES, METRICS, WEIGHTINGS, _distances, _nearest, _nearest_each
 from spineml.resampling import MinorityBasis, ResamplePlan
 from spineml.report import RESULTS_FORMAT_VERSION, _check_aggregates
@@ -1048,3 +1050,61 @@ def oracle_build_run_config(args, parser) -> OracleConfig:
         raw["save_models"] = True
     return OracleConfig.from_dict(raw)
 
+
+# `model_selection.stratified_shuffle_split` as it stood before the test
+# allocation was made in one pass: the per-class targets move one row at a
+# time in a loop. Kept verbatim, renamed, as the oracle of the one-pass rule
+# in test_model_selection.
+def stratified_shuffle_split_loop(labels, test_fraction: float = 0.25, seed: int = 0) -> SplitIndices:
+    """Class-proportional train/test partition by seeded within-class shuffle.
+
+    Each class contributes round(test_fraction × class count) test rows,
+    adjusted by ±1 on the most misallocated class so the test total equals
+    round(test_fraction × n). It fails on one-class labels and on sizes that
+    leave no test row or a class no training row, for every seed alike.
+    """
+    y = np.asarray(labels)
+    n = y.size
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    classes, counts = np.unique(y, return_counts=True)
+    if (counts < 2).any():
+        small = classes[counts < 2]
+        raise ClassTooSmallError(f"class {small[0]} has fewer than 2 rows")
+    if classes.size == 1:
+        raise SingleClassError(f"every label is class {classes[0]}: a stratified split needs both classes")
+
+    total_target = round(test_fraction * n)
+    if total_target == 0:
+        raise TooFewRowsError(f"test_fraction {test_fraction} of {n} rows leaves no test row")
+    targets = {int(c): round(test_fraction * k) for c, k in zip(classes, counts)}
+    sizes = {int(c): int(k) for c, k in zip(classes, counts)}
+    diff = total_target - sum(targets.values())
+    while diff != 0:
+        step = 1 if diff > 0 else -1
+        # most under-allocated (or over-allocated) class; ties to the lower label
+        def miss(c):
+            return test_fraction * sizes[c] - targets[c]
+        eligible = [
+            c for c in sorted(targets)
+            if (step > 0 and targets[c] < sizes[c]) or (step < 0 and targets[c] > 0)
+        ]
+        chosen = max(eligible, key=lambda c: (step * miss(c), -c))
+        targets[chosen] += step
+        diff -= step
+    for c in targets:
+        if targets[c] == sizes[c]:
+            raise TooFewRowsError(f"test_fraction {test_fraction} of {n} rows leaves no class {c} row to train on")
+
+    rng = np.random.default_rng(seed)
+    test_parts, train_parts = [], []
+    for c in classes:
+        members = np.flatnonzero(y == c)
+        perm = rng.permutation(members)
+        t = targets[int(c)]
+        test_parts.append(perm[:t])
+        train_parts.append(perm[t:])
+    return SplitIndices(
+        train_idx=np.sort(np.concatenate(train_parts)),
+        test_idx=np.sort(np.concatenate(test_parts)),
+    )

@@ -360,6 +360,20 @@ def test_predict_missing_feature_exits_1(tmp_path, capsys):
     assert "missing feature: AGE" in stderr
 
 
+@pytest.mark.parametrize("name,value", [("LEVELS", True), ("BMI", "27.5")])
+def test_predict_reads_record_values_by_the_json_number_rule(tmp_path, capsys, name, value):
+    # `float(value)` read a bool as 1.0 and a numeric string as its number,
+    # and predicted with exit 0; every other JSON input refuses both.
+    _run(capsys, "run", "--n", "80", "--data-seed", "3", "--groups", "I",
+         "--models", "GaussianNB", "--folds", "4", "--save-models", "--out", str(tmp_path / "r"))
+    record = {"BMI": 27.5, "LEVELS": 2, "PRE_LUMBAR_EVA": 7, "PRE_LEG_EVA": 6, "PRE_ODI": 40}
+    model = str(tmp_path / "r" / "models" / "GaussianNB__I.json")
+    assert _run(capsys, "predict", "--model", model, "--record", json.dumps(record))[0] == 0
+    code, stdout, stderr = _run(capsys, "predict", "--model", model, "--record", json.dumps({**record, name: value}))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: feature {name}: value must be a finite number, got {value!r}\n"
+
+
 def test_predict_version_mismatch_exits_1(tmp_path, capsys):
     model = _make_model(tmp_path, capsys)
     raw = json.loads(model.read_text())

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spineml.dataset import (
+    Dataset,
     derive_success,
     format_value,
     load_csv,
@@ -24,7 +25,7 @@ from spineml.errors import (
 )
 from spineml.naive_bayes import cnb_fit, cnb_predict_many, gnb_fit, gnb_predict_many
 from spineml.neighbors import knn_fit, knn_predict, knn_predict_many
-from spineml.schema import default_schema, group_by_id
+from spineml.schema import Schema, default_schema, group_by_id
 from spineml.synthetic import generate_synthetic
 from spineml.tree import dt_fit, dt_predict, dt_predict_many
 
@@ -211,6 +212,16 @@ def test_select_group_missing_column():
     ds = make_dataset([[1.0], [2.0]], [0, 1], names=["BMI"])
     with pytest.raises(MissingColumnError):
         select_group(ds, group_by_id("I"))
+
+
+def test_select_group_names_the_first_missing_column_in_group_order():
+    # Group VI lists ZUNG before DRAM; in sorted order DRAM comes first.
+    ds = generate_synthetic(30, seed=3, signal=0.0)
+    keep = [j for j, name in enumerate(ds.feature_names) if name not in ("ZUNG", "DRAM")]
+    lacking = Dataset(Schema(tuple(c for c in ds.schema.columns if c.name not in ("ZUNG", "DRAM"))),
+                      ds.rows[:, keep], ds.labels)
+    with pytest.raises(MissingColumnError, match="^missing column: ZUNG$"):
+        select_group(lacking, group_by_id("VI"))
 
 
 def test_dataset_validation():

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -83,6 +83,34 @@ def test_split_per_class_deviation_bounded():
 def test_split_class_too_small():
     with pytest.raises(ClassTooSmallError):
         stratified_shuffle_split(np.array([0, 0, 0, 1]), 0.25, seed=0)
+
+
+def _split_outcome(split, labels, test_fraction, seed):
+    try:
+        out = split(labels, test_fraction, seed)
+    except (ValueError, PipelineError) as exc:  # the type and message must match too
+        return (type(exc), str(exc))
+    return [(idx.dtype, idx.tobytes()) for idx in (out.train_idx, out.test_idx)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    classes=st.lists(st.integers(-3, 9), min_size=1, max_size=5, unique=True),
+    sizes=st.lists(st.integers(2, 60) | st.integers(1, 3), min_size=5, max_size=5),
+    test_fraction=st.floats(0.0, 1.0) | st.floats(0.0, 0.05) | st.floats(0.95, 1.0)
+    | st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.5, 1.0, -0.25, 1.5]),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.integers(0, 2**32 - 1),
+)
+@example(classes=[0, 1], sizes=[5, 5, 5, 5, 5], test_fraction=0.5, seed=0, order=0)  # both miss by 0.5: a tie
+def test_split_allocates_in_one_pass_what_the_per_row_loop_allocated(classes, sizes, test_fraction, seed, order):
+    """The one-pass test allocation gives the loop's indices, or its
+    exception type and message: 1–5 classes of 1–60 rows in any label
+    order, test fractions near 0 and 1, and fractions outside (0, 1)."""
+    rows = np.array([c for c, k in zip(classes, sizes) for _ in range(k)], dtype=np.int64)
+    labels = np.random.default_rng(order).permutation(rows)
+    want = _split_outcome(helpers.stratified_shuffle_split_loop, labels, test_fraction, seed)
+    assert _split_outcome(stratified_shuffle_split, labels, test_fraction, seed) == want
 
 
 def test_kfold_sizes_183():

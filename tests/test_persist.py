@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spineml.errors import (
 from spineml.experiment import (
     MODEL_SPECS,
     ExperimentConfig,
+    FittedCell,
     load_config_data,
     run_cell_fitted,
 )
@@ -22,7 +24,7 @@ from spineml.metrics import confusion
 from spineml.model_selection import stratified_shuffle_split
 from spineml.naive_bayes import cnb_predict_many, gnb_predict_many
 from spineml.neighbors import knn_predict_many
-from spineml.persist import MODEL_FORMAT_VERSION, load_model, predict_single, save_model
+from spineml.persist import _LAYOUT, MODEL_FORMAT_VERSION, load_model, predict_single, save_model
 from spineml.schema import LABEL_NAMES, ColumnSpec, Schema, default_schema, group_by_id
 from spineml.tree import dt_predict_many
 
@@ -109,6 +111,27 @@ def test_load_model_rejects_a_split_on_a_missing_feature(fitted_cells, tmp_path,
     path.write_text(json.dumps(raw))
     with pytest.raises(CorruptFileError):
         load_model(path)
+
+
+def test_every_fitted_cell_field_but_the_classifier_has_one_place_in_the_file(fitted_cells, tmp_path):
+    assert set(_LAYOUT) == {f.name for f in fields(FittedCell)} - {"classifier"}
+    places = [place.split("/") for place, _ in _LAYOUT.values()]
+    assert not [(a, b) for a in places for b in places if a is not b and a[:len(b)] == b]  # none inside another
+    for family, (cell, fit) in fitted_cells.items():
+        path = tmp_path / f"{family}.json"
+        save_model(cell, fit, path)
+        raw = json.loads(path.read_text())
+        for field, (place, _) in _LAYOUT.items():
+            *parents, key = place.split("/")
+            node = raw
+            for parent in parents:
+                node = node[parent]
+            value = getattr(fit, field)
+            assert node.pop(key) == json.loads(json.dumps(
+                value.tolist() if isinstance(value, np.ndarray) else value)), (family, field)
+        assert raw.pop("classifier") == json.loads(json.dumps(experiment.FAMILIES[fit.family].to_dict(fit.classifier)))
+        assert raw == {"format_version": MODEL_FORMAT_VERSION, "preprocessing": {"scaler": {}},
+                       "metadata": {"accuracy": cell.accuracy, "f1": cell.f1}}, family
 
 
 def test_save_model_rejects_failed_cell(fitted_cells, tmp_path):

@@ -42,6 +42,10 @@ SWEEP = (
     ("n 1000, group VII, k-NN models", ["--n", "1000", "--groups", "VII", "--models", "KNN,KNN_opt,KNN_RO,KNN_SMOTE"]),
     ("2 workers", ["--workers", "2"]),
     ("README grids", ["--config", "{config}"]),
+    # On the default data (117/127 rows) the split moves one class's test
+    # rows by -1 and by +1 at these fractions.
+    ("test fraction 0.1", ["--test-fraction", "0.1"]),
+    ("test fraction 0.2, per-cell split", ["--test-fraction", "0.2", "--per-cell-split"]),
 )
 
 # (name, flags) of `spineml generate`: the sweep's seeds at n 244 and 1 000.
