@@ -23,7 +23,7 @@ from .errors import (
     OutOfRangeError,
     WidthMismatchError,
 )
-from .schema import Schema, VariableGroup, default_schema
+from .schema import Schema, VariableGroup, default_schema, first_misfit
 
 
 @dataclass(frozen=True)
@@ -128,22 +128,22 @@ def format_value(v: float) -> str:
     return format(f, ".9g")
 
 
-def _number(text: str) -> float | None:
-    """The finite float that `float()` reads from a stripped CSV field, or None."""
+def _number(text: str) -> float:
+    """The float that `float()` reads from a stripped CSV field, or NaN."""
     try:
-        x = float(text.strip())
+        return float(text.strip())
     except ValueError:
-        return None
-    return x if math.isfinite(x) else None
+        return math.nan
 
 
 def load_csv(path, schema: Schema | None = None) -> tuple[Dataset, IngestionReport]:
     """Read a CSV whose header names a superset of the schema columns.
 
-    Columns are reordered to schema order. Every field is read by one rule,
-    `_number`, and a label must also be 0 or 1; a row with a field that
-    fails is dropped and recorded in the report by its 1-based data-row
-    number and its first failing column in schema order, the label last.
+    Columns are reordered to schema order. Every field is read by `_number`;
+    a feature value must also be one its column can hold (`first_misfit`)
+    and a label 0 or 1. A row with a field that fails is dropped and
+    recorded in the report by its 1-based data-row number and its first
+    failing column in schema order, the label last.
     """
     schema = schema or default_schema()
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -160,6 +160,7 @@ def load_csv(path, schema: Schema | None = None) -> tuple[Dataset, IngestionRepo
             positions[name] = header.index(name)
         label_pos = positions[schema.outcome.name]
         feature_pos = [positions[n] for n in schema.feature_names]
+        columns = [(c.kind, c.valid_range) for c in schema.feature_columns]
 
         rows, labels, dropped = [], [], []
         for row_no, record in enumerate(reader, start=1):
@@ -169,9 +170,9 @@ def load_csv(path, schema: Schema | None = None) -> tuple[Dataset, IngestionRepo
                 raise MalformedCsvError(row_no, "field count does not match header")
             values = [_number(record[pos]) for pos in feature_pos]
             y = _number(record[label_pos])
-            if None in values or y not in (0.0, 1.0):
-                bad = schema.feature_names[values.index(None)] if None in values else schema.outcome.name
-                dropped.append((row_no, bad))
+            bad = first_misfit(values, columns)
+            if bad is not None or y not in (0.0, 1.0):
+                dropped.append((row_no, schema.outcome.name if bad is None else schema.feature_names[bad]))
                 continue
             rows.append(values)
             labels.append(int(y))

@@ -422,9 +422,9 @@ class FittedCell:
 
     @cached_property
     def _bounds(self) -> list:
-        """Each feature's name and valid range; (-inf, inf) unless both bounds are given."""
-        bounds = [(f["name"], f.get("min"), f.get("max")) for f in self.feature_meta]
-        return [(n, lo, hi) if lo is not None and hi is not None else (n, -np.inf, np.inf) for n, lo, hi in bounds]
+        """Each feature's kind and valid range, none unless both bounds are given."""
+        ranges = [(f.get("min"), f.get("max")) for f in self.feature_meta]
+        return [(f["kind"], None if None in r else r) for f, r in zip(self.feature_meta, ranges)]
 
     def preprocess(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Encoded, then scaled, copies of raw rows in `feature_meta` order,

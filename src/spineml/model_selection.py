@@ -403,14 +403,14 @@ def _with_appended(dist, labels, extra, minority, X_val, metric, k):
     `_top_k` of a cached list followed by the distances to the appended
     rows is the (distance, stored index) order of the whole oversampled
     matrix, and its first k serve every smaller k too. The distances come
-    in blocks of (combination, query row) pairs whose difference tensor
-    stays under `neighbors._CHUNK_BYTES`, read at each call.
+    in blocks of (combination, query row) pairs whose distances take at
+    most a quarter of `neighbors._CHUNK_BYTES`, read at each call.
     """
     n_combos, need, d = extra.shape
     q, k0 = dist.shape[1:]
     width = min(k, k0 + need)
     out_dist, out_labels = np.empty((n_combos, q, width)), np.empty((n_combos, q, width), dtype=np.int64)
-    pairs = max(1, neighbors._CHUNK_BYTES // (8 * need * d))
+    pairs = max(1, neighbors._CHUNK_BYTES // (32 * need))
     q_step = min(max(1, q), pairs)
     c_step = max(1, pairs // q_step)
     for c in range(0, n_combos, c_step):

@@ -9,14 +9,23 @@ SMOTE's neighbor lists) keeps each query row's k nearest in (distance,
 index) order by one rule, `_top_k`: partition to the k-th smallest
 distance, keep every column at or below it, and order only those. The
 lookups run one block of query rows at a time, so memory grows with
-n_query × k, not n_query × n_train. Both metrics' lists come from one
-difference tensor per block (`_nearest_each`). Batch prediction
+n_query × k, not n_query × n_train. Both metrics' lists come from the same
+coordinate differences per block (`_nearest_each`). Batch prediction
 votes for all query rows at once (`_vote`), and grid search for all k of a
 combination list from one set of prefix sums (`_prefix_vote`); a row whose
 two class weights are equal up to rounding is settled by the one-row rule
 (`_vote_one`) that single-record prediction uses, so all give the same
-labels. One kernel, `_distances`, forms every difference tensor and owns
-the order of its sums and its overflow rule.
+labels. One kernel, `_distances`, forms every coordinate difference and
+owns the order of its sums and its overflow rule: each distance's d terms
+are added in the order of numpy's pairwise sum over a contiguous row
+(Higham, SIAM J. Sci. Comput. 14, 1993), so every block, layout and form
+gives a one-row query's bits. A block of two or more query rows and at
+least _PLANE_FLOOR (query row × point) pairs is measured as column
+planes, one (rows × points) difference plane per column, walked in row
+sub-blocks of _SUB_PAIRS pairs; any other block, and any with more than
+_PAIRWISE_BLOCK columns, as one C-ordered difference tensor summed by
+numpy. Callers size their blocks by distances: a block's take at most a
+quarter of _CHUNK_BYTES per metric, a table tile's half.
 
 Grid search and SMOTE measure a training partition once: `neighbor_table`
 lists every row's K nearest rows of the partition, itself included, from
@@ -50,11 +59,30 @@ _INV_EPS = 1e-12
 # Class weights closer than this, relative to the larger, count as tied: a
 # different summation order may flip them, so the one-row rule decides.
 _TIE_RTOL = 1e-9
-# Upper bound on the bytes of one (query block × n_train × d) float64
-# difference tensor: `_nearest_each` passes blocks of query rows sized to
-# stay under it. At 4 MB rather than 8 MB, an n = 1 000 group VII run of the
-# four KNN models peaks at 48 MB max RSS instead of 56 MB, in no more time.
+# The memory of one block of neighbor work. Its float64 (query rows ×
+# points) distances take at most a quarter of it per metric in the blocks
+# of `_nearest_each` and `model_selection._with_appended`, and half in the
+# tiles of `neighbor_table`, leaving room for the candidate lists and sort
+# buffers made from them. Sized by measurement (2 vCPU, glibc, group VII's
+# k-NN cells): a quarter takes no longer than a whole at n = 10 000 and
+# peaks lower. At n = 1 000, tiles of a quarter, or each metric's distances
+# in an array of their own, made the allocator hand back and refetch its
+# pages: about 20 000 page faults more per run, some 15% of its time.
 _CHUNK_BYTES = 4 * 2**20
+# `_distances` measures a block of one query row, or of fewer (query row ×
+# point) pairs than this, as one difference tensor, which is cheaper there
+# than planes: a one-row block would copy the points' columns for one use.
+_PLANE_FLOOR = 512
+# (query row × point) pairs per row sub-block of the plane form: its
+# difference planes and partial sums, 0.5 MB each, stay in a core's cache.
+_SUB_PAIRS = 8192
+# numpy's pairwise_sum adds up to this many terms with eight partial sums
+# and splits longer rows in halves.
+_PAIRWISE_BLOCK = 128
+# numpy's ufunc buffer, in elements, while the plane form runs: with the
+# default 8 192, a broadcast subtraction of rows shorter than that is
+# buffered and takes about four times as long.
+_UFUNC_BUFSIZE = 64
 
 
 @dataclass(frozen=True)
@@ -88,31 +116,110 @@ def knn_fit(train: Dataset, k: int, weighting: str = "uniform", metric: str = "e
 
 def _distances(points: np.ndarray, X: np.ndarray, metrics) -> dict:
     """(n_query, n_train) distances from each row of X to each stored point,
-    for each of `metrics`, from one difference tensor. It is the one function
-    that forms such a tensor, so the benchmark's tracer, which counts the
-    calls of this name, sees every one.
+    for each of `metrics`. It is the one function that forms coordinate
+    differences, so the benchmark's tracer, which counts the calls of this
+    name, sees every one.
 
-    Each entry is reduced over its own d differences, so the values do not
-    depend on how the callers split the queries into blocks, nor on the
-    inputs' layout: the tensor is C-ordered, so each sum runs in numpy's
-    pairwise order, as a one-row query's does (a strided sum would not from
-    d = 8 on). The kernels own this rule, not the callers that make blocks:
-    the benchmark's parity reference scores a Fortran-ordered test block,
-    C-ordering `train.rows[:, kept]` would move `gnb_fit`'s bits and so model
-    files, and fitted points keep their block's layout, loaded ones not.
+    Each entry is its own d terms (|a| or a·a of each difference) added in
+    the order of numpy's `pairwise_sum` over a contiguous row, so the values
+    do not depend on how the callers split the queries into blocks, nor on
+    the inputs' layout, and equal a one-row query's. The kernels own this
+    rule, not the callers that make blocks: the benchmark's parity reference
+    scores a Fortran-ordered test block, C-ordering `train.rows[:, kept]`
+    would move `gnb_fit`'s bits and so model files, and fitted points keep
+    their block's layout, loaded ones not. Two forms keep it:
+
+    - A block of one query row (every single-record prediction) or of
+      fewer than _PLANE_FLOOR (query row × point) pairs forms one C-ordered
+      difference tensor and lets numpy sum its rows, which is cheaper at
+      that size. So does any d above _PAIRWISE_BLOCK, where numpy splits a
+      row's sum in halves, with the tensor walked in row blocks of at most
+      _CHUNK_BYTES.
+    - Every other block forms one (rows, n_train) difference plane per
+      column, eight columns per np.subtract, both metrics sharing them, and
+      adds the planes in numpy's order (`_plane_sums`), in row sub-blocks
+      of _SUB_PAIRS pairs, with numpy's ufunc buffer at _UFUNC_BUFSIZE.
+
     A square or sum that overflows is +inf, which `_top_k` orders last and
     `_vote_one` votes on, so the overflow warns nothing.
     """
+    q, (n, d) = X.shape[0], points.shape
     with np.errstate(over="ignore"):
-        diff = np.subtract(X[:, None, :], points[None, :, :], order="C")
-        # made absolute, then squared, in place, so a block holds one tensor; a
-        # metric's values are the same alone or not, as |a|·|a| rounds like a·a
-        out = {}
-        if "manhattan" in metrics:
-            out["manhattan"] = np.abs(diff, out=diff).sum(axis=2)
-        if "euclidean" in metrics:
-            out["euclidean"] = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
+        if (q < 2 or q * n < _PLANE_FLOOR) and d <= _PAIRWISE_BLOCK:
+            return _tensor_sums(points, X, metrics)
+        out = dict(zip(metrics, np.zeros((len(metrics), q, n))))  # one allocation for all metrics
+        if d > _PAIRWISE_BLOCK:
+            step = max(1, _CHUNK_BYTES // (8 * n * d))
+            for r in range(0, q, step):
+                for metric, part in _tensor_sums(points, X[r:r + step], metrics).items():
+                    out[metric][r:r + step] = part
+            return out
+        columns = np.ascontiguousarray(points.T)[:, None, :]  # (d, 1, n)
+        queries = np.ascontiguousarray(X.T)[:, :, None]  # (d, q, 1)
+        step = max(1, _SUB_PAIRS // n)
+        # one sub-block's difference planes and partial sums, reused by each
+        diff = np.empty((min(d, 8), min(step, q), n))
+        partial = {metric: np.empty((8, min(step, q), n)) for metric in metrics} if d >= 8 else {}
+        np.setbufsize(_UFUNC_BUFSIZE)  # until the errstate block ends
+        for r in range(0, q, step):
+            _plane_sums(queries[:, r:r + step], columns, {metric: out[metric][r:r + step] for metric in metrics},
+                        diff, partial)
+        if "euclidean" in out:
+            np.sqrt(out["euclidean"], out=out["euclidean"])
     return out
+
+
+def _tensor_sums(points: np.ndarray, X: np.ndarray, metrics) -> dict:
+    """`_distances` from one C-ordered difference tensor, each row summed by
+    numpy. The tensor is made absolute, then squared, in place, so a block
+    holds one; a metric's values are the same alone or not, as |a|·|a|
+    rounds like a·a."""
+    diff = np.subtract(X[:, None, :], points[None, :, :], order="C")
+    out = {}
+    if "manhattan" in metrics:
+        out["manhattan"] = np.abs(diff, out=diff).sum(axis=2)
+    if "euclidean" in metrics:
+        out["euclidean"] = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
+    return out
+
+
+def _plane_sums(queries: np.ndarray, columns: np.ndarray, sums: dict, diff: np.ndarray, partial: dict) -> None:
+    """Add each metric's d terms of (rows, n) pairs into sums[metric], zeros,
+    in the order of numpy's `pairwise_sum` for d ≤ _PAIRWISE_BLOCK terms: for
+    d < 8 one after another; else eight partial sums r_j of the terms j,
+    j + 8, … up to the last whole group of eight, combined as ((r0 + r1) +
+    (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then the d mod 8 others one
+    after another. `queries` is (d, rows, 1) and `columns` (d, 1, n); each
+    np.subtract forms the planes of up to eight columns at once into `diff`,
+    and `partial` holds each metric's eight partial sums."""
+    d, rows = queries.shape[:2]
+    whole = d - d % 8 if d >= 8 else 0
+    partial = {metric: r[:, :rows] for metric, r in partial.items()}
+    for i in range(0, whole, 8):
+        _add_terms(np.subtract(queries[i:i + 8], columns[i:i + 8], out=diff[:, :rows]), partial, i == 0)
+    for metric, r in partial.items():
+        np.add(r[0::2], r[1::2], out=r[0::2])  # r0 + r1, r2 + r3, r4 + r5, r6 + r7
+        np.add(r[0::4], r[2::4], out=r[0::4])
+        np.add(r[0], r[4], out=sums[metric])
+    if whole < d:
+        terms = np.subtract(queries[whole:], columns[whole:], out=diff[:d - whole, :rows])
+        for metric, term in (("manhattan", np.abs), ("euclidean", np.square)):
+            if metric in sums:
+                for plane in term(terms, out=terms):  # |a|·|a| rounds like a·a
+                    np.add(sums[metric], plane, out=sums[metric])
+
+
+def _add_terms(planes: np.ndarray, partial: dict, first: bool) -> None:
+    """Add each metric's terms of the difference planes, |a| for Manhattan
+    and a·a for Euclidean, into its partial sums, or with `first` put them
+    there. The planes are made absolute, then squared, in place; |a|·|a|
+    rounds like a·a."""
+    for metric, term in (("manhattan", np.abs), ("euclidean", np.square)):
+        if metric in partial:
+            if first:
+                term(planes, out=partial[metric])
+            else:
+                np.add(partial[metric], term(planes, out=planes), out=partial[metric])
 
 
 def _top_k(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,10 +273,10 @@ def _nearest_each(points: np.ndarray, X: np.ndarray, metrics, k: int) -> dict:
     """`_nearest` for each of `metrics`, one block of query rows at a time.
 
     Each block's distances come from one `_distances` call, both metrics'
-    from one difference tensor. Blocks are sized so that a block's
-    difference tensor stays under _CHUNK_BYTES.
+    from the same differences. A block's distances take at most a quarter
+    of _CHUNK_BYTES per metric.
     """
-    step = max(1, _CHUNK_BYTES // max(1, 8 * points.size))
+    step = max(1, _CHUNK_BYTES // max(1, 32 * len(points)))
     blocks = []
     for start in range(0, max(1, X.shape[0]), step):
         dists = _distances(points, X[start:start + step], metrics)
@@ -186,9 +293,8 @@ def neighbor_table(points: np.ndarray, metrics, k: int) -> dict:
     bit for bit, and indices of `_nearest_each(points, points, metrics, k)`.
 
     The table is built from square tiles of the upper triangle of the
-    distance matrix, each holding a quarter of _CHUNK_BYTES of distances per
-    metric, measured by one `_distances` call per row block under
-    _CHUNK_BYTES of differences. A distance is the same double either way
+    distance matrix, each holding half of _CHUNK_BYTES of distances per
+    metric and measured by one `_distances` call. A distance is the same double either way
     round, so tile (a, b) feeds the running lists of row block a and,
     transposed, of row block b. Tiles go row block by row block, so each
     block receives its candidate columns in ascending index order; `_top_k`
@@ -198,11 +304,10 @@ def neighbor_table(points: np.ndarray, metrics, k: int) -> dict:
     preallocated (n, k) arrays, indices in the smallest unsigned type that
     holds n.
     """
-    n, d = points.shape
+    n = len(points)
     k = min(k, n)
     lists = {metric: (np.empty((n, k)), np.empty((n, k), dtype=np.min_scalar_type(n))) for metric in metrics}
-    step = max(1, math.isqrt(_CHUNK_BYTES // 32))
-    rows_per = max(1, _CHUNK_BYTES // max(1, 8 * d * step))
+    step = max(1, math.isqrt(_CHUNK_BYTES // 16))
     filled = dict.fromkeys(range(0, n, step), 0)  # each block's list width so far
 
     def merge(start, width, new, first, dist, idx):
@@ -222,17 +327,13 @@ def neighbor_table(points: np.ndarray, metrics, k: int) -> dict:
         cand = np.concatenate([idx[rows, :width], first + cols], axis=1)
         dist[rows, :top.shape[1]], idx[rows, :top.shape[1]] = top, np.take_along_axis(cand, order, axis=1)
 
-    tile = {metric: np.empty((min(step, n), min(step, n))) for metric in metrics}
     for a in filled:
         size_a = min(step, n - a)
         for b in range(a, n, step):
-            against, size_b = points[b:b + step], min(step, n - b)
-            for r in range(0, size_a, rows_per):  # the tile's rows, under _CHUNK_BYTES of differences each
-                block = points[a + r:a + min(r + rows_per, size_a)]
-                for metric, part in _distances(against, block, metrics).items():
-                    tile[metric][r:r + len(block), :size_b] = part
+            size_b = min(step, n - b)
+            tile = _distances(points[b:b + step], points[a:a + step], metrics)
             for metric, (dist, idx) in lists.items():
-                new = tile[metric][:size_a, :size_b]
+                new = tile[metric]
                 merge(a, filled[a], new, b, dist, idx)
                 if b > a:
                     merge(b, filled[b], new.T, a, dist, idx)

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .experiment import FAMILIES, CellResult, FittedCell
 from .preprocess import SCALING_MODES
-from .schema import LABEL_NAMES, read_json, typed
+from .schema import KINDS, LABEL_NAMES, first_misfit, read_json, typed
 
 MODEL_FORMAT_VERSION = 1
 
@@ -108,9 +108,9 @@ def load_model(path) -> FittedCell:
         if kept.ndim != 1 or (np.diff(kept) <= 0).any() or not ((0 <= kept) & (kept < width)).all():
             raise ValueError(f"kept feature indices {kept.tolist()} are not increasing within [0, {width})")
         for f in cell.feature_meta:
-            if not (isinstance(f, dict) and isinstance(f.get("name"), str)
+            if not (isinstance(f, dict) and isinstance(f.get("name"), str) and f.get("kind") in KINDS
                     and all(isinstance(f.get(b), (Real, type(None))) for b in ("min", "max"))):
-                raise ValueError(f"feature {f!r} lacks a string name or numeric bounds")
+                raise ValueError(f"feature {f!r} lacks a string name, a known kind or numeric bounds")
         if not all(cell.ordinal_codes.values()):
             raise ValueError("an ordinal column has no codes")
         # the preprocessing plan: its columns must be features, its scaler state valid
@@ -128,18 +128,19 @@ def preprocess_record(pm: FittedCell, record: dict) -> tuple[np.ndarray, Callabl
     """Validate, encode and scale one named-value record; returns the kept
     feature vector and a function that builds the per-kept-feature trace."""
     values = []
-    for name, lo, hi in pm._bounds:
+    for f in pm.feature_meta:
         try:  # the program's JSON number rule: no bool, no string, finite
-            value = typed(record[name], float, "value")
+            values.append(typed(record[f["name"]], float, "value"))
         except KeyError:
-            raise MissingFeatureError(name) from None
+            raise MissingFeatureError(f["name"]) from None
         except (ValueError, OverflowError) as exc:
-            raise OutOfSchemaValueError(f"feature {name}: {exc}") from None
-        if not lo <= value <= hi:
-            raise OutOfSchemaValueError(f"feature {name}={value} outside valid range [{lo}, {hi}]")
-        values.append(value)
-
+            raise OutOfSchemaValueError(f"feature {f['name']}: {exc}") from None
+    if (bad := first_misfit(values, pm._bounds)) is not None:  # the rule of a CSV row's values
+        (kind, valid), name = pm._bounds[bad], pm.feature_meta[bad]["name"]
+        raise OutOfSchemaValueError(f"feature {name}={values[bad]} is not a value of its {kind} column"
+                                    + (f" in [{valid[0]}, {valid[1]}]" if valid else ""))
     raw = np.array([values])
+
     encoded, scaled = pm.preprocess(raw)
 
     def trace() -> list:

@@ -14,6 +14,8 @@ from dataclasses import fields
 from numbers import Real
 from pathlib import Path
 
+import numpy as np
+
 from .errors import CorruptFileError, VersionMismatchError
 from .experiment import CellResult, ExperimentMatrix, _aggregate
 from .metrics import ConfusionMatrix
@@ -193,8 +195,10 @@ def _svg_grouped_bars(title: str, names, stats: dict, width: int) -> str:
 
 def _check_aggregates(matrix: ExperimentMatrix, error=AssertionError) -> None:
     """Raise `error` unless every stored group and model statistic is within
-    _AGG_TOLERANCE of its value recomputed from the cells (NaN never is)."""
-    recomputed = _aggregate(matrix.cells, matrix.groups, matrix.models)
+    _AGG_TOLERANCE of its value recomputed from the cells (NaN never is, nor
+    the infinite spread of cell values past the square range)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        recomputed = _aggregate(matrix.cells, matrix.groups, matrix.models)
     stored = (matrix.group_stats, matrix.model_stats)
     for kind, names, fresh, kept in zip(("group", "model"), (matrix.groups, matrix.models),
                                         recomputed, stored):

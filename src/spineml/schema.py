@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,17 @@ class ColumnSpec:
             lo, hi = self.valid_range
             if lo > hi:
                 raise ValueError(f"invalid range for {self.name}: [{lo}, {hi}]")
+
+
+def first_misfit(values, columns) -> int | None:
+    """The index of the first raw value its column (kind, inclusive range or
+    None) cannot hold: not finite, out of range, or not whole in an ordinal or
+    binary column; None if all fit. CSV rows and `predict` records share it."""
+    for i, (value, (kind, valid_range)) in enumerate(zip(values, columns)):
+        lo, hi = valid_range or (-sys.float_info.max, sys.float_info.max)  # NaN and ±inf fall outside
+        if not (lo <= value <= hi and (kind == KIND_CONTINUOUS or value.is_integer())):
+            return i
+    return None
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,17 @@ def make_dataset(rows, labels, kinds=None, names=None) -> Dataset:
     return Dataset(Schema(tuple(cols)), rows, np.asarray(labels, dtype=np.int64))
 
 
+def schema_without_bounds(tmp_path, name: str) -> str:
+    """The path of a schema file of the default columns with no bounds on
+    column `name`, so that a CSV row with any finite value there is kept."""
+    columns = [{"name": c.name, "kind": c.kind, "role": c.role,
+                **dict(zip(("min", "max"), (None, None) if c.name == name else c.valid_range or (None, None)))}
+               for c in default_schema().columns]
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"columns": columns}))
+    return str(path)
+
+
 def layouts(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The values of 2-d `A` C-ordered, Fortran-ordered and as a view with
     strided columns. From d = 8 on, numpy sums a contiguous axis pairwise and

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import FAILED_AND_TUNED
+from helpers import FAILED_AND_TUNED, schema_without_bounds
 
 import spineml
 from spineml.cli import _build_parser, _build_run_config, main
@@ -18,6 +18,7 @@ from spineml.dataset import load_csv
 from spineml.experiment import SETTING_TYPES, ExperimentConfig
 from spineml.model_selection import stratified_shuffle_split
 from spineml.schema import default_schema
+from spineml.synthetic import generate_synthetic
 
 
 def _run(capsys, *argv):
@@ -305,6 +306,21 @@ def test_report_rejects_a_results_file_with_a_nan_statistic(tmp_path, capsys, ed
     assert not (tmp_path / "again").exists()
 
 
+def test_report_rejects_a_results_file_whose_recomputed_spread_overflows(tmp_path, capsys):
+    # A cell accuracy of 1e200 overflows the square in the recomputed
+    # standard deviation: `report` raised numpy's RuntimeWarning from its
+    # aggregate check before it could name the drift.
+    _run(capsys, "run", "--n", "80", "--data-seed", "4", "--groups", "I,VII",
+         "--models", "GaussianNB,DT", "--folds", "4", "--out", str(tmp_path / "r"))
+    raw = json.loads((tmp_path / "r" / "results.json").read_text())
+    raw["cells"][0]["accuracy"] = 1e200
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(raw))
+    proc = _spineml("report", "--results", str(bad), "--out", str(tmp_path / "again"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: aggregate mismatch for group I/mean_acc\n")
+    assert not (tmp_path / "again").exists()
+
+
 def _make_model(tmp_path, capsys):
     _run(capsys, "run", "--n", "80", "--data-seed", "3", "--groups", "II",
          "--models", "KNN", "--folds", "4", "--save-models",
@@ -372,6 +388,37 @@ def test_predict_reads_record_values_by_the_json_number_rule(tmp_path, capsys, n
     code, stdout, stderr = _run(capsys, "predict", "--model", model, "--record", json.dumps({**record, name: value}))
     assert (code, stdout) == (1, "")
     assert stderr == f"error: feature {name}: value must be a finite number, got {value!r}\n"
+
+
+@pytest.mark.parametrize("name,value,column", [("DRAM", 1.5, "ordinal column in [0, 3]"),
+                                               ("GEN", 0.5, "binary column in [0, 1]"),
+                                               ("AGE", 90.5, "continuous column in [18, 90]")])
+def test_predict_refuses_a_value_its_column_cannot_hold(tmp_path, capsys, name, value, column):
+    # `predict` encoded the ordinal DRAM 1.5 as 1.0 and the binary GEN 0.5
+    # as 0.0 and exited 0, while a run fitted no such value. A value out of
+    # range was refused before, with another message.
+    _run(capsys, "run", "--n", "80", "--data-seed", "3", "--groups", "VII",
+         "--models", "GaussianNB", "--folds", "4", "--save-models", "--out", str(tmp_path / "r"))
+    data = generate_synthetic(20, 5, 0.5)
+    record = dict(zip(data.feature_names, data.rows[0].tolist()))
+    model = str(tmp_path / "r" / "models" / "GaussianNB__VII.json")
+    assert _run(capsys, "predict", "--model", model, "--record", json.dumps(record))[0] == 0
+    code, stdout, stderr = _run(capsys, "predict", "--model", model, "--record", json.dumps({**record, name: value}))
+    assert (code, stdout, stderr) == (1, "", f"error: feature {name}={value} is not a value of its {column}\n")
+
+
+def test_a_csv_row_with_a_value_its_column_cannot_hold_is_dropped_at_ingestion(tmp_path, capsys):
+    # Rows with the ordinal DRAM at 1.5 were kept; each cell whose training
+    # partition held one failed ("categorical column holds non-integer
+    # codes") and the run exited 0.
+    data = tmp_path / "d.csv"
+    _run(capsys, "generate", "--out", str(data))
+    header, *rows = [line.split(",") for line in data.read_text().splitlines()]
+    for row in rows[::24]:
+        row[header.index("DRAM")] = "1.5"
+    data.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    code, _, stderr = _run(capsys, "run", "--csv", str(data), "--models", "GaussianNB,KNN", "--out", str(tmp_path / "r"))
+    assert (code, stderr) == (0, f"note: dropped 11 of 244 data rows from {data} (first: row 1: bad DRAM)\n")
 
 
 def test_predict_version_mismatch_exits_1(tmp_path, capsys):
@@ -623,9 +670,10 @@ def test_predict_on_a_record_scaled_past_the_square_range_warns_nothing(tmp_path
 
 
 def test_a_run_whose_test_row_is_scaled_past_the_square_range_warns_nothing(tmp_path, capsys):
-    # The first test row of the seed-42 split has an AGE of 1e200: the
-    # scaler fitted on the training rows maps it past the square range, and
-    # the run printed all three warnings above. Its results are as they were.
+    # The first test row of the seed-42 split has an AGE of 1e200, which a
+    # schema without AGE bounds keeps: the scaler fitted on the training
+    # rows maps it past the square range, and the run printed all three
+    # warnings above. Its results are as they were.
     data = tmp_path / "huge.csv"
     _run(capsys, "generate", "--out", str(data))
     header, *rows = [line.split(",") for line in data.read_text().splitlines()]
@@ -633,8 +681,8 @@ def test_a_run_whose_test_row_is_scaled_past_the_square_range_warns_nothing(tmp_
     first = stratified_shuffle_split(labels, ExperimentConfig.test_fraction, seed=42).test_idx[0]
     rows[first][header.index("AGE")] = "1e200"
     data.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
-    proc = _spineml("run", "--csv", str(data), "--groups", "II", "--models", "GaussianNB,KNN,KNN_opt,DT",
-                    "--out", str(tmp_path / "r"))
+    proc = _spineml("run", "--csv", str(data), "--schema", schema_without_bounds(tmp_path, "AGE"), "--groups", "II",
+                    "--models", "GaussianNB,KNN,KNN_opt,DT", "--out", str(tmp_path / "r"))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "II    Socioeconomic                      0.48    0.02     0.50    0.05" in proc.stdout.splitlines()
 
@@ -657,8 +705,8 @@ def test_predict_gives_a_finite_score_when_every_neighbor_is_infinitely_far(tmp_
 
 
 def test_a_run_whose_scaler_overflows_fails_those_cells_and_saves_only_loadable_files(tmp_path, capsys):
-    # One AGE of 1e200 in ten rows makes the sample std of AGE overflow: the
-    # run printed numpy's RuntimeWarning, exited 0 and saved group II's files
+    # One AGE of 1e200 in ten rows (kept by a schema without AGE bounds)
+    # makes the sample std of AGE overflow: the run printed numpy's RuntimeWarning, exited 0 and saved group II's files
     # with a std of Infinity, which `predict` refused, the ComplementNB file
     # too although min-max scaling never reads it.
     data = tmp_path / "huge.csv"
@@ -667,8 +715,8 @@ def test_a_run_whose_scaler_overflows_fails_those_cells_and_saves_only_loadable_
     for row in rows[:10]:
         row[header.index("AGE")] = "1e200"
     data.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
-    proc = _spineml("run", "--csv", str(data), "--groups", "I,II", "--models", "KNN,ComplementNB",
-                    "--save-models", "--out", str(tmp_path / "r"))
+    proc = _spineml("run", "--csv", str(data), "--schema", schema_without_bounds(tmp_path, "AGE"), "--groups", "I,II",
+                    "--models", "KNN,ComplementNB", "--save-models", "--out", str(tmp_path / "r"))
     assert proc.returncode == 0, proc.stderr
     assert "Warning" not in proc.stderr
     failed = [line.split(": ")[1] for line in proc.stderr.splitlines() if line.startswith("cell failed: ")]

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import tempfile
 
@@ -128,6 +129,18 @@ CSV_FIELDS = st.sampled_from([
 ]) | st.text(max_size=4)
 
 
+def _outside_its_column(column, text) -> bool:
+    """A feature field that reads as a finite number its column cannot
+    hold: outside the column's bounds, or not whole in an ordinal or binary
+    column."""
+    try:
+        x = float(text.strip())
+    except ValueError:
+        return False
+    lo, hi = column.valid_range or (-math.inf, math.inf)
+    return math.isfinite(x) and (not lo <= x <= hi or column.kind != "continuous" and x != math.floor(x))
+
+
 def _csv_outcome(load, path):
     try:
         ds, report = load(path)
@@ -142,9 +155,12 @@ def _csv_outcome(load, path):
 def test_csv_fields_read_as_the_per_field_loop_read_them(data_seed, edits):
     """One number rule for every feature and label field keeps the rows,
     labels and dropped rows (with their first bad column) of the per-field
-    loop it replaced."""
+    loop it replaced, once a feature value its column cannot hold counts as
+    unreadable: the loop reads a copy of the file with each such field
+    replaced by a word."""
+    schema = default_schema()
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "d.csv")
+        path, unreadable = os.path.join(tmp, "d.csv"), os.path.join(tmp, "unreadable.csv")
         write_csv(generate_synthetic(20, data_seed, 0.5), path)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -152,7 +168,13 @@ def test_csv_fields_read_as_the_per_field_loop_read_them(data_seed, edits):
             rows[1 + r][rows[0].index(name)] = text
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
-        assert _csv_outcome(load_csv, path) == _csv_outcome(load_csv_reference, path)
+        for row in rows[1:]:
+            for c in schema.feature_columns:
+                if _outside_its_column(c, row[rows[0].index(c.name)]):
+                    row[rows[0].index(c.name)] = "abc"
+        with open(unreadable, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        assert _csv_outcome(load_csv, path) == _csv_outcome(load_csv_reference, unreadable)
 
 
 def test_csv_round_trip_bit_exact(tmp_path):

@@ -39,6 +39,7 @@ from helpers import (
     knn_grid_reference,
     make_dataset,
     past_int64,
+    schema_without_bounds,
 )
 
 
@@ -579,8 +580,8 @@ def test_batched_selection_forests_give_the_same_run_for_any_worker_count(tmp_pa
 ], ids=["every-cell-of-a-group", "some-cells-of-a-group"])
 def test_a_scaler_overflow_fails_the_cells_it_fails_unbatched_with_their_messages(
         tmp_path, bad_rows, groups, models, per_cell, failed):
-    # An AGE of 1e200 overflows the sample std of AGE in every cell whose
-    # training partition holds it. Such a cell has no forest in its job's
+    # An AGE of 1e200, which a schema without AGE bounds keeps, overflows
+    # the sample std of AGE in every cell whose training partition holds it. Such a cell has no forest in its job's
     # batch and fails when it runs; every cell, failed or not, must be what
     # it is run alone, fitting its own forest. With one bad row and per-cell
     # splits, a job's batch holds some of its cells' forests and not others.
@@ -588,8 +589,8 @@ def test_a_scaler_overflow_fails_the_cells_it_fails_unbatched_with_their_message
     rows = data.rows.copy()
     rows[:bad_rows, data.schema.feature_names.index("AGE")] = 1e200
     write_csv(Dataset(data.schema, rows, data.labels), tmp_path / "huge.csv")
-    config = ExperimentConfig(csv_path=str(tmp_path / "huge.csv"), groups=groups, models=models,
-                              keep_fraction=0.5, per_cell_split=per_cell)
+    config = ExperimentConfig(csv_path=str(tmp_path / "huge.csv"), schema_path=schema_without_bounds(tmp_path, "AGE"),
+                              groups=groups, models=models, keep_fraction=0.5, per_cell_split=per_cell)
     data = load_config_data(config)
     matrix = run_matrix(config)
     for (g, m), cell in matrix.cells.items():

@@ -437,9 +437,10 @@ def test_fold_cached_knn_search_matches_refitting_every_fold(method, metric, wei
 @pytest.mark.parametrize("chunk_bytes", [1, 6000])
 @pytest.mark.parametrize("method", ["random_over", "smote"])
 def test_fold_cached_knn_search_is_the_same_in_small_blocks(method, chunk_bytes, monkeypatch):
-    # fold training sets hold about 18 appended rows of 2 features, so one
-    # (combination, query row) pair takes 288 bytes: 1 byte gives one pair per
-    # block, 6 000 bytes a block of 2 to 3 combinations × all validation rows
+    # fold training sets hold about 18 appended rows, so one (combination,
+    # query row) pair takes 144 bytes of distances, a quarter of the cap's
+    # 576: 1 byte gives one pair per block, 6 000 bytes a block of 1 to 2
+    # combinations × all validation rows
     ds = _blobs(60, seed=13)
     ds = make_dataset(np.round(ds.rows, 1), np.array([0] * 40 + [1] * 20))
     folds = stratified_kfold(ds.labels, 8, seed=3)
@@ -512,7 +513,7 @@ def test_copy_merge_equals_measuring_the_copies(n, d, q, k, combos, need, duplic
     counts = np.stack([np.bincount(s, minlength=len(points)) for s in src])
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
-            mp.setattr(neighbors, "_CHUNK_BYTES", block_rows * 8 * points.size)
+            mp.setattr(neighbors, "_CHUNK_BYTES", block_rows * 32 * len(points))
             mp.setattr(helpers, "_CHUNK_BYTES", block_rows * 8 * need * d)
         dist, idx = _nearest(points, X, metric, k)
         want = helpers._with_appended(dist[None], labels[idx][None], points[src], minority, X, metric, k)
@@ -535,8 +536,8 @@ def test_appended_merge_equals_the_sorting_merge(n, d, q, k, combos, need, dupli
     dist, idx = _nearest(points, X, metric, k)
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
-            for module in (neighbors, helpers):
-                mp.setattr(module, "_CHUNK_BYTES", block_rows * 8 * need * d)
+            mp.setattr(neighbors, "_CHUNK_BYTES", block_rows * 32 * need)
+            mp.setattr(helpers, "_CHUNK_BYTES", block_rows * 8 * need * d)
         want = helpers._with_appended(dist[None], labels[idx][None], extra, minority, X, metric, k)
         got = _with_appended(dist[None], labels[idx][None], extra, minority, X, metric, k)
     assert got[0].shape == want[0].shape
@@ -559,7 +560,7 @@ def test_appended_merge_blocks_under_the_neighbors_byte_cap(monkeypatch):
     want = _with_appended(*args)
     assert len(calls) == 1
     calls.clear()
-    monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 8 * need * d)
+    monkeypatch.setattr(neighbors, "_CHUNK_BYTES", 32 * need)
     got = _with_appended(*args)
     assert len(calls) == combos * len(X)
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()

@@ -256,7 +256,7 @@ def test_chunked_distances_equal_unchunked_bytes(monkeypatch, metric):
     spy = lambda points, X, metrics: calls.append(X.shape[0]) or _distances(points, X, metrics)  # noqa: E731
     monkeypatch.setattr(neighbors, "_distances", spy)
     # below one row's block: one query row at a time; then blocks of 4 rows, the last of 3
-    for chunk, blocks in ((1, [1] * 23), (4 * 8 * 37 * 6, [4] * 5 + [3])):
+    for chunk, blocks in ((1, [1] * 23), (4 * 32 * 37, [4] * 5 + [3])):
         monkeypatch.setattr(neighbors, "_CHUNK_BYTES", chunk)
         for k in (5, 40):
             whole = _distances(points, X, metrics)
@@ -293,7 +293,7 @@ def test_nearest_equals_a_full_stable_sort(n, q, d, k, metric, duplicates, block
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
-            mp.setattr(neighbors, "_CHUNK_BYTES", block_rows * 8 * points.size)
+            mp.setattr(neighbors, "_CHUNK_BYTES", block_rows * 32 * len(points))
         got_dist, got_idx = _nearest(points, X, metric, k)
     assert got_idx.shape == order.shape and got_idx.tobytes() == order.tobytes()
     assert got_dist.tobytes() == np.take_along_axis(dist, order, axis=1).tobytes()
@@ -325,7 +325,7 @@ def test_both_metrics_from_one_difference_tensor_equal_distances(n, q, d, k, coa
         both = _distances(points, X, METRICS)
         blocks = [_distances(points, X[r:r + block_rows], METRICS) for r in range(0, q, block_rows)]
         lists = {metric: _nearest(points, X, metric, k) for metric in METRICS}
-        mp.setattr(neighbors, "_CHUNK_BYTES", block_rows * 8 * points.size)
+        mp.setattr(neighbors, "_CHUNK_BYTES", block_rows * 32 * len(points))
         blocked = _nearest_each(points, X, METRICS, k)
     for metric in METRICS:
         assert both[metric].tobytes() == want[metric].tobytes() == oracle[metric].tobytes()
@@ -415,12 +415,54 @@ def test_distances_have_the_bits_of_one_row_queries_for_any_layout(n, q, d, seed
     points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
     X = rng.normal(size=(q, d)) * 10.0 ** rng.integers(-3, 4, size=(q, d))
     want = {metric: np.vstack([_distances(points, x[None], (metric,))[metric] for x in X]) for metric in METRICS}
-    for P in helpers.layouts(points):
-        for Q in helpers.layouts(X):
-            both = _distances(P, Q, METRICS)
-            for metric in METRICS:
-                assert _distances(P, Q, (metric,))[metric].tobytes() == want[metric].tobytes()
-                assert both[metric].tobytes() == want[metric].tobytes()
+    for floor in (neighbors._PLANE_FLOOR, 0):  # blocks this small are tensors; at 0, planes from two rows on
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_PLANE_FLOOR", floor)
+            for P in helpers.layouts(points):
+                for Q in helpers.layouts(X):
+                    both = _distances(P, Q, METRICS)
+                    for metric in METRICS:
+                        assert _distances(P, Q, (metric,))[metric].tobytes() == want[metric].tobytes()
+                        assert both[metric].tobytes() == want[metric].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    q=st.integers(2, 9),
+    d=st.integers(1, 40) | st.integers(129, 140),
+    wide=st.booleans(),
+    sub_pairs=st.sampled_from([1, 7, 8192]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plane_sums_have_the_bits_of_the_tensor_bodies(n, q, d, wide, sub_pairs, seed):
+    # With the floor at 0 a block of two or more query rows takes the plane
+    # form up to d = 128 and row blocks of the tensor above. Each metric,
+    # alone or with the other in either order and for every layout of
+    # either input, has the bits of the verbatim one- and two-metric tensor
+    # bodies. Values have column scales 10^-6 to 10^6, or exponents of ±170
+    # whose squares and sums overflow to +inf; small sub-blocks split the rows.
+    rng = np.random.default_rng(seed)
+    if wide:
+        points, X = (rng.normal(size=(rows, d)) * 10.0 ** rng.integers(-170, 171, size=(rows, d)) for rows in (n, q))
+    else:
+        scale = 10.0 ** rng.uniform(-6, 6, size=d)
+        points, X = (rng.normal(size=(rows, d)) * scale for rows in (n, q))
+    with np.errstate(over="ignore"):
+        one = {metric: helpers._one_distances(points, X, metric) for metric in METRICS}
+        both = helpers._both_distances(points, X)
+    planes, real = [], neighbors._plane_sums
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "_PLANE_FLOOR", 0)
+        mp.setattr(neighbors, "_SUB_PAIRS", sub_pairs)
+        mp.setattr(neighbors, "_plane_sums", lambda *args: planes.append(1) or real(*args))
+        for P in helpers.layouts(points):
+            for Q in helpers.layouts(X):
+                for metrics in (("euclidean",), ("manhattan",), METRICS, METRICS[::-1]):
+                    got = _distances(P, Q, metrics)
+                    for metric in metrics:
+                        assert got[metric].tobytes() == one[metric].tobytes() == both[metric].tobytes()
+    assert bool(planes) == (d <= 128)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -480,13 +522,16 @@ def test_neighbor_memory_is_linear_in_n():
     assert _peak_mb(knn_predict_many, model, rows[3000:6000]) < 24
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
-def test_distance_block_peak_stays_near_the_chunk_bound(metric):
-    # _CHUNK_BYTES bounds one block's difference tensor; squaring or taking
-    # the absolute value in place keeps a second tensor of that size away.
-    points = np.random.default_rng(1).normal(size=(3000, 4))
-    step = neighbors._CHUNK_BYTES // (8 * points.size)
-    assert _peak_mb(_distances, points, points[:step], (metric,)) <= (
+@pytest.mark.parametrize("metrics,d", [(("euclidean",), 4), (("manhattan",), 4), (METRICS, 16)],
+                         ids=["euclidean", "manhattan", "both-d16"])
+def test_distance_block_peak_stays_near_the_chunk_bound(metrics, d):
+    # The block `_nearest_each` hands `_distances` holds its distances and
+    # one sub-block's difference planes and partial sums, eight per metric
+    # from d = 8 on; squaring or taking the absolute value in place keeps a
+    # second set of planes away.
+    points = np.random.default_rng(1).normal(size=(3000, d))
+    step = neighbors._CHUNK_BYTES // (32 * len(points))
+    assert _peak_mb(_distances, points, points[:step], metrics) <= (
         1.6 * neighbors._CHUNK_BYTES / 2**20)
 
 

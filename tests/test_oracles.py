@@ -28,6 +28,7 @@ from scipy.stats import norm
 
 from helpers import make_dataset
 
+from spineml import neighbors
 from spineml.dataset import Dataset
 from spineml.experiment import MODEL_IDS, MODEL_SPECS, ExperimentConfig, load_config_data, run_cell_fitted
 from spineml.model_selection import stratified_kfold, stratified_shuffle_split
@@ -51,9 +52,12 @@ def test_distances_equal_cdist_bit_for_bit_on_dyadic_grids(d, q, n, exponents, s
     rng = np.random.default_rng(seed)
     scale = 2.0 ** np.array(exponents[:d])
     X, points = (rng.integers(-64, 65, size=(rows, d)) * scale for rows in (q, n))
-    got = _distances(points, X, METRICS)
-    for metric, (name, _) in SCIPY.items():
-        assert np.array_equal(got[metric], cdist(X, points, name)), metric
+    for floor in (neighbors._PLANE_FLOOR, 0):  # blocks this small are tensors; at 0, planes from two rows on
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_PLANE_FLOOR", floor)
+            got = _distances(points, X, METRICS)
+        for metric, (name, _) in SCIPY.items():
+            assert np.array_equal(got[metric], cdist(X, points, name)), metric
 
 
 @settings(max_examples=200, deadline=None)
@@ -70,10 +74,13 @@ def test_distances_are_within_d_epsilon_of_cdist(d, q, n, seed):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3, size=d)
     X, points = (rng.standard_normal((rows, d)) * scale for rows in (q, n))
-    got = _distances(points, X, METRICS)
-    for metric, (name, _) in SCIPY.items():
-        ref = cdist(X, points, name)
-        assert (np.abs(got[metric] - ref) <= d * 2.0**-52 * ref).all(), metric
+    for floor in (neighbors._PLANE_FLOOR, 0):  # blocks this small are tensors; at 0, planes from two rows on
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_PLANE_FLOOR", floor)
+            got = _distances(points, X, METRICS)
+        for metric, (name, _) in SCIPY.items():
+            ref = cdist(X, points, name)
+            assert (np.abs(got[metric] - ref) <= d * 2.0**-52 * ref).all(), metric
 
 
 def _tie_free(n, d, seed):

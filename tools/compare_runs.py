@@ -14,7 +14,8 @@ must the exit code. After each run one more child per checkout loads every
 saved model file in sorted order and prints, one JSON line per file,
 `predict_single(load_model(path), RECORD, trace=True)` or the error line,
 RECORD holding every predictor column of the default schema at the midpoint
-of its range; its stdout, stderr and exit code are compared as the run's.
+of its range, rounded down in an ordinal or binary column, whose values are
+whole numbers; its stdout, stderr and exit code are compared as the run's.
 Each run of `GENERATE` is `spineml generate` with the listed flags, writing
 <out>/data.csv; the CSV bytes, stdout, stderr and exit code are compared.
 Each difference is printed; the exit code is 1 if there is any, else 0.
@@ -40,6 +41,11 @@ SWEEP = (
     ("keep fraction 0.5", ["--keep-fraction", "0.5"]),
     ("keep fraction 0.5, per-cell split", ["--keep-fraction", "0.5", "--per-cell-split"]),
     ("n 1000, group VII, k-NN models", ["--n", "1000", "--groups", "VII", "--models", "KNN,KNN_opt,KNN_RO,KNN_SMOTE"]),
+    # Group widths 3, 5, 6, 10 and 16, with columns selected: the distance
+    # planes with fewer than eight columns, with a tail past the last eight,
+    # and over Fortran-ordered selections, in blocks above the plane floor.
+    ("n 1000, keep fraction 0.5, k-NN models", ["--n", "1000", "--keep-fraction", "0.5",
+                                                "--models", "KNN,KNN_opt,KNN_RO,KNN_SMOTE"]),
     ("2 workers", ["--workers", "2"]),
     ("README grids", ["--config", "{config}"]),
     # On the default data (117/127 rows) the split moves one class's test
@@ -61,7 +67,8 @@ import json, sys
 from spineml.errors import PipelineError
 from spineml.persist import load_model, predict_single
 from spineml.schema import default_schema
-RECORD = {c.name: sum(c.valid_range) / 2 for c in default_schema().feature_columns}
+RECORD = {c.name: sum(c.valid_range) / 2 if c.kind == "continuous" else sum(c.valid_range) // 2
+          for c in default_schema().feature_columns}
 for path in sys.argv[1:]:
     try:
         print(json.dumps(predict_single(load_model(path), RECORD, trace=True)))
