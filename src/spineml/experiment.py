@@ -28,7 +28,7 @@ import json
 import sys
 from collections.abc import Callable
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property, partial
 from itertools import chain
@@ -77,6 +77,7 @@ from .preprocess import (
     fit_standardizer,
     rank_encode,
     scale,
+    scaler_plan,
 )
 from .resampling import ResamplePlan, oversample
 from .schema import (
@@ -115,8 +116,8 @@ MODEL_IDS = tuple(MODEL_SPECS)
 
 
 def _fields_to_dict(model) -> dict:
-    """A model dataclass of arrays and scalars as a JSON-ready dict."""
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(model).items()}
+    """A model dataclass's fields (not a `cached_property`) as a JSON-ready dict."""
+    return {f.name: v.tolist() if isinstance(v := getattr(model, f.name), np.ndarray) else v for f in fields(model)}
 
 
 def _fields_from_dict(cls, raw: dict, dims: dict):
@@ -134,14 +135,14 @@ def _fields_from_dict(cls, raw: dict, dims: dict):
             raise ValueError(f"{name} must be 0 or 1, got {np.unique(labels).tolist()}")
         return labels
 
-    fields = {name: convert(name, kind) for name, kind in get_type_hints(cls).items()}
+    values = {name: convert(name, kind) for name, kind in get_type_hints(cls).items()}
     sizes = {}
     for name, axes in dims.items():
-        shape = fields[name].shape
+        shape = values[name].shape
         if len(shape) != len(axes) or any(sizes.setdefault(a, n) != n or n < 1
                                           for a, n in zip(axes, shape)):
             raise ValueError(f"{name} has shape {shape}, not ({', '.join(axes)})")
-    return cls(**fields)
+    return cls(**values)
 
 
 def _row_zero(batch, score) -> tuple[int, float]:
@@ -167,12 +168,12 @@ class Family:
     The naive-Bayes families have one predictor each: `predict_one` is row 0
     of a one-row batch call, scored by the winner's GaussianNB posterior or
     ComplementNB softmax share. k-NN and CART keep a one-row function, for
-    reasons measured per call on group VII (n = 244, 2 vCPU):
-    - CART: the one-row walk `dt_predict` takes 9.5–11.8 µs; `dt_predict_many`
-      on one row takes 110–160 µs, and a bare vectorized walk 42–78 µs.
+    reasons measured per call on group VII (n = 244, 2 vCPU, CPU time):
+    - CART: the one-row walk `dt_predict` takes 5.5–8.1 µs; `dt_predict_many`
+      on one row takes 68–69 µs.
     - k-NN: `knn_predict` already shares `_nearest` and `_vote_one` with the
-      batch vote, and `knn_predict_many` on one row is not faster (94 µs
-      against 84 µs).
+      batch vote, and `knn_predict_many` on one row is not faster (49–53 µs
+      against 40–41 µs).
     """
 
     fit: Callable  # (train, params) -> model
@@ -187,7 +188,7 @@ FAMILIES = {
     "gnb": Family(
         fit=lambda train, params: gnb_fit(train),
         predict_many=lambda model, X: gnb_predict_many(model, X)[0],
-        predict_one=lambda model, x: _row_zero(gnb_predict_many(model, x[None, :]), np.max),
+        predict_one=lambda model, x: _row_zero(gnb_predict_many(model, x[None, :]), np.ndarray.max),
         from_dict=lambda raw: _fields_from_dict(
             GaussianNBModel, raw, {"classes": "c", "priors": "c", "means": "cd", "variances": "cd"}),
     ),
@@ -409,32 +410,32 @@ class FittedCell:
 
     @cached_property
     def _steps(self) -> tuple:
-        """Row positions of the encoded and the scaled columns, the code table
-        and the scaler state: worked out once per cell, not per record."""
+        """Row positions of the encoded columns, the code table and the scaler's
+        plan over every column: worked out once per cell, not per record."""
         names = [f["name"] for f in self.feature_meta]
+        scaler = ScalerState(tuple(self.scaler_columns), self.scaler_mean, self.scaler_std,
+                             self.scaler_min, self.scaler_max, self.scaler_constant)
         return (
             np.array([names.index(c) for c in self.ordinal_codes], dtype=np.intp),
             code_table(self.ordinal_codes.values()),
-            np.array([names.index(c) for c in self.scaler_columns], dtype=np.intp),
-            ScalerState(tuple(self.scaler_columns), self.scaler_mean, self.scaler_std,
-                        self.scaler_min, self.scaler_max, self.scaler_constant),
+            scaler_plan(scaler, self.scaling_mode, [names.index(c) for c in scaler.columns], len(names)),
         )
 
     @cached_property
-    def _bounds(self) -> list:
-        """Each feature's kind and valid range, none unless both bounds are given."""
+    def _bounds(self) -> tuple:
+        """The feature names, and each feature's kind and valid range (none
+        unless both bounds are given) as `schema.first_misfit` reads them."""
         ranges = [(f.get("min"), f.get("max")) for f in self.feature_meta]
-        return [(f["kind"], None if None in r else r) for f, r in zip(self.feature_meta, ranges)]
+        return ([f["name"] for f in self.feature_meta],
+                [(f["kind"], None if None in r else r) for f, r in zip(self.feature_meta, ranges)])
 
     def preprocess(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Encoded, then scaled, copies of raw rows in `feature_meta` order,
         through the same encoder and scaler as training."""
-        encoded_idx, table, scaled_idx, scaler = self._steps
+        encoded_idx, table, plan = self._steps
         encoded = rows.copy()
-        encoded[:, encoded_idx] = rank_encode(rows[:, encoded_idx], table)
-        scaled = encoded.copy()
-        scaled[:, scaled_idx] = scale(encoded[:, scaled_idx], scaler, self.scaling_mode)
-        return encoded, scaled
+        encoded[:, encoded_idx] = rank_encode(rows.take(encoded_idx, axis=1), table)
+        return encoded, scale(encoded, plan)
 
 
 def _cell_states(master_seed: int, group_id: str, model_id: str) -> np.ndarray:

@@ -17,6 +17,7 @@ and for the reasons of `neighbors._distances`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,12 @@ class GaussianNBModel:
         if not (self.priors > 0).all():
             raise ValueError(f"GaussianNB priors must be > 0, got {self.priors.tolist()}")
 
+    @cached_property
+    def _terms(self) -> tuple:
+        """Smoothed variances, log(2π·var), log priors: made on the first predict."""
+        var = self.variances + self.var_smoothing
+        return var, np.log(2.0 * np.pi * var), np.log(self.priors)
+
 
 def gnb_fit(train: Dataset) -> GaussianNBModel:
     """Per class and feature: sample mean and n−1 variance; priors by frequency.
@@ -80,11 +87,11 @@ def gnb_fit(train: Dataset) -> GaussianNBModel:
 
 
 def _gnb_log_posteriors(model: GaussianNBModel, X: np.ndarray) -> np.ndarray:
-    var = model.variances + model.var_smoothing
+    var, log_norm, log_prior = model._terms  # each broadcast along the rows
     # (n, n_classes, d) deviations, C-ordered as in `neighbors._distances`
-    dev = np.subtract(X[:, None, :], model.means[None, :, :], order="C")
-    log_pdf = -0.5 * (np.log(2.0 * np.pi * var)[None, :, :] + dev * dev / var[None, :, :])
-    return np.log(model.priors)[None, :] + log_pdf.sum(axis=2)
+    dev = np.subtract(X[:, None, :], model.means, order="C")
+    log_pdf = -0.5 * (log_norm + dev * dev / var)
+    return log_prior + log_pdf.sum(axis=2)
 
 
 def gnb_predict_many(model: GaussianNBModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +103,7 @@ def gnb_predict_many(model: GaussianNBModel, X: np.ndarray) -> tuple[np.ndarray,
         logp = _gnb_log_posteriors(model, X)
         shifted = np.exp(np.fmin(logp - logp.max(axis=1, keepdims=True), 0.0))
     posteriors = shifted / shifted.sum(axis=1, keepdims=True)
-    return model.classes[np.argmax(logp, axis=1)], posteriors
+    return model.classes[logp.argmax(axis=1)], posteriors
 
 
 @dataclass(frozen=True)
@@ -131,4 +138,4 @@ def cnb_predict_many(model: ComplementNBModel, X: np.ndarray) -> tuple[np.ndarra
     # One (1 × d) @ (d × classes) product per row: a row's scores round the
     # same way in a batch of any size.
     scores = (X[:, None, :] @ model.weights.T)[:, 0]
-    return model.classes[np.argmin(scores, axis=1)], scores
+    return model.classes[scores.argmin(axis=1)], scores

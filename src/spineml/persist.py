@@ -127,16 +127,17 @@ def load_model(path) -> FittedCell:
 def preprocess_record(pm: FittedCell, record: dict) -> tuple[np.ndarray, Callable[[], list]]:
     """Validate, encode and scale one named-value record; returns the kept
     feature vector and a function that builds the per-kept-feature trace."""
+    names, columns = pm._bounds
     values = []
-    for f in pm.feature_meta:
-        try:  # the program's JSON number rule: no bool, no string, finite
-            values.append(typed(record[f["name"]], float, "value"))
-        except KeyError:
-            raise MissingFeatureError(f["name"]) from None
-        except (ValueError, OverflowError) as exc:
-            raise OutOfSchemaValueError(f"feature {f['name']}: {exc}") from None
-    if (bad := first_misfit(values, pm._bounds)) is not None:  # the rule of a CSV row's values
-        (kind, valid), name = pm._bounds[bad], pm.feature_meta[bad]["name"]
+    try:  # the program's JSON number rule: no bool, no string, finite
+        for name in names:
+            values.append(typed(record[name], float, "value"))
+    except KeyError:
+        raise MissingFeatureError(name) from None
+    except (ValueError, OverflowError) as exc:
+        raise OutOfSchemaValueError(f"feature {name}: {exc}") from None
+    if (bad := first_misfit(values, columns)) is not None:  # the rule of a CSV row's values
+        (kind, valid), name = columns[bad], names[bad]
         raise OutOfSchemaValueError(f"feature {name}={values[bad]} is not a value of its {kind} column"
                                     + (f" in [{valid[0]}, {valid[1]}]" if valid else ""))
     raw = np.array([values])
@@ -146,11 +147,11 @@ def preprocess_record(pm: FittedCell, record: dict) -> tuple[np.ndarray, Callabl
     def trace() -> list:
         r, e, s = raw[0].tolist(), encoded[0].tolist(), scaled[0].tolist()
         return [
-            {"name": pm.feature_meta[j]["name"], "raw": r[j], "encoded": e[j], "scaled": s[j]}
+            {"name": names[j], "raw": r[j], "encoded": e[j], "scaled": s[j]}
             for j in pm.kept.tolist()
         ]
 
-    return scaled[0, pm.kept], trace
+    return scaled[0].take(pm.kept), trace
 
 
 def predict_single(pm: FittedCell, record: dict, trace: bool = False) -> dict:

@@ -3,11 +3,15 @@
 All states are fitted on training rows only and applied unchanged to test
 rows, so no test-partition statistic can reach a fitted model.
 
-Each step has one array-level implementation, `rank_encode` and `scale`,
-which works on a block of rows of the affected columns. The Dataset
-wrappers (`apply_ordinal_encoder`, `apply_standardizer`, `apply_minmax`)
-serve training; `experiment.FittedCell.preprocess` runs the same two
-functions on the raw test partition and on a predicted record.
+Each step has one array-level implementation, run on training rows, the
+test partition and a predicted record alike. `rank_encode` counts the
+adjacent code pairs whose upper code is strictly nearer to the value: every
+pair below the value counts, none above it does, and the pair around it
+counts only if the upper code is nearer, so the count is the nearest code's
+rank, ties toward the lower (its docstring gives the proof). `scale` is one
+full-width expression by a `scaler_plan`, the scaler laid out over every
+column in feature order (min-max then clips its own columns). The Dataset wrappers (`apply_*`) serve training,
+`experiment.FittedCell.preprocess` (its plan built once per cell) the rest.
 
 A column whose training max equals its min (or whose stddev is 0) is
 constant: min-max maps it to 0, and standardizing divides by 1, not by a
@@ -93,25 +97,37 @@ def _column_indices(ds: Dataset, columns, what: str) -> list[int]:
 SCALING_MODES = ("standardize", "minmax")
 
 
-def scale(block: np.ndarray, state: ScalerState, mode: str) -> np.ndarray:
-    """Scale a (rows × state.columns) block.
-
-    "standardize": x → (x − mean) / stddev. "minmax": x → (x − min) /
-    (max − min), clamped to [0, 1]; constant columns map to 0.
-    """
+def scaler_plan(state: ScalerState, mode: str, positions, width: int) -> tuple:
+    """The scaler over `width` columns in feature order, its own at `positions`:
+    a shift and a divisor per column and, for min-max, the positions to clip
+    and the constant ones. Any other column gets (x − 0) / 1, x bit for bit
+    (−0.0 too), and no clip."""
+    shift, divisor = np.zeros(width), np.ones(width)
     if mode == "standardize":
-        return (block - state.mean) / state.std
-    span = np.where(state.constant, 1.0, state.maximum - state.minimum)
-    scaled = np.clip((block - state.minimum) / span, 0.0, 1.0)
-    scaled[:, state.constant] = 0.0
+        shift[positions], divisor[positions] = state.mean, state.std
+        return shift, divisor, None
+    positions = np.asarray(positions, dtype=np.intp)
+    shift[positions], divisor[positions] = state.minimum, np.where(state.constant, 1.0, state.maximum - state.minimum)
+    return shift, divisor, (positions, positions[state.constant])
+
+
+def scale(rows: np.ndarray, plan: tuple) -> np.ndarray:
+    """A scaled (C-ordered) copy of full-width rows by a `scaler_plan`:
+    "standardize" x → (x − mean) / stddev; "minmax" x → (x − min) /
+    (max − min), clamped to [0, 1], and constant columns map to 0."""
+    shift, divisor, clip = plan
+    scaled = np.subtract(rows, shift, order="C")
+    np.divide(scaled, divisor, out=scaled)
+    if clip is not None:  # scalar bounds: numpy's clip keeps -0.0 only with those
+        positions, constant = clip
+        scaled[:, positions] = np.clip(scaled.take(positions, axis=1), 0.0, 1.0)
+        scaled[:, constant] = 0.0
     return scaled
 
 
 def _apply_scaler(ds: Dataset, state: ScalerState, mode: str) -> Dataset:
     idx = _column_indices(ds, state.columns, "scaler columns")
-    rows = ds.rows.copy()
-    rows[:, idx] = scale(rows[:, idx], state, mode)
-    return ds.with_rows(rows)
+    return ds.with_rows(scale(ds.rows, scaler_plan(state, mode, idx, ds.width)))
 
 
 def apply_standardizer(ds: Dataset, state: ScalerState) -> Dataset:
@@ -143,24 +159,35 @@ def fit_ordinal_encoder(train: Dataset) -> OrdinalEncoderState:
     return OrdinalEncoderState(codes)
 
 
-def code_table(codes) -> np.ndarray:
-    """One row per column of its sorted codes, padded with +inf to one
-    place more than the longest, so every rank has an entry above it."""
+def code_table(codes) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's sorted codes, padded with +inf to one place more than
+    the longest so every rank has an entry above it, as the (lower, upper)
+    codes of each adjacent pair: one row per column, each array contiguous."""
     codes = list(codes)
     table = np.full((len(codes), max(map(len, codes), default=0) + 1), np.inf)
     for i, c in enumerate(codes):
         table[i, : len(c)] = c
-    return table
+    return table[:, :-1].copy(), table[:, 1:].copy()
 
 
-def rank_encode(block: np.ndarray, table: np.ndarray) -> np.ndarray:
+def rank_encode(block: np.ndarray, table: tuple) -> np.ndarray:
     """Rank of the nearest code in each column's `code_table` row (ties
-    toward the lower code), for a (rows × table rows) block."""
-    pos = (table < block[:, :, None]).sum(axis=2)  # searchsorted, side="left"
-    cols = np.arange(table.shape[0])
-    below = table[cols, np.maximum(pos - 1, 0)]
-    above = table[cols, pos]  # +inf past the last code
-    return np.where((pos > 0) & (block - below <= above - block), pos - 1, pos)
+    toward the lower code), for a (rows × table rows) block: the number of
+    adjacent code pairs whose upper code is strictly nearer to the value.
+
+    Proof: with t[p−1] < v ≤ t[p] (t[p] may be a +inf pad), a pair below
+    (t[j+1] < v) compares v − t[j] > 0 with t[j+1] − v < 0 and counts; a
+    pair above (v ≤ t[j]) compares a difference ≤ 0 with one ≥ 0 and does
+    not. Rounding keeps each sign (x − y is 0 only if x = y), and so does an
+    overflow to ±inf. So the count is p − 1 plus the pivot pair's
+    v − t[p−1] > t[p] − v, the searchsorted rule's own two subtractions,
+    and 0 if p = 0 or v is NaN. +inf gets the last code's rank (inf − inf is
+    NaN at the pads), where the searchsorted rule gave one past it; no CSV
+    row or record holds ±inf (`schema.first_misfit`), so no output moves."""
+    v = block[:, :, None]
+    lower, upper = table
+    with np.errstate(over="ignore"):  # an overflow keeps the difference's sign
+        return ((v - lower) > (upper - v)).sum(axis=2)
 
 
 def apply_ordinal_encoder(ds: Dataset, state: OrdinalEncoderState) -> Dataset:

@@ -44,6 +44,7 @@ from spineml.experiment import (
 from spineml.metrics import ConfusionMatrix, accuracy, confusion, f1, precision, recall
 from spineml.model_selection import FoldPlan, ParamGrid, SplitIndices
 from spineml.neighbors import _CHUNK_BYTES, METRICS, WEIGHTINGS, _distances, _nearest, _nearest_each
+from spineml.preprocess import ScalerState
 from spineml.resampling import MinorityBasis, ResamplePlan
 from spineml.report import RESULTS_FORMAT_VERSION, _check_aggregates
 from spineml.schema import GROUP_IDS, ColumnSpec, Schema, default_schema, read_json
@@ -1119,3 +1120,76 @@ def stratified_shuffle_split_loop(labels, test_fraction: float = 0.25, seed: int
         train_idx=np.sort(np.concatenate(train_parts)),
         test_idx=np.sort(np.concatenate(test_parts)),
     )
+
+
+# Preprocessing before the one-comparison rank rule and the scaler laid out
+# in feature order, kept verbatim (`FittedCell._steps` and `preprocess` as
+# functions of the cell) as the oracle of the differential tests in
+# tests/test_preprocess.py.
+
+
+def code_table_reference(codes) -> np.ndarray:
+    """One row per column of its sorted codes, padded with +inf to one
+    place more than the longest, so every rank has an entry above it."""
+    codes = list(codes)
+    table = np.full((len(codes), max(map(len, codes), default=0) + 1), np.inf)
+    for i, c in enumerate(codes):
+        table[i, : len(c)] = c
+    return table
+
+
+def rank_encode_reference(block: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rank of the nearest code in each column's `code_table` row (ties
+    toward the lower code), for a (rows × table rows) block."""
+    pos = (table < block[:, :, None]).sum(axis=2)  # searchsorted, side="left"
+    cols = np.arange(table.shape[0])
+    below = table[cols, np.maximum(pos - 1, 0)]
+    above = table[cols, pos]  # +inf past the last code
+    return np.where((pos > 0) & (block - below <= above - block), pos - 1, pos)
+
+
+def scale_reference(block: np.ndarray, state: ScalerState, mode: str) -> np.ndarray:
+    """Scale a (rows × state.columns) block.
+
+    "standardize": x → (x − mean) / stddev. "minmax": x → (x − min) /
+    (max − min), clamped to [0, 1]; constant columns map to 0.
+    """
+    if mode == "standardize":
+        return (block - state.mean) / state.std
+    span = np.where(state.constant, 1.0, state.maximum - state.minimum)
+    scaled = np.clip((block - state.minimum) / span, 0.0, 1.0)
+    scaled[:, state.constant] = 0.0
+    return scaled
+
+
+def steps_reference(self) -> tuple:
+    """Row positions of the encoded and the scaled columns, the code table
+    and the scaler state: worked out once per cell, not per record."""
+    names = [f["name"] for f in self.feature_meta]
+    return (
+        np.array([names.index(c) for c in self.ordinal_codes], dtype=np.intp),
+        code_table_reference(self.ordinal_codes.values()),
+        np.array([names.index(c) for c in self.scaler_columns], dtype=np.intp),
+        ScalerState(tuple(self.scaler_columns), self.scaler_mean, self.scaler_std,
+                    self.scaler_min, self.scaler_max, self.scaler_constant),
+    )
+
+
+def preprocess_reference(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Encoded, then scaled, copies of raw rows in `feature_meta` order,
+    through the same encoder and scaler as training."""
+    encoded_idx, table, scaled_idx, scaler = steps_reference(self)
+    encoded = rows.copy()
+    encoded[:, encoded_idx] = rank_encode_reference(rows[:, encoded_idx], table)
+    scaled = encoded.copy()
+    scaled[:, scaled_idx] = scale_reference(encoded[:, scaled_idx], scaler, self.scaling_mode)
+    return encoded, scaled
+
+
+def gnb_log_posteriors_reference(model, X: np.ndarray) -> np.ndarray:
+    """`naive_bayes._gnb_log_posteriors` before its per-model terms, verbatim."""
+    var = model.variances + model.var_smoothing
+    # (n, n_classes, d) deviations, C-ordered as in `neighbors._distances`
+    dev = np.subtract(X[:, None, :], model.means[None, :, :], order="C")
+    log_pdf = -0.5 * (np.log(2.0 * np.pi * var)[None, :, :] + dev * dev / var[None, :, :])
+    return np.log(model.priors)[None, :] + log_pdf.sum(axis=2)

@@ -3,10 +3,14 @@ model file or edited results file gives a valid object or a PipelineError,
 never another exception."""
 
 import dataclasses
+import io
 import json
+import math
 import os
 import re
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from helpers import OracleConfig, failed_and_tuned_matrix, oracle_build_parser, oracle_build_run_config, past_int64
@@ -14,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spineml import cli
+from spineml.dataset import write_csv
 from spineml.errors import PipelineError
 from spineml.experiment import (
     MODEL_IDS,
@@ -36,6 +41,7 @@ from spineml.schema import (
     group_by_id,
     load_schema_json,
 )
+from spineml.synthetic import generate_synthetic
 
 SCALARS = (
     st.none()
@@ -435,3 +441,61 @@ def test_any_edited_results_file_renders_or_gives_a_pipeline_error(saved_results
         except PipelineError:
             return
         assert all(os.path.getsize(p) > 0 for p in files.values())
+
+
+@pytest.fixture(scope="module")
+def fuzz_csv_lines():
+    """The lines of a generated 60-row CSV, the header first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        write_csv(generate_synthetic(n=60, seed=6, signal=0.8), path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+
+
+def _field_edits(column):
+    """±1e±300, a bound ± 1 ulp, an x.5 code in the column's range, inf or nan."""
+    lo, hi = column.valid_range
+    ulps = [repr(math.nextafter(bound, to)) for bound in (lo, hi) for to in (-math.inf, math.inf)]
+    return st.sampled_from(["1e300", "-1e300", "1e-300", "-1e-300", *ulps, "inf", "-inf", "nan"]) | st.integers(
+        math.floor(lo), math.ceil(hi) - 1).map(lambda x: f"{x}.5")
+
+
+# A record inside every group-VII column's range: its midpoint, rounded down
+# in an ordinal or binary column.
+IN_RANGE = {c.name: sum(c.valid_range) / 2 if c.kind == "continuous" else sum(c.valid_range) // 2
+            for c in default_schema().feature_columns if c.name in group_by_id("VII").column_names}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_csv_with_edited_fields_runs_to_usable_models_or_ends_in_one_error_line(fuzz_csv_lines, data):
+    """A CSV with up to three fields, or a whole column, edited to values
+    at or past what a column can hold either ends the run in one `error:`
+    line and exit 1, or runs: every saved model then loads and scores an
+    in-range record finitely in [0, 1]. No numpy warning is raised."""
+    header, *rows = (line.split(",") for line in fuzz_csv_lines)
+    columns = {c.name: c for c in default_schema().columns}
+    for _ in range(data.draw(st.integers(1, 3))):
+        j = data.draw(st.integers(0, len(header) - 1))
+        edited = rows if data.draw(st.integers(0, 4)) == 0 else [data.draw(st.sampled_from(rows))]
+        value = data.draw(_field_edits(columns[header[j]]))
+        for row in edited:
+            row[j] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "data.csv"), os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = cli.main(["run", "--csv", path, "--groups", "VII", "--models", "GaussianNB,ComplementNB,KNN,DT",
+                             "--save-models", "--out", out])
+        lines = stderr.getvalue().splitlines()
+        if code != 0:
+            assert code == 1 and [line for line in lines if line.startswith("error:")] == lines[-1:], lines
+            return
+        models = sorted(Path(out, "models").glob("*.json"))
+        assert models
+        for model in models:
+            score = predict_single(load_model(model), IN_RANGE)["score"]
+            assert math.isfinite(score) and 0.0 <= score <= 1.0, model.name

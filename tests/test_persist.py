@@ -4,9 +4,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from helpers import gnb_log_posteriors_reference
 
 from spineml import experiment
-from spineml.dataset import Dataset
+from spineml.dataset import Dataset, select_group
 from spineml.errors import (
     CorruptFileError,
     MissingFeatureError,
@@ -22,10 +23,10 @@ from spineml.experiment import (
 )
 from spineml.metrics import confusion
 from spineml.model_selection import stratified_shuffle_split
-from spineml.naive_bayes import cnb_predict_many, gnb_predict_many
+from spineml.naive_bayes import _gnb_log_posteriors, cnb_predict_many, gnb_predict_many
 from spineml.neighbors import knn_predict_many
 from spineml.persist import _LAYOUT, MODEL_FORMAT_VERSION, load_model, predict_single, save_model
-from spineml.schema import LABEL_NAMES, ColumnSpec, Schema, default_schema, group_by_id
+from spineml.schema import GROUP_IDS, LABEL_NAMES, ColumnSpec, Schema, default_schema, group_by_id
 from spineml.tree import dt_predict_many
 
 MODEL_FOR_FAMILY = {
@@ -379,3 +380,27 @@ def test_model_file_bytes_are_pinned(tmp_path):
         path = tmp_path / f"{model_id}.json"
         save_model(cell, fit, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, model_id
+
+
+@pytest.mark.parametrize("keep_fraction", [1.0, 0.5])
+def test_gaussian_nb_log_posteriors_of_loaded_models_have_the_bits_of_per_call_terms(tmp_path, keep_fraction):
+    """A loaded GaussianNB model, whose smoothed variances, log(2π·var) and
+    log priors are worked out on its first call, gives each group's test
+    partition the log posteriors, bit for bit, of the rule that worked them
+    out on every call: in one batch and one row at a time, as
+    `predict_single` calls it. So does the in-memory model, whose terms
+    scoring the test partition made before it was saved."""
+    cfg = ExperimentConfig(synthetic={"n": 244, "seed": 13, "signal": 0.5}, keep_fraction=keep_fraction)
+    data = load_config_data(cfg)
+    split = stratified_shuffle_split(data.labels, cfg.test_fraction, seed=cfg.seed)
+    for group_id in GROUP_IDS:
+        group = group_by_id(group_id)
+        cell, fit = run_cell_fitted(data, group, MODEL_SPECS["GaussianNB"], cfg, split)
+        save_model(cell, fit, tmp_path / f"{group_id}.json")
+        loaded = load_model(tmp_path / f"{group_id}.json")
+        X = loaded.preprocess(select_group(data, group).rows[split.test_idx])[1][:, loaded.kept]
+        expected = gnb_log_posteriors_reference(loaded.classifier, X)
+        for model in (loaded.classifier, fit.classifier):
+            assert _gnb_log_posteriors(model, X).tobytes() == expected.tobytes(), group_id
+            for i in range(X.shape[0]):
+                assert _gnb_log_posteriors(model, X[i:i + 1]).tobytes() == expected[i].tobytes(), group_id

@@ -7,15 +7,28 @@ Each run of `SWEEP` is `spineml run --save-models` with the listed flags,
 made once in each checkout by a child interpreter with
 PYTHONPATH=<checkout>/src and PYTHONDONTWRITEBYTECODE=1, into a fresh
 temporary output directory. The `--config` run reads README's example
-`grids` from a temporary file. Every output file must be equal byte for
-byte, with results.json's `provenance.timestamp` set to null on both sides;
-stdout and stderr must be equal with the output directory masked, and so
-must the exit code. After each run one more child per checkout loads every
-saved model file in sorted order and prints, one JSON line per file,
-`predict_single(load_model(path), RECORD, trace=True)` or the error line,
-RECORD holding every predictor column of the default schema at the midpoint
-of its range, rounded down in an ordinal or binary column, whose values are
-whole numbers; its stdout, stderr and exit code are compared as the run's.
+`grids` from a temporary file. The `--csv` run reads `generate --seed 42`'s
+CSV, made once by the parent checkout, in which each `GAPS` column's code is
+replaced by the code below it, so that no training row holds it, and the
+`ZEROS` column is 0 in the first rows, so that its training minimum is 0. Every
+output file must be equal byte for byte, with results.json's
+`provenance.timestamp` set to null on both sides; stdout and stderr must be
+equal with the output directory masked, and so must the exit code. After
+each run one more child per checkout loads every saved model file in sorted
+order and prints, one JSON line per file and record,
+`predict_single(model, record, trace=True)` or the error line, for each
+record of `RECORDS` over the predictor columns (group VII's):
+- the midpoint of every column's range, rounded down in an ordinal or
+  binary column, whose values are whole numbers;
+- for each ordinal or binary column, the midpoint record with that column
+  at its range's lower end, and one with it at the upper end;
+- the midpoint record with each `GAPS` code: in the `--csv` run the code
+  ties between its two neighbours, so the rank rule's tie is compared;
+- every column at its range's lower end, and every column at its upper
+  end: values past the training rows' range, which min-max scaling clips,
+  with -0.0 for a bound of 0, which min-max keeps as -0.0 at a training
+  minimum of 0 (the `ZEROS` column in the `--csv` run).
+Its stdout, stderr and exit code are compared as the run's.
 Each run of `GENERATE` is `spineml generate` with the listed flags, writing
 <out>/data.csv; the CSV bytes, stdout, stderr and exit code are compared.
 Each difference is printed; the exit code is 1 if there is any, else 0.
@@ -23,6 +36,7 @@ Each difference is printed; the exit code is 1 if there is any, else 0.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -33,7 +47,14 @@ from pathlib import Path
 # README's example `grids`.
 README_GRIDS = {"KNN": {"k": [3, 5, 7]}, "DT": {"max_depth": [2, 4, None]}}
 
-# (name, flags); "{config}" stands for the path of a config holding README_GRIDS.
+# The code of each ordinal column that the `--csv` run's training rows lack.
+GAPS = {"EMP_ST": 7, "DRAM": 2}
+# A continuous column with a range from 0, and the first data rows of the
+# `--csv` run's CSV in which it is 0, so that its training minimum is 0.
+ZEROS = ("PRE_ODI", 10)
+
+# (name, flags); "{config}" stands for the path of a config holding
+# README_GRIDS, "{gapped}" for the CSV without the GAPS codes.
 SWEEP = (
     ("seed 42", ["--seed", "42"]),
     ("seed 7", ["--seed", "7"]),
@@ -52,6 +73,7 @@ SWEEP = (
     # rows by -1 and by +1 at these fractions.
     ("test fraction 0.1", ["--test-fraction", "0.1"]),
     ("test fraction 0.2, per-cell split", ["--test-fraction", "0.2", "--per-cell-split"]),
+    ("CSV without codes EMP_ST 7 and DRAM 2, PRE_ODI 0 in 10 rows", ["--csv", "{gapped}"]),
 )
 
 # (name, flags) of `spineml generate`: the sweep's seeds at n 244 and 1 000.
@@ -61,20 +83,29 @@ GENERATE = tuple((f"generate seed {seed}, n {n}", ["--seed", str(seed), "--n", s
 MAIN = "import sys; from spineml.cli import main; sys.exit(main())"
 
 
-# The child that predicts RECORD with each model file named on its command line.
+# The child that predicts each of RECORDS with each model file named on its command line.
 PREDICT = """
 import json, sys
 from spineml.errors import PipelineError
 from spineml.persist import load_model, predict_single
-from spineml.schema import default_schema
-RECORD = {c.name: sum(c.valid_range) / 2 if c.kind == "continuous" else sum(c.valid_range) // 2
-          for c in default_schema().feature_columns}
+from spineml.schema import default_schema, group_by_id
+GAPS = %r
+COLUMNS = [c for c in default_schema().feature_columns if c.name in group_by_id("VII").column_names]
+MID = {c.name: sum(c.valid_range) / 2 if c.kind == "continuous" else sum(c.valid_range) // 2 for c in COLUMNS}
+RECORDS = [MID, *({**MID, c.name: end} for c in COLUMNS if c.kind != "continuous" for end in c.valid_range),
+           {**MID, **GAPS}, *({c.name: c.valid_range[end] or -0.0 for c in COLUMNS} for end in (0, 1))]
 for path in sys.argv[1:]:
     try:
-        print(json.dumps(predict_single(load_model(path), RECORD, trace=True)))
+        model = load_model(path)
     except (PipelineError, OSError) as exc:
         print(f"error: {exc}")
-"""
+        continue
+    for record in RECORDS:
+        try:
+            print(json.dumps(predict_single(model, record, trace=True)))
+        except PipelineError as exc:
+            print(f"error: {exc}")
+""" % (GAPS,)
 
 
 def child(checkout: Path, argv: list, out: Path) -> tuple:
@@ -99,6 +130,23 @@ def generate(checkout: Path, flags: list, out: Path) -> tuple:
 def predict(checkout: Path, out: Path) -> tuple:
     """PREDICT in `checkout` over the model files saved in `out`."""
     return child(checkout, ["-c", PREDICT, *map(str, sorted((out / "models").glob("*.json")))], out)
+
+
+def gapped_csv(checkout: Path, path: Path) -> None:
+    """Write `generate --seed 42`'s CSV, made in `checkout`, to `path` with
+    each GAPS code replaced by the code below it, and ZEROS' rows at 0."""
+    child(checkout, ["-c", MAIN, "generate", "--seed", "42", "--out", str(path)], path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    gaps = {rows[0].index(name): code for name, code in GAPS.items()}
+    for i, row in enumerate(rows[1:]):
+        for j, code in gaps.items():
+            if float(row[j]) == code:
+                row[j] = str(code - 1)
+        if i < ZEROS[1]:
+            row[rows[0].index(ZEROS[0])] = "0"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def contents(path: Path) -> bytes:
@@ -143,8 +191,10 @@ def main(argv: list) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "grids.json"
         config.write_text(json.dumps({"grids": README_GRIDS}), encoding="utf-8")
+        gapped = Path(tmp) / "gapped.csv"
+        gapped_csv(checkouts[0], gapped)
         for i, (name, flags) in enumerate(SWEEP + GENERATE):
-            flags = [f.replace("{config}", str(config)) for f in flags]
+            flags = [f.replace("{config}", str(config)).replace("{gapped}", str(gapped)) for f in flags]
             outs = [Path(tmp) / side / str(i) / "out" for side in ("parent", "change")]
             for out in outs:
                 out.parent.mkdir(parents=True)
