@@ -199,6 +199,9 @@ def main(argv=None) -> int:
     except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .errors import (
     OutOfRangeError,
     WidthMismatchError,
 )
-from .schema import Schema, VariableGroup, default_schema, first_misfit
+from .schema import Schema, VariableGroup, column_limits, default_schema, first_misfit
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def load_csv(path, schema: Schema | None = None) -> tuple[Dataset, IngestionRepo
             positions[name] = header.index(name)
         label_pos = positions[schema.outcome.name]
         feature_pos = [positions[n] for n in schema.feature_names]
-        columns = [(c.kind, c.valid_range) for c in schema.feature_columns]
+        limits = column_limits((c.kind, c.valid_range) for c in schema.feature_columns)
 
         rows, labels, dropped = [], [], []
         for row_no, record in enumerate(reader, start=1):
@@ -170,7 +170,7 @@ def load_csv(path, schema: Schema | None = None) -> tuple[Dataset, IngestionRepo
                 raise MalformedCsvError(row_no, "field count does not match header")
             values = [_number(record[pos]) for pos in feature_pos]
             y = _number(record[label_pos])
-            bad = first_misfit(values, columns)
+            bad = first_misfit(values, limits)
             if bad is not None or y not in (0.0, 1.0):
                 dropped.append((row_no, schema.outcome.name if bad is None else schema.feature_names[bad]))
                 continue

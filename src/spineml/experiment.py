@@ -85,6 +85,7 @@ from .schema import (
     LABEL_NAMES,
     VariableGroup,
     builtin_groups,
+    column_limits,
     load_schema_json,
     typed,
 )
@@ -171,9 +172,10 @@ class Family:
     reasons measured per call on group VII (n = 244, 2 vCPU, CPU time):
     - CART: the one-row walk `dt_predict` takes 5.5–8.1 µs; `dt_predict_many`
       on one row takes 68–69 µs.
-    - k-NN: `knn_predict` already shares `_nearest` and `_vote_one` with the
-      batch vote, and `knn_predict_many` on one row is not faster (49–53 µs
-      against 40–41 µs).
+    - k-NN: `knn_predict` shares `_vote_one` with the batch vote and takes
+      the Euclidean filter of one record: 32–35 µs over 183 points and
+      33–38 µs over n = 1 000's 750 points, where `knn_predict_many` on one
+      row takes 54–56 µs and 79–104 µs.
     """
 
     fit: Callable  # (train, params) -> model
@@ -424,10 +426,15 @@ class FittedCell:
     @cached_property
     def _bounds(self) -> tuple:
         """The feature names, and each feature's kind and valid range (none
-        unless both bounds are given) as `schema.first_misfit` reads them."""
+        unless both bounds are given) as `schema.column_limits` reads them."""
         ranges = [(f.get("min"), f.get("max")) for f in self.feature_meta]
         return ([f["name"] for f in self.feature_meta],
                 [(f["kind"], None if None in r else r) for f, r in zip(self.feature_meta, ranges)])
+
+    @cached_property
+    def _limits(self) -> list:
+        """Each feature's terms of `schema.first_misfit`'s rule."""
+        return column_limits(self._bounds[1])
 
     def preprocess(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Encoded, then scaled, copies of raw rows in `feature_meta` order,

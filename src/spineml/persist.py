@@ -136,7 +136,7 @@ def preprocess_record(pm: FittedCell, record: dict) -> tuple[np.ndarray, Callabl
         raise MissingFeatureError(name) from None
     except (ValueError, OverflowError) as exc:
         raise OutOfSchemaValueError(f"feature {name}: {exc}") from None
-    if (bad := first_misfit(values, columns)) is not None:  # the rule of a CSV row's values
+    if (bad := first_misfit(values, pm._limits)) is not None:  # the rule of a CSV row's values
         (kind, valid), name = columns[bad], names[bad]
         raise OutOfSchemaValueError(f"feature {name}={values[bad]} is not a value of its {kind} column"
                                     + (f" in [{valid[0]}, {valid[1]}]" if valid else ""))

@@ -66,13 +66,20 @@ class ColumnSpec:
                 raise ValueError(f"invalid range for {self.name}: [{lo}, {hi}]")
 
 
-def first_misfit(values, columns) -> int | None:
-    """The index of the first raw value its column (kind, inclusive range or
-    None) cannot hold: not finite, out of range, or not whole in an ordinal or
-    binary column; None if all fit. CSV rows and `predict` records share it."""
-    for i, (value, (kind, valid_range)) in enumerate(zip(values, columns)):
-        lo, hi = valid_range or (-sys.float_info.max, sys.float_info.max)  # NaN and ±inf fall outside
-        if not (lo <= value <= hi and (kind == KIND_CONTINUOUS or value.is_integer())):
+def column_limits(columns) -> list:
+    """Each column's terms of `first_misfit`'s rule, from its kind and
+    inclusive range or None: its bounds (any finite value without a range)
+    and whether it is continuous."""
+    return [(*(valid_range or (-sys.float_info.max, sys.float_info.max)), kind == KIND_CONTINUOUS)
+            for kind, valid_range in columns]
+
+
+def first_misfit(values, limits) -> int | None:
+    """The index of the first raw value its column (`column_limits`) cannot
+    hold: not finite, out of range, or not whole in an ordinal or binary
+    column; None if all fit. CSV rows and `predict` records share it."""
+    for i, (value, (lo, hi, continuous)) in enumerate(zip(values, limits)):
+        if not (lo <= value <= hi and (continuous or value.is_integer())):  # NaN and ±inf fall outside
             return i
     return None
 

@@ -7,6 +7,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 from numbers import Integral, Real
@@ -26,6 +27,8 @@ from spineml.errors import (
     MalformedCsvError,
     MinorityTooSmallError,
     MissingColumnError,
+    MissingFeatureError,
+    OutOfSchemaValueError,
     PipelineError,
     SingleClassError,
     TooFewRowsError,
@@ -47,7 +50,7 @@ from spineml.neighbors import _CHUNK_BYTES, METRICS, WEIGHTINGS, _distances, _ne
 from spineml.preprocess import ScalerState
 from spineml.resampling import MinorityBasis, ResamplePlan
 from spineml.report import RESULTS_FORMAT_VERSION, _check_aggregates
-from spineml.schema import GROUP_IDS, ColumnSpec, Schema, default_schema, read_json
+from spineml.schema import GROUP_IDS, KIND_CONTINUOUS, ColumnSpec, Schema, default_schema, read_json, typed
 from spineml.synthetic import SYNTHETIC_DEFAULTS, check_synthetic
 from spineml.tree import (
     _MIN_DECREASE,
@@ -1193,3 +1196,33 @@ def gnb_log_posteriors_reference(model, X: np.ndarray) -> np.ndarray:
     dev = np.subtract(X[:, None, :], model.means[None, :, :], order="C")
     log_pdf = -0.5 * (np.log(2.0 * np.pi * var)[None, :, :] + dev * dev / var[None, :, :])
     return np.log(model.priors)[None, :] + log_pdf.sum(axis=2)
+
+
+def first_misfit_reference(values, columns) -> int | None:
+    """`schema.first_misfit` as it stood before it read `column_limits`,
+    verbatim."""
+    for i, (value, (kind, valid_range)) in enumerate(zip(values, columns)):
+        lo, hi = valid_range or (-sys.float_info.max, sys.float_info.max)  # NaN and ±inf fall outside
+        if not (lo <= value <= hi and (kind == KIND_CONTINUOUS or value.is_integer())):
+            return i
+    return None
+
+
+def read_record_reference(pm, record: dict) -> list:
+    """`persist.preprocess_record`'s value read as it stood before
+    `schema.column_limits`, verbatim: a record's raw values, or the error
+    it raises."""
+    names, columns = pm._bounds
+    values = []
+    try:  # the program's JSON number rule: no bool, no string, finite
+        for name in names:
+            values.append(typed(record[name], float, "value"))
+    except KeyError:
+        raise MissingFeatureError(name) from None
+    except (ValueError, OverflowError) as exc:
+        raise OutOfSchemaValueError(f"feature {name}: {exc}") from None
+    if (bad := first_misfit_reference(values, columns)) is not None:  # the rule of a CSV row's values
+        (kind, valid), name = columns[bad], names[bad]
+        raise OutOfSchemaValueError(f"feature {name}={values[bad]} is not a value of its {kind} column"
+                                    + (f" in [{valid[0]}, {valid[1]}]" if valid else ""))
+    return values

@@ -3,6 +3,7 @@ import codecs
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -650,6 +651,21 @@ def _spineml(*argv):
     """`spineml *argv` in a child interpreter, so that its real stderr is read."""
     return subprocess.run([sys.executable, "-c", "import sys; from spineml.cli import main; sys.exit(main())",
                            *argv], capture_output=True, text=True, env=_subprocess_env(), timeout=300)
+
+
+def test_a_run_past_memory_ends_in_one_error_line(tmp_path):
+    # 10^12 synthetic rows need 7.3 TiB for their first array. The child's
+    # address space is capped at 2 GiB, so the allocation fails without
+    # touching the host's memory; numpy's MemoryError ends in one line.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+    proc = subprocess.run([sys.executable, "-c", "import sys; from spineml.cli import main; sys.exit(main())",
+                           "run", "--n", "1000000000000", "--groups", "VII", "--models", "GaussianNB",
+                           "--out", str(tmp_path / "r")],
+                          capture_output=True, text=True, env=_subprocess_env(), timeout=300, preexec_fn=cap)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 @pytest.mark.parametrize("model_id,printed", [("KNN", '{"label": "no-success", "score": 0.6}'),

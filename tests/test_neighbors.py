@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -701,3 +702,127 @@ def test_filtered_minority_tables_give_the_direct_smote_basis(n0, n1, d, duplica
     assert (got.neighbors is None) == (want.neighbors is None)
     if want.neighbors is not None:
         assert got.neighbors.tobytes() == want.neighbors.tobytes()
+
+
+def _filter_data(rng, kind: str, rows: int, d: int) -> np.ndarray:
+    """Coordinates of one kind: a coarse grid (exact arithmetic, many ties),
+    tenths (ties in exact distance that rounding may split), rows of norm
+    about 1e6 beside rows of norm about 1e-6, or tenths offset by 1e6 (the
+    error of s far above the gaps between distances)."""
+    grid = rng.integers(-2, 3, size=(rows, d)).astype(float)
+    if kind == "grid":
+        return grid
+    if kind == "tenths":
+        return grid / 10
+    if kind == "scales":
+        return rng.normal(size=(rows, d)) * np.where(rng.random((rows, 1)) < 0.5, 1e6, 1e-6)
+    return 1e6 + rng.integers(-9, 10, size=(rows, d)) / 10
+
+
+def _bits(value):
+    """A value's arrays as (dtype, shape, bytes), within lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return repr(value)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the name of the error it raises (a NaN vote raises)."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001
+        return type(exc).__name__
+
+
+def _direct_calls(mp) -> list:
+    """Count the calls of `_nearest`, which the filter makes only when it
+    hands a record to the direct kernel."""
+    calls, real = [], neighbors._nearest
+    mp.setattr(neighbors, "_nearest", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 30) | st.integers(100, 300),
+    d=st.integers(1, 20),
+    k=st.integers(1, 12) | st.integers(25, 150),
+    kind=st.sampled_from(["grid", "tenths", "scales", "offset"]),
+    duplicates=st.integers(0, 12),
+    bad=st.sampled_from([None, np.nan, np.inf, -np.inf, 1e300]),
+    bad_point=st.booleans(),
+    cap=st.booleans(),
+    weighting=st.sampled_from(["uniform", "inverse-distance"]),
+    layout=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_filtered_record_lookup_equals_the_direct_kernel_bit_for_bit(n, d, k, kind, duplicates, bad, bad_point,
+                                                                          cap, weighting, layout, seed):
+    # A record's Euclidean filter against the direct kernel, bit for bit:
+    # `_filtered_top_k` against `_nearest`, and `knn_predict` against the
+    # one-row vote on `_nearest`'s list. Coarse grids and duplicated rows
+    # tie at the cut; norms of 1e6 and of 1e-6 meet; a NaN, ±inf or 1e300
+    # (whose norm overflows) in the record or a point sends the lookup to
+    # the direct path; k may pass n, and falls on both sides of a quarter
+    # of the points (no cap lets the filter take every lookup, however many
+    # its candidates); points and records come C-ordered, Fortran-ordered or
+    # with strided columns.
+    rng = np.random.default_rng(seed)
+    points = _filter_data(rng, kind, n, d)
+    points = np.vstack([points, points[rng.integers(0, n, size=duplicates)]])
+    X = np.vstack([points[:4], _filter_data(rng, kind, 4, d)])
+    if bad is not None:
+        target = points if bad_point else X
+        target[rng.integers(0, len(target)), rng.integers(0, d)] = bad
+    points, X = helpers.layouts(points)[layout[0]], helpers.layouts(X)[layout[1]]
+    labels = (np.arange(len(points)) % 3 == 0).astype(np.int64)
+    k = min(k, len(points))
+    # the direct kernel's own warnings on NaN and ±inf; finite data must warn nothing
+    with np.errstate(over="ignore", invalid="ignore") if bad is not None else contextlib.nullcontext():
+        want = [_nearest(points, x[None], "euclidean", k) for x in X]
+        want_votes = [_outcome(neighbors._vote_one, dist[0], labels[idx[0]], weighting) for dist, idx in want]
+        with pytest.MonkeyPatch.context() as mp:
+            if not cap:
+                mp.setattr(neighbors, "_FILTER_CAP", 1)
+            model = neighbors.KNNModel(k, weighting, "euclidean", points, labels)
+            direct = _direct_calls(mp)
+            got = [neighbors._filtered_top_k(points, model._norms, x, k) for x in X]
+            got_votes = [_outcome(knn_predict, model, x) for x in X]
+    if not cap and bad is None:
+        assert not direct  # no cap: the filter measured every lookup
+    assert _bits(got) == _bits(want)
+    assert _bits(got_votes) == _bits(want_votes)
+
+
+@pytest.mark.parametrize("n,k", [(20, 5), (20, 6), (128, 32), (128, 33)])
+def test_the_record_filter_at_its_cap_equals_the_direct_kernel(n, k):
+    # A model filters a record while k is at most a quarter of its points:
+    # each lookup has the direct kernel's bits on both sides of the cap.
+    # Normal draws tie at the cut with probability zero, so at the cap the
+    # k nearest are the only candidates and the filter keeps the record.
+    rng = np.random.default_rng(n + k)
+    points = rng.normal(size=(n, 16))
+    model = neighbors.KNNModel(k, "uniform", "euclidean", points, np.arange(n) % 2)
+    for x in np.vstack([points[:5], rng.normal(size=(5, 16))]):
+        dist, idx = want = _nearest(points, x[None], "euclidean", k)
+        with pytest.MonkeyPatch.context() as mp:
+            direct = _direct_calls(mp)
+            got = knn_predict(model, x)
+        assert _bits(got) == _bits(neighbors._vote_one(dist[0], model.labels[idx[0]], "uniform"))
+        assert (not direct) == (4 * k <= n)
+        assert _bits(neighbors._filtered_top_k(points, model._norms, x, k)) == _bits(want)
+
+
+def test_the_filter_sums_the_norms_of_integer_points_in_floats():
+    # The int64 square of 4e9 wraps to a negative norm, which would rank
+    # its far point first and push a true neighbor past the cut; the
+    # filter's norms are float64 sums, so a model over 180 integer points
+    # finds the direct kernel's neighbors.
+    points = np.vstack([[[4_000_000_000, 0]], np.arange(358).reshape(179, 2) % 7])
+    X = np.array([[1.0, 2.0], [3.0, 1.0]])
+    want = [_top_k(_distances(points, x[None], ("euclidean",))["euclidean"], k) for x in X for k in (1, 3)]
+    model = neighbors.KNNModel(3, "uniform", "euclidean", points, np.arange(180) % 2)
+    got = [neighbors._filtered_top_k(points, model._norms, x, k) for x in X for k in (1, 3)]
+    assert _bits(got) == _bits(want)

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from helpers import gnb_log_posteriors_reference
+from helpers import gnb_log_posteriors_reference, read_record_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spineml import experiment
 from spineml.dataset import Dataset, select_group
@@ -12,6 +15,7 @@ from spineml.errors import (
     CorruptFileError,
     MissingFeatureError,
     OutOfSchemaValueError,
+    PipelineError,
     VersionMismatchError,
 )
 from spineml.experiment import (
@@ -25,7 +29,7 @@ from spineml.metrics import confusion
 from spineml.model_selection import stratified_shuffle_split
 from spineml.naive_bayes import _gnb_log_posteriors, cnb_predict_many, gnb_predict_many
 from spineml.neighbors import knn_predict_many
-from spineml.persist import _LAYOUT, MODEL_FORMAT_VERSION, load_model, predict_single, save_model
+from spineml.persist import _LAYOUT, MODEL_FORMAT_VERSION, load_model, predict_single, preprocess_record, save_model
 from spineml.schema import GROUP_IDS, LABEL_NAMES, ColumnSpec, Schema, default_schema, group_by_id
 from spineml.tree import dt_predict_many
 
@@ -404,3 +408,56 @@ def test_gaussian_nb_log_posteriors_of_loaded_models_have_the_bits_of_per_call_t
             assert _gnb_log_posteriors(model, X).tobytes() == expected.tobytes(), group_id
             for i in range(X.shape[0]):
                 assert _gnb_log_posteriors(model, X[i:i + 1]).tobytes() == expected[i].tobytes(), group_id
+
+
+def _record_value(meta: dict):
+    """A strategy for one feature's value: missing (None), a value its
+    column holds, or one it must refuse: a bool, a string, a non-finite or
+    past-float number, a fraction in a coded column, or one off its range."""
+    lo, hi = meta.get("min"), meta.get("max")
+    lo, hi = (0.0, 10.0) if lo is None or hi is None else (lo, hi)
+    whole = st.integers(int(math.ceil(lo)), int(math.floor(hi)))
+    held = whole if meta["kind"] != "continuous" else whole | st.floats(lo, hi)
+    return st.one_of(
+        held, held, held, st.none(), st.booleans(), st.sampled_from(["7", "", "nan"]),
+        st.sampled_from([math.nan, math.inf, -math.inf, 10**400, [1.0]]),
+        st.floats(lo, hi).map(lambda v: math.floor(v) + 0.5),
+        st.sampled_from([lo - 1, hi + 1, lo - 0.25, hi + 1e9, -1e308]),
+    )
+
+
+@pytest.fixture(scope="module")
+def loaded_cells(fitted_cells, tmp_path_factory):
+    out = []
+    for family, (cell, fit) in fitted_cells.items():
+        path = tmp_path_factory.mktemp("records") / f"{family}.json"
+        save_model(cell, fit, path)
+        out.append(load_model(path))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_record_reader_with_column_limits_matches_the_old_reader(loaded_cells, data):
+    # `preprocess_record` checks a record's values against its cell's
+    # `column_limits`, worked out once; the reader it replaced, which worked
+    # out each column's bounds per value, is kept verbatim in helpers. Both
+    # give the same vector, or the same error and message: a missing key or
+    # a value that is not a finite JSON number is reported before any value
+    # its column cannot hold.
+    pm = data.draw(st.sampled_from(loaded_cells))
+    drawn = [(meta["name"], data.draw(_record_value(meta))) for meta in pm.feature_meta]
+    record = {name: value for name, value in drawn if value is not None}
+
+    def outcome(read):
+        try:
+            return read()
+        except PipelineError as exc:
+            return type(exc).__name__, str(exc)
+
+    want = outcome(lambda: pm.preprocess(np.array([read_record_reference(pm, record)]))[1][0].take(pm.kept))
+    got = outcome(lambda: preprocess_record(pm, record)[0])
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
